@@ -5,15 +5,19 @@ greedy trace from the (T, N) corner, accumulating every visited cell; it is
 cheap but not globally optimal.  ``dtw_dp`` is the classic dynamic-program
 over an accumulated-cost table and serves as the optimal-cost oracle.  Both
 report the cells they visited as a 1-based path from (T, N) down to (1, 1).
+``align_batch`` aligns a whole stack of matrices in one call and returns
+each one's cost and 0/1 path mask; with ``"dp"`` it is a vectorized
+wavefront that agrees exactly with ``dtw_dp`` and ``dtw_subgradient``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyMatrixError, NonFiniteError, PathMismatchError
+from .errors import DimMismatchError, EmptyMatrixError, NonFiniteError, PathMismatchError
 from .numerics import as_matrix
 
 
@@ -74,16 +78,17 @@ def dtw_greedy(c: CostMatrix | np.ndarray) -> AlignmentResult:
     """
     v = _values(c)
     t, n = v.shape
+    v = v.tolist()  # Python floats index faster than numpy scalars, same values
     i, j = t, n
     cost = 0.0
     path: list[tuple[int, int]] = []
     while i > 0 and j > 0:
-        cost += v[i - 1, j - 1]
+        cost += v[i - 1][j - 1]
         path.append((i, j))
-        if i > 1 and j > 1 and v[i - 2, j - 2] <= v[i - 2, j - 1] and v[i - 2, j - 2] <= v[i - 1, j - 2]:
+        if i > 1 and j > 1 and v[i - 2][j - 2] <= v[i - 2][j - 1] and v[i - 2][j - 2] <= v[i - 1][j - 2]:
             i -= 1
             j -= 1
-        elif i > 1 and (j == 1 or v[i - 2, j - 1] <= v[i - 1, j - 2]):
+        elif i > 1 and (j == 1 or v[i - 2][j - 1] <= v[i - 1][j - 2]):
             i -= 1
         else:
             j -= 1
@@ -140,6 +145,107 @@ def align(c: CostMatrix | np.ndarray, algorithm: str = "greedy") -> AlignmentRes
         return DTW_ALGORITHMS[algorithm](c)
     except KeyError:
         raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}") from None
+
+
+@functools.lru_cache(maxsize=64)
+def _wavefront_plan(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index maps between a padded (t+1, n+1) table and its skew.
+
+    Row d of the skewed (t+n+1, n+1) table holds the anti-diagonal cells
+    (d - j, j), so each wavefront step is one slice.  ``skew`` gathers the
+    skewed table from the padded one (cells off the table read the padded
+    corner (0, 0)); ``unskew`` gathers the padded table back.
+    """
+    d = np.arange(t + n + 1)[:, None]
+    j = np.arange(n + 1)[None, :]
+    i = d - j
+    skew = np.where((i >= 0) & (i <= t), i * (n + 1) + j, 0)
+    unskew = (np.arange(t + 1)[:, None] + j) * (n + 1) + j
+    skew.setflags(write=False)
+    unskew.setflags(write=False)
+    return skew, unskew
+
+
+def _dp_batch(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``dtw_dp`` over an inf-padded (B, T+1, N+1) stack, every matrix at once.
+
+    Row 0 and column 0 of ``padded`` are the inf border; matrix k occupies
+    rows 1..rows[k] and columns 1..cols[k], and inf fills the rest.
+    """
+    b, t1, n1 = padded.shape
+    t, n = t1 - 1, n1 - 1
+    skew, unskew = _wavefront_plan(t, n)
+    v = padded.reshape(b, -1)[:, skew]
+    acc = np.full_like(v, np.inf)
+    acc[:, 0, 0] = -0.0  # v + (-0.0) == v bit for bit, as dtw_dp's acc[0, 0] = v[0, 0]
+    for d in range(2, t + n + 1):
+        # min(diag, up, left), ordered so that ties keep the earlier operand
+        best = np.minimum(acc[:, d - 1, :-1], np.minimum(acc[:, d - 1, 1:], acc[:, d - 2, :-1]))
+        np.add(v[:, d, 1:], best, out=acc[:, d, 1:])
+    table = acc.reshape(b, -1)[:, unskew]  # table[k, i, j]: accumulated cost of 1-based cell (i, j)
+    costs = table[np.arange(b), rows, cols]
+
+    # backtrack moves as flat offsets in the padded table, ties broken
+    # diagonal, then up, then left; the border is inf, so cells in row 1
+    # move left and cells in column 1 move up, as in dtw_dp
+    diag, up, left = table[:, :-1, :-1], table[:, :-1, 1:], table[:, 1:, :-1]
+    step = np.zeros(table.shape, dtype=np.intp)
+    step[:, 1:, 1:] = np.where((diag <= up) & (diag <= left), n1 + 1, np.where(up <= left, n1, 1))
+    step[:, 1, 1] = 0  # a finished path stays on (1, 1)
+    step = step.ravel()
+    pos = np.arange(b) * (t1 * n1) + rows * n1 + cols
+    mask = np.zeros(b * t1 * n1)
+    for _ in range(int((rows + cols).max()) - 1):
+        mask[pos] = 1.0
+        pos = pos - step[pos]
+    return costs, mask.reshape(b, t1, n1)[:, 1:, 1:]
+
+
+def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray]:
+    """Align a stack of cost matrices; return their costs and 0/1 path masks.
+
+    ``matrices`` is a (B, T, N) array or a sequence of B matrices of any
+    shapes, with entries already checked (see :class:`CostMatrix`).  Ragged
+    matrices are padded with inf to the largest shape: the result is a
+    length-B cost vector and a (B, T, N) mask whose entry k is
+    ``dtw_subgradient`` of matrix k under ``algorithm``, zero-padded.
+    Costs and masks equal the per-matrix ``dtw_dp``/``dtw_greedy`` ones
+    exactly.  ``"dp"`` runs an anti-diagonal wavefront and a lockstep
+    backtrack over the whole stack; ``"greedy"`` traces each matrix with
+    ``dtw_greedy``.
+    """
+    if algorithm not in DTW_ALGORITHMS:
+        raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}")
+    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
+    if not mats:
+        raise EmptyMatrixError("no cost matrices to align")
+    for k, m in enumerate(mats):
+        if m.ndim != 2:
+            raise DimMismatchError(f"cost matrix {k} must be 2-D, got shape {m.shape}")
+        if m.size == 0:
+            raise EmptyMatrixError(f"cost matrix {k} is empty, shape {m.shape}")
+    shape = np.array([m.shape for m in mats])
+    rows, cols = shape[:, 0], shape[:, 1]
+    t, n = shape.max(axis=0)
+
+    if algorithm == "greedy":
+        costs = np.empty(len(mats))
+        masks = np.zeros((len(mats), t, n))
+        for k, m in enumerate(mats):
+            result = dtw_greedy(m)
+            costs[k] = result.cost
+            mask = masks[k]
+            for i, j in result.path:  # the path is in bounds by construction
+                mask[i - 1, j - 1] = 1.0
+        return costs, masks
+
+    padded = np.full((len(mats), t + 1, n + 1), np.inf)
+    for k, m in enumerate(mats):
+        padded[k, 1 : rows[k] + 1, 1 : cols[k] + 1] = m
+    costs, masks = _dp_batch(padded, rows, cols)
+    if not np.all(np.isfinite(costs)):
+        raise NonFiniteError("cost matrix contains non-finite entries")
+    return costs, masks
 
 
 def reverse_columns(c: CostMatrix) -> CostMatrix:

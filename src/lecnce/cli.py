@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 
@@ -109,7 +110,22 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config root in {path} must be a JSON object")
-    return _merge_strict(CONFIG_DEFAULTS, raw)
+    config = _merge_strict(CONFIG_DEFAULTS, raw)
+    _check_train_section(config["train"])
+    return config
+
+
+def _check_train_section(train: dict) -> None:
+    """Reject train values that would otherwise fail mid-run, naming the key."""
+    for key in ("schedule", "batch_sizes", "frames"):
+        value = train[key]
+        if not isinstance(value, list) or len(value) != 3:
+            raise ConfigError(f"config key 'train.{key}' must list 3 values (clip, phase, video), got {value!r}")
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in train["frames"]):
+        raise ConfigError(f"config key 'train.frames' entries must be integers >= 1, got {train['frames']!r}")
+    lr = train["learning_rate"]
+    if not (isinstance(lr, (int, float)) and not isinstance(lr, bool) and math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"config key 'train.learning_rate' must be a finite number > 0, got {lr!r}")
 
 
 def resolve_seed(flag_seed, config: dict) -> int:

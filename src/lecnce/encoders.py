@@ -275,9 +275,10 @@ def save_checkpoint(
         "seed": seed,
         "schedule_position": schedule_position,
     }
+    # json.dumps encodes in C; json.dump streams through the pure-Python encoder
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_checkpoint(path) -> dict:

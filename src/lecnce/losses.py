@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import CostMatrix, align, dtw_subgradient, reverse_columns
+from .alignment import CostMatrix, align, align_batch, dtw_subgradient
 from .errors import (
     DimMismatchError,
     EmptyChildSequenceError,
@@ -163,6 +163,16 @@ def cost_matrix_backward(frames, texts, beta: float, grad_cost: np.ndarray) -> t
     return grad_sim @ texts, grad_sim.T @ frames
 
 
+def _hinge(delta, phi: float, form: str):
+    """Hinge value and activity for forward-minus-reversed cost gaps ``delta``.
+
+    Elementwise over arrays; ties resolve as Python's ``max`` would.
+    """
+    if form == "standard":
+        return np.where(delta + phi > 0.0, delta + phi, 0.0), delta + phi > 0.0
+    return np.where(phi > delta, phi, delta), delta > phi
+
+
 def dtw_hinge(
     c_forward: CostMatrix,
     c_reversed: CostMatrix,
@@ -183,13 +193,7 @@ def dtw_hinge(
         raise ShapeMismatchError(f"cost matrices differ in shape: {c_forward.shape} vs {c_reversed.shape}")
     fwd = align(c_forward, algorithm)
     rev = align(c_reversed, algorithm)
-    delta = fwd.cost - rev.cost
-    if form == "standard":
-        value = max(0.0, delta + phi)
-        active = delta + phi > 0.0
-    else:
-        value = max(delta, phi)
-        active = delta > phi
+    value, active = _hinge(fwd.cost - rev.cost, phi, form)
     if active:
         grad_fwd = dtw_subgradient(c_forward, fwd)
         grad_rev = -dtw_subgradient(c_reversed, rev)
@@ -302,17 +306,25 @@ def hier_lecnce(
     grad_frames = [mean_pool_rows_backward(grad_pooled[k], pool_caches[k]) for k in range(b)]
     grad_children = [np.zeros_like(c) for c in children_list]
 
+    # one alignment call for the batch: every forward matrix and its
+    # column-reversed view, which needs no re-validation
+    matrices = [build_cost_matrix(f, c, cfg.beta, validate=False).values for f, c in zip(frames_list, children_list)]
+    costs, paths = align_batch(matrices + [m[:, ::-1] for m in matrices], dtw_algorithm)
+    hinge, active = _hinge(costs[:b] - costs[b:], cfg.phi, cfg.hinge_form)
     dtw_total = 0.0
+    for value in hinge.tolist():  # sequential, not pairwise, to match a per-sample dtw_hinge sum
+        dtw_total += value
+
     lam = cfg.lambda_dtw
-    for k in range(b):
-        c_fwd = build_cost_matrix(frames_list[k], children_list[k], cfg.beta, validate=False)
-        c_rev = reverse_columns(c_fwd)
-        hinge = dtw_hinge(c_fwd, c_rev, cfg.phi, cfg.hinge_form, dtw_algorithm)
-        dtw_total += hinge.value
-        if lam > 0:
+    if lam > 0:
+        for k, m in enumerate(matrices):
+            t, n = m.shape
             # the reversed matrix shares entries with the forward one, so its
-            # gradient folds back after un-flipping the column axis
-            grad_cost = hinge.grads["c_forward"] + hinge.grads["c_reversed"][:, ::-1]
+            # path folds back after un-flipping the column axis
+            if active[k]:
+                grad_cost = paths[k, :t, :n] - paths[b + k, :t, :n][:, ::-1]
+            else:
+                grad_cost = np.zeros((t, n))
             g_f, g_c = cost_matrix_backward(frames_list[k], children_list[k], cfg.beta, grad_cost * (lam / b))
             grad_frames[k] = grad_frames[k] + g_f
             grad_children[k] = grad_children[k] + g_c

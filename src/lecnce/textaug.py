@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ClientFailureError, EmptyCorpusError, EmptyWordError
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+_LETTERS = frozenset(ALPHABET)
 BEHAVIORS = ("recipe", "dictionary", "summarizer")
 
 _SYSTEM_PROMPTS = {
@@ -100,17 +101,38 @@ def spell_correct(word: str, vocab: dict[str, int]) -> str:
 
     A word already in the vocabulary (or with no in-vocabulary candidate
     within two edits, or not lowercase alphabetic) is returned unchanged.
-    Frequency ties break lexicographically.
+    Frequency ties break lexicographically.  The result is that of
+    searching ``edit_candidates(word, 1)``, then ``edit_candidates(word, 2)``.
     """
     if word in vocab:
         return word
     if not word or not word.isalpha() or word != word.lower():
         return word
-    for distance in (1, 2):
-        hits = [c for c in edit_candidates(word, distance) if c in vocab]
-        if hits:
-            return min(hits, key=lambda w: (-vocab[w], w))
+    one = _edits1(word)
+    hits = [c for c in one if c in vocab]
+    if not hits:
+        hits = _distance2_hits(word, one, vocab)
+    if hits:
+        return min(hits, key=lambda w: (-vocab[w], w))
     return word
+
+
+def _distance2_hits(word: str, one: set[str], vocab: dict[str, int]) -> list[str]:
+    """Vocabulary words in ``edit_candidates(word, 2)``, given none is one edit away.
+
+    Over a-z every single edit has an inverse single edit, so a word made of
+    a-z is two edits from another one exactly when their one-edit sets
+    meet.  Only vocabulary words within two of ``word``'s length can be
+    two edits away; when they are fewer than ``word``'s one-edit
+    neighbours, testing each of them is cheaper than enumerating the
+    distance-2 set.
+    """
+    if set(word) <= _LETTERS:
+        near = [w for w in vocab if abs(len(w) - len(word)) <= 2]
+        if len(near) < len(one):
+            # a vocabulary word with letters outside a-z is never an edit of a-z strings
+            return [w for w in near if set(w) <= _LETTERS and not one.isdisjoint(_edits1(w))]
+    return [c for c in edit_candidates(word, 2) if c in vocab]
 
 
 # ---------------------------------------------------------------------------

@@ -201,10 +201,6 @@ def _add_grads(a, b):
     return [(dw1 + dw2, db1 + db2) for (dw1, db1), (dw2, db2) in zip(a, b)]
 
 
-def _zero_grads(params: enc.EncoderParams):
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers]
-
-
 @dataclass
 class TrainerState:
     """Shared encoders plus their optimizer states."""

@@ -51,16 +51,41 @@ def greedy_decision_margin(values: np.ndarray) -> float:
     return float(margin)
 
 
-def stable_hinge_instance(frames, children, beta, phi, margin=1e-3) -> bool:
+def dp_decision_margin(values: np.ndarray) -> float:
+    """Smallest gap between the chosen and the other predecessors on the DP path.
+
+    Every accumulated cost moves by at most (path length) x (entry change)
+    under a perturbation, so a margin well above that keeps the optimal
+    path, and with it the fixed-path gradient, unchanged.
+    """
+    t, n = values.shape
+    acc = np.full((t + 1, n + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, t + 1):
+        for j in range(1, n + 1):
+            acc[i, j] = values[i - 1, j - 1] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+    i, j = t, n
+    margin = np.inf
+    while (i, j) != (1, 1):
+        cands = {(i - 1, j - 1): acc[i - 1, j - 1], (i - 1, j): acc[i - 1, j], (i, j - 1): acc[i, j - 1]}
+        best = min(cands, key=cands.get)
+        others = [v for cell, v in cands.items() if cell != best and np.isfinite(v)]
+        margin = min([margin] + [v - cands[best] for v in others])
+        i, j = best
+    return float(margin)
+
+
+def stable_hinge_instance(frames, children, beta, phi, margin=1e-3, algorithm="greedy") -> bool:
     """True when both alignments and the hinge kink sit away from ties."""
-    from lecnce.alignment import dtw_greedy, reverse_columns
+    from lecnce.alignment import align, reverse_columns
     from lecnce.losses import build_cost_matrix
 
     c_fwd = build_cost_matrix(frames, children, beta, validate=False)
     c_rev = reverse_columns(c_fwd)
-    if min(greedy_decision_margin(c_fwd.values), greedy_decision_margin(c_rev.values)) < margin:
+    decision_margin = {"greedy": greedy_decision_margin, "dp": dp_decision_margin}[algorithm]
+    if min(decision_margin(c_fwd.values), decision_margin(c_rev.values)) < margin:
         return False
-    delta = dtw_greedy(c_fwd).cost - dtw_greedy(c_rev).cost
+    delta = align(c_fwd, algorithm).cost - align(c_rev, algorithm).cost
     return abs(delta + phi) > margin and abs(delta - phi) > margin
 
 

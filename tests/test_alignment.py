@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lecnce.alignment import (
     AlignmentResult,
     CostMatrix,
+    align_batch,
     dtw_dp,
     dtw_greedy,
     dtw_subgradient,
     reverse_columns,
 )
-from lecnce.errors import EmptyMatrixError, PathMismatchError
+from lecnce.errors import DimMismatchError, EmptyMatrixError, NonFiniteError, PathMismatchError
 from lecnce.numerics import make_rng
 
 HAND_TRACE_3X3 = np.array([[1.0, 5.0, 5.0], [2.0, 1.0, 5.0], [5.0, 2.0, 1.0]])
@@ -181,3 +184,83 @@ class TestInvariants:
                         hit_border = True
                     if hit_border:
                         assert i == 1 or j == 1
+
+
+ORACLES = {"dp": dtw_dp, "greedy": dtw_greedy}
+
+# (B, T, N) of the phase and video cost stacks: desk phase and video, then
+# the reference phase and video shapes
+STEP_SHAPES = [(8, 8, 2), (4, 48, 6), (80, 16, 8), (25, 64, 6)]
+
+
+def assert_matches_per_matrix(mats, algorithm):
+    """align_batch == one dtw_dp/dtw_greedy + dtw_subgradient call per matrix."""
+    costs, masks = align_batch(mats, algorithm)
+    t = max(m.shape[0] for m in mats)
+    n = max(m.shape[1] for m in mats)
+    assert costs.shape == (len(mats),)
+    assert masks.shape == (len(mats), t, n)
+    for k, m in enumerate(mats):
+        r = ORACLES[algorithm](m)
+        assert costs[k] == r.cost
+        rows, cols = m.shape
+        np.testing.assert_array_equal(masks[k, :rows, :cols], dtw_subgradient(m, r))
+        assert not masks[k, rows:].any() and not masks[k, :, cols:].any()
+
+
+class TestAlignBatch:
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (1, 256), (256, 1)])
+    def test_degenerate_shapes(self, algorithm, shape):
+        rng = make_rng(40)
+        assert_matches_per_matrix(list(rng.uniform(0.0, 3.0, size=(3, *shape))), algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    def test_tie_heavy_integer_matrices(self, algorithm):
+        rng = make_rng(41)
+        for _ in range(60):
+            b, t, n = (int(x) for x in rng.integers(1, 8, size=3))
+            mats = list(rng.integers(0, 3, size=(b, t, n)).astype(float))
+            assert_matches_per_matrix(mats, algorithm)
+        assert_matches_per_matrix([np.zeros((5, 4)), np.ones((5, 4))], algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    @pytest.mark.parametrize("b,t,n", STEP_SHAPES)
+    def test_training_step_shapes(self, algorithm, b, t, n):
+        rng = make_rng(42 + t)
+        assert_matches_per_matrix(rng.uniform(0.0, 4.0, size=(b, t, n)), algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    def test_ragged_batches(self, algorithm):
+        rng = make_rng(43)
+        for _ in range(40):
+            shapes = rng.integers(1, 10, size=(int(rng.integers(1, 7)), 2))
+            mats = [rng.uniform(0.0, 4.0, size=(int(t), int(n))) for t, n in shapes]
+            assert_matches_per_matrix(mats, algorithm)
+
+    def test_reference_sized_stack(self):
+        rng = make_rng(44)
+        assert_matches_per_matrix(list(rng.uniform(0.0, 2.0, size=(7, 256, 12))), "dp")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 2**32 - 1),
+        integer=st.booleans(),
+    )
+    def test_property_matches_dtw_dp(self, shape, seed, integer):
+        rng = make_rng(seed)
+        values = rng.integers(0, 4, size=shape).astype(float) if integer else rng.uniform(0.0, 5.0, size=shape)
+        assert_matches_per_matrix(values, "dp")
+
+    def test_bad_inputs(self):
+        with pytest.raises(EmptyMatrixError):
+            align_batch([], "dp")
+        with pytest.raises(EmptyMatrixError):
+            align_batch([np.ones((2, 2)), np.empty((0, 2))], "dp")
+        with pytest.raises(DimMismatchError):
+            align_batch([np.ones(3)], "dp")
+        with pytest.raises(ValueError):
+            align_batch([np.ones((2, 2))], "beam")
+        with pytest.raises(NonFiniteError):
+            align_batch([np.array([[1.0, np.nan], [2.0, 1.0]])], "dp")

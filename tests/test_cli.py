@@ -103,6 +103,39 @@ class TestExitCodes:
         assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(bad)]) == 1
 
 
+class TestTrainConfigAtLoad:
+    """Train values that used to fail mid-run are rejected at config load."""
+
+    def _train_exit(self, tmp_path, capsys, small_config, generated, key, value) -> tuple[int, str]:
+        cfg = json.loads(small_config.read_text())
+        cfg["train"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))  # writes NaN and Infinity as the literals json.load accepts
+        code = run(["train", "--config", str(path), "--data", str(generated), "--out", str(tmp_path / "run")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["schedule", "batch_sizes", "frames"])
+    def test_level_tuple_length(self, tmp_path, capsys, small_config, generated, key):
+        code, err = self._train_exit(tmp_path, capsys, small_config, generated, key, [2, 1])
+        assert code == 1
+        assert f"'train.{key}'" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("frames", [[0, 4, 16], [2, -1, 16], [2, 4, 1.5]])
+    def test_frames_below_one(self, tmp_path, capsys, small_config, generated, frames):
+        code, err = self._train_exit(tmp_path, capsys, small_config, generated, "frames", frames)
+        assert code == 1
+        assert "'train.frames'" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0, -0.001, "fast"])
+    def test_learning_rate_finite_positive(self, tmp_path, capsys, small_config, generated, lr):
+        code, err = self._train_exit(tmp_path, capsys, small_config, generated, "learning_rate", lr)
+        assert code == 1
+        assert "'train.learning_rate'" in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestGenerateData:
     def test_byte_identical_across_runs(self, tmp_path, small_config):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from helpers import rel_error, unit_rows
@@ -282,3 +285,19 @@ class TestCheckpoint:
         )
         assert first.read_bytes() == second.read_bytes()
         assert loaded["seed"] == 99 and loaded["schedule_position"] == 17
+
+    def test_bytes_match_streamed_json_dump(self, tmp_path):
+        rng = make_rng(17)
+        f = init_params([6, 4, 3], "tanh", rng)
+        g = init_params([5, 3], "identity", rng)
+        sf, sg = init_optimizer(f), init_optimizer(g)
+        grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in f.layers]
+        f, sf = adamw_step(f, grads, sf)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, f, g, sf, sg, seed=3, schedule_position=11)
+        written = path.read_text(encoding="utf-8")
+        # floats round-trip through their shortest repr, so the parsed payload
+        # is the one that was written
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed, sort_keys=True, separators=(",", ":"))
+        assert written == streamed.getvalue() + "\n"

@@ -261,37 +261,120 @@ class TestHierLecnce:
             hier_lecnce(frames, parents, children, LossConfig())
 
     def test_gradients_match_finite_differences(self):
-        cfg = LossConfig(lambda_dtw=1.0, temperature_infonce=0.3)
-        checked = 0
-        seed = 100
-        while checked < 6:
-            seed += 1
-            frames, parents, children = _hier_instance(seed)
-            if not all(stable_hinge_instance(f, c, cfg.beta, cfg.phi) for f, c in zip(frames, children)):
-                continue
-            out = hier_lecnce(frames, parents, children, cfg)
-            b, t, n, d = 3, 4, 3, 5
+        _check_hier_gradients("greedy")
 
-            def with_frames(flat, k):
-                fr = [f.copy() for f in frames]
-                fr[k] = flat.reshape(t, d)
-                return hier_lecnce(fr, parents, children, cfg).value
+    def test_gradients_match_finite_differences_dp(self):
+        _check_hier_gradients("dp")
 
-            def with_children(flat, k):
-                ch = [c.copy() for c in children]
-                ch[k] = flat.reshape(n, d)
-                return hier_lecnce(frames, parents, ch, cfg).value
 
-            for k in range(b):
-                num = finite_diff_grad(lambda v, _k=k: with_frames(v, _k), frames[k].ravel())
-                assert rel_error(out.grads["segment_frames"][k], num) < 1e-4
-                num = finite_diff_grad(lambda v, _k=k: with_children(v, _k), children[k].ravel())
-                assert rel_error(out.grads["child_texts"][k], num) < 1e-4
-            num = finite_diff_grad(
-                lambda v: hier_lecnce(frames, v.reshape(b, d), children, cfg).value, parents.ravel()
-            )
-            assert rel_error(out.grads["parent_texts"], num) < 1e-4
-            checked += 1
+def _check_hier_gradients(algorithm):
+    """FD check of every hier_lecnce gradient on instances away from path ties."""
+    cfg = LossConfig(lambda_dtw=1.0, temperature_infonce=0.3)
+    checked = 0
+    seed = 100
+    while checked < 6:
+        seed += 1
+        frames, parents, children = _hier_instance(seed)
+        if not all(stable_hinge_instance(f, c, cfg.beta, cfg.phi, algorithm=algorithm) for f, c in zip(frames, children)):
+            continue
+        out = hier_lecnce(frames, parents, children, cfg, algorithm)
+        b, t, n, d = 3, 4, 3, 5
+
+        def with_frames(flat, k):
+            fr = [f.copy() for f in frames]
+            fr[k] = flat.reshape(t, d)
+            return hier_lecnce(fr, parents, children, cfg, algorithm).value
+
+        def with_children(flat, k):
+            ch = [c.copy() for c in children]
+            ch[k] = flat.reshape(n, d)
+            return hier_lecnce(frames, parents, ch, cfg, algorithm).value
+
+        for k in range(b):
+            num = finite_diff_grad(lambda v, _k=k: with_frames(v, _k), frames[k].ravel())
+            assert rel_error(out.grads["segment_frames"][k], num) < 1e-4
+            num = finite_diff_grad(lambda v, _k=k: with_children(v, _k), children[k].ravel())
+            assert rel_error(out.grads["child_texts"][k], num) < 1e-4
+        num = finite_diff_grad(
+            lambda v: hier_lecnce(frames, v.reshape(b, d), children, cfg, algorithm).value, parents.ravel()
+        )
+        assert rel_error(out.grads["parent_texts"], num) < 1e-4
+        checked += 1
+
+
+def per_sample_hier_lecnce(frames, parents, children, cfg, algorithm):
+    """hier_lecnce as one dtw_hinge call per sample: the oracle for the batched alignment."""
+    b = len(frames)
+    pools = [mean_pool_rows(f) for f in frames]
+    pooled = np.stack([row for row, _ in pools])
+    contrast = info_nce(pooled @ parents.T, diagonal_positives(b), cfg.temperature_infonce, cfg.symmetric)
+    g_sim = contrast.grads["sim"]
+    grad_pooled = g_sim @ parents
+    grad_frames = [mean_pool_rows_backward(grad_pooled[k], cache) for k, (_, cache) in enumerate(pools)]
+    grad_children = [np.zeros_like(c) for c in children]
+    total = 0.0
+    active = 0
+    for k in range(b):
+        c_fwd = build_cost_matrix(frames[k], children[k], cfg.beta, validate=False)
+        hinge = dtw_hinge(c_fwd, reverse_columns(c_fwd), cfg.phi, cfg.hinge_form, algorithm)
+        total += hinge.value
+        active += bool(hinge.grads["c_forward"].any())
+        if cfg.lambda_dtw > 0:
+            grad_cost = hinge.grads["c_forward"] + hinge.grads["c_reversed"][:, ::-1]
+            g_f, g_c = cost_matrix_backward(frames[k], children[k], cfg.beta, grad_cost * (cfg.lambda_dtw / b))
+            grad_frames[k] = grad_frames[k] + g_f
+            grad_children[k] = grad_children[k] + g_c
+    grads = {"segment_frames": grad_frames, "parent_texts": g_sim.T @ pooled, "child_texts": grad_children}
+    components = {"infonce": contrast.value, "dtw": total / b}
+    return contrast.value + cfg.lambda_dtw * (total / b), grads, components, active
+
+
+class TestHierLecnceBatchedAlignment:
+    """The one-call alignment in hier_lecnce equals a per-sample dtw_hinge loop exactly."""
+
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    @pytest.mark.parametrize("form", ["standard", "literal"])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_equals_per_sample_hinge(self, algorithm, form, lam, ragged):
+        rng = make_rng(31)
+        b, d = 12, 6
+        shapes = rng.integers(1, 9, size=(b, 2)) if ragged else np.tile([16, 4], (b, 1))
+        frames = [unit_rows(rng, int(t), d) for t, _ in shapes]
+        children = [unit_rows(rng, int(n), d) for _, n in shapes]
+        parents = unit_rows(rng, b, d)
+        # phi near the typical cost gap leaves some hinges active and some not
+        cfg = LossConfig(lambda_dtw=lam, phi=0.5, hinge_form=form)
+        out = hier_lecnce(frames, parents, children, cfg, algorithm)
+        value, grads, components, active = per_sample_hier_lecnce(frames, parents, children, cfg, algorithm)
+        assert 0 < active < b
+        assert out.value == value
+        assert out.components == components
+        np.testing.assert_array_equal(out.grads["parent_texts"], grads["parent_texts"])
+        for name in ("segment_frames", "child_texts"):
+            assert len(out.grads[name]) == b
+            for got, want in zip(out.grads[name], grads[name]):
+                np.testing.assert_array_equal(got, want)
+
+
+    def test_exact_tie_is_inactive(self):
+        # palindromic child texts make the reversed matrix equal the forward
+        # one, so with phi = 0 the standard hinge sits exactly on its kink
+        rng = make_rng(32)
+        frames = [unit_rows(rng, 6, 5) for _ in range(3)]
+        children = []
+        for _ in range(3):
+            a, m = unit_rows(rng, 2, 5)
+            children.append(np.stack([a, m, a]))
+        parents = unit_rows(rng, 3, 5)
+        cfg = LossConfig(lambda_dtw=1.0, phi=0.0)
+        out = hier_lecnce(frames, parents, children, cfg, "dp")
+        value, grads, components, active = per_sample_hier_lecnce(frames, parents, children, cfg, "dp")
+        assert active == 0 and components["dtw"] == 0.0
+        assert out.value == value
+        for name in ("segment_frames", "child_texts"):
+            for got, want in zip(out.grads[name], grads[name]):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestMeanPool:

@@ -1,10 +1,12 @@
 import itertools
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import bruteforce_spell_oracle
 
 from lecnce.errors import ClientFailureError, EmptyCorpusError, EmptyWordError
 from lecnce.numerics import make_rng
@@ -180,6 +182,44 @@ class TestSpellCorrect:
                     expected = hits[0]
                     break
             assert spell_correct(word, vocab) == expected
+
+
+class TestSpellCorrectSearch:
+    """spell_correct against the enumerate-then-filter oracle, on both of its search paths."""
+
+    def test_sample_vocabulary_far_words(self):
+        vocab = load_vocabulary(resources.files("lecnce") / "assets" / "vocab_sample.tsv")
+        for word in ("zzzzzz", "cholecystectmy", "cholecystectomy", "galblader", "dissectoin", "xhook"):
+            assert spell_correct(word, vocab) == bruteforce_spell_oracle(word, vocab)
+
+    def test_dense_vocabulary(self):
+        # more short vocabulary words than a short word has one-edit neighbours
+        rng = make_rng(8)
+        vocab = {
+            "".join(chars): int(rng.integers(1, 4))
+            for length in range(1, 5)
+            for chars in itertools.product("abcd", repeat=length)
+            if rng.random() < 0.5
+        }
+        vocab.update({"é": 9, "abé": 9, "": 9, "ABC": 9})
+        for word in ("e", "ee", "eee", "eeee", "ae", "ceef", "abcdef", "éa", "zzz"):
+            assert spell_correct(word, vocab) == bruteforce_spell_oracle(word, vocab)
+
+    def test_letters_outside_a_to_z(self):
+        # "abé" shares the neighbour "ab" with "abc" but no a-z edit inserts "é";
+        # "ééa" reaches "a" only through "éa", which no edit of "a" produces
+        for word, vocab in (("abc", {"abé": 5}), ("ééa", {"a": 1}), ("ééa", {"éa": 2, "a": 1})):
+            assert spell_correct(word, vocab) == bruteforce_spell_oracle(word, vocab)
+        assert spell_correct("abc", {"abé": 5}) == "abc"
+        assert spell_correct("ééa", {"a": 1}) == "a"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        word=st.text(alphabet="abcdeé", min_size=1, max_size=5),
+        vocab=st.dictionaries(st.text(alphabet="abcdefgé", max_size=8), st.integers(1, 3), max_size=12),
+    )
+    def test_property_matches_oracle(self, word, vocab):
+        assert spell_correct(word, vocab) == bruteforce_spell_oracle(word, vocab)
 
 
 class TestVocabularyFile:
