@@ -228,10 +228,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _encode_all(params: enc.EncoderParams, rows: np.ndarray) -> np.ndarray:
-    return enc.forward(params, rows)
-
-
 def _cmd_eval(args) -> int:
     config = load_config(args.config)
     seed = resolve_seed(args.seed, config)
@@ -248,10 +244,10 @@ def _cmd_eval(args) -> int:
 
     holdout_video_frames = np.concatenate([s.frame_features for s in holdout.by_level("video")], axis=0)
     holdout_video_labels = np.concatenate([s.step_labels for s in holdout.by_level("video")])
-    frame_embs = _encode_all(visual, holdout_video_frames)
+    frame_embs = enc.forward(visual, holdout_video_frames)
 
     if run_all or args.zero_shot:
-        class_embs = _encode_all(text, truth.class_text_features())
+        class_embs = enc.forward(text, truth.class_text_features())
         preds = evalkit.zero_shot_classify(frame_embs, class_embs)
         acc, macro, per_class = evalkit.accuracy_f1(preds, holdout_video_labels, truth.concepts.shape[0])
         report.accuracy, report.macro_f1, report.per_class_f1 = acc, macro, per_class
@@ -259,8 +255,8 @@ def _cmd_eval(args) -> int:
     # stride the held-out clips so the retrieval set covers all procedures
     all_clips = holdout.by_level("clip")
     clips = all_clips[:: max(1, len(all_clips) // opts["retrieval_size"])][: opts["retrieval_size"]]
-    clip_rows = np.stack([evalkit.pool_video_embedding(_encode_all(visual, s.frame_features)) for s in clips])
-    narr_rows = _encode_all(text, np.stack([s.parent_text_feature for s in clips]))
+    clip_rows = np.stack([evalkit.pool_video_embedding(enc.forward(visual, s.frame_features)) for s in clips])
+    narr_rows = enc.forward(text, np.stack([s.parent_text_feature for s in clips]))
     if run_all or args.retrieval:
         sim = cosine_similarity_matrix(narr_rows, clip_rows)
         report.recall = evalkit.recall_at_k(sim, opts["recall_ks"])
@@ -272,7 +268,7 @@ def _cmd_eval(args) -> int:
         train_videos = train.by_level("video")
         n_pick = max(1, int(np.floor(len(train_videos) * shots / 100.0)))
         picked = train_videos[:n_pick]
-        feats = _encode_all(visual, np.concatenate([s.frame_features for s in picked], axis=0))
+        feats = enc.forward(visual, np.concatenate([s.frame_features for s in picked], axis=0))
         labels = np.concatenate([s.step_labels for s in picked])
         probe = evalkit.linear_probe(
             feats,

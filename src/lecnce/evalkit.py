@@ -20,7 +20,7 @@ from .errors import (
     LengthMismatchError,
     SingleClassError,
 )
-from .numerics import as_matrix, cosine_similarity_matrix, make_rng
+from .numerics import as_matrix, cosine_similarity_matrix, make_rng, subsample_frames
 
 
 def class_embeddings_from_prompts(prompt_embeddings: list[np.ndarray]) -> np.ndarray:
@@ -77,23 +77,9 @@ def recall_at_k(sim, k_values=(1, 5, 10)) -> dict[str, dict[int, float]]:
     }
 
 
-def pool_video_embedding(frames, n_samples: int = 10, rng=None) -> np.ndarray:
-    """Uniformly-spaced temporal sample of rows, averaged and renormalized.
-
-    With T frames and n samples the indices are floor(t*(T-1)/(n-1)); all
-    rows are used when T <= n.  ``rng`` is accepted for interface parity
-    but the sampling is deterministic.
-    """
-    frames = as_matrix(frames, "frames")
-    t = frames.shape[0]
-    if t <= n_samples:
-        picked = frames
-    elif n_samples == 1:
-        picked = frames[:1]
-    else:
-        idx = (np.arange(n_samples) * (t - 1)) // (n_samples - 1)
-        picked = frames[idx]
-    mean = picked.mean(axis=0)
+def pool_video_embedding(frames, n_samples: int = 10) -> np.ndarray:
+    """The rows :func:`subsample_frames` picks, averaged and renormalized."""
+    mean = subsample_frames(as_matrix(frames, "frames"), n_samples).mean(axis=0)
     norm = np.linalg.norm(mean)
     if norm < 1e-12:
         raise DegenerateMeanError("pooled video embedding collapsed to zero")

@@ -241,21 +241,33 @@ def clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> Los
     )
 
 
-def mean_pool_rows(rows: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Arithmetic mean of the rows, re-normalized to the unit sphere."""
-    rows = as_matrix(rows, "rows")
-    z = rows.mean(axis=0)
-    norm = float(np.linalg.norm(z))
-    if norm < 1e-12:
-        raise ZeroVectorError("pooled row collapsed to zero")
-    return z / norm, (z / norm, norm, rows.shape[0])
+def pool_segments(segments: Sequence[np.ndarray]) -> tuple[np.ndarray, tuple]:
+    """Renormalized mean of each (T_k, d) segment, as one (B, d) array plus a cache.
+
+    Segments of equal length are averaged in one stacked mean, which adds
+    each segment's rows in the order ``segment.mean(axis=0)`` does for
+    every d; padding ragged segments with zeros would regroup the pairwise
+    sum numpy runs along T when d == 1.
+    """
+    lengths = np.array([s.shape[0] for s in segments])
+    z = np.empty((len(segments), segments[0].shape[1]))
+    for t in np.unique(lengths):
+        idx = np.flatnonzero(lengths == t)
+        z[idx] = np.stack([segments[k] for k in idx]).mean(axis=1)
+    # a (1, d) @ (d, 1) product per row is the dot np.linalg.norm takes of a vector
+    norms = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
+    if np.any(norms < 1e-12):
+        raise ZeroVectorError(f"segment {int(np.argmin(norms))} pooled row collapsed to zero")
+    u = z / norms[:, None]
+    return u, (u, norms, lengths)
 
 
-def mean_pool_rows_backward(grad_pooled: np.ndarray, cache: tuple) -> np.ndarray:
-    """Gradient of mean-pool-then-renormalize, broadcast back to each row."""
-    u, norm, t = cache
-    g_z = (grad_pooled - u * float(u @ grad_pooled)) / norm
-    return np.tile(g_z / t, (t, 1))
+def pool_segments_backward(grad_pooled: np.ndarray, cache: tuple) -> np.ndarray:
+    """Gradient of :func:`pool_segments` as the segments' rows stacked in order."""
+    u, norms, lengths = cache
+    radial = (u[:, None, :] @ grad_pooled[:, :, None])[:, 0]
+    g_z = (grad_pooled - u * radial) / norms[:, None]
+    return np.repeat(g_z / lengths[:, None], lengths, axis=0)
 
 
 def hier_lecnce(
@@ -281,8 +293,6 @@ def hier_lecnce(
             f"batch sizes disagree: {b} segments, {parent_texts.shape[0]} parents, {len(child_texts)} child sets"
         )
 
-    pooled = np.empty((b, parent_texts.shape[1]))
-    pool_caches = []
     frames_list = []
     children_list = []
     for k in range(b):
@@ -292,18 +302,18 @@ def hier_lecnce(
             raise EmptyChildSequenceError(f"sample {k} has no child texts")
         if frames.shape[1] != parent_texts.shape[1]:
             raise DimMismatchError(f"sample {k} frame dim {frames.shape[1]} != joint dim {parent_texts.shape[1]}")
-        pooled[k], cache = mean_pool_rows(frames)
-        pool_caches.append(cache)
         frames_list.append(frames)
         children_list.append(children)
 
+    pooled, pool_cache = pool_segments(frames_list)
     tau = cfg.temperature_infonce
     contrast = info_nce(pooled @ parent_texts.T, diagonal_positives(b), tau, cfg.symmetric)
     g_sim = contrast.grads["sim"]
     grad_parent = g_sim.T @ pooled
     grad_pooled = g_sim @ parent_texts
 
-    grad_frames = [mean_pool_rows_backward(grad_pooled[k], pool_caches[k]) for k in range(b)]
+    grad_rows = pool_segments_backward(grad_pooled, pool_cache)
+    grad_frames = np.split(grad_rows, np.cumsum([f.shape[0] for f in frames_list])[:-1])
     grad_children = [np.zeros_like(c) for c in children_list]
 
     # one alignment call for the batch: every forward matrix and its
@@ -317,14 +327,12 @@ def hier_lecnce(
 
     lam = cfg.lambda_dtw
     if lam > 0:
-        for k, m in enumerate(matrices):
-            t, n = m.shape
+        # an inactive hinge has an all-zero cost gradient and adds nothing
+        for k in np.flatnonzero(active):
+            t, n = matrices[k].shape
             # the reversed matrix shares entries with the forward one, so its
             # path folds back after un-flipping the column axis
-            if active[k]:
-                grad_cost = paths[k, :t, :n] - paths[b + k, :t, :n][:, ::-1]
-            else:
-                grad_cost = np.zeros((t, n))
+            grad_cost = paths[k, :t, :n] - paths[b + k, :t, :n][:, ::-1]
             g_f, g_c = cost_matrix_backward(frames_list[k], children_list[k], cfg.beta, grad_cost * (lam / b))
             grad_frames[k] = grad_frames[k] + g_f
             grad_children[k] = grad_children[k] + g_c

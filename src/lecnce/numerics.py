@@ -37,6 +37,20 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def subsample_frames(frames: np.ndarray, n: int) -> np.ndarray:
+    """Uniformly-spaced rows, all of them when the sample is short.
+
+    With T rows and n samples the indices are floor(t*(T-1)/(n-1)).
+    """
+    t = frames.shape[0]
+    if t <= n:
+        return frames
+    if n == 1:
+        return frames[:1]
+    idx = (np.arange(n) * (t - 1)) // (n - 1)
+    return frames[idx]
+
+
 def l2_normalize(v) -> np.ndarray:
     """Scale a vector to unit Euclidean norm, preserving direction.
 

@@ -21,8 +21,8 @@ import numpy as np
 from . import encoders as enc
 from .datagen import Dataset, HierarchicalSample
 from .errors import AllZeroScheduleError, MissingLevelDataError, NonFiniteLossError
-from .losses import LossConfig, clip_lecnce, hier_lecnce, mean_pool_rows, mean_pool_rows_backward
-from .numerics import make_rng
+from .losses import LossConfig, clip_lecnce, hier_lecnce, pool_segments, pool_segments_backward
+from .numerics import make_rng, subsample_frames
 from .textaug import sample_text
 
 LEVELS = ("clip", "phase", "video")
@@ -152,17 +152,6 @@ class _Batcher:
         return out
 
 
-def subsample_frames(frames: np.ndarray, n: int) -> np.ndarray:
-    """Uniformly-spaced rows, all of them when the sample is short."""
-    t = frames.shape[0]
-    if t <= n:
-        return frames
-    if n == 1:
-        return frames[:1]
-    idx = (np.arange(n) * (t - 1)) // (n - 1)
-    return frames[idx]
-
-
 def _distort(features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Additive Gaussian noise plus coordinate dropout, in feature space."""
     noise = rng.normal(0.0, VIEW_NOISE_SIGMA, size=features.shape)
@@ -176,29 +165,9 @@ def _select_text(feature: np.ndarray, rng: np.random.Generator, p_augmented: flo
     return sample_text(feature, augmented, p_augmented, rng)
 
 
-def _pool_batch(visual: enc.EncoderParams, feature_blocks: list[np.ndarray]):
-    """Encode each block of frame features and pool to one row per block."""
-    pooled, caches = [], []
-    for block in feature_blocks:
-        emb, cache = enc.forward(visual, block, return_cache=True)
-        row, pool_cache = mean_pool_rows(emb)
-        pooled.append(row)
-        caches.append((cache, pool_cache))
-    return np.stack(pooled), caches
-
-
-def _pool_batch_backward(visual: enc.EncoderParams, caches, grad_rows: np.ndarray):
-    """Accumulate encoder parameter grads through pooling for each block."""
-    total = None
-    for k, (cache, pool_cache) in enumerate(caches):
-        grad_emb = mean_pool_rows_backward(grad_rows[k], pool_cache)
-        grads, _ = enc.backward(visual, cache, grad_emb)
-        total = grads if total is None else _add_grads(total, grads)
-    return total
-
-
-def _add_grads(a, b):
-    return [(dw1 + dw2, db1 + db2) for (dw1, db1), (dw2, db2) in zip(a, b)]
+def _split_rows(rows: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of stacked ``rows`` cut to the row counts of ``blocks``."""
+    return np.split(rows, np.cumsum([len(block) for block in blocks])[:-1])
 
 
 @dataclass
@@ -240,45 +209,36 @@ def train_step(
     frame_blocks = [subsample_frames(s.frame_features, n_frames) for s in batch]
     texts = np.stack([_select_text(s.parent_text_feature, rng, cfg.p_augmented) for s in batch])
 
+    # one forward and one backward per encoder: the weight gradients of all
+    # blocks sum inside the backward GEMM
     if level == "clip":
         views_a = [_distort(block, rng) for block in frame_blocks]
         views_b = [_distort(block, rng) for block in frame_blocks]
-        clip_rows, clip_caches = _pool_batch(state.visual, frame_blocks)
-        rows_a, caches_a = _pool_batch(state.visual, views_a)
-        rows_b, caches_b = _pool_batch(state.visual, views_b)
-        narr_emb, narr_cache = enc.forward(state.text, texts, return_cache=True)
+        blocks = frame_blocks + views_a + views_b
+        emb, v_cache = enc.forward(state.visual, np.concatenate(blocks), return_cache=True)
+        pooled, pool_cache = pool_segments(_split_rows(emb, blocks))
+        narr_emb, t_cache = enc.forward(state.text, texts, return_cache=True)
 
+        clip_rows, rows_a, rows_b = np.split(pooled, 3)
         loss = clip_lecnce(clip_rows, narr_emb, rows_a, rows_b, cfg.loss)
-        v_grads = _pool_batch_backward(state.visual, clip_caches, loss.grads["clip_frames"])
-        v_grads = _add_grads(v_grads, _pool_batch_backward(state.visual, caches_a, loss.grads["view_a"]))
-        v_grads = _add_grads(v_grads, _pool_batch_backward(state.visual, caches_b, loss.grads["view_b"]))
-        t_grads, _ = enc.backward(state.text, narr_cache, loss.grads["narrations"])
+        grad_pooled = np.concatenate([loss.grads["clip_frames"], loss.grads["view_a"], loss.grads["view_b"]])
+        grad_frames = pool_segments_backward(grad_pooled, pool_cache)
+        grad_texts = loss.grads["narrations"]
     else:
         child_sel = [
             np.stack([_select_text(c, rng, cfg.p_augmented) for c in s.child_text_features])
             for s in batch
         ]
-        frame_embs, frame_caches = [], []
-        for block in frame_blocks:
-            emb, cache = enc.forward(state.visual, block, return_cache=True)
-            frame_embs.append(emb)
-            frame_caches.append(cache)
-        parent_emb, parent_cache = enc.forward(state.text, texts, return_cache=True)
-        child_embs, child_caches = [], []
-        for children in child_sel:
-            emb, cache = enc.forward(state.text, children, return_cache=True)
-            child_embs.append(emb)
-            child_caches.append(cache)
+        emb, v_cache = enc.forward(state.visual, np.concatenate(frame_blocks), return_cache=True)
+        text_emb, t_cache = enc.forward(state.text, np.concatenate([texts] + child_sel), return_cache=True)
 
+        frame_embs = _split_rows(emb, frame_blocks)
+        parent_emb, child_embs = text_emb[: len(batch)], _split_rows(text_emb[len(batch) :], child_sel)
         loss = hier_lecnce(frame_embs, parent_emb, child_embs, cfg.loss, cfg.dtw_algorithm)
-        v_grads = None
-        for cache, g in zip(frame_caches, loss.grads["segment_frames"]):
-            grads, _ = enc.backward(state.visual, cache, g)
-            v_grads = grads if v_grads is None else _add_grads(v_grads, grads)
-        t_grads, _ = enc.backward(state.text, parent_cache, loss.grads["parent_texts"])
-        for cache, g in zip(child_caches, loss.grads["child_texts"]):
-            grads, _ = enc.backward(state.text, cache, g)
-            t_grads = _add_grads(t_grads, grads)
+        grad_frames = np.concatenate(loss.grads["segment_frames"])
+        grad_texts = np.concatenate([loss.grads["parent_texts"]] + loss.grads["child_texts"])
+    v_grads, _ = enc.backward(state.visual, v_cache, grad_frames)
+    t_grads, _ = enc.backward(state.text, t_cache, grad_texts)
 
     if not np.isfinite(loss.value):
         raise NonFiniteLossError(f"non-finite loss at step {global_step} level {level}")

@@ -1,9 +1,15 @@
-"""Shared oracles for the test suite: finite-difference comparison and the
-tie-margin filter that keeps DTW gradient checks away from path ties."""
+"""Shared oracles for the test suite: finite-difference comparison, the
+tie-margin filter that keeps DTW gradient checks away from path ties, and
+the per-matrix pooling and per-block training step that the batched code
+must reproduce."""
 
 import numpy as np
 
-from lecnce.numerics import finite_diff_grad, l2_normalize, make_rng
+from lecnce import encoders as enc
+from lecnce.errors import NonFiniteLossError, ZeroVectorError
+from lecnce.losses import clip_lecnce, hier_lecnce
+from lecnce.numerics import as_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
+from lecnce.trainer import LEVELS, _distort, _select_text
 
 
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -91,3 +97,102 @@ def stable_hinge_instance(frames, children, beta, phi, margin=1e-3, algorithm="g
 
 def seeded_rng(seed: int) -> np.random.Generator:
     return make_rng(seed)
+
+
+def mean_pool_rows(rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Arithmetic mean of the rows, re-normalized to the unit sphere."""
+    rows = as_matrix(rows, "rows")
+    z = rows.mean(axis=0)
+    norm = float(np.linalg.norm(z))
+    if norm < 1e-12:
+        raise ZeroVectorError("pooled row collapsed to zero")
+    return z / norm, (z / norm, norm, rows.shape[0])
+
+
+def mean_pool_rows_backward(grad_pooled: np.ndarray, cache: tuple) -> np.ndarray:
+    """Gradient of mean-pool-then-renormalize, broadcast back to each row."""
+    u, norm, t = cache
+    g_z = (grad_pooled - u * float(u @ grad_pooled)) / norm
+    return np.tile(g_z / t, (t, 1))
+
+
+def _pool_batch(visual: enc.EncoderParams, feature_blocks: list[np.ndarray]):
+    """Encode each block of frame features and pool to one row per block."""
+    pooled, caches = [], []
+    for block in feature_blocks:
+        emb, cache = enc.forward(visual, block, return_cache=True)
+        row, pool_cache = mean_pool_rows(emb)
+        pooled.append(row)
+        caches.append((cache, pool_cache))
+    return np.stack(pooled), caches
+
+
+def _pool_batch_backward(visual: enc.EncoderParams, caches, grad_rows: np.ndarray):
+    """Accumulate encoder parameter grads through pooling for each block."""
+    total = None
+    for k, (cache, pool_cache) in enumerate(caches):
+        grad_emb = mean_pool_rows_backward(grad_rows[k], pool_cache)
+        grads, _ = enc.backward(visual, cache, grad_emb)
+        total = grads if total is None else _add_grads(total, grads)
+    return total
+
+
+def _add_grads(a, b):
+    return [(dw1 + dw2, db1 + db2) for (dw1, db1), (dw2, db2) in zip(a, b)]
+
+
+def per_block_train_step(level, batch, state, cfg, rng, global_step=0):
+    """``trainer.train_step`` with one encoder call per block and view: the step oracle.
+
+    Updates ``state`` in place like the trainer and returns the loss.
+    """
+    n_frames = dict(zip(LEVELS, cfg.frames))[level]
+
+    frame_blocks = [subsample_frames(s.frame_features, n_frames) for s in batch]
+    texts = np.stack([_select_text(s.parent_text_feature, rng, cfg.p_augmented) for s in batch])
+
+    if level == "clip":
+        views_a = [_distort(block, rng) for block in frame_blocks]
+        views_b = [_distort(block, rng) for block in frame_blocks]
+        clip_rows, clip_caches = _pool_batch(state.visual, frame_blocks)
+        rows_a, caches_a = _pool_batch(state.visual, views_a)
+        rows_b, caches_b = _pool_batch(state.visual, views_b)
+        narr_emb, narr_cache = enc.forward(state.text, texts, return_cache=True)
+
+        loss = clip_lecnce(clip_rows, narr_emb, rows_a, rows_b, cfg.loss)
+        v_grads = _pool_batch_backward(state.visual, clip_caches, loss.grads["clip_frames"])
+        v_grads = _add_grads(v_grads, _pool_batch_backward(state.visual, caches_a, loss.grads["view_a"]))
+        v_grads = _add_grads(v_grads, _pool_batch_backward(state.visual, caches_b, loss.grads["view_b"]))
+        t_grads, _ = enc.backward(state.text, narr_cache, loss.grads["narrations"])
+    else:
+        child_sel = [
+            np.stack([_select_text(c, rng, cfg.p_augmented) for c in s.child_text_features])
+            for s in batch
+        ]
+        frame_embs, frame_caches = [], []
+        for block in frame_blocks:
+            emb, cache = enc.forward(state.visual, block, return_cache=True)
+            frame_embs.append(emb)
+            frame_caches.append(cache)
+        parent_emb, parent_cache = enc.forward(state.text, texts, return_cache=True)
+        child_embs, child_caches = [], []
+        for children in child_sel:
+            emb, cache = enc.forward(state.text, children, return_cache=True)
+            child_embs.append(emb)
+            child_caches.append(cache)
+
+        loss = hier_lecnce(frame_embs, parent_emb, child_embs, cfg.loss, cfg.dtw_algorithm)
+        v_grads = None
+        for cache, g in zip(frame_caches, loss.grads["segment_frames"]):
+            grads, _ = enc.backward(state.visual, cache, g)
+            v_grads = grads if v_grads is None else _add_grads(v_grads, grads)
+        t_grads, _ = enc.backward(state.text, parent_cache, loss.grads["parent_texts"])
+        for cache, g in zip(child_caches, loss.grads["child_texts"]):
+            grads, _ = enc.backward(state.text, cache, g)
+            t_grads = _add_grads(t_grads, grads)
+
+    if not np.isfinite(loss.value):
+        raise NonFiniteLossError(f"non-finite loss at step {global_step} level {level}")
+    state.visual, state.visual_opt = enc.adamw_step(state.visual, v_grads, state.visual_opt)
+    state.text, state.text_opt = enc.adamw_step(state.text, t_grads, state.text_opt)
+    return loss

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from helpers import rel_error, stable_hinge_instance, unit_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from helpers import mean_pool_rows, mean_pool_rows_backward, rel_error, stable_hinge_instance, unit_rows
 
 from lecnce.alignment import CostMatrix, dtw_greedy, reverse_columns
 from lecnce.errors import (
@@ -9,6 +11,7 @@ from lecnce.errors import (
     EmptyPositiveSetError,
     RowNotNormalizedError,
     ShapeMismatchError,
+    ZeroVectorError,
 )
 from lecnce.losses import (
     LossConfig,
@@ -19,8 +22,8 @@ from lecnce.losses import (
     dtw_hinge,
     hier_lecnce,
     info_nce,
-    mean_pool_rows,
-    mean_pool_rows_backward,
+    pool_segments,
+    pool_segments_backward,
 )
 from lecnce.numerics import finite_diff_grad, make_rng
 
@@ -377,27 +380,70 @@ class TestHierLecnceBatchedAlignment:
                 np.testing.assert_array_equal(got, want)
 
 
+def assert_pool_matches_per_matrix(segments, grad_pooled):
+    """pool_segments and its backward equal mean_pool_rows(_backward) per segment with ==."""
+    pooled, cache = pool_segments(segments)
+    grad_rows = pool_segments_backward(grad_pooled, cache)
+    assert pooled.shape == grad_pooled.shape
+    assert grad_rows.shape == (sum(len(s) for s in segments), pooled.shape[1])
+    start = 0
+    for k, seg in enumerate(segments):
+        row, seg_cache = mean_pool_rows(seg)
+        np.testing.assert_array_equal(pooled[k], row)
+        np.testing.assert_array_equal(grad_rows[start : start + len(seg)], mean_pool_rows_backward(grad_pooled[k], seg_cache))
+        start += len(seg)
+
+
 class TestMeanPool:
     def test_forward_is_renormalized_mean(self):
         rng = make_rng(26)
-        rows = rng.normal(size=(5, 4))
-        pooled, _ = mean_pool_rows(rows)
-        mean = rows.mean(axis=0)
-        np.testing.assert_allclose(pooled, mean / np.linalg.norm(mean), atol=1e-12)
+        segments = [rng.normal(size=(t, 4)) for t in (5, 2, 5)]
+        pooled, _ = pool_segments(segments)
+        for k, rows in enumerate(segments):
+            mean = rows.mean(axis=0)
+            np.testing.assert_allclose(pooled[k], mean / np.linalg.norm(mean), atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = make_rng(27)
-        rows = rng.normal(size=(4, 3))
-        w = rng.normal(size=3)
+        lengths = (4, 1, 3)
+        rows = rng.normal(size=(sum(lengths), 3))
+        w = rng.normal(size=(len(lengths), 3))
 
         def f(flat):
-            pooled, _ = mean_pool_rows(flat.reshape(4, 3))
-            return float(w @ pooled)
+            pooled, _ = pool_segments(np.split(flat.reshape(-1, 3), np.cumsum(lengths)[:-1]))
+            return float((w * pooled).sum())
 
-        _, cache = mean_pool_rows(rows)
-        analytic = mean_pool_rows_backward(w, cache)
+        _, cache = pool_segments(np.split(rows, np.cumsum(lengths)[:-1]))
+        analytic = pool_segments_backward(w, cache)
         numeric = finite_diff_grad(f, rows.ravel())
         assert rel_error(analytic, numeric) < 1e-6
+
+    @pytest.mark.parametrize(
+        "lengths, d",
+        [((6, 6, 6, 6), 32), ((4,) * 48, 32), ((7, 1, 3, 7, 12, 2), 5), ((1, 1, 1), 8), ((1,), 3), ((33, 9, 31, 13, 14), 1)],
+    )
+    def test_equals_per_matrix_oracle(self, lengths, d):
+        rng = make_rng(sum(lengths) + d)
+        segments = [rng.normal(size=(t, d)) for t in lengths]
+        assert_pool_matches_per_matrix(segments, rng.normal(size=(len(lengths), d)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        d=st.integers(1, 64),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_equals_per_matrix_oracle(self, lengths, d, scale, seed):
+        rng = make_rng(seed)
+        segments = [scale * rng.normal(size=(t, d)) for t in lengths]
+        assert_pool_matches_per_matrix(segments, rng.normal(size=(len(lengths), d)))
+
+    def test_collapsed_mean_raises(self):
+        rng = make_rng(29)
+        row = rng.normal(size=4)
+        with pytest.raises(ZeroVectorError, match="segment 1"):
+            pool_segments([rng.normal(size=(3, 4)), np.stack([row, -row])])
 
 
 class TestOrderedSamplesPreferForward:

@@ -1,9 +1,12 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
+from helpers import per_block_train_step
 
-from lecnce.datagen import ProcedureSpec, generate_dataset
+from lecnce import encoders
+from lecnce.datagen import HierarchicalSample, ProcedureSpec, generate_dataset
 from lecnce.errors import AllZeroScheduleError, MissingLevelDataError, NonFiniteLossError
 from lecnce.losses import LossConfig
 from lecnce.numerics import make_rng
@@ -138,6 +141,89 @@ class TestTrainStep:
         # one optimizer per encoder counted every level's update
         assert state.visual_opt.step_count == 3
         assert state.text_opt.step_count == 3
+
+
+def ragged_batch(level, cfg, seed=0):
+    """Hand-built samples whose frame and child counts differ within the batch."""
+    rng = make_rng(seed)
+    frame_counts, child_counts = [1, 3, 6, 2], [2, 1, 4, 3]
+    return [
+        HierarchicalSample(
+            level=level,
+            frame_features=rng.normal(size=(t, cfg.visual_layers[0])),
+            parent_text_feature=rng.normal(size=cfg.text_layers[0]),
+            child_text_features=rng.normal(size=(n if level != "clip" else 0, cfg.text_layers[0])),
+            step_labels=[0] * t,
+            procedure_id=k,
+        )
+        for k, (t, n) in enumerate(zip(frame_counts, child_counts))
+    ]
+
+
+class TestTrainStepOracle:
+    """One stacked encoder pass per step against the per-block loop it replaced.
+
+    The weight gradients of the blocks are summed in another order, and a
+    row of the stacked forward GEMM may differ from a per-block one in the
+    last bit, so everything agrees to an absolute 1e-12.
+    """
+
+    @pytest.mark.parametrize(
+        "level, algorithm, ragged",
+        [
+            ("clip", "greedy", False),
+            ("phase", "greedy", False),
+            ("video", "greedy", False),
+            ("phase", "dp", False),
+            ("video", "dp", False),
+            ("clip", "greedy", True),
+            ("phase", "dp", True),
+        ],
+    )
+    def test_matches_per_block_step(self, level, algorithm, ragged):
+        train, _ = tiny_dataset()
+        cfg = tiny_config(dtw_algorithm=algorithm, loss=LossConfig(lambda_dtw=0.5))
+        batch_size = dict(zip(("clip", "phase", "video"), cfg.batch_sizes))[level]
+        batch = ragged_batch(level, cfg) if ragged else train.by_level(level)[:batch_size]
+        state = init_trainer(cfg, make_rng(cfg.seed))
+        oracle_state = copy.deepcopy(state)
+        rng, oracle_rng = make_rng(9), make_rng(9)
+        # a second step starts from moved weights and non-zero optimizer moments
+        for step in (1, 2):
+            rec = train_step(level, batch, state, cfg, rng, step)
+            want = per_block_train_step(level, batch, oracle_state, cfg, oracle_rng, step)
+            assert abs(rec.total - want.value) <= 1e-12
+            assert rec.components.keys() == want.components.keys()
+            for name, value in want.components.items():
+                assert abs(rec.components[name] - value) <= 1e-12
+            for got, ref in ((state.visual, oracle_state.visual), (state.text, oracle_state.text)):
+                for p, q in zip(got.flat(), ref.flat()):
+                    np.testing.assert_allclose(p, q, rtol=0, atol=1e-12)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("level", ["clip", "phase", "video"])
+    def test_one_encoder_pass_per_step(self, level, monkeypatch):
+        train, _ = tiny_dataset()
+        cfg = tiny_config()
+        state = init_trainer(cfg, make_rng(cfg.seed))
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(params, *args, **kwargs):
+                calls.append((name, params))
+                return fn(params, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(encoders, "forward", counted("forward", encoders.forward))
+        monkeypatch.setattr(encoders, "backward", counted("backward", encoders.backward))
+        batch_size = dict(zip(("clip", "phase", "video"), cfg.batch_sizes))[level]
+        visual, text = state.visual, state.text
+        train_step(level, train.by_level(level)[:batch_size], state, cfg, make_rng(1))
+        for name in ("forward", "backward"):
+            assert [p for n, p in calls if n == name and p is visual] == [visual]
+            assert [p for n, p in calls if n == name and p is text] == [text]
+        assert len(calls) == 4
 
 
 class TestTrainLog:
