@@ -21,7 +21,9 @@ from .alignment import CostMatrix, align, align_batch, dtw_subgradient
 from .errors import (
     DimMismatchError,
     EmptyChildSequenceError,
+    EmptyMatrixError,
     EmptyPositiveSetError,
+    NonFiniteError,
     RowNotNormalizedError,
     ShapeMismatchError,
     ZeroVectorError,
@@ -85,19 +87,26 @@ def _row_nce(z: np.ndarray, positives: Sequence[Sequence[int]]) -> tuple[float, 
     shifted = z - z.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=1)
-    p_all = exp / denom[:, None]
-
     value = 0.0
-    grad = p_all / b
-    for i, pos in enumerate(positives):
-        idx = np.asarray(sorted(set(int(j) for j in pos)), dtype=int)
-        if idx.size == 0:
-            raise EmptyPositiveSetError(f"row {i} has no positives")
-        if idx.min() < 0 or idx.max() >= m:
-            raise DimMismatchError(f"row {i} positive index out of range for {m} columns")
-        pos_sum = exp[i, idx].sum()
-        value += float(np.log(denom[i]) - np.log(pos_sum))
-        grad[i, idx] -= exp[i, idx] / pos_sum / b
+    grad = exp / denom[:, None] / b
+    cols = np.array([int(j) for pos in positives for j in pos], dtype=int)
+    if all(len(pos) == 1 for pos in positives) and np.all((cols >= 0) & (cols < m)):
+        # one valid positive per row: a gather replaces the per-row index sets
+        rows = np.arange(b)
+        pos_exp = exp[rows, cols]
+        for term in (np.log(denom) - np.log(pos_exp)).tolist():  # in row order, as the loop adds
+            value += term
+        grad[rows, cols] -= pos_exp / pos_exp / b
+    else:
+        for i, pos in enumerate(positives):
+            idx = np.asarray(sorted(set(int(j) for j in pos)), dtype=int)
+            if idx.size == 0:
+                raise EmptyPositiveSetError(f"row {i} has no positives")
+            if idx.min() < 0 or idx.max() >= m:
+                raise DimMismatchError(f"row {i} positive index out of range for {m} columns")
+            pos_sum = exp[i, idx].sum()
+            value += float(np.log(denom[i]) - np.log(pos_sum))
+            grad[i, idx] -= exp[i, idx] / pos_sum / b
     return value / b, grad
 
 
@@ -132,6 +141,21 @@ def info_nce(
     return LossValue(value=value, grads={"sim": grad})
 
 
+def _costs(frames: np.ndarray, texts: np.ndarray, beta: float) -> np.ndarray:
+    """Cost values of (T, d)/(N, d) frames and texts, or of (B, T, d)/(B, N, d) stacks of them."""
+    sim = frames @ np.swapaxes(texts, -1, -2)
+    return -log_softmax_rows(sim.reshape(-1, sim.shape[-1]), beta).reshape(sim.shape)
+
+
+def _costs_backward(frames: np.ndarray, texts: np.ndarray, beta: float, grad_cost: np.ndarray):
+    """Gradients of :func:`_costs` with respect to ``frames`` and ``texts``."""
+    sim = frames @ np.swapaxes(texts, -1, -2)
+    p = softmax_rows(sim.reshape(-1, sim.shape[-1]), beta).reshape(sim.shape)
+    # dL/ds[i,k] = (p[i,k] * sum_j g[i,j] - g[i,k]) / beta
+    grad_sim = (p * grad_cost.sum(axis=-1, keepdims=True) - grad_cost) / beta
+    return grad_sim @ texts, np.swapaxes(grad_sim, -1, -2) @ frames
+
+
 def build_cost_matrix(frames, texts, beta: float = 0.1, validate: bool = True) -> CostMatrix:
     """Per-frame negative log-probability of each text under a softmax over texts.
 
@@ -149,18 +173,12 @@ def build_cost_matrix(frames, texts, beta: float = 0.1, validate: bool = True) -
             if np.any(np.abs(norms - 1.0) > ROW_NORM_TOL):
                 bad = int(np.argmax(np.abs(norms - 1.0)))
                 raise RowNotNormalizedError(f"{name} row {bad} has norm {norms[bad]:.9f}")
-    cost = -log_softmax_rows(frames @ texts.T, beta)
-    return CostMatrix(values=cost, beta=beta, reversed_cols=False)
+    return CostMatrix(values=_costs(frames, texts, beta), beta=beta, reversed_cols=False)
 
 
 def cost_matrix_backward(frames, texts, beta: float, grad_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chain a gradient on cost-matrix entries back to the two embedding matrices."""
-    frames = as_matrix(frames, "frames")
-    texts = as_matrix(texts, "texts")
-    p = softmax_rows(frames @ texts.T, beta)
-    # dL/ds[i,k] = (p[i,k] * sum_j g[i,j] - g[i,k]) / beta
-    grad_sim = (p * grad_cost.sum(axis=1, keepdims=True) - grad_cost) / beta
-    return grad_sim @ texts, grad_sim.T @ frames
+    return _costs_backward(as_matrix(frames, "frames"), as_matrix(texts, "texts"), beta, grad_cost)
 
 
 def _hinge(delta, phi: float, form: str):
@@ -287,25 +305,41 @@ def hier_lecnce(
     child texts, averaged over the batch and scaled by ``lambda_dtw``.
     """
     parent_texts = as_matrix(parent_texts, "parent_texts")
-    b = len(segment_frames)
+    b, d = len(segment_frames), parent_texts.shape[1]
     if b == 0 or parent_texts.shape[0] != b or len(child_texts) != b:
         raise DimMismatchError(
             f"batch sizes disagree: {b} segments, {parent_texts.shape[0]} parents, {len(child_texts)} child sets"
         )
 
-    frames_list = []
-    children_list = []
+    # shapes are checked per sample, values once per stack of the samples
+    # that share a (T, N) shape, whose cost matrices are built in one pass
+    frames = [np.asarray(f, dtype=np.float64) for f in segment_frames]
+    children = [np.asarray(c, dtype=np.float64) for c in child_texts]
+    groups: dict[tuple[int, int], list[int]] = {}
     for k in range(b):
-        frames = as_matrix(segment_frames[k], f"segment_frames[{k}]")
-        children = as_matrix(child_texts[k], f"child_texts[{k}]")
-        if children.shape[0] < 1:
-            raise EmptyChildSequenceError(f"sample {k} has no child texts")
-        if frames.shape[1] != parent_texts.shape[1]:
-            raise DimMismatchError(f"sample {k} frame dim {frames.shape[1]} != joint dim {parent_texts.shape[1]}")
-        frames_list.append(frames)
-        children_list.append(children)
+        for name, m, empty in (
+            ("segment_frames", frames[k], EmptyMatrixError),
+            ("child_texts", children[k], EmptyChildSequenceError),
+        ):
+            if m.ndim != 2 or m.shape[1] != d:
+                raise DimMismatchError(f"{name}[{k}] must have shape (rows, {d}) for joint dim {d}, got {m.shape}")
+            if len(m) == 0:
+                raise empty(f"{name}[{k}] has no rows")
+        groups.setdefault((len(frames[k]), len(children[k])), []).append(k)
+    stacks = []
+    matrices = [None] * b
+    for idx in groups.values():
+        f_stack = np.stack([frames[k] for k in idx])
+        c_stack = np.stack([children[k] for k in idx])
+        for name, parts, stack in (("segment_frames", frames, f_stack), ("child_texts", children, c_stack)):
+            if not np.isfinite(stack).all():
+                bad = next(k for k in idx if not np.isfinite(parts[k]).all())
+                raise NonFiniteError(f"{name}[{bad}] contains non-finite values")
+        for k, m in zip(idx, _costs(f_stack, c_stack, cfg.beta)):
+            matrices[k] = m
+        stacks.append((np.array(idx), f_stack, c_stack))
 
-    pooled, pool_cache = pool_segments(frames_list)
+    pooled, pool_cache = pool_segments(frames)
     tau = cfg.temperature_infonce
     contrast = info_nce(pooled @ parent_texts.T, diagonal_positives(b), tau, cfg.symmetric)
     g_sim = contrast.grads["sim"]
@@ -313,12 +347,11 @@ def hier_lecnce(
     grad_pooled = g_sim @ parent_texts
 
     grad_rows = pool_segments_backward(grad_pooled, pool_cache)
-    grad_frames = np.split(grad_rows, np.cumsum([f.shape[0] for f in frames_list])[:-1])
-    grad_children = [np.zeros_like(c) for c in children_list]
+    grad_frames = np.split(grad_rows, np.cumsum([len(f) for f in frames])[:-1])
+    grad_children = [np.zeros_like(c) for c in children]
 
     # one alignment call for the batch: every forward matrix and its
     # column-reversed view, which needs no re-validation
-    matrices = [build_cost_matrix(f, c, cfg.beta, validate=False).values for f, c in zip(frames_list, children_list)]
     costs, paths = align_batch(matrices + [m[:, ::-1] for m in matrices], dtw_algorithm)
     hinge, active = _hinge(costs[:b] - costs[b:], cfg.phi, cfg.hinge_form)
     dtw_total = 0.0
@@ -327,15 +360,19 @@ def hier_lecnce(
 
     lam = cfg.lambda_dtw
     if lam > 0:
-        # an inactive hinge has an all-zero cost gradient and adds nothing
-        for k in np.flatnonzero(active):
-            t, n = matrices[k].shape
-            # the reversed matrix shares entries with the forward one, so its
-            # path folds back after un-flipping the column axis
-            grad_cost = paths[k, :t, :n] - paths[b + k, :t, :n][:, ::-1]
-            g_f, g_c = cost_matrix_backward(frames_list[k], children_list[k], cfg.beta, grad_cost * (lam / b))
-            grad_frames[k] = grad_frames[k] + g_f
-            grad_children[k] = grad_children[k] + g_c
+        # an inactive hinge has an all-zero cost gradient and adds nothing;
+        # the active samples of each shape go back through one stacked pass
+        for idx, f_stack, c_stack in stacks:
+            on = active[idx]
+            if on.any():
+                ks, t, n = idx[on], f_stack.shape[1], c_stack.shape[1]
+                # the reversed matrix shares entries with the forward one, so
+                # its path folds back after un-flipping the column axis
+                grad_cost = paths[ks, :t, :n] - paths[b + ks, :t, :n][:, :, ::-1]
+                g_f, g_c = _costs_backward(f_stack[on], c_stack[on], cfg.beta, grad_cost * (lam / b))
+                for k, gf, gc in zip(ks, g_f, g_c):
+                    grad_frames[k] = grad_frames[k] + gf
+                    grad_children[k] = grad_children[k] + gc
 
     dtw_mean = dtw_total / b
     return LossValue(

@@ -1,12 +1,12 @@
 """Shared oracles for the test suite: finite-difference comparison, the
 tie-margin filter that keeps DTW gradient checks away from path ties, and
-the per-matrix pooling and per-block training step that the batched code
-must reproduce."""
+the per-row InfoNCE, per-matrix pooling and per-block training step that
+the batched code must reproduce."""
 
 import numpy as np
 
 from lecnce import encoders as enc
-from lecnce.errors import NonFiniteLossError, ZeroVectorError
+from lecnce.errors import DimMismatchError, EmptyPositiveSetError, NonFiniteLossError, ZeroVectorError
 from lecnce.losses import clip_lecnce, hier_lecnce
 from lecnce.numerics import as_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
 from lecnce.trainer import LEVELS, _distort, _select_text
@@ -97,6 +97,34 @@ def stable_hinge_instance(frames, children, beta, phi, margin=1e-3, algorithm="g
 
 def seeded_rng(seed: int) -> np.random.Generator:
     return make_rng(seed)
+
+
+def row_nce_loop(z: np.ndarray, positives) -> tuple[float, np.ndarray]:
+    """Mean over rows of -log(sum_pos e^z / sum_all e^z) plus its gradient.
+
+    ``z`` is the already-tempered logit matrix.  The gradient is with
+    respect to ``z``.
+    """
+    b, m = z.shape
+    if len(positives) != b:
+        raise DimMismatchError(f"{len(positives)} positive sets for {b} rows")
+    shifted = z - z.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1)
+    p_all = exp / denom[:, None]
+
+    value = 0.0
+    grad = p_all / b
+    for i, pos in enumerate(positives):
+        idx = np.asarray(sorted(set(int(j) for j in pos)), dtype=int)
+        if idx.size == 0:
+            raise EmptyPositiveSetError(f"row {i} has no positives")
+        if idx.min() < 0 or idx.max() >= m:
+            raise DimMismatchError(f"row {i} positive index out of range for {m} columns")
+        pos_sum = exp[i, idx].sum()
+        value += float(np.log(denom[i]) - np.log(pos_sum))
+        grad[i, idx] -= exp[i, idx] / pos_sum / b
+    return value / b, grad
 
 
 def mean_pool_rows(rows: np.ndarray) -> tuple[np.ndarray, tuple]:

@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import mean_pool_rows, mean_pool_rows_backward, rel_error, stable_hinge_instance, unit_rows
+from helpers import mean_pool_rows, mean_pool_rows_backward, rel_error, row_nce_loop, stable_hinge_instance, unit_rows
 
+from lecnce import alignment, encoders, evalkit, losses, numerics
 from lecnce.alignment import CostMatrix, dtw_greedy, reverse_columns
 from lecnce.errors import (
     DimMismatchError,
     EmptyChildSequenceError,
+    EmptyMatrixError,
     EmptyPositiveSetError,
+    NonFiniteError,
     RowNotNormalizedError,
     ShapeMismatchError,
     ZeroVectorError,
@@ -93,6 +98,97 @@ class TestInfoNce:
             assert rel_error(out.grads["sim"], numeric) < 1e-4
 
 
+def assert_info_nce_matches_row_loop(sim, positives, temperature, symmetric):
+    """info_nce and _row_nce equal their per-row loop versions with ==."""
+    got = info_nce(sim, positives, temperature, symmetric)
+    with mock.patch.object(losses, "_row_nce", row_nce_loop):
+        want = info_nce(sim, positives, temperature, symmetric)
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.grads["sim"], want.grads["sim"])
+    z = np.asarray(sim, dtype=float) / temperature
+    value, grad = losses._row_nce(z, positives)
+    want_value, want_grad = row_nce_loop(z, positives)
+    assert value == want_value
+    np.testing.assert_array_equal(grad, want_grad)
+
+
+class TestInfoNceMatchesRowLoop:
+    """The gathered single-positive InfoNCE equals the per-row loop it replaced."""
+
+    @pytest.mark.parametrize("b", [1, 2, 16, 25, 80, 120])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_diagonal(self, b, symmetric):
+        rng = make_rng(40 + b)
+        sim = np.clip(rng.normal(scale=0.4, size=(b, b)), -1.0, 1.0)
+        assert_info_nce_matches_row_loop(sim, diagonal_positives(b), 0.07, symmetric)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_permuted_single_positives(self, symmetric):
+        rng = make_rng(41)
+        b = 25
+        m = b if symmetric else 37
+        sim = rng.normal(size=(b, m))
+        positives = [[int(j)] for j in rng.permutation(m)[:b]]
+        assert_info_nce_matches_row_loop(sim, positives, 0.3, symmetric)
+        # repeated single columns and numpy index rows take the gather too
+        positives = [np.array([int(j)]) for j in rng.integers(0, m, size=b)]
+        assert_info_nce_matches_row_loop(sim, positives, 0.3, symmetric)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_multi_positive_sets(self, symmetric):
+        rng = make_rng(42)
+        b = 20
+        sim = rng.normal(size=(b, b))
+        # set sizes 1..12: numpy's pairwise sum regroups from 8 members on
+        positives = [list(rng.choice(b, size=1 + k % 12, replace=False)) for k in range(b)]
+        positives[3] = [5, 5, 2]  # duplicates count once
+        assert max(len(set(p)) for p in positives) >= 8
+        assert_info_nce_matches_row_loop(sim, positives, 0.07, symmetric)
+
+    def test_invalid_single_positive_errors_unchanged(self):
+        for positives in ([[0], [2]], [[0], [-1]]):
+            with pytest.raises(DimMismatchError, match="row 1 positive index out of range"):
+                info_nce(np.zeros((2, 2)), positives, symmetric=False)
+            with pytest.raises(DimMismatchError, match="row 1 positive index out of range"):
+                row_nce_loop(np.zeros((2, 2)), positives)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.integers(1, 40),
+        m=st.integers(1, 40),
+        temperature=st.sampled_from([0.01, 0.07, 0.5, 2.0]),
+        multi=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, b, m, temperature, multi, seed):
+        rng = make_rng(seed)
+        sim = np.clip(rng.normal(scale=0.5, size=(b, m)), -1.0, 1.0)
+        sizes = rng.integers(1, m + 1, size=b) if multi else np.ones(b, dtype=int)
+        positives = [[int(j) for j in rng.choice(m, size=k, replace=False)] for k in sizes]
+        assert_info_nce_matches_row_loop(sim, positives, temperature, symmetric=(b == m))
+
+    def test_underflow_edge(self):
+        # at a tiny temperature the positive's exp underflows to 0: the
+        # value is inf and the positive's gradient 0/0, as in the loop
+        sim = np.array([[1.0, -1.0, 0.5], [0.2, 0.9, -1.0], [-0.3, 0.1, 0.8]])
+        positives = [[1], [1], [2]]
+        z = sim / 1e-3
+        with pytest.warns(RuntimeWarning):
+            value, grad = losses._row_nce(z, positives)
+        with pytest.warns(RuntimeWarning):
+            want_value, want_grad = row_nce_loop(z, positives)
+        assert value == want_value == np.inf
+        np.testing.assert_array_equal(np.isnan(grad), np.isnan(want_grad))
+        assert np.isnan(grad[0, 1]) and np.isnan(grad).sum() == 1
+        np.testing.assert_array_equal(grad, want_grad)
+        with pytest.warns(RuntimeWarning):
+            got = info_nce(sim, positives, 1e-3, symmetric=True)
+        with pytest.warns(RuntimeWarning), mock.patch.object(losses, "_row_nce", row_nce_loop):
+            want = info_nce(sim, positives, 1e-3, symmetric=True)
+        assert got.value == want.value == np.inf
+        np.testing.assert_array_equal(got.grads["sim"], want.grads["sim"])
+
+
 class TestBuildCostMatrix:
     def test_single_text_column_is_zero(self):
         frames = unit_rows(make_rng(14), 3, 4)
@@ -146,6 +242,51 @@ class TestBuildCostMatrix:
         num_t = finite_diff_grad(lambda v: loss_of(frames, v.reshape(n, d)), texts.ravel())
         assert rel_error(g_frames, num_f) < 1e-6
         assert rel_error(g_texts, num_t) < 1e-6
+
+
+class TestStackedCostBuild:
+    """The stacked cost build and its backward equal per-sample calls with ==."""
+
+    @pytest.mark.parametrize(
+        "b, t, n, d",
+        [(1, 1, 1, 1), (2, 1, 6, 3), (7, 8, 1, 32), (25, 64, 6, 32), (80, 16, 8, 32), (3, 16, 12, 1), (5, 2, 2, 3), (4, 9, 20, 5)],
+    )
+    def test_equals_per_sample_build(self, b, t, n, d):
+        rng = make_rng(b * 1000 + t * 100 + n * 10 + d)
+        frames = np.stack([unit_rows(rng, t, d) for _ in range(b)])
+        texts = np.stack([unit_rows(rng, n, d) for _ in range(b)])
+        grad_cost = rng.normal(size=(b, t, n))
+        costs = losses._costs(frames, texts, 0.1)
+        g_frames, g_texts = losses._costs_backward(frames, texts, 0.1, grad_cost)
+        assert costs.shape == (b, t, n)
+        for k in range(b):
+            np.testing.assert_array_equal(costs[k], build_cost_matrix(frames[k], texts[k], 0.1, validate=False).values)
+            want_f, want_t = cost_matrix_backward(frames[k], texts[k], 0.1, grad_cost[k])
+            np.testing.assert_array_equal(g_frames[k], want_f)
+            np.testing.assert_array_equal(g_texts[k], want_t)
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_hier_lecnce_aligns_per_sample_matrices(self, ragged, d):
+        rng = make_rng(43 + d)
+        b = 30
+        shapes = rng.integers(1, 6, size=(b, 2)) if ragged else np.tile([16, 4], (b, 1))
+        frames = [unit_rows(rng, int(t), d) for t, _ in shapes]
+        children = [unit_rows(rng, int(n), d) for _, n in shapes]
+        seen = []
+
+        def recording_align_batch(matrices, algorithm="dp"):
+            seen.append([np.array(m) for m in matrices])
+            return alignment.align_batch(matrices, algorithm)
+
+        with mock.patch.object(losses, "align_batch", recording_align_batch):
+            hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(), "dp")
+        (matrices,) = seen
+        assert len(matrices) == 2 * b
+        for k in range(b):
+            want = build_cost_matrix(frames[k], children[k], 0.1, validate=False).values
+            np.testing.assert_array_equal(matrices[k], want)
+            np.testing.assert_array_equal(matrices[b + k], want[:, ::-1])
 
 
 class TestDtwHinge:
@@ -268,6 +409,89 @@ class TestHierLecnce:
 
     def test_gradients_match_finite_differences_dp(self):
         _check_hier_gradients("dp")
+
+
+class TestHierLecnceEntryChecks:
+    """Invalid input fails at the hier_lecnce entry with a named error."""
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_empty_segment(self, ragged):
+        frames, parents, children = _hier_instance(50, b=4)
+        if ragged:
+            frames[0] = frames[0][:2]
+        frames[2] = np.empty((0, 5))
+        with pytest.raises(EmptyMatrixError, match=r"segment_frames\[2\]"):
+            hier_lecnce(frames, parents, children, LossConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ragged", [False, True])
+    @pytest.mark.parametrize("name", ["segment_frames", "child_texts"])
+    def test_non_finite(self, bad, ragged, name):
+        frames, parents, children = _hier_instance(51, b=4)
+        if ragged:
+            children[0] = children[0][:1]
+        parts = frames if name == "segment_frames" else children
+        parts[3] = parts[3].copy()
+        parts[3][1, 2] = bad
+        with pytest.raises(NonFiniteError, match=rf"{name}\[3\]"):
+            hier_lecnce(frames, parents, children, LossConfig(), "dp")
+
+    def test_child_dim_mismatch(self):
+        frames, parents, children = _hier_instance(52, b=3)
+        children[1] = unit_rows(make_rng(53), 3, 4)
+        with pytest.raises(DimMismatchError):
+            hier_lecnce(frames, parents, children, LossConfig())
+
+    def test_one_dimensional_segment(self):
+        frames, parents, children = _hier_instance(54, b=3)
+        frames[2] = frames[2][0]
+        with pytest.raises(DimMismatchError):
+            hier_lecnce(frames, parents, children, LossConfig())
+
+    @pytest.mark.parametrize(
+        "name, k, make_bad",
+        [
+            ("child_texts", 1, lambda m: m[:, :4]),
+            ("segment_frames", 0, lambda m: m[:, :3]),
+            ("segment_frames", 2, lambda m: m[0]),
+            ("child_texts", 2, lambda m: m[:, :, None]),
+        ],
+    )
+    def test_shape_errors_name_the_input(self, name, k, make_bad):
+        frames, parents, children = _hier_instance(55, b=3)
+        parts = frames if name == "segment_frames" else children
+        parts[k] = make_bad(parts[k])
+        with pytest.raises(DimMismatchError, match=rf"{name}\[{k}\]"):
+            hier_lecnce(frames, parents, children, LossConfig())
+
+
+class TestHierLecnceValidatesOnce:
+    def test_no_per_sample_build_or_validation(self, monkeypatch):
+        counts = {"build_cost_matrix": 0, "as_matrix": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(losses, "build_cost_matrix", counting("build_cost_matrix", losses.build_cost_matrix))
+        as_matrix = counting("as_matrix", numerics.as_matrix)
+        for module in (numerics, losses, alignment, encoders, evalkit):
+            monkeypatch.setattr(module, "as_matrix", as_matrix)
+        # phi far above any cost gap leaves every hinge active, so the
+        # backward of every sample runs as well
+        cfg = LossConfig(lambda_dtw=0.5, phi=1e3)
+        per_size = {}
+        for b in (4, 40):
+            frames, parents, children = _hier_instance(56, b=b, t=16, n=4, d=8)
+            counts.update(build_cost_matrix=0, as_matrix=0)
+            out = hier_lecnce(frames, parents, children, cfg, "dp")
+            assert out.components["dtw"] > 0
+            per_size[b] = dict(counts)
+        assert per_size[4]["build_cost_matrix"] == per_size[40]["build_cost_matrix"] == 0
+        assert per_size[4]["as_matrix"] == per_size[40]["as_matrix"]
 
 
 def _check_hier_gradients(algorithm):
