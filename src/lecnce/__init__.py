@@ -18,6 +18,6 @@ from .evalkit import EvalReport, accuracy_f1, linear_probe, modality_gap, pool_v
 from .losses import LossConfig, LossValue, build_cost_matrix, clip_lecnce, dtw_hinge, hier_lecnce, info_nce
 from .numerics import cosine_similarity_matrix, finite_diff_grad, l2_normalize, make_rng, softmax_rows
 from .textaug import MockAugmenterClient, assign_pseudo_steps, augment_text, build_step_kb, edit_candidates, sample_text, spell_correct
-from .trainer import TrainConfig, TrainLog, make_schedule, train_run, train_step
+from .trainer import TrainConfig, TrainLog, train_run, train_step
 
 __version__ = "0.1.0"

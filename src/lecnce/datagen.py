@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSplitError, InfeasibleSpecError
+from .errors import DegenerateSplitError, FieldValueError, InfeasibleSpecError, check_minimums
 from .numerics import make_rng
 
 LEVELS = ("clip", "phase", "video")
@@ -58,18 +58,27 @@ class ProcedureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_minimums(self, step_library_size=1, steps_per_procedure=1, latent_dim=2, visual_dim=2, text_dim=2,
+                       frames_per_step=CLIP_LEN, noise_sigma=0)
         if self.steps_per_procedure > self.step_library_size:
-            raise ValueError("steps_per_procedure cannot exceed step_library_size")
-        if min(self.latent_dim, self.visual_dim, self.text_dim) < 2:
-            raise ValueError("all dims must be >= 2")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise FieldValueError("steps_per_procedure", "cannot exceed step_library_size")
         if not 0.0 <= self.order_noise <= 1.0:
-            raise ValueError("order_noise must be in [0, 1]")
-        if self.frames_per_step < 1 or self.frames_per_step % CLIP_LEN != 0:
-            raise ValueError(f"frames_per_step must be a positive multiple of {CLIP_LEN}")
-        if self.steps_per_procedure < 1 or self.step_library_size < 1:
-            raise ValueError("step counts must be >= 1")
+            raise FieldValueError("order_noise", f"must be in [0, 1], got {self.order_noise}")
+        if self.frames_per_step % CLIP_LEN != 0:
+            raise FieldValueError("frames_per_step", f"must be a multiple of {CLIP_LEN}, got {self.frames_per_step}")
+
+
+@dataclass(frozen=True)
+class SplitSpec:
+    """How many procedures to generate and the fraction of them held out."""
+
+    n_procedures: int = 40
+    holdout_fraction: float = 0.2
+
+    def __post_init__(self):
+        check_minimums(self, n_procedures=2)
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise FieldValueError("holdout_fraction", f"must be in (0, 1), got {self.holdout_fraction}")
 
 
 @dataclass
@@ -146,15 +155,14 @@ def _full_rank_render(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
 def generate_dataset(
     spec: ProcedureSpec,
     n_procedures: int,
-    holdout_fraction: float = 0.2,
+    holdout_fraction: float = SplitSpec.holdout_fraction,
 ) -> tuple[Dataset, Dataset]:
     """Generate ``n_procedures`` procedures and split them train/holdout.
 
     Deterministic in ``spec.seed``.  Returns (train, holdout); both carry
     the same ground truth.
     """
-    if n_procedures < 2:
-        raise ValueError("need at least 2 procedures to split")
+    SplitSpec(n_procedures, holdout_fraction)
     rng = make_rng(spec.seed)
     concepts = _sample_concepts(spec, rng)
     render_visual = _full_rank_render(rng, spec.latent_dim, spec.visual_dim)

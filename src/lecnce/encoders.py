@@ -10,7 +10,7 @@ and bit-deterministic given a seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class EncoderParams:
     @property
     def input_dim(self) -> int:
         return self.layers[0][0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
 
     def flat(self) -> list[np.ndarray]:
         """Parameters as a flat list, weights before biases per layer."""
@@ -153,19 +149,14 @@ class OptimizerState:
     second_moment: list[np.ndarray] = field(default_factory=list)
 
 
-def init_optimizer(params: EncoderParams, learning_rate: float = 1e-3, weight_decay: float = 0.01,
-                   beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> OptimizerState:
+_MOMENTS = ("first_moment", "second_moment")  # per-parameter arrays; the other fields are scalars
+
+
+def init_optimizer(params: EncoderParams, **hyperparameters) -> OptimizerState:
+    """Zero moments for ``params``; keywords override the :class:`OptimizerState` defaults."""
     flats = params.flat()
-    return OptimizerState(
-        learning_rate=learning_rate,
-        weight_decay=weight_decay,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-        step_count=0,
-        first_moment=[np.zeros_like(p) for p in flats],
-        second_moment=[np.zeros_like(p) for p in flats],
-    )
+    moments = {name: [np.zeros_like(p) for p in flats] for name in _MOMENTS}
+    return OptimizerState(**hyperparameters, **moments)
 
 
 def adamw_step(
@@ -227,30 +218,15 @@ def _params_from_payload(payload: dict) -> EncoderParams:
 
 
 def _state_payload(state: OptimizerState) -> dict:
-    return {
-        "learning_rate": state.learning_rate,
-        "weight_decay": state.weight_decay,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "epsilon": state.epsilon,
-        "step_count": state.step_count,
-        "first_moment": [m.ravel().tolist() for m in state.first_moment],
-        "second_moment": [v.ravel().tolist() for v in state.second_moment],
-    }
+    payload = {f.name: getattr(state, f.name) for f in fields(state)}
+    return {**payload, **{name: [m.ravel().tolist() for m in payload[name]] for name in _MOMENTS}}
 
 
 def _state_from_payload(payload: dict, params: EncoderParams) -> OptimizerState:
     shapes = [p.shape for p in params.flat()]
-    return OptimizerState(
-        learning_rate=payload["learning_rate"],
-        weight_decay=payload["weight_decay"],
-        beta1=payload["beta1"],
-        beta2=payload["beta2"],
-        epsilon=payload["epsilon"],
-        step_count=payload["step_count"],
-        first_moment=[np.asarray(m, dtype=np.float64).reshape(s) for m, s in zip(payload["first_moment"], shapes)],
-        second_moment=[np.asarray(v, dtype=np.float64).reshape(s) for v, s in zip(payload["second_moment"], shapes)],
-    )
+    scalars = {f.name: payload[f.name] for f in fields(OptimizerState) if f.name not in _MOMENTS}
+    moments = {name: [np.asarray(m, dtype=np.float64).reshape(s) for m, s in zip(payload[name], shapes)] for name in _MOMENTS}
+    return OptimizerState(**scalars, **moments)
 
 
 def save_checkpoint(

@@ -93,7 +93,22 @@ class LengthMismatchError(LecnceError):
     """Predictions and labels differ in length."""
 
 
-class AllZeroScheduleError(LecnceError):
+class FieldValueError(LecnceError, ValueError):
+    """A config dataclass field holds a value outside its valid range; ``field`` names it."""
+
+    def __init__(self, field: str, requirement: str):
+        super().__init__(f"{field} {requirement}")
+        self.field, self.requirement = field, requirement
+
+
+def check_minimums(obj, **minimums) -> None:
+    """Raise :class:`FieldValueError` for the first field of ``obj`` below its minimum (or NaN)."""
+    for name, low in minimums.items():
+        if not getattr(obj, name) >= low:
+            raise FieldValueError(name, f"must be >= {low}, got {getattr(obj, name)}")
+
+
+class AllZeroScheduleError(FieldValueError):
     """Training schedule has zero batches at every level."""
 
 
@@ -105,7 +120,11 @@ class NonFiniteLossError(LecnceError):
     """A training step produced a non-finite loss."""
 
 
-class ConfigError(LecnceError):
+class InputError(LecnceError):
+    """A file or value given on the command line is invalid; the CLI exits 1."""
+
+
+class ConfigError(InputError):
     """A configuration file is malformed or carries unknown keys."""
 
 

@@ -16,24 +16,34 @@ import numpy as np
 from .errors import (
     DegenerateMeanError,
     DimMismatchError,
+    FieldValueError,
     KExceedsCorpusError,
     LengthMismatchError,
     SingleClassError,
+    check_minimums,
 )
 from .numerics import as_matrix, cosine_similarity_matrix, make_rng, subsample_frames
 
 
-def class_embeddings_from_prompts(prompt_embeddings: list[np.ndarray]) -> np.ndarray:
-    """Collapse each class's prompt embeddings to their renormalized mean."""
-    rows = []
-    for k, embs in enumerate(prompt_embeddings):
-        embs = as_matrix(embs, f"class {k} prompts")
-        mean = embs.mean(axis=0)
-        norm = np.linalg.norm(mean)
-        if norm < 1e-12:
-            raise DegenerateMeanError(f"class {k} prompt mean collapsed to zero")
-        rows.append(mean / norm)
-    return np.stack(rows)
+@dataclass(frozen=True)
+class EvalConfig:
+    """Evaluation settings: Recall@k cut-offs, retrieval-set size and the linear probe."""
+
+    recall_ks: tuple[int, ...] = (1, 5, 10)
+    retrieval_size: int = 32
+    probe_lr: float = 0.001
+    probe_weight_decay: float = 0.0005
+    probe_epochs: int = 40
+    shots: float = 100  # percent of the training procedures the probe sees
+
+    def __post_init__(self):
+        if not self.recall_ks or min(self.recall_ks) < 1:
+            raise FieldValueError("recall_ks", f"must list cut-offs >= 1, got {self.recall_ks}")
+        check_minimums(self, retrieval_size=1, probe_weight_decay=0, probe_epochs=1)
+        if not self.probe_lr > 0:
+            raise FieldValueError("probe_lr", f"must be > 0, got {self.probe_lr}")
+        if not 0 < self.shots <= 100:
+            raise FieldValueError("shots", f"must be in (0, 100], got {self.shots}")
 
 
 def zero_shot_classify(image_emb, class_embs) -> np.ndarray:
@@ -62,7 +72,7 @@ def _recall_one_direction(sim: np.ndarray, k_values) -> dict[int, float]:
     return out
 
 
-def recall_at_k(sim, k_values=(1, 5, 10)) -> dict[str, dict[int, float]]:
+def recall_at_k(sim, k_values=EvalConfig.recall_ks) -> dict[str, dict[int, float]]:
     """Fraction of queries whose true match (the diagonal) ranks in the top k.
 
     Rows are text queries against image candidates ("t2i"), columns the
@@ -100,9 +110,9 @@ class ProbeResult:
 def linear_probe(
     features,
     labels,
-    lr: float = 0.001,
-    weight_decay: float = 0.0005,
-    epochs: int = 40,
+    lr: float = EvalConfig.probe_lr,
+    weight_decay: float = EvalConfig.probe_weight_decay,
+    epochs: int = EvalConfig.probe_epochs,
     rng: np.random.Generator | None = None,
     test_features=None,
     test_labels=None,

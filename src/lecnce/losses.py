@@ -23,10 +23,12 @@ from .errors import (
     EmptyChildSequenceError,
     EmptyMatrixError,
     EmptyPositiveSetError,
+    FieldValueError,
     NonFiniteError,
     RowNotNormalizedError,
     ShapeMismatchError,
     ZeroVectorError,
+    check_minimums,
 )
 from .numerics import as_matrix, log_softmax_rows, softmax_rows
 
@@ -52,13 +54,12 @@ class LossConfig:
 
     def __post_init__(self):
         if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+            raise FieldValueError("beta", f"must be > 0, got {self.beta}")
         if not self.temperature_infonce > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature_infonce}")
-        if self.lambda_dtw < 0:
-            raise ValueError(f"lambda_dtw must be >= 0, got {self.lambda_dtw}")
+            raise FieldValueError("temperature_infonce", f"must be > 0, got {self.temperature_infonce}")
+        check_minimums(self, lambda_dtw=0)
         if self.hinge_form not in HINGE_FORMS:
-            raise ValueError(f"hinge_form must be one of {HINGE_FORMS}, got {self.hinge_form!r}")
+            raise FieldValueError("hinge_form", f"must be one of {HINGE_FORMS}, got {self.hinge_form!r}")
 
 
 @dataclass
@@ -113,8 +114,8 @@ def _row_nce(z: np.ndarray, positives: Sequence[Sequence[int]]) -> tuple[float, 
 def info_nce(
     sim,
     positives: Sequence[Sequence[int]],
-    temperature: float = 0.07,
-    symmetric: bool = True,
+    temperature: float = LossConfig.temperature_infonce,
+    symmetric: bool = LossConfig.symmetric,
 ) -> LossValue:
     """Multi-positive contrastive loss over a similarity matrix.
 
@@ -156,7 +157,7 @@ def _costs_backward(frames: np.ndarray, texts: np.ndarray, beta: float, grad_cos
     return grad_sim @ texts, np.swapaxes(grad_sim, -1, -2) @ frames
 
 
-def build_cost_matrix(frames, texts, beta: float = 0.1, validate: bool = True) -> CostMatrix:
+def build_cost_matrix(frames, texts, beta: float = LossConfig.beta, validate: bool = True) -> CostMatrix:
     """Per-frame negative log-probability of each text under a softmax over texts.
 
     ``c[i][j] = -log softmax_j(frames[i] . texts[j] / beta)``; rows of both
@@ -194,8 +195,8 @@ def _hinge(delta, phi: float, form: str):
 def dtw_hinge(
     c_forward: CostMatrix,
     c_reversed: CostMatrix,
-    phi: float = 0.1,
-    form: str = "standard",
+    phi: float = LossConfig.phi,
+    form: str = LossConfig.hinge_form,
     algorithm: str = "greedy",
 ) -> LossValue:
     """Margin loss between forward and reversed alignment costs.

@@ -7,17 +7,14 @@ behaviors: ``recipe`` (ordered pseudo-steps from a procedure title),
 ``dictionary`` (expand a short keystep into a description) and
 ``summarizer`` (compress an abstract).  The shipped
 :class:`MockAugmenterClient` is a pure function of its input, so every
-pipeline built on it is deterministic; :class:`HttpAugmenterClient` keeps
-the wire contract for a real backend and is disabled unless explicitly
-enabled.
+pipeline built on it is deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +23,7 @@ from .errors import ClientFailureError, EmptyCorpusError, EmptyWordError
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _LETTERS = frozenset(ALPHABET)
 BEHAVIORS = ("recipe", "dictionary", "summarizer")
+TEXT_LEVELS = ("narration", "keystep", "abstract")
 
 _SYSTEM_PROMPTS = {
     "recipe": "List the ordered steps needed to complete the given procedure, one per line.",
@@ -55,12 +53,6 @@ def load_vocabulary(path) -> dict[str, int]:
             word, freq = line.split("\t")
             vocab[word] = int(freq)
     return vocab
-
-
-def save_vocabulary(vocab: dict[str, int], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in sorted(vocab):
-            fh.write(f"{word}\t{vocab[word]}\n")
 
 
 def _edits1(word: str) -> set[str]:
@@ -191,47 +183,6 @@ class MockAugmenterClient:
         return _MOCK_FNS[self.behavior](text)
 
 
-@dataclass
-class HttpAugmenterClient:
-    """Wire-contract client for a real backend; disabled unless opted in.
-
-    Sends ``{"behavior", "system_prompt", "examples", "input"}`` as JSON
-    and expects ``{"text": ...}`` back.
-    """
-
-    behavior: str
-    url: str = ""
-    enabled: bool = False
-    examples: list[dict] = field(default_factory=list)
-    timeout: float = 30.0
-
-    def __post_init__(self):
-        if self.behavior not in BEHAVIORS:
-            raise ValueError(f"behavior must be one of {BEHAVIORS}, got {self.behavior!r}")
-
-    def request_payload(self, text: str) -> dict:
-        return {
-            "behavior": self.behavior,
-            "system_prompt": _SYSTEM_PROMPTS[self.behavior],
-            "examples": self.examples,
-            "input": text,
-        }
-
-    def complete(self, text: str) -> str:
-        if not self.enabled:
-            raise ClientFailureError("external augmenter transport is disabled; pass enabled=True to use it")
-        if not self.url:
-            raise ClientFailureError("no augmenter endpoint configured")
-        body = json.dumps(self.request_payload(text)).encode("utf-8")
-        req = urllib.request.Request(self.url, data=body, headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-            return payload["text"]
-        except Exception as exc:  # surface transport errors with context
-            raise ClientFailureError(f"augmenter call failed for input {text[:40]!r}: {exc}") from exc
-
-
 def mock_clients() -> dict[str, MockAugmenterClient]:
     """One deterministic client per behavior."""
     return {b: MockAugmenterClient(behavior=b) for b in BEHAVIORS}
@@ -261,12 +212,6 @@ def build_step_kb(titles: list[str], client) -> dict[str, list[str]]:
             raise ClientFailureError(f"recipe client returned no steps for title {title!r}")
         kb[title] = steps
     return kb
-
-
-def save_step_kb(kb: dict[str, list[str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(kb, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def load_step_kb(path) -> dict[str, list[str]]:
@@ -347,7 +292,7 @@ def augment_text(
         return _client_for(clients, "dictionary").complete(text)
     if level == "abstract":
         return _client_for(clients, "summarizer").complete(text)
-    raise ValueError(f"unknown level {level!r}; expected narration, keystep or abstract")
+    raise ValueError(f"unknown level {level!r}; expected one of {TEXT_LEVELS}")
 
 
 def _kb_steps(kb, title):

@@ -14,13 +14,13 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import encoders as enc
 from .datagen import Dataset, HierarchicalSample
-from .errors import AllZeroScheduleError, MissingLevelDataError, NonFiniteLossError
+from .errors import AllZeroScheduleError, FieldValueError, MissingLevelDataError, NonFiniteLossError, check_minimums
 from .losses import LossConfig, clip_lecnce, hier_lecnce, pool_segments, pool_segments_backward
 from .numerics import make_rng, subsample_frames
 from .textaug import sample_text
@@ -53,23 +53,24 @@ class TrainConfig:
 
     def __post_init__(self):
         if len(self.schedule) != 3 or any(c < 0 for c in self.schedule):
-            raise ValueError("schedule must be three non-negative counts")
+            raise FieldValueError("schedule", "must be three non-negative counts")
         if sum(self.schedule) == 0:
-            raise AllZeroScheduleError("schedule has zero batches at every level")
+            raise AllZeroScheduleError("schedule", "has zero batches at every level")
         for level, (count, batch) in enumerate(zip(self.schedule, self.batch_sizes)):
             if count > 0 and batch < 2:
-                raise ValueError(f"contrastive level {LEVELS[level]} needs batch size >= 2, got {batch}")
-        if self.dtw_algorithm not in ("greedy", "dp"):
-            raise ValueError(f"dtw_algorithm must be greedy or dp, got {self.dtw_algorithm!r}")
+                raise FieldValueError("batch_sizes", f"must be >= 2 at contrastive level {LEVELS[level]}, got {batch}")
+        if any(n < 1 for n in self.frames):
+            raise FieldValueError("frames", f"entries must be >= 1, got {self.frames}")
+        check_minimums(self, epochs=1, learning_rate=0, weight_decay=0)
         if not 0.0 <= self.p_augmented <= 1.0:
-            raise ValueError("p_augmented must be in [0, 1]")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-
-
-REFERENCE_SCHEDULE = (25, 15, 115)
-REFERENCE_BATCH_SIZES = (120, 80, 25)
-REFERENCE_LEARNING_RATE = 5e-5
+            raise FieldValueError("p_augmented", f"must be in [0, 1], got {self.p_augmented}")
+        if self.dtw_algorithm not in ("greedy", "dp"):
+            raise FieldValueError("dtw_algorithm", f"must be greedy or dp, got {self.dtw_algorithm!r}")
+        if self.activation not in enc.ACTIVATIONS:
+            raise FieldValueError("activation", f"must be one of {enc.ACTIVATIONS}, got {self.activation!r}")
+        for name in ("visual_layers", "text_layers"):
+            if len(getattr(self, name)) < 2 or min(getattr(self, name)) < 1:
+                raise FieldValueError(name, f"must list at least 2 dims >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -115,17 +116,8 @@ class TrainLog:
                 )
 
 
-def make_schedule(cfg: TrainConfig):
-    """Infinite cyclic level sequence: clip x c, phase x p, video x v, repeat."""
-    period = schedule_period(cfg)
-    while True:
-        yield from period
-
-
 def schedule_period(cfg: TrainConfig) -> list[str]:
     """One cycle of the alternating pattern as a list of level names."""
-    if sum(cfg.schedule) == 0:
-        raise AllZeroScheduleError("schedule has zero batches at every level")
     period = []
     for level, count in zip(LEVELS, cfg.schedule):
         period.extend([level] * count)
@@ -186,8 +178,8 @@ def init_trainer(cfg: TrainConfig, rng: np.random.Generator) -> TrainerState:
     return TrainerState(
         visual=visual,
         text=text,
-        visual_opt=enc.init_optimizer(visual, cfg.learning_rate, cfg.weight_decay),
-        text_opt=enc.init_optimizer(text, cfg.learning_rate, cfg.weight_decay),
+        visual_opt=enc.init_optimizer(visual, learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay),
+        text_opt=enc.init_optimizer(text, learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay),
     )
 
 
@@ -255,6 +247,11 @@ def train_step(
     )
 
 
+def _save_checkpoint(out_dir, tag: str, state: TrainerState, seed: int, global_step: int) -> None:
+    enc.save_checkpoint(os.path.join(out_dir, f"checkpoint_{tag}.json"), state.visual, state.text,
+                        state.visual_opt, state.text_opt, seed=seed, schedule_position=global_step)
+
+
 def train_run(cfg: TrainConfig, datasets: Dataset | dict, out_dir=None) -> tuple[TrainerState, TrainLog]:
     """Run ``cfg.epochs`` schedule cycles; optionally write log and checkpoints.
 
@@ -286,39 +283,9 @@ def train_run(cfg: TrainConfig, datasets: Dataset | dict, out_dir=None) -> tuple
             batch = batchers[level].next_batch(batch_size[level])
             log.append(train_step(level, batch, state, cfg, rng, global_step))
         if out_dir is not None:
-            enc.save_checkpoint(
-                os.path.join(out_dir, f"checkpoint_{epoch + 1:04d}.json"),
-                state.visual,
-                state.text,
-                state.visual_opt,
-                state.text_opt,
-                seed=cfg.seed,
-                schedule_position=global_step,
-            )
+            _save_checkpoint(out_dir, f"{epoch + 1:04d}", state, cfg.seed, global_step)
     if out_dir is not None:
-        enc.save_checkpoint(
-            os.path.join(out_dir, "checkpoint_final.json"),
-            state.visual,
-            state.text,
-            state.visual_opt,
-            state.text_opt,
-            seed=cfg.seed,
-            schedule_position=global_step,
-        )
+        _save_checkpoint(out_dir, "final", state, cfg.seed, global_step)
         log.write_csv(os.path.join(out_dir, "trainlog.csv"))
     return state, log
 
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    d["loss"] = asdict(cfg.loss)
-    return d
-
-
-def train_config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    loss = LossConfig(**d.pop("loss", {}))
-    for key in ("schedule", "batch_sizes", "frames", "visual_layers", "text_layers"):
-        if key in d:
-            d[key] = tuple(d[key])
-    return TrainConfig(loss=loss, **d)

@@ -1,11 +1,64 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lecnce.cli import CONFIG_DEFAULTS, load_config, resolve_seed, run
+from lecnce.cli import load_config, resolve_seed, run
+from lecnce.datagen import ProcedureSpec, SplitSpec
 from lecnce.errors import ConfigError, UnknownKeyError
-from lecnce.evalkit import EvalReport
-from lecnce.textaug import MockAugmenterClient, build_step_kb, save_step_kb
+from lecnce.evalkit import EvalConfig, EvalReport
+from lecnce.losses import LossConfig
+from lecnce.textaug import MockAugmenterClient, build_step_kb
+from lecnce.trainer import TrainConfig
+
+# the defaults as they stood before the schema was derived from the dataclasses
+PINNED_DEFAULTS = {
+    "seed": None,
+    "data": {
+        "step_library_size": 12,
+        "latent_dim": 16,
+        "visual_dim": 32,
+        "text_dim": 24,
+        "steps_per_procedure": 6,
+        "frames_per_step": 8,
+        "noise_sigma": 0.1,
+        "order_noise": 0.0,
+        "n_procedures": 40,
+        "holdout_fraction": 0.2,
+    },
+    "loss": {
+        "temperature_infonce": 0.07,
+        "beta": 0.1,
+        "phi": 0.1,
+        "lambda": 0.01,
+        "hinge_form": "standard",
+        "symmetric": True,
+    },
+    "train": {
+        "schedule": [5, 3, 3],
+        "batch_sizes": [16, 8, 4],
+        "frames": [4, 16, 64],
+        "epochs": 30,
+        "learning_rate": 1e-3,
+        "weight_decay": 0.01,
+        "p_augmented": 0.5,
+        "dtw_algorithm": "greedy",
+        "visual_layers": [32, 32],
+        "text_layers": [24, 32],
+        "activation": "identity",
+    },
+    "eval": {
+        "recall_ks": [1, 5, 10],
+        "retrieval_size": 32,
+        "probe_lr": 0.001,
+        "probe_weight_decay": 0.0005,
+        "probe_epochs": 40,
+        "shots": 100,
+    },
+}
 
 HAND_TRACE = [[1.0, 5.0, 5.0], [2.0, 1.0, 5.0], [5.0, 2.0, 1.0]]
 
@@ -42,7 +95,10 @@ class TestLoadConfig:
     def test_empty_object_gives_defaults(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{}")
-        assert load_config(str(path)) == CONFIG_DEFAULTS
+        config = load_config(str(path))
+        assert config == PINNED_DEFAULTS
+        assert json.dumps(config, sort_keys=True) == json.dumps(PINNED_DEFAULTS, sort_keys=True)
+        assert load_config(None) == PINNED_DEFAULTS
 
     def test_partial_override(self, tmp_path):
         path = tmp_path / "c.json"
@@ -50,7 +106,7 @@ class TestLoadConfig:
         cfg = load_config(str(path))
         assert cfg["loss"]["phi"] == 0.25
         assert cfg["loss"]["beta"] == 0.1
-        assert cfg["train"]["epochs"] == CONFIG_DEFAULTS["train"]["epochs"]
+        assert cfg["train"]["epochs"] == 30
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "c.json"
@@ -236,7 +292,7 @@ class TestAugmentCommand:
         vocab_path.write_text("grasper\t10\nduct\t8\nhook\t5\n")
         kb = build_step_kb(["toy procedure"], MockAugmenterClient("recipe"))
         kb_path = tmp_path / "kb.json"
-        save_step_kb(kb, kb_path)
+        kb_path.write_text(json.dumps(kb))
         records = [
             {"text": "graspr the duct", "level": "narration"},
             {"text": "clipping cutting", "level": "keystep"},
@@ -256,7 +312,6 @@ class TestAugmentCommand:
                 str(infile),
                 "--out",
                 str(outfile),
-                "--mock",
             ]
         )
         assert code == 0
@@ -266,11 +321,32 @@ class TestAugmentCommand:
         assert lines[1]["original"] == "clipping cutting" and lines[1]["augmented"] != lines[1]["original"]
         assert lines[2]["augmented"].startswith("summary:")
 
-    def test_without_mock_external_disabled(self, tmp_path):
+    def test_default_uses_mock_clients(self, tmp_path):
         infile = tmp_path / "in.jsonl"
         infile.write_text(json.dumps({"text": "clipping", "level": "keystep"}) + "\n")
-        code = run(["augment", "--in", str(infile), "--out", str(tmp_path / "out.jsonl")])
-        assert code == 2
+        assert run(["augment", "--in", str(infile), "--out", str(tmp_path / "out.jsonl")]) == 0
+        line = json.loads((tmp_path / "out.jsonl").read_text())
+        assert line["augmented"] == MockAugmenterClient("dictionary").complete("clipping")
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("not json", "not a JSON record"),
+            ('["text", "level"]', "'text'"),
+            ('{"level": "keystep"}', "'text'"),
+            ('{"text": 3, "level": "keystep"}', "'text'"),
+            ('{"text": "clipping"}', "'level'"),
+            ('{"text": "clipping", "level": "poem"}', "'level': 'poem'"),
+        ],
+    )
+    def test_bad_record_named_by_line(self, tmp_path, capsys, line, named):
+        infile = tmp_path / "in.jsonl"
+        infile.write_text(json.dumps({"text": "clipping", "level": "keystep"}) + "\n\n" + line + "\n")
+        outfile = tmp_path / "out.jsonl"
+        assert run(["augment", "--in", str(infile), "--out", str(outfile)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and named in err
+        assert not outfile.exists()
 
 
 class TestDtwInspect:
@@ -296,3 +372,228 @@ class TestDtwInspect:
         assert run(["dtw-inspect", "--matrix", str(path), "--reversed"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cost"] == 6.0  # row sums are reversal-invariant for a 1xN matrix
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ("{", "line 1 column 2"),
+            ('{"beta": 0.1}', "no 'values' key"),
+            ("[[1.0, 2.0], [3.0]]", "'values'"),
+            ('[["a", 1.0]]', "'values'"),
+            ("[]", "'values'"),
+            ("[[]]", "'values'"),
+            ('{"values": "abc"}', "'values'"),
+            ("[[1.0, NaN]]", "'values'"),
+            ("[[1.0, Infinity]]", "'values'"),
+            ("[[1.0, -2.0]]", "'values'"),
+            ('{"values": [[1.0]], "beta": 0}', "'beta'"),
+            ('{"values": [[1.0]], "beta": -0.5}', "'beta'"),
+            ('{"values": [[1.0]], "beta": "x"}', "'beta'"),
+            ('{"values": [[1.0]], "beta": true}', "'beta'"),
+            ('{"values": [[1.0]], "beta": NaN}', "'beta'"),
+        ],
+    )
+    def test_bad_matrix_file(self, tmp_path, capsys, content, named):
+        path = tmp_path / "m.json"
+        path.write_text(content)
+        assert run(["dtw-inspect", "--matrix", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+
+# every case that used to crash, run through every command; each key must be
+# named and no run directory created
+BAD_VALUES = [
+    ("train", "epochs", 0),
+    ("train", "dtw_algorithm", "foo"),
+    ("loss", "beta", 0),
+    ("data", "holdout_fraction", 2),
+    ("train", "schedule", ["a", 1, 1]),
+    ("loss", "beta", "x"),
+    ("train", "epochs", 2.5),
+    ("data", "n_procedures", "x"),
+    ("eval", "retrieval_size", 0),
+    ("loss", "symmetric", "no"),
+    ("train", "weight_decay", float("nan")),
+    ("train", "epochs", True),
+    ("loss", "lambda", -0.1),
+    ("train", "activation", "relu"),
+    ("train", "visual_layers", [12]),
+    ("eval", "recall_ks", []),
+    ("eval", "shots", 0),
+    ("data", "noise_sigma", float("inf")),
+]
+
+
+def _command(name, config_path, tmp_path) -> list[str]:
+    out = str(tmp_path / "run")
+    return {
+        "generate-data": ["generate-data", "--spec", config_path, "--out", out],
+        "train": ["train", "--config", config_path, "--data", str(tmp_path / "data"), "--out", out],
+        "eval": ["eval", "--config", config_path, "--checkpoint", str(tmp_path / "c.json"),
+                 "--data", str(tmp_path / "data"), "--out", out],
+    }[name]
+
+
+@pytest.mark.parametrize("command", ["generate-data", "train", "eval"])
+@pytest.mark.parametrize("section, key, value", BAD_VALUES)
+def test_bad_value_named_before_any_output(tmp_path, capsys, small_config, command, section, key, value):
+    cfg = json.loads(small_config.read_text())
+    cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run(_command(command, str(path), tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert f"'{section}.{key}'" in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "train, key",
+    [
+        ({"visual_layers": [11, 6]}, "'train.visual_layers'"),
+        ({"text_layers": [8, 6]}, "'train.text_layers'"),
+        ({"text_layers": [9, 7]}, "'train.visual_layers' and 'train.text_layers'"),
+    ],
+)
+def test_encoder_dims_checked_against_data(tmp_path, capsys, small_config, train, key):
+    cfg = json.loads(small_config.read_text())
+    cfg["train"].update(train)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run(_command("generate-data", str(path), tmp_path)) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+class TestEvalInputChecks:
+    @pytest.mark.parametrize("shots", ["0", "-5", "150", "nan", "inf"])
+    def test_shots_flag_checked_as_config_key(self, tmp_path, capsys, small_config, shots):
+        argv = _command("eval", str(small_config), tmp_path) + ["--shots", shots]
+        assert run(argv) == 1
+        assert "'eval.shots'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_recall_k_beyond_retrieval_set(self, tmp_path, capsys, small_config, generated):
+        cfg = json.loads(small_config.read_text())
+        del cfg["eval"]["recall_ks"]  # the default cut-offs reach 10; the holdout has 8 clips
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["eval", "--config", str(path), "--checkpoint", str(tmp_path / "missing.json"),
+                "--data", str(generated), "--out", str(tmp_path / "eval")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "'eval.recall_ks'" in err and "8 clips" in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_recall_ks_unchecked_without_retrieval(self, tmp_path, small_config, generated):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", str(small_config), "--data", str(generated), "--out", str(run_dir)]) == 0
+        cfg = json.loads(small_config.read_text())
+        del cfg["eval"]["recall_ks"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["eval", "--config", str(path), "--checkpoint", str(run_dir / "checkpoint_final.json"),
+                "--data", str(generated), "--out", str(tmp_path / "eval"), "--zero-shot"]
+        assert run(argv) == 0
+
+
+def test_readme_config_block_is_the_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    assert json.loads(blocks[0]) == load_config(None)
+
+
+# raw values of every JSON type, including non-finite floats and out-of-range numbers
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 80),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(["greedy", "dp", "identity", "tanh", "standard", "literal", "x"]),
+    st.lists(st.integers(-1, 40), max_size=4),
+    st.lists(st.floats(-1, 40), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _near(default):
+    """Values of the default's JSON type around it, mostly in range."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(default // 2, 2 * default)
+    if isinstance(default, float):
+        return st.floats(0.0, 2 * default + 0.5)
+    if isinstance(default, list):
+        return st.tuples(*[st.integers(max(1, d // 2), 2 * d) for d in default]).map(list)
+    return st.sampled_from({"greedy": ["greedy", "dp"], "identity": ["identity", "tanh"], "standard": ["standard", "literal"]}[default])
+
+
+# the encoder dims must chain with the data dims, so they stay at their defaults
+NEAR = {
+    (name, key): st.just(default) if key.endswith(("_dim", "_layers")) else _near(default)
+    for name, section in PINNED_DEFAULTS.items()
+    if name != "seed"
+    for key, default in section.items()
+}
+NEAR["data", "frames_per_step"] = st.sampled_from([4, 8, 16])
+NEAR["eval", "shots"] = st.floats(1.0, 100.0)
+DIE = st.integers(0, 15)
+
+
+@st.composite
+def raw_configs(draw):
+    """Config objects whose entries keep their default, move near it or take a random JSON value."""
+    odds = draw(st.sampled_from([0, 1, 3]))  # chance in 16 that an entry turns into junk
+
+    def junk() -> bool:
+        return draw(DIE) < odds
+
+    raw = {}
+    if draw(st.booleans()):
+        raw["seed"] = draw(JSON_VALUES) if junk() else draw(st.integers(0, 99))
+    for name, section in PINNED_DEFAULTS.items():
+        if name == "seed":
+            continue
+        given = {}
+        for key, default in section.items():
+            roll = draw(DIE)
+            if roll < odds:
+                given[key] = draw(JSON_VALUES)
+            elif roll < 6:
+                given[key] = draw(NEAR[name, key])
+            elif roll < 10:
+                given[key] = default
+        if junk():
+            given["junk"] = draw(JSON_VALUES)
+        raw[name] = draw(JSON_VALUES) if junk() else given
+    if junk():
+        raw["junk"] = draw(JSON_VALUES)
+    return raw
+
+
+def _tuples(section: dict) -> dict:
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in section.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_configs())
+def test_load_config_property(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "property_config.json"
+    path.write_text(json.dumps(raw))
+    try:
+        config = load_config(str(path))
+    except ConfigError:
+        return
+    data = dict(config["data"])
+    split = SplitSpec(data.pop("n_procedures"), data.pop("holdout_fraction"))
+    ProcedureSpec(**data)
+    loss = dict(config["loss"])
+    loss["lambda_dtw"] = loss.pop("lambda")
+    TrainConfig(loss=LossConfig(**loss), **_tuples(config["train"]))
+    EvalConfig(**_tuples(config["eval"]))
+    assert split.n_procedures >= 2
+    assert json.loads(json.dumps(config)) == config  # what resolved_config.json records reads back equal

@@ -14,7 +14,6 @@ from lecnce.errors import (
 from lecnce.evalkit import (
     EvalReport,
     accuracy_f1,
-    class_embeddings_from_prompts,
     linear_probe,
     modality_gap,
     pool_video_embedding,
@@ -56,13 +55,6 @@ class TestZeroShotClassify:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             zero_shot_classify(np.ones((1, 3)), np.ones((2, 4)))
-
-    def test_prompt_pooling(self):
-        prompts = [np.eye(4)[:2], np.eye(4)[2:3]]
-        pooled = class_embeddings_from_prompts(prompts)
-        np.testing.assert_allclose(np.linalg.norm(pooled, axis=1), 1.0, atol=1e-12)
-        expected = (np.eye(4)[0] + np.eye(4)[1]) / np.sqrt(2)
-        np.testing.assert_allclose(pooled[0], expected, atol=1e-12)
 
 
 def fullsort_recall_oracle(sim: np.ndarray, ks):

@@ -12,7 +12,6 @@ from lecnce.errors import ClientFailureError, EmptyCorpusError, EmptyWordError
 from lecnce.numerics import make_rng
 from lecnce.textaug import (
     ALPHABET,
-    HttpAugmenterClient,
     MockAugmenterClient,
     assign_pseudo_steps,
     augment_text,
@@ -22,8 +21,6 @@ from lecnce.textaug import (
     load_vocabulary,
     mock_clients,
     sample_text,
-    save_step_kb,
-    save_vocabulary,
     spell_correct,
     tokenize,
 )
@@ -225,7 +222,7 @@ class TestSpellCorrectSearch:
 class TestVocabularyFile:
     def test_roundtrip(self, tmp_path, vocab):
         path = tmp_path / "vocab.tsv"
-        save_vocabulary(vocab, path)
+        path.write_text("".join(f"{word}\t{vocab[word]}\n" for word in sorted(vocab)))
         assert load_vocabulary(path) == vocab
         first_line = path.read_text().splitlines()[0]
         assert "\t" in first_line
@@ -252,25 +249,6 @@ class TestMockClients:
             MockAugmenterClient("poet")
 
 
-class TestHttpClient:
-    def test_disabled_by_default(self):
-        client = HttpAugmenterClient(behavior="dictionary", url="http://localhost:1/aug")
-        assert client.enabled is False
-        with pytest.raises(ClientFailureError, match="disabled"):
-            client.complete("anything")
-
-    def test_enabled_without_endpoint(self):
-        client = HttpAugmenterClient(behavior="dictionary", enabled=True)
-        with pytest.raises(ClientFailureError, match="endpoint"):
-            client.complete("anything")
-
-    def test_wire_payload(self):
-        client = HttpAugmenterClient(behavior="summarizer", url="http://example/aug")
-        payload = client.request_payload("long abstract text")
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["behavior"] == "summarizer"
-
-
 class TestBuildStepKb:
     def test_mock_deterministic(self):
         client = MockAugmenterClient("recipe")
@@ -294,7 +272,7 @@ class TestBuildStepKb:
     def test_kb_file_roundtrip(self, tmp_path):
         kb = build_step_kb(["toy procedure"], MockAugmenterClient("recipe"))
         path = tmp_path / "kb.json"
-        save_step_kb(kb, path)
+        path.write_text(json.dumps(kb))
         assert load_step_kb(path) == kb
 
 
