@@ -6,8 +6,8 @@ cheap but not globally optimal.  ``dtw_dp`` is the classic dynamic-program
 over an accumulated-cost table and serves as the optimal-cost oracle.  Both
 report the cells they visited as a 1-based path from (T, N) down to (1, 1).
 ``align_batch`` aligns a whole stack of matrices in one call and returns
-each one's cost and 0/1 path mask; with ``"dp"`` it is a vectorized
-wavefront that agrees exactly with ``dtw_dp`` and ``dtw_subgradient``.
+each one's cost and 0/1 path mask: one lockstep walker traces the raw costs
+for greedy, or the accumulated table of a vectorized wavefront for DP.
 """
 
 from __future__ import annotations
@@ -166,11 +166,12 @@ def _wavefront_plan(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return skew, unskew
 
 
-def _dp_batch(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``dtw_dp`` over an inf-padded (B, T+1, N+1) stack, every matrix at once.
+def _accumulate(padded: np.ndarray) -> np.ndarray:
+    """``dtw_dp``'s accumulated-cost table of each matrix of an inf-padded stack.
 
-    Row 0 and column 0 of ``padded`` are the inf border; matrix k occupies
-    rows 1..rows[k] and columns 1..cols[k], and inf fills the rest.
+    Row 0 and column 0 of the (B, T+1, N+1) ``padded`` are the inf border;
+    matrix k occupies rows 1..rows[k] and columns 1..cols[k], and inf fills
+    the rest, in the returned table too.
     """
     b, t1, n1 = padded.shape
     t, n = t1 - 1, n1 - 1
@@ -182,37 +183,40 @@ def _dp_batch(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[n
         # min(diag, up, left), ordered so that ties keep the earlier operand
         best = np.minimum(acc[:, d - 1, :-1], np.minimum(acc[:, d - 1, 1:], acc[:, d - 2, :-1]))
         np.add(v[:, d, 1:], best, out=acc[:, d, 1:])
-    table = acc.reshape(b, -1)[:, unskew]  # table[k, i, j]: accumulated cost of 1-based cell (i, j)
-    costs = table[np.arange(b), rows, cols]
+    return acc.reshape(b, -1)[:, unskew]  # table[k, i, j]: accumulated cost of 1-based cell (i, j)
 
-    # backtrack moves as flat offsets in the padded table, ties broken
-    # diagonal, then up, then left; the border is inf, so cells in row 1
-    # move left and cells in column 1 move up, as in dtw_dp
+
+def _walk(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat positions visited by each matrix's trace from its corner, one row per step.
+
+    A cell moves to its least diagonal, up or left neighbour in the padded
+    ``table``, ties broken in that order; the inf border moves row 1 left and
+    column 1 up.  Over a DP table this is ``dtw_dp``'s backtrack, over the
+    raw costs ``dtw_greedy``.
+    """
+    b, t1, n1 = table.shape
     diag, up, left = table[:, :-1, :-1], table[:, :-1, 1:], table[:, 1:, :-1]
     step = np.zeros(table.shape, dtype=np.intp)
     step[:, 1:, 1:] = np.where((diag <= up) & (diag <= left), n1 + 1, np.where(up <= left, n1, 1))
-    step[:, 1, 1] = 0  # a finished path stays on (1, 1)
+    step[:, 1, 1] = 0  # a finished trace stays on (1, 1)
     step = step.ravel()
-    pos = np.arange(b) * (t1 * n1) + rows * n1 + cols
-    mask = np.zeros(b * t1 * n1)
-    for _ in range(int((rows + cols).max()) - 1):
-        mask[pos] = 1.0
-        pos = pos - step[pos]
-    return costs, mask.reshape(b, t1, n1)[:, 1:, 1:]
+    visits = np.empty((int((rows + cols).max()) - 1, b), dtype=np.intp)
+    visits[0] = np.arange(b) * (t1 * n1) + rows * n1 + cols
+    for s in range(1, len(visits)):
+        visits[s] = visits[s - 1] - step[visits[s - 1]]
+    return visits
 
 
 def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray]:
     """Align a stack of cost matrices; return their costs and 0/1 path masks.
 
     ``matrices`` is a (B, T, N) array or a sequence of B matrices of any
-    shapes, with entries already checked (see :class:`CostMatrix`).  Ragged
-    matrices are padded with inf to the largest shape: the result is a
-    length-B cost vector and a (B, T, N) mask whose entry k is
-    ``dtw_subgradient`` of matrix k under ``algorithm``, zero-padded.
-    Costs and masks equal the per-matrix ``dtw_dp``/``dtw_greedy`` ones
-    exactly.  ``"dp"`` runs an anti-diagonal wavefront and a lockstep
-    backtrack over the whole stack; ``"greedy"`` traces each matrix with
-    ``dtw_greedy``.
+    shapes, with finite, non-negative entries.  Ragged matrices are padded
+    with inf to the largest shape: the result is a length-B cost vector and
+    a (B, T, N) mask whose entry k is ``dtw_subgradient`` of matrix k under
+    ``algorithm``, zero-padded.  Costs and masks equal the per-matrix
+    ``dtw_dp``/``dtw_greedy`` ones exactly: DP reads each corner of its
+    walked table, greedy sums the walked raw costs in visit order.
     """
     if algorithm not in DTW_ALGORITHMS:
         raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}")
@@ -227,25 +231,27 @@ def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray
     shape = np.array([m.shape for m in mats])
     rows, cols = shape[:, 0], shape[:, 1]
     t, n = shape.max(axis=0)
-
-    if algorithm == "greedy":
-        costs = np.empty(len(mats))
-        masks = np.zeros((len(mats), t, n))
-        for k, m in enumerate(mats):
-            result = dtw_greedy(m)
-            costs[k] = result.cost
-            mask = masks[k]
-            for i, j in result.path:  # the path is in bounds by construction
-                mask[i - 1, j - 1] = 1.0
-        return costs, masks
-
     padded = np.full((len(mats), t + 1, n + 1), np.inf)
     for k, m in enumerate(mats):
         padded[k, 1 : rows[k] + 1, 1 : cols[k] + 1] = m
-    costs, masks = _dp_batch(padded, rows, cols)
-    if not np.all(np.isfinite(costs)):
+    if np.count_nonzero(np.isfinite(padded)) != (rows * cols).sum():  # the inf padding is never finite
         raise NonFiniteError("cost matrix contains non-finite entries")
-    return costs, masks
+
+    with np.errstate(over="ignore"):  # an overflowing cost raises below
+        if algorithm == "dp":
+            table = _accumulate(padded)
+            visits = _walk(table, rows, cols)
+            costs = table.ravel()[visits[0]]
+        else:
+            visits = _walk(padded, rows, cols)
+            values = padded.ravel()[visits]
+            values[1:][visits[1:] == visits[:-1]] = 0.0  # a finished walk repeats (1, 1)
+            costs = np.add.accumulate(values, axis=0)[-1]  # sequential, in visit order, as dtw_greedy sums
+    if not np.all(np.isfinite(costs)):
+        raise NonFiniteError("alignment cost overflows")
+    mask = np.zeros(padded.size)
+    mask[visits] = 1.0
+    return costs, mask.reshape(padded.shape)[:, 1:, 1:]
 
 
 def reverse_columns(c: CostMatrix) -> CostMatrix:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import encoders as enc
 from . import evalkit, textaug
-from .alignment import CostMatrix, align, reverse_columns
+from .alignment import DTW_ALGORITHMS, CostMatrix, align, reverse_columns
 from .datagen import ProcedureSpec, SplitSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, FieldValueError, InputError, LecnceError, UnknownKeyError
 from .losses import LossConfig
@@ -150,18 +150,22 @@ def build(config: dict, seed: int = 0) -> tuple[ProcedureSpec, SplitSpec, TrainC
 
 
 def resolve_seed(flag_seed, config: dict) -> int:
-    """Precedence: --seed flag, config seed, LECNCE_SEED, then 0."""
+    """Precedence: --seed flag, config seed, LECNCE_SEED, then 0; a seed must be >= 0."""
     if flag_seed is not None:
-        return int(flag_seed)
-    if config.get("seed") is not None:
-        return int(config["seed"])
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
+        source, seed = "--seed", flag_seed
+    elif config.get("seed") is not None:
+        source, seed = "config key 'seed'", config["seed"]
+    elif os.environ.get(SEED_ENV_VAR) is not None:
+        source, seed = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
+    else:
+        return 0
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _write_run_records(out_dir: str, config: dict, seed: int) -> None:
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dtw-inspect", help="align a cost matrix and dump the result as JSON")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--algorithm", choices=("greedy", "dp"), default="greedy")
+    p.add_argument("--algorithm", choices=tuple(DTW_ALGORITHMS), default="greedy")
     p.add_argument("--reversed", action="store_true")
     p.set_defaults(fn=_cmd_dtw_inspect)
 

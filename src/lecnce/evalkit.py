@@ -225,18 +225,3 @@ class EvalReport:
             "modality_gap": self.modality_gap,
         }
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        payload = json.loads(text)
-        recall = {
-            direction: {int(k): v for k, v in ks.items()}
-            for direction, ks in payload.get("recall", {}).items()
-        }
-        return cls(
-            accuracy=payload.get("accuracy"),
-            macro_f1=payload.get("macro_f1"),
-            per_class_f1=payload.get("per_class_f1", []),
-            recall=recall,
-            modality_gap=payload.get("modality_gap"),
-        )

@@ -18,18 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClientFailureError, EmptyCorpusError, EmptyWordError
+from .errors import ClientFailureError, EmptyCorpusError, EmptyWordError, InputError
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _LETTERS = frozenset(ALPHABET)
 BEHAVIORS = ("recipe", "dictionary", "summarizer")
 TEXT_LEVELS = ("narration", "keystep", "abstract")
-
-_SYSTEM_PROMPTS = {
-    "recipe": "List the ordered steps needed to complete the given procedure, one per line.",
-    "dictionary": "Expand the given step name into a one-sentence description of the events, anatomy and instruments involved.",
-    "summarizer": "Compress the given text to its key concepts in one short sentence.",
-}
 
 
 def tokenize(text: str) -> list[str]:
@@ -43,15 +37,18 @@ def tokenize(text: str) -> list[str]:
 
 
 def load_vocabulary(path) -> dict[str, int]:
-    """Read a word<TAB>frequency file into a dict."""
+    """Read a word<TAB>frequency file into a dict; a malformed line raises :class:`InputError`."""
     vocab: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            word, freq = line.split("\t")
-            vocab[word] = int(freq)
+            try:
+                word, freq = line.split("\t")
+                vocab[word] = int(freq)
+            except ValueError:
+                raise InputError(f"{path} line {lineno}: expected word<TAB>integer frequency, got {line!r}") from None
     return vocab
 
 
@@ -171,14 +168,6 @@ class MockAugmenterClient:
         if self.behavior not in BEHAVIORS:
             raise ValueError(f"behavior must be one of {BEHAVIORS}, got {self.behavior!r}")
 
-    def request_payload(self, text: str) -> dict:
-        return {
-            "behavior": self.behavior,
-            "system_prompt": _SYSTEM_PROMPTS[self.behavior],
-            "examples": [],
-            "input": text,
-        }
-
     def complete(self, text: str) -> str:
         return _MOCK_FNS[self.behavior](text)
 
@@ -215,8 +204,18 @@ def build_step_kb(titles: list[str], client) -> dict[str, list[str]]:
 
 
 def load_step_kb(path) -> dict[str, list[str]]:
+    """Read a JSON object of title -> non-empty list of steps; anything else raises :class:`InputError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            kb = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path} line {exc.lineno} column {exc.colno}: not valid JSON ({exc.msg})") from None
+    if not isinstance(kb, dict):
+        raise InputError(f"{path}: a knowledge base must be a JSON object, got a {type(kb).__name__}")
+    for title, steps in kb.items():
+        if not (isinstance(steps, list) and steps and all(isinstance(step, str) for step in steps)):
+            raise InputError(f"{path}: steps of title {title!r} must be a non-empty list of strings, got {steps!r}")
+    return kb
 
 
 def _tfidf_vectors(docs: list[list[str]], vocab: list[str], idf: np.ndarray) -> np.ndarray:

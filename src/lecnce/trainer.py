@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoders as enc
+from .alignment import DTW_ALGORITHMS
 from .datagen import Dataset, HierarchicalSample
 from .errors import AllZeroScheduleError, FieldValueError, MissingLevelDataError, NonFiniteLossError, check_minimums
 from .losses import LossConfig, clip_lecnce, hier_lecnce, pool_segments, pool_segments_backward
@@ -64,8 +65,8 @@ class TrainConfig:
         check_minimums(self, epochs=1, learning_rate=0, weight_decay=0)
         if not 0.0 <= self.p_augmented <= 1.0:
             raise FieldValueError("p_augmented", f"must be in [0, 1], got {self.p_augmented}")
-        if self.dtw_algorithm not in ("greedy", "dp"):
-            raise FieldValueError("dtw_algorithm", f"must be greedy or dp, got {self.dtw_algorithm!r}")
+        if self.dtw_algorithm not in DTW_ALGORITHMS:
+            raise FieldValueError("dtw_algorithm", f"must be one of {tuple(DTW_ALGORITHMS)}, got {self.dtw_algorithm!r}")
         if self.activation not in enc.ACTIVATIONS:
             raise FieldValueError("activation", f"must be one of {enc.ACTIVATIONS}, got {self.activation!r}")
         for name in ("visual_layers", "text_layers"):

@@ -242,25 +242,38 @@ class TestAlignBatch:
         rng = make_rng(44)
         assert_matches_per_matrix(list(rng.uniform(0.0, 2.0, size=(7, 256, 12))), "dp")
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=240, deadline=None)
     @given(
+        algorithm=st.sampled_from(["dp", "greedy"]),
         shape=st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12)),
+        ragged=st.booleans(),
+        values=st.sampled_from(["integer", "decades", "uniform"]),
         seed=st.integers(0, 2**32 - 1),
-        integer=st.booleans(),
     )
-    def test_property_matches_dtw_dp(self, shape, seed, integer):
+    def test_property_matches_per_matrix(self, algorithm, shape, ragged, values, seed):
         rng = make_rng(seed)
-        values = rng.integers(0, 4, size=shape).astype(float) if integer else rng.uniform(0.0, 5.0, size=shape)
-        assert_matches_per_matrix(values, "dp")
+        b, t, n = shape
+        shapes = rng.integers(1, [t + 1, n + 1], size=(b, 2)) if ragged else [(t, n)] * b
+        draw = {
+            "integer": lambda size: rng.integers(0, 4, size=size).astype(float),  # tie-heavy
+            "decades": lambda size: 10.0 ** rng.uniform(-3.0, 3.0, size=size),
+            "uniform": lambda size: rng.uniform(0.0, 5.0, size=size),
+        }[values]
+        mats = [draw((int(rows), int(cols))) for rows, cols in shapes]
+        assert_matches_per_matrix(mats if ragged else np.stack(mats), algorithm)
 
     def test_bad_inputs(self):
-        with pytest.raises(EmptyMatrixError):
-            align_batch([], "dp")
-        with pytest.raises(EmptyMatrixError):
-            align_batch([np.ones((2, 2)), np.empty((0, 2))], "dp")
-        with pytest.raises(DimMismatchError):
-            align_batch([np.ones(3)], "dp")
         with pytest.raises(ValueError):
             align_batch([np.ones((2, 2))], "beam")
-        with pytest.raises(NonFiniteError):
-            align_batch([np.array([[1.0, np.nan], [2.0, 1.0]])], "dp")
+        for algorithm in ("dp", "greedy"):
+            with pytest.raises(EmptyMatrixError):
+                align_batch([], algorithm)
+            with pytest.raises(EmptyMatrixError):
+                align_batch([np.ones((2, 2)), np.empty((0, 2))], algorithm)
+            with pytest.raises(DimMismatchError):
+                align_batch([np.ones(3)], algorithm)
+            for bad in ([[1.0, np.nan], [2.0, 1.0]], [[1.0, np.inf], [1.0, 1.0]], [[1.0, 1.0], [1.0, -np.inf]]):
+                with pytest.raises(NonFiniteError, match="non-finite entries"):
+                    align_batch([np.ones((3, 1)), np.array(bad)], algorithm)
+            with pytest.raises(NonFiniteError, match="overflows"):
+                align_batch([np.full((2, 2), 1e308)], algorithm)

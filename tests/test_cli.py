@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lecnce.cli import load_config, resolve_seed, run
 from lecnce.datagen import ProcedureSpec, SplitSpec
 from lecnce.errors import ConfigError, UnknownKeyError
-from lecnce.evalkit import EvalConfig, EvalReport
+from lecnce.evalkit import EvalConfig
 from lecnce.losses import LossConfig
 from lecnce.textaug import MockAugmenterClient, build_step_kb
 from lecnce.trainer import TrainConfig
@@ -205,6 +205,21 @@ class TestGenerateData:
         run(["generate-data", "--seed", "99", "--out", str(out), "--spec", str(small_config)])
         assert json.loads((out / "seed.json").read_text())["seed"] == 99
 
+    @pytest.mark.parametrize(
+        "flag, env, named",
+        [
+            (["--seed", "-1"], None, "--seed must be >= 0, got -1"),
+            ([], "-3", "LECNCE_SEED must be >= 0, got -3"),
+        ],
+    )
+    def test_negative_seed_named_before_any_output(self, tmp_path, capsys, monkeypatch, flag, env, named):
+        if env is not None:
+            monkeypatch.setenv("LECNCE_SEED", env)
+        out = tmp_path / "d"
+        assert run(["generate-data", *flag, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture()
 def generated(tmp_path, small_config):
@@ -254,10 +269,10 @@ class TestEvalCommand:
             ]
         )
         assert code == 0
-        report = EvalReport.from_json((eval_dir / "eval_report.json").read_text())
-        assert report.accuracy is not None and 0.0 <= report.accuracy <= 1.0
-        assert set(report.recall) == {"t2i", "i2t"}
-        assert report.modality_gap is not None and report.modality_gap >= 0
+        report = json.loads((eval_dir / "eval_report.json").read_text())
+        assert report["accuracy"] is not None and 0.0 <= report["accuracy"] <= 1.0
+        assert set(report["recall"]) == {"t2i", "i2t"}
+        assert report["modality_gap"] is not None and report["modality_gap"] >= 0
         assert (eval_dir / "resolved_config.json").exists() and (eval_dir / "seed.json").exists()
 
     def test_eval_deterministic(self, tmp_path, small_config, generated):
@@ -346,6 +361,28 @@ class TestAugmentCommand:
         assert run(["augment", "--in", str(infile), "--out", str(outfile)]) == 1
         err = capsys.readouterr().err
         assert "line 3" in err and named in err
+        assert not outfile.exists()
+
+    @pytest.mark.parametrize(
+        "flag, content, named",
+        [
+            ("--vocab", "grasper\t10\nduct 8\n", "line 2: expected word<TAB>integer frequency"),
+            ("--vocab", "grasper\tmany\n", "line 1: expected word<TAB>integer frequency"),
+            ("--kb", '{"toy": ["a",\n', "line 2 column 1: not valid JSON"),
+            ("--kb", '["a", "b"]', "must be a JSON object"),
+            ("--kb", '{"toy": "one step"}', "title 'toy' must be a non-empty list of strings"),
+            ("--kb", '{"toy": []}', "title 'toy' must be a non-empty list of strings"),
+        ],
+    )
+    def test_bad_vocab_or_kb_file_named(self, tmp_path, capsys, flag, content, named):
+        path = tmp_path / "aux.txt"
+        path.write_text(content)
+        infile = tmp_path / "in.jsonl"
+        infile.write_text(json.dumps({"text": "clipping", "level": "narration"}) + "\n")
+        outfile = tmp_path / "out.jsonl"
+        assert run(["augment", flag, str(path), "--in", str(infile), "--out", str(outfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and named in err
         assert not outfile.exists()
 
 

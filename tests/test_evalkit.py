@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -250,6 +251,10 @@ class TestEvalReport:
             modality_gap=0.1,
         )
         text = report.to_json()
-        back = EvalReport.from_json(text)
-        assert back == report
-        assert '"recall"' in text and '"modality_gap"' in text
+        assert json.loads(text) == {
+            "accuracy": 0.5,
+            "macro_f1": 0.25,
+            "per_class_f1": [0.5, 0.0],
+            "recall": {"t2i": {"1": 0.5, "5": 1.0}, "i2t": {"1": 0.25, "5": 0.75}},
+            "modality_gap": 0.1,
+        }

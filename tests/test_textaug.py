@@ -239,11 +239,6 @@ class TestMockClients:
         outs = {b: MockAugmenterClient(b).complete(text) for b in ("recipe", "dictionary", "summarizer")}
         assert len(set(outs.values())) == 3
 
-    def test_payload_shape(self):
-        payload = MockAugmenterClient("recipe").request_payload("toy procedure")
-        assert set(payload) == {"behavior", "system_prompt", "examples", "input"}
-        assert payload["behavior"] == "recipe" and payload["input"] == "toy procedure"
-
     def test_unknown_behavior(self):
         with pytest.raises(ValueError):
             MockAugmenterClient("poet")
