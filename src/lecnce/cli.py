@@ -259,8 +259,7 @@ def _cmd_eval(args) -> int:
             test_labels=holdout_video_labels,
         )
         print(f"probe accuracy {probe.accuracy:.4f}  macro_f1 {probe.macro_f1:.4f}")
-        if not (run_all or args.zero_shot):
-            report.accuracy, report.macro_f1, report.per_class_f1 = probe.accuracy, probe.macro_f1, probe.per_class_f1
+        report.probe = {"accuracy": probe.accuracy, "macro_f1": probe.macro_f1, "per_class_f1": probe.per_class_f1}
 
     report.modality_gap = evalkit.modality_gap(clip_rows, narr_rows)
 

@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import os
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateSplitError, FieldValueError, InfeasibleSpecError, check_minimums
+from .errors import CorruptFileError, DegenerateSplitError, FieldValueError, InfeasibleSpecError, check_minimums
 from .numerics import make_rng
 
 LEVELS = ("clip", "phase", "video")
@@ -173,83 +175,75 @@ def generate_dataset(
     render_sigma = RENDER_NOISE_SCALE * sigma
     d = spec.latent_dim
 
-    def render_vis(latent: np.ndarray) -> np.ndarray:
-        return (latent + rng.normal(0.0, render_sigma, size=d)) @ render_visual
+    def render(latent: np.ndarray, render_map: np.ndarray) -> np.ndarray:
+        return (latent + rng.normal(0.0, render_sigma, size=d)) @ render_map
 
-    def render_txt(latent: np.ndarray) -> np.ndarray:
-        return (latent + rng.normal(0.0, render_sigma, size=d)) @ render_text
-
-    all_samples: dict[str, list[HierarchicalSample]] = {lvl: [] for lvl in LEVELS}
-    clips_per_step = spec.frames_per_step // CLIP_LEN
-
-    for pid in range(n_procedures):
+    p, s, c = n_procedures, spec.steps_per_procedure, spec.frames_per_step // CLIP_LEN
+    frames, narrations, keysteps, abstracts = (np.empty((p, *shape)) for shape in _procedure_shapes(spec))
+    orders = np.empty((p, s), dtype=int)
+    for pid in range(p):
         # the step library carries a canonical routine order: a procedure is an
         # ascending-id selection, so labels are non-decreasing along the video
-        order = np.sort(rng.permutation(spec.step_library_size)[: spec.steps_per_procedure])
+        order = np.sort(rng.permutation(spec.step_library_size)[:s])
         if spec.order_noise > 0:
-            order = order.copy()
-            for k in range(len(order) - 1):
+            for k in range(s - 1):
                 if rng.random() < spec.order_noise:
                     order[k], order[k + 1] = order[k + 1], order[k]
-
-        video_frames, video_labels = [], []
-        keystep_texts = []
-        for step_id in order:
-            step_id = int(step_id)
+        orders[pid] = order
+        for i, step_id in enumerate(order):
             instance = concepts[step_id] + rng.normal(0.0, INSTANCE_NOISE_SCALE * sigma, size=d)
-            keystep = render_txt(instance)
-            keystep_texts.append(keystep)
-
-            step_frames, narrations = [], []
-            for _ in range(clips_per_step):
+            keysteps[pid, i] = render(instance, render_text)
+            for j in range(i * c, (i + 1) * c):
                 clip_latent = instance + rng.normal(0.0, CLIP_NOISE_SCALE * sigma, size=d)
-                frames = np.stack([render_vis(clip_latent) for _ in range(CLIP_LEN)])
-                narration = render_txt(clip_latent)
-                narrations.append(narration)
-                step_frames.append(frames)
-                all_samples["clip"].append(
-                    HierarchicalSample(
-                        level="clip",
-                        frame_features=frames,
-                        parent_text_feature=narration,
-                        child_text_features=np.empty((0, spec.text_dim)),
-                        step_labels=[step_id] * CLIP_LEN,
-                        procedure_id=pid,
-                    )
-                )
-            phase_frames = np.concatenate(step_frames, axis=0)
-            all_samples["phase"].append(
-                HierarchicalSample(
-                    level="phase",
-                    frame_features=phase_frames,
-                    parent_text_feature=keystep,
-                    child_text_features=np.stack(narrations),
-                    step_labels=[step_id] * spec.frames_per_step,
-                    procedure_id=pid,
-                )
-            )
-            video_frames.append(phase_frames)
-            video_labels.extend([step_id] * spec.frames_per_step)
+                for row in range(j * CLIP_LEN, (j + 1) * CLIP_LEN):
+                    frames[pid, row] = render(clip_latent, render_visual)
+                narrations[pid, j] = render(clip_latent, render_text)
+        abstracts[pid] = render(concepts[order].mean(axis=0), render_text)
 
-        abstract = render_txt(concepts[order].mean(axis=0))
-        all_samples["video"].append(
-            HierarchicalSample(
-                level="video",
-                frame_features=np.concatenate(video_frames, axis=0),
-                parent_text_feature=abstract,
-                child_text_features=np.stack(keystep_texts),
-                step_labels=video_labels,
-                procedure_id=pid,
-            )
-        )
-
-    dataset = Dataset(
-        spec=spec,
-        samples=all_samples,
-        ground_truth=truth,
-        procedure_ids=list(range(n_procedures)),
-    )
+    dataset = _from_procedures(spec, truth, list(range(p)), frames, narrations, keysteps, abstracts, orders)
     return split_holdout(dataset, holdout_fraction, rng)
+
+
+def _procedure_shapes(spec: ProcedureSpec) -> list[tuple[int, ...]]:
+    """Shapes of one procedure's frames, narrations, key steps and abstract, in data.bin order."""
+    s, t = spec.steps_per_procedure, spec.text_dim
+    return [(s * spec.frames_per_step, spec.visual_dim), (s * spec.frames_per_step // CLIP_LEN, t), (s, t), (t,)]
+
+
+def _from_procedures(spec, truth, ids, frames, narrations, keysteps, abstracts, orders) -> Dataset:
+    """The clip, phase and video samples of whole procedures; each sample owns a copy of its rows.
+
+    Row k of each array, shaped as :func:`_procedure_shapes` after the
+    leading axis, and of the (P, S) step ids ``orders`` is procedure
+    ``ids[k]``.  A clip is CLIP_LEN frames and their narration, a phase one
+    step's frames, narrations and key step, a video all of them.
+    """
+    f, c = spec.frames_per_step, spec.frames_per_step // CLIP_LEN
+    samples: dict[str, list[HierarchicalSample]] = {lvl: [] for lvl in LEVELS}
+    for k, (pid, order) in enumerate(zip(ids, orders.tolist())):
+        for i, step_id in enumerate(order):
+            for j in range(i * c, (i + 1) * c):
+                samples["clip"].append(HierarchicalSample(
+                    "clip", frames[k, j * CLIP_LEN : (j + 1) * CLIP_LEN].copy(), narrations[k, j].copy(),
+                    np.empty((0, spec.text_dim)), [step_id] * CLIP_LEN, pid))
+            samples["phase"].append(HierarchicalSample(
+                "phase", frames[k, i * f : (i + 1) * f].copy(), keysteps[k, i].copy(),
+                narrations[k, i * c : (i + 1) * c].copy(), [step_id] * f, pid))
+        samples["video"].append(HierarchicalSample(
+            "video", frames[k].copy(), abstracts[k].copy(), keysteps[k].copy(),
+            [step_id for step_id in order for _ in range(f)], pid))
+    return Dataset(spec=spec, samples=samples, ground_truth=truth, procedure_ids=list(ids))
+
+
+def _subset(dataset: Dataset, ids) -> Dataset:
+    """The procedures of ``dataset`` whose id is in ``ids``, in dataset order."""
+    keep = set(ids)
+    return Dataset(
+        spec=dataset.spec,
+        samples={lvl: [s for s in dataset.samples[lvl] if s.procedure_id in keep] for lvl in dataset.samples},
+        ground_truth=dataset.ground_truth,
+        procedure_ids=[p for p in dataset.procedure_ids if p in keep],
+    )
 
 
 def split_holdout(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
@@ -261,22 +255,8 @@ def split_holdout(dataset: Dataset, fraction: float, rng: np.random.Generator) -
     if n_hold >= len(ids):
         raise DegenerateSplitError(f"holdout of {n_hold} from {len(ids)} procedures leaves no training data")
     perm = rng.permutation(len(ids))
-    hold_ids = sorted(ids[i] for i in perm[:n_hold])
-    hold_set = set(hold_ids)
-
-    def select(keep_held: bool) -> Dataset:
-        picked = {
-            lvl: [s for s in dataset.samples[lvl] if (s.procedure_id in hold_set) == keep_held]
-            for lvl in dataset.samples
-        }
-        return Dataset(
-            spec=dataset.spec,
-            samples=picked,
-            ground_truth=dataset.ground_truth,
-            procedure_ids=[p for p in dataset.procedure_ids if (p in hold_set) == keep_held],
-        )
-
-    return select(False), select(True)
+    hold_ids = {ids[i] for i in perm[:n_hold]}
+    return _subset(dataset, [p for p in ids if p not in hold_ids]), _subset(dataset, hold_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -288,111 +268,110 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _pack_samples(samples: list[HierarchicalSample]) -> tuple[bytes, list[dict]]:
-    blob = bytearray()
-    records = []
-    for s in samples:
-        offset = len(blob)
-        for arr in (s.frame_features, np.atleast_2d(s.parent_text_feature), s.child_text_features):
-            blob.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        records.append(
-            {
-                "level": s.level,
-                "procedure_id": s.procedure_id,
-                "step_labels": list(map(int, s.step_labels)),
-                "offset": offset,
-                "n_frames": int(s.frame_features.shape[0]),
-                "n_children": int(s.child_text_features.shape[0]),
-            }
-        )
-    return bytes(blob), records
+def _manifest_sha256(manifest: dict) -> str:
+    """Hash of every manifest key but ``manifest_sha256`` itself, in canonical JSON."""
+    return _sha256(json.dumps({k: v for k, v in manifest.items() if k != "manifest_sha256"}, sort_keys=True).encode())
+
+
+def _f8(arrays) -> bytes:
+    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
 
 
 def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
-    """Write manifest.json, data.bin and groundtruth.bin; hashes in the manifest."""
-    import os
+    """Write manifest.json, data.bin and groundtruth.bin; hashes in the manifest.
 
-    os.makedirs(out_dir, exist_ok=True)
+    data.bin stores each procedure once, in id order: its video's frames,
+    its phases' narrations, its key steps and its abstract.  Clip and phase
+    samples are rows of those arrays, so only video and phase samples are
+    read.  The manifest holds the spec, the split, each procedure's step
+    order and the hashes of both blobs and of itself.
+    """
     spec = train.spec
     truth = train.ground_truth
-
-    ordered = [s for lvl in LEVELS for s in train.by_level(lvl)] + [s for lvl in LEVELS for s in holdout.by_level(lvl)]
-    split_flags = ["train"] * sum(len(train.by_level(lvl)) for lvl in LEVELS)
-    split_flags += ["holdout"] * sum(len(holdout.by_level(lvl)) for lvl in LEVELS)
-    data_blob, records = _pack_samples(ordered)
-    for rec, flag in zip(records, split_flags):
-        rec["split"] = flag
-
-    truth_blob = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes()
-        for a in (truth.concepts, truth.render_visual, truth.render_text)
-    )
+    videos = sorted((s for ds in (train, holdout) for s in ds.by_level("video")), key=lambda s: s.procedure_id)
+    narrations: dict[int, list[np.ndarray]] = {}
+    for ds in (train, holdout):
+        for s in ds.by_level("phase"):
+            narrations.setdefault(s.procedure_id, []).append(s.child_text_features)
+    data_blob = _f8(a for v in videos for a in (v.frame_features, *narrations[v.procedure_id],
+                                                v.child_text_features, v.parent_text_feature))
+    truth_blob = _f8((truth.concepts, truth.render_visual, truth.render_text))
     manifest = {
         "spec": asdict(spec),
         "seed": spec.seed,
         "train_procedures": train.procedure_ids,
         "holdout_procedures": holdout.procedure_ids,
-        "samples": records,
-        "files": {
-            "data.bin": _sha256(data_blob),
-            "groundtruth.bin": _sha256(truth_blob),
-        },
+        "step_orders": [list(map(int, v.step_labels[:: spec.frames_per_step])) for v in videos],
+        "files": {"data.bin": _sha256(data_blob), "groundtruth.bin": _sha256(truth_blob)},
     }
-    with open(os.path.join(out_dir, "data.bin"), "wb") as fh:
-        fh.write(data_blob)
-    with open(os.path.join(out_dir, "groundtruth.bin"), "wb") as fh:
-        fh.write(truth_blob)
+    manifest["manifest_sha256"] = _manifest_sha256(manifest)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, blob in (("data.bin", data_blob), ("groundtruth.bin", truth_blob)):
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(blob)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
+def _read_manifest(path: str) -> dict:
+    """The manifest at ``path``, checked against its own hash."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise CorruptFileError(f"{path} is not a JSON manifest ({exc})") from None
+    if isinstance(manifest, dict) and "samples" in manifest:
+        raise CorruptFileError(f"{path} lists per-sample records, the format before each procedure was stored "
+                               "once; regenerate the dataset with `lecnce generate-data`")
+    if not isinstance(manifest, dict) or manifest.get("manifest_sha256") != _manifest_sha256(manifest):
+        raise CorruptFileError(f"{path} does not match its manifest_sha256; the manifest is corrupt")
+    return manifest
+
+
+def _read_blob(path: str, digest: str, rows: tuple[int, ...], shapes) -> list[np.ndarray]:
+    """Read-only views of the float64 arrays of ``shapes`` in ``path``, each with leading dims ``rows``.
+
+    The file stores the arrays of each leading index in turn; its size and
+    sha256 must match ``rows``, ``shapes`` and ``digest``.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(blob) != 8 * math.prod(rows) * sum(sizes):
+        raise CorruptFileError(f"{path} has {len(blob)} bytes, the manifest implies {8 * math.prod(rows) * sum(sizes)}")
+    if _sha256(blob) != digest:
+        raise CorruptFileError(f"{path} hash mismatch; dataset directory is corrupt")
+    parts = np.split(np.frombuffer(blob, dtype="<f8").reshape(*rows, -1), np.cumsum(sizes)[:-1], axis=-1)
+    return [part.reshape(*rows, *shape) for part, shape in zip(parts, shapes)]
+
+
 def load_dataset(in_dir) -> tuple[Dataset, Dataset]:
-    """Inverse of :func:`save_dataset`, with hash verification."""
-    import os
+    """Inverse of :func:`save_dataset`.
 
-    with open(os.path.join(in_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    spec = ProcedureSpec(**manifest["spec"])
-    with open(os.path.join(in_dir, "data.bin"), "rb") as fh:
-        data_blob = fh.read()
-    with open(os.path.join(in_dir, "groundtruth.bin"), "rb") as fh:
-        truth_blob = fh.read()
-    for name, blob in (("data.bin", data_blob), ("groundtruth.bin", truth_blob)):
-        if _sha256(blob) != manifest["files"][name]:
-            raise ValueError(f"{name} hash mismatch; dataset directory is corrupt")
-
-    s = spec.step_library_size
+    Raises :class:`CorruptFileError` when a file does not match its hash,
+    the manifest does not describe a dataset, or a blob's size differs from
+    the one its spec and step orders imply.
+    """
+    path = os.path.join(in_dir, "manifest.json")
+    manifest = _read_manifest(path)
+    try:
+        spec = ProcedureSpec(**manifest["spec"])
+        train_ids, hold_ids = manifest["train_procedures"], manifest["holdout_procedures"]
+        ids = sorted(train_ids + hold_ids)
+        orders = np.array(manifest["step_orders"])
+        digests = [manifest["files"][name] for name in ("groundtruth.bin", "data.bin")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFileError(f"{path} does not describe a dataset ({type(exc).__name__}: {exc})") from None
+    if not (all(type(getattr(spec, f.name)) is int for f in fields(spec) if f.type == "int")
+            and all(type(i) is int for i in ids) and ids == sorted(set(ids))
+            and orders.dtype.kind == "i" and orders.shape == (len(ids), spec.steps_per_procedure)
+            and 0 <= orders.min() and orders.max() < spec.step_library_size):
+        raise CorruptFileError(f"{path} lists procedure ids or step orders that do not fit its spec")
     d = spec.latent_dim
-    truth_arr = np.frombuffer(truth_blob, dtype="<f8")
-    concepts = truth_arr[: s * d].reshape(s, d)
-    off = s * d
-    render_visual = truth_arr[off : off + d * spec.visual_dim].reshape(d, spec.visual_dim)
-    off += d * spec.visual_dim
-    render_text = truth_arr[off : off + d * spec.text_dim].reshape(d, spec.text_dim)
-    truth = GroundTruth(concepts=concepts.copy(), render_visual=render_visual.copy(), render_text=render_text.copy())
-
-    data_arr = np.frombuffer(data_blob, dtype="<f8")
-    splits = {"train": {lvl: [] for lvl in LEVELS}, "holdout": {lvl: [] for lvl in LEVELS}}
-    for rec in manifest["samples"]:
-        t, n = rec["n_frames"], rec["n_children"]
-        start = rec["offset"] // 8
-        frames = data_arr[start : start + t * spec.visual_dim].reshape(t, spec.visual_dim)
-        start += t * spec.visual_dim
-        parent = data_arr[start : start + spec.text_dim]
-        start += spec.text_dim
-        children = data_arr[start : start + n * spec.text_dim].reshape(n, spec.text_dim)
-        sample = HierarchicalSample(
-            level=rec["level"],
-            frame_features=frames.copy(),
-            parent_text_feature=parent.copy(),
-            child_text_features=children.copy(),
-            step_labels=list(rec["step_labels"]),
-            procedure_id=rec["procedure_id"],
-        )
-        splits[rec["split"]][rec["level"]].append(sample)
-
-    def build(split: str, ids: list[int]) -> Dataset:
-        return Dataset(spec=spec, samples=splits[split], ground_truth=truth, procedure_ids=list(ids))
-
-    return build("train", manifest["train_procedures"]), build("holdout", manifest["holdout_procedures"])
+    truth_shapes = [(spec.step_library_size, d), (d, spec.visual_dim), (d, spec.text_dim)]
+    truth_arrays = _read_blob(os.path.join(in_dir, "groundtruth.bin"), digests[0], (), truth_shapes)
+    truth = GroundTruth(*(a.copy() for a in truth_arrays))
+    arrays = _read_blob(os.path.join(in_dir, "data.bin"), digests[1], (len(ids),), _procedure_shapes(spec))
+    dataset = _from_procedures(spec, truth, ids, *arrays, orders)
+    return _subset(dataset, train_ids), _subset(dataset, hold_ids)

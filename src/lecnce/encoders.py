@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import BadDimsError, DimMismatchError, MissingCacheError, ShapeMismatchError, ZeroVectorError
+from .errors import BadDimsError, CorruptFileError, DimMismatchError, MissingCacheError, ShapeMismatchError, ZeroVectorError
 from .numerics import as_matrix
 
 ACTIVATIONS = ("identity", "tanh")
@@ -258,16 +258,19 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> dict:
-    """Inverse of :func:`save_checkpoint`; returns a dict of reconstructed objects."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    visual = _params_from_payload(payload["visual"])
-    text = _params_from_payload(payload["text"])
-    return {
-        "visual": visual,
-        "text": text,
-        "visual_optimizer": _state_from_payload(payload["visual_optimizer"], visual) if payload["visual_optimizer"] else None,
-        "text_optimizer": _state_from_payload(payload["text_optimizer"], text) if payload["text_optimizer"] else None,
-        "seed": payload["seed"],
-        "schedule_position": payload["schedule_position"],
-    }
+    """Inverse of :func:`save_checkpoint`; a file that is not one raises :class:`CorruptFileError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        visual = _params_from_payload(payload["visual"])
+        text = _params_from_payload(payload["text"])
+        return {
+            "visual": visual,
+            "text": text,
+            "visual_optimizer": _state_from_payload(payload["visual_optimizer"], visual) if payload["visual_optimizer"] else None,
+            "text_optimizer": _state_from_payload(payload["text_optimizer"], text) if payload["text_optimizer"] else None,
+            "seed": payload["seed"],
+            "schedule_position": payload["schedule_position"],
+        }
+    except (KeyError, TypeError, ValueError, IndexError, BadDimsError) as exc:  # json's errors are ValueErrors
+        raise CorruptFileError(f"checkpoint {path} is not readable ({type(exc).__name__}: {exc})") from None

@@ -124,6 +124,10 @@ class InputError(LecnceError):
     """A file or value given on the command line is invalid; the CLI exits 1."""
 
 
+class CorruptFileError(InputError):
+    """A dataset or checkpoint file is truncated, altered or in an unreadable format."""
+
+
 class ConfigError(InputError):
     """A configuration file is malformed or carries unknown keys."""
 

@@ -205,13 +205,17 @@ def modality_gap(image_embs, text_embs) -> float:
 
 @dataclass
 class EvalReport:
-    """Bundle of metrics with a fixed JSON wire format."""
+    """Bundle of metrics with a fixed JSON wire format; ``accuracy`` and ``*_f1`` are zero-shot.
+
+    ``probe``, written only when the linear probe ran, holds its accuracy, macro_f1 and per_class_f1.
+    """
 
     accuracy: float | None = None
     macro_f1: float | None = None
     per_class_f1: list[float] = field(default_factory=list)
     recall: dict = field(default_factory=dict)
     modality_gap: float | None = None
+    probe: dict | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -223,5 +227,6 @@ class EvalReport:
                 for direction, ks in self.recall.items()
             },
             "modality_gap": self.modality_gap,
+            **({"probe": self.probe} if self.probe is not None else {}),
         }
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -128,14 +128,17 @@ def info_nce(
     sim = as_matrix(sim, "sim")
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    z = sim / temperature
+    if symmetric and sim.shape[0] != sim.shape[1]:
+        raise DimMismatchError(f"symmetric loss needs a square matrix, got {sim.shape}")
+    return _info_nce(sim, positives, temperature, symmetric)
 
+
+def _info_nce(sim: np.ndarray, positives, temperature: float, symmetric: bool) -> LossValue:
+    """:func:`info_nce` on a finite 2-D float64 ``sim``, square when ``symmetric``, unchecked."""
+    z = sim / temperature
     row_value, row_grad = _row_nce(z, positives)
     if not symmetric:
         return LossValue(value=row_value, grads={"sim": row_grad / temperature})
-
-    if sim.shape[0] != sim.shape[1]:
-        raise DimMismatchError(f"symmetric loss needs a square matrix, got {sim.shape}")
     col_value, col_grad = _row_nce(z.T, diagonal_positives(sim.shape[1]))
     value = 0.5 * (row_value + col_value)
     grad = 0.5 * (row_grad + col_grad.T) / temperature
@@ -244,8 +247,8 @@ def clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> Los
 
     tau = cfg.temperature_infonce
     diag = diagonal_positives(b)
-    vl = info_nce(clip_frames @ narrations.T, diag, tau, cfg.symmetric)
-    vv = info_nce(view_a @ view_b.T, diag, tau, cfg.symmetric)
+    vl = _info_nce(clip_frames @ narrations.T, diag, tau, cfg.symmetric)
+    vv = _info_nce(view_a @ view_b.T, diag, tau, cfg.symmetric)
     g_vl = vl.grads["sim"]
     g_vv = vv.grads["sim"]
     return LossValue(
@@ -342,7 +345,7 @@ def hier_lecnce(
 
     pooled, pool_cache = pool_segments(frames)
     tau = cfg.temperature_infonce
-    contrast = info_nce(pooled @ parent_texts.T, diagonal_positives(b), tau, cfg.symmetric)
+    contrast = _info_nce(pooled @ parent_texts.T, diagonal_positives(b), tau, cfg.symmetric)
     g_sim = contrast.grads["sim"]
     grad_parent = g_sim.T @ pooled
     grad_pooled = g_sim @ parent_texts

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from lecnce.cli import load_config, resolve_seed, run
 from lecnce.datagen import ProcedureSpec, SplitSpec
+from lecnce.encoders import init_params, save_checkpoint
 from lecnce.errors import ConfigError, UnknownKeyError
 from lecnce.evalkit import EvalConfig
 from lecnce.losses import LossConfig
@@ -299,6 +301,81 @@ class TestEvalCommand:
             )
             outs.append((out / "eval_report.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+    def test_probe_alone_fills_only_the_probe_section(self, tmp_path, small_config, generated):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", str(small_config), "--data", str(generated), "--out", str(run_dir)]) == 0
+        reports = {}
+        for flag in (None, "--probe", "--zero-shot"):
+            out = tmp_path / f"eval{flag}"
+            argv = ["eval", "--config", str(small_config), "--checkpoint", str(run_dir / "checkpoint_final.json"),
+                    "--data", str(generated), "--out", str(out)]
+            assert run(argv + ([flag] if flag else [])) == 0
+            reports[flag] = json.loads((out / "eval_report.json").read_text())
+        probe_only = reports["--probe"]
+        assert probe_only["accuracy"] is None and probe_only["per_class_f1"] == []
+        assert probe_only["probe"] == reports[None]["probe"]
+        assert 0.0 <= probe_only["probe"]["accuracy"] <= 1.0 and len(probe_only["probe"]["per_class_f1"]) == 8
+        assert reports[None]["accuracy"] == reports["--zero-shot"]["accuracy"]
+        assert "probe" not in reports["--zero-shot"]
+
+
+def _flip_data_byte(data):
+    blob = bytearray((data / "data.bin").read_bytes())
+    blob[100] ^= 0x04
+    (data / "data.bin").write_bytes(bytes(blob))
+
+
+def _edit_manifest(data, edit, rehash=False):
+    manifest = json.loads((data / "manifest.json").read_text())
+    edit(manifest)
+    if rehash:  # a consistent manifest that no longer fits the blobs
+        del manifest["manifest_sha256"]
+        manifest["manifest_sha256"] = hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestCorruptFiles:
+    """A damaged dataset or checkpoint exits 1 naming the file, without a traceback or any output."""
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (_flip_data_byte, "data.bin hash mismatch"),
+            (lambda d: _edit_manifest(d, lambda m: m.pop("files")), "manifest.json does not match"),
+            (lambda d: _edit_manifest(d, lambda m: m["spec"].update(visual_dim=16)), "manifest.json does not match"),
+            (lambda d: _edit_manifest(d, lambda m: m["spec"].update(visual_dim=16), rehash=True), "groundtruth.bin has"),
+        ],
+        ids=["flipped_data", "no_files", "visual_dim", "visual_dim_rehashed"],
+    )
+    def test_damaged_dataset(self, tmp_path, capsys, small_config, generated, damage, named):
+        damage(generated)
+        argv = ["train", "--config", str(small_config), "--data", str(generated), "--out", str(tmp_path / "run")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err, err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda text: "[1, 2]", "TypeError"),
+            (lambda text: text[: len(text) // 2], "JSONDecodeError"),
+            (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "visual"}), "KeyError: 'visual'"),
+        ],
+        ids=["json_list", "truncated", "no_visual"],
+    )
+    def test_damaged_checkpoint(self, tmp_path, capsys, small_config, generated, damage, named):
+        path = tmp_path / "c.json"
+        save_checkpoint(path, init_params([12, 6]), init_params([9, 6]))
+        path.write_text(damage(path.read_text()))
+        argv = ["eval", "--config", str(small_config), "--checkpoint", str(path), "--data", str(generated),
+                "--out", str(tmp_path / "eval")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {path} is not readable" in err and named in err, err
+        assert not (tmp_path / "eval").exists()
 
 
 class TestAugmentCommand:

@@ -1,5 +1,12 @@
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lecnce.datagen import (
     CLIP_LEN,
@@ -10,7 +17,7 @@ from lecnce.datagen import (
     save_dataset,
     split_holdout,
 )
-from lecnce.errors import DegenerateSplitError, InfeasibleSpecError
+from lecnce.errors import CorruptFileError, DegenerateSplitError, InfeasibleSpecError
 from lecnce.numerics import make_rng
 
 
@@ -182,5 +189,162 @@ class TestDatasetFiles:
         blob = bytearray((tmp_path / "data.bin").read_bytes())
         blob[13] ^= 0xFF
         (tmp_path / "data.bin").write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="hash mismatch"):
+        with pytest.raises(CorruptFileError, match="data.bin hash mismatch"):
             load_dataset(tmp_path)
+
+    def test_roundtrip_several_clips_per_step_with_order_noise(self, tmp_path):
+        spec = small_spec(frames_per_step=12, order_noise=0.5)
+        train, hold = generate_dataset(spec, 7)
+        save_dataset(train, hold, tmp_path)
+        for made, loaded in zip((train, hold), load_dataset(tmp_path)):
+            assert loaded.procedure_ids == made.procedure_ids
+            assert_same_samples(all_samples(loaded), all_samples(made))
+            for name in ("concepts", "render_visual", "render_text"):
+                assert np.array_equal(getattr(loaded.ground_truth, name), getattr(made.ground_truth, name))
+            assert_nested(loaded, spec)
+            assert_nested(made, spec)
+        orders = [tuple(v.step_labels[::12]) for ds in (train, hold) for v in ds.by_level("video")]
+        assert any(list(o) != sorted(o) for o in orders)  # the order noise swapped some steps
+
+    def test_data_file_holds_each_procedure_once(self, tmp_path):
+        spec = small_spec(frames_per_step=8)
+        train, hold = generate_dataset(spec, 6)
+        save_dataset(train, hold, tmp_path)
+        s, f, c = spec.steps_per_procedure, spec.frames_per_step, spec.frames_per_step // CLIP_LEN
+        per_procedure = s * f * spec.visual_dim + s * c * spec.text_dim + s * spec.text_dim + spec.text_dim
+        assert (tmp_path / "data.bin").stat().st_size == 8 * 6 * per_procedure
+        assert "samples" not in json.loads((tmp_path / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("level", ["clip", "phase", "video"])
+    def test_changing_one_sample_leaves_the_others(self, tmp_path, level):
+        train, hold = generate_dataset(small_spec(frames_per_step=8), 5)
+        save_dataset(train, hold, tmp_path)
+        for changed in (train, load_dataset(tmp_path)[0]):
+            sample = changed.by_level(level)[1]
+            for array in (sample.frame_features, sample.parent_text_feature, sample.child_text_features):
+                array += 1.0
+            fresh = load_dataset(tmp_path)[0]
+            for lvl in ("clip", "phase", "video"):
+                for k, (a, b) in enumerate(zip(changed.by_level(lvl), fresh.by_level(lvl))):
+                    same = all(np.array_equal(getattr(a, name), getattr(b, name))
+                               for name in ("frame_features", "parent_text_feature", "child_text_features"))
+                    assert same == ((lvl, k) != (level, 1)), (lvl, k)
+
+
+def assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.level, a.procedure_id, a.step_labels) == (b.level, b.procedure_id, b.step_labels)
+        assert all(type(label) is int for label in a.step_labels)
+        for name in ("frame_features", "parent_text_feature", "child_text_features"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and np.array_equal(x, y) and x.flags.writeable
+
+
+def assert_nested(ds: Dataset, spec: ProcedureSpec):
+    """Clips tile their phase and phases their video, in frames, texts and labels."""
+    f, c = spec.frames_per_step, spec.frames_per_step // CLIP_LEN
+    clips, phases = ds.by_level("clip"), ds.by_level("phase")
+    assert len(clips) == len(phases) * c
+    for k, phase in enumerate(phases):
+        own = clips[k * c : (k + 1) * c]
+        assert {clip.procedure_id for clip in own} == {phase.procedure_id}
+        assert np.array_equal(np.concatenate([clip.frame_features for clip in own]), phase.frame_features)
+        assert np.array_equal(np.stack([clip.parent_text_feature for clip in own]), phase.child_text_features)
+        assert [label for clip in own for label in clip.step_labels] == phase.step_labels == [phase.step_labels[0]] * f
+    s = spec.steps_per_procedure
+    for k, video in enumerate(ds.by_level("video")):
+        own = phases[k * s : (k + 1) * s]
+        assert {phase.procedure_id for phase in own} == {video.procedure_id}
+        assert np.array_equal(np.concatenate([phase.frame_features for phase in own]), video.frame_features)
+        assert np.array_equal(np.stack([phase.parent_text_feature for phase in own]), video.child_text_features)
+        assert [label for phase in own for label in phase.step_labels] == video.step_labels
+
+
+# ---------------------------------------------------------------------------
+# damaged dataset directories
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("saved")
+    save_dataset(*generate_dataset(small_spec(frames_per_step=8), 4), out)
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def rehash(manifest: dict) -> dict:
+    """``manifest`` with a manifest_sha256 that matches its other keys."""
+    body = {k: v for k, v in manifest.items() if k != "manifest_sha256"}
+    return {**body, "manifest_sha256": hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()}
+
+
+# edits of the manifest that keep it valid JSON; each is also tried with a
+# recomputed manifest_sha256, which the size and structure checks must catch
+MANIFEST_EDITS = {
+    "visual_dim": lambda m: m["spec"].update(visual_dim=20),
+    "frames_per_step": lambda m: m["spec"].update(frames_per_step=4),
+    "float_dim": lambda m: m["spec"].update(text_dim=10.0),
+    "unknown_spec_key": lambda m: m["spec"].update(colour="red"),
+    "spec_not_object": lambda m: m.update(spec=[1, 2]),
+    "no_files": lambda m: m.pop("files"),
+    "no_step_orders": lambda m: m.pop("step_orders"),
+    "data_hash": lambda m: m["files"].update({"data.bin": hashlib.sha256(b"other").hexdigest()}),
+    "truth_hash": lambda m: m["files"].update({"groundtruth.bin": "0" * 64}),
+    "short_orders": lambda m: m["step_orders"].pop(),
+    "label_out_of_range": lambda m: m["step_orders"][0].__setitem__(0, 8),
+    "float_label": lambda m: m["step_orders"][0].__setitem__(0, 1.0),
+    "ragged_orders": lambda m: m["step_orders"][1].pop(),
+    "duplicate_id": lambda m: m["train_procedures"].append(m["holdout_procedures"][0]),
+    "id_as_string": lambda m: m.update(holdout_procedures=[str(i) for i in m["holdout_procedures"]]),
+}
+
+
+def old_format(manifest: dict) -> dict:
+    """The manifest as the per-sample format wrote it: sample records, no step orders or self-hash."""
+    old = {k: v for k, v in manifest.items() if k not in ("manifest_sha256", "step_orders")}
+    old["samples"] = [{"level": "clip", "procedure_id": 0, "step_labels": [0] * CLIP_LEN, "offset": 0,
+                       "n_frames": CLIP_LEN, "n_children": 0, "split": "train"}]
+    return old
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_damaged_directory_raises_corrupt_file_error(saved_files, data):
+    files = dict(saved_files)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "edit", "old_format"]), label="kind")
+    if kind in ("truncate", "flip"):
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        blob = files[name]
+        if kind == "truncate":  # the manifest loses at least its closing brace, not only the newline
+            files[name] = blob[: data.draw(st.integers(0, len(blob) - (2 if name == "manifest.json" else 1)))]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="byte")
+            files[name] = blob[:pos] + bytes([blob[pos] ^ (1 << data.draw(st.integers(0, 7)))]) + blob[pos + 1 :]
+    else:
+        manifest = json.loads(files["manifest.json"])
+        if kind == "old_format":
+            manifest = old_format(manifest)
+        else:
+            original = json.dumps(manifest, sort_keys=True)
+            MANIFEST_EDITS[data.draw(st.sampled_from(sorted(MANIFEST_EDITS)), label="edit")](manifest)
+            assert json.dumps(manifest, sort_keys=True) != original
+            if data.draw(st.booleans(), label="rehash"):
+                manifest = rehash(manifest)
+        files["manifest.json"] = json.dumps(manifest, indent=1).encode()
+    with tempfile.TemporaryDirectory() as out:
+        for name, blob in files.items():
+            Path(out, name).write_bytes(blob)
+        with pytest.raises(CorruptFileError) as info:
+            load_dataset(out)
+    if kind == "old_format":
+        assert "regenerate" in str(info.value)
+
+
+def test_undamaged_copy_loads(saved_files, tmp_path):
+    manifest = json.loads(saved_files["manifest.json"])
+    assert rehash(manifest) == manifest
+    for name, blob in saved_files.items():
+        (tmp_path / name).write_bytes(blob)
+    train, hold = load_dataset(tmp_path)
+    assert len(train.procedure_ids) + len(hold.procedure_ids) == 4
