@@ -12,7 +12,7 @@ retrieval, linear probing) and a CLI round out the loop.
 
 from . import alignment, cli, datagen, encoders, errors, evalkit, losses, numerics, textaug, trainer
 from .alignment import AlignmentResult, CostMatrix, dtw_dp, dtw_greedy, dtw_subgradient, reverse_columns
-from .datagen import Dataset, HierarchicalSample, ProcedureSpec, generate_dataset, split_holdout
+from .datagen import Dataset, HierarchicalSample, Level, ProcedureSpec, generate_dataset, split_holdout
 from .encoders import EncoderParams, OptimizerState, adamw_step, backward, forward, init_params
 from .evalkit import EvalReport, accuracy_f1, linear_probe, modality_gap, pool_video_embedding, recall_at_k, zero_shot_classify
 from .losses import LossConfig, LossValue, build_cost_matrix, clip_lecnce, dtw_hinge, hier_lecnce, info_nce

@@ -190,8 +190,8 @@ def _cmd_generate_data(args) -> int:
     train, holdout = generate_dataset(spec, split.n_procedures, split.holdout_fraction)
     save_dataset(train, holdout, args.out)
     _write_run_records(args.out, config, seed)
-    n_train = sum(len(train.by_level(lvl)) for lvl in train.samples)
-    n_hold = sum(len(holdout.by_level(lvl)) for lvl in holdout.samples)
+    n_train = sum(map(len, train.samples.values()))
+    n_hold = sum(map(len, holdout.samples.values()))
     print(f"wrote {n_train} train / {n_hold} holdout samples to {args.out}")
     return 0
 
@@ -216,19 +216,26 @@ def _cmd_eval(args) -> int:
     run_all = not (args.zero_shot or args.retrieval or args.probe)
     train, holdout = load_dataset(args.data)
     # stride the held-out clips so the retrieval set covers all procedures
-    all_clips = holdout.by_level("clip")
-    clips = all_clips[:: max(1, len(all_clips) // opts.retrieval_size)][: opts.retrieval_size]
+    clips = holdout.samples["clip"]
+    clips = clips[:: max(1, len(clips) // opts.retrieval_size)][: opts.retrieval_size]
     if (run_all or args.retrieval) and max(opts.recall_ks) > len(clips):
         raise ConfigError(f"config key 'eval.recall_ks' asks for recall@{max(opts.recall_ks)}, "
                           f"but the held-out retrieval set has {len(clips)} clips")
     ck = enc.load_checkpoint(args.checkpoint)
     visual, text = ck["visual"], ck["text"]
+    for what, got, other, want in (
+        ("visual encoder's input dim", visual.input_dim, "data.visual_dim", train.spec.visual_dim),
+        ("text encoder's input dim", text.input_dim, "data.text_dim", train.spec.text_dim),
+        ("visual encoder's joint dim", visual.layers[-1][0].shape[1], "the text encoder's", text.layers[-1][0].shape[1]),
+    ):
+        if got != want:
+            raise InputError(f"checkpoint {args.checkpoint}: its {what} is {got}, but {other} is {want}")
     truth = train.ground_truth
     report = evalkit.EvalReport()
 
-    holdout_video_frames = np.concatenate([s.frame_features for s in holdout.by_level("video")], axis=0)
-    holdout_video_labels = np.concatenate([s.step_labels for s in holdout.by_level("video")])
-    frame_embs = enc.forward(visual, holdout_video_frames)
+    videos = holdout.samples["video"]
+    holdout_video_labels = videos.labels.ravel()
+    frame_embs = enc.forward(visual, videos.frames.reshape(-1, train.spec.visual_dim))
 
     if run_all or args.zero_shot:
         class_embs = enc.forward(text, truth.class_text_features())
@@ -236,21 +243,18 @@ def _cmd_eval(args) -> int:
         acc, macro, per_class = evalkit.accuracy_f1(preds, holdout_video_labels, truth.concepts.shape[0])
         report.accuracy, report.macro_f1, report.per_class_f1 = acc, macro, per_class
 
-    clip_rows = np.stack([evalkit.pool_video_embedding(enc.forward(visual, s.frame_features)) for s in clips])
-    narr_rows = enc.forward(text, np.stack([s.parent_text_feature for s in clips]))
+    clip_rows = np.stack([evalkit.pool_video_embedding(enc.forward(visual, frames)) for frames in clips.frames])
+    narr_rows = enc.forward(text, clips.parents)
     if run_all or args.retrieval:
         sim = cosine_similarity_matrix(narr_rows, clip_rows)
         report.recall = evalkit.recall_at_k(sim, opts.recall_ks)
 
     if run_all or args.probe:
-        train_videos = train.by_level("video")
-        n_pick = max(1, int(np.floor(len(train_videos) * float(opts.shots) / 100.0)))
-        picked = train_videos[:n_pick]
-        feats = enc.forward(visual, np.concatenate([s.frame_features for s in picked], axis=0))
-        labels = np.concatenate([s.step_labels for s in picked])
+        train_videos = train.samples["video"]
+        picked = train_videos[: max(1, int(np.floor(len(train_videos) * float(opts.shots) / 100.0)))]
         probe = evalkit.linear_probe(
-            feats,
-            labels,
+            enc.forward(visual, picked.frames.reshape(-1, train.spec.visual_dim)),
+            picked.labels.ravel(),
             lr=opts.probe_lr,
             weight_decay=opts.probe_weight_decay,
             epochs=opts.probe_epochs,

@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -115,16 +115,44 @@ class GroundTruth:
 
 
 @dataclass
+class Level:
+    """The samples of one level as stacked arrays; row k of each array is sample k.
+
+    ``level[k]`` is sample k as a :class:`HierarchicalSample` whose arrays
+    are views of row k, and iterating yields those samples in row order;
+    any other index (a slice, an index array, a mask) selects rows into a
+    new :class:`Level`.
+    """
+
+    name: str
+    frames: np.ndarray  # (n, T, visual_dim)
+    parents: np.ndarray  # (n, text_dim)
+    children: np.ndarray  # (n, N, text_dim); N == 0 at clip level
+    labels: np.ndarray  # (n, T) step ids
+    procedure_ids: np.ndarray  # (n,)
+
+    def __len__(self) -> int:
+        return len(self.procedure_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return HierarchicalSample(self.name, self.frames[index], self.parents[index], self.children[index],
+                                      self.labels[index].tolist(), int(self.procedure_ids[index]))
+        return Level(self.name, self.frames[index], self.parents[index], self.children[index],
+                     self.labels[index], self.procedure_ids[index])
+
+
+@dataclass
 class Dataset:
     """Samples at all three levels plus the generator's ground truth."""
 
     spec: ProcedureSpec
-    samples: dict[str, list[HierarchicalSample]] = field(default_factory=dict)
+    samples: dict[str, Level] = field(default_factory=dict)
     ground_truth: GroundTruth | None = None
     procedure_ids: list[int] = field(default_factory=list)
 
     def by_level(self, level: str) -> list[HierarchicalSample]:
-        return self.samples.get(level, [])
+        return list(self.samples.get(level, ()))
 
 
 def _sample_concepts(spec: ProcedureSpec, rng: np.random.Generator) -> np.ndarray:
@@ -200,8 +228,9 @@ def generate_dataset(
                 narrations[pid, j] = render(clip_latent, render_text)
         abstracts[pid] = render(concepts[order].mean(axis=0), render_text)
 
-    dataset = _from_procedures(spec, truth, list(range(p)), frames, narrations, keysteps, abstracts, orders)
-    return split_holdout(dataset, holdout_fraction, rng)
+    ids = list(range(p))
+    return tuple(_from_procedures(spec, truth, ids, keep, orders, frames, narrations, keysteps, abstracts)
+                 for keep in _split_ids(ids, holdout_fraction, rng))
 
 
 def _procedure_shapes(spec: ProcedureSpec) -> list[tuple[int, ...]]:
@@ -210,53 +239,47 @@ def _procedure_shapes(spec: ProcedureSpec) -> list[tuple[int, ...]]:
     return [(s * spec.frames_per_step, spec.visual_dim), (s * spec.frames_per_step // CLIP_LEN, t), (s, t), (t,)]
 
 
-def _from_procedures(spec, truth, ids, frames, narrations, keysteps, abstracts, orders) -> Dataset:
-    """The clip, phase and video samples of whole procedures; each sample owns a copy of its rows.
+def _from_procedures(spec, truth, ids, keep, orders, frames, narrations, keysteps, abstracts) -> Dataset:
+    """The clip, phase and video levels of the procedures of ``ids`` that are in ``keep``, in ``ids`` order.
 
-    Row k of each array, shaped as :func:`_procedure_shapes` after the
-    leading axis, and of the (P, S) step ids ``orders`` is procedure
-    ``ids[k]``.  A clip is CLIP_LEN frames and their narration, a phase one
-    step's frames, narrations and key step, a video all of them.
+    Row k of the (P, S) step ids ``orders`` and of each array after it,
+    shaped as :func:`_procedure_shapes` after the leading axis, is
+    procedure ``ids[k]``.  A clip is CLIP_LEN frames and their narration, a
+    phase one step's frames, narrations and key step, a video all of them.
+    Each level gathers its own copy of the kept rows.
     """
-    f, c = spec.frames_per_step, spec.frames_per_step // CLIP_LEN
-    samples: dict[str, list[HierarchicalSample]] = {lvl: [] for lvl in LEVELS}
-    for k, (pid, order) in enumerate(zip(ids, orders.tolist())):
-        for i, step_id in enumerate(order):
-            for j in range(i * c, (i + 1) * c):
-                samples["clip"].append(HierarchicalSample(
-                    "clip", frames[k, j * CLIP_LEN : (j + 1) * CLIP_LEN].copy(), narrations[k, j].copy(),
-                    np.empty((0, spec.text_dim)), [step_id] * CLIP_LEN, pid))
-            samples["phase"].append(HierarchicalSample(
-                "phase", frames[k, i * f : (i + 1) * f].copy(), keysteps[k, i].copy(),
-                narrations[k, i * c : (i + 1) * c].copy(), [step_id] * f, pid))
-        samples["video"].append(HierarchicalSample(
-            "video", frames[k].copy(), abstracts[k].copy(), keysteps[k].copy(),
-            [step_id for step_id in order for _ in range(f)], pid))
-    return Dataset(spec=spec, samples=samples, ground_truth=truth, procedure_ids=list(ids))
+    rows = np.flatnonzero(np.isin(ids, keep))
+    s, f, d = spec.steps_per_procedure, spec.frames_per_step, spec.text_dim
+    labels = np.repeat(orders[rows], f, axis=1)
+    samples = {}
+    for level, t, parents, children in (("clip", CLIP_LEN, narrations, np.empty((len(ids), 0, d))),
+                                        ("phase", f, keysteps, narrations), ("video", s * f, abstracts, keysteps)):
+        per = s * f // t  # samples per procedure
+        n = len(rows) * per
+        samples[level] = Level(level, frames[rows].reshape(n, t, spec.visual_dim), parents[rows].reshape(n, d),
+                               children[rows].reshape(n, children.shape[1] // per, d), labels.reshape(n, t),
+                               np.repeat(np.array(ids)[rows], per))
+    return Dataset(spec=spec, samples=samples, ground_truth=truth, procedure_ids=[ids[k] for k in rows])
 
 
-def _subset(dataset: Dataset, ids) -> Dataset:
-    """The procedures of ``dataset`` whose id is in ``ids``, in dataset order."""
-    keep = set(ids)
-    return Dataset(
-        spec=dataset.spec,
-        samples={lvl: [s for s in dataset.samples[lvl] if s.procedure_id in keep] for lvl in dataset.samples},
-        ground_truth=dataset.ground_truth,
-        procedure_ids=[p for p in dataset.procedure_ids if p in keep],
-    )
+def _split_ids(ids: list[int], fraction: float, rng: np.random.Generator) -> tuple[list[int], list[int]]:
+    """Train and held-out ids, each in ``ids`` order; floor(fraction * n), at least 1, held out."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    n_hold = max(1, int(np.floor(fraction * len(ids))))
+    if n_hold >= len(ids):
+        raise DegenerateSplitError(f"holdout of {n_hold} from {len(ids)} procedures leaves no training data")
+    hold_ids = {ids[i] for i in rng.permutation(len(ids))[:n_hold]}
+    return [p for p in ids if p not in hold_ids], [p for p in ids if p in hold_ids]
 
 
 def split_holdout(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Split at whole-procedure granularity; floor(fraction * n), at least 1, held out."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    ids = list(dataset.procedure_ids)
-    n_hold = max(1, int(np.floor(fraction * len(ids))))
-    if n_hold >= len(ids):
-        raise DegenerateSplitError(f"holdout of {n_hold} from {len(ids)} procedures leaves no training data")
-    perm = rng.permutation(len(ids))
-    hold_ids = {ids[i] for i in perm[:n_hold]}
-    return _subset(dataset, [p for p in ids if p not in hold_ids]), _subset(dataset, hold_ids)
+    return tuple(
+        Dataset(dataset.spec, {name: rows[np.isin(rows.procedure_ids, keep)] for name, rows in dataset.samples.items()},
+                dataset.ground_truth, keep)
+        for keep in _split_ids(list(dataset.procedure_ids), fraction, rng)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,34 +304,35 @@ def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
     """Write manifest.json, data.bin and groundtruth.bin; hashes in the manifest.
 
     data.bin stores each procedure once, in id order: its video's frames,
-    its phases' narrations, its key steps and its abstract.  Clip and phase
-    samples are rows of those arrays, so only video and phase samples are
-    read.  The manifest holds the spec, the split, each procedure's step
-    order and the hashes of both blobs and of itself.
+    its phases' narrations, its key steps and its abstract, streamed from
+    the video and phase levels.  The manifest holds the spec, the split,
+    each procedure's step order and the hashes of both blobs and of itself.
     """
     spec = train.spec
-    truth = train.ground_truth
-    videos = sorted((s for ds in (train, holdout) for s in ds.by_level("video")), key=lambda s: s.procedure_id)
-    narrations: dict[int, list[np.ndarray]] = {}
-    for ds in (train, holdout):
-        for s in ds.by_level("phase"):
-            narrations.setdefault(s.procedure_id, []).append(s.child_text_features)
-    data_blob = _f8(a for v in videos for a in (v.frame_features, *narrations[v.procedure_id],
-                                                v.child_text_features, v.parent_text_feature))
-    truth_blob = _f8((truth.concepts, truth.render_visual, truth.render_text))
+    s = spec.steps_per_procedure
+    # (id, row, levels) of every procedure, in id order
+    procedures = sorted(((pid, k, ds.samples) for ds in (train, holdout) for k, pid in enumerate(ds.procedure_ids)),
+                        key=lambda entry: entry[0])
+    os.makedirs(out_dir, exist_ok=True)
+    data_hash = hashlib.sha256()
+    with open(os.path.join(out_dir, "data.bin"), "wb") as fh:
+        for _, k, levels in procedures:
+            video, narrations = levels["video"], levels["phase"].children[k * s : (k + 1) * s]
+            record = _f8((video.frames[k], narrations, video.children[k], video.parents[k]))
+            data_hash.update(record)
+            fh.write(record)
+    truth_blob = _f8(astuple(train.ground_truth))  # concepts, render_visual, render_text
+    with open(os.path.join(out_dir, "groundtruth.bin"), "wb") as fh:
+        fh.write(truth_blob)
     manifest = {
         "spec": asdict(spec),
         "seed": spec.seed,
         "train_procedures": train.procedure_ids,
         "holdout_procedures": holdout.procedure_ids,
-        "step_orders": [list(map(int, v.step_labels[:: spec.frames_per_step])) for v in videos],
-        "files": {"data.bin": _sha256(data_blob), "groundtruth.bin": _sha256(truth_blob)},
+        "step_orders": [levels["video"].labels[k, :: spec.frames_per_step].tolist() for _, k, levels in procedures],
+        "files": {"data.bin": data_hash.hexdigest(), "groundtruth.bin": _sha256(truth_blob)},
     }
     manifest["manifest_sha256"] = _manifest_sha256(manifest)
-    os.makedirs(out_dir, exist_ok=True)
-    for name, blob in (("data.bin", data_blob), ("groundtruth.bin", truth_blob)):
-        with open(os.path.join(out_dir, name), "wb") as fh:
-            fh.write(blob)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -373,5 +397,4 @@ def load_dataset(in_dir) -> tuple[Dataset, Dataset]:
     truth_arrays = _read_blob(os.path.join(in_dir, "groundtruth.bin"), digests[0], (), truth_shapes)
     truth = GroundTruth(*(a.copy() for a in truth_arrays))
     arrays = _read_blob(os.path.join(in_dir, "data.bin"), digests[1], (len(ids),), _procedure_shapes(spec))
-    dataset = _from_procedures(spec, truth, ids, *arrays, orders)
-    return _subset(dataset, train_ids), _subset(dataset, hold_ids)
+    return tuple(_from_procedures(spec, truth, ids, keep, orders, *arrays) for keep in (train_ids, hold_ids))

@@ -57,9 +57,7 @@ class ForwardCache:
     """Intermediates from one forward pass, consumed by :func:`backward`."""
 
     x: np.ndarray
-    pre_activations: list[np.ndarray]
     hidden: list[np.ndarray]
-    prenorm: np.ndarray
     norms: np.ndarray
     output: np.ndarray
 
@@ -88,12 +86,10 @@ def forward(params: EncoderParams, x, return_cache: bool = False):
     if x.shape[1] != params.input_dim:
         raise DimMismatchError(f"input dim {x.shape[1]} != encoder fan_in {params.input_dim}")
     h = x
-    pre_acts = []
     hidden = []
     last = len(params.layers) - 1
     for i, (w, b) in enumerate(params.layers):
         a = h @ w + b
-        pre_acts.append(a)
         h = np.tanh(a) if (params.activation == "tanh" and i < last) else a
         hidden.append(h)
     norms = np.linalg.norm(h, axis=1, keepdims=True)
@@ -103,7 +99,7 @@ def forward(params: EncoderParams, x, return_cache: bool = False):
     out = h / norms
     if not return_cache:
         return out
-    return out, ForwardCache(x=x, pre_activations=pre_acts, hidden=hidden, prenorm=h, norms=norms, output=out)
+    return out, ForwardCache(x=x, hidden=hidden, norms=norms, output=out)
 
 
 def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:

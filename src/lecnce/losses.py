@@ -316,7 +316,7 @@ def hier_lecnce(
         )
 
     # shapes are checked per sample, values once per stack of the samples
-    # that share a (T, N) shape, whose cost matrices are built in one pass
+    # that share a (T, N) shape
     frames = [np.asarray(f, dtype=np.float64) for f in segment_frames]
     children = [np.asarray(c, dtype=np.float64) for c in child_texts]
     groups: dict[tuple[int, int], list[int]] = {}
@@ -330,18 +330,33 @@ def hier_lecnce(
             if len(m) == 0:
                 raise empty(f"{name}[{k}] has no rows")
         groups.setdefault((len(frames[k]), len(children[k])), []).append(k)
-    stacks = []
-    matrices = [None] * b
-    for idx in groups.values():
+
+    # each shape group in one pass: its stacked cost matrices, one alignment
+    # call for them and their column-reversed views, and the backward of its
+    # active hinges (an inactive hinge has an all-zero cost gradient)
+    lam = cfg.lambda_dtw
+    hinge = np.empty(b)
+    dtw_frames: dict[int, np.ndarray] = {}
+    grad_children = [np.zeros_like(c) for c in children]
+    for idx in map(np.array, groups.values()):
         f_stack = np.stack([frames[k] for k in idx])
         c_stack = np.stack([children[k] for k in idx])
         for name, parts, stack in (("segment_frames", frames, f_stack), ("child_texts", children, c_stack)):
             if not np.isfinite(stack).all():
                 bad = next(k for k in idx if not np.isfinite(parts[k]).all())
                 raise NonFiniteError(f"{name}[{bad}] contains non-finite values")
-        for k, m in zip(idx, _costs(f_stack, c_stack, cfg.beta)):
-            matrices[k] = m
-        stacks.append((np.array(idx), f_stack, c_stack))
+        costs = _costs(f_stack, c_stack, cfg.beta)
+        aligned, paths = align_batch(np.concatenate([costs, costs[:, :, ::-1]]), dtw_algorithm)
+        m = len(idx)
+        hinge[idx], active = _hinge(aligned[:m] - aligned[m:], cfg.phi, cfg.hinge_form)
+        if lam > 0 and active.any():
+            # the reversed matrix shares entries with the forward one, so its
+            # path folds back after un-flipping the column axis
+            grad_cost = paths[:m][active] - paths[m:][active][:, :, ::-1]
+            g_f, g_c = _costs_backward(f_stack[active], c_stack[active], cfg.beta, grad_cost * (lam / b))
+            for k, gf, gc in zip(idx[active].tolist(), g_f, g_c):
+                dtw_frames[k] = gf
+                grad_children[k] = grad_children[k] + gc
 
     pooled, pool_cache = pool_segments(frames)
     tau = cfg.temperature_infonce
@@ -352,31 +367,10 @@ def hier_lecnce(
 
     grad_rows = pool_segments_backward(grad_pooled, pool_cache)
     grad_frames = np.split(grad_rows, np.cumsum([len(f) for f in frames])[:-1])
-    grad_children = [np.zeros_like(c) for c in children]
-
-    # one alignment call for the batch: every forward matrix and its
-    # column-reversed view, which needs no re-validation
-    costs, paths = align_batch(matrices + [m[:, ::-1] for m in matrices], dtw_algorithm)
-    hinge, active = _hinge(costs[:b] - costs[b:], cfg.phi, cfg.hinge_form)
+    grad_frames = [g + dtw_frames[k] if k in dtw_frames else g for k, g in enumerate(grad_frames)]
     dtw_total = 0.0
     for value in hinge.tolist():  # sequential, not pairwise, to match a per-sample dtw_hinge sum
         dtw_total += value
-
-    lam = cfg.lambda_dtw
-    if lam > 0:
-        # an inactive hinge has an all-zero cost gradient and adds nothing;
-        # the active samples of each shape go back through one stacked pass
-        for idx, f_stack, c_stack in stacks:
-            on = active[idx]
-            if on.any():
-                ks, t, n = idx[on], f_stack.shape[1], c_stack.shape[1]
-                # the reversed matrix shares entries with the forward one, so
-                # its path folds back after un-flipping the column axis
-                grad_cost = paths[ks, :t, :n] - paths[b + ks, :t, :n][:, :, ::-1]
-                g_f, g_c = _costs_backward(f_stack[on], c_stack[on], cfg.beta, grad_cost * (lam / b))
-                for k, gf, gc in zip(ks, g_f, g_c):
-                    grad_frames[k] = grad_frames[k] + gf
-                    grad_children[k] = grad_children[k] + gc
 
     dtw_mean = dtw_total / b
     return LossValue(

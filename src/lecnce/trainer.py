@@ -20,13 +20,12 @@ import numpy as np
 
 from . import encoders as enc
 from .alignment import DTW_ALGORITHMS
-from .datagen import Dataset, HierarchicalSample
+from .datagen import LEVELS, Dataset, Level
 from .errors import AllZeroScheduleError, FieldValueError, MissingLevelDataError, NonFiniteLossError, check_minimums
 from .losses import LossConfig, clip_lecnce, hier_lecnce, pool_segments, pool_segments_backward
 from .numerics import make_rng, subsample_frames
 from .textaug import sample_text
 
-LEVELS = ("clip", "phase", "video")
 VIEW_NOISE_SIGMA = 0.05
 VIEW_DROPOUT_RATE = 0.10
 TEXT_AUG_SIGMA = 0.02  # augmented-text rewrites perturb meaning only slightly
@@ -102,19 +101,8 @@ class TrainLog:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in self.records:
-                c = r.components
-                writer.writerow(
-                    [
-                        r.global_step,
-                        r.level,
-                        repr(r.total),
-                        repr(c["vl"]) if "vl" in c else "",
-                        repr(c["vv"]) if "vv" in c else "",
-                        repr(c["infonce"]) if "infonce" in c else "",
-                        repr(c["dtw"]) if "dtw" in c else "",
-                        repr(r.wall_ms),
-                    ]
-                )
+                c = [repr(r.components[k]) if k in r.components else "" for k in ("vl", "vv", "infonce", "dtw")]
+                writer.writerow([r.global_step, r.level, repr(r.total), *c, repr(r.wall_ms)])
 
 
 def schedule_period(cfg: TrainConfig) -> list[str]:
@@ -126,23 +114,24 @@ def schedule_period(cfg: TrainConfig) -> list[str]:
 
 
 class _Batcher:
-    """Seeded shuffling with wrap-around over one level's sample list."""
+    """Seeded shuffling with wrap-around over the rows of one level."""
 
-    def __init__(self, samples: list[HierarchicalSample], rng: np.random.Generator):
-        self.samples = samples
+    def __init__(self, rows: Level, rng: np.random.Generator):
+        self.rows = rows
         self.rng = rng
-        self.order = list(rng.permutation(len(samples)))
+        self.order = rng.permutation(len(rows))
         self.pos = 0
 
-    def next_batch(self, n: int) -> list[HierarchicalSample]:
-        out = []
-        while len(out) < n:
+    def next_batch(self, n: int) -> Level:
+        picks = []
+        while n > 0:
             if self.pos >= len(self.order):
-                self.order = list(self.rng.permutation(len(self.samples)))
+                self.order = self.rng.permutation(len(self.rows))
                 self.pos = 0
-            out.append(self.samples[self.order[self.pos]])
-            self.pos += 1
-        return out
+            picks.append(self.order[self.pos : self.pos + n])
+            self.pos += len(picks[-1])
+            n -= len(picks[-1])
+        return self.rows[np.concatenate(picks)]
 
 
 def _distort(features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -156,11 +145,6 @@ def _select_text(feature: np.ndarray, rng: np.random.Generator, p_augmented: flo
     """Original-vs-augmented choice; the augmented variant is an independent re-noising."""
     augmented = feature + rng.normal(0.0, TEXT_AUG_SIGMA, size=feature.shape)
     return sample_text(feature, augmented, p_augmented, rng)
-
-
-def _split_rows(rows: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Views of stacked ``rows`` cut to the row counts of ``blocks``."""
-    return np.split(rows, np.cumsum([len(block) for block in blocks])[:-1])
 
 
 @dataclass
@@ -186,7 +170,7 @@ def init_trainer(cfg: TrainConfig, rng: np.random.Generator) -> TrainerState:
 
 def train_step(
     level: str,
-    batch: list[HierarchicalSample],
+    batch: Level,
     state: TrainerState,
     cfg: TrainConfig,
     rng: np.random.Generator,
@@ -194,22 +178,21 @@ def train_step(
 ) -> StepRecord:
     """One forward/backward/update on a batch of one level."""
     t0 = time.perf_counter()
-    for s in batch:
-        if s.level != level:
-            raise ValueError(f"batch sample of level {s.level!r} in a {level!r} step")
-    n_frames = dict(zip(LEVELS, cfg.frames))[level]
-
-    frame_blocks = [subsample_frames(s.frame_features, n_frames) for s in batch]
-    texts = np.stack([_select_text(s.parent_text_feature, rng, cfg.p_augmented) for s in batch])
+    if batch.name != level:
+        raise ValueError(f"batch of level {batch.name!r} in a {level!r} step")
+    index = subsample_frames(np.arange(batch.frames.shape[1]), dict(zip(LEVELS, cfg.frames))[level])
+    frames = batch.frames[:, index]  # one gather of every sample's kept frames
+    b, t, _ = frames.shape
+    texts = np.stack([_select_text(parent, rng, cfg.p_augmented) for parent in batch.parents])
 
     # one forward and one backward per encoder: the weight gradients of all
-    # blocks sum inside the backward GEMM
+    # samples sum inside the backward GEMM
     if level == "clip":
-        views_a = [_distort(block, rng) for block in frame_blocks]
-        views_b = [_distort(block, rng) for block in frame_blocks]
-        blocks = frame_blocks + views_a + views_b
-        emb, v_cache = enc.forward(state.visual, np.concatenate(blocks), return_cache=True)
-        pooled, pool_cache = pool_segments(_split_rows(emb, blocks))
+        # view a of every sample, then view b of every sample
+        views = np.stack([_distort(block, rng) for block in [*frames, *frames]])
+        blocks = np.concatenate([frames, views])
+        emb, v_cache = enc.forward(state.visual, blocks.reshape(3 * b * t, -1), return_cache=True)
+        pooled, pool_cache = pool_segments(emb.reshape(3 * b, t, -1))
         narr_emb, t_cache = enc.forward(state.text, texts, return_cache=True)
 
         clip_rows, rows_a, rows_b = np.split(pooled, 3)
@@ -218,16 +201,13 @@ def train_step(
         grad_frames = pool_segments_backward(grad_pooled, pool_cache)
         grad_texts = loss.grads["narrations"]
     else:
-        child_sel = [
-            np.stack([_select_text(c, rng, cfg.p_augmented) for c in s.child_text_features])
-            for s in batch
-        ]
-        emb, v_cache = enc.forward(state.visual, np.concatenate(frame_blocks), return_cache=True)
-        text_emb, t_cache = enc.forward(state.text, np.concatenate([texts] + child_sel), return_cache=True)
+        children = np.array([[_select_text(c, rng, cfg.p_augmented) for c in sample] for sample in batch.children])
+        n = children.shape[1]
+        emb, v_cache = enc.forward(state.visual, frames.reshape(b * t, -1), return_cache=True)
+        text_emb, t_cache = enc.forward(state.text, np.concatenate([texts, *children]), return_cache=True)
 
-        frame_embs = _split_rows(emb, frame_blocks)
-        parent_emb, child_embs = text_emb[: len(batch)], _split_rows(text_emb[len(batch) :], child_sel)
-        loss = hier_lecnce(frame_embs, parent_emb, child_embs, cfg.loss, cfg.dtw_algorithm)
+        loss = hier_lecnce(emb.reshape(b, t, -1), text_emb[:b], text_emb[b:].reshape(b, n, -1), cfg.loss,
+                           cfg.dtw_algorithm)
         grad_frames = np.concatenate(loss.grads["segment_frames"])
         grad_texts = np.concatenate([loss.grads["parent_texts"]] + loss.grads["child_texts"])
     v_grads, _ = enc.backward(state.visual, v_cache, grad_frames)
@@ -253,24 +233,20 @@ def _save_checkpoint(out_dir, tag: str, state: TrainerState, seed: int, global_s
                         state.visual_opt, state.text_opt, seed=seed, schedule_position=global_step)
 
 
-def train_run(cfg: TrainConfig, datasets: Dataset | dict, out_dir=None) -> tuple[TrainerState, TrainLog]:
+def train_run(cfg: TrainConfig, dataset: Dataset, out_dir=None) -> tuple[TrainerState, TrainLog]:
     """Run ``cfg.epochs`` schedule cycles; optionally write log and checkpoints.
 
-    ``datasets`` is a :class:`Dataset` or a level -> sample-list mapping and
-    must cover every level with a non-zero schedule count.
+    ``dataset`` must hold samples at every level with a non-zero schedule
+    count.
     """
-    samples = datasets.samples if isinstance(datasets, Dataset) else datasets
-    for level, count in zip(LEVELS, cfg.schedule):
-        if count > 0 and not samples.get(level):
-            raise MissingLevelDataError(f"schedule needs {level!r} samples but none were provided")
-
     rng = make_rng(cfg.seed)
     state = init_trainer(cfg, rng)
-    batchers = {
-        level: _Batcher(samples[level], rng)
-        for level, count in zip(LEVELS, cfg.schedule)
-        if count > 0
-    }
+    batchers = {}
+    for level, count in zip(LEVELS, cfg.schedule):
+        if count > 0:
+            if not len(dataset.samples.get(level, ())):
+                raise MissingLevelDataError(f"schedule needs {level!r} samples but none were provided")
+            batchers[level] = _Batcher(dataset.samples[level], rng)
     batch_size = dict(zip(LEVELS, cfg.batch_sizes))
     period = schedule_period(cfg)
 

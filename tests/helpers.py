@@ -1,7 +1,7 @@
 """Shared oracles for the test suite: finite-difference comparison, the
 tie-margin filter that keeps DTW gradient checks away from path ties, and
-the per-row InfoNCE, per-matrix pooling and per-block training step that
-the batched code must reproduce."""
+the per-row InfoNCE, per-matrix pooling, per-block training step and
+per-sample batcher that the batched code must reproduce."""
 
 import numpy as np
 
@@ -167,6 +167,26 @@ def _pool_batch_backward(visual: enc.EncoderParams, caches, grad_rows: np.ndarra
 
 def _add_grads(a, b):
     return [(dw1 + dw2, db1 + db2) for (dw1, db1), (dw2, db2) in zip(a, b)]
+
+
+class PerSampleBatcher:
+    """Seeded shuffling with wrap-around over a sample list, one sample at a time: the batcher oracle."""
+
+    def __init__(self, samples, rng):
+        self.samples = samples
+        self.rng = rng
+        self.order = list(rng.permutation(len(samples)))
+        self.pos = 0
+
+    def next_batch(self, n):
+        out = []
+        while len(out) < n:
+            if self.pos >= len(self.order):
+                self.order = list(self.rng.permutation(len(self.samples)))
+                self.pos = 0
+            out.append(self.samples[self.order[self.pos]])
+            self.pos += 1
+        return out
 
 
 def per_block_train_step(level, batch, state, cfg, rng, global_step=0):

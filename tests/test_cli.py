@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lecnce import encoders
 from lecnce.cli import load_config, resolve_seed, run
 from lecnce.datagen import ProcedureSpec, SplitSpec
 from lecnce.encoders import init_params, save_checkpoint
@@ -159,6 +163,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"nope": 1}')
         assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(bad)]) == 1
+
+    def test_runs_as_a_module(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "lecnce", "--help"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "generate-data" in proc.stdout and "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 class TestTrainConfigAtLoad:
@@ -375,6 +386,32 @@ class TestCorruptFiles:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert f"checkpoint {path} is not readable" in err and named in err, err
+        assert not (tmp_path / "eval").exists()
+
+
+    @pytest.mark.parametrize(
+        "visual_dims, text_dims, named",
+        [
+            ([10, 6], [9, 6], "its visual encoder's input dim is 10, but data.visual_dim is 12"),
+            ([12, 6], [8, 6], "its text encoder's input dim is 8, but data.text_dim is 9"),
+            ([12, 6], [9, 5], "its visual encoder's joint dim is 6, but the text encoder's is 5"),
+        ],
+        ids=["visual_dim", "text_dim", "joint_dim"],
+    )
+    def test_checkpoint_dims_checked_against_data(self, tmp_path, capsys, monkeypatch, small_config, generated,
+                                                  visual_dims, text_dims, named):
+        path = tmp_path / "c.json"
+        save_checkpoint(path, init_params(visual_dims), init_params(text_dims))
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("encoded before the checkpoint was checked")
+
+        monkeypatch.setattr(encoders, "forward", no_encoding)
+        argv = ["eval", "--config", str(small_config), "--checkpoint", str(path), "--data", str(generated),
+                "--out", str(tmp_path / "eval")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {path}" in err and named in err, err
         assert not (tmp_path / "eval").exists()
 
 

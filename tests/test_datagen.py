@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from lecnce.datagen import (
     CLIP_LEN,
     Dataset,
+    HierarchicalSample,
+    Level,
     ProcedureSpec,
     generate_dataset,
     load_dataset,
@@ -130,6 +132,46 @@ class TestGenerateDataset:
         gram = c @ c.T
         off = gram[~np.eye(len(c), dtype=bool)]
         assert off.max() <= np.cos(np.deg2rad(30.0)) + 1e-12
+
+
+class TestLevel:
+    def test_int_index_is_a_sample_of_row_views(self):
+        train, _ = generate_dataset(small_spec(), 4)
+        rows = train.samples["phase"]
+        sample = rows[-2]
+        assert isinstance(sample, HierarchicalSample)
+        assert (sample.level, sample.procedure_id) == ("phase", int(rows.procedure_ids[-2]))
+        assert sample.step_labels == rows.labels[-2].tolist() and all(type(v) is int for v in sample.step_labels)
+        for array, stack in ((sample.frame_features, rows.frames), (sample.parent_text_feature, rows.parents),
+                             (sample.child_text_features, rows.children)):
+            assert np.shares_memory(array, stack) and np.array_equal(array, stack[-2])
+        assert rows[np.int64(1)].procedure_id == rows[1].procedure_id
+
+    @pytest.mark.parametrize("index", [slice(1, 7, 2), slice(0, 0), np.array([5, 0, 5]), np.arange(12) % 3 == 0])
+    def test_other_indices_select_rows(self, index):
+        train, _ = generate_dataset(small_spec(), 4)
+        rows = train.samples["clip"]
+        picked = rows[index]
+        assert isinstance(picked, Level) and picked.name == "clip"
+        want = np.arange(len(rows))[index]
+        assert len(picked) == len(want)
+        for name in ("frames", "parents", "children", "labels", "procedure_ids"):
+            assert np.array_equal(getattr(picked, name), getattr(rows, name)[want])
+        assert [s.procedure_id for s in (picked[k] for k in range(len(picked)))] == rows.procedure_ids[want].tolist()
+
+    @pytest.mark.parametrize("level", ["clip", "phase", "video"])
+    def test_write_through_a_view_changes_only_its_row(self, level):
+        train, _ = generate_dataset(small_spec(), 4)
+        before = {lvl: {name: getattr(rows, name).copy() for name in ("frames", "parents", "children")}
+                  for lvl, rows in train.samples.items()}
+        sample = train.samples[level][1]
+        for array in (sample.frame_features, sample.parent_text_feature, sample.child_text_features):
+            array += 1.0
+        for lvl, rows in train.samples.items():
+            for name, old in before[lvl].items():
+                changed = np.any(getattr(rows, name) != old, axis=tuple(range(1, old.ndim)))
+                want = [lvl == level and k == 1 and old[k].size > 0 for k in range(len(old))]
+                assert changed.tolist() == want, (lvl, name)
 
 
 class TestSplitHoldout:

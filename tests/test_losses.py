@@ -281,12 +281,17 @@ class TestStackedCostBuild:
 
         with mock.patch.object(losses, "align_batch", recording_align_batch):
             hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(), "dp")
-        (matrices,) = seen
-        assert len(matrices) == 2 * b
-        for k in range(b):
-            want = build_cost_matrix(frames[k], children[k], 0.1, validate=False).values
-            np.testing.assert_array_equal(matrices[k], want)
-            np.testing.assert_array_equal(matrices[b + k], want[:, ::-1])
+        # one call per (T, N) shape group, in order of first appearance
+        groups = {}
+        for k, shape in enumerate(map(tuple, shapes.tolist())):
+            groups.setdefault(shape, []).append(k)
+        assert len(seen) == len(groups) and (len(groups) > 1) == ragged
+        for matrices, idx in zip(seen, groups.values()):
+            assert len(matrices) == 2 * len(idx)
+            for i, k in enumerate(idx):
+                want = build_cost_matrix(frames[k], children[k], 0.1, validate=False).values
+                np.testing.assert_array_equal(matrices[i], want)
+                np.testing.assert_array_equal(matrices[len(idx) + i], want[:, ::-1])
 
 
 class TestDtwHinge:

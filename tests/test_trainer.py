@@ -2,10 +2,10 @@ import copy
 
 import numpy as np
 import pytest
-from helpers import per_block_train_step
+from helpers import PerSampleBatcher, per_block_train_step
 
 from lecnce import encoders
-from lecnce.datagen import HierarchicalSample, ProcedureSpec, generate_dataset
+from lecnce.datagen import ProcedureSpec, generate_dataset
 from lecnce.errors import AllZeroScheduleError, MissingLevelDataError, NonFiniteLossError
 from lecnce.losses import LossConfig
 from lecnce.numerics import make_rng
@@ -14,6 +14,7 @@ from lecnce.trainer import (
     StepRecord,
     TrainConfig,
     TrainLog,
+    _Batcher,
     init_trainer,
     schedule_period,
     subsample_frames,
@@ -93,7 +94,7 @@ class TestTrainStep:
     def test_lr_zero_keeps_loss_identical(self):
         train, _ = tiny_dataset()
         cfg = tiny_config(learning_rate=0.0, weight_decay=0.0)
-        batch = train.by_level("clip")[:4]
+        batch = train.samples["clip"][:4]
         records = []
         for _ in range(2):
             rng = make_rng(42)
@@ -105,14 +106,14 @@ class TestTrainStep:
         train, _ = tiny_dataset()
         cfg = tiny_config()
         state = init_trainer(cfg, make_rng(cfg.seed))
-        rec = train_step("clip", train.by_level("clip")[:4], state, cfg, make_rng(1))
+        rec = train_step("clip", train.samples["clip"][:4], state, cfg, make_rng(1))
         assert abs(rec.total - (rec.components["vl"] + rec.components["vv"])) < 1e-12
 
     def test_hier_components_sum(self):
         train, _ = tiny_dataset()
         cfg = tiny_config()
         state = init_trainer(cfg, make_rng(cfg.seed))
-        rec = train_step("video", train.by_level("video")[:2], state, cfg, make_rng(1))
+        rec = train_step("video", train.samples["video"][:2], state, cfg, make_rng(1))
         lam = cfg.loss.lambda_dtw
         assert abs(rec.total - (rec.components["infonce"] + lam * rec.components["dtw"])) < 1e-12
 
@@ -121,7 +122,7 @@ class TestTrainStep:
         cfg = tiny_config()
         state = init_trainer(cfg, make_rng(cfg.seed))
         with pytest.raises(ValueError):
-            train_step("phase", train.by_level("clip")[:3], state, cfg, make_rng(1))
+            train_step("phase", train.samples["clip"][:3], state, cfg, make_rng(1))
 
     def test_every_level_updates_the_same_parameter_set(self):
         train, _ = tiny_dataset()
@@ -131,29 +132,12 @@ class TestTrainStep:
         for level, batch_size in zip(("clip", "phase", "video"), cfg.batch_sizes):
             before_v = [w.copy() for w, _ in state.visual.layers]
             before_t = [w.copy() for w, _ in state.text.layers]
-            train_step(level, train.by_level(level)[:batch_size], state, cfg, rng)
+            train_step(level, train.samples[level][:batch_size], state, cfg, rng)
             assert any(not np.array_equal(a, w) for a, (w, _) in zip(before_v, state.visual.layers))
             assert any(not np.array_equal(a, w) for a, (w, _) in zip(before_t, state.text.layers))
         # one optimizer per encoder counted every level's update
         assert state.visual_opt.step_count == 3
         assert state.text_opt.step_count == 3
-
-
-def ragged_batch(level, cfg, seed=0):
-    """Hand-built samples whose frame and child counts differ within the batch."""
-    rng = make_rng(seed)
-    frame_counts, child_counts = [1, 3, 6, 2], [2, 1, 4, 3]
-    return [
-        HierarchicalSample(
-            level=level,
-            frame_features=rng.normal(size=(t, cfg.visual_layers[0])),
-            parent_text_feature=rng.normal(size=cfg.text_layers[0]),
-            child_text_features=rng.normal(size=(n if level != "clip" else 0, cfg.text_layers[0])),
-            step_labels=[0] * t,
-            procedure_id=k,
-        )
-        for k, (t, n) in enumerate(zip(frame_counts, child_counts))
-    ]
 
 
 class TestTrainStepOracle:
@@ -165,29 +149,33 @@ class TestTrainStepOracle:
     """
 
     @pytest.mark.parametrize(
-        "level, algorithm, ragged",
+        "level, algorithm, gathered",
         [
             ("clip", "greedy", False),
             ("phase", "greedy", False),
             ("video", "greedy", False),
             ("phase", "dp", False),
             ("video", "dp", False),
-            ("clip", "greedy", True),
-            ("phase", "dp", True),
+            ("phase", "greedy", True),
+            ("video", "dp", True),
         ],
     )
-    def test_matches_per_block_step(self, level, algorithm, ragged):
+    def test_matches_per_block_step(self, level, algorithm, gathered):
         train, _ = tiny_dataset()
         cfg = tiny_config(dtw_algorithm=algorithm, loss=LossConfig(lambda_dtw=0.5))
         batch_size = dict(zip(("clip", "phase", "video"), cfg.batch_sizes))[level]
-        batch = ragged_batch(level, cfg) if ragged else train.by_level(level)[:batch_size]
+        # a leading slice, or rows gathered out of order as a wrapping batcher
+        # yields them (a three-row batch repeats one)
+        rows = np.array([4, 2, 4, 0][:batch_size]) if gathered else np.arange(batch_size)
+        batch = train.samples[level][rows]
+        samples = [train.samples[level][int(k)] for k in rows]
         state = init_trainer(cfg, make_rng(cfg.seed))
         oracle_state = copy.deepcopy(state)
         rng, oracle_rng = make_rng(9), make_rng(9)
         # a second step starts from moved weights and non-zero optimizer moments
         for step in (1, 2):
             rec = train_step(level, batch, state, cfg, rng, step)
-            want = per_block_train_step(level, batch, oracle_state, cfg, oracle_rng, step)
+            want = per_block_train_step(level, samples, oracle_state, cfg, oracle_rng, step)
             assert abs(rec.total - want.value) <= 1e-12
             assert rec.components.keys() == want.components.keys()
             for name, value in want.components.items():
@@ -215,11 +203,29 @@ class TestTrainStepOracle:
         monkeypatch.setattr(encoders, "backward", counted("backward", encoders.backward))
         batch_size = dict(zip(("clip", "phase", "video"), cfg.batch_sizes))[level]
         visual, text = state.visual, state.text
-        train_step(level, train.by_level(level)[:batch_size], state, cfg, make_rng(1))
+        train_step(level, train.samples[level][:batch_size], state, cfg, make_rng(1))
         for name in ("forward", "backward"):
             assert [p for n, p in calls if n == name and p is visual] == [visual]
             assert [p for n, p in calls if n == name and p is text] == [text]
         assert len(calls) == 4
+
+
+class TestBatcher:
+    @pytest.mark.parametrize("level, n", [("clip", 6), ("phase", 7), ("video", 2), ("video", 12)])
+    def test_yields_the_rows_of_the_per_sample_batcher(self, level, n):
+        """Equal rows and draws, across wrap-around and batches larger than the level."""
+        train, _ = tiny_dataset()
+        batcher = _Batcher(train.samples[level], make_rng(7))
+        oracle = PerSampleBatcher(train.by_level(level), make_rng(7))
+        for _ in range(5):
+            batch, want = batcher.next_batch(n), oracle.next_batch(n)
+            assert batch.name == level and len(batch) == n
+            for k, sample in enumerate(want):
+                got = batch[k]
+                assert (got.procedure_id, got.step_labels) == (sample.procedure_id, sample.step_labels)
+                for name in ("frame_features", "parent_text_feature", "child_text_features"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(sample, name))
+            assert batcher.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
 class TestTrainLog:
@@ -250,10 +256,9 @@ class TestTrainRun:
     def test_missing_level(self):
         train, _ = tiny_dataset()
         cfg = tiny_config()
-        samples = dict(train.samples)
-        samples["video"] = []
+        train.samples["video"] = train.samples["video"][:0]
         with pytest.raises(MissingLevelDataError):
-            train_run(cfg, samples)
+            train_run(cfg, train)
 
     def test_deterministic_checkpoints(self, tmp_path):
         train, _ = tiny_dataset()
