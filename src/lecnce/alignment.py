@@ -5,9 +5,10 @@ greedy trace from the (T, N) corner, accumulating every visited cell; it is
 cheap but not globally optimal.  ``dtw_dp`` is the classic dynamic-program
 over an accumulated-cost table and serves as the optimal-cost oracle.  Both
 report the cells they visited as a 1-based path from (T, N) down to (1, 1).
-``align_batch`` aligns a whole stack of matrices in one call and returns
-each one's cost and 0/1 path mask: one lockstep walker traces the raw costs
-for greedy, or the accumulated table of a vectorized wavefront for DP.
+``align_batch`` aligns a (B, T, N) stack of equal-shape matrices in one
+call and returns each one's cost and 0/1 path mask: one lockstep walker
+traces the raw costs for greedy, or the accumulated table of a vectorized
+wavefront for DP.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyMatrixError, NonFiniteError, PathMismatchError
-from .numerics import as_matrix
+from .errors import EmptyMatrixError, NonFiniteError, PathMismatchError
+from .numerics import as_matrix, as_stack
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,8 @@ def _wavefront_plan(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _accumulate(padded: np.ndarray) -> np.ndarray:
     """``dtw_dp``'s accumulated-cost table of each matrix of an inf-padded stack.
 
-    Row 0 and column 0 of the (B, T+1, N+1) ``padded`` are the inf border;
-    matrix k occupies rows 1..rows[k] and columns 1..cols[k], and inf fills
-    the rest, in the returned table too.
+    Row 0 and column 0 of the (B, T+1, N+1) ``padded`` are the inf border,
+    in the returned table too; the matrices occupy the rest.
     """
     b, t1, n1 = padded.shape
     t, n = t1 - 1, n1 - 1
@@ -186,8 +186,8 @@ def _accumulate(padded: np.ndarray) -> np.ndarray:
     return acc.reshape(b, -1)[:, unskew]  # table[k, i, j]: accumulated cost of 1-based cell (i, j)
 
 
-def _walk(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Flat positions visited by each matrix's trace from its corner, one row per step.
+def _walk(table: np.ndarray, t: int, n: int) -> np.ndarray:
+    """Flat positions visited by each matrix's trace from its (t, n) corner, one row per step.
 
     A cell moves to its least diagonal, up or left neighbour in the padded
     ``table``, ties broken in that order; the inf border moves row 1 left and
@@ -200,8 +200,8 @@ def _walk(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     step[:, 1:, 1:] = np.where((diag <= up) & (diag <= left), n1 + 1, np.where(up <= left, n1, 1))
     step[:, 1, 1] = 0  # a finished trace stays on (1, 1)
     step = step.ravel()
-    visits = np.empty((int((rows + cols).max()) - 1, b), dtype=np.intp)
-    visits[0] = np.arange(b) * (t1 * n1) + rows * n1 + cols
+    visits = np.empty((t + n - 1, b), dtype=np.intp)
+    visits[0] = np.arange(b) * (t1 * n1) + t * n1 + n
     for s in range(1, len(visits)):
         visits[s] = visits[s - 1] - step[visits[s - 1]]
     return visits
@@ -210,40 +210,27 @@ def _walk(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray]:
     """Align a stack of cost matrices; return their costs and 0/1 path masks.
 
-    ``matrices`` is a (B, T, N) array or a sequence of B matrices of any
-    shapes, with finite, non-negative entries.  Ragged matrices are padded
-    with inf to the largest shape: the result is a length-B cost vector and
-    a (B, T, N) mask whose entry k is ``dtw_subgradient`` of matrix k under
-    ``algorithm``, zero-padded.  Costs and masks equal the per-matrix
+    ``matrices`` is a (B, T, N) array, or B matrices of one (T, N) shape,
+    with finite, non-negative entries.  The result is a length-B cost
+    vector and a (B, T, N) mask whose entry k is ``dtw_subgradient`` of
+    matrix k under ``algorithm``.  Costs and masks equal the per-matrix
     ``dtw_dp``/``dtw_greedy`` ones exactly: DP reads each corner of its
     walked table, greedy sums the walked raw costs in visit order.
     """
     if algorithm not in DTW_ALGORITHMS:
         raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}")
-    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
-    if not mats:
-        raise EmptyMatrixError("no cost matrices to align")
-    for k, m in enumerate(mats):
-        if m.ndim != 2:
-            raise DimMismatchError(f"cost matrix {k} must be 2-D, got shape {m.shape}")
-        if m.size == 0:
-            raise EmptyMatrixError(f"cost matrix {k} is empty, shape {m.shape}")
-    shape = np.array([m.shape for m in mats])
-    rows, cols = shape[:, 0], shape[:, 1]
-    t, n = shape.max(axis=0)
-    padded = np.full((len(mats), t + 1, n + 1), np.inf)
-    for k, m in enumerate(mats):
-        padded[k, 1 : rows[k] + 1, 1 : cols[k] + 1] = m
-    if np.count_nonzero(np.isfinite(padded)) != (rows * cols).sum():  # the inf padding is never finite
-        raise NonFiniteError("cost matrix contains non-finite entries")
+    mats = as_stack(matrices, "cost matrices")
+    b, t, n = mats.shape
+    padded = np.full((b, t + 1, n + 1), np.inf)  # the inf border of the walk and the DP table
+    padded[:, 1:, 1:] = mats
 
     with np.errstate(over="ignore"):  # an overflowing cost raises below
         if algorithm == "dp":
             table = _accumulate(padded)
-            visits = _walk(table, rows, cols)
+            visits = _walk(table, t, n)
             costs = table.ravel()[visits[0]]
         else:
-            visits = _walk(padded, rows, cols)
+            visits = _walk(padded, t, n)
             values = padded.ravel()[visits]
             values[1:][visits[1:] == visits[:-1]] = 0.0  # a finished walk repeats (1, 1)
             costs = np.add.accumulate(values, axis=0)[-1]  # sequential, in visit order, as dtw_greedy sums

@@ -2,9 +2,9 @@
 augmentation and DTW inspection, driven by one strict JSON config schema.
 
 Exit codes: 0 success, 1 validation error (bad usage, bad config, missing
-inputs), 2 runtime error.  All randomness is governed by ``--seed``, the
-config's ``seed``, or the ``LECNCE_SEED`` environment variable, in that
-order of precedence.
+or unreadable inputs), 2 runtime error.  All randomness is governed by
+``--seed``, the config's ``seed``, or the ``LECNCE_SEED`` environment
+variable, in that order of precedence.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import encoders as enc
 from . import evalkit, textaug
 from .alignment import DTW_ALGORITHMS, CostMatrix, align, reverse_columns
 from .datagen import ProcedureSpec, SplitSpec, generate_dataset, load_dataset, save_dataset
-from .errors import ConfigError, FieldValueError, InputError, LecnceError, UnknownKeyError
+from .errors import ConfigError, FieldValueError, InputError, LecnceError, UnknownKeyError, read_text
 from .losses import LossConfig
 from .numerics import cosine_similarity_matrix, make_rng
 from .trainer import TrainConfig, train_run
@@ -79,8 +79,7 @@ def _checked(key: str, value, hint):
 
 def _read_json(path: str, what: str, error=InputError):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise error(f"{what} parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
@@ -283,19 +282,18 @@ def _cmd_eval(args) -> int:
 def _read_records(path: str) -> list[tuple[str, str]]:
     """(text, level) of each non-blank line of a JSON-lines file, checked before any work."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path} line {lineno}: not a JSON record ({exc.msg})") from None
-            if not (isinstance(record, dict) and isinstance(record.get("text"), str)
-                    and record.get("level") in textaug.TEXT_LEVELS):
-                raise InputError(f"{path} line {lineno}: a record needs a string 'text' and a 'level' "
-                                 f"in {textaug.TEXT_LEVELS}, got {record!r}")
-            records.append((record["text"], record["level"]))
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path} line {lineno}: not a JSON record ({exc.msg})") from None
+        if not (isinstance(record, dict) and isinstance(record.get("text"), str)
+                and record.get("level") in textaug.TEXT_LEVELS):
+            raise InputError(f"{path} line {lineno}: a record needs a string 'text' and a 'level' "
+                             f"in {textaug.TEXT_LEVELS}, got {record!r}")
+        records.append((record["text"], record["level"]))
     return records
 
 
@@ -401,9 +399,11 @@ def run(argv) -> int:
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)
         return 1
+    # a missing path, a directory given as a file or the reverse, or a file where a directory is to be
+    # made is bad input; each of these OSErrors names the path in its message
     try:
         return args.fn(args)
-    except (InputError, FileNotFoundError, _UsageError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (LecnceError, ValueError, KeyError, OSError) as exc:

@@ -374,8 +374,8 @@ def load_dataset(in_dir) -> tuple[Dataset, Dataset]:
     """Inverse of :func:`save_dataset`.
 
     Raises :class:`CorruptFileError` when a file does not match its hash,
-    the manifest does not describe a dataset, or a blob's size differs from
-    the one its spec and step orders imply.
+    the manifest does not describe a dataset or leaves a split empty, or a
+    blob's size differs from the one its spec and step orders imply.
     """
     path = os.path.join(in_dir, "manifest.json")
     manifest = _read_manifest(path)
@@ -392,6 +392,8 @@ def load_dataset(in_dir) -> tuple[Dataset, Dataset]:
             and orders.dtype.kind == "i" and orders.shape == (len(ids), spec.steps_per_procedure)
             and 0 <= orders.min() and orders.max() < spec.step_library_size):
         raise CorruptFileError(f"{path} lists procedure ids or step orders that do not fit its spec")
+    if not (train_ids and hold_ids):
+        raise CorruptFileError(f"{path} lists no {'train' if not train_ids else 'holdout'} procedures")
     d = spec.latent_dim
     truth_shapes = [(spec.step_library_size, d), (d, spec.visual_dim), (d, spec.text_dim)]
     truth_arrays = _read_blob(os.path.join(in_dir, "groundtruth.bin"), digests[0], (), truth_shapes)

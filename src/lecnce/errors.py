@@ -134,3 +134,12 @@ class ConfigError(InputError):
 
 class UnknownKeyError(ConfigError):
     """A configuration file names a key the schema does not define."""
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 raise :class:`InputError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -24,13 +24,12 @@ from .errors import (
     EmptyMatrixError,
     EmptyPositiveSetError,
     FieldValueError,
-    NonFiniteError,
     RowNotNormalizedError,
     ShapeMismatchError,
     ZeroVectorError,
     check_minimums,
 )
-from .numerics import as_matrix, log_softmax_rows, softmax_rows
+from .numerics import as_matrix, as_stack, log_softmax_rows, softmax_rows
 
 HINGE_FORMS = ("standard", "literal")
 ROW_NORM_TOL = 1e-6
@@ -263,122 +262,71 @@ def clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> Los
     )
 
 
-def pool_segments(segments: Sequence[np.ndarray]) -> tuple[np.ndarray, tuple]:
-    """Renormalized mean of each (T_k, d) segment, as one (B, d) array plus a cache.
+def pool_segments(segments) -> tuple[np.ndarray, tuple]:
+    """Renormalized mean over T of each segment of a (B, T, d) stack, as one (B, d) array plus a cache.
 
-    Segments of equal length are averaged in one stacked mean, which adds
-    each segment's rows in the order ``segment.mean(axis=0)`` does for
-    every d; padding ragged segments with zeros would regroup the pairwise
-    sum numpy runs along T when d == 1.
+    The stacked mean adds each segment's rows in the order
+    ``segment.mean(axis=0)`` does.
     """
-    lengths = np.array([s.shape[0] for s in segments])
-    z = np.empty((len(segments), segments[0].shape[1]))
-    for t in np.unique(lengths):
-        idx = np.flatnonzero(lengths == t)
-        z[idx] = np.stack([segments[k] for k in idx]).mean(axis=1)
+    segments = as_stack(segments, "segments")
+    z = segments.mean(axis=1)
     # a (1, d) @ (d, 1) product per row is the dot np.linalg.norm takes of a vector
     norms = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
     if np.any(norms < 1e-12):
         raise ZeroVectorError(f"segment {int(np.argmin(norms))} pooled row collapsed to zero")
     u = z / norms[:, None]
-    return u, (u, norms, lengths)
+    return u, (u, norms, segments.shape[1])
 
 
 def pool_segments_backward(grad_pooled: np.ndarray, cache: tuple) -> np.ndarray:
-    """Gradient of :func:`pool_segments` as the segments' rows stacked in order."""
-    u, norms, lengths = cache
+    """Gradient of :func:`pool_segments` with respect to its (B, T, d) stack."""
+    u, norms, t = cache
     radial = (u[:, None, :] @ grad_pooled[:, :, None])[:, 0]
     g_z = (grad_pooled - u * radial) / norms[:, None]
-    return np.repeat(g_z / lengths[:, None], lengths, axis=0)
+    return np.repeat((g_z / t)[:, None, :], t, axis=1)
 
 
-def hier_lecnce(
-    segment_frames: Sequence[np.ndarray],
-    parent_texts,
-    child_texts: Sequence[np.ndarray],
-    cfg: LossConfig,
-    dtw_algorithm: str = "greedy",
-) -> LossValue:
+def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_algorithm: str = "greedy") -> LossValue:
     """Phase/video-level objective: pooled-segment contrast plus DTW hinge.
 
-    Sample k pairs a frame-embedding matrix ``segment_frames[k]`` with one
-    parent text (row k of ``parent_texts``) and an ordered child text
-    matrix ``child_texts[k]``.  Pooled segment embeddings are contrasted
-    against parent texts with diagonal positives; each sample additionally
-    pays a reversal hinge on the alignment cost between its frames and its
-    child texts, averaged over the batch and scaled by ``lambda_dtw``.
+    Sample k pairs its frames ``segment_frames[k]`` (a (B, T, d) stack, or B
+    equal-shape matrices) with one parent text (row k of ``parent_texts``)
+    and its ordered child texts ``child_texts[k]`` (a (B, N, d) stack).
+    Pooled segment embeddings are contrasted against parent texts with
+    diagonal positives; each sample additionally pays a reversal hinge on
+    the alignment cost between its frames and its child texts, averaged over
+    the batch and scaled by ``lambda_dtw``.  The frame and child gradients
+    come back as (B, T, d) and (B, N, d) arrays.
     """
     parent_texts = as_matrix(parent_texts, "parent_texts")
-    b, d = len(segment_frames), parent_texts.shape[1]
-    if b == 0 or parent_texts.shape[0] != b or len(child_texts) != b:
-        raise DimMismatchError(
-            f"batch sizes disagree: {b} segments, {parent_texts.shape[0]} parents, {len(child_texts)} child sets"
-        )
+    b, d = parent_texts.shape
+    frames = as_stack(segment_frames, "segment_frames")
+    children = as_stack(child_texts, "child_texts", EmptyChildSequenceError)
+    for name, m in (("segment_frames", frames), ("child_texts", children)):
+        if m.shape[0] != b or m.shape[2] != d:
+            raise DimMismatchError(f"{name} must have shape ({b}, rows, {d}) for {b} parent texts, got {m.shape}")
 
-    # shapes are checked per sample, values once per stack of the samples
-    # that share a (T, N) shape
-    frames = [np.asarray(f, dtype=np.float64) for f in segment_frames]
-    children = [np.asarray(c, dtype=np.float64) for c in child_texts]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k in range(b):
-        for name, m, empty in (
-            ("segment_frames", frames[k], EmptyMatrixError),
-            ("child_texts", children[k], EmptyChildSequenceError),
-        ):
-            if m.ndim != 2 or m.shape[1] != d:
-                raise DimMismatchError(f"{name}[{k}] must have shape (rows, {d}) for joint dim {d}, got {m.shape}")
-            if len(m) == 0:
-                raise empty(f"{name}[{k}] has no rows")
-        groups.setdefault((len(frames[k]), len(children[k])), []).append(k)
-
-    # each shape group in one pass: its stacked cost matrices, one alignment
-    # call for them and their column-reversed views, and the backward of its
+    # the whole batch in one pass: its stacked cost matrices, one alignment
+    # call for them and their column-reversed views, and the backward of the
     # active hinges (an inactive hinge has an all-zero cost gradient)
     lam = cfg.lambda_dtw
-    hinge = np.empty(b)
-    dtw_frames: dict[int, np.ndarray] = {}
-    grad_children = [np.zeros_like(c) for c in children]
-    for idx in map(np.array, groups.values()):
-        f_stack = np.stack([frames[k] for k in idx])
-        c_stack = np.stack([children[k] for k in idx])
-        for name, parts, stack in (("segment_frames", frames, f_stack), ("child_texts", children, c_stack)):
-            if not np.isfinite(stack).all():
-                bad = next(k for k in idx if not np.isfinite(parts[k]).all())
-                raise NonFiniteError(f"{name}[{bad}] contains non-finite values")
-        costs = _costs(f_stack, c_stack, cfg.beta)
-        aligned, paths = align_batch(np.concatenate([costs, costs[:, :, ::-1]]), dtw_algorithm)
-        m = len(idx)
-        hinge[idx], active = _hinge(aligned[:m] - aligned[m:], cfg.phi, cfg.hinge_form)
-        if lam > 0 and active.any():
-            # the reversed matrix shares entries with the forward one, so its
-            # path folds back after un-flipping the column axis
-            grad_cost = paths[:m][active] - paths[m:][active][:, :, ::-1]
-            g_f, g_c = _costs_backward(f_stack[active], c_stack[active], cfg.beta, grad_cost * (lam / b))
-            for k, gf, gc in zip(idx[active].tolist(), g_f, g_c):
-                dtw_frames[k] = gf
-                grad_children[k] = grad_children[k] + gc
+    costs = _costs(frames, children, cfg.beta)
+    aligned, paths = align_batch(np.concatenate([costs, costs[:, :, ::-1]]), dtw_algorithm)
+    hinge, active = _hinge(aligned[:b] - aligned[b:], cfg.phi, cfg.hinge_form)
 
     pooled, pool_cache = pool_segments(frames)
-    tau = cfg.temperature_infonce
-    contrast = _info_nce(pooled @ parent_texts.T, diagonal_positives(b), tau, cfg.symmetric)
+    contrast = _info_nce(pooled @ parent_texts.T, diagonal_positives(b), cfg.temperature_infonce, cfg.symmetric)
     g_sim = contrast.grads["sim"]
-    grad_parent = g_sim.T @ pooled
-    grad_pooled = g_sim @ parent_texts
-
-    grad_rows = pool_segments_backward(grad_pooled, pool_cache)
-    grad_frames = np.split(grad_rows, np.cumsum([len(f) for f in frames])[:-1])
-    grad_frames = [g + dtw_frames[k] if k in dtw_frames else g for k, g in enumerate(grad_frames)]
-    dtw_total = 0.0
-    for value in hinge.tolist():  # sequential, not pairwise, to match a per-sample dtw_hinge sum
-        dtw_total += value
-
-    dtw_mean = dtw_total / b
-    return LossValue(
-        value=contrast.value + lam * dtw_mean,
-        grads={
-            "segment_frames": grad_frames,
-            "parent_texts": grad_parent,
-            "child_texts": grad_children,
-        },
-        components={"infonce": contrast.value, "dtw": dtw_mean},
-    )
+    grad_frames = pool_segments_backward(g_sim @ parent_texts, pool_cache)
+    grad_children = np.zeros_like(children)
+    if lam > 0 and active.any():
+        # the reversed matrix shares entries with the forward one, so its
+        # path folds back after un-flipping the column axis
+        grad_cost = paths[:b][active] - paths[b:][active][:, :, ::-1]
+        g_f, g_c = _costs_backward(frames[active], children[active], cfg.beta, grad_cost * (lam / b))
+        grad_frames[active] += g_f
+        grad_children[active] += g_c
+    # added in sample order from 0.0, as a per-sample dtw_hinge loop adds (accumulate, unlike sum, never pairs terms)
+    dtw_mean = float(0.0 + np.add.accumulate(hinge)[-1]) / b
+    grads = {"segment_frames": grad_frames, "parent_texts": g_sim.T @ pooled, "child_texts": grad_children}
+    return LossValue(contrast.value + lam * dtw_mean, grads, {"infonce": contrast.value, "dtw": dtw_mean})

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimMismatchError,
+    EmptyMatrixError,
     NonFiniteError,
     NonPositiveTemperatureError,
     ZeroVectorError,
@@ -34,6 +35,26 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
         raise DimMismatchError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteError(f"{name} contains non-finite values")
+    return m
+
+
+def as_stack(values, name: str = "stack", empty: type[Exception] = EmptyMatrixError) -> np.ndarray:
+    """Coerce a (B, rows, cols) array or B equal-shape matrices to a finite, non-empty 3-D float64 array.
+
+    A stack without cells raises ``empty``; a non-finite entry raises
+    :class:`NonFiniteError` naming the first matrix ``name[k]`` that holds one.
+    """
+    try:
+        m = np.asarray(values, dtype=np.float64)
+    except ValueError:  # matrices of different shapes
+        raise DimMismatchError(f"{name} must be one (B, rows, cols) stack; its matrices differ in shape") from None
+    if m.ndim != 3:
+        raise DimMismatchError(f"{name} must be a (B, rows, cols) stack, got shape {m.shape}")
+    if m.size == 0:
+        raise empty(f"{name} has no cells, shape {m.shape}")
+    if not np.isfinite(m).all():
+        bad = int(np.argmin(np.isfinite(m).all(axis=(1, 2))))
+        raise NonFiniteError(f"{name}[{bad}] contains non-finite values")
     return m
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClientFailureError, EmptyCorpusError, EmptyWordError, InputError
+from .errors import ClientFailureError, EmptyCorpusError, EmptyWordError, InputError, read_text
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _LETTERS = frozenset(ALPHABET)
@@ -39,16 +39,14 @@ def tokenize(text: str) -> list[str]:
 def load_vocabulary(path) -> dict[str, int]:
     """Read a word<TAB>frequency file into a dict; a malformed line raises :class:`InputError`."""
     vocab: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                word, freq = line.split("\t")
-                vocab[word] = int(freq)
-            except ValueError:
-                raise InputError(f"{path} line {lineno}: expected word<TAB>integer frequency, got {line!r}") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        try:
+            word, freq = line.split("\t")
+            vocab[word] = int(freq)
+        except ValueError:
+            raise InputError(f"{path} line {lineno}: expected word<TAB>integer frequency, got {line!r}") from None
     return vocab
 
 
@@ -205,11 +203,10 @@ def build_step_kb(titles: list[str], client) -> dict[str, list[str]]:
 
 def load_step_kb(path) -> dict[str, list[str]]:
     """Read a JSON object of title -> non-empty list of steps; anything else raises :class:`InputError`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            kb = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path} line {exc.lineno} column {exc.colno}: not valid JSON ({exc.msg})") from None
+    try:
+        kb = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} line {exc.lineno} column {exc.colno}: not valid JSON ({exc.msg})") from None
     if not isinstance(kb, dict):
         raise InputError(f"{path}: a knowledge base must be a JSON object, got a {type(kb).__name__}")
     for title, steps in kb.items():

@@ -198,7 +198,7 @@ def train_step(
         clip_rows, rows_a, rows_b = np.split(pooled, 3)
         loss = clip_lecnce(clip_rows, narr_emb, rows_a, rows_b, cfg.loss)
         grad_pooled = np.concatenate([loss.grads["clip_frames"], loss.grads["view_a"], loss.grads["view_b"]])
-        grad_frames = pool_segments_backward(grad_pooled, pool_cache)
+        grad_frames = pool_segments_backward(grad_pooled, pool_cache).reshape(3 * b * t, -1)
         grad_texts = loss.grads["narrations"]
     else:
         children = np.array([[_select_text(c, rng, cfg.p_augmented) for c in sample] for sample in batch.children])
@@ -208,8 +208,8 @@ def train_step(
 
         loss = hier_lecnce(emb.reshape(b, t, -1), text_emb[:b], text_emb[b:].reshape(b, n, -1), cfg.loss,
                            cfg.dtw_algorithm)
-        grad_frames = np.concatenate(loss.grads["segment_frames"])
-        grad_texts = np.concatenate([loss.grads["parent_texts"]] + loss.grads["child_texts"])
+        grad_frames = loss.grads["segment_frames"].reshape(b * t, -1)
+        grad_texts = np.concatenate([loss.grads["parent_texts"], loss.grads["child_texts"].reshape(b * n, -1)])
     v_grads, _ = enc.backward(state.visual, v_cache, grad_frames)
     t_grads, _ = enc.backward(state.text, t_cache, grad_texts)
 

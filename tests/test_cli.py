@@ -347,6 +347,11 @@ def _edit_manifest(data, edit, rehash=False):
     (data / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _empty_train_split(manifest):
+    manifest["holdout_procedures"] = sorted(manifest["train_procedures"] + manifest["holdout_procedures"])
+    manifest["train_procedures"] = []
+
+
 class TestCorruptFiles:
     """A damaged dataset or checkpoint exits 1 naming the file, without a traceback or any output."""
 
@@ -357,8 +362,9 @@ class TestCorruptFiles:
             (lambda d: _edit_manifest(d, lambda m: m.pop("files")), "manifest.json does not match"),
             (lambda d: _edit_manifest(d, lambda m: m["spec"].update(visual_dim=16)), "manifest.json does not match"),
             (lambda d: _edit_manifest(d, lambda m: m["spec"].update(visual_dim=16), rehash=True), "groundtruth.bin has"),
+            (lambda d: _edit_manifest(d, _empty_train_split, rehash=True), "manifest.json lists no train procedures"),
         ],
-        ids=["flipped_data", "no_files", "visual_dim", "visual_dim_rehashed"],
+        ids=["flipped_data", "no_files", "visual_dim", "visual_dim_rehashed", "empty_train_rehashed"],
     )
     def test_damaged_dataset(self, tmp_path, capsys, small_config, generated, damage, named):
         damage(generated)
@@ -413,6 +419,50 @@ class TestCorruptFiles:
         err = capsys.readouterr().err
         assert f"checkpoint {path}" in err and named in err, err
         assert not (tmp_path / "eval").exists()
+
+
+NOT_UTF8 = b'{"seed": 1}\n\xff\xfe\n'
+
+
+def _path_error_case(case, tmp_path, config, data):
+    """(argv, the path the error must name, the output path that must not appear) of one bad-path case."""
+    out = tmp_path / "out"
+    bad = tmp_path / "bad"
+    if case.endswith("_dir"):
+        bad.mkdir()
+    else:
+        bad.write_bytes(NOT_UTF8)
+    records = tmp_path / "in.jsonl"
+    records.write_text(json.dumps({"text": "clipping", "level": "narration"}) + "\n")
+    argv = {
+        "generate-data --out file": ["generate-data", "--spec", str(config), "--out", str(bad)],
+        "generate-data --spec not_utf8": ["generate-data", "--spec", str(bad), "--out", str(out)],
+        "train --config config_dir": ["train", "--config", str(bad), "--data", str(data), "--out", str(out)],
+        "train --data file": ["train", "--config", str(config), "--data", str(bad), "--out", str(out)],
+        "eval --checkpoint checkpoint_dir": ["eval", "--config", str(config), "--checkpoint", str(bad),
+                                             "--data", str(data), "--out", str(out)],
+        "augment --in not_utf8": ["augment", "--in", str(bad), "--out", str(out)],
+        "augment --vocab not_utf8": ["augment", "--vocab", str(bad), "--in", str(records), "--out", str(out)],
+        "augment --kb not_utf8": ["augment", "--kb", str(bad), "--in", str(records), "--out", str(out)],
+        "dtw-inspect --matrix not_utf8": ["dtw-inspect", "--matrix", str(bad)],
+    }[case]
+    return argv, bad, out
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["generate-data --out file", "generate-data --spec not_utf8", "train --config config_dir", "train --data file",
+     "eval --checkpoint checkpoint_dir", "augment --in not_utf8", "augment --vocab not_utf8", "augment --kb not_utf8",
+     "dtw-inspect --matrix not_utf8"],
+)
+def test_bad_path_named_with_exit_1(tmp_path, capsys, small_config, generated, case):
+    argv, bad, out = _path_error_case(case, tmp_path, small_config, generated)
+    before = bad.read_bytes() if bad.is_file() else None
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err, err
+    assert not out.exists()
+    assert (bad.read_bytes() if bad.is_file() else None) == before
 
 
 class TestAugmentCommand:

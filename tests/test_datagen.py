@@ -321,6 +321,12 @@ def rehash(manifest: dict) -> dict:
     return {**body, "manifest_sha256": hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()}
 
 
+def _empty_split(manifest: dict, empty: str, other: str) -> None:
+    """Move every procedure id of split ``empty`` into split ``other``."""
+    manifest[other] = sorted(manifest[other] + manifest[empty])
+    manifest[empty] = []
+
+
 # edits of the manifest that keep it valid JSON; each is also tried with a
 # recomputed manifest_sha256, which the size and structure checks must catch
 MANIFEST_EDITS = {
@@ -339,6 +345,8 @@ MANIFEST_EDITS = {
     "ragged_orders": lambda m: m["step_orders"][1].pop(),
     "duplicate_id": lambda m: m["train_procedures"].append(m["holdout_procedures"][0]),
     "id_as_string": lambda m: m.update(holdout_procedures=[str(i) for i in m["holdout_procedures"]]),
+    "empty_train": lambda m: _empty_split(m, "train_procedures", "holdout_procedures"),
+    "empty_holdout": lambda m: _empty_split(m, "holdout_procedures", "train_procedures"),
 }
 
 

@@ -270,28 +270,30 @@ class TestStackedCostBuild:
     def test_hier_lecnce_aligns_per_sample_matrices(self, ragged, d):
         rng = make_rng(43 + d)
         b = 30
-        shapes = rng.integers(1, 6, size=(b, 2)) if ragged else np.tile([16, 4], (b, 1))
-        frames = [unit_rows(rng, int(t), d) for t, _ in shapes]
-        children = [unit_rows(rng, int(n), d) for _, n in shapes]
+        frames = [unit_rows(rng, 16, d) for _ in range(b)]
+        children = [unit_rows(rng, 4, d) for _ in range(b)]
+        if ragged:
+            frames[7] = frames[7][:5]
         seen = []
 
         def recording_align_batch(matrices, algorithm="dp"):
-            seen.append([np.array(m) for m in matrices])
+            seen.append(np.array(matrices))
             return alignment.align_batch(matrices, algorithm)
 
         with mock.patch.object(losses, "align_batch", recording_align_batch):
+            if ragged:  # refused at the entry, before any alignment
+                with pytest.raises(DimMismatchError, match="segment_frames"):
+                    hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(), "dp")
+                assert not seen
+                return
             hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(), "dp")
-        # one call per (T, N) shape group, in order of first appearance
-        groups = {}
-        for k, shape in enumerate(map(tuple, shapes.tolist())):
-            groups.setdefault(shape, []).append(k)
-        assert len(seen) == len(groups) and (len(groups) > 1) == ragged
-        for matrices, idx in zip(seen, groups.values()):
-            assert len(matrices) == 2 * len(idx)
-            for i, k in enumerate(idx):
-                want = build_cost_matrix(frames[k], children[k], 0.1, validate=False).values
-                np.testing.assert_array_equal(matrices[i], want)
-                np.testing.assert_array_equal(matrices[len(idx) + i], want[:, ::-1])
+        # one call: the forward matrices, then their column-reversed views
+        (matrices,) = seen
+        assert matrices.shape == (2 * b, 16, 4)
+        for k in range(b):
+            want = build_cost_matrix(frames[k], children[k], 0.1, validate=False).values
+            np.testing.assert_array_equal(matrices[k], want)
+            np.testing.assert_array_equal(matrices[b + k], want[:, ::-1])
 
 
 class TestDtwHinge:
@@ -404,10 +406,9 @@ class TestHierLecnce:
         assert abs(out.value - expected) < 1e-12
 
     def test_empty_children_raises(self):
-        frames, parents, children = _hier_instance(25)
-        children[1] = np.empty((0, 5))
-        with pytest.raises(EmptyChildSequenceError):
-            hier_lecnce(frames, parents, children, LossConfig())
+        frames, parents, _ = _hier_instance(25)
+        with pytest.raises(EmptyChildSequenceError, match="child_texts"):
+            hier_lecnce(frames, parents, np.empty((3, 0, 5)), LossConfig())
 
     def test_gradients_match_finite_differences(self):
         _check_hier_gradients("greedy")
@@ -422,36 +423,39 @@ class TestHierLecnceEntryChecks:
     @pytest.mark.parametrize("ragged", [False, True])
     def test_empty_segment(self, ragged):
         frames, parents, children = _hier_instance(50, b=4)
-        if ragged:
-            frames[0] = frames[0][:2]
-        frames[2] = np.empty((0, 5))
-        with pytest.raises(EmptyMatrixError, match=r"segment_frames\[2\]"):
-            hier_lecnce(frames, parents, children, LossConfig())
+        if ragged:  # one empty segment among full ones is a ragged list
+            frames[2] = np.empty((0, 5))
+            with pytest.raises(DimMismatchError, match="segment_frames"):
+                hier_lecnce(frames, parents, children, LossConfig())
+        else:
+            with pytest.raises(EmptyMatrixError, match="segment_frames"):
+                hier_lecnce(np.empty((4, 0, 5)), parents, children, LossConfig())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("ragged", [False, True])
     @pytest.mark.parametrize("name", ["segment_frames", "child_texts"])
     def test_non_finite(self, bad, ragged, name):
         frames, parents, children = _hier_instance(51, b=4)
-        if ragged:
-            children[0] = children[0][:1]
         parts = frames if name == "segment_frames" else children
         parts[3] = parts[3].copy()
         parts[3][1, 2] = bad
-        with pytest.raises(NonFiniteError, match=rf"{name}\[3\]"):
-            hier_lecnce(frames, parents, children, LossConfig(), "dp")
+        if ragged:  # the shape is checked before the values
+            parts[0] = parts[0][:1]
+            with pytest.raises(DimMismatchError, match=name):
+                hier_lecnce(frames, parents, children, LossConfig(), "dp")
+        else:
+            with pytest.raises(NonFiniteError, match=rf"{name}\[3\]"):
+                hier_lecnce(np.stack(frames), parents, np.stack(children), LossConfig(), "dp")
 
     def test_child_dim_mismatch(self):
         frames, parents, children = _hier_instance(52, b=3)
-        children[1] = unit_rows(make_rng(53), 3, 4)
-        with pytest.raises(DimMismatchError):
-            hier_lecnce(frames, parents, children, LossConfig())
+        with pytest.raises(DimMismatchError, match="child_texts"):
+            hier_lecnce(frames, parents, np.stack(children)[:, :, :4], LossConfig())
 
     def test_one_dimensional_segment(self):
         frames, parents, children = _hier_instance(54, b=3)
-        frames[2] = frames[2][0]
-        with pytest.raises(DimMismatchError):
-            hier_lecnce(frames, parents, children, LossConfig())
+        with pytest.raises(DimMismatchError, match="segment_frames"):
+            hier_lecnce(np.stack(frames)[:, 0], parents, children, LossConfig())
 
     @pytest.mark.parametrize(
         "name, k, make_bad",
@@ -463,11 +467,34 @@ class TestHierLecnceEntryChecks:
         ],
     )
     def test_shape_errors_name_the_input(self, name, k, make_bad):
+        # one matrix of another shape makes the list ragged
         frames, parents, children = _hier_instance(55, b=3)
         parts = frames if name == "segment_frames" else children
         parts[k] = make_bad(parts[k])
-        with pytest.raises(DimMismatchError, match=rf"{name}\[{k}\]"):
+        with pytest.raises(DimMismatchError, match=name):
             hier_lecnce(frames, parents, children, LossConfig())
+
+    @pytest.mark.parametrize(
+        "name, make_bad",
+        [
+            ("segment_frames", lambda m: m[:2]),  # B
+            ("segment_frames", lambda m: m[:, :, :4]),  # d
+            ("segment_frames", lambda m: m[..., None]),  # rank
+            ("child_texts", lambda m: m[:, :, :3]),  # d
+            ("child_texts", lambda m: m[0]),  # rank
+            ("child_texts", lambda m: np.concatenate([m, m])),  # B
+        ],
+    )
+    def test_stack_shape_errors_name_the_input(self, name, make_bad):
+        frames, parents, children = _hier_instance(57, b=3)
+        stacks = {"segment_frames": np.stack(frames), "child_texts": np.stack(children)}
+        stacks[name] = make_bad(stacks[name])
+        with pytest.raises(DimMismatchError, match=name):
+            hier_lecnce(stacks["segment_frames"], parents, stacks["child_texts"], LossConfig())
+
+    def test_empty_batch(self):
+        with pytest.raises(EmptyMatrixError, match="segment_frames"):
+            hier_lecnce(np.empty((0, 4, 5)), np.empty((0, 5)), np.empty((0, 3, 5)), LossConfig())
 
 
 class TestHierLecnceValidatesOnce:
@@ -561,6 +588,17 @@ def per_sample_hier_lecnce(frames, parents, children, cfg, algorithm):
     return contrast.value + cfg.lambda_dtw * (total / b), grads, components, active
 
 
+def assert_equals_per_sample(frames, parents, children, cfg, algorithm):
+    """hier_lecnce on the stacked batch == per_sample_hier_lecnce, its gradients stacked."""
+    out = hier_lecnce(np.stack(frames), parents, np.stack(children), cfg, algorithm)
+    value, grads, components, _ = per_sample_hier_lecnce(frames, parents, children, cfg, algorithm)
+    assert out.value == value
+    assert out.components == components
+    np.testing.assert_array_equal(out.grads["parent_texts"], grads["parent_texts"])
+    for name in ("segment_frames", "child_texts"):
+        np.testing.assert_array_equal(out.grads[name], np.stack(grads[name]))
+
+
 class TestHierLecnceBatchedAlignment:
     """The one-call alignment in hier_lecnce equals a per-sample dtw_hinge loop exactly."""
 
@@ -577,16 +615,30 @@ class TestHierLecnceBatchedAlignment:
         parents = unit_rows(rng, b, d)
         # phi near the typical cost gap leaves some hinges active and some not
         cfg = LossConfig(lambda_dtw=lam, phi=0.5, hinge_form=form)
-        out = hier_lecnce(frames, parents, children, cfg, algorithm)
-        value, grads, components, active = per_sample_hier_lecnce(frames, parents, children, cfg, algorithm)
-        assert 0 < active < b
-        assert out.value == value
-        assert out.components == components
-        np.testing.assert_array_equal(out.grads["parent_texts"], grads["parent_texts"])
-        for name in ("segment_frames", "child_texts"):
-            assert len(out.grads[name]) == b
-            for got, want in zip(out.grads[name], grads[name]):
-                np.testing.assert_array_equal(got, want)
+        if ragged:  # a batch of several (T, N) shapes is refused, not grouped
+            with pytest.raises(DimMismatchError, match="segment_frames"):
+                hier_lecnce(frames, parents, children, cfg, algorithm)
+            return
+        assert_equals_per_sample(frames, parents, children, cfg, algorithm)
+        assert 0 < per_sample_hier_lecnce(frames, parents, children, cfg, algorithm)[3] < b
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # (B, T, N, d); at d == 1 two unit rows of opposite sign pool to zero
+        shape=st.tuples(st.integers(1, 10), st.integers(1, 12), st.integers(1, 6), st.integers(2, 8)),
+        algorithm=st.sampled_from(["dp", "greedy"]),
+        form=st.sampled_from(["standard", "literal"]),
+        lam=st.sampled_from([0.0, 0.01, 0.7]),
+        phi=st.sampled_from([0.0, 0.1, 0.5, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_equals_per_sample_hinge(self, shape, algorithm, form, lam, phi, seed):
+        rng = make_rng(seed)
+        b, t, n, d = shape
+        frames = [unit_rows(rng, t, d) for _ in range(b)]
+        children = [unit_rows(rng, n, d) for _ in range(b)]
+        cfg = LossConfig(lambda_dtw=lam, phi=phi, hinge_form=form)
+        assert_equals_per_sample(frames, unit_rows(rng, b, d), children, cfg, algorithm)
 
 
     def test_exact_tie_is_inactive(self):
@@ -600,33 +652,27 @@ class TestHierLecnceBatchedAlignment:
             children.append(np.stack([a, m, a]))
         parents = unit_rows(rng, 3, 5)
         cfg = LossConfig(lambda_dtw=1.0, phi=0.0)
-        out = hier_lecnce(frames, parents, children, cfg, "dp")
-        value, grads, components, active = per_sample_hier_lecnce(frames, parents, children, cfg, "dp")
+        _, _, components, active = per_sample_hier_lecnce(frames, parents, children, cfg, "dp")
         assert active == 0 and components["dtw"] == 0.0
-        assert out.value == value
-        for name in ("segment_frames", "child_texts"):
-            for got, want in zip(out.grads[name], grads[name]):
-                np.testing.assert_array_equal(got, want)
+        assert_equals_per_sample(frames, parents, children, cfg, "dp")
 
 
 def assert_pool_matches_per_matrix(segments, grad_pooled):
-    """pool_segments and its backward equal mean_pool_rows(_backward) per segment with ==."""
+    """pool_segments and its backward on a (B, T, d) stack equal mean_pool_rows(_backward) per segment with ==."""
     pooled, cache = pool_segments(segments)
     grad_rows = pool_segments_backward(grad_pooled, cache)
     assert pooled.shape == grad_pooled.shape
-    assert grad_rows.shape == (sum(len(s) for s in segments), pooled.shape[1])
-    start = 0
+    assert grad_rows.shape == segments.shape
     for k, seg in enumerate(segments):
         row, seg_cache = mean_pool_rows(seg)
         np.testing.assert_array_equal(pooled[k], row)
-        np.testing.assert_array_equal(grad_rows[start : start + len(seg)], mean_pool_rows_backward(grad_pooled[k], seg_cache))
-        start += len(seg)
+        np.testing.assert_array_equal(grad_rows[k], mean_pool_rows_backward(grad_pooled[k], seg_cache))
 
 
 class TestMeanPool:
     def test_forward_is_renormalized_mean(self):
         rng = make_rng(26)
-        segments = [rng.normal(size=(t, 4)) for t in (5, 2, 5)]
+        segments = rng.normal(size=(3, 5, 4))
         pooled, _ = pool_segments(segments)
         for k, rows in enumerate(segments):
             mean = rows.mean(axis=0)
@@ -634,45 +680,53 @@ class TestMeanPool:
 
     def test_backward_matches_finite_differences(self):
         rng = make_rng(27)
-        lengths = (4, 1, 3)
-        rows = rng.normal(size=(sum(lengths), 3))
-        w = rng.normal(size=(len(lengths), 3))
+        segments = rng.normal(size=(3, 4, 3))
+        w = rng.normal(size=(3, 3))
 
         def f(flat):
-            pooled, _ = pool_segments(np.split(flat.reshape(-1, 3), np.cumsum(lengths)[:-1]))
+            pooled, _ = pool_segments(flat.reshape(segments.shape))
             return float((w * pooled).sum())
 
-        _, cache = pool_segments(np.split(rows, np.cumsum(lengths)[:-1]))
+        _, cache = pool_segments(segments)
         analytic = pool_segments_backward(w, cache)
-        numeric = finite_diff_grad(f, rows.ravel())
-        assert rel_error(analytic, numeric) < 1e-6
+        numeric = finite_diff_grad(f, segments.ravel())
+        assert rel_error(analytic, numeric.reshape(segments.shape)) < 1e-6
 
     @pytest.mark.parametrize(
         "lengths, d",
-        [((6, 6, 6, 6), 32), ((4,) * 48, 32), ((7, 1, 3, 7, 12, 2), 5), ((1, 1, 1), 8), ((1,), 3), ((33, 9, 31, 13, 14), 1)],
+        [((6, 6, 6, 6), 32), ((4,) * 48, 32), ((7,) * 6, 5), ((1, 1, 1), 8), ((1,), 3), ((150,) * 5, 1)],
     )
     def test_equals_per_matrix_oracle(self, lengths, d):
+        # d == 1 with T > 128 runs numpy's pairwise sum along T in blocks
         rng = make_rng(sum(lengths) + d)
-        segments = [rng.normal(size=(t, d)) for t in lengths]
+        segments = rng.normal(size=(len(lengths), lengths[0], d))
         assert_pool_matches_per_matrix(segments, rng.normal(size=(len(lengths), d)))
 
     @settings(max_examples=80, deadline=None)
     @given(
-        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
-        d=st.integers(1, 64),
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 160), st.integers(1, 64)),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_property_equals_per_matrix_oracle(self, lengths, d, scale, seed):
+    def test_property_equals_per_matrix_oracle(self, shape, scale, seed):
         rng = make_rng(seed)
-        segments = [scale * rng.normal(size=(t, d)) for t in lengths]
-        assert_pool_matches_per_matrix(segments, rng.normal(size=(len(lengths), d)))
+        segments = scale * rng.normal(size=shape)
+        assert_pool_matches_per_matrix(segments, rng.normal(size=(shape[0], shape[2])))
+
+    def test_bad_stacks_raise(self):
+        rng = make_rng(30)
+        with pytest.raises(DimMismatchError, match="segments"):
+            pool_segments([rng.normal(size=(3, 4)), rng.normal(size=(2, 4))])
+        with pytest.raises(DimMismatchError, match="segments"):
+            pool_segments(rng.normal(size=(3, 4)))
+        with pytest.raises(EmptyMatrixError, match="segments"):
+            pool_segments(np.empty((2, 0, 4)))
 
     def test_collapsed_mean_raises(self):
         rng = make_rng(29)
         row = rng.normal(size=4)
         with pytest.raises(ZeroVectorError, match="segment 1"):
-            pool_segments([rng.normal(size=(3, 4)), np.stack([row, -row])])
+            pool_segments([rng.normal(size=(2, 4)), np.stack([row, -row])])
 
 
 class TestOrderedSamplesPreferForward:
