@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -167,6 +168,12 @@ def resolve_seed(flag_seed, config: dict) -> int:
     return seed
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise the error making ``out_dir`` would raise, before a command does any work and without making it."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
+
+
 def _write_run_records(out_dir: str, config: dict, seed: int) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
@@ -186,6 +193,7 @@ def _cmd_generate_data(args) -> int:
     config = load_config(args.spec)
     seed = resolve_seed(args.seed, config)
     spec, split, _, _ = build(config, seed)
+    _check_out_dir(args.out)
     train, holdout = generate_dataset(spec, split.n_procedures, split.holdout_fraction)
     save_dataset(train, holdout, args.out)
     _write_run_records(args.out, config, seed)
@@ -199,6 +207,7 @@ def _cmd_train(args) -> int:
     config = load_config(args.config)
     seed = resolve_seed(args.seed, config)
     _, _, cfg, _ = build(config, seed)
+    _check_out_dir(args.out)
     train, _ = load_dataset(args.data)
     _write_run_records(args.out, config, seed)
     _, log = train_run(cfg, train, out_dir=args.out)
@@ -213,6 +222,7 @@ def _cmd_eval(args) -> int:
     seed = resolve_seed(args.seed, config)
     _, _, _, opts = build(config, seed)
     run_all = not (args.zero_shot or args.retrieval or args.probe)
+    _check_out_dir(args.out)
     train, holdout = load_dataset(args.data)
     # stride the held-out clips so the retrieval set covers all procedures
     clips = holdout.samples["clip"]
@@ -254,15 +264,16 @@ def _cmd_eval(args) -> int:
         probe = evalkit.linear_probe(
             enc.forward(visual, picked.frames.reshape(-1, train.spec.visual_dim)),
             picked.labels.ravel(),
-            lr=opts.probe_lr,
             weight_decay=opts.probe_weight_decay,
             epochs=opts.probe_epochs,
             rng=make_rng(seed),
             test_features=frame_embs,
             test_labels=holdout_video_labels,
         )
-        print(f"probe accuracy {probe.accuracy:.4f}  macro_f1 {probe.macro_f1:.4f}")
-        report.probe = {"accuracy": probe.accuracy, "macro_f1": probe.macro_f1, "per_class_f1": probe.per_class_f1}
+        print(f"probe accuracy {probe.accuracy:.4f}  macro_f1 {probe.macro_f1:.4f}  "
+              f"({probe.iterations} iterations, grad norm {probe.grad_norm:.2e})")
+        report.probe = {"accuracy": probe.accuracy, "macro_f1": probe.macro_f1, "per_class_f1": probe.per_class_f1,
+                        "iterations": probe.iterations, "grad_norm": probe.grad_norm}
 
     report.modality_gap = evalkit.modality_gap(clip_rows, narr_rows)
 

@@ -31,17 +31,14 @@ class EvalConfig:
 
     recall_ks: tuple[int, ...] = (1, 5, 10)
     retrieval_size: int = 32
-    probe_lr: float = 0.001
     probe_weight_decay: float = 0.0005
-    probe_epochs: int = 40
+    probe_epochs: int = 40  # L-BFGS iteration cap
     shots: float = 100  # percent of the training procedures the probe sees
 
     def __post_init__(self):
         if not self.recall_ks or min(self.recall_ks) < 1:
             raise FieldValueError("recall_ks", f"must list cut-offs >= 1, got {self.recall_ks}")
         check_minimums(self, retrieval_size=1, probe_weight_decay=0, probe_epochs=1)
-        if not self.probe_lr > 0:
-            raise FieldValueError("probe_lr", f"must be > 0, got {self.probe_lr}")
         if not 0 < self.shots <= 100:
             raise FieldValueError("shots", f"must be in (0, 100], got {self.shots}")
 
@@ -96,38 +93,92 @@ def pool_video_embedding(frames, n_samples: int = 10) -> np.ndarray:
     return mean / norm
 
 
+def _class_ids(values, name: str, n_classes: float = np.inf) -> np.ndarray:
+    """``values`` as an int array; an entry that is not a whole number in [0, n_classes) raises FieldValueError."""
+    values = np.asarray(values)
+    ok = (values == np.round(values)) & (values >= 0) & (values < n_classes)
+    if not ok.all():
+        raise FieldValueError(name, f"must be whole class ids in [0, {n_classes}), got {values[~ok].flat[0]}")
+    return values.astype(int)
+
+
 @dataclass
 class ProbeResult:
-    """Trained linear head with its held-out metrics."""
+    """Trained linear head with its held-out metrics and how far the fit converged."""
 
     weights: np.ndarray
     bias: np.ndarray
     accuracy: float
     macro_f1: float
     per_class_f1: list[float]
+    iterations: int
+    grad_norm: float
+
+
+PROBE_TOL = 1e-4  # the fit stops once the objective's gradient norm is below this
+_MEMORY = 10  # curvature pairs the L-BFGS direction remembers
+_ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
+_HALVINGS = 40  # step halvings before a line search gives up and the fit stops
+
+
+def _probe_objective(x, y, k, wd):
+    """The objective of :func:`linear_probe` with ``k`` classes, computed in one reused (n, k) buffer.
+
+    Returns a function of the flat parameters ``theta`` (``w`` row-major, then
+    ``b``) giving mean NLL + wd/2 * |w|^2 and its flat gradient.  A trial
+    point so far out that the logits overflow gives a NaN loss, which the
+    line search rejects, instead of a warning.
+    """
+    n, d = x.shape
+    buf = np.empty((n, k))
+    rows = np.arange(n)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def f(theta):
+        w, b = theta[: d * k].reshape(d, k), theta[d * k :]
+        z = np.matmul(x, w, out=buf)
+        z += b
+        z -= z.max(axis=1, keepdims=True)
+        true = z[rows, y]
+        np.exp(z, out=z)
+        total = z.sum(axis=1)
+        loss = (np.log(total).sum() - true.sum()) / n + 0.5 * wd * float(np.dot(theta[: d * k], theta[: d * k]))
+        z /= total[:, None]
+        z[rows, y] -= 1.0
+        z /= n
+        return loss, np.concatenate([(x.T @ z + wd * w).ravel(), z.sum(axis=0)])
+
+    return f
 
 
 def linear_probe(
     features,
     labels,
-    lr: float = EvalConfig.probe_lr,
+    lr: float = 1.0,
     weight_decay: float = EvalConfig.probe_weight_decay,
     epochs: int = EvalConfig.probe_epochs,
     rng: np.random.Generator | None = None,
     test_features=None,
     test_labels=None,
     test_fraction: float = 0.25,
-    batch_size: int = 32,
+    tol: float = PROBE_TOL,
 ) -> ProbeResult:
-    """Multinomial logistic regression on frozen features via mini-batch SGD.
+    """Multinomial logistic regression on frozen features, fit by full-batch L-BFGS.
 
-    The classifier starts at zero and never modifies the features.  When no
-    explicit test set is given, a seeded fraction of the rows is held out.
+    Minimises mean NLL + weight_decay/2 * |W|^2 (the bias is not decayed),
+    starting from zero, until the gradient norm is below ``tol`` or after
+    ``epochs`` iterations, each one full-batch pass.  ``lr`` is the step
+    length of the first iteration, taken before any curvature pair exists.
+    The fit is deterministic and, up to rounding, independent of the row
+    order; ``rng`` only draws the held-out split when no explicit test set
+    is given.  The features are never modified.
     """
     features = as_matrix(features, "features")
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape[0] != features.shape[0]:
-        raise LengthMismatchError(f"{labels.shape[0]} labels for {features.shape[0]} rows")
+    labels = _class_ids(labels, "labels")
+    if labels.shape != (features.shape[0],):
+        raise LengthMismatchError(f"labels of shape {labels.shape} for {features.shape[0]} rows")
+    if (test_features is None) != (test_labels is None):
+        raise FieldValueError("test_features", "and test_labels must be given together")
     rng = rng if rng is not None else make_rng(0)
 
     if test_features is None:
@@ -140,34 +191,54 @@ def linear_probe(
     else:
         x_train, y_train = features, labels
         x_test = as_matrix(test_features, "test_features")
-        y_test = np.asarray(test_labels, dtype=int)
+        y_test = _class_ids(test_labels, "test_labels")
+        if x_test.shape[1] != features.shape[1]:
+            raise DimMismatchError(f"test_features have dim {x_test.shape[1]}, features {features.shape[1]}")
+        if y_test.shape != (x_test.shape[0],):
+            raise LengthMismatchError(f"test_labels of shape {y_test.shape} for {x_test.shape[0]} test rows")
 
     classes = np.unique(y_train)
     if classes.size < 2:
         raise SingleClassError(f"training labels contain {classes.size} class(es)")
-    n_classes = int(max(labels.max(), y_test.max())) + 1
+    n_classes = int(max(labels.max(), y_test.max(initial=0))) + 1
 
     d = x_train.shape[1]
-    w = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
-    n_train = x_train.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            logits = xb @ w + b
-            logits -= logits.max(axis=1, keepdims=True)
-            p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(len(idx)), yb] -= 1.0
-            p /= len(idx)
-            w -= lr * (xb.T @ p + weight_decay * w)
-            b -= lr * p.sum(axis=0)
+    objective = _probe_objective(x_train, y_train, n_classes, weight_decay)
+    theta = np.zeros((d + 1) * n_classes)
+    loss, grad = objective(theta)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y), oldest first
+    iterations = 0
+    while iterations < epochs and np.linalg.norm(grad) >= tol:
+        # two-loop recursion: direction = -H grad, H0 scaled by the newest pair (lr before any)
+        q = grad.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * float(s @ q))
+            q -= alphas[-1] * y
+        q *= float(pairs[-1][0] @ pairs[-1][1]) / float(pairs[-1][1] @ pairs[-1][1]) if pairs else lr
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * float(y @ q)) * s
+        slope = -float(grad @ q)
+        step = 1.0
+        for _ in range(_HALVINGS):
+            new_loss, new_grad = objective(theta - step * q)
+            if new_loss <= loss + _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break  # no sufficient decrease: the reported gradient norm shows where the fit stopped
+        s, y = -step * q, new_grad - grad
+        theta, loss, grad = theta + s, new_loss, new_grad
+        iterations += 1
+        sy = float(s @ y)
+        if sy > 1e-12:  # a pair without positive curvature would break the two-loop recursion
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-_MEMORY:]
 
+    w, b = theta[: d * n_classes].reshape(d, n_classes), theta[d * n_classes :]
     preds = np.argmax(x_test @ w + b, axis=1)
     acc, macro, per_class = accuracy_f1(preds, y_test, n_classes)
-    return ProbeResult(weights=w, bias=b, accuracy=acc, macro_f1=macro, per_class_f1=per_class)
+    return ProbeResult(weights=w, bias=b, accuracy=acc, macro_f1=macro, per_class_f1=per_class,
+                       iterations=iterations, grad_norm=float(np.linalg.norm(grad)))
 
 
 def accuracy_f1(preds, labels, n_classes: int) -> tuple[float, float, list[float]]:
@@ -175,12 +246,10 @@ def accuracy_f1(preds, labels, n_classes: int) -> tuple[float, float, list[float
 
     A class absent from both predictions and labels contributes F1 = 0.
     """
-    preds = np.asarray(preds, dtype=int)
-    labels = np.asarray(labels, dtype=int)
+    preds = _class_ids(preds, "preds", n_classes)
+    labels = _class_ids(labels, "labels", n_classes)
     if preds.shape != labels.shape:
         raise LengthMismatchError(f"preds shape {preds.shape} != labels shape {labels.shape}")
-    if labels.size and (labels.max() >= n_classes or preds.max() >= n_classes):
-        raise ValueError("label or prediction out of range")
     accuracy = float(np.mean(preds == labels)) if labels.size else 0.0
     per_class = []
     for c in range(n_classes):
@@ -207,7 +276,8 @@ def modality_gap(image_embs, text_embs) -> float:
 class EvalReport:
     """Bundle of metrics with a fixed JSON wire format; ``accuracy`` and ``*_f1`` are zero-shot.
 
-    ``probe``, written only when the linear probe ran, holds its accuracy, macro_f1 and per_class_f1.
+    ``probe``, written only when the linear probe ran, holds its accuracy, macro_f1, per_class_f1,
+    and the iterations and final gradient norm of its fit.
     """
 
     accuracy: float | None = None

@@ -1,7 +1,8 @@
 """Shared oracles for the test suite: finite-difference comparison, the
-tie-margin filter that keeps DTW gradient checks away from path ties, and
-the per-row InfoNCE, per-matrix pooling, per-block training step and
-per-sample batcher that the batched code must reproduce."""
+tie-margin filter that keeps DTW gradient checks away from path ties, the
+per-row InfoNCE, per-matrix pooling, per-block training step and
+per-sample batcher that the batched code must reproduce, and a Newton
+solver for the linear probe's objective."""
 
 import numpy as np
 
@@ -244,3 +245,48 @@ def per_block_train_step(level, batch, state, cfg, rng, global_step=0):
     state.visual, state.visual_opt = enc.adamw_step(state.visual, v_grads, state.visual_opt)
     state.text, state.text_opt = enc.adamw_step(state.text, t_grads, state.text_opt)
     return loss
+
+
+def probe_objective(x, y, w, b, weight_decay) -> float:
+    """Mean NLL of a linear softmax head plus weight_decay/2 * |w|^2, one row at a time."""
+    nll = 0.0
+    for row, c in zip(x @ w + b, y):
+        top = row.max()
+        nll += float(top + np.log(np.sum(np.exp(row - top))) - row[c])
+    return nll / len(y) + 0.5 * weight_decay * float(np.sum(w * w))
+
+
+def newton_probe(x, y, n_classes, weight_decay, iterations=60):
+    """(w, b) minimising :func:`probe_objective`, by damped Newton with the exact Hessian.
+
+    For small problems only: the Hessian has ((d + 1) k)^2 entries.  It is
+    singular along a common shift of the bias, so each step is the
+    minimum-norm solution, which keeps the bias summing to zero as a
+    solver started at zero does.
+    """
+    n, d = x.shape
+    xa = np.hstack([x, np.ones((n, 1))])
+    onehot = np.eye(n_classes)[y]
+    decay = np.full((d + 1, n_classes), weight_decay)
+    decay[d] = 0.0  # the bias row
+    theta = np.zeros((d + 1, n_classes))
+
+    def value(t):
+        return probe_objective(x, y, t[:d], t[d], weight_decay)
+
+    for _ in range(iterations):
+        logits = xa @ theta
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        grad = xa.T @ (p - onehot) / n + decay * theta
+        if np.linalg.norm(grad) < 1e-13:
+            break
+        curvature = np.einsum("nj,jl->njl", p, np.eye(n_classes)) - np.einsum("nj,nl->njl", p, p)
+        hessian = np.einsum("na,nb,njl->ajbl", xa, xa, curvature).reshape(grad.size, grad.size) / n
+        hessian += np.diag(decay.ravel())
+        step = np.linalg.lstsq(hessian, grad.ravel(), rcond=None)[0].reshape(grad.shape)
+        t, f0, slope = 1.0, value(theta), float(np.sum(grad * step))
+        while value(theta - t * step) > f0 - 1e-4 * t * slope and t > 1e-12:
+            t *= 0.5
+        theta = theta - t * step
+    return theta[:d], theta[d]

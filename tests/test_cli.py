@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecnce import encoders
+from lecnce import cli, encoders
 from lecnce.cli import load_config, resolve_seed, run
 from lecnce.datagen import ProcedureSpec, SplitSpec
 from lecnce.encoders import init_params, save_checkpoint
 from lecnce.errors import ConfigError, UnknownKeyError
-from lecnce.evalkit import EvalConfig
+from lecnce.evalkit import PROBE_TOL, EvalConfig
 from lecnce.losses import LossConfig
 from lecnce.textaug import MockAugmenterClient, build_step_kb
 from lecnce.trainer import TrainConfig
@@ -59,7 +59,6 @@ PINNED_DEFAULTS = {
     "eval": {
         "recall_ks": [1, 5, 10],
         "retrieval_size": 32,
-        "probe_lr": 0.001,
         "probe_weight_decay": 0.0005,
         "probe_epochs": 40,
         "shots": 100,
@@ -124,6 +123,12 @@ class TestLoadConfig:
         path = tmp_path / "c.json"
         path.write_text('{"loss": {"lamda": 0.1}}')
         with pytest.raises(UnknownKeyError, match="loss.lamda"):
+            load_config(str(path))
+
+    def test_probe_lr_is_gone(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"eval": {"probe_lr": 0.001}}')
+        with pytest.raises(UnknownKeyError, match="eval.probe_lr"):
             load_config(str(path))
 
     def test_parse_error_has_position(self, tmp_path):
@@ -328,6 +333,7 @@ class TestEvalCommand:
         assert probe_only["accuracy"] is None and probe_only["per_class_f1"] == []
         assert probe_only["probe"] == reports[None]["probe"]
         assert 0.0 <= probe_only["probe"]["accuracy"] <= 1.0 and len(probe_only["probe"]["per_class_f1"]) == 8
+        assert 1 <= probe_only["probe"]["iterations"] <= 40 and probe_only["probe"]["grad_norm"] < PROBE_TOL
         assert reports[None]["accuracy"] == reports["--zero-shot"]["accuracy"]
         assert "probe" not in reports["--zero-shot"]
 
@@ -434,6 +440,8 @@ def _path_error_case(case, tmp_path, config, data):
         bad.write_bytes(NOT_UTF8)
     records = tmp_path / "in.jsonl"
     records.write_text(json.dumps({"text": "clipping", "level": "narration"}) + "\n")
+    checkpoint = tmp_path / "c.json"
+    save_checkpoint(checkpoint, init_params([12, 6]), init_params([9, 6]))
     argv = {
         "generate-data --out file": ["generate-data", "--spec", str(config), "--out", str(bad)],
         "generate-data --spec not_utf8": ["generate-data", "--spec", str(bad), "--out", str(out)],
@@ -441,6 +449,8 @@ def _path_error_case(case, tmp_path, config, data):
         "train --data file": ["train", "--config", str(config), "--data", str(bad), "--out", str(out)],
         "eval --checkpoint checkpoint_dir": ["eval", "--config", str(config), "--checkpoint", str(bad),
                                              "--data", str(data), "--out", str(out)],
+        "eval --out file": ["eval", "--config", str(config), "--checkpoint", str(checkpoint),
+                            "--data", str(data), "--out", str(bad)],
         "augment --in not_utf8": ["augment", "--in", str(bad), "--out", str(out)],
         "augment --vocab not_utf8": ["augment", "--vocab", str(bad), "--in", str(records), "--out", str(out)],
         "augment --kb not_utf8": ["augment", "--kb", str(bad), "--in", str(records), "--out", str(out)],
@@ -452,17 +462,31 @@ def _path_error_case(case, tmp_path, config, data):
 @pytest.mark.parametrize(
     "case",
     ["generate-data --out file", "generate-data --spec not_utf8", "train --config config_dir", "train --data file",
-     "eval --checkpoint checkpoint_dir", "augment --in not_utf8", "augment --vocab not_utf8", "augment --kb not_utf8",
-     "dtw-inspect --matrix not_utf8"],
+     "eval --checkpoint checkpoint_dir", "eval --out file", "augment --in not_utf8", "augment --vocab not_utf8",
+     "augment --kb not_utf8", "dtw-inspect --matrix not_utf8"],
 )
 def test_bad_path_named_with_exit_1(tmp_path, capsys, small_config, generated, case):
     argv, bad, out = _path_error_case(case, tmp_path, small_config, generated)
     before = bad.read_bytes() if bad.is_file() else None
     assert run(argv) == 1
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
     assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err, err
+    assert "probe accuracy" not in printed
     assert not out.exists()
     assert (bad.read_bytes() if bad.is_file() else None) == before
+
+
+@pytest.mark.parametrize("case", ["generate-data --out file", "eval --out file"])
+def test_out_file_rejected_before_any_work(tmp_path, capsys, monkeypatch, small_config, generated, case):
+    argv, bad, _ = _path_error_case(case, tmp_path, small_config, generated)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the output path was checked")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_work)
+    monkeypatch.setattr(cli, "load_dataset", no_work)
+    assert run(argv) == 1
+    assert f"File exists: '{bad}'" in capsys.readouterr().err
 
 
 class TestAugmentCommand:

@@ -3,16 +3,18 @@ import json
 
 import numpy as np
 import pytest
-from helpers import unit_rows
+from helpers import newton_probe, probe_objective, unit_rows
 
 from lecnce.errors import (
     DegenerateMeanError,
     DimMismatchError,
+    FieldValueError,
     KExceedsCorpusError,
     LengthMismatchError,
     SingleClassError,
 )
 from lecnce.evalkit import (
+    PROBE_TOL,
     EvalReport,
     accuracy_f1,
     linear_probe,
@@ -147,6 +149,13 @@ def make_blobs(rng, n_per_class=150, d=6, distance=8.0):
     return np.concatenate(features), np.asarray(labels)
 
 
+def make_overlapping(rng, n_per_class=40, d=4, k=3):
+    """k Gaussian classes close enough that no head separates them: the objective has a finite minimum."""
+    centers = rng.normal(size=(k, d))
+    features = np.concatenate([centers[c] + rng.normal(size=(n_per_class, d)) for c in range(k)])
+    return features, np.repeat(np.arange(k), n_per_class)
+
+
 class TestLinearProbe:
     def test_separable_blobs(self):
         rng = make_rng(9)
@@ -154,14 +163,45 @@ class TestLinearProbe:
         result = linear_probe(features, labels, lr=0.001, weight_decay=0.0005, epochs=40, rng=make_rng(10))
         assert result.accuracy >= 0.99
 
+    def test_converges_within_the_default_cap(self):
+        features, labels = make_overlapping(make_rng(23), n_per_class=100, d=8, k=5)
+        features /= np.linalg.norm(features, axis=1, keepdims=True)  # unit rows, as the encoders emit
+        result = linear_probe(features, labels, rng=make_rng(24))
+        assert result.grad_norm < PROBE_TOL
+        assert 1 <= result.iterations <= 40
+
+    @pytest.mark.parametrize("seed, weight_decay", [(25, 0.0005), (26, 0.01), (27, 0.1)])
+    def test_objective_matches_newton_oracle(self, seed, weight_decay):
+        x, y = make_overlapping(make_rng(seed))
+        result = linear_probe(x, y, weight_decay=weight_decay, epochs=500, tol=1e-8, test_features=x, test_labels=y)
+        assert result.grad_norm < 1e-8 and result.iterations <= 500
+        w, b = newton_probe(x, y, 3, weight_decay)
+        got = probe_objective(x, y, result.weights, result.bias, weight_decay)
+        assert abs(got - probe_objective(x, y, w, b, weight_decay)) < 1e-9
+
+    def test_row_order_does_not_change_the_fit(self):
+        x, y = make_overlapping(make_rng(28))
+        perm = make_rng(29).permutation(len(y))
+        kwargs = dict(weight_decay=0.01, epochs=500, tol=1e-8, test_features=x, test_labels=y)
+        a = linear_probe(x, y, **kwargs)
+        b = linear_probe(x[perm], y[perm], **kwargs)
+        np.testing.assert_allclose(b.weights, a.weights, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(b.bias, a.bias, rtol=0, atol=1e-8)
+
     def test_zero_epochs_predicts_class_zero(self):
         rng = make_rng(11)
         features, labels = make_blobs(rng, n_per_class=40)
         result = linear_probe(features, labels, epochs=0, rng=make_rng(12))
         assert not result.weights.any() and not result.bias.any()
+        assert result.iterations == 0 and result.grad_norm > PROBE_TOL
         # untrained head has uniform logits; the tie rule picks class 0
-        expected_acc = float(np.mean(labels[:40 * 2 // 4] == 0))  # depends only on split composition
         assert result.per_class_f1[1] == 0.0
+
+    def test_overflowing_first_step_stops_without_warning(self):
+        features, labels = make_blobs(make_rng(30), n_per_class=20)
+        result = linear_probe(features, labels, lr=1e300, rng=make_rng(31))
+        assert result.iterations == 0 and not result.weights.any()
+        assert np.isfinite(result.grad_norm) and result.grad_norm > PROBE_TOL
 
     def test_features_bit_unchanged(self):
         rng = make_rng(13)
@@ -187,10 +227,40 @@ class TestLinearProbe:
     def test_deterministic(self):
         rng = make_rng(19)
         features, labels = make_blobs(rng, n_per_class=50)
-        a = linear_probe(features, labels, epochs=3, rng=make_rng(20))
-        b = linear_probe(features, labels, epochs=3, rng=make_rng(20))
-        np.testing.assert_array_equal(a.weights, b.weights)
-        assert a.accuracy == b.accuracy
+        a = linear_probe(features, labels, rng=make_rng(20))
+        b = linear_probe(features, labels, rng=make_rng(20))
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+        assert (a.accuracy, a.iterations, a.grad_norm) == (b.accuracy, b.iterations, b.grad_norm)
+
+    @pytest.mark.parametrize(
+        "kwargs, error, named",
+        [
+            (dict(test_features=np.ones((4, 6))), FieldValueError, "given together"),
+            (dict(test_labels=np.zeros(4, dtype=int)), FieldValueError, "given together"),
+            (dict(test_features=np.ones((4, 5)), test_labels=np.zeros(4, dtype=int)), DimMismatchError, "dim 5"),
+            (dict(test_features=np.ones((4, 6)), test_labels=np.zeros(3, dtype=int)), LengthMismatchError, "4 test rows"),
+            (dict(test_features=np.ones((4, 6)), test_labels=[0, 1, -1, 0]), FieldValueError, "test_labels .* got -1"),
+            (dict(test_features=np.ones((4, 6)), test_labels=[0, 1, 0.5, 0]), FieldValueError, "test_labels .* got 0.5"),
+        ],
+        ids=["features_alone", "labels_alone", "dim", "rows", "negative_test_label", "fractional_test_label"],
+    )
+    def test_bad_test_set_named(self, kwargs, error, named):
+        features, labels = make_blobs(make_rng(32), n_per_class=10)
+        with pytest.raises(error, match=named):
+            linear_probe(features, labels, **kwargs)
+
+    @pytest.mark.parametrize("bad", [-1, 1.7, np.nan])
+    def test_label_that_is_no_class_id_rejected(self, bad):
+        features, labels = make_blobs(make_rng(33), n_per_class=10)
+        labels = labels.astype(float)
+        labels[3] = bad  # -1 would otherwise train the last class, 1.7 class 1
+        with pytest.raises(FieldValueError, match=r"labels must be whole class ids in \[0, inf\), got"):
+            linear_probe(features, labels, rng=make_rng(34))
+
+    def test_label_count_mismatch(self):
+        features, labels = make_blobs(make_rng(35), n_per_class=10)
+        with pytest.raises(LengthMismatchError):
+            linear_probe(features, labels[:-1], rng=make_rng(36))
 
 
 class TestAccuracyF1:
@@ -221,6 +291,16 @@ class TestAccuracyF1:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             accuracy_f1([0, 1], [0], 2)
+
+    @pytest.mark.parametrize(
+        "preds, labels, named",
+        [([0, 2], [0, 1], "preds"), ([0, 1], [0, 2], "labels"), ([0, -1], [0, 1], "preds"), ([0, 1], [-1, 1], "labels"),
+         ([0, 1.9], [0, 1], "preds")],
+    )
+    def test_out_of_range_named(self, preds, labels, named):
+        with pytest.raises(FieldValueError, match=f"{named} must be whole class ids in \\[0, 2\\)") as info:
+            accuracy_f1(preds, labels, 2)
+        assert isinstance(info.value, ValueError)
 
 
 class TestModalityGap:
