@@ -48,6 +48,7 @@ print("  abstract: ", augment_text(
     "this lecture demonstrates a complete laparoscopic cholecystectomy with commentary", "abstract", clients=clients))
 
 print("\n== original-vs-augmented sampling ==")
+print("  (training does not call sample_text: it encodes the generated text features as they are)")
 rng = make_rng(0)
 picks = [sample_text("original", "augmented", 0.5, rng) for _ in range(10)]
 print("  10 draws at p=0.5:", picks)

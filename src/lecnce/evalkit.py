@@ -169,6 +169,9 @@ def linear_probe(
     starting from zero, until the gradient norm is below ``tol`` or after
     ``epochs`` iterations, each one full-batch pass.  ``lr`` is the step
     length of the first iteration, taken before any curvature pair exists.
+    Only the classes of the training rows are fit: a class without rows
+    there has no finite optimum, so it gets zero weights and a -inf bias
+    and is never predicted.
     The fit is deterministic and, up to rounding, independent of the row
     order; ``rng`` only draws the held-out split when no explicit test set
     is given.  The features are never modified.
@@ -202,9 +205,9 @@ def linear_probe(
         raise SingleClassError(f"training labels contain {classes.size} class(es)")
     n_classes = int(max(labels.max(), y_test.max(initial=0))) + 1
 
-    d = x_train.shape[1]
-    objective = _probe_objective(x_train, y_train, n_classes, weight_decay)
-    theta = np.zeros((d + 1) * n_classes)
+    d, k = x_train.shape[1], classes.size
+    objective = _probe_objective(x_train, np.searchsorted(classes, y_train), k, weight_decay)
+    theta = np.zeros((d + 1) * k)
     loss, grad = objective(theta)
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y), oldest first
     iterations = 0
@@ -234,7 +237,8 @@ def linear_probe(
         if sy > 1e-12:  # a pair without positive curvature would break the two-loop recursion
             pairs = (pairs + [(s, y, 1.0 / sy)])[-_MEMORY:]
 
-    w, b = theta[: d * n_classes].reshape(d, n_classes), theta[d * n_classes :]
+    w, b = np.zeros((d, n_classes)), np.full(n_classes, -np.inf)
+    w[:, classes], b[classes] = theta[: d * k].reshape(d, k), theta[d * k :]
     preds = np.argmax(x_test @ w + b, axis=1)
     acc, macro, per_class = accuracy_f1(preds, y_test, n_classes)
     return ProbeResult(weights=w, bias=b, accuracy=acc, macro_f1=macro, per_class_f1=per_class,

@@ -307,8 +307,8 @@ def _client_for(clients, behavior: str):
     return clients[behavior]
 
 
-def sample_text(original, augmented, p_augmented: float, rng: np.random.Generator):
-    """Return ``augmented`` with probability ``p_augmented``, else ``original``."""
-    if not 0.0 <= p_augmented <= 1.0:
-        raise ValueError(f"p_augmented must be in [0, 1], got {p_augmented}")
-    return augmented if rng.random() < p_augmented else original
+def sample_text(original, augmented, p: float, rng: np.random.Generator):
+    """Return ``augmented`` with probability ``p``, else ``original``."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    return augmented if rng.random() < p else original

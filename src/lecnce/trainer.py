@@ -2,11 +2,11 @@
 
 A schedule cycle runs a configured number of clip-level batches, then
 phase-level, then video-level batches; every level updates the same two
-encoders.  Clip-level batches add two feature-space distortions per sample
-for the two-view objective; text features pass through the stochastic
-original-vs-augmented selection before encoding.  The loop is
-bit-deterministic in the seed: batches, distortions and augmentation draws
-all come from one generator consumed in a fixed order.
+encoders.  Clip-level batches add two feature-space distortions of every
+sample for the two-view objective, drawn for the whole batch at once; text
+features are encoded as they are.  The loop is bit-deterministic in the
+seed: batches and distortions come from one generator consumed in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from .datagen import LEVELS, Dataset, Level
 from .errors import AllZeroScheduleError, FieldValueError, MissingLevelDataError, NonFiniteLossError, check_minimums
 from .losses import LossConfig, clip_lecnce, hier_lecnce, pool_segments, pool_segments_backward
 from .numerics import make_rng, subsample_frames
-from .textaug import sample_text
 
 VIEW_NOISE_SIGMA = 0.05
 VIEW_DROPOUT_RATE = 0.10
-TEXT_AUG_SIGMA = 0.02  # augmented-text rewrites perturb meaning only slightly
 
 CSV_COLUMNS = ["step", "level", "total", "component_vl", "component_vv", "component_infonce", "component_dtw", "wall_ms"]
 
@@ -45,7 +43,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     weight_decay: float = 0.01
     seed: int = 0
-    p_augmented: float = 0.5
     dtw_algorithm: str = "greedy"
     visual_layers: tuple[int, ...] = (32, 32)
     text_layers: tuple[int, ...] = (24, 32)
@@ -62,8 +59,6 @@ class TrainConfig:
         if any(n < 1 for n in self.frames):
             raise FieldValueError("frames", f"entries must be >= 1, got {self.frames}")
         check_minimums(self, epochs=1, learning_rate=0, weight_decay=0)
-        if not 0.0 <= self.p_augmented <= 1.0:
-            raise FieldValueError("p_augmented", f"must be in [0, 1], got {self.p_augmented}")
         if self.dtw_algorithm not in DTW_ALGORITHMS:
             raise FieldValueError("dtw_algorithm", f"must be one of {tuple(DTW_ALGORITHMS)}, got {self.dtw_algorithm!r}")
         if self.activation not in enc.ACTIVATIONS:
@@ -141,12 +136,6 @@ def _distort(features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (features + noise) * keep
 
 
-def _select_text(feature: np.ndarray, rng: np.random.Generator, p_augmented: float) -> np.ndarray:
-    """Original-vs-augmented choice; the augmented variant is an independent re-noising."""
-    augmented = feature + rng.normal(0.0, TEXT_AUG_SIGMA, size=feature.shape)
-    return sample_text(feature, augmented, p_augmented, rng)
-
-
 @dataclass
 class TrainerState:
     """Shared encoders plus their optimizer states."""
@@ -183,17 +172,16 @@ def train_step(
     index = subsample_frames(np.arange(batch.frames.shape[1]), dict(zip(LEVELS, cfg.frames))[level])
     frames = batch.frames[:, index]  # one gather of every sample's kept frames
     b, t, _ = frames.shape
-    texts = np.stack([_select_text(parent, rng, cfg.p_augmented) for parent in batch.parents])
 
     # one forward and one backward per encoder: the weight gradients of all
     # samples sum inside the backward GEMM
     if level == "clip":
         # view a of every sample, then view b of every sample
-        views = np.stack([_distort(block, rng) for block in [*frames, *frames]])
+        views = _distort(np.concatenate([frames, frames]), rng)
         blocks = np.concatenate([frames, views])
         emb, v_cache = enc.forward(state.visual, blocks.reshape(3 * b * t, -1), return_cache=True)
         pooled, pool_cache = pool_segments(emb.reshape(3 * b, t, -1))
-        narr_emb, t_cache = enc.forward(state.text, texts, return_cache=True)
+        narr_emb, t_cache = enc.forward(state.text, batch.parents, return_cache=True)
 
         clip_rows, rows_a, rows_b = np.split(pooled, 3)
         loss = clip_lecnce(clip_rows, narr_emb, rows_a, rows_b, cfg.loss)
@@ -201,10 +189,10 @@ def train_step(
         grad_frames = pool_segments_backward(grad_pooled, pool_cache).reshape(3 * b * t, -1)
         grad_texts = loss.grads["narrations"]
     else:
-        children = np.array([[_select_text(c, rng, cfg.p_augmented) for c in sample] for sample in batch.children])
-        n = children.shape[1]
+        n = batch.children.shape[1]
+        texts = np.concatenate([batch.parents, batch.children.reshape(b * n, -1)])
         emb, v_cache = enc.forward(state.visual, frames.reshape(b * t, -1), return_cache=True)
-        text_emb, t_cache = enc.forward(state.text, np.concatenate([texts, *children]), return_cache=True)
+        text_emb, t_cache = enc.forward(state.text, texts, return_cache=True)
 
         loss = hier_lecnce(emb.reshape(b, t, -1), text_emb[:b], text_emb[b:].reshape(b, n, -1), cfg.loss,
                            cfg.dtw_algorithm)

@@ -10,7 +10,7 @@ from lecnce import encoders as enc
 from lecnce.errors import DimMismatchError, EmptyPositiveSetError, NonFiniteLossError, ZeroVectorError
 from lecnce.losses import clip_lecnce, hier_lecnce
 from lecnce.numerics import as_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
-from lecnce.trainer import LEVELS, _distort, _select_text
+from lecnce.trainer import LEVELS, VIEW_DROPOUT_RATE, VIEW_NOISE_SIGMA
 
 
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -198,11 +198,16 @@ def per_block_train_step(level, batch, state, cfg, rng, global_step=0):
     n_frames = dict(zip(LEVELS, cfg.frames))[level]
 
     frame_blocks = [subsample_frames(s.frame_features, n_frames) for s in batch]
-    texts = np.stack([_select_text(s.parent_text_feature, rng, cfg.p_augmented) for s in batch])
+    texts = np.stack([s.parent_text_feature for s in batch])
 
     if level == "clip":
-        views_a = [_distort(block, rng) for block in frame_blocks]
-        views_b = [_distort(block, rng) for block in frame_blocks]
+        # view a of every block, then view b of every block: first each one's
+        # noise, then each one's dropout mask
+        blocks = [*frame_blocks, *frame_blocks]
+        noises = [rng.normal(0.0, VIEW_NOISE_SIGMA, size=block.shape) for block in blocks]
+        keeps = [rng.random(block.shape) >= VIEW_DROPOUT_RATE for block in blocks]
+        views = [(block + noise) * keep for block, noise, keep in zip(blocks, noises, keeps)]
+        views_a, views_b = views[: len(batch)], views[len(batch) :]
         clip_rows, clip_caches = _pool_batch(state.visual, frame_blocks)
         rows_a, caches_a = _pool_batch(state.visual, views_a)
         rows_b, caches_b = _pool_batch(state.visual, views_b)
@@ -214,10 +219,6 @@ def per_block_train_step(level, batch, state, cfg, rng, global_step=0):
         v_grads = _add_grads(v_grads, _pool_batch_backward(state.visual, caches_b, loss.grads["view_b"]))
         t_grads, _ = enc.backward(state.text, narr_cache, loss.grads["narrations"])
     else:
-        child_sel = [
-            np.stack([_select_text(c, rng, cfg.p_augmented) for c in s.child_text_features])
-            for s in batch
-        ]
         frame_embs, frame_caches = [], []
         for block in frame_blocks:
             emb, cache = enc.forward(state.visual, block, return_cache=True)
@@ -225,8 +226,8 @@ def per_block_train_step(level, batch, state, cfg, rng, global_step=0):
             frame_caches.append(cache)
         parent_emb, parent_cache = enc.forward(state.text, texts, return_cache=True)
         child_embs, child_caches = [], []
-        for children in child_sel:
-            emb, cache = enc.forward(state.text, children, return_cache=True)
+        for sample in batch:
+            emb, cache = enc.forward(state.text, sample.child_text_features, return_cache=True)
             child_embs.append(emb)
             child_caches.append(cache)
 

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from lecnce import cli, encoders
 from lecnce.cli import load_config, resolve_seed, run
-from lecnce.datagen import ProcedureSpec, SplitSpec
+from lecnce.datagen import ProcedureSpec, SplitSpec, load_dataset
 from lecnce.encoders import init_params, save_checkpoint
 from lecnce.errors import ConfigError, UnknownKeyError
 from lecnce.evalkit import PROBE_TOL, EvalConfig
 from lecnce.losses import LossConfig
+from lecnce.numerics import make_rng
 from lecnce.textaug import MockAugmenterClient, build_step_kb
 from lecnce.trainer import TrainConfig
 
@@ -50,7 +51,6 @@ PINNED_DEFAULTS = {
         "epochs": 30,
         "learning_rate": 1e-3,
         "weight_decay": 0.01,
-        "p_augmented": 0.5,
         "dtw_algorithm": "greedy",
         "visual_layers": [32, 32],
         "text_layers": [24, 32],
@@ -125,11 +125,18 @@ class TestLoadConfig:
         with pytest.raises(UnknownKeyError, match="loss.lamda"):
             load_config(str(path))
 
-    def test_probe_lr_is_gone(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text('{"eval": {"probe_lr": 0.001}}')
-        with pytest.raises(UnknownKeyError, match="eval.probe_lr"):
+    @pytest.mark.parametrize("key, value", [("eval.probe_lr", 0.001), ("train.p_augmented", 0.5)])
+    def test_retired_key_is_unknown(self, tmp_path, capsys, small_config, generated, key, value):
+        section, name = key.split(".")
+        cfg = json.loads(small_config.read_text())
+        cfg.setdefault(section, {})[name] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(UnknownKeyError, match=key):
             load_config(str(path))
+        assert run(["train", "--config", str(path), "--data", str(generated), "--out", str(tmp_path / "run")]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_parse_error_has_position(self, tmp_path):
         path = tmp_path / "c.json"
@@ -336,6 +343,23 @@ class TestEvalCommand:
         assert 1 <= probe_only["probe"]["iterations"] <= 40 and probe_only["probe"]["grad_norm"] < PROBE_TOL
         assert reports[None]["accuracy"] == reports["--zero-shot"]["accuracy"]
         assert "probe" not in reports["--zero-shot"]
+
+    def test_report_with_every_class_in_the_probe_is_unchanged(self, tmp_path, small_config, generated):
+        """With every class in the probe's training rows, the report of a seeded checkpoint keeps its bytes.
+
+        The digest is of the report written before the probe left out classes
+        absent from its training rows (numpy 2.4 on OpenBLAS; another BLAS
+        may round differently).
+        """
+        train, _ = load_dataset(str(generated))
+        assert set(train.samples["video"].labels.ravel().tolist()) == set(range(8))
+        rng = make_rng(17)
+        save_checkpoint(tmp_path / "c.json", init_params([12, 6], rng=rng), init_params([9, 6], rng=rng))
+        argv = ["eval", "--config", str(small_config), "--checkpoint", str(tmp_path / "c.json"),
+                "--data", str(generated), "--out", str(tmp_path / "eval")]
+        assert run(argv) == 0
+        report = (tmp_path / "eval" / "eval_report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == "e8f09337111f2e9af6c05b979abb2af54dde5b695d129670a80f384b3997fbde"
 
 
 def _flip_data_byte(data):

@@ -170,6 +170,23 @@ class TestLinearProbe:
         assert result.grad_norm < PROBE_TOL
         assert 1 <= result.iterations <= 40
 
+    def test_class_missing_from_training_is_left_out_of_the_fit(self):
+        features, labels = make_overlapping(make_rng(23), n_per_class=100, d=8, k=5)
+        features /= np.linalg.norm(features, axis=1, keepdims=True)
+        keep = labels != 2
+        result = linear_probe(features[keep], labels[keep], test_features=features, test_labels=labels)
+        # fitting class 2 too would push its bias down until the iteration cap
+        assert result.grad_norm < PROBE_TOL and result.iterations < 40
+        assert result.bias[2] == -np.inf and not result.weights[:, 2].any()
+        assert result.per_class_f1[2] == 0.0 and len(result.per_class_f1) == 5
+        # the other classes get the fit of the same rows with the gap closed
+        present = [0, 1, 3, 4]
+        relabelled = np.searchsorted(present, labels[keep])
+        compact = linear_probe(features[keep], relabelled, test_features=features[keep], test_labels=relabelled)
+        np.testing.assert_array_equal(result.weights[:, present], compact.weights)
+        np.testing.assert_array_equal(result.bias[present], compact.bias)
+        assert (result.iterations, result.grad_norm) == (compact.iterations, compact.grad_norm)
+
     @pytest.mark.parametrize("seed, weight_decay", [(25, 0.0005), (26, 0.01), (27, 0.1)])
     def test_objective_matches_newton_oracle(self, seed, weight_decay):
         x, y = make_overlapping(make_rng(seed))

@@ -210,6 +210,35 @@ class TestTrainStepOracle:
         assert len(calls) == 4
 
 
+class TestGeneratorUse:
+    """A step draws nothing per sample: the clip views come from one block of each kind."""
+
+    @pytest.mark.parametrize("level", ["phase", "video"])
+    def test_hierarchical_step_draws_nothing(self, level):
+        train, _ = tiny_dataset()
+        cfg = tiny_config()
+        state = init_trainer(cfg, make_rng(cfg.seed))
+        rng = make_rng(11)
+        before = copy.deepcopy(rng.bit_generator.state)
+        batch_size = dict(zip(("clip", "phase", "video"), cfg.batch_sizes))[level]
+        train_step(level, train.samples[level][:batch_size], state, cfg, rng)
+        assert rng.bit_generator.state == before
+
+    def test_clip_step_draws_one_normal_and_one_uniform_block(self):
+        train, _ = tiny_dataset()
+        cfg = tiny_config()
+        state = init_trainer(cfg, make_rng(cfg.seed))
+        batch = train.samples["clip"][: cfg.batch_sizes[0]]
+        rng = make_rng(11)
+        expected = copy.deepcopy(rng)
+        train_step("clip", batch, state, cfg, rng)
+        t, d = subsample_frames(batch.frames[0], cfg.frames[0]).shape
+        shape = (2 * len(batch), t, d)
+        expected.normal(size=shape)
+        expected.random(shape)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
 class TestBatcher:
     @pytest.mark.parametrize("level, n", [("clip", 6), ("phase", 7), ("video", 2), ("video", 12)])
     def test_yields_the_rows_of_the_per_sample_batcher(self, level, n):
