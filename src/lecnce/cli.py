@@ -272,6 +272,10 @@ def _cmd_eval(args) -> int:
         )
         print(f"probe accuracy {probe.accuracy:.4f}  macro_f1 {probe.macro_f1:.4f}  "
               f"({probe.iterations} iterations, grad norm {probe.grad_norm:.2e})")
+        if probe.grad_norm >= evalkit.PROBE_TOL:
+            print(f"warning: the linear probe stopped unconverged after {probe.iterations} iterations, grad norm "
+                  f"{probe.grad_norm:.2e} >= {evalkit.PROBE_TOL:g}; eval.probe_epochs is {opts.probe_epochs}",
+                  file=sys.stderr)
         report.probe = {"accuracy": probe.accuracy, "macro_f1": probe.macro_f1, "per_class_f1": probe.per_class_f1,
                         "iterations": probe.iterations, "grad_norm": probe.grad_norm}
 

@@ -190,7 +190,11 @@ def generate_dataset(
     """Generate ``n_procedures`` procedures and split them train/holdout.
 
     Deterministic in ``spec.seed``.  Returns (train, holdout); both carry
-    the same ground truth.
+    the same ground truth.  After the concepts and the two render maps,
+    every draw is one block for all procedures, in this order: the step
+    selections, the (P, S-1) uniforms of the ``order_noise`` swaps, the
+    instance latents, the clip latents, then the render noise of frames,
+    narrations, key steps and abstracts.  Nothing is drawn per row.
     """
     SplitSpec(n_procedures, holdout_fraction)
     rng = make_rng(spec.seed)
@@ -199,34 +203,25 @@ def generate_dataset(
     render_text = _full_rank_render(rng, spec.latent_dim, spec.text_dim)
     truth = GroundTruth(concepts=concepts, render_visual=render_visual, render_text=render_text)
 
+    p, s, c, d = n_procedures, spec.steps_per_procedure, spec.frames_per_step // CLIP_LEN, spec.latent_dim
     sigma = spec.noise_sigma
-    render_sigma = RENDER_NOISE_SCALE * sigma
-    d = spec.latent_dim
+    # the step library carries a canonical routine order: a procedure is an
+    # ascending-id selection, so labels are non-decreasing along the video
+    orders = np.sort(np.argsort(rng.random((p, spec.step_library_size)), axis=1)[:, :s], axis=1)
+    swaps = rng.random((p, s - 1)) < spec.order_noise
+    for k in range(s - 1):  # in turn, so a step can travel several places
+        orders[swaps[:, k], k : k + 2] = orders[swaps[:, k], k : k + 2][:, ::-1]
+    instances = concepts[orders] + rng.normal(0.0, INSTANCE_NOISE_SCALE * sigma, size=(p, s, d))
+    clips = np.repeat(instances, c, axis=1) + rng.normal(0.0, CLIP_NOISE_SCALE * sigma, size=(p, s * c, d))
 
-    def render(latent: np.ndarray, render_map: np.ndarray) -> np.ndarray:
-        return (latent + rng.normal(0.0, render_sigma, size=d)) @ render_map
+    def render(latents: np.ndarray, render_map: np.ndarray) -> np.ndarray:
+        """``latents`` plus one block of render noise, mapped by ``render_map`` in one product."""
+        return (latents + rng.normal(0.0, RENDER_NOISE_SCALE * sigma, size=latents.shape)) @ render_map
 
-    p, s, c = n_procedures, spec.steps_per_procedure, spec.frames_per_step // CLIP_LEN
-    frames, narrations, keysteps, abstracts = (np.empty((p, *shape)) for shape in _procedure_shapes(spec))
-    orders = np.empty((p, s), dtype=int)
-    for pid in range(p):
-        # the step library carries a canonical routine order: a procedure is an
-        # ascending-id selection, so labels are non-decreasing along the video
-        order = np.sort(rng.permutation(spec.step_library_size)[:s])
-        if spec.order_noise > 0:
-            for k in range(s - 1):
-                if rng.random() < spec.order_noise:
-                    order[k], order[k + 1] = order[k + 1], order[k]
-        orders[pid] = order
-        for i, step_id in enumerate(order):
-            instance = concepts[step_id] + rng.normal(0.0, INSTANCE_NOISE_SCALE * sigma, size=d)
-            keysteps[pid, i] = render(instance, render_text)
-            for j in range(i * c, (i + 1) * c):
-                clip_latent = instance + rng.normal(0.0, CLIP_NOISE_SCALE * sigma, size=d)
-                for row in range(j * CLIP_LEN, (j + 1) * CLIP_LEN):
-                    frames[pid, row] = render(clip_latent, render_visual)
-                narrations[pid, j] = render(clip_latent, render_text)
-        abstracts[pid] = render(concepts[order].mean(axis=0), render_text)
+    frames = render(np.repeat(clips, CLIP_LEN, axis=1), render_visual)
+    narrations = render(clips, render_text)
+    keysteps = render(instances, render_text)
+    abstracts = render(concepts[orders].mean(axis=1), render_text)
 
     ids = list(range(p))
     return tuple(_from_procedures(spec, truth, ids, keep, orders, frames, narrations, keysteps, abstracts)

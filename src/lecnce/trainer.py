@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 
@@ -216,11 +217,6 @@ def train_step(
     )
 
 
-def _save_checkpoint(out_dir, tag: str, state: TrainerState, seed: int, global_step: int) -> None:
-    enc.save_checkpoint(os.path.join(out_dir, f"checkpoint_{tag}.json"), state.visual, state.text,
-                        state.visual_opt, state.text_opt, seed=seed, schedule_position=global_step)
-
-
 def train_run(cfg: TrainConfig, dataset: Dataset, out_dir=None) -> tuple[TrainerState, TrainLog]:
     """Run ``cfg.epochs`` schedule cycles; optionally write log and checkpoints.
 
@@ -248,9 +244,12 @@ def train_run(cfg: TrainConfig, dataset: Dataset, out_dir=None) -> tuple[Trainer
             batch = batchers[level].next_batch(batch_size[level])
             log.append(train_step(level, batch, state, cfg, rng, global_step))
         if out_dir is not None:
-            _save_checkpoint(out_dir, f"{epoch + 1:04d}", state, cfg.seed, global_step)
+            enc.save_checkpoint(os.path.join(out_dir, f"checkpoint_{epoch + 1:04d}.json"), state.visual, state.text,
+                                state.visual_opt, state.text_opt, seed=cfg.seed, schedule_position=global_step)
     if out_dir is not None:
-        _save_checkpoint(out_dir, "final", state, cfg.seed, global_step)
+        # the final state is the last epoch's, already encoded
+        shutil.copyfile(os.path.join(out_dir, f"checkpoint_{cfg.epochs:04d}.json"),
+                        os.path.join(out_dir, "checkpoint_final.json"))
         log.write_csv(os.path.join(out_dir, "trainlog.csv"))
     return state, log
 

@@ -1,12 +1,23 @@
 """Shared oracles for the test suite: finite-difference comparison, the
 tie-margin filter that keeps DTW gradient checks away from path ties, the
-per-row InfoNCE, per-matrix pooling, per-block training step and
-per-sample batcher that the batched code must reproduce, and a Newton
-solver for the linear probe's objective."""
+per-row InfoNCE, per-matrix pooling, per-block training step,
+per-sample batcher and per-row data generator that the batched code must
+reproduce, and a Newton solver for the linear probe's objective."""
 
 import numpy as np
 
 from lecnce import encoders as enc
+from lecnce.datagen import (
+    CLIP_LEN,
+    CLIP_NOISE_SCALE,
+    INSTANCE_NOISE_SCALE,
+    RENDER_NOISE_SCALE,
+    GroundTruth,
+    _from_procedures,
+    _full_rank_render,
+    _sample_concepts,
+    _split_ids,
+)
 from lecnce.errors import DimMismatchError, EmptyPositiveSetError, NonFiniteLossError, ZeroVectorError
 from lecnce.losses import clip_lecnce, hier_lecnce
 from lecnce.numerics import as_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
@@ -291,3 +302,43 @@ def newton_probe(x, y, n_classes, weight_decay, iterations=60):
             t *= 0.5
         theta = theta - t * step
     return theta[:d], theta[d]
+
+
+def per_row_generate(spec, n_procedures, holdout_fraction=0.2):
+    """``datagen.generate_dataset`` with one draw per row: the generator oracle.
+
+    Draws in the generator's layer-major order, one procedure, position or
+    row at a time (a block of shape (P, S, d) is P * S successive draws of
+    size d), swaps steps one procedure and position at a time, then stacks
+    the noisy latents and renders them with the same ``@``.
+    """
+    rng = make_rng(spec.seed)
+    concepts = _sample_concepts(spec, rng)
+    render_visual = _full_rank_render(rng, spec.latent_dim, spec.visual_dim)
+    render_text = _full_rank_render(rng, spec.latent_dim, spec.text_dim)
+    p, s, c, d = n_procedures, spec.steps_per_procedure, spec.frames_per_step // CLIP_LEN, spec.latent_dim
+    sigma = spec.noise_sigma
+
+    orders = [np.sort(np.argsort(rng.random(spec.step_library_size))[:s]) for _ in range(p)]
+    uniforms = [[rng.random() for _ in range(s - 1)] for _ in range(p)]
+    for order, row in zip(orders, uniforms):
+        for k, u in enumerate(row):
+            if u < spec.order_noise:
+                order[k], order[k + 1] = order[k + 1], order[k]
+
+    def noisy(latents, scale):
+        """The (P, n, d) stack of each row of ``latents`` plus its own size-d draw."""
+        return np.array([[row + rng.normal(0.0, scale * sigma, size=d) for row in rows] for rows in latents])
+
+    instances = noisy([concepts[order] for order in orders], INSTANCE_NOISE_SCALE)
+    clips = noisy([[row for row in rows for _ in range(c)] for rows in instances], CLIP_NOISE_SCALE)
+    frames = noisy([[row for row in rows for _ in range(CLIP_LEN)] for rows in clips], RENDER_NOISE_SCALE)
+    narrations = noisy(clips, RENDER_NOISE_SCALE)
+    keysteps = noisy(instances, RENDER_NOISE_SCALE)
+    abstracts = noisy([[concepts[order].mean(axis=0)] for order in orders], RENDER_NOISE_SCALE)[:, 0]
+
+    truth = GroundTruth(concepts, render_visual, render_text)
+    ids = list(range(p))
+    arrays = (frames @ render_visual, narrations @ render_text, keysteps @ render_text, abstracts @ render_text)
+    return tuple(_from_procedures(spec, truth, ids, keep, np.array(orders), *arrays)
+                 for keep in _split_ids(ids, holdout_fraction, rng))

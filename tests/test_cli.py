@@ -347,9 +347,10 @@ class TestEvalCommand:
     def test_report_with_every_class_in_the_probe_is_unchanged(self, tmp_path, small_config, generated):
         """With every class in the probe's training rows, the report of a seeded checkpoint keeps its bytes.
 
-        The digest is of the report written before the probe left out classes
-        absent from its training rows (numpy 2.4 on OpenBLAS; another BLAS
-        may round differently).
+        The digest dates from the change that made the generator draw its
+        noise in whole blocks, which changed the generated data: it is the
+        report that the eval code from just before that change writes for the
+        new data (numpy 2.4 on OpenBLAS; another BLAS may round differently).
         """
         train, _ = load_dataset(str(generated))
         assert set(train.samples["video"].labels.ravel().tolist()) == set(range(8))
@@ -359,7 +360,29 @@ class TestEvalCommand:
                 "--data", str(generated), "--out", str(tmp_path / "eval")]
         assert run(argv) == 0
         report = (tmp_path / "eval" / "eval_report.json").read_bytes()
-        assert hashlib.sha256(report).hexdigest() == "e8f09337111f2e9af6c05b979abb2af54dde5b695d129670a80f384b3997fbde"
+        assert hashlib.sha256(report).hexdigest() == "ccf892bc534adf13dd600a9b508910b35d67772c62ff0d6df52f21c799b59f3f"
+
+    @pytest.mark.parametrize("probe_epochs", [None, 1])
+    def test_unconverged_probe_warns(self, tmp_path, capsys, small_config, generated, probe_epochs):
+        """A probe that stops at or above PROBE_TOL says so in one stderr line and exits 0; a converged one is silent."""
+        config = json.loads(small_config.read_text())
+        if probe_epochs is not None:
+            config["eval"]["probe_epochs"] = probe_epochs
+        (tmp_path / "probe.json").write_text(json.dumps(config))
+        rng = make_rng(17)
+        save_checkpoint(tmp_path / "c.json", init_params([12, 6], rng=rng), init_params([9, 6], rng=rng))
+        argv = ["eval", "--probe", "--config", str(tmp_path / "probe.json"), "--checkpoint", str(tmp_path / "c.json"),
+                "--data", str(generated), "--out", str(tmp_path / "eval")]
+        capsys.readouterr()
+        assert run(argv) == 0
+        probe = json.loads((tmp_path / "eval" / "eval_report.json").read_text())["probe"]
+        err = capsys.readouterr().err
+        if probe_epochs is None:
+            assert probe["grad_norm"] < PROBE_TOL and err == ""
+        else:
+            assert probe["iterations"] == 1 and probe["grad_norm"] >= PROBE_TOL
+            assert err.count("\n") == 1 and err.startswith("warning:")
+            assert "1 iterations" in err and f"{probe['grad_norm']:.2e}" in err and "eval.probe_epochs is 1" in err
 
 
 def _flip_data_byte(data):

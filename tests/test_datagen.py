@@ -1,15 +1,18 @@
 import hashlib
 import json
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import per_row_generate
 
 from lecnce.datagen import (
     CLIP_LEN,
+    LEVELS,
     Dataset,
     HierarchicalSample,
     Level,
@@ -124,6 +127,27 @@ class TestGenerateDataset:
             for video in ds.by_level("video"):
                 labels = video.step_labels
                 assert all(a <= b for a, b in zip(labels, labels[1:]))
+
+    @pytest.mark.parametrize("order_noise", [0.0, 0.5])
+    def test_block_draws_match_the_per_row_oracle(self, order_noise):
+        spec = small_spec(frames_per_step=8, order_noise=order_noise)  # two clips per step
+        got, want = generate_dataset(spec, 9), per_row_generate(spec, 9)
+        for g, w in zip(got, want):
+            assert g.procedure_ids == w.procedure_ids
+            for a, b in zip(astuple(g.ground_truth), astuple(w.ground_truth)):
+                assert np.array_equal(a, b)
+            for level in LEVELS:
+                for a, b in zip(astuple(g.samples[level]), astuple(w.samples[level])):
+                    assert np.array_equal(a, b)
+        labels = np.concatenate([ds.samples["video"].labels for ds in got])
+        assert np.any(np.diff(labels, axis=1) < 0) == (order_noise > 0)
+
+    def test_full_order_noise_rotates_each_selection_left(self):
+        """The swaps run in turn, so with order_noise=1 the first step is carried to the end."""
+        spec = small_spec(order_noise=1.0)
+        for ds in generate_dataset(spec, 6):
+            for order in ds.samples["video"].labels[:, :: spec.frames_per_step]:
+                assert order.tolist() == np.roll(np.sort(order), -1).tolist()
 
     def test_concept_separation(self):
         train, _ = generate_dataset(small_spec(), 4)

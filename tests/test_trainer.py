@@ -1,4 +1,5 @@
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,9 +302,13 @@ class TestTrainRun:
     def test_run_writes_log_and_checkpoints(self, tmp_path):
         train, _ = tiny_dataset()
         cfg = tiny_config()
-        state, log = train_run(cfg, train, out_dir=tmp_path)
+        with mock.patch.object(encoders, "save_checkpoint", wraps=encoders.save_checkpoint) as save:
+            state, log = train_run(cfg, train, out_dir=tmp_path)
         assert (tmp_path / "trainlog.csv").exists()
-        assert (tmp_path / "checkpoint_final.json").exists()
+        # one encoding per epoch; the final checkpoint is the last one's bytes
+        assert save.call_count == cfg.epochs
+        last = tmp_path / f"checkpoint_{cfg.epochs:04d}.json"
+        assert (tmp_path / "checkpoint_final.json").read_bytes() == last.read_bytes()
         assert len(log.records) == cfg.epochs * len(schedule_period(cfg))
         steps = [r.global_step for r in log.records]
         assert steps == sorted(steps) and len(set(steps)) == len(steps)
