@@ -1,6 +1,8 @@
 """The text side: spell correction over a frequency vocabulary, a pseudo-step
-knowledge base from the mock recipe client, similarity-based step
-assignment, level-specific rewriting, and stochastic selection.
+knowledge base, similarity-based step assignment, level-specific rewriting,
+and stochastic selection.  The three rewrites (title -> pseudo-steps,
+keystep -> description, abstract -> summary) are deterministic stand-ins for
+the paper's LLM prompts.
 """
 
 from importlib import resources
@@ -12,7 +14,6 @@ from lecnce.textaug import (
     build_step_kb,
     edit_candidates,
     load_vocabulary,
-    mock_clients,
     sample_text,
     spell_correct,
 )
@@ -25,9 +26,8 @@ for word in ("graspr", "disect", "galbladder", "hooook", "zzzzzz"):
     print(f"  {word!r:14s} -> {spell_correct(word, vocab)!r}")
 print(f"  one-edit candidates of 'duct': {len(edit_candidates('duct', 1))}; within two edits: {len(edit_candidates('duct', 2))}")
 
-print("\n== pseudo-step knowledge base (mock recipe client) ==")
-clients = mock_clients()
-kb = build_step_kb(["laparoscopic gallbladder removal"], clients["recipe"])
+print("\n== pseudo-step knowledge base (deterministic recipe stand-in) ==")
+kb = build_step_kb(["laparoscopic gallbladder removal"])
 title, steps = next(iter(kb.items()))
 for i, step in enumerate(steps):
     print(f"  {i}. {step}")
@@ -43,9 +43,9 @@ for narr, idx in zip(narrations, assign_pseudo_steps(narrations, steps)):
 
 print("\n== level routing ==")
 print("  narration:", augment_text("graspr the duct", "narration", kb=kb, vocab=vocab, title=title))
-print("  keystep:  ", augment_text("clipping cutting", "keystep", clients=clients))
+print("  keystep:  ", augment_text("clipping cutting", "keystep"))
 print("  abstract: ", augment_text(
-    "this lecture demonstrates a complete laparoscopic cholecystectomy with commentary", "abstract", clients=clients))
+    "this lecture demonstrates a complete laparoscopic cholecystectomy with commentary", "abstract"))
 
 print("\n== original-vs-augmented sampling ==")
 print("  (training does not call sample_text: it encodes the generated text features as they are)")

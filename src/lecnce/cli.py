@@ -315,11 +315,10 @@ def _read_records(path: str) -> list[tuple[str, str]]:
 def _cmd_augment(args) -> int:
     vocab = textaug.load_vocabulary(args.vocab) if args.vocab else None
     kb = textaug.load_step_kb(args.kb) if args.kb else None
-    clients = textaug.mock_clients()
     records = _read_records(args.infile)
     with open(args.out, "w", encoding="utf-8") as dst:
         for text, level in records:
-            augmented = textaug.augment_text(text, level, kb=kb, clients=clients, vocab=vocab)
+            augmented = textaug.augment_text(text, level, kb=kb, vocab=vocab)
             out = {"original": text, "augmented": augmented}
             if level == "narration" and kb:
                 steps = next(iter(kb.values()))
@@ -387,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=float, default=None, help="percent of training procedures for the probe")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("augment", help="augment JSON-lines text records with the deterministic mock clients")
+    p = sub.add_parser("augment", help="rewrite JSON-lines text records by level, deterministically")
     p.add_argument("--vocab", default=None)
-    p.add_argument("--kb", default=None)
+    p.add_argument("--kb", default=None, help="title -> steps JSON; every narration is matched to its first title's steps")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_augment)

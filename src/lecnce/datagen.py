@@ -30,7 +30,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .errors import CorruptFileError, DegenerateSplitError, FieldValueError, InfeasibleSpecError, check_minimums
+from .errors import CorruptFileError, FieldValueError, InfeasibleSpecError, check_minimums
 from .numerics import make_rng
 
 LEVELS = ("clip", "phase", "video")
@@ -258,23 +258,14 @@ def _from_procedures(spec, truth, ids, keep, orders, frames, narrations, keystep
 
 
 def _split_ids(ids: list[int], fraction: float, rng: np.random.Generator) -> tuple[list[int], list[int]]:
-    """Train and held-out ids, each in ``ids`` order; floor(fraction * n), at least 1, held out."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    """Train and held-out ids, each in ``ids`` order; floor(fraction * n), at least 1, held out.
+
+    Callers pass a valid :class:`SplitSpec` (n >= 2, 0 < fraction < 1), so at
+    most n - 1 ids are held out and neither side is empty.
+    """
     n_hold = max(1, int(np.floor(fraction * len(ids))))
-    if n_hold >= len(ids):
-        raise DegenerateSplitError(f"holdout of {n_hold} from {len(ids)} procedures leaves no training data")
     hold_ids = {ids[i] for i in rng.permutation(len(ids))[:n_hold]}
     return [p for p in ids if p not in hold_ids], [p for p in ids if p in hold_ids]
-
-
-def split_holdout(dataset: Dataset, fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
-    """Split at whole-procedure granularity; floor(fraction * n), at least 1, held out."""
-    return tuple(
-        Dataset(dataset.spec, {name: rows[np.isin(rows.procedure_ids, keep)] for name, rows in dataset.samples.items()},
-                dataset.ground_truth, keep)
-        for keep in _split_ids(list(dataset.procedure_ids), fraction, rng)
-    )
 
 
 # ---------------------------------------------------------------------------

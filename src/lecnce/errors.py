@@ -61,16 +61,8 @@ class InfeasibleSpecError(LecnceError):
     """The generator cannot satisfy the requested concept geometry."""
 
 
-class DegenerateSplitError(LecnceError):
-    """A holdout split left one side empty."""
-
-
 class EmptyWordError(LecnceError):
     """Edit-candidate generation needs a non-empty word."""
-
-
-class ClientFailureError(LecnceError):
-    """A text-augmentation client call failed or is unavailable."""
 
 
 class EmptyCorpusError(LecnceError):

@@ -32,7 +32,7 @@ class EvalConfig:
     recall_ks: tuple[int, ...] = (1, 5, 10)
     retrieval_size: int = 32
     probe_weight_decay: float = 0.0005
-    probe_epochs: int = 40  # L-BFGS iteration cap
+    probe_epochs: int = 100  # L-BFGS iteration cap
     shots: float = 100  # percent of the training procedures the probe sees
 
     def __post_init__(self):
@@ -54,14 +54,11 @@ def zero_shot_classify(image_emb, class_embs) -> np.ndarray:
 
 
 def _recall_one_direction(sim: np.ndarray, k_values) -> dict[int, float]:
-    n_queries, n_candidates = sim.shape
+    n_candidates = sim.shape[1]
     out = {}
-    ranks = np.empty(n_queries, dtype=int)
-    for i in range(n_queries):
-        true = sim[i, i]
-        better = int(np.sum(sim[i] > true))
-        tied_earlier = int(np.sum(sim[i, :i] == true))
-        ranks[i] = 1 + better + tied_earlier
+    diag = np.diag(sim)[:, None]
+    # 1 + candidates scoring above the true match + earlier candidates tied with it
+    ranks = 1 + (sim > diag).sum(axis=1) + np.tril(sim == diag, -1).sum(axis=1)
     for k in k_values:
         if k > n_candidates:
             raise KExceedsCorpusError(f"k={k} exceeds corpus size {n_candidates}")
@@ -255,14 +252,10 @@ def accuracy_f1(preds, labels, n_classes: int) -> tuple[float, float, list[float
     if preds.shape != labels.shape:
         raise LengthMismatchError(f"preds shape {preds.shape} != labels shape {labels.shape}")
     accuracy = float(np.mean(preds == labels)) if labels.size else 0.0
-    per_class = []
-    for c in range(n_classes):
-        tp = float(np.sum((preds == c) & (labels == c)))
-        fp = float(np.sum((preds == c) & (labels != c)))
-        fn = float(np.sum((preds != c) & (labels == c)))
-        denom = 2 * tp + fp + fn
-        per_class.append(2 * tp / denom if denom > 0 else 0.0)
-    return accuracy, float(np.mean(per_class)), per_class
+    tp = np.bincount(labels[preds == labels], minlength=n_classes)
+    denom = sum(np.bincount(ids.ravel(), minlength=n_classes) for ids in (preds, labels))  # 2tp + fp + fn
+    per_class = np.divide(2 * tp, denom, out=np.zeros(n_classes), where=denom > 0)
+    return accuracy, float(np.mean(per_class)), per_class.tolist()
 
 
 def modality_gap(image_embs, text_embs) -> float:

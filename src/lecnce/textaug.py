@@ -1,28 +1,26 @@
 """Hierarchical text augmentation: spell correction over a frequency
-vocabulary, pseudo-step knowledge bases from a pluggable augmenter client,
-similarity-based step assignment, and level-specific rewrite routing.
+vocabulary, pseudo-step knowledge bases, similarity-based step assignment,
+and level-specific rewrite routing.
 
-The augmenter client abstracts a large text model with three prompted
-behaviors: ``recipe`` (ordered pseudo-steps from a procedure title),
-``dictionary`` (expand a short keystep into a description) and
-``summarizer`` (compress an abstract).  The shipped
-:class:`MockAugmenterClient` is a pure function of its input, so every
-pipeline built on it is deterministic.
+The paper prompts a large text model in three ways: a procedure title
+becomes ordered pseudo-steps, a keystep a dictionary-style description,
+and an abstract a summary.  Here :func:`recipe_steps`,
+:func:`expand_keystep` and :func:`summarize` are deterministic stand-ins
+for those prompts, pure functions of their input, so every pipeline built
+on them is deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClientFailureError, EmptyCorpusError, EmptyWordError, InputError, read_text
+from .errors import EmptyCorpusError, EmptyWordError, InputError, read_text
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _LETTERS = frozenset(ALPHABET)
-BEHAVIORS = ("recipe", "dictionary", "summarizer")
 TEXT_LEVELS = ("narration", "keystep", "abstract")
 
 
@@ -123,24 +121,25 @@ def _distance2_hits(word: str, one: set[str], vocab: dict[str, int]) -> list[str
 
 
 # ---------------------------------------------------------------------------
-# augmenter clients
+# the three rewrites, the knowledge base and step assignment
 # ---------------------------------------------------------------------------
 
 
-def _mock_recipe(title: str) -> str:
+def recipe_steps(title: str) -> list[str]:
+    """Five ordered pseudo-steps of the procedure named by ``title``."""
     toks = tokenize(title) or ["procedure"]
     subject = " ".join(toks)
-    steps = [
+    return [
         f"prepare the operative field for {subject}",
         f"expose the {toks[0]} region",
         f"dissect and isolate the {toks[-1]}",
         f"carry out the main task of {subject}",
         f"inspect the {toks[0]} and close",
     ]
-    return "\n".join(f"{i + 1}. {s}" for i, s in enumerate(steps))
 
 
-def _mock_dictionary(keystep: str) -> str:
+def expand_keystep(keystep: str) -> str:
+    """A dictionary-style description of a short keystep."""
     toks = tokenize(keystep) or ["step"]
     return (
         f"{keystep.strip()}: the stage in which the operator handles "
@@ -148,57 +147,15 @@ def _mock_dictionary(keystep: str) -> str:
     )
 
 
-def _mock_summarizer(abstract: str) -> str:
+def summarize(abstract: str) -> str:
+    """The first eight tokens of an abstract behind a ``summary:`` tag."""
     toks = tokenize(abstract)
     return "summary: " + " ".join(toks[:8]) if toks else "summary:"
 
 
-_MOCK_FNS = {"recipe": _mock_recipe, "dictionary": _mock_dictionary, "summarizer": _mock_summarizer}
-
-
-@dataclass
-class MockAugmenterClient:
-    """Deterministic stand-in for a text-model backend; a pure function of (behavior, input)."""
-
-    behavior: str
-
-    def __post_init__(self):
-        if self.behavior not in BEHAVIORS:
-            raise ValueError(f"behavior must be one of {BEHAVIORS}, got {self.behavior!r}")
-
-    def complete(self, text: str) -> str:
-        return _MOCK_FNS[self.behavior](text)
-
-
-def mock_clients() -> dict[str, MockAugmenterClient]:
-    """One deterministic client per behavior."""
-    return {b: MockAugmenterClient(behavior=b) for b in BEHAVIORS}
-
-
-# ---------------------------------------------------------------------------
-# knowledge base and step assignment
-# ---------------------------------------------------------------------------
-
-
-def build_step_kb(titles: list[str], client) -> dict[str, list[str]]:
-    """Ordered pseudo-step lists, one per title, from a recipe-behavior client."""
-    if getattr(client, "behavior", None) != "recipe":
-        raise ValueError(f"build_step_kb needs a recipe client, got behavior {getattr(client, 'behavior', None)!r}")
-    kb: dict[str, list[str]] = {}
-    for title in titles:
-        try:
-            text = client.complete(title)
-        except ClientFailureError as exc:
-            raise ClientFailureError(f"recipe generation failed for title {title!r}: {exc}") from exc
-        steps = []
-        for line in text.splitlines():
-            line = re.sub(r"^\s*\d+[.)]\s*", "", line).strip()
-            if line:
-                steps.append(line)
-        if not steps:
-            raise ClientFailureError(f"recipe client returned no steps for title {title!r}")
-        kb[title] = steps
-    return kb
+def build_step_kb(titles: list[str]) -> dict[str, list[str]]:
+    """Ordered pseudo-step lists, one per title."""
+    return {title: recipe_steps(title) for title in titles}
 
 
 def load_step_kb(path) -> dict[str, list[str]]:
@@ -264,15 +221,15 @@ def augment_text(
     text: str,
     level: str,
     kb: dict[str, list[str]] | None = None,
-    clients: dict | None = None,
     vocab: dict[str, int] | None = None,
     title: str | None = None,
 ) -> str:
     """Rewrite one text according to its hierarchy level.
 
     narration: spell-correct each token against ``vocab`` and append the
-    most similar pseudo-step from the knowledge base; keystep: dictionary
-    expansion; abstract: summarizer compression.
+    most similar pseudo-step of ``title`` in the knowledge base (of its
+    first title when ``title`` is None); keystep: :func:`expand_keystep`;
+    abstract: :func:`summarize`.
     """
     if level == "narration":
         words = text.split()
@@ -285,9 +242,9 @@ def augment_text(
             return f"{corrected}. {steps[idx]}"
         return corrected
     if level == "keystep":
-        return _client_for(clients, "dictionary").complete(text)
+        return expand_keystep(text)
     if level == "abstract":
-        return _client_for(clients, "summarizer").complete(text)
+        return summarize(text)
     raise ValueError(f"unknown level {level!r}; expected one of {TEXT_LEVELS}")
 
 
@@ -299,12 +256,6 @@ def _kb_steps(kb, title):
             raise KeyError(f"title {title!r} not in knowledge base")
         return kb[title]
     return next(iter(kb.values()))
-
-
-def _client_for(clients, behavior: str):
-    if not clients or behavior not in clients:
-        raise ClientFailureError(f"no client available for behavior {behavior!r}")
-    return clients[behavior]
 
 
 def sample_text(original, augmented, p: float, rng: np.random.Generator):

@@ -1,8 +1,9 @@
 """Shared oracles for the test suite: finite-difference comparison, the
 tie-margin filter that keeps DTW gradient checks away from path ties, the
 per-row InfoNCE, per-matrix pooling, per-block training step,
-per-sample batcher and per-row data generator that the batched code must
-reproduce, and a Newton solver for the linear probe's objective."""
+per-sample batcher, per-row data generator and per-query/per-class metric
+loops that the batched code must reproduce, and a Newton solver for the
+linear probe's objective."""
 
 import numpy as np
 
@@ -342,3 +343,26 @@ def per_row_generate(spec, n_procedures, holdout_fraction=0.2):
     arrays = (frames @ render_visual, narrations @ render_text, keysteps @ render_text, abstracts @ render_text)
     return tuple(_from_procedures(spec, truth, ids, keep, np.array(orders), *arrays)
                  for keep in _split_ids(ids, holdout_fraction, rng))
+
+
+def recall_ranks_loop(sim: np.ndarray) -> np.ndarray:
+    """Rank of each query's true match (the diagonal), one query at a time; earlier ties rank first."""
+    ranks = np.empty(sim.shape[0], dtype=int)
+    for i in range(sim.shape[0]):
+        true = sim[i, i]
+        better = int(np.sum(sim[i] > true))
+        tied_earlier = int(np.sum(sim[i, :i] == true))
+        ranks[i] = 1 + better + tied_earlier
+    return ranks
+
+
+def per_class_f1_loop(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> list[float]:
+    """F1 of each class from its own tp/fp/fn sums; a class absent from both sides scores 0."""
+    per_class = []
+    for c in range(n_classes):
+        tp = float(np.sum((preds == c) & (labels == c)))
+        fp = float(np.sum((preds == c) & (labels != c)))
+        fn = float(np.sum((preds != c) & (labels == c)))
+        denom = 2 * tp + fp + fn
+        per_class.append(2 * tp / denom if denom > 0 else 0.0)
+    return per_class

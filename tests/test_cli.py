@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from lecnce.errors import ConfigError, UnknownKeyError
 from lecnce.evalkit import PROBE_TOL, EvalConfig
 from lecnce.losses import LossConfig
 from lecnce.numerics import make_rng
-from lecnce.textaug import MockAugmenterClient, build_step_kb
+from lecnce.textaug import build_step_kb, expand_keystep
 from lecnce.trainer import TrainConfig
 
 # the defaults as they stood before the schema was derived from the dataclasses
@@ -60,7 +61,7 @@ PINNED_DEFAULTS = {
         "recall_ks": [1, 5, 10],
         "retrieval_size": 32,
         "probe_weight_decay": 0.0005,
-        "probe_epochs": 40,
+        "probe_epochs": 100,
         "shots": 100,
     },
 }
@@ -540,7 +541,7 @@ class TestAugmentCommand:
     def test_mock_pipeline(self, tmp_path):
         vocab_path = tmp_path / "vocab.tsv"
         vocab_path.write_text("grasper\t10\nduct\t8\nhook\t5\n")
-        kb = build_step_kb(["toy procedure"], MockAugmenterClient("recipe"))
+        kb = build_step_kb(["toy procedure"])
         kb_path = tmp_path / "kb.json"
         kb_path.write_text(json.dumps(kb))
         records = [
@@ -576,7 +577,33 @@ class TestAugmentCommand:
         infile.write_text(json.dumps({"text": "clipping", "level": "keystep"}) + "\n")
         assert run(["augment", "--in", str(infile), "--out", str(tmp_path / "out.jsonl")]) == 0
         line = json.loads((tmp_path / "out.jsonl").read_text())
-        assert line["augmented"] == MockAugmenterClient("dictionary").complete("clipping")
+        assert line["augmented"] == expand_keystep("clipping")
+
+    def test_output_is_pinned(self, tmp_path):
+        """Every level, empty texts and a multi-title --kb; narrations match the first title's steps.
+
+        The digests date from the deterministic rewrites' client-protocol
+        implementation; the plain rewrite functions must keep its bytes.
+        """
+        kb = build_step_kb(["laparoscopic gallbladder removal", "toy procedure", "12 step 3.x", ""])
+        kb_bytes = json.dumps(kb).encode()
+        assert hashlib.sha256(kb_bytes).hexdigest() == "8082ffc54f5c94d558ddf8c745595e0f995f44cdc6de58cfd331ff633477dae3"
+        (tmp_path / "kb.json").write_bytes(kb_bytes)
+        records = [("graspr the duct", "narration"), ("now we dissect around the gallbladder", "narration"),
+                   ("", "narration"), ("clipping cutting", "keystep"), ("", "keystep"),
+                   ("this lecture demonstrates a complete laparoscopic cholecystectomy with commentary", "abstract"),
+                   ("", "abstract"), ("   ", "abstract")]
+        infile = tmp_path / "in.jsonl"
+        infile.write_text("".join(json.dumps({"text": t, "level": l}) + "\n" for t, l in records))
+        vocab = resources.files("lecnce") / "assets" / "vocab_sample.tsv"
+        outfile = tmp_path / "out.jsonl"
+        assert run(["augment", "--vocab", str(vocab), "--kb", str(tmp_path / "kb.json"),
+                    "--in", str(infile), "--out", str(outfile)]) == 0
+        out = outfile.read_bytes()
+        assert hashlib.sha256(out).hexdigest() == "77c5b624239c8bd5d907143adce11ef0d8f0380f2a0047e0b915436de675ba87"
+        first = kb["laparoscopic gallbladder removal"]
+        assert [json.loads(line).get("step_index") for line in out.splitlines()][:3] == [1, 2, 0]
+        assert json.loads(out.splitlines()[0])["augmented"] == f"grasper the duct. {first[1]}"
 
     @pytest.mark.parametrize(
         "line, named",

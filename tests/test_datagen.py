@@ -19,10 +19,10 @@ from lecnce.datagen import (
     ProcedureSpec,
     generate_dataset,
     load_dataset,
+    _split_ids,
     save_dataset,
-    split_holdout,
 )
-from lecnce.errors import CorruptFileError, DegenerateSplitError, InfeasibleSpecError
+from lecnce.errors import CorruptFileError, FieldValueError, InfeasibleSpecError
 from lecnce.numerics import make_rng
 
 
@@ -199,32 +199,41 @@ class TestLevel:
 
 
 class TestSplitHoldout:
+    """``generate_dataset``'s own split: floor(fraction * n), at least 1, held out, by whole procedures."""
+
     def test_half_split(self):
-        train, _ = generate_dataset(small_spec(), 12, holdout_fraction=0.25)
-        sub_train, sub_hold = split_holdout(train, 0.5, make_rng(1))
-        assert len(sub_train.procedure_ids) == 5 and len(sub_hold.procedure_ids) == 4
-        assert not set(sub_train.procedure_ids) & set(sub_hold.procedure_ids)
+        train, hold = generate_dataset(small_spec(), 12, holdout_fraction=0.5)
+        assert len(train.procedure_ids) == 6 and len(hold.procedure_ids) == 6
+        assert not set(train.procedure_ids) & set(hold.procedure_ids)
 
     def test_floor_min_one(self):
-        train, _ = generate_dataset(small_spec(), 25, holdout_fraction=0.2)
-        assert len(train.procedure_ids) == 20
-        _, hold = split_holdout(train, 0.1, make_rng(2))
-        assert len(hold.procedure_ids) == 2
-        _, hold = split_holdout(train, 0.01, make_rng(2))
-        assert len(hold.procedure_ids) == 1
+        for fraction, n_hold in ((0.2, 5), (0.1, 2), (0.01, 1)):
+            train, hold = generate_dataset(small_spec(), 25, holdout_fraction=fraction)
+            assert len(hold.procedure_ids) == n_hold and len(train.procedure_ids) == 25 - n_hold
 
     def test_partition_is_exact(self):
-        train, _ = generate_dataset(small_spec(), 8, holdout_fraction=0.25)
-        a, b = split_holdout(train, 0.5, make_rng(3))
-        assert sorted(a.procedure_ids + b.procedure_ids) == train.procedure_ids
-        for lvl in ("clip", "phase", "video"):
-            assert len(a.by_level(lvl)) + len(b.by_level(lvl)) == len(train.by_level(lvl))
+        spec = small_spec()
+        a, b = generate_dataset(spec, 8, holdout_fraction=0.25)
+        assert sorted(a.procedure_ids + b.procedure_ids) == list(range(8))
+        per = {"clip": spec.steps_per_procedure * spec.frames_per_step // CLIP_LEN, "phase": spec.steps_per_procedure,
+               "video": 1}
+        for part in (a, b):
+            for lvl, rows in part.samples.items():
+                assert sorted(set(rows.procedure_ids.tolist())) == part.procedure_ids
+                assert len(rows) == per[lvl] * len(part.procedure_ids)
 
     def test_degenerate_split(self):
-        _, hold = generate_dataset(small_spec(), 4, holdout_fraction=0.25)
-        assert len(hold.procedure_ids) == 1
-        with pytest.raises(DegenerateSplitError):
-            split_holdout(hold, 0.5, make_rng(4))
+        # SplitSpec refuses a split that could leave a side empty, before anything is drawn
+        for n_procedures, fraction in ((1, 0.5), (4, 0.0), (4, 1.0)):
+            with pytest.raises(FieldValueError):
+                generate_dataset(small_spec(), n_procedures, holdout_fraction=fraction)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_valid_spec_leaves_both_sides_nonempty(self, n, fraction):
+        train_ids, hold_ids = _split_ids(list(range(n)), fraction, make_rng(4))
+        assert len(hold_ids) == max(1, int(np.floor(fraction * n))) <= n - 1
+        assert sorted(train_ids + hold_ids) == list(range(n))
 
 
 class TestDatasetFiles:

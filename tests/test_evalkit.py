@@ -3,7 +3,9 @@ import json
 
 import numpy as np
 import pytest
-from helpers import newton_probe, probe_objective, unit_rows
+from helpers import newton_probe, per_class_f1_loop, probe_objective, recall_ranks_loop, unit_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lecnce.errors import (
     DegenerateMeanError,
@@ -110,6 +112,18 @@ class TestRecallAtK:
     def test_k_exceeds_corpus(self):
         with pytest.raises(KExceedsCorpusError):
             recall_at_k(np.eye(4), (5,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)))
+    def test_matches_per_query_loop_with_ties(self, scores):
+        # four score levels make ties with the true match common
+        n = int(round(len(scores) ** 0.5))
+        sim = np.array(scores, dtype=float).reshape(n, n)
+        ks = tuple(range(1, n + 1))
+        out = recall_at_k(sim, ks)
+        for direction, matrix in (("t2i", sim), ("i2t", sim.T)):
+            ranks = recall_ranks_loop(matrix)
+            assert out[direction] == {k: float(np.mean(ranks <= k)) for k in ks}
 
 
 class TestPoolVideoEmbedding:
@@ -308,6 +322,19 @@ class TestAccuracyF1:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             accuracy_f1([0, 1], [0], 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=30))))
+    def test_matches_per_class_loop(self, case):
+        # short lists over up to six classes leave some classes empty on one or both sides
+        n_classes, pairs = case
+        preds = np.array([p for p, _ in pairs], dtype=int)
+        labels = np.array([l for _, l in pairs], dtype=int)
+        acc, macro, per = accuracy_f1(preds, labels, n_classes)
+        want = per_class_f1_loop(preds, labels, n_classes)
+        assert per == want and macro == float(np.mean(want))
+        assert acc == (float(np.mean(preds == labels)) if pairs else 0.0)
 
     @pytest.mark.parametrize(
         "preds, labels, named",

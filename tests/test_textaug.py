@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -8,20 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import bruteforce_spell_oracle
 
-from lecnce.errors import ClientFailureError, EmptyCorpusError, EmptyWordError
+from lecnce.errors import EmptyCorpusError, EmptyWordError
 from lecnce.numerics import make_rng
 from lecnce.textaug import (
     ALPHABET,
-    MockAugmenterClient,
     assign_pseudo_steps,
     augment_text,
     build_step_kb,
     edit_candidates,
+    expand_keystep,
     load_step_kb,
     load_vocabulary,
-    mock_clients,
+    recipe_steps,
     sample_text,
     spell_correct,
+    summarize,
     tokenize,
 )
 
@@ -229,43 +231,70 @@ class TestVocabularyFile:
 
 
 class TestMockClients:
+    """The three deterministic rewrites that stand in for the paper's text-model prompts."""
+
     def test_pure_function(self):
-        client = MockAugmenterClient("dictionary")
-        outputs = {client.complete("clipping cutting") for _ in range(1000)}
-        assert len(outputs) == 1
+        for rewrite in (recipe_steps, expand_keystep, summarize):
+            outputs = {str(rewrite("clipping cutting")) for _ in range(1000)}
+            assert len(outputs) == 1
 
     def test_behaviors_differ(self):
         text = "dissection of the gallbladder"
-        outs = {b: MockAugmenterClient(b).complete(text) for b in ("recipe", "dictionary", "summarizer")}
-        assert len(set(outs.values())) == 3
+        assert len({"\n".join(recipe_steps(text)), expand_keystep(text), summarize(text)}) == 3
 
-    def test_unknown_behavior(self):
-        with pytest.raises(ValueError):
-            MockAugmenterClient("poet")
+    def test_empty_input(self):
+        assert recipe_steps("")[0] == "prepare the operative field for procedure"
+        assert expand_keystep("") == (": the stage in which the operator handles step "
+                                      "using the dedicated instruments on the target anatomy")
+        assert summarize("") == summarize("   ") == "summary:"
+
+
+def numbered_round_trip(title: str) -> list[str]:
+    """The steps of ``title`` written as a numbered list and parsed back: the former ``build_step_kb``."""
+    text = "\n".join(f"{i + 1}. {step}" for i, step in enumerate(recipe_steps(title)))
+    steps = [re.sub(r"^\s*\d+[.)]\s*", "", line).strip() for line in text.splitlines()]
+    return [step for step in steps if step]
 
 
 class TestBuildStepKb:
     def test_mock_deterministic(self):
-        client = MockAugmenterClient("recipe")
-        a = build_step_kb(["toy procedure"], client)
-        b = build_step_kb(["toy procedure"], client)
+        a = build_step_kb(["toy procedure"])
+        b = build_step_kb(["toy procedure"])
         assert a == b
         assert a["toy procedure"] and all(isinstance(s, str) for s in a["toy procedure"])
 
     def test_empty_titles(self):
-        assert build_step_kb([], MockAugmenterClient("recipe")) == {}
+        assert build_step_kb([]) == {}
 
     def test_three_titles_order_preserved(self):
         titles = ["alpha repair", "beta removal", "gamma bypass"]
-        kb = build_step_kb(titles, MockAugmenterClient("recipe"))
+        kb = build_step_kb(titles)
         assert list(kb) == titles
 
-    def test_wrong_behavior(self):
-        with pytest.raises(ValueError):
-            build_step_kb(["x"], MockAugmenterClient("dictionary"))
+    def test_digits_and_empty_title(self):
+        kb = build_step_kb(["12 step 3.x", ""])
+        assert kb["12 step 3.x"] == [
+            "prepare the operative field for 12 step 3 x",
+            "expose the 12 region",
+            "dissect and isolate the x",
+            "carry out the main task of 12 step 3 x",
+            "inspect the 12 and close",
+        ]
+        assert kb[""] == [
+            "prepare the operative field for procedure",
+            "expose the procedure region",
+            "dissect and isolate the procedure",
+            "carry out the main task of procedure",
+            "inspect the procedure and close",
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("ab09 .)\n\tÜ"), max_size=20) | st.text(max_size=20))
+    def test_equals_numbered_round_trip(self, title):
+        assert build_step_kb([title]) == {title: numbered_round_trip(title)}
 
     def test_kb_file_roundtrip(self, tmp_path):
-        kb = build_step_kb(["toy procedure"], MockAugmenterClient("recipe"))
+        kb = build_step_kb(["toy procedure"])
         path = tmp_path / "kb.json"
         path.write_text(json.dumps(kb))
         assert load_step_kb(path) == kb
@@ -344,14 +373,12 @@ class TestAssignPseudoSteps:
 
 class TestAugmentText:
     def test_keystep_routes_to_dictionary(self):
-        clients = mock_clients()
         text = "calot triangle dissection"
-        assert augment_text(text, "keystep", clients=clients) == clients["dictionary"].complete(text)
+        assert augment_text(text, "keystep") == expand_keystep(text)
 
     def test_abstract_routes_to_summarizer(self):
-        clients = mock_clients()
         text = "this video shows a laparoscopic procedure with several phases"
-        assert augment_text(text, "abstract", clients=clients) == clients["summarizer"].complete(text)
+        assert augment_text(text, "abstract") == summarize(text)
 
     def test_narration_spell_corrects_and_appends_step(self, vocab):
         kb = {"toy": ["grasp the duct", "cut the artery"]}
@@ -359,16 +386,16 @@ class TestAugmentText:
         assert out.startswith("grasper the duct")
         assert "grasp the duct" in out
 
+    def test_narration_without_title_uses_first_title(self):
+        kb = {"first": ["open the field", "close the wound"], "second": ["cut the artery"]}
+        assert augment_text("cut the artery", "narration", kb=kb) == "cut the artery. open the field"
+
     def test_narration_without_kb(self, vocab):
         assert augment_text("graspr the duct", "narration", vocab=vocab) == "grasper the duct"
 
-    def test_missing_client(self):
-        with pytest.raises(ClientFailureError):
-            augment_text("x", "keystep", clients={})
-
     def test_unknown_level(self):
         with pytest.raises(ValueError):
-            augment_text("x", "chapter", clients=mock_clients())
+            augment_text("x", "chapter")
 
 
 class TestSampleText:
