@@ -31,7 +31,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .errors import CorruptFileError, FieldValueError, InfeasibleSpecError, check_minimums
-from .numerics import make_rng
+from .numerics import f8le, make_rng
 
 LEVELS = ("clip", "phase", "video")
 MIN_CONCEPT_ANGLE_DEG = 30.0
@@ -282,10 +282,6 @@ def _manifest_sha256(manifest: dict) -> str:
     return _sha256(json.dumps({k: v for k, v in manifest.items() if k != "manifest_sha256"}, sort_keys=True).encode())
 
 
-def _f8(arrays) -> bytes:
-    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-
-
 def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
     """Write manifest.json, data.bin and groundtruth.bin; hashes in the manifest.
 
@@ -304,10 +300,10 @@ def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
     with open(os.path.join(out_dir, "data.bin"), "wb") as fh:
         for _, k, levels in procedures:
             video, narrations = levels["video"], levels["phase"].children[k * s : (k + 1) * s]
-            record = _f8((video.frames[k], narrations, video.children[k], video.parents[k]))
+            record = f8le((video.frames[k], narrations, video.children[k], video.parents[k]))
             data_hash.update(record)
             fh.write(record)
-    truth_blob = _f8(astuple(train.ground_truth))  # concepts, render_visual, render_text
+    truth_blob = f8le(astuple(train.ground_truth))  # concepts, render_visual, render_text
     with open(os.path.join(out_dir, "groundtruth.bin"), "wb") as fh:
         fh.write(truth_blob)
     manifest = {

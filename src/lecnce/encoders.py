@@ -9,13 +9,16 @@ and bit-deterministic given a seed.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import BadDimsError, CorruptFileError, DimMismatchError, MissingCacheError, ShapeMismatchError, ZeroVectorError
-from .numerics import as_matrix
+from .numerics import as_matrix, f8le
 
 ACTIVATIONS = ("identity", "tanh")
 
@@ -133,7 +136,13 @@ def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> tup
 
 @dataclass
 class OptimizerState:
-    """AdamW moments and hyperparameters for one encoder's parameter list."""
+    """AdamW moments and hyperparameters for one encoder's parameter list.
+
+    A loaded checkpoint must hold finite moments, second moments >= 0, an
+    integer ``step_count`` >= 0, and finite hyperparameters with
+    ``learning_rate`` and ``weight_decay`` >= 0, ``beta1`` and ``beta2`` in
+    [0, 1) and ``epsilon`` > 0.
+    """
 
     learning_rate: float = 1e-3
     weight_decay: float = 0.01
@@ -146,6 +155,14 @@ class OptimizerState:
 
 
 _MOMENTS = ("first_moment", "second_moment")  # per-parameter arrays; the other fields are scalars
+# the range of each float hyperparameter: a test and its wording; beta = 1 would divide by zero
+_HYPERPARAMETERS = {
+    "learning_rate": (lambda v: v >= 0, ">= 0"),
+    "weight_decay": (lambda v: v >= 0, ">= 0"),
+    "beta1": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "beta2": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "epsilon": (lambda v: v > 0, "> 0"),
+}
 
 
 def init_optimizer(params: EncoderParams, **hyperparameters) -> OptimizerState:
@@ -210,19 +227,83 @@ def _params_from_payload(payload: dict) -> EncoderParams:
     for i, (w_flat, b) in enumerate(zip(payload["weights"], payload["biases"])):
         w = np.asarray(w_flat, dtype=np.float64).reshape(dims[i], dims[i + 1])
         layers.append((w, np.asarray(b, dtype=np.float64)))
-    return EncoderParams(layers=layers, activation=payload["activation"])
+    params = EncoderParams(layers=layers, activation=payload["activation"])
+    if _params_payload(params)["layer_dims"] != dims:  # also catches weight and bias lists of unequal length
+        raise ValueError(f"layer_dims {dims} do not match the weight and bias shapes")
+    return params
+
+
+def _packed(a: np.ndarray) -> dict:
+    """An array as its shape and the base64 of its little-endian float64 bytes."""
+    return {"shape": list(a.shape), "f8le": base64.b64encode(f8le([a])).decode("ascii")}
+
+
+def _unpacked(entry: dict, shape: tuple[int, ...], key: str) -> np.ndarray:
+    """Inverse of :func:`_packed` for an array that must have ``shape``."""
+    if entry["shape"] != list(shape):
+        raise ValueError(f"{key} has shape {entry['shape']}, its parameter {list(shape)}")
+    raw = base64.b64decode(entry["f8le"], validate=True)
+    if base64.b64encode(raw).decode("ascii") != entry["f8le"]:  # unused trailing bits would round-trip silently
+        raise ValueError(f"{key} is not canonical base64")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def _number(key: str, value, ok, rule: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (math.isfinite(value) and ok(value)):
+        raise ValueError(f"{key} must be a finite number {rule}, got {value!r}")
+    return value
+
+
+def _count(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+    return value
 
 
 def _state_payload(state: OptimizerState) -> dict:
     payload = {f.name: getattr(state, f.name) for f in fields(state)}
-    return {**payload, **{name: [m.ravel().tolist() for m in payload[name]] for name in _MOMENTS}}
+    return {**payload, **{name: [_packed(m) for m in payload[name]] for name in _MOMENTS}}
 
 
-def _state_from_payload(payload: dict, params: EncoderParams) -> OptimizerState:
+def _state_from_payload(payload: dict, params: EncoderParams, key: str) -> OptimizerState:
     shapes = [p.shape for p in params.flat()]
-    scalars = {f.name: payload[f.name] for f in fields(OptimizerState) if f.name not in _MOMENTS}
-    moments = {name: [np.asarray(m, dtype=np.float64).reshape(s) for m, s in zip(payload[name], shapes)] for name in _MOMENTS}
+    scalars = {name: _number(f"{key}.{name}", payload[name], ok, rule) for name, (ok, rule) in _HYPERPARAMETERS.items()}
+    scalars["step_count"] = _count(f"{key}.step_count", payload["step_count"])
+    moments = {}
+    for name in _MOMENTS:
+        entries = payload[name]
+        if len(entries) != len(shapes):
+            raise ValueError(f"{key}.{name} has {len(entries)} arrays for {len(shapes)} parameters")
+        moments[name] = [_unpacked(e, s, f"{key}.{name}[{i}]") for i, (e, s) in enumerate(zip(entries, shapes))]
+        for i, m in enumerate(moments[name]):
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{key}.{name}[{i}] has non-finite values")
+            if name == "second_moment" and np.any(m < 0):
+                raise ValueError(f"{key}.{name}[{i}] has negative values")
     return OptimizerState(**scalars, **moments)
+
+
+def _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_position) -> str:
+    """sha256 of every value of a checkpoint, computed from the arrays in memory.
+
+    It covers the little-endian float64 bytes of each array in a fixed
+    order (visual, text, then each optimizer's first and second moments)
+    and then the canonical JSON of the shapes and the scalar fields.
+    """
+    states = [visual_state, text_state]
+    moments = [m for s in states if s is not None for name in _MOMENTS for m in getattr(s, name)]
+    arrays = visual.flat() + text.flat() + moments
+    digest = hashlib.sha256(f8le(arrays))
+    scalars = {
+        "shapes": [list(a.shape) for a in arrays],
+        "activations": [visual.activation, text.activation],
+        "optimizers": [None if s is None else {f.name: getattr(s, f.name) for f in fields(s) if f.name not in _MOMENTS}
+                       for s in states],
+        "seed": seed,
+        "schedule_position": schedule_position,
+    }
+    digest.update(json.dumps(scalars, sort_keys=True).encode())
+    return digest.hexdigest()
 
 
 def save_checkpoint(
@@ -236,16 +317,19 @@ def save_checkpoint(
 ) -> None:
     """Serialize both encoders plus optimizer state to JSON.
 
-    Floats are written with Python's shortest round-trip repr, so a
-    save -> load -> save cycle is byte-identical.
+    Weights and biases are JSON floats in Python's shortest round-trip
+    repr; each optimizer moment is packed by :func:`_packed`; ``sha256``
+    is :func:`_checkpoint_sha256`.  A save -> load -> save cycle is
+    byte-identical.
     """
     payload = {
         "visual": _params_payload(visual),
         "text": _params_payload(text),
-        "visual_optimizer": _state_payload(visual_state) if visual_state else None,
-        "text_optimizer": _state_payload(text_state) if text_state else None,
+        "visual_optimizer": None if visual_state is None else _state_payload(visual_state),
+        "text_optimizer": None if text_state is None else _state_payload(text_state),
         "seed": seed,
         "schedule_position": schedule_position,
+        "sha256": _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_position),
     }
     # json.dumps encodes in C; json.dump streams through the pure-Python encoder
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -254,19 +338,32 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> dict:
-    """Inverse of :func:`save_checkpoint`; a file that is not one raises :class:`CorruptFileError`."""
+    """Inverse of :func:`save_checkpoint`; a file that is not one raises :class:`CorruptFileError`.
+
+    Every value is decoded and range-checked first; then the file's
+    ``sha256`` must equal the hash of the decoded values.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if isinstance(payload, dict) and "sha256" not in payload:
+            raise CorruptFileError(f"checkpoint {path} has no sha256: it predates packed optimizer state "
+                                   "(moments as float lists); re-train to write a current checkpoint")
         visual = _params_from_payload(payload["visual"])
         text = _params_from_payload(payload["text"])
-        return {
+        out = {
             "visual": visual,
             "text": text,
-            "visual_optimizer": _state_from_payload(payload["visual_optimizer"], visual) if payload["visual_optimizer"] else None,
-            "text_optimizer": _state_from_payload(payload["text_optimizer"], text) if payload["text_optimizer"] else None,
-            "seed": payload["seed"],
-            "schedule_position": payload["schedule_position"],
+            **{key: None if payload[key] is None else _state_from_payload(payload[key], params, key)
+               for key, params in (("visual_optimizer", visual), ("text_optimizer", text))},
+            "seed": None if payload["seed"] is None else _count("seed", payload["seed"]),
+            "schedule_position": _count("schedule_position", payload["schedule_position"]),
         }
-    except (KeyError, TypeError, ValueError, IndexError, BadDimsError) as exc:  # json's errors are ValueErrors
+        digest = _checkpoint_sha256(visual, text, out["visual_optimizer"], out["text_optimizer"], out["seed"],
+                                    out["schedule_position"])
+    # json's errors are ValueErrors; a huge integer where a float belongs is an OverflowError
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, BadDimsError) as exc:
         raise CorruptFileError(f"checkpoint {path} is not readable ({type(exc).__name__}: {exc})") from None
+    if payload["sha256"] != digest:
+        raise CorruptFileError(f"checkpoint {path} sha256 mismatch; the file is corrupt or was altered")
+    return out

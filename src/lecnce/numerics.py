@@ -28,6 +28,11 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
+def f8le(arrays) -> bytes:
+    """The little-endian float64 bytes of ``arrays``, one after another: the stored form of every array on disk."""
+    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array."""
     m = np.asarray(values, dtype=np.float64)

@@ -2,8 +2,11 @@
 tie-margin filter that keeps DTW gradient checks away from path ties, the
 per-row InfoNCE, per-matrix pooling, per-block training step,
 per-sample batcher, per-row data generator and per-query/per-class metric
-loops that the batched code must reproduce, and a Newton solver for the
-linear probe's objective."""
+loops that the batched code must reproduce, a Newton solver for the
+linear probe's objective, and the checkpoint layout written before the
+optimizer moments were packed."""
+
+import base64
 
 import numpy as np
 
@@ -366,3 +369,18 @@ def per_class_f1_loop(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> 
         denom = 2 * tp + fp + fn
         per_class.append(2 * tp / denom if denom > 0 else 0.0)
     return per_class
+
+
+def old_format_checkpoint(payload: dict) -> dict:
+    """A current checkpoint payload in the layout written before the moments were packed.
+
+    Each moment becomes a flat JSON float list and there is no ``sha256``.
+    """
+    old = {k: v for k, v in payload.items() if k != "sha256"}
+    for key in ("visual_optimizer", "text_optimizer"):
+        if old[key] is not None:
+            old[key] = {**old[key], **{
+                name: [np.frombuffer(base64.b64decode(m["f8le"]), dtype="<f8").tolist() for m in old[key][name]]
+                for name in ("first_moment", "second_moment")
+            }}
+    return old

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from helpers import old_format_checkpoint
 from hypothesis import strategies as st
 
 from lecnce import cli, encoders
 from lecnce.cli import load_config, resolve_seed, run
 from lecnce.datagen import ProcedureSpec, SplitSpec, load_dataset
-from lecnce.encoders import init_params, save_checkpoint
+from lecnce.encoders import init_optimizer, init_params, save_checkpoint
 from lecnce.errors import ConfigError, UnknownKeyError
 from lecnce.evalkit import PROBE_TOL, EvalConfig
 from lecnce.losses import LossConfig
@@ -446,6 +447,29 @@ class TestCorruptFiles:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert f"checkpoint {path} is not readable" in err and named in err, err
+        assert not (tmp_path / "eval").exists()
+
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (old_format_checkpoint, "predates packed optimizer state (moments as float lists); re-train"),
+            (lambda p: p["text"]["weights"][0].__setitem__(0, p["text"]["weights"][0][0] + 0.5), "sha256 mismatch"),
+            (lambda p: p["visual_optimizer"].update(beta1=-3), "visual_optimizer.beta1 must be a finite number"),
+        ],
+        ids=["old_format", "altered_weight", "beta1"],
+    )
+    def test_rejected_checkpoint(self, tmp_path, capsys, small_config, generated, damage, named):
+        path = tmp_path / "c.json"
+        visual, text = init_params([12, 6]), init_params([9, 6])
+        save_checkpoint(path, visual, text, init_optimizer(visual), init_optimizer(text), seed=1)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(damage(payload) or payload))
+        argv = ["eval", "--config", str(small_config), "--checkpoint", str(path), "--data", str(generated),
+                "--out", str(tmp_path / "eval")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {path}" in err and named in err and "Traceback" not in err, err
         assert not (tmp_path / "eval").exists()
 
 

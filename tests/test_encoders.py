@@ -1,9 +1,13 @@
+import base64
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
-from helpers import rel_error, unit_rows
+from helpers import old_format_checkpoint, rel_error, unit_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lecnce.encoders import (
     EncoderParams,
@@ -15,7 +19,7 @@ from lecnce.encoders import (
     load_checkpoint,
     save_checkpoint,
 )
-from lecnce.errors import BadDimsError, DimMismatchError, MissingCacheError, ShapeMismatchError
+from lecnce.errors import BadDimsError, CorruptFileError, DimMismatchError, MissingCacheError, ShapeMismatchError
 from lecnce.losses import LossConfig, diagonal_positives, hier_lecnce, info_nce
 from lecnce.numerics import finite_diff_grad, make_rng
 
@@ -301,3 +305,150 @@ class TestCheckpoint:
         streamed = io.StringIO()
         json.dump(json.loads(written), streamed, sort_keys=True, separators=(",", ":"))
         assert written == streamed.getvalue() + "\n"
+
+
+def trained_checkpoint(path):
+    """A checkpoint of two encoders after two AdamW steps each, so every moment is non-trivial."""
+    rng = make_rng(18)
+    f = init_params([6, 4, 3], "tanh", rng)
+    g = init_params([5, 3], "identity", rng)
+    sf, sg = init_optimizer(f), init_optimizer(g, learning_rate=0.01, beta2=0.99)
+    for _ in range(2):
+        f, sf = adamw_step(f, [(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in f.layers], sf)
+        g, sg = adamw_step(g, [(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in g.layers], sg)
+    save_checkpoint(path, f, g, sf, sg, seed=7, schedule_position=2)
+    return f, g, sf, sg
+
+
+def _packed_nan(payload):
+    m = payload["visual_optimizer"]["first_moment"][0]
+    values = np.zeros(m["shape"])
+    values.flat[1] = np.nan
+    m["f8le"] = base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
+
+
+def _packed_negative(payload):
+    m = payload["text_optimizer"]["second_moment"][1]
+    m["f8le"] = base64.b64encode(np.full(m["shape"], -1e-9).astype("<f8").tobytes()).decode("ascii")
+
+
+def _unused_base64_bit(payload):
+    # 4 floats are 32 bytes: 43 characters and one "=", the last character carrying 2 unused bits
+    m = payload["visual_optimizer"]["first_moment"][1]
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    last = m["f8le"][-2]
+    m["f8le"] = m["f8le"][:-2] + alphabet[alphabet.index(last) ^ 1] + "="
+
+
+class TestPackedCheckpoint:
+    def test_moments_packed_and_hash_covers_every_value(self, tmp_path):
+        path = tmp_path / "c.json"
+        f, g, sf, sg = trained_checkpoint(path)
+        payload = json.loads(path.read_text())
+        moments = [m for s in (sf, sg) for name in ("first_moment", "second_moment") for m in getattr(s, name)]
+        packed = [e for key in ("visual_optimizer", "text_optimizer") for name in ("first_moment", "second_moment")
+                  for e in payload[key][name]]
+        for m, entry in zip(moments, packed, strict=True):
+            assert entry == {"shape": list(m.shape), "f8le": base64.b64encode(m.astype("<f8").tobytes()).decode()}
+        # the documented hash: every array's bytes in order, then the canonical JSON of shapes and scalars
+        arrays = f.flat() + g.flat() + moments
+        digest = hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays))
+        scalars = {
+            "shapes": [list(a.shape) for a in arrays],
+            "activations": ["tanh", "identity"],
+            "optimizers": [{k: v for k, v in payload[key].items() if k not in ("first_moment", "second_moment")}
+                           for key in ("visual_optimizer", "text_optimizer")],
+            "seed": 7,
+            "schedule_position": 2,
+        }
+        digest.update(json.dumps(scalars, sort_keys=True).encode())
+        assert payload["sha256"] == digest.hexdigest()
+        loaded = load_checkpoint(path)
+        for state, name in ((sf, "visual_optimizer"), (sg, "text_optimizer")):
+            for m, back in zip(state.first_moment + state.second_moment,
+                               loaded[name].first_moment + loaded[name].second_moment, strict=True):
+                assert back.tobytes() == m.tobytes() and back.flags.writeable
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (_packed_nan, "visual_optimizer.first_moment[0] has non-finite values"),
+            (_packed_negative, "text_optimizer.second_moment[1] has negative values"),
+            (lambda p: p["visual_optimizer"].update(step_count="x"), "visual_optimizer.step_count must be an integer"),
+            (lambda p: p["text_optimizer"].update(step_count=-1), "text_optimizer.step_count must be an integer"),
+            (lambda p: p["visual_optimizer"].update(beta1=-3), "visual_optimizer.beta1 must be a finite number in"),
+            (lambda p: p["text_optimizer"].update(beta2=1.0), "text_optimizer.beta2 must be a finite number in"),
+            (lambda p: p["visual_optimizer"].update(epsilon=0.0), "visual_optimizer.epsilon must be a finite number >"),
+            (lambda p: p["visual_optimizer"].update(learning_rate=float("inf")), "visual_optimizer.learning_rate"),
+            (lambda p: p["text_optimizer"].update(weight_decay=True), "text_optimizer.weight_decay"),
+            (lambda p: p.update(seed="abc"), "seed must be an integer >= 0, got 'abc'"),
+            (lambda p: p.update(seed=-2), "seed must be an integer >= 0, got -2"),
+            (lambda p: p.update(schedule_position=-5), "schedule_position must be an integer >= 0, got -5"),
+            (lambda p: p["visual_optimizer"]["second_moment"].pop(), "visual_optimizer.second_moment has 3 arrays"),
+            (lambda p: p["text_optimizer"]["first_moment"][0].update(shape=[3, 5]), "text_optimizer.first_moment[0]"),
+            (lambda p: p["visual"].update(layer_dims=[-1, 4, 3]), "layer_dims [-1, 4, 3] do not match"),
+            (_unused_base64_bit, "visual_optimizer.first_moment[1] is not canonical base64"),
+        ],
+        ids=["nan_moment", "negative_second_moment", "step_count_str", "step_count_negative", "beta1", "beta2",
+             "epsilon", "learning_rate_inf", "weight_decay_bool", "seed_str", "seed_negative",
+             "schedule_position", "moment_count", "moment_shape", "layer_dims", "unused_base64_bit"],
+    )
+    def test_invalid_value_names_the_key(self, tmp_path, edit, named):
+        path = tmp_path / "c.json"
+        trained_checkpoint(path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptFileError, match="is not readable") as info:
+            load_checkpoint(path)
+        assert named in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "c.json"
+    trained_checkpoint(path)
+    return path, path.read_text()
+
+
+@st.composite
+def damaged_checkpoints(draw, text):
+    """The text of ``text`` truncated, or a flipped base64 bit, digit, hash or old layout in its payload."""
+    kind = draw(st.sampled_from(["truncated", "flipped_f8le", "weight_digit", "wrong_sha256", "old_format"]))
+    if kind == "truncated":  # at least the closing brace goes
+        return text[: draw(st.integers(0, len(text) - 2))]
+    payload = json.loads(text)
+    if kind == "flipped_f8le":
+        entries = [e for key in ("visual_optimizer", "text_optimizer") for name in ("first_moment", "second_moment")
+                   for e in payload[key][name]]
+        entry = draw(st.sampled_from(entries))
+        i = draw(st.integers(0, len(entry["f8le"]) - 1))
+        flipped = chr(ord(entry["f8le"][i]) ^ (1 << draw(st.integers(0, 6))))
+        entry["f8le"] = entry["f8le"][:i] + flipped + entry["f8le"][i + 1 :]
+    elif kind == "weight_digit":
+        weights = payload[draw(st.sampled_from(["visual", "text"]))]["weights"]
+        layer = weights[draw(st.integers(0, len(weights) - 1))]
+        k = draw(st.integers(0, len(layer) - 1))
+        digits = repr(layer[k])
+        i = next(j for j, c in enumerate(digits) if c.isdigit())
+        new = draw(st.sampled_from([d for d in "0123456789" if d != digits[i]]))
+        layer[k] = float(digits[:i] + new + digits[i + 1 :])
+    elif kind == "wrong_sha256":
+        payload["sha256"] = draw(st.text("0123456789abcdef", min_size=64, max_size=64).filter(
+            lambda h: h != payload["sha256"]))
+    else:
+        payload = old_format_checkpoint(payload)
+        if draw(st.booleans()):  # a hash added to old-format moments still does not load
+            payload["sha256"] = json.loads(text)["sha256"]
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_raises_corrupt_file_error(checkpoint_file, data):
+    path, text = checkpoint_file
+    damaged = data.draw(damaged_checkpoints(text))
+    bad = path.with_name("damaged.json")
+    bad.write_text(damaged, encoding="utf-8")
+    with pytest.raises(CorruptFileError):
+        load_checkpoint(bad)

@@ -1,4 +1,6 @@
 import copy
+import importlib.util
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -313,6 +315,34 @@ class TestTrainRun:
         steps = [r.global_step for r in log.records]
         assert steps == sorted(steps) and len(set(steps)) == len(steps)
         assert all(np.isfinite(r.total) for r in log.records)
+
+    def test_final_checkpoint_holds_the_exact_state(self, tmp_path):
+        train, _ = tiny_dataset()
+        cfg = tiny_config(visual_layers=(12, 8, 6), activation="tanh")
+        state, _ = train_run(cfg, train, out_dir=tmp_path)
+        loaded = encoders.load_checkpoint(tmp_path / "checkpoint_final.json")
+        for params, opt, key in ((state.visual, state.visual_opt, "visual"), (state.text, state.text_opt, "text")):
+            assert [p.tobytes() for p in loaded[key].flat()] == [p.tobytes() for p in params.flat()]
+            back = loaded[f"{key}_optimizer"]
+            assert [m.tobytes() for m in back.first_moment + back.second_moment] == [
+                m.tobytes() for m in opt.first_moment + opt.second_moment]
+            assert back.step_count == opt.step_count == cfg.epochs * len(schedule_period(cfg))
+
+    def test_benchmark_reader_agrees_with_load_checkpoint(self, tmp_path):
+        # perfbench/checks.py parses checkpoints apart from the program; load it read-only from its file
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_checks", Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        train, _ = tiny_dataset()
+        train_run(tiny_config(visual_layers=(12, 8, 6), activation="tanh"), train, out_dir=tmp_path)
+        path = tmp_path / "checkpoint_final.json"
+        loaded = encoders.load_checkpoint(path)
+        for (layers, activation), key in zip(checks.read_encoders(path), ("visual", "text"), strict=True):
+            assert activation == loaded[key].activation
+            for (w, b), (w_ref, b_ref) in zip(layers, loaded[key].layers, strict=True):
+                assert w.shape == w_ref.shape and b.shape == b_ref.shape
+                assert np.all(w == w_ref) and np.all(b == b_ref)
 
     def test_clip_loss_decreases(self):
         train, _ = tiny_dataset(n_procedures=8)
