@@ -221,8 +221,30 @@ def _params_payload(params: EncoderParams) -> dict:
     }
 
 
-def _params_from_payload(payload: dict) -> EncoderParams:
-    dims = payload["layer_dims"]
+_CHECKPOINT_KEYS = ("visual", "text", "visual_optimizer", "text_optimizer", "seed", "schedule_position", "sha256")
+_PARAMS_KEYS = ("layer_dims", "activation", "weights", "biases")
+
+
+def _exact_keys(payload, keys, where: str = "") -> dict:
+    """``payload``, which must be an object with exactly ``keys``.
+
+    A missing key raises KeyError and an unknown one ValueError, each naming
+    the key with ``where`` as its prefix.
+    """
+    if not isinstance(payload, dict):
+        raise TypeError(f"{where or 'checkpoint'} is a {type(payload).__name__}, not an object")
+    prefix = f"{where}." if where else ""
+    for key in keys:
+        if key not in payload:
+            raise KeyError(prefix + key)
+    unknown = sorted(set(payload) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {prefix + unknown[0]!r}")
+    return payload
+
+
+def _params_from_payload(payload: dict, key: str) -> EncoderParams:
+    dims = _exact_keys(payload, _PARAMS_KEYS, key)["layer_dims"]
     layers = []
     for i, (w_flat, b) in enumerate(zip(payload["weights"], payload["biases"])):
         w = np.asarray(w_flat, dtype=np.float64).reshape(dims[i], dims[i + 1])
@@ -240,7 +262,7 @@ def _packed(a: np.ndarray) -> dict:
 
 def _unpacked(entry: dict, shape: tuple[int, ...], key: str) -> np.ndarray:
     """Inverse of :func:`_packed` for an array that must have ``shape``."""
-    if entry["shape"] != list(shape):
+    if _exact_keys(entry, ("shape", "f8le"), key)["shape"] != list(shape):
         raise ValueError(f"{key} has shape {entry['shape']}, its parameter {list(shape)}")
     raw = base64.b64decode(entry["f8le"], validate=True)
     if base64.b64encode(raw).decode("ascii") != entry["f8le"]:  # unused trailing bits would round-trip silently
@@ -266,6 +288,7 @@ def _state_payload(state: OptimizerState) -> dict:
 
 
 def _state_from_payload(payload: dict, params: EncoderParams, key: str) -> OptimizerState:
+    _exact_keys(payload, [f.name for f in fields(OptimizerState)], key)
     shapes = [p.shape for p in params.flat()]
     scalars = {name: _number(f"{key}.{name}", payload[name], ok, rule) for name, (ok, rule) in _HYPERPARAMETERS.items()}
     scalars["step_count"] = _count(f"{key}.step_count", payload["step_count"])
@@ -340,8 +363,9 @@ def save_checkpoint(
 def load_checkpoint(path) -> dict:
     """Inverse of :func:`save_checkpoint`; a file that is not one raises :class:`CorruptFileError`.
 
-    Every value is decoded and range-checked first; then the file's
-    ``sha256`` must equal the hash of the decoded values.
+    Every object must hold exactly the keys the writer emits, and every value
+    is decoded and range-checked first; then the file's ``sha256`` must equal
+    the hash of the decoded values.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -349,8 +373,9 @@ def load_checkpoint(path) -> dict:
         if isinstance(payload, dict) and "sha256" not in payload:
             raise CorruptFileError(f"checkpoint {path} has no sha256: it predates packed optimizer state "
                                    "(moments as float lists); re-train to write a current checkpoint")
-        visual = _params_from_payload(payload["visual"])
-        text = _params_from_payload(payload["text"])
+        _exact_keys(payload, _CHECKPOINT_KEYS)
+        visual = _params_from_payload(payload["visual"], "visual")
+        text = _params_from_payload(payload["text"], "text")
         out = {
             "visual": visual,
             "text": text,

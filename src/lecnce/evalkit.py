@@ -119,31 +119,35 @@ _HALVINGS = 40  # step halvings before a line search gives up and the fit stops
 
 
 def _probe_objective(x, y, k, wd):
-    """The objective of :func:`linear_probe` with ``k`` classes, computed in one reused (n, k) buffer.
+    """The objective of :func:`linear_probe` with ``k`` classes, computed class-major in one reused (k, n) buffer.
 
     Returns a function of the flat parameters ``theta`` (``w`` row-major, then
-    ``b``) giving mean NLL + wd/2 * |w|^2 and its flat gradient.  A trial
-    point so far out that the logits overflow gives a NaN loss, which the
-    line search rejects, instead of a warning.
+    ``b``) giving mean NLL + wd/2 * |w|^2 and its flat gradient.  The logits
+    are ``w.T @ x.T`` on a transposed view of the features, never a copy, so
+    each sample's max, exp-sum and normalisation run along axis 0 over k
+    contiguous rows of length n.  A trial point so far out that the logits
+    overflow gives a NaN loss, which the line search rejects, instead of a
+    warning.
     """
     n, d = x.shape
-    buf = np.empty((n, k))
-    rows = np.arange(n)
+    xt = x.T
+    buf = np.empty((k, n))
+    cols = np.arange(n)
 
     @np.errstate(over="ignore", invalid="ignore")
     def f(theta):
         w, b = theta[: d * k].reshape(d, k), theta[d * k :]
-        z = np.matmul(x, w, out=buf)
-        z += b
-        z -= z.max(axis=1, keepdims=True)
-        true = z[rows, y]
+        z = np.matmul(w.T, xt, out=buf)
+        z += b[:, None]
+        z -= z.max(axis=0)
+        true = z[y, cols]
         np.exp(z, out=z)
-        total = z.sum(axis=1)
+        total = z.sum(axis=0)
         loss = (np.log(total).sum() - true.sum()) / n + 0.5 * wd * float(np.dot(theta[: d * k], theta[: d * k]))
-        z /= total[:, None]
-        z[rows, y] -= 1.0
+        z /= total
+        z[y, cols] -= 1.0
         z /= n
-        return loss, np.concatenate([(x.T @ z + wd * w).ravel(), z.sum(axis=0)])
+        return loss, np.concatenate([(xt @ z.T + wd * w).ravel(), z.sum(axis=1)])
 
     return f
 
@@ -171,8 +175,15 @@ def linear_probe(
     and is never predicted.
     The fit is deterministic and, up to rounding, independent of the row
     order; ``rng`` only draws the held-out split when no explicit test set
-    is given.  The features are never modified.
+    is given.  The features are never modified.  ``lr`` and ``tol`` must be
+    finite and > 0 and ``test_fraction`` in (0, 1), or FieldValueError names
+    the argument.
     """
+    for name, value in (("lr", lr), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise FieldValueError(name, f"must be a finite number > 0, got {value}")
+    if not 0 < test_fraction < 1:
+        raise FieldValueError("test_fraction", f"must be in (0, 1), got {test_fraction}")
     features = as_matrix(features, "features")
     labels = _class_ids(labels, "labels")
     if labels.shape != (features.shape[0],):

@@ -272,6 +272,35 @@ def probe_objective(x, y, w, b, weight_decay) -> float:
     return nll / len(y) + 0.5 * weight_decay * float(np.sum(w * w))
 
 
+def row_major_probe_objective(x, y, k, wd):
+    """The linear probe's objective with sample-major (n, k) logits: the oracle of ``evalkit._probe_objective``.
+
+    Returns a function of the flat parameters ``theta`` (``w`` row-major, then
+    ``b``) giving mean NLL + wd/2 * |w|^2 and its flat gradient; logits that
+    overflow give a NaN loss instead of a warning.
+    """
+    n, d = x.shape
+    buf = np.empty((n, k))
+    rows = np.arange(n)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def f(theta):
+        w, b = theta[: d * k].reshape(d, k), theta[d * k :]
+        z = np.matmul(x, w, out=buf)
+        z += b
+        z -= z.max(axis=1, keepdims=True)
+        true = z[rows, y]
+        np.exp(z, out=z)
+        total = z.sum(axis=1)
+        loss = (np.log(total).sum() - true.sum()) / n + 0.5 * wd * float(np.dot(theta[: d * k], theta[: d * k]))
+        z /= total[:, None]
+        z[rows, y] -= 1.0
+        z /= n
+        return loss, np.concatenate([(x.T @ z + wd * w).ravel(), z.sum(axis=0)])
+
+    return f
+
+
 def newton_probe(x, y, n_classes, weight_decay, iterations=60):
     """(w, b) minimising :func:`probe_objective`, by damped Newton with the exact Hessian.
 

@@ -67,6 +67,23 @@ PINNED_DEFAULTS = {
     },
 }
 
+# the eval report of TestEvalCommand's seeded checkpoint before the probe's objective went class-major,
+# without probe.grad_norm, which that change moved in its last digits from PINNED_GRAD_NORM
+PINNED_REPORT = {
+    "accuracy": 0.25,
+    "macro_f1": 0.16025641025641024,
+    "modality_gap": 0.5331955301041501,
+    "per_class_f1": [0.6153846153846154, 0.0, 0.0, 0.0, 0.0, 0.0, 0.6666666666666666, 0.0],
+    "probe": {
+        "accuracy": 0.9375,
+        "iterations": 39,
+        "macro_f1": 0.46825396825396826,
+        "per_class_f1": [0.8888888888888888, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.8571428571428571],
+    },
+    "recall": {"i2t": {"1": 0.375, "5": 0.875}, "t2i": {"1": 0.375, "5": 0.875}},
+}
+PINNED_GRAD_NORM = 7.098338486264029e-05
+
 HAND_TRACE = [[1.0, 5.0, 5.0], [2.0, 1.0, 5.0], [5.0, 2.0, 1.0]]
 
 
@@ -349,10 +366,12 @@ class TestEvalCommand:
     def test_report_with_every_class_in_the_probe_is_unchanged(self, tmp_path, small_config, generated):
         """With every class in the probe's training rows, the report of a seeded checkpoint keeps its bytes.
 
-        The digest dates from the change that made the generator draw its
-        noise in whole blocks, which changed the generated data: it is the
-        report that the eval code from just before that change writes for the
-        new data (numpy 2.4 on OpenBLAS; another BLAS may round differently).
+        The digest dates from the change that made the probe's objective
+        class-major, which moved ``probe.grad_norm`` in its last digits and
+        nothing else (numpy 2.4 on OpenBLAS; another BLAS may round
+        differently).  ``PINNED_REPORT`` is the report from before that
+        change, whose digest was
+        ccf892bc534adf13dd600a9b508910b35d67772c62ff0d6df52f21c799b59f3f.
         """
         train, _ = load_dataset(str(generated))
         assert set(train.samples["video"].labels.ravel().tolist()) == set(range(8))
@@ -362,7 +381,11 @@ class TestEvalCommand:
                 "--data", str(generated), "--out", str(tmp_path / "eval")]
         assert run(argv) == 0
         report = (tmp_path / "eval" / "eval_report.json").read_bytes()
-        assert hashlib.sha256(report).hexdigest() == "ccf892bc534adf13dd600a9b508910b35d67772c62ff0d6df52f21c799b59f3f"
+        assert hashlib.sha256(report).hexdigest() == "f8e6232ec8e1cf40b6e7afe5401c7f6e3b10485b587f42aaadbab2205bf896a0"
+        decoded = json.loads(report)
+        grad_norm = decoded["probe"].pop("grad_norm")
+        assert abs(grad_norm - PINNED_GRAD_NORM) <= 1e-9 * PINNED_GRAD_NORM
+        assert decoded == PINNED_REPORT
 
     @pytest.mark.parametrize("probe_epochs", [None, 1])
     def test_unconverged_probe_warns(self, tmp_path, capsys, small_config, generated, probe_epochs):

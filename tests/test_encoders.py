@@ -403,6 +403,31 @@ class TestPackedCheckpoint:
             load_checkpoint(path)
         assert named in str(info.value)
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda p: p.update(note="edited"), "ValueError: unknown key 'note'"),
+            (lambda p: p["visual_optimizer"].update(extra=[1, 2]), "ValueError: unknown key 'visual_optimizer.extra'"),
+            (lambda p: p["text"].update(dropout=0.1), "ValueError: unknown key 'text.dropout'"),
+            (lambda p: p["visual_optimizer"]["first_moment"][0].update(pad=0),
+             "ValueError: unknown key 'visual_optimizer.first_moment[0].pad'"),
+            (lambda p: p.pop("seed"), "KeyError: 'seed'"),
+            (lambda p: p["visual"].pop("activation"), "KeyError: 'visual.activation'"),
+            (lambda p: p["text_optimizer"].pop("beta1"), "KeyError: 'text_optimizer.beta1'"),
+        ],
+        ids=["top_level_note", "optimizer_extra", "text_extra", "packed_entry_extra", "no_seed", "no_activation",
+             "no_beta1"],
+    )
+    def test_keys_must_be_exactly_the_written_ones(self, tmp_path, edit, named):
+        path = tmp_path / "c.json"
+        trained_checkpoint(path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptFileError, match="is not readable") as info:
+            load_checkpoint(path)
+        assert named in str(info.value)
+
 
 @pytest.fixture(scope="module")
 def checkpoint_file(tmp_path_factory):

@@ -1,9 +1,18 @@
 import hashlib
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from helpers import newton_probe, per_class_f1_loop, probe_objective, recall_ranks_loop, unit_rows
+from helpers import (
+    newton_probe,
+    per_class_f1_loop,
+    probe_objective,
+    recall_ranks_loop,
+    row_major_probe_objective,
+    unit_rows,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +27,7 @@ from lecnce.errors import (
 from lecnce.evalkit import (
     PROBE_TOL,
     EvalReport,
+    _probe_objective,
     accuracy_f1,
     linear_probe,
     modality_gap,
@@ -292,6 +302,67 @@ class TestLinearProbe:
         features, labels = make_blobs(make_rng(35), n_per_class=10)
         with pytest.raises(LengthMismatchError):
             linear_probe(features, labels[:-1], rng=make_rng(36))
+
+    def test_fit_holds_one_logit_buffer_and_no_copy_of_the_features(self):
+        """The traced peak of a fit is the (k, n) logit buffer plus a few length-n vectors.
+
+        Measured: the buffer plus about 6 * 8n bytes (numpy 2.4).  A copy of
+        the (d, n) features would add d * 8n = 32 * 8n bytes and fail.
+        """
+        n, d, k = 20_000, 32, 24
+        rng = make_rng(42)
+        labels = np.arange(n) % k
+        features = rng.normal(size=(k, d))[labels] + 3.0 * rng.normal(size=(n, d))
+        test_features, test_labels = features[:240].copy(), labels[:240].copy()
+        linear_probe(features[:48], labels[:48], epochs=1)  # first-call imports and caches are not the fit's
+        tracemalloc.start()
+        try:
+            result = linear_probe(features, labels, epochs=3, test_features=test_features, test_labels=test_labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 3
+        assert peak < 8 * n * k + 16 * 8 * n
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            (dict(lr=0), "lr must be a finite number > 0, got 0"),
+            (dict(lr=np.inf), "lr must be a finite number > 0, got inf"),
+            (dict(tol=-1), "tol must be a finite number > 0, got -1"),
+            (dict(tol=np.nan), "tol must be a finite number > 0, got nan"),
+            (dict(test_fraction=1), r"test_fraction must be in \(0, 1\), got 1"),
+            (dict(test_fraction=0.0), r"test_fraction must be in \(0, 1\), got 0.0"),
+        ],
+        ids=["lr_zero", "lr_inf", "tol_negative", "tol_nan", "test_fraction_one", "test_fraction_zero"],
+    )
+    def test_bad_argument_named(self, kwargs, named):
+        features, labels = make_blobs(make_rng(43), n_per_class=10)
+        with pytest.raises(FieldValueError, match=named):
+            linear_probe(features, labels, **kwargs)
+
+
+class TestProbeObjective:
+    @pytest.mark.parametrize("n, d, k", [(37, 5, 2), (203, 32, 24), (1001, 8, 7)])
+    def test_matches_the_row_major_oracle(self, n, d, k):
+        rng = make_rng(n)
+        x, y = rng.normal(size=(n, d)), rng.integers(0, k, n)
+        objective, oracle = _probe_objective(x, y, k, 0.01), row_major_probe_objective(x, y, k, 0.01)
+        for scale in (0.0, 0.3, 3.0):
+            theta = scale * rng.normal(size=(d + 1) * k)
+            (loss, grad), (want_loss, want_grad) = objective(theta), oracle(theta)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+    @pytest.mark.parametrize("k", [2, 24])
+    def test_overflowing_point_gives_nan_loss_without_warning(self, k):
+        rng = make_rng(41)
+        x, y = 1e10 * rng.normal(size=(45, 6)), rng.integers(0, k, 45)
+        theta = 1e300 * rng.normal(size=7 * k)  # the logits overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make in (_probe_objective, row_major_probe_objective):
+                assert np.isnan(make(x, y, k, 0.01)(theta)[0])
 
 
 class TestAccuracyF1:
