@@ -8,7 +8,8 @@ report the cells they visited as a 1-based path from (T, N) down to (1, 1).
 ``align_batch`` aligns a (B, T, N) stack of equal-shape matrices in one
 call and returns each one's cost and 0/1 path mask: one lockstep walker
 traces the raw costs for greedy, or the accumulated table of a vectorized
-wavefront for DP.
+wavefront for DP.  ``dp_costs`` runs the same wavefront and reads only the
+DP costs, each at its table's corner, without backtracking any path.
 """
 
 from __future__ import annotations
@@ -140,12 +141,16 @@ def dtw_dp(c: CostMatrix | np.ndarray) -> AlignmentResult:
 DTW_ALGORITHMS = {"greedy": dtw_greedy, "dp": dtw_dp}
 
 
+def check_algorithm(algorithm: str) -> str:
+    """``algorithm`` itself when it names a registered alignment routine, else ValueError."""
+    if algorithm not in DTW_ALGORITHMS:
+        raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}")
+    return algorithm
+
+
 def align(c: CostMatrix | np.ndarray, algorithm: str = "greedy") -> AlignmentResult:
     """Dispatch to one of the registered alignment routines."""
-    try:
-        return DTW_ALGORITHMS[algorithm](c)
-    except KeyError:
-        raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}") from None
+    return DTW_ALGORITHMS[check_algorithm(algorithm)](c)
 
 
 @functools.lru_cache(maxsize=64)
@@ -167,23 +172,38 @@ def _wavefront_plan(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return skew, unskew
 
 
-def _accumulate(padded: np.ndarray) -> np.ndarray:
-    """``dtw_dp``'s accumulated-cost table of each matrix of an inf-padded stack.
+def _padded(matrices) -> np.ndarray:
+    """The checked (B, T, N) stack ``matrices`` inside an inf border, as a (B, T+1, N+1) array."""
+    mats = as_stack(matrices, "cost matrices")
+    padded = np.full(np.add(mats.shape, (0, 1, 1)), np.inf)  # the inf border of the walk and the DP table
+    padded[:, 1:, 1:] = mats
+    return padded
 
-    Row 0 and column 0 of the (B, T+1, N+1) ``padded`` are the inf border,
-    in the returned table too; the matrices occupy the rest.
+
+def _accumulate(padded: np.ndarray) -> np.ndarray:
+    """``dtw_dp``'s accumulated-cost table of each matrix of an inf-padded stack, skewed.
+
+    Row 0 and column 0 of the (B, T+1, N+1) ``padded`` are the inf border; row d of a
+    (T+N+1, N+1) skewed table holds the cells (d - j, j), so ``[:, -1, -1]`` is each DP cost.
     """
     b, t1, n1 = padded.shape
-    t, n = t1 - 1, n1 - 1
-    skew, unskew = _wavefront_plan(t, n)
-    v = padded.reshape(b, -1)[:, skew]
+    v = padded.reshape(b, -1)[:, _wavefront_plan(t1 - 1, n1 - 1)[0]]
     acc = np.full_like(v, np.inf)
     acc[:, 0, 0] = -0.0  # v + (-0.0) == v bit for bit, as dtw_dp's acc[0, 0] = v[0, 0]
-    for d in range(2, t + n + 1):
+    for d in range(2, t1 + n1 - 1):
         # min(diag, up, left), ordered so that ties keep the earlier operand
         best = np.minimum(acc[:, d - 1, :-1], np.minimum(acc[:, d - 1, 1:], acc[:, d - 2, :-1]))
         np.add(v[:, d, 1:], best, out=acc[:, d, 1:])
-    return acc.reshape(b, -1)[:, unskew]  # table[k, i, j]: accumulated cost of 1-based cell (i, j)
+    return acc
+
+
+def dp_costs(matrices) -> np.ndarray:
+    """``align_batch(matrices, "dp")``'s costs alone: the corner of each DP table, with no backtrack."""
+    with np.errstate(over="ignore"):  # an overflowing cost raises below
+        costs = _accumulate(_padded(matrices))[:, -1, -1]
+    if not np.all(np.isfinite(costs)):
+        raise NonFiniteError("alignment cost overflows")
+    return costs
 
 
 def _walk(table: np.ndarray, t: int, n: int) -> np.ndarray:
@@ -217,16 +237,13 @@ def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray
     ``dtw_dp``/``dtw_greedy`` ones exactly: DP reads each corner of its
     walked table, greedy sums the walked raw costs in visit order.
     """
-    if algorithm not in DTW_ALGORITHMS:
-        raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}")
-    mats = as_stack(matrices, "cost matrices")
-    b, t, n = mats.shape
-    padded = np.full((b, t + 1, n + 1), np.inf)  # the inf border of the walk and the DP table
-    padded[:, 1:, 1:] = mats
+    check_algorithm(algorithm)
+    padded = _padded(matrices)
+    t, n = padded.shape[1] - 1, padded.shape[2] - 1
 
     with np.errstate(over="ignore"):  # an overflowing cost raises below
         if algorithm == "dp":
-            table = _accumulate(padded)
+            table = _accumulate(padded).reshape(len(padded), -1)[:, _wavefront_plan(t, n)[1]]  # unskewed
             visits = _walk(table, t, n)
             costs = table.ravel()[visits[0]]
         else:

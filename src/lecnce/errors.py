@@ -94,10 +94,10 @@ class FieldValueError(LecnceError, ValueError):
 
 
 def check_minimums(obj, **minimums) -> None:
-    """Raise :class:`FieldValueError` for the first field of ``obj`` below its minimum (or NaN)."""
+    """Raise :class:`FieldValueError` for the first field of ``obj`` below its minimum, infinite or NaN."""
     for name, low in minimums.items():
-        if not getattr(obj, name) >= low:
-            raise FieldValueError(name, f"must be >= {low}, got {getattr(obj, name)}")
+        if not low <= getattr(obj, name) < float("inf"):
+            raise FieldValueError(name, f"must be finite and >= {low}, got {getattr(obj, name)}")
 
 
 class AllZeroScheduleError(FieldValueError):

@@ -12,12 +12,13 @@ backward pass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .alignment import CostMatrix, align, align_batch, dtw_subgradient
+from .alignment import CostMatrix, align, align_batch, check_algorithm, dp_costs, dtw_subgradient
 from .errors import (
     DimMismatchError,
     EmptyChildSequenceError,
@@ -52,10 +53,11 @@ class LossConfig:
     symmetric: bool = True
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise FieldValueError("beta", f"must be > 0, got {self.beta}")
-        if not self.temperature_infonce > 0:
-            raise FieldValueError("temperature_infonce", f"must be > 0, got {self.temperature_infonce}")
+        for name in ("beta", "temperature_infonce"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise FieldValueError(name, f"must be finite and > 0, got {getattr(self, name)}")
+        if not np.isfinite(self.phi):
+            raise FieldValueError("phi", f"must be finite, got {self.phi}")
         check_minimums(self, lambda_dtw=0)
         if self.hinge_form not in HINGE_FORMS:
             raise FieldValueError("hinge_form", f"must be one of {HINGE_FORMS}, got {self.hinge_form!r}")
@@ -70,9 +72,10 @@ class LossValue:
     components: dict = field(default_factory=dict)
 
 
-def diagonal_positives(n: int) -> list[list[int]]:
+@functools.lru_cache(maxsize=256)  # one immutable object per n, which _row_nce recognises
+def diagonal_positives(n: int) -> tuple[tuple[int], ...]:
     """The standard matched-pair positive sets: row i's positive is column i."""
-    return [[i] for i in range(n)]
+    return tuple((i,) for i in range(n))
 
 
 def _row_nce(z: np.ndarray, positives: Sequence[Sequence[int]]) -> tuple[float, np.ndarray]:
@@ -87,17 +90,17 @@ def _row_nce(z: np.ndarray, positives: Sequence[Sequence[int]]) -> tuple[float, 
     shifted = z - z.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=1)
-    value = 0.0
     grad = exp / denom[:, None] / b
-    cols = np.array([int(j) for pos in positives for j in pos], dtype=int)
-    if all(len(pos) == 1 for pos in positives) and np.all((cols >= 0) & (cols < m)):
-        # one valid positive per row: a gather replaces the per-row index sets
-        rows = np.arange(b)
+    rows = np.arange(b)
+    diagonal = positives is diagonal_positives(b) and b <= m  # the training case: no Python pass over the rows
+    cols = rows if diagonal else np.array([int(j) for pos in positives for j in pos], dtype=int)
+    if diagonal or (all(len(pos) == 1 for pos in positives) and np.all((cols >= 0) & (cols < m))):
+        # one valid positive per row: a gather, its terms added in row order from 0.0 as the per-row loop adds
         pos_exp = exp[rows, cols]
-        for term in (np.log(denom) - np.log(pos_exp)).tolist():  # in row order, as the loop adds
-            value += term
+        value = float(0.0 + np.add.accumulate(np.log(denom) - np.log(pos_exp))[-1])
         grad[rows, cols] -= pos_exp / pos_exp / b
     else:
+        value = 0.0
         for i, pos in enumerate(positives):
             idx = np.asarray(sorted(set(int(j) for j in pos)), dtype=int)
             if idx.size == 0:
@@ -295,8 +298,9 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     Pooled segment embeddings are contrasted against parent texts with
     diagonal positives; each sample additionally pays a reversal hinge on
     the alignment cost between its frames and its child texts, averaged over
-    the batch and scaled by ``lambda_dtw``.  The frame and child gradients
-    come back as (B, T, d) and (B, N, d) arrays.
+    the batch and scaled by ``lambda_dtw``.  DP costs are read off the table
+    corners, and only the active hinges' paths are backtracked.  The frame
+    and child gradients come back as (B, T, d) and (B, N, d) arrays.
     """
     parent_texts = as_matrix(parent_texts, "parent_texts")
     b, d = parent_texts.shape
@@ -306,12 +310,15 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
         if m.shape[0] != b or m.shape[2] != d:
             raise DimMismatchError(f"{name} must have shape ({b}, rows, {d}) for {b} parent texts, got {m.shape}")
 
-    # the whole batch in one pass: its stacked cost matrices, one alignment
-    # call for them and their column-reversed views, and the backward of the
-    # active hinges (an inactive hinge has an all-zero cost gradient)
+    # the whole batch in one pass: its stacked cost matrices and their
+    # column-reversed views, their alignment costs, and the paths and backward
+    # of the active hinges only (an inactive hinge has an all-zero cost gradient)
     lam = cfg.lambda_dtw
+    check_algorithm(dtw_algorithm)
     costs = _costs(frames, children, cfg.beta)
-    aligned, paths = align_batch(np.concatenate([costs, costs[:, :, ::-1]]), dtw_algorithm)
+    both = np.concatenate([costs, costs[:, :, ::-1]])
+    # a DP cost is its table's corner, read with no walk; the greedy walk is what yields its costs
+    aligned, paths = (dp_costs(both), None) if dtw_algorithm == "dp" else align_batch(both, dtw_algorithm)
     hinge, active = _hinge(aligned[:b] - aligned[b:], cfg.phi, cfg.hinge_form)
 
     pooled, pool_cache = pool_segments(frames)
@@ -322,8 +329,9 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     if lam > 0 and active.any():
         # the reversed matrix shares entries with the forward one, so its
         # path folds back after un-flipping the column axis
-        grad_cost = paths[:b][active] - paths[b:][active][:, :, ::-1]
-        g_f, g_c = _costs_backward(frames[active], children[active], cfg.beta, grad_cost * (lam / b))
+        pair = np.tile(active, 2)  # the active forward matrices, then their reversed views
+        fwd, rev = np.split(align_batch(both[pair], "dp")[1] if paths is None else paths[pair], 2)
+        g_f, g_c = _costs_backward(frames[active], children[active], cfg.beta, (fwd - rev[:, :, ::-1]) * (lam / b))
         grad_frames[active] += g_f
         grad_children[active] += g_c
     # added in sample order from 0.0, as a per-sample dtw_hinge loop adds (accumulate, unlike sum, never pairs terms)

@@ -2,15 +2,17 @@
 tie-margin filter that keeps DTW gradient checks away from path ties, the
 per-row InfoNCE, per-matrix pooling, per-block training step,
 per-sample batcher, per-row data generator and per-query/per-class metric
-loops that the batched code must reproduce, a Newton solver for the
-linear probe's objective, and the checkpoint layout written before the
-optimizer moments were packed."""
+loops that the batched code must reproduce, the hinge that walks every
+alignment path, a Newton solver for the linear probe's objective, and the
+checkpoint layout written before the optimizer moments were packed."""
 
 import base64
 
 import numpy as np
 
 from lecnce import encoders as enc
+from lecnce import losses
+from lecnce.alignment import align_batch
 from lecnce.datagen import (
     CLIP_LEN,
     CLIP_NOISE_SCALE,
@@ -23,7 +25,7 @@ from lecnce.datagen import (
     _split_ids,
 )
 from lecnce.errors import DimMismatchError, EmptyPositiveSetError, NonFiniteLossError, ZeroVectorError
-from lecnce.losses import clip_lecnce, hier_lecnce
+from lecnce.losses import LossValue, clip_lecnce, hier_lecnce
 from lecnce.numerics import as_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
 from lecnce.trainer import LEVELS, VIEW_DROPOUT_RATE, VIEW_NOISE_SIGMA
 
@@ -141,6 +143,33 @@ def row_nce_loop(z: np.ndarray, positives) -> tuple[float, np.ndarray]:
         value += float(np.log(denom[i]) - np.log(pos_sum))
         grad[i, idx] -= exp[i, idx] / pos_sum / b
     return value / b, grad
+
+
+def all_walk_hier_lecnce(frames, parent_texts, children, cfg, dtw_algorithm="greedy") -> LossValue:
+    """hier_lecnce on (B, T, d)/(B, d)/(B, N, d) arrays with one align_batch call over all 2B matrices.
+
+    Every forward and reversed alignment path is walked, the inactive ones
+    too; only the active hinges' paths enter the gradient.
+    """
+    b = parent_texts.shape[0]
+    lam = cfg.lambda_dtw
+    costs = losses._costs(frames, children, cfg.beta)
+    aligned, paths = align_batch(np.concatenate([costs, costs[:, :, ::-1]]), dtw_algorithm)
+    hinge, active = losses._hinge(aligned[:b] - aligned[b:], cfg.phi, cfg.hinge_form)
+    pooled, pool_cache = losses.pool_segments(frames)
+    sim = pooled @ parent_texts.T
+    contrast = losses._info_nce(sim, losses.diagonal_positives(b), cfg.temperature_infonce, cfg.symmetric)
+    g_sim = contrast.grads["sim"]
+    grad_frames = losses.pool_segments_backward(g_sim @ parent_texts, pool_cache)
+    grad_children = np.zeros_like(children)
+    if lam > 0 and active.any():
+        grad_cost = paths[:b][active] - paths[b:][active][:, :, ::-1]
+        g_f, g_c = losses._costs_backward(frames[active], children[active], cfg.beta, grad_cost * (lam / b))
+        grad_frames[active] += g_f
+        grad_children[active] += g_c
+    dtw_mean = float(0.0 + np.add.accumulate(hinge)[-1]) / b
+    grads = {"segment_frames": grad_frames, "parent_texts": g_sim.T @ pooled, "child_texts": grad_children}
+    return LossValue(contrast.value + lam * dtw_mean, grads, {"infonce": contrast.value, "dtw": dtw_mean})
 
 
 def mean_pool_rows(rows: np.ndarray) -> tuple[np.ndarray, tuple]:

@@ -7,6 +7,7 @@ from lecnce.alignment import (
     AlignmentResult,
     CostMatrix,
     align_batch,
+    dp_costs,
     dtw_dp,
     dtw_greedy,
     dtw_subgradient,
@@ -274,3 +275,48 @@ class TestAlignBatch:
                     align_batch([np.ones((2, 2)), np.array(bad)], algorithm)
             with pytest.raises(NonFiniteError, match="overflows"):
                 align_batch([np.full((2, 2), 1e308)], algorithm)
+
+
+def assert_dp_costs_match(mats):
+    """dp_costs == align_batch's DP costs == one dtw_dp cost per matrix, with ==."""
+    costs = dp_costs(mats)
+    np.testing.assert_array_equal(costs, align_batch(mats, "dp")[0])
+    assert costs.tolist() == [dtw_dp(m).cost for m in mats]
+
+
+class TestDpCosts:
+    """The costs-only DP read equals the costs of the full alignment, bit for bit."""
+
+    def test_random_stacks(self):
+        rng = make_rng(60)
+        for _ in range(40):
+            b, t, n = (int(x) for x in rng.integers(1, 12, size=3))
+            assert_dp_costs_match(10.0 ** rng.uniform(-3.0, 3.0, size=(b, t, n)))
+        for shape in ((1, 1), (1, 9), (9, 1)):
+            assert_dp_costs_match(rng.uniform(0.0, 3.0, size=(4, *shape)))
+
+    def test_tie_heavy_integer_matrices(self):
+        rng = make_rng(61)
+        for _ in range(60):
+            b, t, n = (int(x) for x in rng.integers(1, 8, size=3))
+            assert_dp_costs_match(rng.integers(0, 3, size=(b, t, n)).astype(float))
+        assert_dp_costs_match(np.stack([np.zeros((5, 4)), np.ones((5, 4))]))
+
+    # the forward and reversed stacks of a reference phase and video step
+    @pytest.mark.parametrize("b,t,n", [(160, 16, 8), (50, 64, 6)])
+    def test_reference_step_shapes(self, b, t, n):
+        assert_dp_costs_match(make_rng(62 + t).uniform(0.0, 4.0, size=(b, t, n)))
+
+    def test_bad_inputs_raise_as_align_batch(self):
+        for empty in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
+            with pytest.raises(EmptyMatrixError):
+                dp_costs(np.empty(empty))
+        for wrong_rank in ([], [np.ones(3)], np.ones((2, 2))):
+            with pytest.raises(DimMismatchError):
+                dp_costs(wrong_rank)
+        with pytest.raises(DimMismatchError, match="cost matrices"):
+            dp_costs([np.ones((2, 2)), np.ones((3, 2))])
+        with pytest.raises(NonFiniteError, match=r"cost matrices\[1\] contains non-finite"):
+            dp_costs([np.ones((2, 2)), np.array([[1.0, np.nan], [2.0, 1.0]])])
+        with pytest.raises(NonFiniteError, match="overflows"):
+            dp_costs([np.ones((2, 2)), np.full((2, 2), 1e308)])

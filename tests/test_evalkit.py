@@ -26,6 +26,7 @@ from lecnce.errors import (
 )
 from lecnce.evalkit import (
     PROBE_TOL,
+    EvalConfig,
     EvalReport,
     _probe_objective,
     accuracy_f1,
@@ -36,6 +37,14 @@ from lecnce.evalkit import (
     zero_shot_classify,
 )
 from lecnce.numerics import make_rng
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_probe_weight_decay_rejected(self, bad):
+        with pytest.raises(FieldValueError, match="^probe_weight_decay must be finite") as info:
+            EvalConfig(probe_weight_decay=bad)
+        assert info.value.field == "probe_weight_decay"
 
 
 class TestZeroShotClassify:

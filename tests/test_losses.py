@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import mean_pool_rows, mean_pool_rows_backward, rel_error, row_nce_loop, stable_hinge_instance, unit_rows
+from helpers import (
+    all_walk_hier_lecnce,
+    mean_pool_rows,
+    mean_pool_rows_backward,
+    rel_error,
+    row_nce_loop,
+    stable_hinge_instance,
+    unit_rows,
+)
 
 from lecnce import alignment, encoders, evalkit, losses, numerics
 from lecnce.alignment import CostMatrix, dtw_greedy, reverse_columns
@@ -13,6 +21,7 @@ from lecnce.errors import (
     EmptyChildSequenceError,
     EmptyMatrixError,
     EmptyPositiveSetError,
+    FieldValueError,
     NonFiniteError,
     RowNotNormalizedError,
     ShapeMismatchError,
@@ -122,6 +131,31 @@ class TestInfoNceMatchesRowLoop:
         sim = np.clip(rng.normal(scale=0.4, size=(b, b)), -1.0, 1.0)
         assert_info_nce_matches_row_loop(sim, diagonal_positives(b), 0.07, symmetric)
 
+    @pytest.mark.parametrize("b", [1, 2, 16, 25, 80, 120])
+    @pytest.mark.parametrize("direction", ["rows", "columns"])
+    def test_diagonal_path_equals_row_loop(self, b, direction):
+        rng = make_rng(50 + b)
+        z = np.clip(rng.normal(scale=0.4, size=(b, b)), -1.0, 1.0) / 0.07
+        if direction == "columns":  # the transposed view _info_nce passes
+            z = z.T
+        positives = diagonal_positives(b)
+        assert positives is diagonal_positives(b) and isinstance(positives, tuple)
+        value, grad = losses._row_nce(z, positives)
+        want_value, want_grad = row_nce_loop(z, positives)
+        assert value == want_value
+        np.testing.assert_array_equal(grad, want_grad)
+
+    def test_diagonal_of_a_wide_or_tall_matrix(self):
+        rng = make_rng(51)
+        z = rng.normal(size=(5, 9))
+        value, grad = losses._row_nce(z, diagonal_positives(5))
+        want_value, want_grad = row_nce_loop(z, diagonal_positives(5))
+        assert value == want_value
+        np.testing.assert_array_equal(grad, want_grad)
+        # more rows than columns: row 5 has no column 5, as in the loop
+        with pytest.raises(DimMismatchError, match="row 5 positive index out of range for 5 columns"):
+            losses._row_nce(z.T, diagonal_positives(9))
+
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_permuted_single_positives(self, symmetric):
         rng = make_rng(41)
@@ -187,6 +221,19 @@ class TestInfoNceMatchesRowLoop:
             want = info_nce(sim, positives, 1e-3, symmetric=True)
         assert got.value == want.value == np.inf
         np.testing.assert_array_equal(got.grads["sim"], want.grads["sim"])
+
+
+class TestLossConfig:
+    @pytest.mark.parametrize("name", ["beta", "temperature_infonce", "phi", "lambda_dtw"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_field_rejected(self, name, bad):
+        with pytest.raises(FieldValueError, match=f"^{name} must be finite") as info:
+            LossConfig(**{name: bad})
+        assert info.value.field == name
+
+    def test_phi_may_be_any_finite_value(self):
+        for phi in (-1e300, -0.5, 0.0, 1e300):
+            assert LossConfig(phi=phi).phi == phi
 
 
 class TestBuildCostMatrix:
@@ -274,26 +321,36 @@ class TestStackedCostBuild:
         children = [unit_rows(rng, 4, d) for _ in range(b)]
         if ragged:
             frames[7] = frames[7][:5]
-        seen = []
+        read, walked = [], []
 
-        def recording_align_batch(matrices, algorithm="dp"):
-            seen.append(np.array(matrices))
-            return alignment.align_batch(matrices, algorithm)
+        def recording(seen, fn):
+            def wrapper(matrices, *args):
+                seen.append(np.array(matrices))
+                return fn(matrices, *args)
 
-        with mock.patch.object(losses, "align_batch", recording_align_batch):
+            return wrapper
+
+        with mock.patch.object(losses, "dp_costs", recording(read, alignment.dp_costs)), \
+                mock.patch.object(losses, "align_batch", recording(walked, alignment.align_batch)):
             if ragged:  # refused at the entry, before any alignment
                 with pytest.raises(DimMismatchError, match="segment_frames"):
                     hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(), "dp")
-                assert not seen
+                assert not read and not walked
                 return
-            hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(), "dp")
-        # one call: the forward matrices, then their column-reversed views
-        (matrices,) = seen
+            out = hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(phi=0.5), "dp")
+        # one costs-only read of the forward matrices, then their column-reversed views
+        (matrices,) = read
         assert matrices.shape == (2 * b, 16, 4)
         for k in range(b):
             want = build_cost_matrix(frames[k], children[k], 0.1, validate=False).values
             np.testing.assert_array_equal(matrices[k], want)
             np.testing.assert_array_equal(matrices[b + k], want[:, ::-1])
+        # one walk, of the active samples' forward then reversed matrices only
+        costs = alignment.dp_costs(matrices)
+        active = np.flatnonzero(costs[:b] - costs[b:] + 0.5 > 0.0)
+        assert 0 < len(active) < b and out.components["dtw"] > 0
+        (paths,) = walked
+        np.testing.assert_array_equal(paths, np.concatenate([matrices[active], matrices[b + active]]))
 
 
 class TestDtwHinge:
@@ -655,6 +712,68 @@ class TestHierLecnceBatchedAlignment:
         _, _, components, active = per_sample_hier_lecnce(frames, parents, children, cfg, "dp")
         assert active == 0 and components["dtw"] == 0.0
         assert_equals_per_sample(frames, parents, children, cfg, "dp")
+
+
+# (hinge form, phi, which hinges are active on _walk_instance)
+ACTIVITY = [
+    ("standard", -1e3, "none"), ("standard", 0.5, "some"), ("standard", 1e3, "all"),
+    ("literal", 1e3, "none"), ("literal", 0.0, "some"), ("literal", -1e3, "all"),
+]
+
+
+def _walk_instance(seed=33, b=12, t=16, n=4, d=6):
+    rng = make_rng(seed)
+    frames = np.stack([unit_rows(rng, t, d) for _ in range(b)])
+    return frames, unit_rows(rng, b, d), np.stack([unit_rows(rng, n, d) for _ in range(b)])
+
+
+class TestHierLecnceWalksActiveOnly:
+    """hier_lecnce walks only the active hinges' paths and equals the hinge that walks them all."""
+
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    @pytest.mark.parametrize("form, phi, activity", ACTIVITY)
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_equals_all_walk_oracle(self, algorithm, form, phi, activity, lam):
+        frames, parents, children = _walk_instance()
+        cfg = LossConfig(lambda_dtw=lam, phi=phi, hinge_form=form)
+        walked = []
+
+        def recording_align_batch(matrices, algorithm="dp"):
+            walked.append(len(matrices))
+            return alignment.align_batch(matrices, algorithm)
+
+        with mock.patch.object(losses, "align_batch", recording_align_batch):
+            out = hier_lecnce(frames, parents, children, cfg, algorithm)
+        want = all_walk_hier_lecnce(frames, parents, children, cfg, algorithm)
+        assert out.value == want.value
+        assert out.components == want.components
+        assert out.grads.keys() == want.grads.keys()
+        for name in want.grads:
+            np.testing.assert_array_equal(out.grads[name], want.grads[name])
+
+        b = len(frames)
+        costs = losses._costs(frames, children, cfg.beta)
+        aligned = alignment.align_batch(np.concatenate([costs, costs[:, :, ::-1]]), algorithm)[0]
+        n_active = int(losses._hinge(aligned[:b] - aligned[b:], phi, form)[1].sum())
+        assert {"none": n_active == 0, "some": 0 < n_active < b, "all": n_active == b}[activity]
+        if algorithm == "greedy":  # its walk yields its costs: one call over all 2B matrices
+            assert walked == [2 * b]
+        else:  # no walk without an active hinge that enters the gradient
+            assert walked == ([2 * n_active] if lam > 0 and n_active else [])
+
+    @pytest.mark.parametrize("lam, phi", [(0.7, -1e3), (0.0, 0.5), (0.0, 1e3)])
+    def test_dp_without_a_gradient_walks_nothing(self, lam, phi):
+        frames, parents, children = _walk_instance(34)
+        with mock.patch.object(losses, "align_batch") as walk:
+            hier_lecnce(frames, parents, children, LossConfig(lambda_dtw=lam, phi=phi), "dp")
+        walk.assert_not_called()
+
+    def test_unknown_algorithm_raises_before_the_cost_build(self):
+        frames, parents, children = _walk_instance(35)
+        with mock.patch.object(losses, "_costs") as costs:
+            with pytest.raises(ValueError, match="unknown DTW algorithm 'beam'"):
+                hier_lecnce(frames, parents, children, LossConfig(), "beam")
+        costs.assert_not_called()
 
 
 def assert_pool_matches_per_matrix(segments, grad_pooled):

@@ -9,7 +9,7 @@ from helpers import PerSampleBatcher, per_block_train_step
 
 from lecnce import encoders
 from lecnce.datagen import ProcedureSpec, generate_dataset
-from lecnce.errors import AllZeroScheduleError, MissingLevelDataError, NonFiniteLossError
+from lecnce.errors import AllZeroScheduleError, FieldValueError, MissingLevelDataError, NonFiniteLossError
 from lecnce.losses import LossConfig
 from lecnce.numerics import make_rng
 from lecnce.trainer import (
@@ -80,6 +80,15 @@ class TestSchedule:
     def test_small_batch_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(batch_sizes=(1, 3, 2))
+
+
+class TestTrainConfigFinite:
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_field_rejected(self, name, bad):
+        with pytest.raises(FieldValueError, match=f"^{name} must be finite") as info:
+            tiny_config(**{name: bad})
+        assert info.value.field == name
 
 
 class TestSubsampleFrames:
