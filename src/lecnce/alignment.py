@@ -8,8 +8,9 @@ report the cells they visited as a 1-based path from (T, N) down to (1, 1).
 ``align_batch`` aligns a (B, T, N) stack of equal-shape matrices in one
 call and returns each one's cost and 0/1 path mask: one lockstep walker
 traces the raw costs for greedy, or the accumulated table of a vectorized
-wavefront for DP.  ``dp_costs`` runs the same wavefront and reads only the
-DP costs, each at its table's corner, without backtracking any path.
+wavefront for DP.  ``dp_tables`` runs the same wavefront and keeps the
+tables: their corners are the DP costs, read with no backtrack, and
+``dp_paths`` backtracks any subset of them later.
 """
 
 from __future__ import annotations
@@ -197,13 +198,24 @@ def _accumulate(padded: np.ndarray) -> np.ndarray:
     return acc
 
 
-def dp_costs(matrices) -> np.ndarray:
-    """``align_batch(matrices, "dp")``'s costs alone: the corner of each DP table, with no backtrack."""
+def dp_tables(matrices) -> np.ndarray:
+    """The skewed DP table of each matrix of a (B, T, N) stack (see :func:`_accumulate`).
+
+    ``[:, -1, -1]`` are the DP costs; one that overflows raises :class:`NonFiniteError`.
+    """
     with np.errstate(over="ignore"):  # an overflowing cost raises below
-        costs = _accumulate(_padded(matrices))[:, -1, -1]
-    if not np.all(np.isfinite(costs)):
+        tables = _accumulate(_padded(matrices))
+    if not np.all(np.isfinite(tables[:, -1, -1])):
         raise NonFiniteError("alignment cost overflows")
-    return costs
+    return tables
+
+
+def dp_paths(tables: np.ndarray) -> np.ndarray:
+    """The 0/1 DP path mask of each skewed table from :func:`dp_tables`, as a (B, T, N) array."""
+    b, d1, n1 = tables.shape
+    t, n = d1 - n1, n1 - 1
+    table = tables.reshape(b, d1 * n1)[:, _wavefront_plan(t, n)[1]]  # unskewed, (B, T+1, N+1)
+    return _mask(_walk(table, t, n), table.shape)
 
 
 def _walk(table: np.ndarray, t: int, n: int) -> np.ndarray:
@@ -227,6 +239,13 @@ def _walk(table: np.ndarray, t: int, n: int) -> np.ndarray:
     return visits
 
 
+def _mask(visits: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """The (B, T, N) 0/1 mask of the flat ``visits`` into padded (B, T+1, N+1) tables."""
+    mask = np.zeros(shape)
+    mask.ravel()[visits] = 1.0
+    return mask[:, 1:, 1:]
+
+
 def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray]:
     """Align a stack of cost matrices; return their costs and 0/1 path masks.
 
@@ -237,25 +256,19 @@ def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray
     ``dtw_dp``/``dtw_greedy`` ones exactly: DP reads each corner of its
     walked table, greedy sums the walked raw costs in visit order.
     """
-    check_algorithm(algorithm)
+    if check_algorithm(algorithm) == "dp":
+        tables = dp_tables(matrices)
+        return tables[:, -1, -1], dp_paths(tables)
     padded = _padded(matrices)
     t, n = padded.shape[1] - 1, padded.shape[2] - 1
-
+    visits = _walk(padded, t, n)
     with np.errstate(over="ignore"):  # an overflowing cost raises below
-        if algorithm == "dp":
-            table = _accumulate(padded).reshape(len(padded), -1)[:, _wavefront_plan(t, n)[1]]  # unskewed
-            visits = _walk(table, t, n)
-            costs = table.ravel()[visits[0]]
-        else:
-            visits = _walk(padded, t, n)
-            values = padded.ravel()[visits]
-            values[1:][visits[1:] == visits[:-1]] = 0.0  # a finished walk repeats (1, 1)
-            costs = np.add.accumulate(values, axis=0)[-1]  # sequential, in visit order, as dtw_greedy sums
+        values = padded.ravel()[visits]
+        values[1:][visits[1:] == visits[:-1]] = 0.0  # a finished walk repeats (1, 1)
+        costs = np.add.accumulate(values, axis=0)[-1]  # sequential, in visit order, as dtw_greedy sums
     if not np.all(np.isfinite(costs)):
         raise NonFiniteError("alignment cost overflows")
-    mask = np.zeros(padded.size)
-    mask[visits] = 1.0
-    return costs, mask.reshape(padded.shape)[:, 1:, 1:]
+    return costs, _mask(visits, padded.shape)
 
 
 def reverse_columns(c: CostMatrix) -> CostMatrix:

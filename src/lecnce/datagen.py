@@ -128,7 +128,7 @@ class Level:
     frames: np.ndarray  # (n, T, visual_dim)
     parents: np.ndarray  # (n, text_dim)
     children: np.ndarray  # (n, N, text_dim); N == 0 at clip level
-    labels: np.ndarray  # (n, T) step ids
+    labels: np.ndarray | None  # (n, T) step ids; None in a training batch, which never reads them
     procedure_ids: np.ndarray  # (n,)
 
     def __len__(self) -> int:

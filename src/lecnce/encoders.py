@@ -10,6 +10,7 @@ and bit-deterministic given a seed.
 from __future__ import annotations
 
 import base64
+import copy
 import hashlib
 import json
 import math
@@ -25,10 +26,17 @@ ACTIVATIONS = ("identity", "tanh")
 
 @dataclass
 class EncoderParams:
-    """Weights and biases of one encoder; ``layers[i] = (W, b)`` with W (fan_in, fan_out)."""
+    """Weights and biases of one encoder; ``layers[i] = (W, b)`` with W (fan_in, fan_out).
+
+    Every W and b is a view of one float64 ``vector`` that holds each layer's
+    W (row-major) and then its b, in layer order: the layout of the flat
+    gradient from :func:`backward` and of the AdamW moments.  Construction
+    copies the given arrays into a new vector.
+    """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     activation: str = "identity"
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -40,8 +48,9 @@ class EncoderParams:
                 raise BadDimsError(f"layer {i} shapes do not chain: W {w.shape}, b {b.shape}")
             if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
                 raise BadDimsError(f"layer {i} fan_in {w.shape[0]} != previous fan_out")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i} has non-finite parameters")
+        vector = np.concatenate([a.ravel() for a in self.flat()], dtype=np.float64)
+        _check_finite(self, vector)
+        self.vector, self.layers = vector, self.split(vector)
 
     @property
     def input_dim(self) -> int:
@@ -49,15 +58,31 @@ class EncoderParams:
 
     def flat(self) -> list[np.ndarray]:
         """Parameters as a flat list, weights before biases per layer."""
-        out = []
+        return [a for layer in self.layers for a in layer]
+
+    def split(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``vector``, laid out as :attr:`vector`, as per-layer ``(W, b)`` views."""
+        out, pos = [], 0
         for w, b in self.layers:
-            out.extend([w, b])
+            end = pos + w.size
+            out.append((vector[pos:end].reshape(w.shape), vector[end : end + b.size]))
+            pos = end + b.size
         return out
+
+
+def _check_finite(params: EncoderParams, vector: np.ndarray) -> None:
+    """ValueError naming the first layer of ``params``' layout whose part of ``vector`` is not finite."""
+    if not np.isfinite(vector).all():
+        bad = next(i for i, layer in enumerate(params.split(vector)) if not all(np.isfinite(a).all() for a in layer))
+        raise ValueError(f"layer {bad} has non-finite parameters")
 
 
 @dataclass
 class ForwardCache:
-    """Intermediates from one forward pass, consumed by :func:`backward`."""
+    """Intermediates from one forward pass, consumed by :func:`backward`.
+
+    ``hidden[i]`` is the output of hidden layer i, after its activation.
+    """
 
     x: np.ndarray
     hidden: list[np.ndarray]
@@ -90,27 +115,32 @@ def forward(params: EncoderParams, x, return_cache: bool = False):
         raise DimMismatchError(f"input dim {x.shape[1]} != encoder fan_in {params.input_dim}")
     h = x
     hidden = []
-    last = len(params.layers) - 1
-    for i, (w, b) in enumerate(params.layers):
-        a = h @ w + b
-        h = np.tanh(a) if (params.activation == "tanh" and i < last) else a
+    for w, b in params.layers[:-1]:
+        h = h @ w
+        h += b
+        if params.activation == "tanh":
+            np.tanh(h, out=h)
         hidden.append(h)
-    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    w, b = params.layers[-1]
+    out = h @ w
+    out += b
+    # np.linalg.norm's own formula for real rows, without its conj() copy
+    norms = np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
     if np.any(norms < 1e-12):
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"row {bad} collapsed to zero before normalization")
-    out = h / norms
+    out /= norms
     if not return_cache:
         return out
     return out, ForwardCache(x=x, hidden=hidden, norms=norms, output=out)
 
 
-def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Backpropagate a gradient on the normalized outputs.
+def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> np.ndarray:
+    """Backpropagate a gradient on the normalized outputs to the parameters.
 
-    Returns per-layer ``(dW, db)`` in layer order plus the gradient with
-    respect to the input rows.  The normalization Jacobian
-    (I - u u^T)/||z|| is applied per row first.
+    Returns the gradient of every parameter as one vector laid out as
+    ``params.vector``.  The normalization Jacobian (I - u u^T)/||z|| is
+    applied per row first; the input rows get no gradient.
     """
     if cache is None:
         raise MissingCacheError("backward needs the cache from forward(..., return_cache=True)")
@@ -120,28 +150,30 @@ def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> tup
 
     u = cache.output
     radial = (u * grad_out).sum(axis=1, keepdims=True)
-    delta = (grad_out - u * radial) / cache.norms
+    delta = u * radial
+    np.subtract(grad_out, delta, out=delta)
+    delta /= cache.norms
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
-    last = len(params.layers) - 1
-    for i in range(last, -1, -1):
-        w, _ = params.layers[i]
-        h_prev = cache.x if i == 0 else cache.hidden[i - 1]
-        grads[i] = (h_prev.T @ delta, delta.sum(axis=0))
-        delta = delta @ w.T
-        if i > 0 and params.activation == "tanh" and (i - 1) < last:
-            delta = delta * (1.0 - cache.hidden[i - 1] ** 2)
-    return grads, delta
+    grad = np.empty_like(params.vector)
+    for i, (dw, db) in reversed(list(enumerate(params.split(grad)))):
+        dw[...] = (cache.x if i == 0 else cache.hidden[i - 1]).T @ delta
+        db[...] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ params.layers[i][0].T
+            if params.activation == "tanh":
+                delta *= 1.0 - cache.hidden[i - 1] ** 2
+    return grad
 
 
 @dataclass
 class OptimizerState:
-    """AdamW moments and hyperparameters for one encoder's parameter list.
+    """AdamW moments and hyperparameters for one encoder's parameter vector.
 
-    A loaded checkpoint must hold finite moments, second moments >= 0, an
-    integer ``step_count`` >= 0, and finite hyperparameters with
-    ``learning_rate`` and ``weight_decay`` >= 0, ``beta1`` and ``beta2`` in
-    [0, 1) and ``epsilon`` > 0.
+    Each moment is one vector laid out as the encoder's ``vector``.  The
+    hyperparameters must be finite, with ``learning_rate`` and
+    ``weight_decay`` >= 0, ``beta1`` and ``beta2`` in [0, 1) and
+    ``epsilon`` > 0, and ``step_count`` an integer >= 0; a loaded checkpoint
+    must also hold finite moments and second moments >= 0.
     """
 
     learning_rate: float = 1e-3
@@ -150,11 +182,14 @@ class OptimizerState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
+    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        _scalars(vars(self))
 
 
-_MOMENTS = ("first_moment", "second_moment")  # per-parameter arrays; the other fields are scalars
+_MOMENTS = ("first_moment", "second_moment")  # vectors laid out as the parameters; the other fields are scalars
 # the range of each float hyperparameter: a test and its wording; beta = 1 would divide by zero
 _HYPERPARAMETERS = {
     "learning_rate": (lambda v: v >= 0, ">= 0"),
@@ -167,49 +202,44 @@ _HYPERPARAMETERS = {
 
 def init_optimizer(params: EncoderParams, **hyperparameters) -> OptimizerState:
     """Zero moments for ``params``; keywords override the :class:`OptimizerState` defaults."""
-    flats = params.flat()
-    moments = {name: [np.zeros_like(p) for p in flats] for name in _MOMENTS}
-    return OptimizerState(**hyperparameters, **moments)
+    return OptimizerState(**hyperparameters, **{name: np.zeros_like(params.vector) for name in _MOMENTS})
 
 
-def adamw_step(
-    params: EncoderParams,
-    grads: list[tuple[np.ndarray, np.ndarray]],
-    state: OptimizerState,
-) -> tuple[EncoderParams, OptimizerState]:
+def adamw_step(params: EncoderParams, grad, state: OptimizerState) -> tuple[EncoderParams, OptimizerState]:
     """One bias-corrected AdamW update with decoupled weight decay.
 
-    The decay term lr * wd * theta is subtracted separately from the
-    adaptive gradient step, so zero gradients still shrink the weights.
+    ``grad`` is the flat gradient from :func:`backward`.  One elementwise
+    pass over the parameter and moment vectors; the decay term
+    lr * wd * theta is subtracted separately from the adaptive gradient
+    step, so zero gradients still shrink the weights.
     """
-    flat_params = params.flat()
-    flat_grads = []
-    for dw, db in grads:
-        flat_grads.extend([dw, db])
-    if len(flat_grads) != len(flat_params):
-        raise ShapeMismatchError(f"{len(flat_grads)} gradient arrays for {len(flat_params)} parameters")
-    for p, g in zip(flat_params, flat_grads):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != params.vector.shape:
+        raise ShapeMismatchError(f"gradient shape {grad.shape} != parameter vector shape {params.vector.shape}")
 
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
     lr, wd, eps = state.learning_rate, state.weight_decay, state.epsilon
-    new_m, new_v, new_flat = [], [], []
-    for p, g, m, v in zip(flat_params, flat_grads, state.first_moment, state.second_moment):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * p
-        new_m.append(m)
-        new_v.append(v)
-        new_flat.append(p)
+    theta = params.vector
+    # p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p, each operation as written, in place where it can be
+    m = b1 * state.first_moment
+    m += (1.0 - b1) * grad
+    v = (1.0 - b2) * grad
+    v *= grad
+    v += b2 * state.second_moment
+    step = m / (1.0 - b1 ** t)
+    step *= lr
+    root = v / (1.0 - b2 ** t)
+    np.sqrt(root, out=root)
+    root += eps
+    step /= root
+    new = theta - step
+    new -= (lr * wd) * theta
+    _check_finite(params, new)
 
-    layers = [(new_flat[2 * i], new_flat[2 * i + 1]) for i in range(len(params.layers))]
-    new_params = EncoderParams(layers=layers, activation=params.activation)
-    new_state = replace(state, step_count=t, first_moment=new_m, second_moment=new_v)
-    return new_params, new_state
+    new_params = copy.copy(params)
+    new_params.vector, new_params.layers = new, params.split(new)
+    return new_params, replace(state, step_count=t, first_moment=m, second_moment=v)
 
 
 def _params_payload(params: EncoderParams) -> dict:
@@ -267,7 +297,7 @@ def _unpacked(entry: dict, shape: tuple[int, ...], key: str) -> np.ndarray:
     raw = base64.b64decode(entry["f8le"], validate=True)
     if base64.b64encode(raw).decode("ascii") != entry["f8le"]:  # unused trailing bits would round-trip silently
         raise ValueError(f"{key} is not canonical base64")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def _number(key: str, value, ok, rule: str):
@@ -282,39 +312,59 @@ def _count(key: str, value) -> int:
     return value
 
 
-def _state_payload(state: OptimizerState) -> dict:
+def _scalars(values, prefix: str = "") -> dict:
+    """The hyperparameters and ``step_count`` of the mapping ``values``, checked; errors name ``prefix + key``."""
+    out = {name: _number(prefix + name, values[name], ok, rule) for name, (ok, rule) in _HYPERPARAMETERS.items()}
+    out["step_count"] = _count(prefix + "step_count", values["step_count"])
+    return out
+
+
+def _moments(state: OptimizerState, params: EncoderParams) -> dict[str, list[np.ndarray]]:
+    """Each moment vector of ``state`` as per-parameter views in ``params``' layout."""
+    out = {}
+    for name in _MOMENTS:
+        vector = getattr(state, name)
+        if vector.shape != params.vector.shape:
+            raise ShapeMismatchError(f"{name} shape {vector.shape} != parameter vector shape {params.vector.shape}")
+        out[name] = [a for layer in params.split(vector) for a in layer]
+    return out
+
+
+def _state_payload(state: OptimizerState, params: EncoderParams) -> dict:
     payload = {f.name: getattr(state, f.name) for f in fields(state)}
-    return {**payload, **{name: [_packed(m) for m in payload[name]] for name in _MOMENTS}}
+    return {**payload, **{name: [_packed(m) for m in arrays] for name, arrays in _moments(state, params).items()}}
 
 
 def _state_from_payload(payload: dict, params: EncoderParams, key: str) -> OptimizerState:
     _exact_keys(payload, [f.name for f in fields(OptimizerState)], key)
     shapes = [p.shape for p in params.flat()]
-    scalars = {name: _number(f"{key}.{name}", payload[name], ok, rule) for name, (ok, rule) in _HYPERPARAMETERS.items()}
-    scalars["step_count"] = _count(f"{key}.step_count", payload["step_count"])
+    scalars = _scalars(payload, f"{key}.")
     moments = {}
     for name in _MOMENTS:
         entries = payload[name]
         if len(entries) != len(shapes):
             raise ValueError(f"{key}.{name} has {len(entries)} arrays for {len(shapes)} parameters")
-        moments[name] = [_unpacked(e, s, f"{key}.{name}[{i}]") for i, (e, s) in enumerate(zip(entries, shapes))]
-        for i, m in enumerate(moments[name]):
+        arrays = [_unpacked(e, s, f"{key}.{name}[{i}]") for i, (e, s) in enumerate(zip(entries, shapes))]
+        for i, m in enumerate(arrays):
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{key}.{name}[{i}] has non-finite values")
             if name == "second_moment" and np.any(m < 0):
                 raise ValueError(f"{key}.{name}[{i}] has negative values")
+        moments[name] = np.concatenate([m.ravel() for m in arrays], dtype=np.float64)
     return OptimizerState(**scalars, **moments)
 
 
 def _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_position) -> str:
     """sha256 of every value of a checkpoint, computed from the arrays in memory.
 
-    It covers the little-endian float64 bytes of each array in a fixed
-    order (visual, text, then each optimizer's first and second moments)
-    and then the canonical JSON of the shapes and the scalar fields.
+    It covers the little-endian float64 bytes of each parameter array in a
+    fixed order (visual, text, then each optimizer's first and second
+    moments, per parameter) and then the canonical JSON of the shapes and
+    the scalar fields.
     """
     states = [visual_state, text_state]
-    moments = [m for s in states if s is not None for name in _MOMENTS for m in getattr(s, name)]
+    moments = [m for p, s in ((visual, visual_state), (text, text_state)) if s is not None
+               for arrays in _moments(s, p).values() for m in arrays]
     arrays = visual.flat() + text.flat() + moments
     digest = hashlib.sha256(f8le(arrays))
     scalars = {
@@ -348,8 +398,8 @@ def save_checkpoint(
     payload = {
         "visual": _params_payload(visual),
         "text": _params_payload(text),
-        "visual_optimizer": None if visual_state is None else _state_payload(visual_state),
-        "text_optimizer": None if text_state is None else _state_payload(text_state),
+        "visual_optimizer": None if visual_state is None else _state_payload(visual_state, visual),
+        "text_optimizer": None if text_state is None else _state_payload(text_state, text),
         "seed": seed,
         "schedule_position": schedule_position,
         "sha256": _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_position),

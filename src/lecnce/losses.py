@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import CostMatrix, align, align_batch, check_algorithm, dp_costs, dtw_subgradient
+from .alignment import CostMatrix, align, align_batch, check_algorithm, dp_paths, dp_tables, dtw_subgradient
 from .errors import (
     DimMismatchError,
     EmptyChildSequenceError,
@@ -299,8 +299,9 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     diagonal positives; each sample additionally pays a reversal hinge on
     the alignment cost between its frames and its child texts, averaged over
     the batch and scaled by ``lambda_dtw``.  DP costs are read off the table
-    corners, and only the active hinges' paths are backtracked.  The frame
-    and child gradients come back as (B, T, d) and (B, N, d) arrays.
+    corners, and only the active hinges' paths are backtracked, from the
+    same tables.  The frame and child gradients come back as (B, T, d) and
+    (B, N, d) arrays.
     """
     parent_texts = as_matrix(parent_texts, "parent_texts")
     b, d = parent_texts.shape
@@ -317,8 +318,13 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     check_algorithm(dtw_algorithm)
     costs = _costs(frames, children, cfg.beta)
     both = np.concatenate([costs, costs[:, :, ::-1]])
-    # a DP cost is its table's corner, read with no walk; the greedy walk is what yields its costs
-    aligned, paths = (dp_costs(both), None) if dtw_algorithm == "dp" else align_batch(both, dtw_algorithm)
+    # DP keeps its tables, whose corners are the costs, to walk the active ones below;
+    # the greedy walk is what yields its costs
+    if dtw_algorithm == "dp":
+        tables = dp_tables(both)
+        aligned = tables[:, -1, -1]
+    else:
+        aligned, paths = align_batch(both, dtw_algorithm)
     hinge, active = _hinge(aligned[:b] - aligned[b:], cfg.phi, cfg.hinge_form)
 
     pooled, pool_cache = pool_segments(frames)
@@ -330,7 +336,7 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
         # the reversed matrix shares entries with the forward one, so its
         # path folds back after un-flipping the column axis
         pair = np.tile(active, 2)  # the active forward matrices, then their reversed views
-        fwd, rev = np.split(align_batch(both[pair], "dp")[1] if paths is None else paths[pair], 2)
+        fwd, rev = np.split(dp_paths(tables[pair]) if dtw_algorithm == "dp" else paths[pair], 2)
         g_f, g_c = _costs_backward(frames[active], children[active], cfg.beta, (fwd - rev[:, :, ::-1]) * (lam / b))
         grad_frames[active] += g_f
         grad_children[active] += g_c

@@ -110,11 +110,17 @@ def schedule_period(cfg: TrainConfig) -> list[str]:
 
 
 class _Batcher:
-    """Seeded shuffling with wrap-around over the rows of one level."""
+    """Seeded shuffling with wrap-around over the rows of one level.
 
-    def __init__(self, rows: Level, rng: np.random.Generator):
+    A batch holds only the kept frames of its samples (``n_frames`` of
+    them, uniformly spaced as by ``subsample_frames``) and no labels, which
+    training never reads.
+    """
+
+    def __init__(self, rows: Level, rng: np.random.Generator, n_frames: int):
         self.rows = rows
         self.rng = rng
+        self.index = subsample_frames(np.arange(rows.frames.shape[1]), n_frames)
         self.order = rng.permutation(len(rows))
         self.pos = 0
 
@@ -127,7 +133,10 @@ class _Batcher:
             picks.append(self.order[self.pos : self.pos + n])
             self.pos += len(picks[-1])
             n -= len(picks[-1])
-        return self.rows[np.concatenate(picks)]
+        picks = np.concatenate(picks)
+        rows = self.rows
+        return Level(rows.name, rows.frames[picks[:, None], self.index], rows.parents[picks], rows.children[picks],
+                     None, rows.procedure_ids[picks])
 
 
 def _distort(features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -171,7 +180,8 @@ def train_step(
     if batch.name != level:
         raise ValueError(f"batch of level {batch.name!r} in a {level!r} step")
     index = subsample_frames(np.arange(batch.frames.shape[1]), dict(zip(LEVELS, cfg.frames))[level])
-    frames = batch.frames[:, index]  # one gather of every sample's kept frames
+    # a batch from _Batcher holds its kept frames already; any other is gathered here
+    frames = batch.frames if len(index) == batch.frames.shape[1] else batch.frames[:, index]
     b, t, _ = frames.shape
 
     # one forward and one backward per encoder: the weight gradients of all
@@ -199,13 +209,13 @@ def train_step(
                            cfg.dtw_algorithm)
         grad_frames = loss.grads["segment_frames"].reshape(b * t, -1)
         grad_texts = np.concatenate([loss.grads["parent_texts"], loss.grads["child_texts"].reshape(b * n, -1)])
-    v_grads, _ = enc.backward(state.visual, v_cache, grad_frames)
-    t_grads, _ = enc.backward(state.text, t_cache, grad_texts)
+    v_grad = enc.backward(state.visual, v_cache, grad_frames)
+    t_grad = enc.backward(state.text, t_cache, grad_texts)
 
     if not np.isfinite(loss.value):
         raise NonFiniteLossError(f"non-finite loss at step {global_step} level {level}")
-    state.visual, state.visual_opt = enc.adamw_step(state.visual, v_grads, state.visual_opt)
-    state.text, state.text_opt = enc.adamw_step(state.text, t_grads, state.text_opt)
+    state.visual, state.visual_opt = enc.adamw_step(state.visual, v_grad, state.visual_opt)
+    state.text, state.text_opt = enc.adamw_step(state.text, t_grad, state.text_opt)
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return StepRecord(
@@ -226,11 +236,11 @@ def train_run(cfg: TrainConfig, dataset: Dataset, out_dir=None) -> tuple[Trainer
     rng = make_rng(cfg.seed)
     state = init_trainer(cfg, rng)
     batchers = {}
-    for level, count in zip(LEVELS, cfg.schedule):
+    for level, count, n_frames in zip(LEVELS, cfg.schedule, cfg.frames):
         if count > 0:
             if not len(dataset.samples.get(level, ())):
                 raise MissingLevelDataError(f"schedule needs {level!r} samples but none were provided")
-            batchers[level] = _Batcher(dataset.samples[level], rng)
+            batchers[level] = _Batcher(dataset.samples[level], rng, n_frames)
     batch_size = dict(zip(LEVELS, cfg.batch_sizes))
     period = schedule_period(cfg)
 

@@ -1,5 +1,6 @@
 """Shared oracles for the test suite: finite-difference comparison, the
 tie-margin filter that keeps DTW gradient checks away from path ties, the
+per-layer encoder backward and per-array AdamW update, the
 per-row InfoNCE, per-matrix pooling, per-block training step,
 per-sample batcher, per-row data generator and per-query/per-class metric
 loops that the batched code must reproduce, the hinge that walks every
@@ -7,6 +8,7 @@ alignment path, a Newton solver for the linear probe's objective, and the
 checkpoint layout written before the optimizer moments were packed."""
 
 import base64
+from dataclasses import replace
 
 import numpy as np
 
@@ -113,6 +115,54 @@ def stable_hinge_instance(frames, children, beta, phi, margin=1e-3, algorithm="g
     return abs(delta + phi) > margin and abs(delta - phi) > margin
 
 
+def per_layer_backward(params: enc.EncoderParams, cache: enc.ForwardCache, grad_out):
+    """``encoders.backward`` one layer at a time: per-layer ``(dW, db)`` plus the input rows' gradient."""
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    u = cache.output
+    radial = (u * grad_out).sum(axis=1, keepdims=True)
+    delta = (grad_out - u * radial) / cache.norms
+
+    grads = [None] * len(params.layers)
+    last = len(params.layers) - 1
+    for i in range(last, -1, -1):
+        w, _ = params.layers[i]
+        h_prev = cache.x if i == 0 else cache.hidden[i - 1]
+        grads[i] = (h_prev.T @ delta, delta.sum(axis=0))
+        delta = delta @ w.T
+        if i > 0 and params.activation == "tanh" and (i - 1) < last:
+            delta = delta * (1.0 - cache.hidden[i - 1] ** 2)
+    return grads, delta
+
+
+def flat_grad(grads) -> np.ndarray:
+    """Per-layer ``(dW, db)`` as one vector in the parameter layout."""
+    return np.concatenate([a.ravel() for layer in grads for a in layer])
+
+
+def per_array_adamw_step(params: enc.EncoderParams, grads, state: enc.OptimizerState):
+    """``encoders.adamw_step`` one parameter array at a time, over per-layer ``(dW, db)`` grads: the AdamW oracle."""
+    flat_grads = [g for layer in grads for g in layer]
+    t = state.step_count + 1
+    b1, b2 = state.beta1, state.beta2
+    lr, wd, eps = state.learning_rate, state.weight_decay, state.epsilon
+    moments = [[a for layer in params.split(getattr(state, name)) for a in layer]
+               for name in ("first_moment", "second_moment")]
+    new_m, new_v, new_flat = [], [], []
+    for p, g, m, v in zip(params.flat(), flat_grads, *moments, strict=True):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * p
+        new_m.append(m)
+        new_v.append(v)
+        new_flat.append(p)
+    new_params = enc.EncoderParams(layers=list(zip(new_flat[::2], new_flat[1::2])), activation=params.activation)
+    new_state = replace(state, step_count=t, first_moment=np.concatenate([m.ravel() for m in new_m]),
+                        second_moment=np.concatenate([v.ravel() for v in new_v]))
+    return new_params, new_state
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     return make_rng(seed)
 
@@ -205,7 +255,7 @@ def _pool_batch_backward(visual: enc.EncoderParams, caches, grad_rows: np.ndarra
     total = None
     for k, (cache, pool_cache) in enumerate(caches):
         grad_emb = mean_pool_rows_backward(grad_rows[k], pool_cache)
-        grads, _ = enc.backward(visual, cache, grad_emb)
+        grads, _ = per_layer_backward(visual, cache, grad_emb)
         total = grads if total is None else _add_grads(total, grads)
     return total
 
@@ -261,7 +311,7 @@ def per_block_train_step(level, batch, state, cfg, rng, global_step=0):
         v_grads = _pool_batch_backward(state.visual, clip_caches, loss.grads["clip_frames"])
         v_grads = _add_grads(v_grads, _pool_batch_backward(state.visual, caches_a, loss.grads["view_a"]))
         v_grads = _add_grads(v_grads, _pool_batch_backward(state.visual, caches_b, loss.grads["view_b"]))
-        t_grads, _ = enc.backward(state.text, narr_cache, loss.grads["narrations"])
+        t_grads, _ = per_layer_backward(state.text, narr_cache, loss.grads["narrations"])
     else:
         frame_embs, frame_caches = [], []
         for block in frame_blocks:
@@ -278,17 +328,17 @@ def per_block_train_step(level, batch, state, cfg, rng, global_step=0):
         loss = hier_lecnce(frame_embs, parent_emb, child_embs, cfg.loss, cfg.dtw_algorithm)
         v_grads = None
         for cache, g in zip(frame_caches, loss.grads["segment_frames"]):
-            grads, _ = enc.backward(state.visual, cache, g)
+            grads, _ = per_layer_backward(state.visual, cache, g)
             v_grads = grads if v_grads is None else _add_grads(v_grads, grads)
-        t_grads, _ = enc.backward(state.text, parent_cache, loss.grads["parent_texts"])
+        t_grads, _ = per_layer_backward(state.text, parent_cache, loss.grads["parent_texts"])
         for cache, g in zip(child_caches, loss.grads["child_texts"]):
-            grads, _ = enc.backward(state.text, cache, g)
+            grads, _ = per_layer_backward(state.text, cache, g)
             t_grads = _add_grads(t_grads, grads)
 
     if not np.isfinite(loss.value):
         raise NonFiniteLossError(f"non-finite loss at step {global_step} level {level}")
-    state.visual, state.visual_opt = enc.adamw_step(state.visual, v_grads, state.visual_opt)
-    state.text, state.text_opt = enc.adamw_step(state.text, t_grads, state.text_opt)
+    state.visual, state.visual_opt = per_array_adamw_step(state.visual, v_grads, state.visual_opt)
+    state.text, state.text_opt = per_array_adamw_step(state.text, t_grads, state.text_opt)
     return loss
 
 

@@ -7,7 +7,8 @@ from lecnce.alignment import (
     AlignmentResult,
     CostMatrix,
     align_batch,
-    dp_costs,
+    dp_paths,
+    dp_tables,
     dtw_dp,
     dtw_greedy,
     dtw_subgradient,
@@ -278,8 +279,8 @@ class TestAlignBatch:
 
 
 def assert_dp_costs_match(mats):
-    """dp_costs == align_batch's DP costs == one dtw_dp cost per matrix, with ==."""
-    costs = dp_costs(mats)
+    """The corners of dp_tables == align_batch's DP costs == one dtw_dp cost per matrix, with ==."""
+    costs = dp_tables(mats)[:, -1, -1]
     np.testing.assert_array_equal(costs, align_batch(mats, "dp")[0])
     assert costs.tolist() == [dtw_dp(m).cost for m in mats]
 
@@ -307,16 +308,28 @@ class TestDpCosts:
     def test_reference_step_shapes(self, b, t, n):
         assert_dp_costs_match(make_rng(62 + t).uniform(0.0, 4.0, size=(b, t, n)))
 
+    @pytest.mark.parametrize("b,t,n", [(12, 16, 8), (7, 5, 5), (5, 1, 4), (5, 4, 1)])
+    def test_paths_walked_from_kept_tables_match_dtw_dp(self, b, t, n):
+        """Any subset of the kept tables walks to each matrix's dtw_dp path, ties included."""
+        rng = make_rng(63 + t)
+        mats = rng.integers(0, 3, size=(b, t, n)).astype(float)
+        tables = dp_tables(mats)
+        rows = np.flatnonzero(rng.random(b) < 0.5)
+        masks = dp_paths(tables[rows])
+        assert 0 < len(rows) < b and masks.shape == (len(rows), t, n)
+        for k, mask in zip(rows, masks, strict=True):
+            np.testing.assert_array_equal(mask, dtw_subgradient(mats[k], dtw_dp(mats[k])))
+
     def test_bad_inputs_raise_as_align_batch(self):
         for empty in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
             with pytest.raises(EmptyMatrixError):
-                dp_costs(np.empty(empty))
+                dp_tables(np.empty(empty))
         for wrong_rank in ([], [np.ones(3)], np.ones((2, 2))):
             with pytest.raises(DimMismatchError):
-                dp_costs(wrong_rank)
+                dp_tables(wrong_rank)
         with pytest.raises(DimMismatchError, match="cost matrices"):
-            dp_costs([np.ones((2, 2)), np.ones((3, 2))])
+            dp_tables([np.ones((2, 2)), np.ones((3, 2))])
         with pytest.raises(NonFiniteError, match=r"cost matrices\[1\] contains non-finite"):
-            dp_costs([np.ones((2, 2)), np.array([[1.0, np.nan], [2.0, 1.0]])])
+            dp_tables([np.ones((2, 2)), np.array([[1.0, np.nan], [2.0, 1.0]])])
         with pytest.raises(NonFiniteError, match="overflows"):
-            dp_costs([np.ones((2, 2)), np.full((2, 2), 1e308)])
+            dp_tables([np.ones((2, 2)), np.full((2, 2), 1e308)])

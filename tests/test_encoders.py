@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import old_format_checkpoint, rel_error, unit_rows
+from helpers import flat_grad, old_format_checkpoint, per_array_adamw_step, per_layer_backward, rel_error, unit_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,17 +25,11 @@ from lecnce.numerics import finite_diff_grad, make_rng
 
 
 def flat_params(params):
-    return np.concatenate([p.ravel() for p in params.flat()])
+    return params.vector.copy()
 
 
 def params_from_flat(template, flat):
-    layers = []
-    pos = 0
-    for w, b in template.layers:
-        nw = w.size
-        layers.append((flat[pos : pos + nw].reshape(w.shape).copy(), flat[pos + nw : pos + nw + b.size].copy()))
-        pos += nw + b.size
-    return EncoderParams(layers=layers, activation=template.activation)
+    return EncoderParams(layers=template.split(flat), activation=template.activation)
 
 
 class TestInitParams:
@@ -97,7 +91,7 @@ class TestForward:
         x = rng.normal(size=(3, 5))
         w = rng.normal(size=(3, 3))
         out, cache = forward(p, x, return_cache=True)
-        _, grad_x = backward(p, cache, w)
+        _, grad_x = per_layer_backward(p, cache, w)  # backward itself stops at the first layer's weights
 
         def f(flat):
             return float((w * forward(p, flat.reshape(3, 5))).sum())
@@ -112,20 +106,18 @@ class TestBackward:
         p = init_params([4, 3], "identity", rng)
         x = rng.normal(size=(2, 4))
         _, cache = forward(p, x, return_cache=True)
-        grads, grad_x = backward(p, cache, np.zeros((2, 3)))
-        assert not grad_x.any()
-        for dw, db in grads:
-            assert not dw.any() and not db.any()
+        grad = backward(p, cache, np.zeros((2, 3)))
+        assert grad.shape == p.vector.shape and not grad.any()
+        assert not per_layer_backward(p, cache, np.zeros((2, 3)))[1].any()
 
     def test_radial_grad_out_annihilated(self):
         rng = make_rng(8)
         p = init_params([4, 3], "tanh", rng)
         x = rng.normal(size=(2, 4))
         out, cache = forward(p, x, return_cache=True)
-        grads, grad_x = backward(p, cache, 2.5 * out)  # parallel to each output row
-        assert np.abs(grad_x).max() < 1e-12
-        for dw, db in grads:
-            assert np.abs(dw).max() < 1e-12 and np.abs(db).max() < 1e-12
+        grad = backward(p, cache, 2.5 * out)  # parallel to each output row
+        assert np.abs(grad).max() < 1e-12
+        assert np.abs(per_layer_backward(p, cache, 2.5 * out)[1]).max() < 1e-12
 
     def test_missing_cache(self):
         p = init_params([3, 2], "identity", make_rng(9))
@@ -139,8 +131,7 @@ class TestBackward:
         x = rng.normal(size=(3, 4))
         w = rng.normal(size=(3, 3))
         _, cache = forward(p, x, return_cache=True)
-        grads, _ = backward(p, cache, w)
-        analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads])
+        analytic = backward(p, cache, w)
 
         def f(flat):
             return float((w * forward(params_from_flat(p, flat), x)).sum())
@@ -171,13 +162,10 @@ class TestComposedWithLosses:
             if not want_grads:
                 return out.value
             gs = out.grads["sim"]
-            fv, _ = backward(fp, cv, gs @ et)
-            gt, _ = backward(gp, ct, gs.T @ ev)
-            return out.value, fv, gt
+            return out.value, backward(fp, cv, gs @ et), backward(gp, ct, gs.T @ ev)
 
         _, fv, gt = loss_given(f, g, want_grads=True)
-        for params, grads, other in ((f, fv, "f"), (g, gt, "g")):
-            analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads])
+        for params, analytic, other in ((f, fv, "f"), (g, gt, "g")):
 
             def scalar(flat, _params=params, _which=other):
                 rebuilt = params_from_flat(_params, flat)
@@ -194,27 +182,19 @@ class TestComposedWithLosses:
         xc = [rng.normal(size=(2, 5)) for _ in range(3)]
 
         def run(fp, gp, want_grads=False):
-            from lecnce.encoders import backward as bw
-
             f_embs, f_caches = zip(*[forward(fp, x, return_cache=True) for x in xv])
             p_emb, p_cache = forward(gp, xp, return_cache=True)
             c_embs, c_caches = zip(*[forward(gp, x, return_cache=True) for x in xc])
             out = hier_lecnce(list(f_embs), p_emb, list(c_embs), cfg)
             if not want_grads:
                 return out.value
-            fv = None
-            for cache, gr in zip(f_caches, out.grads["segment_frames"]):
-                grads, _ = bw(fp, cache, gr)
-                fv = grads if fv is None else [(a + c, b + d) for (a, b), (c, d) in zip(fv, grads)]
-            gt, _ = bw(gp, p_cache, out.grads["parent_texts"])
-            for cache, gr in zip(c_caches, out.grads["child_texts"]):
-                grads, _ = bw(gp, cache, gr)
-                gt = [(a + c, b + d) for (a, b), (c, d) in zip(gt, grads)]
+            fv = sum(backward(fp, cache, gr) for cache, gr in zip(f_caches, out.grads["segment_frames"]))
+            gt = backward(gp, p_cache, out.grads["parent_texts"])
+            gt = gt + sum(backward(gp, cache, gr) for cache, gr in zip(c_caches, out.grads["child_texts"]))
             return out.value, fv, gt
 
         _, fv, gt = run(f, g, want_grads=True)
-        for params, grads, which in ((f, fv, "f"), (g, gt, "g")):
-            analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads])
+        for params, analytic, which in ((f, fv, "f"), (g, gt, "g")):
 
             def scalar(flat, _params=params, _which=which):
                 rebuilt = params_from_flat(_params, flat)
@@ -229,8 +209,7 @@ class TestAdamW:
         rng = make_rng(13)
         p = init_params([3, 2], "identity", rng)
         state = init_optimizer(p, learning_rate=0.1, weight_decay=0.01)
-        zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers]
-        new_p, new_state = adamw_step(p, zero, state)
+        new_p, new_state = adamw_step(p, np.zeros_like(p.vector), state)
         for (w0, _), (w1, _) in zip(p.layers, new_p.layers):
             np.testing.assert_allclose(w1, w0 * (1 - 0.001), atol=1e-15)
         assert new_state.step_count == 1
@@ -238,7 +217,7 @@ class TestAdamW:
     def test_constant_gradient_approaches_sign_update(self):
         p = EncoderParams(layers=[(np.zeros((1, 1)), np.zeros(1))], activation="identity")
         state = init_optimizer(p, learning_rate=0.05, weight_decay=0.0)
-        g = [(np.full((1, 1), 0.37), np.full(1, 0.37))]
+        g = np.full(2, 0.37)  # W, then b
         prev = p.layers[0][0].copy()
         for _ in range(200):
             p, state = adamw_step(p, g, state)
@@ -251,7 +230,7 @@ class TestAdamW:
     def test_step_count_increments(self):
         p = init_params([2, 2], "identity", make_rng(14))
         state = init_optimizer(p)
-        zero = [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers]
+        zero = np.zeros_like(p.vector)
         for expected in (1, 2, 3):
             p, state = adamw_step(p, zero, state)
             assert state.step_count == expected
@@ -260,7 +239,102 @@ class TestAdamW:
         p = init_params([2, 2], "identity", make_rng(15))
         state = init_optimizer(p)
         with pytest.raises(ShapeMismatchError):
-            adamw_step(p, [(np.zeros((3, 3)), np.zeros(2))], state)
+            adamw_step(p, np.zeros(3), state)
+        with pytest.raises(ShapeMismatchError):
+            adamw_step(p, np.zeros((2, 3)), state)
+
+
+class TestFlatLayout:
+    def test_layers_are_views_of_one_vector(self):
+        w0, b0, w1, b1 = np.arange(12.0).reshape(3, 4), np.arange(4.0), np.arange(8.0).reshape(4, 2), np.arange(2.0)
+        p = EncoderParams(layers=[(w0, b0), (w1, b1)], activation="tanh")
+        np.testing.assert_array_equal(p.vector, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+        for a, want in zip(p.flat(), (w0, b0, w1, b1), strict=True):
+            assert np.shares_memory(a, p.vector) and not np.shares_memory(a, want)
+            np.testing.assert_array_equal(a, want)
+        other = np.arange(p.vector.size, dtype=float)
+        for (w, b), (ow, ob) in zip(p.layers, p.split(other), strict=True):
+            assert ow.shape == w.shape and ob.shape == b.shape and np.shares_memory(ow, other)
+
+    def test_non_finite_parameter_names_its_layer(self):
+        w = np.ones((2, 2))
+        w[1, 0] = np.inf
+        with pytest.raises(ValueError, match="layer 1 has non-finite parameters"):
+            EncoderParams(layers=[(np.ones((3, 2)), np.zeros(2)), (w, np.zeros(2))])
+
+    def test_adamw_overflow_names_its_layer(self):
+        p = init_params([3, 2, 2], "identity", make_rng(19))
+        state = init_optimizer(p, learning_rate=1e308, weight_decay=0.0)
+        grad = np.zeros_like(p.vector)
+        grad[-1] = 1e10  # the last bias moves by lr * 1e10 / (1e10 + eps), which overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="layer 1 has non-finite parameters"):
+            adamw_step(p, grad, state)
+
+
+class TestFlatOracles:
+    """The flat backward and the fused AdamW equal the per-layer and per-array loops they replace, with ==."""
+
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    @pytest.mark.parametrize("dims", [[5, 4, 3], [6, 5, 4, 3]])
+    def test_backward_and_adamw_equal_their_oracles(self, activation, dims):
+        rng = make_rng(20 + len(dims))
+        p = init_params(dims, activation, rng)
+        state = init_optimizer(p, learning_rate=0.05, weight_decay=0.01)
+        oracle_p, oracle_state = p, state
+        for _ in range(4):
+            x = rng.normal(size=(7, dims[0]))
+            grad_out = rng.normal(size=(7, dims[-1]))
+            _, cache = forward(p, x, return_cache=True)
+            grad = backward(p, cache, grad_out)
+            oracle_grads, _ = per_layer_backward(oracle_p, forward(oracle_p, x, return_cache=True)[1], grad_out)
+            np.testing.assert_array_equal(grad, flat_grad(oracle_grads))
+            p, state = adamw_step(p, grad, state)
+            oracle_p, oracle_state = per_array_adamw_step(oracle_p, oracle_grads, oracle_state)
+            np.testing.assert_array_equal(p.vector, oracle_p.vector)
+            np.testing.assert_array_equal(state.first_moment, oracle_state.first_moment)
+            np.testing.assert_array_equal(state.second_moment, oracle_state.second_moment)
+            assert state.step_count == oracle_state.step_count
+        assert np.any(state.second_moment > 0)
+
+
+# one invalid value of each constraint; the loader and the constructor reject the same ones
+BAD_HYPERPARAMETERS = [
+    ("beta2", -0.5),
+    ("epsilon", 0.0),
+    ("beta1", 1.0),
+    ("learning_rate", float("nan")),
+    ("weight_decay", -1e-3),
+    ("beta1", True),
+    ("step_count", 1.5),
+    ("step_count", -1),
+]
+
+
+class TestOptimizerHyperparameters:
+    @pytest.mark.parametrize("name, value", BAD_HYPERPARAMETERS)
+    def test_constructor_rejects_what_the_loader_rejects(self, tmp_path, name, value):
+        p = init_params([3, 2], "identity", make_rng(21))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            init_optimizer(p, **{name: value})
+        path = tmp_path / "c.json"
+        trained_checkpoint(path)
+        payload = json.loads(path.read_text())
+        payload["visual_optimizer"][name] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptFileError, match=f"visual_optimizer.{name} must be"):
+            load_checkpoint(path)
+
+    def test_beta1_one_fails_before_any_step(self):
+        p = init_params([3, 2], "identity", make_rng(22))
+        with pytest.raises(ValueError, match=r"beta1 must be a finite number in \[0, 1\), got 1.0"):
+            init_optimizer(p, beta1=1.0)
+
+    def test_accepted_edges_train_and_reload(self, tmp_path):
+        p = init_params([3, 2], "identity", make_rng(23))
+        state = init_optimizer(p, learning_rate=0, weight_decay=0.0, beta1=0.0, beta2=0.0, epsilon=1e-300)
+        p, state = adamw_step(p, np.ones_like(p.vector), state)
+        save_checkpoint(tmp_path / "c.json", p, p, state, state)
+        assert load_checkpoint(tmp_path / "c.json")["visual_optimizer"].step_count == 1
 
 
 class TestCheckpoint:
@@ -271,8 +345,7 @@ class TestCheckpoint:
         sf = init_optimizer(f)
         sg = init_optimizer(g)
         # push some non-trivial optimizer state
-        grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in f.layers]
-        f, sf = adamw_step(f, grads, sf)
+        f, sf = adamw_step(f, rng.normal(size=f.vector.shape), sf)
 
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -295,8 +368,7 @@ class TestCheckpoint:
         f = init_params([6, 4, 3], "tanh", rng)
         g = init_params([5, 3], "identity", rng)
         sf, sg = init_optimizer(f), init_optimizer(g)
-        grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in f.layers]
-        f, sf = adamw_step(f, grads, sf)
+        f, sf = adamw_step(f, rng.normal(size=f.vector.shape), sf)
         path = tmp_path / "ck.json"
         save_checkpoint(path, f, g, sf, sg, seed=3, schedule_position=11)
         written = path.read_text(encoding="utf-8")
@@ -314,8 +386,8 @@ def trained_checkpoint(path):
     g = init_params([5, 3], "identity", rng)
     sf, sg = init_optimizer(f), init_optimizer(g, learning_rate=0.01, beta2=0.99)
     for _ in range(2):
-        f, sf = adamw_step(f, [(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in f.layers], sf)
-        g, sg = adamw_step(g, [(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in g.layers], sg)
+        f, sf = adamw_step(f, rng.normal(size=f.vector.shape), sf)
+        g, sg = adamw_step(g, rng.normal(size=g.vector.shape), sg)
     save_checkpoint(path, f, g, sf, sg, seed=7, schedule_position=2)
     return f, g, sf, sg
 
@@ -345,7 +417,9 @@ class TestPackedCheckpoint:
         path = tmp_path / "c.json"
         f, g, sf, sg = trained_checkpoint(path)
         payload = json.loads(path.read_text())
-        moments = [m for s in (sf, sg) for name in ("first_moment", "second_moment") for m in getattr(s, name)]
+        # each moment vector per parameter array, in the parameters' layout
+        moments = [m for s, p in ((sf, f), (sg, g)) for name in ("first_moment", "second_moment")
+                   for layer in p.split(getattr(s, name)) for m in layer]
         packed = [e for key in ("visual_optimizer", "text_optimizer") for name in ("first_moment", "second_moment")
                   for e in payload[key][name]]
         for m, entry in zip(moments, packed, strict=True):
@@ -365,9 +439,9 @@ class TestPackedCheckpoint:
         assert payload["sha256"] == digest.hexdigest()
         loaded = load_checkpoint(path)
         for state, name in ((sf, "visual_optimizer"), (sg, "text_optimizer")):
-            for m, back in zip(state.first_moment + state.second_moment,
-                               loaded[name].first_moment + loaded[name].second_moment, strict=True):
-                assert back.tobytes() == m.tobytes() and back.flags.writeable
+            for moment in ("first_moment", "second_moment"):
+                m, back = getattr(state, moment), getattr(loaded[name], moment)
+                assert back.shape == m.shape and back.tobytes() == m.tobytes() and back.flags.writeable
 
     @pytest.mark.parametrize(
         "edit, named",

@@ -330,7 +330,8 @@ class TestStackedCostBuild:
 
             return wrapper
 
-        with mock.patch.object(losses, "dp_costs", recording(read, alignment.dp_costs)), \
+        with mock.patch.object(losses, "dp_tables", recording(read, alignment.dp_tables)), \
+                mock.patch.object(losses, "dp_paths", recording(walked, alignment.dp_paths)), \
                 mock.patch.object(losses, "align_batch", recording(walked, alignment.align_batch)):
             if ragged:  # refused at the entry, before any alignment
                 with pytest.raises(DimMismatchError, match="segment_frames"):
@@ -338,19 +339,20 @@ class TestStackedCostBuild:
                 assert not read and not walked
                 return
             out = hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(phi=0.5), "dp")
-        # one costs-only read of the forward matrices, then their column-reversed views
+        # one wavefront over the forward matrices, then their column-reversed views
         (matrices,) = read
         assert matrices.shape == (2 * b, 16, 4)
         for k in range(b):
             want = build_cost_matrix(frames[k], children[k], 0.1, validate=False).values
             np.testing.assert_array_equal(matrices[k], want)
             np.testing.assert_array_equal(matrices[b + k], want[:, ::-1])
-        # one walk, of the active samples' forward then reversed matrices only
-        costs = alignment.dp_costs(matrices)
+        # one walk, of the active samples' forward then reversed tables only, taken from that wavefront
+        tables = alignment.dp_tables(matrices)
+        costs = tables[:, -1, -1]
         active = np.flatnonzero(costs[:b] - costs[b:] + 0.5 > 0.0)
         assert 0 < len(active) < b and out.components["dtw"] > 0
-        (paths,) = walked
-        np.testing.assert_array_equal(paths, np.concatenate([matrices[active], matrices[b + active]]))
+        (walked_tables,) = walked
+        np.testing.assert_array_equal(walked_tables, np.concatenate([tables[active], tables[b + active]]))
 
 
 class TestDtwHinge:
@@ -738,11 +740,15 @@ class TestHierLecnceWalksActiveOnly:
         cfg = LossConfig(lambda_dtw=lam, phi=phi, hinge_form=form)
         walked = []
 
-        def recording_align_batch(matrices, algorithm="dp"):
-            walked.append(len(matrices))
-            return alignment.align_batch(matrices, algorithm)
+        def recording(fn):
+            def wrapper(stack, *args):
+                walked.append(len(stack))
+                return fn(stack, *args)
 
-        with mock.patch.object(losses, "align_batch", recording_align_batch):
+            return wrapper
+
+        with mock.patch.object(losses, "align_batch", recording(alignment.align_batch)), \
+                mock.patch.object(losses, "dp_paths", recording(alignment.dp_paths)):
             out = hier_lecnce(frames, parents, children, cfg, algorithm)
         want = all_walk_hier_lecnce(frames, parents, children, cfg, algorithm)
         assert out.value == want.value
@@ -764,9 +770,10 @@ class TestHierLecnceWalksActiveOnly:
     @pytest.mark.parametrize("lam, phi", [(0.7, -1e3), (0.0, 0.5), (0.0, 1e3)])
     def test_dp_without_a_gradient_walks_nothing(self, lam, phi):
         frames, parents, children = _walk_instance(34)
-        with mock.patch.object(losses, "align_batch") as walk:
+        with mock.patch.object(losses, "align_batch") as walk, mock.patch.object(losses, "dp_paths") as dp_walk:
             hier_lecnce(frames, parents, children, LossConfig(lambda_dtw=lam, phi=phi), "dp")
         walk.assert_not_called()
+        dp_walk.assert_not_called()
 
     def test_unknown_algorithm_raises_before_the_cost_build(self):
         frames, parents, children = _walk_instance(35)

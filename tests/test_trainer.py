@@ -5,10 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import PerSampleBatcher, per_block_train_step
+from helpers import PerSampleBatcher, flat_grad, per_array_adamw_step, per_block_train_step, per_layer_backward
 
 from lecnce import encoders
-from lecnce.datagen import ProcedureSpec, generate_dataset
+from lecnce.datagen import LEVELS, Level, ProcedureSpec, generate_dataset
 from lecnce.errors import AllZeroScheduleError, FieldValueError, MissingLevelDataError, NonFiniteLossError
 from lecnce.losses import LossConfig
 from lecnce.numerics import make_rng
@@ -193,8 +193,7 @@ class TestTrainStepOracle:
             for name, value in want.components.items():
                 assert abs(rec.components[name] - value) <= 1e-12
             for got, ref in ((state.visual, oracle_state.visual), (state.text, oracle_state.text)):
-                for p, q in zip(got.flat(), ref.flat()):
-                    np.testing.assert_allclose(p, q, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.vector, ref.vector, rtol=0, atol=1e-12)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("level", ["clip", "phase", "video"])
@@ -220,6 +219,34 @@ class TestTrainStepOracle:
             assert [p for n, p in calls if n == name and p is visual] == [visual]
             assert [p for n, p in calls if n == name and p is text] == [text]
         assert len(calls) == 4
+
+
+class TestFlatUpdateOracle:
+    """A training with the flat backward and fused AdamW equals one driven through their per-layer oracles."""
+
+    @pytest.mark.parametrize("algorithm, activation", [("greedy", "identity"), ("dp", "tanh")])
+    def test_train_run_equals_the_oracle_driven_run(self, algorithm, activation, monkeypatch):
+        train, _ = tiny_dataset()
+        cfg = tiny_config(dtw_algorithm=algorithm, activation=activation, visual_layers=(12, 8, 6),
+                          loss=LossConfig(lambda_dtw=0.5, phi=0.5))
+        state, log = train_run(cfg, train)
+
+        def oracle_backward(params, cache, grad_out):
+            return flat_grad(per_layer_backward(params, cache, grad_out)[0])
+
+        def oracle_adamw(params, grad, opt):
+            return per_array_adamw_step(params, params.split(grad), opt)
+
+        monkeypatch.setattr(encoders, "backward", oracle_backward)
+        monkeypatch.setattr(encoders, "adamw_step", oracle_adamw)
+        want, want_log = train_run(cfg, train)
+        assert [(r.total, r.components) for r in log.records] == [(r.total, r.components) for r in want_log.records]
+        for name in ("visual", "text"):
+            np.testing.assert_array_equal(getattr(state, name).vector, getattr(want, name).vector)
+            got_opt, want_opt = getattr(state, f"{name}_opt"), getattr(want, f"{name}_opt")
+            assert got_opt.step_count == want_opt.step_count == len(log.records)
+            np.testing.assert_array_equal(got_opt.first_moment, want_opt.first_moment)
+            np.testing.assert_array_equal(got_opt.second_moment, want_opt.second_moment)
 
 
 class TestGeneratorUse:
@@ -254,19 +281,36 @@ class TestGeneratorUse:
 class TestBatcher:
     @pytest.mark.parametrize("level, n", [("clip", 6), ("phase", 7), ("video", 2), ("video", 12)])
     def test_yields_the_rows_of_the_per_sample_batcher(self, level, n):
-        """Equal rows and draws, across wrap-around and batches larger than the level."""
+        """Equal rows, kept frames and draws, across wrap-around and batches larger than the level."""
         train, _ = tiny_dataset()
-        batcher = _Batcher(train.samples[level], make_rng(7))
+        n_frames = dict(zip(("clip", "phase", "video"), tiny_config().frames))[level]
+        batcher = _Batcher(train.samples[level], make_rng(7), n_frames)
         oracle = PerSampleBatcher(train.by_level(level), make_rng(7))
         for _ in range(5):
             batch, want = batcher.next_batch(n), oracle.next_batch(n)
-            assert batch.name == level and len(batch) == n
+            assert batch.name == level and len(batch) == n and batch.labels is None
             for k, sample in enumerate(want):
-                got = batch[k]
-                assert (got.procedure_id, got.step_labels) == (sample.procedure_id, sample.step_labels)
-                for name in ("frame_features", "parent_text_feature", "child_text_features"):
-                    np.testing.assert_array_equal(getattr(got, name), getattr(sample, name))
+                assert batch.procedure_ids[k] == sample.procedure_id
+                np.testing.assert_array_equal(batch.frames[k], subsample_frames(sample.frame_features, n_frames))
+                np.testing.assert_array_equal(batch.parents[k], sample.parent_text_feature)
+                np.testing.assert_array_equal(batch.children[k], sample.child_text_features)
             assert batcher.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+    @pytest.mark.parametrize("level", ["clip", "phase", "video"])
+    def test_a_kept_frame_batch_steps_as_the_full_one(self, level):
+        """train_step on a batch of kept frames only equals the step on the same samples' full frames, with ==."""
+        train, _ = tiny_dataset()
+        cfg = tiny_config(loss=LossConfig(lambda_dtw=0.5), dtw_algorithm="dp")
+        full = train.samples[level][np.array([4, 2, 4, 0][: dict(zip(LEVELS, cfg.batch_sizes))[level]])]
+        index = subsample_frames(np.arange(full.frames.shape[1]), dict(zip(LEVELS, cfg.frames))[level])
+        kept = Level(level, full.frames[:, index], full.parents, full.children, None, full.procedure_ids)
+        states = [init_trainer(cfg, make_rng(cfg.seed)) for _ in range(2)]
+        rngs = [make_rng(1), make_rng(1)]
+        for step in (1, 2):
+            got, want = (train_step(level, b, s, cfg, r, step) for b, s, r in zip((kept, full), states, rngs))
+            assert (got.total, got.components) == (want.total, want.components)
+        for name in ("visual", "text"):
+            np.testing.assert_array_equal(getattr(states[0], name).vector, getattr(states[1], name).vector)
 
 
 class TestTrainLog:
@@ -332,9 +376,11 @@ class TestTrainRun:
         loaded = encoders.load_checkpoint(tmp_path / "checkpoint_final.json")
         for params, opt, key in ((state.visual, state.visual_opt, "visual"), (state.text, state.text_opt, "text")):
             assert [p.tobytes() for p in loaded[key].flat()] == [p.tobytes() for p in params.flat()]
+            assert loaded[key].vector.tobytes() == params.vector.tobytes()
             back = loaded[f"{key}_optimizer"]
-            assert [m.tobytes() for m in back.first_moment + back.second_moment] == [
-                m.tobytes() for m in opt.first_moment + opt.second_moment]
+            for name in ("first_moment", "second_moment"):
+                assert getattr(back, name).shape == getattr(opt, name).shape == params.vector.shape
+                assert getattr(back, name).tobytes() == getattr(opt, name).tobytes()
             assert back.step_count == opt.step_count == cfg.epochs * len(schedule_period(cfg))
 
     def test_benchmark_reader_agrees_with_load_checkpoint(self, tmp_path):
