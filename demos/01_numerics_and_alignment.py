@@ -1,8 +1,8 @@
 """Walk through the numeric primitives and the two alignment routines.
 
 The greedy backward trace and the classic dynamic program agree on easy
-matrices and disagree on adversarial ones; the dynamic program is the
-optimal-cost oracle, the greedy trace is the default used in training.
+matrices and disagree on adversarial ones; the dynamic program gives the
+optimal cost, the greedy trace is the default used in training.
 """
 
 import numpy as np

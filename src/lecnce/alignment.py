@@ -1,16 +1,17 @@
 """Monotone alignment between frame and text sequences over a cost matrix.
 
-Two alignment routines are provided.  ``dtw_greedy`` is a single backward
-greedy trace from the (T, N) corner, accumulating every visited cell; it is
-cheap but not globally optimal.  ``dtw_dp`` is the classic dynamic-program
-over an accumulated-cost table and serves as the optimal-cost oracle.  Both
-report the cells they visited as a 1-based path from (T, N) down to (1, 1).
-``align_batch`` aligns a (B, T, N) stack of equal-shape matrices in one
-call and returns each one's cost and 0/1 path mask: one lockstep walker
-traces the raw costs for greedy, or the accumulated table of a vectorized
-wavefront for DP.  ``dp_tables`` runs the same wavefront and keeps the
-tables: their corners are the DP costs, read with no backtrack, and
-``dp_paths`` backtracks any subset of them later.
+Two alignment algorithms are provided.  Greedy is a single backward trace
+from the (T, N) corner, accumulating every visited cell; it is cheap but
+not globally optimal.  DP is the classic dynamic program over an
+accumulated-cost table, which gives the optimal cost.  Each has one
+implementation, batched over a (B, T, N) stack of equal-shape matrices:
+one lockstep walker traces the raw costs for greedy, or the accumulated
+table of a vectorized wavefront for DP.  ``align_batch`` returns each
+matrix's cost and 0/1 path mask; ``dp_tables`` keeps the DP tables, whose
+corners are the costs, read with no backtrack, and ``dp_paths``
+backtracks any subset of them later.  ``dtw_greedy`` and ``dtw_dp`` run
+the same code on one matrix and report its cells as a 1-based path from
+(T, N) down to (1, 1).
 """
 
 from __future__ import annotations
@@ -70,90 +71,6 @@ def _values(c) -> np.ndarray:
     return v
 
 
-def dtw_greedy(c: CostMatrix | np.ndarray) -> AlignmentResult:
-    """Greedy backward trace: start at (T, N), step toward (1, 1).
-
-    At each cell the diagonal neighbour is taken when it is no more costly
-    than both the up and left neighbours, else the cheaper of up/left.  On
-    the borders the only in-bounds move is forced: up when j == 1, left
-    when i == 1 (the corner cell exits through the left move).  Every
-    visited cell's cost is accumulated, the start and end cells included.
-    """
-    v = _values(c)
-    t, n = v.shape
-    v = v.tolist()  # Python floats index faster than numpy scalars, same values
-    i, j = t, n
-    cost = 0.0
-    path: list[tuple[int, int]] = []
-    while i > 0 and j > 0:
-        cost += v[i - 1][j - 1]
-        path.append((i, j))
-        if i > 1 and j > 1 and v[i - 2][j - 2] <= v[i - 2][j - 1] and v[i - 2][j - 2] <= v[i - 1][j - 2]:
-            i -= 1
-            j -= 1
-        elif i > 1 and (j == 1 or v[i - 2][j - 1] <= v[i - 1][j - 2]):
-            i -= 1
-        else:
-            j -= 1
-    return AlignmentResult(cost=float(cost), path=tuple(path))
-
-
-def dtw_dp(c: CostMatrix | np.ndarray) -> AlignmentResult:
-    """Globally minimal monotone path cost via an accumulated-cost table.
-
-    Moves are {down, right, diagonal} from (1, 1) to (T, N); the path is
-    recovered by backtracking the table with ties broken diagonal, then up,
-    then left.
-    """
-    v = _values(c)
-    t, n = v.shape
-    acc = np.empty_like(v)
-    acc[0, 0] = v[0, 0]
-    for i in range(1, t):
-        acc[i, 0] = acc[i - 1, 0] + v[i, 0]
-    for j in range(1, n):
-        acc[0, j] = acc[0, j - 1] + v[0, j]
-    for i in range(1, t):
-        for j in range(1, n):
-            acc[i, j] = v[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-
-    path: list[tuple[int, int]] = []
-    i, j = t - 1, n - 1
-    while True:
-        path.append((i + 1, j + 1))
-        if i == 0 and j == 0:
-            break
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            diag, up, left = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
-            if diag <= up and diag <= left:
-                i -= 1
-                j -= 1
-            elif up <= left:
-                i -= 1
-            else:
-                j -= 1
-    return AlignmentResult(cost=float(acc[t - 1, n - 1]), path=tuple(path))
-
-
-DTW_ALGORITHMS = {"greedy": dtw_greedy, "dp": dtw_dp}
-
-
-def check_algorithm(algorithm: str) -> str:
-    """``algorithm`` itself when it names a registered alignment routine, else ValueError."""
-    if algorithm not in DTW_ALGORITHMS:
-        raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}")
-    return algorithm
-
-
-def align(c: CostMatrix | np.ndarray, algorithm: str = "greedy") -> AlignmentResult:
-    """Dispatch to one of the registered alignment routines."""
-    return DTW_ALGORITHMS[check_algorithm(algorithm)](c)
-
-
 @functools.lru_cache(maxsize=64)
 def _wavefront_plan(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat index maps between a padded (t+1, n+1) table and its skew.
@@ -182,7 +99,7 @@ def _padded(matrices) -> np.ndarray:
 
 
 def _accumulate(padded: np.ndarray) -> np.ndarray:
-    """``dtw_dp``'s accumulated-cost table of each matrix of an inf-padded stack, skewed.
+    """The DP accumulated-cost table of each matrix of an inf-padded stack, skewed.
 
     Row 0 and column 0 of the (B, T+1, N+1) ``padded`` are the inf border; row d of a
     (T+N+1, N+1) skewed table holds the cells (d - j, j), so ``[:, -1, -1]`` is each DP cost.
@@ -190,7 +107,7 @@ def _accumulate(padded: np.ndarray) -> np.ndarray:
     b, t1, n1 = padded.shape
     v = padded.reshape(b, -1)[:, _wavefront_plan(t1 - 1, n1 - 1)[0]]
     acc = np.full_like(v, np.inf)
-    acc[:, 0, 0] = -0.0  # v + (-0.0) == v bit for bit, as dtw_dp's acc[0, 0] = v[0, 0]
+    acc[:, 0, 0] = -0.0  # v + (-0.0) == v bit for bit: each corner (1, 1) holds its own cost
     for d in range(2, t1 + n1 - 1):
         # min(diag, up, left), ordered so that ties keep the earlier operand
         best = np.minimum(acc[:, d - 1, :-1], np.minimum(acc[:, d - 1, 1:], acc[:, d - 2, :-1]))
@@ -210,12 +127,17 @@ def dp_tables(matrices) -> np.ndarray:
     return tables
 
 
-def dp_paths(tables: np.ndarray) -> np.ndarray:
-    """The 0/1 DP path mask of each skewed table from :func:`dp_tables`, as a (B, T, N) array."""
+def _dp_walk(tables: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """The :func:`_walk` of each unskewed table from :func:`dp_tables`, and the padded shape it indexes."""
     b, d1, n1 = tables.shape
     t, n = d1 - n1, n1 - 1
     table = tables.reshape(b, d1 * n1)[:, _wavefront_plan(t, n)[1]]  # unskewed, (B, T+1, N+1)
-    return _mask(_walk(table, t, n), table.shape)
+    return _walk(table, t, n), table.shape
+
+
+def dp_paths(tables: np.ndarray) -> np.ndarray:
+    """The 0/1 DP path mask of each skewed table from :func:`dp_tables`, as a (B, T, N) array."""
+    return _mask(*_dp_walk(tables))
 
 
 def _walk(table: np.ndarray, t: int, n: int) -> np.ndarray:
@@ -223,8 +145,8 @@ def _walk(table: np.ndarray, t: int, n: int) -> np.ndarray:
 
     A cell moves to its least diagonal, up or left neighbour in the padded
     ``table``, ties broken in that order; the inf border moves row 1 left and
-    column 1 up.  Over a DP table this is ``dtw_dp``'s backtrack, over the
-    raw costs ``dtw_greedy``.
+    column 1 up.  Over a DP table this is the DP backtrack, over the raw
+    costs the greedy trace.
     """
     b, t1, n1 = table.shape
     diag, up, left = table[:, :-1, :-1], table[:, :-1, 1:], table[:, 1:, :-1]
@@ -246,29 +168,84 @@ def _mask(visits: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     return mask[:, 1:, 1:]
 
 
+def _greedy(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy walk of each matrix of an inf-padded stack: its costs and its :func:`_walk` visits.
+
+    Each cost sums the walked raw costs in visit order, from the corner.
+    """
+    t, n = padded.shape[1] - 1, padded.shape[2] - 1
+    visits = _walk(padded, t, n)
+    with np.errstate(over="ignore"):  # an overflowing cost raises below
+        values = padded.ravel()[visits]
+        values[1:][visits[1:] == visits[:-1]] = 0.0  # a finished walk repeats (1, 1)
+        costs = np.add.accumulate(values, axis=0)[-1]  # sequential, in visit order
+    if not np.all(np.isfinite(costs)):
+        raise NonFiniteError("alignment cost overflows")
+    return costs, visits
+
+
 def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray]:
     """Align a stack of cost matrices; return their costs and 0/1 path masks.
 
     ``matrices`` is a (B, T, N) array, or B matrices of one (T, N) shape,
     with finite, non-negative entries.  The result is a length-B cost
     vector and a (B, T, N) mask whose entry k is ``dtw_subgradient`` of
-    matrix k under ``algorithm``.  Costs and masks equal the per-matrix
-    ``dtw_dp``/``dtw_greedy`` ones exactly: DP reads each corner of its
-    walked table, greedy sums the walked raw costs in visit order.
+    matrix k's ``dtw_dp``/``dtw_greedy`` alignment under ``algorithm``.
     """
     if check_algorithm(algorithm) == "dp":
         tables = dp_tables(matrices)
         return tables[:, -1, -1], dp_paths(tables)
     padded = _padded(matrices)
-    t, n = padded.shape[1] - 1, padded.shape[2] - 1
-    visits = _walk(padded, t, n)
-    with np.errstate(over="ignore"):  # an overflowing cost raises below
-        values = padded.ravel()[visits]
-        values[1:][visits[1:] == visits[:-1]] = 0.0  # a finished walk repeats (1, 1)
-        costs = np.add.accumulate(values, axis=0)[-1]  # sequential, in visit order, as dtw_greedy sums
-    if not np.all(np.isfinite(costs)):
-        raise NonFiniteError("alignment cost overflows")
+    costs, visits = _greedy(padded)
     return costs, _mask(visits, padded.shape)
+
+
+def _result(cost, visits: np.ndarray, shape: tuple[int, int, int]) -> AlignmentResult:
+    """One matrix's alignment: its ``cost``, and its flat ``visits`` into a padded ``shape`` as 1-based cells."""
+    n1 = shape[-1]
+    flat = visits[:, 0].tolist()
+    flat = flat[: flat.index(n1 + 1) + 1]  # up to the first (1, 1), where a finished walk stays
+    return AlignmentResult(cost=float(cost), path=tuple(divmod(p, n1) for p in flat))
+
+
+def dtw_greedy(c: CostMatrix | np.ndarray) -> AlignmentResult:
+    """Greedy backward trace: start at (T, N), step toward (1, 1).
+
+    At each cell the diagonal neighbour is taken when it is no more costly
+    than both the up and left neighbours, else the cheaper of up/left.  On
+    the borders the only in-bounds move is forced: up when j == 1, left
+    when i == 1.  Every visited cell's cost is accumulated, the start and
+    end cells included; a sum that overflows raises :class:`NonFiniteError`.
+    """
+    padded = _padded(_values(c)[None])
+    costs, visits = _greedy(padded)
+    return _result(costs[0], visits, padded.shape)
+
+
+def dtw_dp(c: CostMatrix | np.ndarray) -> AlignmentResult:
+    """Globally minimal monotone path cost via an accumulated-cost table.
+
+    Moves are {down, right, diagonal} from (1, 1) to (T, N); the path is
+    recovered by backtracking the table with ties broken diagonal, then up,
+    then left.  A cost that overflows raises :class:`NonFiniteError`.
+    """
+    tables = dp_tables(_values(c)[None])
+    return _result(tables[0, -1, -1], *_dp_walk(tables))
+
+
+DTW_ALGORITHMS = {"greedy": dtw_greedy, "dp": dtw_dp}
+
+
+def check_algorithm(algorithm: str) -> str:
+    """``algorithm`` itself when it names a registered alignment routine, else ValueError."""
+    if algorithm not in DTW_ALGORITHMS:
+        raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}")
+    return algorithm
+
+
+def align(c: CostMatrix | np.ndarray, algorithm: str = "greedy") -> AlignmentResult:
+    """Dispatch to one of the registered alignment routines."""
+    return DTW_ALGORITHMS[check_algorithm(algorithm)](c)
 
 
 def reverse_columns(c: CostMatrix) -> CostMatrix:
@@ -286,11 +263,12 @@ def dtw_subgradient(c: CostMatrix | np.ndarray, result: AlignmentResult) -> np.n
     Holding the path constant, the alignment cost is linear in the visited
     entries, so this is its exact gradient away from decision ties.
     """
-    v = _values(c)
-    t, n = v.shape
+    t, n = _values(c).shape
+    cells = np.array(result.path, dtype=np.intp).reshape(-1, 2)
+    outside = (cells < 1).any(axis=1) | (cells[:, 0] > t) | (cells[:, 1] > n)
+    if outside.any():
+        i, j = cells[np.argmax(outside)]
+        raise PathMismatchError(f"path cell ({i}, {j}) outside {t}x{n} matrix")
     grad = np.zeros((t, n), dtype=np.float64)
-    for i, j in result.path:
-        if not (1 <= i <= t and 1 <= j <= n):
-            raise PathMismatchError(f"path cell ({i}, {j}) outside {t}x{n} matrix")
-        grad[i - 1, j - 1] = 1.0
+    grad[cells[:, 0] - 1, cells[:, 1] - 1] = 1.0
     return grad

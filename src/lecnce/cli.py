@@ -23,7 +23,7 @@ from . import encoders as enc
 from . import evalkit, textaug
 from .alignment import DTW_ALGORITHMS, CostMatrix, align, reverse_columns
 from .datagen import ProcedureSpec, SplitSpec, generate_dataset, load_dataset, save_dataset
-from .errors import ConfigError, FieldValueError, InputError, LecnceError, UnknownKeyError, read_text
+from .errors import ConfigError, FieldValueError, InputError, LecnceError, NonFiniteError, UnknownKeyError, read_text
 from .losses import LossConfig
 from .numerics import cosine_similarity_matrix, make_rng
 from .trainer import TrainConfig, train_run
@@ -332,23 +332,32 @@ def _read_cost_matrix(path: str) -> CostMatrix:
     """A ``{"values": [[...]], "beta": b}`` object or a bare list of rows, checked."""
     payload = _read_json(path, "matrix")
     payload = payload if isinstance(payload, dict) else {"values": payload}
+    for key in payload:
+        if key not in ("values", "beta"):
+            raise InputError(f"matrix file {path}: unknown key {key!r}; expected 'values' and 'beta'")
     if "values" not in payload:
         raise InputError(f"matrix file {path} has no 'values' key")
     values, beta = payload["values"], payload.get("beta", CostMatrix.beta)
     if not (_is_a(beta, float) and beta > 0):
         raise InputError(f"matrix file {path}: 'beta' must be a finite number > 0, got {beta!r}")
+    grid_error = f"matrix file {path}: 'values' must be a non-empty rectangular grid of finite, non-negative numbers"
+    if not (isinstance(values, list) and all(isinstance(row, list) and all(_is_a(v, float) for v in row)
+                                             for row in values)):
+        raise InputError(f"{grid_error}, each a JSON number")
     try:
         return CostMatrix(values=np.asarray(values, dtype=np.float64), beta=beta)
-    except (LecnceError, ValueError, TypeError) as exc:
-        raise InputError(f"matrix file {path}: 'values' must be a non-empty rectangular grid of finite, "
-                         f"non-negative numbers ({exc})") from None
+    except (LecnceError, ValueError) as exc:
+        raise InputError(f"{grid_error} ({exc})") from None
 
 
 def _cmd_dtw_inspect(args) -> int:
     cost = _read_cost_matrix(args.matrix)
     if args.reversed:
         cost = reverse_columns(cost)
-    result = align(cost, args.algorithm)
+    try:
+        result = align(cost, args.algorithm)
+    except NonFiniteError as exc:
+        raise InputError(f"matrix file {args.matrix}: {exc}") from None
     print(json.dumps({
         "cost": result.cost,
         "path": [[i, j] for i, j in result.path],

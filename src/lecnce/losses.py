@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import CostMatrix, align, align_batch, check_algorithm, dp_paths, dp_tables, dtw_subgradient
+from .alignment import CostMatrix, align_batch, check_algorithm, dp_paths, dp_tables
 from .errors import (
     DimMismatchError,
     EmptyChildSequenceError,
@@ -91,14 +91,13 @@ def _row_nce(z: np.ndarray, positives: Sequence[Sequence[int]]) -> tuple[float, 
     exp = np.exp(shifted)
     denom = exp.sum(axis=1)
     grad = exp / denom[:, None] / b
-    rows = np.arange(b)
-    diagonal = positives is diagonal_positives(b) and b <= m  # the training case: no Python pass over the rows
-    cols = rows if diagonal else np.array([int(j) for pos in positives for j in pos], dtype=int)
-    if diagonal or (all(len(pos) == 1 for pos in positives) and np.all((cols >= 0) & (cols < m))):
-        # one valid positive per row: a gather, its terms added in row order from 0.0 as the per-row loop adds
-        pos_exp = exp[rows, cols]
+    if positives is diagonal_positives(b) and b <= m:
+        # the training case, no Python pass over the rows: a gather, its terms
+        # added in row order from 0.0 as the per-row loop adds
+        rows = np.arange(b)
+        pos_exp = exp[rows, rows]
         value = float(0.0 + np.add.accumulate(np.log(denom) - np.log(pos_exp))[-1])
-        grad[rows, cols] -= pos_exp / pos_exp / b
+        grad[rows, rows] -= pos_exp / pos_exp / b
     else:
         value = 0.0
         for i, pos in enumerate(positives):
@@ -209,25 +208,20 @@ def dtw_hinge(
     standard: max(0, DTW(C) - DTW(C_rev) + phi); the printed one-sided
     reading max(DTW(C) - DTW(C_rev), phi) is available as ``literal``.
     Gradients flow through both alignments via the fixed-path subgradient
-    and vanish when the hinge is inactive.
+    and vanish when the hinge is inactive.  The pair is aligned in one
+    :func:`align_batch` call.
     """
     if form not in HINGE_FORMS:
         raise ValueError(f"form must be one of {HINGE_FORMS}, got {form!r}")
     if c_forward.shape != c_reversed.shape:
         raise ShapeMismatchError(f"cost matrices differ in shape: {c_forward.shape} vs {c_reversed.shape}")
-    fwd = align(c_forward, algorithm)
-    rev = align(c_reversed, algorithm)
-    value, active = _hinge(fwd.cost - rev.cost, phi, form)
-    if active:
-        grad_fwd = dtw_subgradient(c_forward, fwd)
-        grad_rev = -dtw_subgradient(c_reversed, rev)
-    else:
-        grad_fwd = np.zeros(c_forward.shape)
-        grad_rev = np.zeros(c_reversed.shape)
+    (fwd, rev), paths = align_batch([c_forward.values, c_reversed.values], algorithm)
+    value, active = _hinge(fwd - rev, phi, form)
+    grad_fwd, grad_rev = (paths[0], -paths[1]) if active else np.zeros(paths.shape)
     return LossValue(
         value=float(value),
         grads={"c_forward": grad_fwd, "c_reversed": grad_rev},
-        components={"dtw_forward": fwd.cost, "dtw_reversed": rev.cost},
+        components={"dtw_forward": float(fwd), "dtw_reversed": float(rev)},
     )
 
 

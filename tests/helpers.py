@@ -1,4 +1,5 @@
 """Shared oracles for the test suite: finite-difference comparison, the
+per-matrix greedy and DP alignment loops and the hinge built on them, the
 tie-margin filter that keeps DTW gradient checks away from path ties, the
 per-layer encoder backward and per-array AdamW update, the
 per-row InfoNCE, per-matrix pooling, per-block training step,
@@ -14,7 +15,7 @@ import numpy as np
 
 from lecnce import encoders as enc
 from lecnce import losses
-from lecnce.alignment import align_batch
+from lecnce.alignment import AlignmentResult, align_batch, dtw_subgradient
 from lecnce.datagen import (
     CLIP_LEN,
     CLIP_NOISE_SCALE,
@@ -49,6 +50,96 @@ def fd_check_single(fn, x: np.ndarray, analytic: np.ndarray, h: float = 1e-5) ->
 
 def unit_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return np.stack([l2_normalize(rng.normal(size=cols)) for _ in range(rows)])
+
+
+def dtw_greedy_loop(c) -> AlignmentResult:
+    """``alignment.dtw_greedy`` one cell at a time: the greedy oracle.
+
+    At each cell the diagonal neighbour is taken when it is no more costly
+    than both the up and left neighbours, else the cheaper of up/left.  On
+    the borders the only in-bounds move is forced: up when j == 1, left
+    when i == 1 (the corner cell exits through the left move).  Every
+    visited cell's cost is accumulated, the start and end cells included.
+    """
+    v = np.asarray(getattr(c, "values", c), dtype=np.float64)
+    t, n = v.shape
+    v = v.tolist()  # Python floats index faster than numpy scalars, same values
+    i, j = t, n
+    cost = 0.0
+    path: list[tuple[int, int]] = []
+    while i > 0 and j > 0:
+        cost += v[i - 1][j - 1]
+        path.append((i, j))
+        if i > 1 and j > 1 and v[i - 2][j - 2] <= v[i - 2][j - 1] and v[i - 2][j - 2] <= v[i - 1][j - 2]:
+            i -= 1
+            j -= 1
+        elif i > 1 and (j == 1 or v[i - 2][j - 1] <= v[i - 1][j - 2]):
+            i -= 1
+        else:
+            j -= 1
+    return AlignmentResult(cost=float(cost), path=tuple(path))
+
+
+def dtw_dp_loop(c) -> AlignmentResult:
+    """``alignment.dtw_dp`` one cell at a time: the DP oracle.
+
+    Moves are {down, right, diagonal} from (1, 1) to (T, N); the path is
+    recovered by backtracking the table with ties broken diagonal, then up,
+    then left.
+    """
+    v = np.asarray(getattr(c, "values", c), dtype=np.float64)
+    t, n = v.shape
+    acc = np.empty_like(v)
+    acc[0, 0] = v[0, 0]
+    for i in range(1, t):
+        acc[i, 0] = acc[i - 1, 0] + v[i, 0]
+    for j in range(1, n):
+        acc[0, j] = acc[0, j - 1] + v[0, j]
+    for i in range(1, t):
+        for j in range(1, n):
+            acc[i, j] = v[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+
+    path: list[tuple[int, int]] = []
+    i, j = t - 1, n - 1
+    while True:
+        path.append((i + 1, j + 1))
+        if i == 0 and j == 0:
+            break
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, up, left = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
+            if diag <= up and diag <= left:
+                i -= 1
+                j -= 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
+    return AlignmentResult(cost=float(acc[t - 1, n - 1]), path=tuple(path))
+
+
+LOOP_ORACLES = {"greedy": dtw_greedy_loop, "dp": dtw_dp_loop}
+
+
+def dtw_hinge_loop(c_forward, c_reversed, phi, form, algorithm="greedy") -> LossValue:
+    """``losses.dtw_hinge`` over the loop oracles, one matrix at a time: the hinge oracle."""
+    fwd = LOOP_ORACLES[algorithm](c_forward)
+    rev = LOOP_ORACLES[algorithm](c_reversed)
+    value, active = losses._hinge(fwd.cost - rev.cost, phi, form)
+    if active:
+        grad_fwd = dtw_subgradient(c_forward, fwd)
+        grad_rev = -dtw_subgradient(c_reversed, rev)
+    else:
+        grad_fwd = np.zeros(c_forward.shape)
+        grad_rev = np.zeros(c_reversed.shape)
+    return LossValue(
+        value=float(value),
+        grads={"c_forward": grad_fwd, "c_reversed": grad_rev},
+        components={"dtw_forward": fwd.cost, "dtw_reversed": rev.cost},
+    )
 
 
 def greedy_decision_margin(values: np.ndarray) -> float:

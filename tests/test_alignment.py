@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from helpers import LOOP_ORACLES, dtw_dp_loop
 from hypothesis import strategies as st
 
 from lecnce.alignment import (
     AlignmentResult,
     CostMatrix,
+    align,
     align_batch,
     dp_paths,
     dp_tables,
@@ -86,6 +88,10 @@ class TestDtwGreedy:
         with pytest.raises(EmptyMatrixError):
             dtw_greedy(np.empty((0, 3)))
 
+    def test_overflow_raises(self):
+        with pytest.raises(NonFiniteError, match="overflows"):
+            dtw_greedy(CostMatrix(np.full((2, 2), 1e308)))
+
 
 class TestDtwDp:
     def test_single_cell(self):
@@ -112,6 +118,10 @@ class TestDtwDp:
             v = rng.uniform(0.0, 5.0, size=(rng.integers(1, 7), rng.integers(1, 7)))
             c = CostMatrix(v)
             assert dtw_dp(c).cost <= dtw_greedy(c).cost + 1e-12
+
+    def test_overflow_raises(self):
+        with pytest.raises(NonFiniteError, match="overflows"):
+            dtw_dp(CostMatrix(np.full((2, 2), 1e308)))
 
 
 class TestReverseColumns:
@@ -188,20 +198,18 @@ class TestInvariants:
                         assert i == 1 or j == 1
 
 
-ORACLES = {"dp": dtw_dp, "greedy": dtw_greedy}
-
 # (B, T, N) of the phase and video cost stacks: desk phase and video, then
 # the reference phase and video shapes
 STEP_SHAPES = [(8, 8, 2), (4, 48, 6), (80, 16, 8), (25, 64, 6)]
 
 
 def assert_matches_per_matrix(mats, algorithm):
-    """align_batch == one dtw_dp/dtw_greedy + dtw_subgradient call per matrix of a (B, T, N) stack."""
+    """align_batch == one loop oracle + dtw_subgradient call per matrix of a (B, T, N) stack."""
     costs, masks = align_batch(mats, algorithm)
     assert costs.shape == (len(mats),)
     assert masks.shape == np.shape(mats)
     for k, m in enumerate(mats):
-        r = ORACLES[algorithm](m)
+        r = LOOP_ORACLES[algorithm](m)
         assert costs[k] == r.cost
         np.testing.assert_array_equal(masks[k], dtw_subgradient(m, r))
 
@@ -279,10 +287,10 @@ class TestAlignBatch:
 
 
 def assert_dp_costs_match(mats):
-    """The corners of dp_tables == align_batch's DP costs == one dtw_dp cost per matrix, with ==."""
+    """The corners of dp_tables == align_batch's DP costs == one DP loop cost per matrix, with ==."""
     costs = dp_tables(mats)[:, -1, -1]
     np.testing.assert_array_equal(costs, align_batch(mats, "dp")[0])
-    assert costs.tolist() == [dtw_dp(m).cost for m in mats]
+    assert costs.tolist() == [dtw_dp_loop(m).cost for m in mats]
 
 
 class TestDpCosts:
@@ -310,7 +318,7 @@ class TestDpCosts:
 
     @pytest.mark.parametrize("b,t,n", [(12, 16, 8), (7, 5, 5), (5, 1, 4), (5, 4, 1)])
     def test_paths_walked_from_kept_tables_match_dtw_dp(self, b, t, n):
-        """Any subset of the kept tables walks to each matrix's dtw_dp path, ties included."""
+        """Any subset of the kept tables walks to each matrix's DP loop path, ties included."""
         rng = make_rng(63 + t)
         mats = rng.integers(0, 3, size=(b, t, n)).astype(float)
         tables = dp_tables(mats)
@@ -318,7 +326,7 @@ class TestDpCosts:
         masks = dp_paths(tables[rows])
         assert 0 < len(rows) < b and masks.shape == (len(rows), t, n)
         for k, mask in zip(rows, masks, strict=True):
-            np.testing.assert_array_equal(mask, dtw_subgradient(mats[k], dtw_dp(mats[k])))
+            np.testing.assert_array_equal(mask, dtw_subgradient(mats[k], dtw_dp_loop(mats[k])))
 
     def test_bad_inputs_raise_as_align_batch(self):
         for empty in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
@@ -333,3 +341,48 @@ class TestDpCosts:
             dp_tables([np.ones((2, 2)), np.array([[1.0, np.nan], [2.0, 1.0]])])
         with pytest.raises(NonFiniteError, match="overflows"):
             dp_tables([np.ones((2, 2)), np.full((2, 2), 1e308)])
+
+
+def assert_equals_loop(values, algorithm):
+    """The public per-matrix alignment == its loop oracle, cost and path, with ==."""
+    got = align(values, algorithm)
+    want = LOOP_ORACLES[algorithm](values)
+    assert got.cost == want.cost
+    assert got.path == want.path
+
+
+class TestPerMatrixMatchesLoops:
+    """dtw_dp and dtw_greedy, the kernel on one matrix, equal the per-cell loops they replaced."""
+
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (1, 64), (64, 1)])
+    def test_degenerate_shapes(self, algorithm, shape):
+        rng = make_rng(70)
+        for _ in range(5):
+            assert_equals_loop(rng.uniform(0.0, 3.0, size=shape), algorithm)
+            assert_equals_loop(rng.integers(0, 2, size=shape).astype(float), algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    def test_tie_heavy_integer_matrices(self, algorithm):
+        rng = make_rng(71)
+        for _ in range(200):
+            t, n = (int(x) for x in rng.integers(1, 9, size=2))
+            assert_equals_loop(CostMatrix(rng.integers(0, 3, size=(t, n)).astype(float)), algorithm)
+        for constant in (np.zeros((5, 4)), np.ones((4, 5))):
+            assert_equals_loop(constant, algorithm)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        algorithm=st.sampled_from(["dp", "greedy"]),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        values=st.sampled_from(["integer", "decades", "uniform"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, algorithm, shape, values, seed):
+        rng = make_rng(seed)
+        v = {
+            "integer": lambda: rng.integers(0, 3, size=shape).astype(float),  # tie-heavy
+            "decades": lambda: 10.0 ** rng.uniform(-3.0, 3.0, size=shape),
+            "uniform": lambda: rng.uniform(0.0, 5.0, size=shape),
+        }[values]()
+        assert_equals_loop(v, algorithm)

@@ -737,14 +737,38 @@ class TestDtwInspect:
             ('{"values": [[1.0]], "beta": "x"}', "'beta'"),
             ('{"values": [[1.0]], "beta": true}', "'beta'"),
             ('{"values": [[1.0]], "beta": NaN}', "'beta'"),
+            # only JSON numbers are entries, and only 'values' and 'beta' are keys
+            ("[[true, 2], [3, false]]", "each a JSON number"),
+            ('[["1", 2]]', "each a JSON number"),
+            ('[[1, null]]', "each a JSON number"),
+            ('[[1, [2]]]', "each a JSON number"),
+            ("[1, 2]", "each a JSON number"),
+            ('{"values": [[1, 2]], "betta": 3}', "unknown key 'betta'"),
         ],
     )
     def test_bad_matrix_file(self, tmp_path, capsys, content, named):
         path = tmp_path / "m.json"
         path.write_text(content)
         assert run(["dtw-inspect", "--matrix", str(path)]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and named in err
+        assert str(path) in err and not out
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "dp"])
+    @pytest.mark.parametrize("flag", [[], ["--reversed"]])
+    def test_overflowing_cost(self, tmp_path, capsys, algorithm, flag):
+        # every entry is finite, but the cost of any path is not
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[1e308, 1e308], [1e308, 1e308]]))
+        assert run(["dtw-inspect", "--matrix", str(path), "--algorithm", algorithm, *flag]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: matrix file {path}: alignment cost overflows\n" and not out
+
+    def test_integer_entries(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"values": [[1, 5, 5], [2, 1, 5], [5, 2, 1]], "beta": 1}))
+        assert run(["dtw-inspect", "--matrix", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] == 3.0
 
 
 # every case that used to crash, run through every command; each key must be

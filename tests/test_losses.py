@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
     all_walk_hier_lecnce,
+    dtw_greedy_loop,
+    dtw_hinge_loop,
     mean_pool_rows,
     mean_pool_rows_backward,
     rel_error,
@@ -164,7 +166,7 @@ class TestInfoNceMatchesRowLoop:
         sim = rng.normal(size=(b, m))
         positives = [[int(j)] for j in rng.permutation(m)[:b]]
         assert_info_nce_matches_row_loop(sim, positives, 0.3, symmetric)
-        # repeated single columns and numpy index rows take the gather too
+        # repeated single columns and numpy index rows, through the per-row loop too
         positives = [np.array([int(j)]) for j in rng.integers(0, m, size=b)]
         assert_info_nce_matches_row_loop(sim, positives, 0.3, symmetric)
 
@@ -380,6 +382,25 @@ class TestDtwHinge:
         with pytest.raises(ShapeMismatchError):
             dtw_hinge(CostMatrix(np.ones((2, 2))), CostMatrix(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    @pytest.mark.parametrize("form", ["standard", "literal"])
+    def test_equals_loop_oracle(self, algorithm, form):
+        """One align_batch call over the pair == the hinge over the per-matrix loops, with ==."""
+        rng = make_rng(20)
+        for _ in range(60):
+            t, n = (int(x) for x in rng.integers(1, 7, size=2))
+            v = rng.integers(0, 3, size=(t, n)).astype(float) if rng.random() < 0.5 else rng.uniform(0.0, 3.0, (t, n))
+            c_fwd = CostMatrix(v)
+            c_rev = reverse_columns(c_fwd)
+            phi = float(rng.choice([-0.5, 0.0, 0.1, 1.0]))
+            got = dtw_hinge(c_fwd, c_rev, phi, form, algorithm)
+            want = dtw_hinge_loop(c_fwd, c_rev, phi, form, algorithm)
+            assert got.value == want.value
+            assert got.components == want.components
+            for name in ("c_forward", "c_reversed"):
+                np.testing.assert_array_equal(got.grads[name], want.grads[name])
+                np.testing.assert_array_equal(np.signbit(got.grads[name]), np.signbit(want.grads[name]))  # zeros too
+
     def test_monotone_along_fixed_path(self):
         rng = make_rng(19)
         v = rng.uniform(0.5, 4.0, size=(4, 3))
@@ -387,7 +408,7 @@ class TestDtwHinge:
         c_rev = reverse_columns(c_fwd)
         out = dtw_hinge(c_fwd, c_rev, phi=10.0, form="standard")  # large margin keeps it active
         path_len = int(out.grads["c_forward"].sum())
-        assert path_len == len(dtw_greedy(c_fwd).path)
+        assert path_len == len(dtw_greedy_loop(c_fwd).path)
         delta = 0.01
         # path held fixed: the value moves by exactly delta * |path|
         predicted = float((out.grads["c_forward"] * delta).sum())
@@ -460,7 +481,7 @@ class TestHierLecnce:
         dtw_vals = []
         for f, c in zip(frames, children):
             cf = build_cost_matrix(f, c, cfg.beta, validate=False)
-            dtw_vals.append(dtw_hinge(cf, reverse_columns(cf), cfg.phi, cfg.hinge_form).value)
+            dtw_vals.append(dtw_hinge_loop(cf, reverse_columns(cf), cfg.phi, cfg.hinge_form).value)
         expected = contrast.value + 0.01 * float(np.mean(dtw_vals))
         assert abs(out.value - expected) < 1e-12
 
@@ -621,7 +642,7 @@ def _check_hier_gradients(algorithm):
 
 
 def per_sample_hier_lecnce(frames, parents, children, cfg, algorithm):
-    """hier_lecnce as one dtw_hinge call per sample: the oracle for the batched alignment."""
+    """hier_lecnce as one loop-oracle hinge per sample: the oracle for the batched alignment."""
     b = len(frames)
     pools = [mean_pool_rows(f) for f in frames]
     pooled = np.stack([row for row, _ in pools])
@@ -634,7 +655,7 @@ def per_sample_hier_lecnce(frames, parents, children, cfg, algorithm):
     active = 0
     for k in range(b):
         c_fwd = build_cost_matrix(frames[k], children[k], cfg.beta, validate=False)
-        hinge = dtw_hinge(c_fwd, reverse_columns(c_fwd), cfg.phi, cfg.hinge_form, algorithm)
+        hinge = dtw_hinge_loop(c_fwd, reverse_columns(c_fwd), cfg.phi, cfg.hinge_form, algorithm)
         total += hinge.value
         active += bool(hinge.grads["c_forward"].any())
         if cfg.lambda_dtw > 0:
@@ -659,7 +680,7 @@ def assert_equals_per_sample(frames, parents, children, cfg, algorithm):
 
 
 class TestHierLecnceBatchedAlignment:
-    """The one-call alignment in hier_lecnce equals a per-sample dtw_hinge loop exactly."""
+    """The one-call alignment in hier_lecnce equals a per-sample loop-oracle hinge exactly."""
 
     @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
     @pytest.mark.parametrize("form", ["standard", "literal"])
