@@ -12,7 +12,7 @@ import numpy as np
 
 from lecnce import encoders as enc
 from lecnce import evalkit
-from lecnce.alignment import dtw_greedy, reverse_columns
+from lecnce.alignment import align_batch
 from lecnce.datagen import ProcedureSpec, generate_dataset
 from lecnce.losses import LossConfig, build_cost_matrix
 from lecnce.numerics import cosine_similarity_matrix
@@ -31,12 +31,14 @@ for lam in (0.0, 0.01):
     decile = len(clip) // 10
     drop = 1.0 - np.mean(clip[-decile:]) / np.mean(clip[:decile])
 
-    wins = 0
-    for v in videos:
-        femb = enc.forward(state.visual, v.frame_features)
-        cemb = enc.forward(state.text, v.child_text_features)
-        c = build_cost_matrix(femb, cemb, cfg.loss.beta)
-        wins += dtw_greedy(c).cost < dtw_greedy(reverse_columns(c)).cost
+    # every held-out video's forward cost matrix, then its column-reversed view, aligned in one call
+    costs = np.stack([
+        build_cost_matrix(enc.forward(state.visual, v.frame_features), enc.forward(state.text, v.child_text_features),
+                          cfg.loss.beta).values
+        for v in videos
+    ])
+    aligned = align_batch(np.concatenate([costs, costs[:, :, ::-1]]), "greedy")[0]
+    wins = int(np.sum(aligned[: len(videos)] < aligned[len(videos) :]))
 
     frames = np.concatenate([v.frame_features for v in videos])
     labels = np.concatenate([v.step_labels for v in videos])

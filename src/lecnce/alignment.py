@@ -6,18 +6,21 @@ not globally optimal.  DP is the classic dynamic program over an
 accumulated-cost table, which gives the optimal cost.  Each has one
 implementation, batched over a (B, T, N) stack of equal-shape matrices:
 one lockstep walker traces the raw costs for greedy, or the accumulated
-table of a vectorized wavefront for DP.  ``align_batch`` returns each
-matrix's cost and 0/1 path mask; ``dp_tables`` keeps the DP tables, whose
-corners are the costs, read with no backtrack, and ``dp_paths``
-backtracks any subset of them later.  ``dtw_greedy`` and ``dtw_dp`` run
-the same code on one matrix and report its cells as a 1-based path from
-(T, N) down to (1, 1).
+table of a vectorized wavefront for DP.  ``align_stack`` returns each
+matrix's cost and a function giving the 0/1 path masks of any subset of
+the matrices: DP keeps its tables (``dp_tables``), whose corners are the
+costs, and backtracks only the rows asked for (``dp_paths``); greedy
+indexes the masks of the walk that yielded its costs.  ``align_batch``
+returns every mask.  ``dtw_greedy`` and ``dtw_dp`` run the same code on
+one matrix and report its cells as a 1-based path from (T, N) down to
+(1, 1).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,13 +32,11 @@ from .numerics import as_matrix, as_stack
 class CostMatrix:
     """Non-negative T x N distance matrix between frames (rows) and texts (cols).
 
-    ``beta`` records the temperature the distances were built with and
-    ``reversed_cols`` whether the text axis has been temporally reversed.
+    ``beta`` records the temperature the distances were built with.
     """
 
     values: np.ndarray
     beta: float = 0.1
-    reversed_cols: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -91,8 +92,14 @@ def _wavefront_plan(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _padded(matrices) -> np.ndarray:
-    """The checked (B, T, N) stack ``matrices`` inside an inf border, as a (B, T+1, N+1) array."""
+    """The checked (B, T, N) stack ``matrices`` inside an inf border, as a (B, T+1, N+1) array.
+
+    A negative entry raises ValueError naming the first matrix ``cost matrices[k]`` that holds one.
+    """
     mats = as_stack(matrices, "cost matrices")
+    negative = (mats < 0.0).any(axis=(1, 2))  # -0.0 passes
+    if negative.any():
+        raise ValueError(f"cost matrices[{int(np.argmax(negative))}] contains negative values")
     padded = np.full(np.add(mats.shape, (0, 1, 1)), np.inf)  # the inf border of the walk and the DP table
     padded[:, 1:, 1:] = mats
     return padded
@@ -184,20 +191,29 @@ def _greedy(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return costs, visits
 
 
-def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray]:
-    """Align a stack of cost matrices; return their costs and 0/1 path masks.
+def align_stack(matrices, algorithm: str = "dp") -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Align a stack of cost matrices; return their costs and a function of their path masks.
 
     ``matrices`` is a (B, T, N) array, or B matrices of one (T, N) shape,
-    with finite, non-negative entries.  The result is a length-B cost
-    vector and a (B, T, N) mask whose entry k is ``dtw_subgradient`` of
-    matrix k's ``dtw_dp``/``dtw_greedy`` alignment under ``algorithm``.
+    with finite, non-negative entries.  The costs are a length-B vector;
+    ``paths(rows)`` is the (len(rows), T, N) 0/1 mask of the matrices that
+    ``rows`` (an index or boolean array, or a slice) selects, entry k being
+    ``dtw_subgradient`` of matrix k's ``dtw_dp``/``dtw_greedy`` alignment
+    under ``algorithm``.  DP backtracks only those rows' tables; greedy
+    indexes the masks of the walk that yielded its costs.
     """
     if check_algorithm(algorithm) == "dp":
         tables = dp_tables(matrices)
-        return tables[:, -1, -1], dp_paths(tables)
+        return tables[:, -1, -1], lambda rows: dp_paths(tables[rows])
     padded = _padded(matrices)
     costs, visits = _greedy(padded)
-    return costs, _mask(visits, padded.shape)
+    return costs, _mask(visits, padded.shape).__getitem__
+
+
+def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray]:
+    """The costs and the (B, T, N) path masks of every matrix of a stack (see :func:`align_stack`)."""
+    costs, paths = align_stack(matrices, algorithm)
+    return costs, paths(slice(None))
 
 
 def _result(cost, visits: np.ndarray, shape: tuple[int, int, int]) -> AlignmentResult:
@@ -249,12 +265,8 @@ def align(c: CostMatrix | np.ndarray, algorithm: str = "greedy") -> AlignmentRes
 
 
 def reverse_columns(c: CostMatrix) -> CostMatrix:
-    """Flip the text axis: out[i][j] = in[i][N+1-j], toggling the reversed flag."""
-    return CostMatrix(
-        values=c.values[:, ::-1].copy(),
-        beta=c.beta,
-        reversed_cols=not c.reversed_cols,
-    )
+    """Flip the text axis: out[i][j] = in[i][N+1-j]."""
+    return CostMatrix(values=c.values[:, ::-1].copy(), beta=c.beta)
 
 
 def dtw_subgradient(c: CostMatrix | np.ndarray, result: AlignmentResult) -> np.ndarray:

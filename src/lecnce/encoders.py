@@ -363,15 +363,13 @@ def _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_po
     the scalar fields.
     """
     states = [visual_state, text_state]
-    moments = [m for p, s in ((visual, visual_state), (text, text_state)) if s is not None
-               for arrays in _moments(s, p).values() for m in arrays]
+    moments = [m for p, s in zip((visual, text), states) for arrays in _moments(s, p).values() for m in arrays]
     arrays = visual.flat() + text.flat() + moments
     digest = hashlib.sha256(f8le(arrays))
     scalars = {
         "shapes": [list(a.shape) for a in arrays],
         "activations": [visual.activation, text.activation],
-        "optimizers": [None if s is None else {f.name: getattr(s, f.name) for f in fields(s) if f.name not in _MOMENTS}
-                       for s in states],
+        "optimizers": [{f.name: getattr(s, f.name) for f in fields(s) if f.name not in _MOMENTS} for s in states],
         "seed": seed,
         "schedule_position": schedule_position,
     }
@@ -383,9 +381,9 @@ def save_checkpoint(
     path,
     visual: EncoderParams,
     text: EncoderParams,
-    visual_state: OptimizerState | None = None,
-    text_state: OptimizerState | None = None,
-    seed: int | None = None,
+    visual_state: OptimizerState,
+    text_state: OptimizerState,
+    seed: int,
     schedule_position: int = 0,
 ) -> None:
     """Serialize both encoders plus optimizer state to JSON.
@@ -398,8 +396,8 @@ def save_checkpoint(
     payload = {
         "visual": _params_payload(visual),
         "text": _params_payload(text),
-        "visual_optimizer": None if visual_state is None else _state_payload(visual_state, visual),
-        "text_optimizer": None if text_state is None else _state_payload(text_state, text),
+        "visual_optimizer": _state_payload(visual_state, visual),
+        "text_optimizer": _state_payload(text_state, text),
         "seed": seed,
         "schedule_position": schedule_position,
         "sha256": _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_position),
@@ -429,13 +427,12 @@ def load_checkpoint(path) -> dict:
         out = {
             "visual": visual,
             "text": text,
-            **{key: None if payload[key] is None else _state_from_payload(payload[key], params, key)
-               for key, params in (("visual_optimizer", visual), ("text_optimizer", text))},
-            "seed": None if payload["seed"] is None else _count("seed", payload["seed"]),
+            "visual_optimizer": _state_from_payload(payload["visual_optimizer"], visual, "visual_optimizer"),
+            "text_optimizer": _state_from_payload(payload["text_optimizer"], text, "text_optimizer"),
+            "seed": _count("seed", payload["seed"]),
             "schedule_position": _count("schedule_position", payload["schedule_position"]),
         }
-        digest = _checkpoint_sha256(visual, text, out["visual_optimizer"], out["text_optimizer"], out["seed"],
-                                    out["schedule_position"])
+        digest = _checkpoint_sha256(*out.values())  # out lists the values in the hash's parameter order
     # json's errors are ValueErrors; a huge integer where a float belongs is an OverflowError
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, BadDimsError) as exc:
         raise CorruptFileError(f"checkpoint {path} is not readable ({type(exc).__name__}: {exc})") from None

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import CostMatrix, align_batch, check_algorithm, dp_paths, dp_tables
+from .alignment import CostMatrix, align_batch, align_stack
 from .errors import (
     DimMismatchError,
     EmptyChildSequenceError,
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .numerics import as_matrix, as_stack, log_softmax_rows, softmax_rows
 
-HINGE_FORMS = ("standard", "literal")
 ROW_NORM_TOL = 1e-6
 
 
@@ -43,14 +42,13 @@ class LossConfig:
     ``beta`` tempers the alignment-cost softmax, ``phi`` is the hinge
     margin between forward and reversed alignment costs, and
     ``lambda_dtw`` scales the alignment term against the contrastive one.
+    Every InfoNCE term of the objectives is symmetric.
     """
 
     temperature_infonce: float = 0.07
     beta: float = 0.1
     phi: float = 0.1
     lambda_dtw: float = 0.01
-    hinge_form: str = "standard"
-    symmetric: bool = True
 
     def __post_init__(self):
         for name in ("beta", "temperature_infonce"):
@@ -59,8 +57,6 @@ class LossConfig:
         if not np.isfinite(self.phi):
             raise FieldValueError("phi", f"must be finite, got {self.phi}")
         check_minimums(self, lambda_dtw=0)
-        if self.hinge_form not in HINGE_FORMS:
-            raise FieldValueError("hinge_form", f"must be one of {HINGE_FORMS}, got {self.hinge_form!r}")
 
 
 @dataclass
@@ -116,7 +112,7 @@ def info_nce(
     sim,
     positives: Sequence[Sequence[int]],
     temperature: float = LossConfig.temperature_infonce,
-    symmetric: bool = LossConfig.symmetric,
+    symmetric: bool = True,
 ) -> LossValue:
     """Multi-positive contrastive loss over a similarity matrix.
 
@@ -134,7 +130,7 @@ def info_nce(
     return _info_nce(sim, positives, temperature, symmetric)
 
 
-def _info_nce(sim: np.ndarray, positives, temperature: float, symmetric: bool) -> LossValue:
+def _info_nce(sim: np.ndarray, positives, temperature: float, symmetric: bool = True) -> LossValue:
     """:func:`info_nce` on a finite 2-D float64 ``sim``, square when ``symmetric``, unchecked."""
     z = sim / temperature
     row_value, row_grad = _row_nce(z, positives)
@@ -178,7 +174,7 @@ def build_cost_matrix(frames, texts, beta: float = LossConfig.beta, validate: bo
             if np.any(np.abs(norms - 1.0) > ROW_NORM_TOL):
                 bad = int(np.argmax(np.abs(norms - 1.0)))
                 raise RowNotNormalizedError(f"{name} row {bad} has norm {norms[bad]:.9f}")
-    return CostMatrix(values=_costs(frames, texts, beta), beta=beta, reversed_cols=False)
+    return CostMatrix(values=_costs(frames, texts, beta), beta=beta)
 
 
 def cost_matrix_backward(frames, texts, beta: float, grad_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,37 +182,31 @@ def cost_matrix_backward(frames, texts, beta: float, grad_cost: np.ndarray) -> t
     return _costs_backward(as_matrix(frames, "frames"), as_matrix(texts, "texts"), beta, grad_cost)
 
 
-def _hinge(delta, phi: float, form: str):
-    """Hinge value and activity for forward-minus-reversed cost gaps ``delta``.
+def _hinge(delta, phi: float):
+    """Hinge value max(0, delta + phi) and activity for forward-minus-reversed cost gaps ``delta``.
 
     Elementwise over arrays; ties resolve as Python's ``max`` would.
     """
-    if form == "standard":
-        return np.where(delta + phi > 0.0, delta + phi, 0.0), delta + phi > 0.0
-    return np.where(phi > delta, phi, delta), delta > phi
+    return np.where(delta + phi > 0.0, delta + phi, 0.0), delta + phi > 0.0
 
 
 def dtw_hinge(
     c_forward: CostMatrix,
     c_reversed: CostMatrix,
     phi: float = LossConfig.phi,
-    form: str = LossConfig.hinge_form,
     algorithm: str = "greedy",
 ) -> LossValue:
-    """Margin loss between forward and reversed alignment costs.
+    """Margin loss max(0, DTW(C) - DTW(C_rev) + phi) between forward and reversed alignment costs.
 
-    standard: max(0, DTW(C) - DTW(C_rev) + phi); the printed one-sided
-    reading max(DTW(C) - DTW(C_rev), phi) is available as ``literal``.
-    Gradients flow through both alignments via the fixed-path subgradient
-    and vanish when the hinge is inactive.  The pair is aligned in one
-    :func:`align_batch` call.
+    The printed one-sided reading max(DTW(C) - DTW(C_rev), phi) is this
+    hinge at ``-phi``, its value lower by phi.  Gradients flow through both
+    alignments via the fixed-path subgradient and vanish when the hinge is
+    inactive.  The pair is aligned in one :func:`align_batch` call.
     """
-    if form not in HINGE_FORMS:
-        raise ValueError(f"form must be one of {HINGE_FORMS}, got {form!r}")
     if c_forward.shape != c_reversed.shape:
         raise ShapeMismatchError(f"cost matrices differ in shape: {c_forward.shape} vs {c_reversed.shape}")
     (fwd, rev), paths = align_batch([c_forward.values, c_reversed.values], algorithm)
-    value, active = _hinge(fwd - rev, phi, form)
+    value, active = _hinge(fwd - rev, phi)
     grad_fwd, grad_rev = (paths[0], -paths[1]) if active else np.zeros(paths.shape)
     return LossValue(
         value=float(value),
@@ -243,8 +233,8 @@ def clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> Los
 
     tau = cfg.temperature_infonce
     diag = diagonal_positives(b)
-    vl = _info_nce(clip_frames @ narrations.T, diag, tau, cfg.symmetric)
-    vv = _info_nce(view_a @ view_b.T, diag, tau, cfg.symmetric)
+    vl = _info_nce(clip_frames @ narrations.T, diag, tau)
+    vv = _info_nce(view_a @ view_b.T, diag, tau)
     g_vl = vl.grads["sim"]
     g_vv = vv.grads["sim"]
     return LossValue(
@@ -292,10 +282,10 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     Pooled segment embeddings are contrasted against parent texts with
     diagonal positives; each sample additionally pays a reversal hinge on
     the alignment cost between its frames and its child texts, averaged over
-    the batch and scaled by ``lambda_dtw``.  DP costs are read off the table
-    corners, and only the active hinges' paths are backtracked, from the
-    same tables.  The frame and child gradients come back as (B, T, d) and
-    (B, N, d) arrays.
+    the batch and scaled by ``lambda_dtw``.  The forward and reversed
+    matrices are aligned in one :func:`align_stack` call, which is asked
+    for the active hinges' paths only.  The frame and child gradients come
+    back as (B, T, d) and (B, N, d) arrays.
     """
     parent_texts = as_matrix(parent_texts, "parent_texts")
     b, d = parent_texts.shape
@@ -309,20 +299,12 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     # column-reversed views, their alignment costs, and the paths and backward
     # of the active hinges only (an inactive hinge has an all-zero cost gradient)
     lam = cfg.lambda_dtw
-    check_algorithm(dtw_algorithm)
     costs = _costs(frames, children, cfg.beta)
-    both = np.concatenate([costs, costs[:, :, ::-1]])
-    # DP keeps its tables, whose corners are the costs, to walk the active ones below;
-    # the greedy walk is what yields its costs
-    if dtw_algorithm == "dp":
-        tables = dp_tables(both)
-        aligned = tables[:, -1, -1]
-    else:
-        aligned, paths = align_batch(both, dtw_algorithm)
-    hinge, active = _hinge(aligned[:b] - aligned[b:], cfg.phi, cfg.hinge_form)
+    aligned, paths = align_stack(np.concatenate([costs, costs[:, :, ::-1]]), dtw_algorithm)
+    hinge, active = _hinge(aligned[:b] - aligned[b:], cfg.phi)
 
     pooled, pool_cache = pool_segments(frames)
-    contrast = _info_nce(pooled @ parent_texts.T, diagonal_positives(b), cfg.temperature_infonce, cfg.symmetric)
+    contrast = _info_nce(pooled @ parent_texts.T, diagonal_positives(b), cfg.temperature_infonce)
     g_sim = contrast.grads["sim"]
     grad_frames = pool_segments_backward(g_sim @ parent_texts, pool_cache)
     grad_children = np.zeros_like(children)
@@ -330,7 +312,7 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
         # the reversed matrix shares entries with the forward one, so its
         # path folds back after un-flipping the column axis
         pair = np.tile(active, 2)  # the active forward matrices, then their reversed views
-        fwd, rev = np.split(dp_paths(tables[pair]) if dtw_algorithm == "dp" else paths[pair], 2)
+        fwd, rev = np.split(paths(pair), 2)
         g_f, g_c = _costs_backward(frames[active], children[active], cfg.beta, (fwd - rev[:, :, ::-1]) * (lam / b))
         grad_frames[active] += g_f
         grad_children[active] += g_c

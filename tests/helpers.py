@@ -124,11 +124,11 @@ def dtw_dp_loop(c) -> AlignmentResult:
 LOOP_ORACLES = {"greedy": dtw_greedy_loop, "dp": dtw_dp_loop}
 
 
-def dtw_hinge_loop(c_forward, c_reversed, phi, form, algorithm="greedy") -> LossValue:
+def dtw_hinge_loop(c_forward, c_reversed, phi, algorithm="greedy") -> LossValue:
     """``losses.dtw_hinge`` over the loop oracles, one matrix at a time: the hinge oracle."""
     fwd = LOOP_ORACLES[algorithm](c_forward)
     rev = LOOP_ORACLES[algorithm](c_reversed)
-    value, active = losses._hinge(fwd.cost - rev.cost, phi, form)
+    value, active = losses._hinge(fwd.cost - rev.cost, phi)
     if active:
         grad_fwd = dtw_subgradient(c_forward, fwd)
         grad_rev = -dtw_subgradient(c_reversed, rev)
@@ -193,17 +193,19 @@ def dp_decision_margin(values: np.ndarray) -> float:
 
 
 def stable_hinge_instance(frames, children, beta, phi, margin=1e-3, algorithm="greedy") -> bool:
-    """True when both alignments and the hinge kink sit away from ties."""
-    from lecnce.alignment import align, reverse_columns
+    """True when both alignments and the hinge kink sit away from ties.
+
+    The forward matrix and its column-reversed view are aligned in one :func:`align_batch` call.
+    """
     from lecnce.losses import build_cost_matrix
 
-    c_fwd = build_cost_matrix(frames, children, beta, validate=False)
-    c_rev = reverse_columns(c_fwd)
+    c_fwd = build_cost_matrix(frames, children, beta, validate=False).values
+    c_rev = c_fwd[:, ::-1]
     decision_margin = {"greedy": greedy_decision_margin, "dp": dp_decision_margin}[algorithm]
-    if min(decision_margin(c_fwd.values), decision_margin(c_rev.values)) < margin:
+    if min(decision_margin(c_fwd), decision_margin(c_rev)) < margin:
         return False
-    delta = align(c_fwd, algorithm).cost - align(c_rev, algorithm).cost
-    return abs(delta + phi) > margin and abs(delta - phi) > margin
+    fwd, rev = align_batch([c_fwd, c_rev], algorithm)[0]
+    return abs(fwd - rev + phi) > margin
 
 
 def per_layer_backward(params: enc.EncoderParams, cache: enc.ForwardCache, grad_out):
@@ -296,10 +298,10 @@ def all_walk_hier_lecnce(frames, parent_texts, children, cfg, dtw_algorithm="gre
     lam = cfg.lambda_dtw
     costs = losses._costs(frames, children, cfg.beta)
     aligned, paths = align_batch(np.concatenate([costs, costs[:, :, ::-1]]), dtw_algorithm)
-    hinge, active = losses._hinge(aligned[:b] - aligned[b:], cfg.phi, cfg.hinge_form)
+    hinge, active = losses._hinge(aligned[:b] - aligned[b:], cfg.phi)
     pooled, pool_cache = losses.pool_segments(frames)
     sim = pooled @ parent_texts.T
-    contrast = losses._info_nce(sim, losses.diagonal_positives(b), cfg.temperature_infonce, cfg.symmetric)
+    contrast = losses._info_nce(sim, losses.diagonal_positives(b), cfg.temperature_infonce)
     g_sim = contrast.grads["sim"]
     grad_frames = losses.pool_segments_backward(g_sim @ parent_texts, pool_cache)
     grad_children = np.zeros_like(children)

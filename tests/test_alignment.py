@@ -9,6 +9,7 @@ from lecnce.alignment import (
     CostMatrix,
     align,
     align_batch,
+    align_stack,
     dp_paths,
     dp_tables,
     dtw_dp,
@@ -128,7 +129,6 @@ class TestReverseColumns:
     def test_definition(self):
         c = CostMatrix(np.array([[1.0, 2.0, 3.0]]))
         np.testing.assert_array_equal(reverse_columns(c).values, [[3.0, 2.0, 1.0]])
-        assert reverse_columns(c).reversed_cols is True
 
     def test_palindrome_unchanged(self):
         c = CostMatrix(np.array([[1.0, 2.0, 1.0], [4.0, 0.0, 4.0]]))
@@ -140,7 +140,6 @@ class TestReverseColumns:
         c = CostMatrix(v)
         back = reverse_columns(reverse_columns(c))
         np.testing.assert_array_equal(back.values, v)
-        assert back.reversed_cols is False
         assert back.beta == c.beta
 
 
@@ -386,3 +385,48 @@ class TestPerMatrixMatchesLoops:
             "uniform": lambda: rng.uniform(0.0, 5.0, size=shape),
         }[values]()
         assert_equals_loop(v, algorithm)
+
+
+# each raw-array entry point of the kernel, on a stack; the per-matrix ones align its first matrix
+NEGATIVE_ENTRY = {
+    "dtw_dp": lambda mats: dtw_dp(mats[0]),
+    "dtw_greedy": lambda mats: dtw_greedy(mats[0]),
+    "align_batch dp": lambda mats: align_batch(mats, "dp"),
+    "align_batch greedy": lambda mats: align_batch(mats, "greedy"),
+    "dp_tables": dp_tables,
+}
+
+
+class TestNegativeCosts:
+    """Every raw-array entry point refuses a negative cost, naming the first matrix that holds one."""
+
+    @pytest.mark.parametrize("entry", NEGATIVE_ENTRY.values(), ids=NEGATIVE_ENTRY.keys())
+    def test_single_matrix(self, entry):
+        with pytest.raises(ValueError, match=r"cost matrices\[0\] contains negative values"):
+            entry(np.array([[[-1.0, 2.0], [3.0, -4.0]]]))
+
+    @pytest.mark.parametrize("entry", ["align_batch dp", "align_batch greedy", "dp_tables"])
+    def test_first_bad_matrix_named(self, entry):
+        mats = np.ones((4, 3, 2))
+        mats[2, 1, 0] = mats[3, 0, 0] = -1e-300
+        with pytest.raises(ValueError, match=r"cost matrices\[2\] contains negative values"):
+            NEGATIVE_ENTRY[entry](mats)
+
+    @pytest.mark.parametrize("entry", NEGATIVE_ENTRY.values(), ids=NEGATIVE_ENTRY.keys())
+    def test_negative_zero_is_valid(self, entry):
+        entry(np.array([[[-0.0, 2.0], [3.0, -0.0]]]))
+
+
+class TestAlignStack:
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    def test_paths_of_any_rows_match_align_batch(self, algorithm):
+        """The paths of an index or boolean selection == those rows of align_batch's masks, with ==."""
+        rng = make_rng(80)
+        mats = rng.integers(0, 3, size=(9, 7, 4)).astype(float)
+        want_costs, want_masks = align_batch(mats, algorithm)
+        costs, paths = align_stack(mats, algorithm)
+        np.testing.assert_array_equal(costs, want_costs)
+        pick = rng.random(9) < 0.5
+        for rows in (pick, np.flatnonzero(pick), np.array([8, 0, 8]), slice(None)):
+            np.testing.assert_array_equal(paths(rows), want_masks[rows])
+        assert paths(np.zeros(9, dtype=bool)).shape == (0, 7, 4)

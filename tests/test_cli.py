@@ -43,8 +43,6 @@ PINNED_DEFAULTS = {
         "beta": 0.1,
         "phi": 0.1,
         "lambda": 0.01,
-        "hinge_form": "standard",
-        "symmetric": True,
     },
     "train": {
         "schedule": [5, 3, 3],
@@ -85,6 +83,11 @@ PINNED_REPORT = {
 PINNED_GRAD_NORM = 7.098338486264029e-05
 
 HAND_TRACE = [[1.0, 5.0, 5.0], [2.0, 1.0, 5.0], [5.0, 2.0, 1.0]]
+
+
+def save_untrained(path, visual, text):
+    """A checkpoint of ``visual`` and ``text`` with the optimizer states of step 0 and seed 0."""
+    save_checkpoint(path, visual, text, init_optimizer(visual), init_optimizer(text), seed=0)
 
 
 @pytest.fixture()
@@ -144,7 +147,10 @@ class TestLoadConfig:
         with pytest.raises(UnknownKeyError, match="loss.lamda"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("key, value", [("eval.probe_lr", 0.001), ("train.p_augmented", 0.5)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("eval.probe_lr", 0.001), ("train.p_augmented", 0.5), ("loss.hinge_form", "literal"), ("loss.symmetric", False)],
+    )
     def test_retired_key_is_unknown(self, tmp_path, capsys, small_config, generated, key, value):
         section, name = key.split(".")
         cfg = json.loads(small_config.read_text())
@@ -376,7 +382,7 @@ class TestEvalCommand:
         train, _ = load_dataset(str(generated))
         assert set(train.samples["video"].labels.ravel().tolist()) == set(range(8))
         rng = make_rng(17)
-        save_checkpoint(tmp_path / "c.json", init_params([12, 6], rng=rng), init_params([9, 6], rng=rng))
+        save_untrained(tmp_path / "c.json", init_params([12, 6], rng=rng), init_params([9, 6], rng=rng))
         argv = ["eval", "--config", str(small_config), "--checkpoint", str(tmp_path / "c.json"),
                 "--data", str(generated), "--out", str(tmp_path / "eval")]
         assert run(argv) == 0
@@ -395,7 +401,7 @@ class TestEvalCommand:
             config["eval"]["probe_epochs"] = probe_epochs
         (tmp_path / "probe.json").write_text(json.dumps(config))
         rng = make_rng(17)
-        save_checkpoint(tmp_path / "c.json", init_params([12, 6], rng=rng), init_params([9, 6], rng=rng))
+        save_untrained(tmp_path / "c.json", init_params([12, 6], rng=rng), init_params([9, 6], rng=rng))
         argv = ["eval", "--probe", "--config", str(tmp_path / "probe.json"), "--checkpoint", str(tmp_path / "c.json"),
                 "--data", str(generated), "--out", str(tmp_path / "eval")]
         capsys.readouterr()
@@ -463,7 +469,7 @@ class TestCorruptFiles:
     )
     def test_damaged_checkpoint(self, tmp_path, capsys, small_config, generated, damage, named):
         path = tmp_path / "c.json"
-        save_checkpoint(path, init_params([12, 6]), init_params([9, 6]))
+        save_untrained(path, init_params([12, 6]), init_params([9, 6]))
         path.write_text(damage(path.read_text()))
         argv = ["eval", "--config", str(small_config), "--checkpoint", str(path), "--data", str(generated),
                 "--out", str(tmp_path / "eval")]
@@ -508,7 +514,7 @@ class TestCorruptFiles:
     def test_checkpoint_dims_checked_against_data(self, tmp_path, capsys, monkeypatch, small_config, generated,
                                                   visual_dims, text_dims, named):
         path = tmp_path / "c.json"
-        save_checkpoint(path, init_params(visual_dims), init_params(text_dims))
+        save_untrained(path, init_params(visual_dims), init_params(text_dims))
 
         def no_encoding(*args, **kwargs):
             raise AssertionError("encoded before the checkpoint was checked")
@@ -536,7 +542,7 @@ def _path_error_case(case, tmp_path, config, data):
     records = tmp_path / "in.jsonl"
     records.write_text(json.dumps({"text": "clipping", "level": "narration"}) + "\n")
     checkpoint = tmp_path / "c.json"
-    save_checkpoint(checkpoint, init_params([12, 6]), init_params([9, 6]))
+    save_untrained(checkpoint, init_params([12, 6]), init_params([9, 6]))
     argv = {
         "generate-data --out file": ["generate-data", "--spec", str(config), "--out", str(bad)],
         "generate-data --spec not_utf8": ["generate-data", "--spec", str(bad), "--out", str(out)],
@@ -882,7 +888,7 @@ JSON_VALUES = st.one_of(
     st.integers(-3, 80),
     st.integers(),
     st.floats(),
-    st.sampled_from(["greedy", "dp", "identity", "tanh", "standard", "literal", "x"]),
+    st.sampled_from(["greedy", "dp", "identity", "tanh", "standard", "x"]),
     st.lists(st.integers(-1, 40), max_size=4),
     st.lists(st.floats(-1, 40), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
@@ -891,15 +897,13 @@ JSON_VALUES = st.one_of(
 
 def _near(default):
     """Values of the default's JSON type around it, mostly in range."""
-    if isinstance(default, bool):
-        return st.booleans()
     if isinstance(default, int):
         return st.integers(default // 2, 2 * default)
     if isinstance(default, float):
         return st.floats(0.0, 2 * default + 0.5)
     if isinstance(default, list):
         return st.tuples(*[st.integers(max(1, d // 2), 2 * d) for d in default]).map(list)
-    return st.sampled_from({"greedy": ["greedy", "dp"], "identity": ["identity", "tanh"], "standard": ["standard", "literal"]}[default])
+    return st.sampled_from({"greedy": ["greedy", "dp"], "identity": ["identity", "tanh"]}[default])
 
 
 # the encoder dims must chain with the data dims, so they stay at their defaults

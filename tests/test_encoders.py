@@ -333,7 +333,7 @@ class TestOptimizerHyperparameters:
         p = init_params([3, 2], "identity", make_rng(23))
         state = init_optimizer(p, learning_rate=0, weight_decay=0.0, beta1=0.0, beta2=0.0, epsilon=1e-300)
         p, state = adamw_step(p, np.ones_like(p.vector), state)
-        save_checkpoint(tmp_path / "c.json", p, p, state, state)
+        save_checkpoint(tmp_path / "c.json", p, p, state, state, seed=0)
         assert load_checkpoint(tmp_path / "c.json")["visual_optimizer"].step_count == 1
 
 
@@ -457,6 +457,9 @@ class TestPackedCheckpoint:
             (lambda p: p["text_optimizer"].update(weight_decay=True), "text_optimizer.weight_decay"),
             (lambda p: p.update(seed="abc"), "seed must be an integer >= 0, got 'abc'"),
             (lambda p: p.update(seed=-2), "seed must be an integer >= 0, got -2"),
+            (lambda p: p.update(seed=None), "seed must be an integer >= 0, got None"),
+            (lambda p: p.update(visual_optimizer=None), "visual_optimizer is a NoneType, not an object"),
+            (lambda p: p.update(text_optimizer=None), "text_optimizer is a NoneType, not an object"),
             (lambda p: p.update(schedule_position=-5), "schedule_position must be an integer >= 0, got -5"),
             (lambda p: p["visual_optimizer"]["second_moment"].pop(), "visual_optimizer.second_moment has 3 arrays"),
             (lambda p: p["text_optimizer"]["first_moment"][0].update(shape=[3, 5]), "text_optimizer.first_moment[0]"),
@@ -464,8 +467,8 @@ class TestPackedCheckpoint:
             (_unused_base64_bit, "visual_optimizer.first_moment[1] is not canonical base64"),
         ],
         ids=["nan_moment", "negative_second_moment", "step_count_str", "step_count_negative", "beta1", "beta2",
-             "epsilon", "learning_rate_inf", "weight_decay_bool", "seed_str", "seed_negative",
-             "schedule_position", "moment_count", "moment_shape", "layer_dims", "unused_base64_bit"],
+             "epsilon", "learning_rate_inf", "weight_decay_bool", "seed_str", "seed_negative", "seed_null",
+             "visual_optimizer_null", "text_optimizer_null", "schedule_position", "moment_count", "moment_shape", "layer_dims", "unused_base64_bit"],
     )
     def test_invalid_value_names_the_key(self, tmp_path, edit, named):
         path = tmp_path / "c.json"

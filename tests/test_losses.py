@@ -332,9 +332,9 @@ class TestStackedCostBuild:
 
             return wrapper
 
-        with mock.patch.object(losses, "dp_tables", recording(read, alignment.dp_tables)), \
-                mock.patch.object(losses, "dp_paths", recording(walked, alignment.dp_paths)), \
-                mock.patch.object(losses, "align_batch", recording(walked, alignment.align_batch)):
+        with mock.patch.object(alignment, "dp_tables", recording(read, alignment.dp_tables)), \
+                mock.patch.object(alignment, "dp_paths", recording(walked, alignment.dp_paths)), \
+                mock.patch.object(alignment, "_greedy", recording(walked, alignment._greedy)):
             if ragged:  # refused at the entry, before any alignment
                 with pytest.raises(DimMismatchError, match="segment_frames"):
                     hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(), "dp")
@@ -360,31 +360,40 @@ class TestStackedCostBuild:
 class TestDtwHinge:
     def test_zero_gap_gives_margin(self):
         c = CostMatrix(np.array([[1.0, 2.0, 1.0], [3.0, 0.5, 3.0]]))
-        out = dtw_hinge(c, reverse_columns(c), phi=0.1, form="standard")
+        out = dtw_hinge(c, reverse_columns(c), phi=0.1)
         assert abs(out.value - 0.1) < 1e-12
 
     def test_inactive_hinge_zero_gradient(self):
         c_fwd = CostMatrix(np.array([[1.0]]))
         c_rev = CostMatrix(np.array([[2.0]]))
-        out = dtw_hinge(c_fwd, c_rev, phi=0.1, form="standard")
+        out = dtw_hinge(c_fwd, c_rev, phi=0.1)
         assert out.value == 0.0
         assert not out.grads["c_forward"].any()
         assert not out.grads["c_reversed"].any()
 
-    def test_literal_form(self):
-        c_fwd = CostMatrix(np.array([[3.0]]))
-        c_rev = CostMatrix(np.array([[1.0]]))
-        assert dtw_hinge(c_fwd, c_rev, phi=0.1, form="literal").value == 2.0
-        assert dtw_hinge(c_rev, c_fwd, phi=0.1, form="literal").value == 0.1
-        assert abs(dtw_hinge(c_fwd, c_rev, phi=0.1, form="standard").value - 2.1) < 1e-12
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    def test_negative_phi_is_one_sided(self, algorithm):
+        """At phi = -m the hinge is active exactly when the gap exceeds m: max(gap, m) - m."""
+        rng = make_rng(21)
+        m = 0.25
+        seen = set()
+        for _ in range(200):
+            t, n = (int(x) for x in rng.integers(1, 6, size=2))
+            v = rng.integers(0, 4, size=(t, n)) * 0.125 if rng.random() < 0.5 else rng.uniform(0.0, 2.0, (t, n))
+            c_fwd = CostMatrix(v)
+            out = dtw_hinge(c_fwd, reverse_columns(c_fwd), -m, algorithm)
+            gap = out.components["dtw_forward"] - out.components["dtw_reversed"]
+            assert out.grads["c_forward"].any() == (gap > m)
+            assert out.value == (gap - m if gap > m else 0.0)
+            seen.add(np.sign(gap - m))
+        assert seen == {-1.0, 0.0, 1.0}  # below, on and above the kink
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             dtw_hinge(CostMatrix(np.ones((2, 2))), CostMatrix(np.ones((2, 3))))
 
     @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
-    @pytest.mark.parametrize("form", ["standard", "literal"])
-    def test_equals_loop_oracle(self, algorithm, form):
+    def test_equals_loop_oracle(self, algorithm):
         """One align_batch call over the pair == the hinge over the per-matrix loops, with ==."""
         rng = make_rng(20)
         for _ in range(60):
@@ -393,8 +402,8 @@ class TestDtwHinge:
             c_fwd = CostMatrix(v)
             c_rev = reverse_columns(c_fwd)
             phi = float(rng.choice([-0.5, 0.0, 0.1, 1.0]))
-            got = dtw_hinge(c_fwd, c_rev, phi, form, algorithm)
-            want = dtw_hinge_loop(c_fwd, c_rev, phi, form, algorithm)
+            got = dtw_hinge(c_fwd, c_rev, phi, algorithm)
+            want = dtw_hinge_loop(c_fwd, c_rev, phi, algorithm)
             assert got.value == want.value
             assert got.components == want.components
             for name in ("c_forward", "c_reversed"):
@@ -406,7 +415,7 @@ class TestDtwHinge:
         v = rng.uniform(0.5, 4.0, size=(4, 3))
         c_fwd = CostMatrix(v)
         c_rev = reverse_columns(c_fwd)
-        out = dtw_hinge(c_fwd, c_rev, phi=10.0, form="standard")  # large margin keeps it active
+        out = dtw_hinge(c_fwd, c_rev, phi=10.0)  # large margin keeps it active
         path_len = int(out.grads["c_forward"].sum())
         assert path_len == len(dtw_greedy_loop(c_fwd).path)
         delta = 0.01
@@ -428,8 +437,8 @@ class TestClipLecnce:
         b, d = 5, 6
         clips, narrs, va, vb = (unit_rows(rng, b, d) for _ in range(4))
         out = clip_lecnce(clips, narrs, va, vb, cfg)
-        vl = info_nce(clips @ narrs.T, diagonal_positives(b), cfg.temperature_infonce, cfg.symmetric)
-        vv = info_nce(va @ vb.T, diagonal_positives(b), cfg.temperature_infonce, cfg.symmetric)
+        vl = info_nce(clips @ narrs.T, diagonal_positives(b), cfg.temperature_infonce)
+        vv = info_nce(va @ vb.T, diagonal_positives(b), cfg.temperature_infonce)
         assert out.value == vl.value + vv.value
         assert out.components == {"vl": vl.value, "vv": vv.value}
 
@@ -477,11 +486,11 @@ class TestHierLecnce:
         cfg = LossConfig(lambda_dtw=0.01)
         out = hier_lecnce(frames, parents, children, cfg)
         pooled = np.stack([mean_pool_rows(f)[0] for f in frames])
-        contrast = info_nce(pooled @ parents.T, diagonal_positives(2), cfg.temperature_infonce, cfg.symmetric)
+        contrast = info_nce(pooled @ parents.T, diagonal_positives(2), cfg.temperature_infonce)
         dtw_vals = []
         for f, c in zip(frames, children):
             cf = build_cost_matrix(f, c, cfg.beta, validate=False)
-            dtw_vals.append(dtw_hinge_loop(cf, reverse_columns(cf), cfg.phi, cfg.hinge_form).value)
+            dtw_vals.append(dtw_hinge_loop(cf, reverse_columns(cf), cfg.phi).value)
         expected = contrast.value + 0.01 * float(np.mean(dtw_vals))
         assert abs(out.value - expected) < 1e-12
 
@@ -646,7 +655,7 @@ def per_sample_hier_lecnce(frames, parents, children, cfg, algorithm):
     b = len(frames)
     pools = [mean_pool_rows(f) for f in frames]
     pooled = np.stack([row for row, _ in pools])
-    contrast = info_nce(pooled @ parents.T, diagonal_positives(b), cfg.temperature_infonce, cfg.symmetric)
+    contrast = info_nce(pooled @ parents.T, diagonal_positives(b), cfg.temperature_infonce)
     g_sim = contrast.grads["sim"]
     grad_pooled = g_sim @ parents
     grad_frames = [mean_pool_rows_backward(grad_pooled[k], cache) for k, (_, cache) in enumerate(pools)]
@@ -655,7 +664,7 @@ def per_sample_hier_lecnce(frames, parents, children, cfg, algorithm):
     active = 0
     for k in range(b):
         c_fwd = build_cost_matrix(frames[k], children[k], cfg.beta, validate=False)
-        hinge = dtw_hinge_loop(c_fwd, reverse_columns(c_fwd), cfg.phi, cfg.hinge_form, algorithm)
+        hinge = dtw_hinge_loop(c_fwd, reverse_columns(c_fwd), cfg.phi, algorithm)
         total += hinge.value
         active += bool(hinge.grads["c_forward"].any())
         if cfg.lambda_dtw > 0:
@@ -683,10 +692,9 @@ class TestHierLecnceBatchedAlignment:
     """The one-call alignment in hier_lecnce equals a per-sample loop-oracle hinge exactly."""
 
     @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
-    @pytest.mark.parametrize("form", ["standard", "literal"])
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     @pytest.mark.parametrize("ragged", [False, True])
-    def test_equals_per_sample_hinge(self, algorithm, form, lam, ragged):
+    def test_equals_per_sample_hinge(self, algorithm, lam, ragged):
         rng = make_rng(31)
         b, d = 12, 6
         shapes = rng.integers(1, 9, size=(b, 2)) if ragged else np.tile([16, 4], (b, 1))
@@ -694,7 +702,7 @@ class TestHierLecnceBatchedAlignment:
         children = [unit_rows(rng, int(n), d) for _, n in shapes]
         parents = unit_rows(rng, b, d)
         # phi near the typical cost gap leaves some hinges active and some not
-        cfg = LossConfig(lambda_dtw=lam, phi=0.5, hinge_form=form)
+        cfg = LossConfig(lambda_dtw=lam, phi=0.5)
         if ragged:  # a batch of several (T, N) shapes is refused, not grouped
             with pytest.raises(DimMismatchError, match="segment_frames"):
                 hier_lecnce(frames, parents, children, cfg, algorithm)
@@ -707,17 +715,16 @@ class TestHierLecnceBatchedAlignment:
         # (B, T, N, d); at d == 1 two unit rows of opposite sign pool to zero
         shape=st.tuples(st.integers(1, 10), st.integers(1, 12), st.integers(1, 6), st.integers(2, 8)),
         algorithm=st.sampled_from(["dp", "greedy"]),
-        form=st.sampled_from(["standard", "literal"]),
         lam=st.sampled_from([0.0, 0.01, 0.7]),
-        phi=st.sampled_from([0.0, 0.1, 0.5, 3.0]),
+        phi=st.sampled_from([-0.5, 0.0, 0.1, 0.5, 3.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_property_equals_per_sample_hinge(self, shape, algorithm, form, lam, phi, seed):
+    def test_property_equals_per_sample_hinge(self, shape, algorithm, lam, phi, seed):
         rng = make_rng(seed)
         b, t, n, d = shape
         frames = [unit_rows(rng, t, d) for _ in range(b)]
         children = [unit_rows(rng, n, d) for _ in range(b)]
-        cfg = LossConfig(lambda_dtw=lam, phi=phi, hinge_form=form)
+        cfg = LossConfig(lambda_dtw=lam, phi=phi)
         assert_equals_per_sample(frames, unit_rows(rng, b, d), children, cfg, algorithm)
 
 
@@ -737,11 +744,8 @@ class TestHierLecnceBatchedAlignment:
         assert_equals_per_sample(frames, parents, children, cfg, "dp")
 
 
-# (hinge form, phi, which hinges are active on _walk_instance)
-ACTIVITY = [
-    ("standard", -1e3, "none"), ("standard", 0.5, "some"), ("standard", 1e3, "all"),
-    ("literal", 1e3, "none"), ("literal", 0.0, "some"), ("literal", -1e3, "all"),
-]
+# (phi, which hinges are active on _walk_instance)
+ACTIVITY = [(-1e3, "none"), (0.0, "some"), (0.5, "some"), (1e3, "all")]
 
 
 def _walk_instance(seed=33, b=12, t=16, n=4, d=6):
@@ -754,11 +758,11 @@ class TestHierLecnceWalksActiveOnly:
     """hier_lecnce walks only the active hinges' paths and equals the hinge that walks them all."""
 
     @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
-    @pytest.mark.parametrize("form, phi, activity", ACTIVITY)
+    @pytest.mark.parametrize("phi, activity", ACTIVITY)
     @pytest.mark.parametrize("lam", [0.0, 0.7])
-    def test_equals_all_walk_oracle(self, algorithm, form, phi, activity, lam):
+    def test_equals_all_walk_oracle(self, algorithm, phi, activity, lam):
         frames, parents, children = _walk_instance()
-        cfg = LossConfig(lambda_dtw=lam, phi=phi, hinge_form=form)
+        cfg = LossConfig(lambda_dtw=lam, phi=phi)
         walked = []
 
         def recording(fn):
@@ -768,8 +772,8 @@ class TestHierLecnceWalksActiveOnly:
 
             return wrapper
 
-        with mock.patch.object(losses, "align_batch", recording(alignment.align_batch)), \
-                mock.patch.object(losses, "dp_paths", recording(alignment.dp_paths)):
+        with mock.patch.object(alignment, "_greedy", recording(alignment._greedy)), \
+                mock.patch.object(alignment, "dp_paths", recording(alignment.dp_paths)):
             out = hier_lecnce(frames, parents, children, cfg, algorithm)
         want = all_walk_hier_lecnce(frames, parents, children, cfg, algorithm)
         assert out.value == want.value
@@ -781,7 +785,7 @@ class TestHierLecnceWalksActiveOnly:
         b = len(frames)
         costs = losses._costs(frames, children, cfg.beta)
         aligned = alignment.align_batch(np.concatenate([costs, costs[:, :, ::-1]]), algorithm)[0]
-        n_active = int(losses._hinge(aligned[:b] - aligned[b:], phi, form)[1].sum())
+        n_active = int(losses._hinge(aligned[:b] - aligned[b:], phi)[1].sum())
         assert {"none": n_active == 0, "some": 0 < n_active < b, "all": n_active == b}[activity]
         if algorithm == "greedy":  # its walk yields its costs: one call over all 2B matrices
             assert walked == [2 * b]
@@ -791,17 +795,17 @@ class TestHierLecnceWalksActiveOnly:
     @pytest.mark.parametrize("lam, phi", [(0.7, -1e3), (0.0, 0.5), (0.0, 1e3)])
     def test_dp_without_a_gradient_walks_nothing(self, lam, phi):
         frames, parents, children = _walk_instance(34)
-        with mock.patch.object(losses, "align_batch") as walk, mock.patch.object(losses, "dp_paths") as dp_walk:
+        with mock.patch.object(alignment, "_greedy") as walk, mock.patch.object(alignment, "dp_paths") as dp_walk:
             hier_lecnce(frames, parents, children, LossConfig(lambda_dtw=lam, phi=phi), "dp")
         walk.assert_not_called()
         dp_walk.assert_not_called()
 
-    def test_unknown_algorithm_raises_before_the_cost_build(self):
+    def test_unknown_algorithm_raises_before_any_alignment(self):
         frames, parents, children = _walk_instance(35)
-        with mock.patch.object(losses, "_costs") as costs:
+        with mock.patch.object(alignment, "_padded") as padded:
             with pytest.raises(ValueError, match="unknown DTW algorithm 'beam'"):
                 hier_lecnce(frames, parents, children, LossConfig(), "beam")
-        costs.assert_not_called()
+        padded.assert_not_called()
 
 
 def assert_pool_matches_per_matrix(segments, grad_pooled):
