@@ -15,7 +15,6 @@ from lecnce import evalkit
 from lecnce.alignment import align_batch
 from lecnce.datagen import ProcedureSpec, generate_dataset
 from lecnce.losses import LossConfig, build_cost_matrix
-from lecnce.numerics import cosine_similarity_matrix
 from lecnce.trainer import TrainConfig, train_run
 
 train, hold = generate_dataset(ProcedureSpec(seed=7), n_procedures=40)
@@ -40,21 +39,11 @@ for lam in (0.0, 0.01):
     aligned = align_batch(np.concatenate([costs, costs[:, :, ::-1]]), "greedy")[0]
     wins = int(np.sum(aligned[: len(videos)] < aligned[len(videos) :]))
 
-    frames = np.concatenate([v.frame_features for v in videos])
-    labels = np.concatenate([v.step_labels for v in videos])
-    class_embs = enc.forward(state.text, train.ground_truth.class_text_features())
-    preds = evalkit.zero_shot_classify(enc.forward(state.visual, frames), class_embs)
-    zs = float(np.mean(preds == labels))
-
-    clips = hold.by_level("clip")
-    sel = clips[:: max(1, len(clips) // 32)][:32]
-    crows = np.stack([evalkit.pool_video_embedding(enc.forward(state.visual, s.frame_features)) for s in sel])
-    nrows = enc.forward(state.text, np.stack([s.parent_text_feature for s in sel]))
-    rec = evalkit.recall_at_k(cosine_similarity_matrix(nrows, crows), (1, 5, 10))
+    report = evalkit.evaluate(state.visual, state.text, train, hold, evalkit.EvalConfig(), ("zero_shot", "retrieval"))
 
     print(f"lambda = {lam}")
     print(f"  wall time                     {wall:6.1f} s for {len(log.records)} steps")
     print(f"  clip loss, first->last decile {np.mean(clip[:decile]):.3f} -> {np.mean(clip[-decile:]):.3f} ({drop:.0%} drop)")
     print(f"  held-out order discrimination {wins}/{len(videos)}")
-    print(f"  zero-shot step accuracy       {zs:.3f}")
-    print(f"  clip<->narration R@1          {rec['t2i'][1]:.3f} (t2i) / {rec['i2t'][1]:.3f} (i2t)")
+    print(f"  zero-shot step accuracy       {report.accuracy:.3f}")
+    print(f"  clip<->narration R@1          {report.recall['t2i'][1]:.3f} (t2i) / {report.recall['i2t'][1]:.3f} (i2t)")

@@ -25,7 +25,6 @@ from .alignment import DTW_ALGORITHMS, CostMatrix, align, reverse_columns
 from .datagen import ProcedureSpec, SplitSpec, generate_dataset, load_dataset, save_dataset
 from .errors import ConfigError, FieldValueError, InputError, LecnceError, NonFiniteError, UnknownKeyError, read_text
 from .losses import LossConfig
-from .numerics import cosine_similarity_matrix, make_rng
 from .trainer import TrainConfig, train_run
 
 SEED_ENV_VAR = "LECNCE_SEED"
@@ -221,15 +220,13 @@ def _cmd_eval(args) -> int:
     config = load_config(args.config, None if args.shots is None else {"eval": {"shots": args.shots}})
     seed = resolve_seed(args.seed, config)
     _, _, _, opts = build(config, seed)
-    run_all = not (args.zero_shot or args.retrieval or args.probe)
+    protocols = tuple(name for name in evalkit.PROTOCOLS if getattr(args, name)) or evalkit.PROTOCOLS
     _check_out_dir(args.out)
     train, holdout = load_dataset(args.data)
-    # stride the held-out clips so the retrieval set covers all procedures
-    clips = holdout.samples["clip"]
-    clips = clips[:: max(1, len(clips) // opts.retrieval_size)][: opts.retrieval_size]
-    if (run_all or args.retrieval) and max(opts.recall_ks) > len(clips):
+    n_clips = len(evalkit.retrieval_clips(holdout, opts.retrieval_size))
+    if "retrieval" in protocols and max(opts.recall_ks) > n_clips:
         raise ConfigError(f"config key 'eval.recall_ks' asks for recall@{max(opts.recall_ks)}, "
-                          f"but the held-out retrieval set has {len(clips)} clips")
+                          f"but the held-out retrieval set has {n_clips} clips")
     ck = enc.load_checkpoint(args.checkpoint)
     visual, text = ck["visual"], ck["text"]
     for what, got, other, want in (
@@ -239,58 +236,23 @@ def _cmd_eval(args) -> int:
     ):
         if got != want:
             raise InputError(f"checkpoint {args.checkpoint}: its {what} is {got}, but {other} is {want}")
-    truth = train.ground_truth
-    report = evalkit.EvalReport()
-
-    videos = holdout.samples["video"]
-    holdout_video_labels = videos.labels.ravel()
-    frame_embs = enc.forward(visual, videos.frames.reshape(-1, train.spec.visual_dim))
-
-    if run_all or args.zero_shot:
-        class_embs = enc.forward(text, truth.class_text_features())
-        preds = evalkit.zero_shot_classify(frame_embs, class_embs)
-        acc, macro, per_class = evalkit.accuracy_f1(preds, holdout_video_labels, truth.concepts.shape[0])
-        report.accuracy, report.macro_f1, report.per_class_f1 = acc, macro, per_class
-
-    clip_rows = np.stack([evalkit.pool_video_embedding(enc.forward(visual, frames)) for frames in clips.frames])
-    narr_rows = enc.forward(text, clips.parents)
-    if run_all or args.retrieval:
-        sim = cosine_similarity_matrix(narr_rows, clip_rows)
-        report.recall = evalkit.recall_at_k(sim, opts.recall_ks)
-
-    if run_all or args.probe:
-        train_videos = train.samples["video"]
-        picked = train_videos[: max(1, int(np.floor(len(train_videos) * float(opts.shots) / 100.0)))]
-        probe = evalkit.linear_probe(
-            enc.forward(visual, picked.frames.reshape(-1, train.spec.visual_dim)),
-            picked.labels.ravel(),
-            weight_decay=opts.probe_weight_decay,
-            epochs=opts.probe_epochs,
-            rng=make_rng(seed),
-            test_features=frame_embs,
-            test_labels=holdout_video_labels,
-        )
-        print(f"probe accuracy {probe.accuracy:.4f}  macro_f1 {probe.macro_f1:.4f}  "
-              f"({probe.iterations} iterations, grad norm {probe.grad_norm:.2e})")
-        if probe.grad_norm >= evalkit.PROBE_TOL:
-            print(f"warning: the linear probe stopped unconverged after {probe.iterations} iterations, grad norm "
-                  f"{probe.grad_norm:.2e} >= {evalkit.PROBE_TOL:g}; eval.probe_epochs is {opts.probe_epochs}",
+    report = evalkit.evaluate(visual, text, train, holdout, opts, protocols)
+    probe = report.probe
+    if probe is not None:
+        print(f"probe accuracy {probe['accuracy']:.4f}  macro_f1 {probe['macro_f1']:.4f}  "
+              f"({probe['iterations']} iterations, grad norm {probe['grad_norm']:.2e})")
+        if probe["grad_norm"] >= evalkit.PROBE_TOL:
+            print(f"warning: the linear probe stopped unconverged after {probe['iterations']} iterations, grad norm "
+                  f"{probe['grad_norm']:.2e} >= {evalkit.PROBE_TOL:g}; eval.probe_epochs is {opts.probe_epochs}",
                   file=sys.stderr)
-        report.probe = {"accuracy": probe.accuracy, "macro_f1": probe.macro_f1, "per_class_f1": probe.per_class_f1,
-                        "iterations": probe.iterations, "grad_norm": probe.grad_norm}
-
-    report.modality_gap = evalkit.modality_gap(clip_rows, narr_rows)
-
     _write_run_records(args.out, config, seed)
     with open(os.path.join(args.out, "eval_report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     print(f"wrote eval_report.json to {args.out}")
     if report.accuracy is not None:
         print(f"accuracy {report.accuracy:.4f}  macro_f1 {report.macro_f1:.4f}")
-    if report.recall:
-        r1 = report.recall["t2i"].get(1)
-        if r1 is not None:
-            print(f"recall@1 t2i {r1:.4f}")
+    if 1 in report.recall.get("t2i", {}):
+        print(f"recall@1 t2i {report.recall['t2i'][1]:.4f}")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Evaluation protocols over frozen embeddings: prompt-based zero-shot
-classification, bidirectional Recall@N retrieval, linear probing, accuracy
-and macro-F1, and a modality-gap scalar.
+classification, bidirectional Recall@N retrieval, linear probing, accuracy,
+macro-F1 and the modality gap, and :func:`evaluate`, which runs them all.
 
 Everything here is read-only over its inputs; the probe trains a separate
 linear head and never touches the features it is given.
@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import encoders as enc
+from .datagen import Dataset
 from .errors import (
     DegenerateMeanError,
     DimMismatchError,
@@ -308,3 +310,47 @@ class EvalReport:
             **({"probe": self.probe} if self.probe is not None else {}),
         }
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+PROTOCOLS = ("zero_shot", "retrieval", "probe")
+
+
+def retrieval_clips(holdout: Dataset, size: int):
+    """At most ``size`` held-out clips, strided so the retrieval set covers all procedures."""
+    clips = holdout.samples["clip"]
+    return clips[:: max(1, len(clips) // size)][:size]
+
+
+def evaluate(visual: enc.EncoderParams, text: enc.EncoderParams, train: Dataset, holdout: Dataset,
+             cfg: EvalConfig, protocols=PROTOCOLS) -> EvalReport:
+    """The report of ``protocols``, a subset of :data:`PROTOCOLS`, and of the modality gap.
+
+    Zero-shot and the probe score the held-out video frames; retrieval and the gap
+    pair the pooled :func:`retrieval_clips` with their narrations.  Nothing is random.
+    """
+    for name in protocols:
+        if name not in PROTOCOLS:
+            raise FieldValueError("protocols", f"must be among {PROTOCOLS}, got {name!r}")
+    report = EvalReport()
+    videos = holdout.samples["video"]
+    labels = videos.labels.ravel()
+    frame_embs = enc.forward(visual, videos.frames.reshape(-1, train.spec.visual_dim))
+    if "zero_shot" in protocols:
+        truth = train.ground_truth
+        preds = zero_shot_classify(frame_embs, enc.forward(text, truth.class_text_features()))
+        report.accuracy, report.macro_f1, report.per_class_f1 = accuracy_f1(preds, labels, truth.concepts.shape[0])
+    clips = retrieval_clips(holdout, cfg.retrieval_size)
+    clip_rows = np.stack([pool_video_embedding(enc.forward(visual, frames)) for frames in clips.frames])
+    narr_rows = enc.forward(text, clips.parents)
+    if "retrieval" in protocols:
+        report.recall = recall_at_k(cosine_similarity_matrix(narr_rows, clip_rows), cfg.recall_ks)
+    if "probe" in protocols:
+        train_videos = train.samples["video"]
+        picked = train_videos[: max(1, int(np.floor(len(train_videos) * float(cfg.shots) / 100.0)))]
+        probe = linear_probe(enc.forward(visual, picked.frames.reshape(-1, train.spec.visual_dim)), picked.labels.ravel(),
+                             weight_decay=cfg.probe_weight_decay, epochs=cfg.probe_epochs,
+                             test_features=frame_embs, test_labels=labels)
+        report.probe = {"accuracy": probe.accuracy, "macro_f1": probe.macro_f1, "per_class_f1": probe.per_class_f1,
+                        "iterations": probe.iterations, "grad_norm": probe.grad_norm}
+    report.modality_gap = modality_gap(clip_rows, narr_rows)
+    return report

@@ -157,23 +157,22 @@ def _costs_backward(frames: np.ndarray, texts: np.ndarray, beta: float, grad_cos
     return grad_sim @ texts, np.swapaxes(grad_sim, -1, -2) @ frames
 
 
-def build_cost_matrix(frames, texts, beta: float = LossConfig.beta, validate: bool = True) -> CostMatrix:
+def build_cost_matrix(frames, texts, beta: float = LossConfig.beta) -> CostMatrix:
     """Per-frame negative log-probability of each text under a softmax over texts.
 
-    ``c[i][j] = -log softmax_j(frames[i] . texts[j] / beta)``; rows of both
-    inputs are expected unit-norm so the dot products are cosines.  Entries
-    are non-negative and each row satisfies sum_j exp(-c[i][j]) = 1.
+    ``c[i][j] = -log softmax_j(frames[i] . texts[j] / beta) >= 0``; rows of both inputs
+    must be unit-norm, so the dot products are cosines, or RowNotNormalizedError
+    names the row furthest off.  Each row satisfies sum_j exp(-c[i][j]) = 1.
     """
     frames = as_matrix(frames, "frames")
     texts = as_matrix(texts, "texts")
     if frames.shape[1] != texts.shape[1]:
         raise DimMismatchError(f"embedding dims differ: {frames.shape[1]} vs {texts.shape[1]}")
-    if validate:
-        for name, m in (("frames", frames), ("texts", texts)):
-            norms = np.linalg.norm(m, axis=1)
-            if np.any(np.abs(norms - 1.0) > ROW_NORM_TOL):
-                bad = int(np.argmax(np.abs(norms - 1.0)))
-                raise RowNotNormalizedError(f"{name} row {bad} has norm {norms[bad]:.9f}")
+    for name, m in (("frames", frames), ("texts", texts)):
+        norms = np.linalg.norm(m, axis=1)
+        if np.any(np.abs(norms - 1.0) > ROW_NORM_TOL):
+            bad = int(np.argmax(np.abs(norms - 1.0)))
+            raise RowNotNormalizedError(f"{name} row {bad} has norm {norms[bad]:.9f}")
     return CostMatrix(values=_costs(frames, texts, beta), beta=beta)
 
 

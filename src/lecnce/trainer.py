@@ -54,6 +54,9 @@ class TrainConfig:
             raise FieldValueError("schedule", "must be three non-negative counts")
         if sum(self.schedule) == 0:
             raise AllZeroScheduleError("schedule", "has zero batches at every level")
+        for name in ("batch_sizes", "frames"):
+            if len(getattr(self, name)) != len(LEVELS):
+                raise FieldValueError(name, f"must have one entry per level {LEVELS}, got {getattr(self, name)}")
         for level, (count, batch) in enumerate(zip(self.schedule, self.batch_sizes)):
             if count > 0 and batch < 2:
                 raise FieldValueError("batch_sizes", f"must be >= 2 at contrastive level {LEVELS[level]}, got {batch}")

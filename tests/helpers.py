@@ -5,8 +5,9 @@ per-layer encoder backward and per-array AdamW update, the
 per-row InfoNCE, per-matrix pooling, per-block training step,
 per-sample batcher, per-row data generator and per-query/per-class metric
 loops that the batched code must reproduce, the hinge that walks every
-alignment path, a Newton solver for the linear probe's objective, and the
-checkpoint layout written before the optimizer moments were packed."""
+alignment path, a Newton solver for the linear probe's objective, the
+evaluation protocols composed sample by sample, and the checkpoint layout
+written before the optimizer moments were packed."""
 
 import base64
 from dataclasses import replace
@@ -14,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from lecnce import encoders as enc
-from lecnce import losses
+from lecnce import evalkit, losses
 from lecnce.alignment import AlignmentResult, align_batch, dtw_subgradient
 from lecnce.datagen import (
     CLIP_LEN,
@@ -29,7 +30,7 @@ from lecnce.datagen import (
 )
 from lecnce.errors import DimMismatchError, EmptyPositiveSetError, NonFiniteLossError, ZeroVectorError
 from lecnce.losses import LossValue, clip_lecnce, hier_lecnce
-from lecnce.numerics import as_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
+from lecnce.numerics import as_matrix, cosine_similarity_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
 from lecnce.trainer import LEVELS, VIEW_DROPOUT_RATE, VIEW_NOISE_SIGMA
 
 
@@ -197,9 +198,7 @@ def stable_hinge_instance(frames, children, beta, phi, margin=1e-3, algorithm="g
 
     The forward matrix and its column-reversed view are aligned in one :func:`align_batch` call.
     """
-    from lecnce.losses import build_cost_matrix
-
-    c_fwd = build_cost_matrix(frames, children, beta, validate=False).values
+    c_fwd = losses._costs(frames, children, beta)
     c_rev = c_fwd[:, ::-1]
     decision_margin = {"greedy": greedy_decision_margin, "dp": dp_decision_margin}[algorithm]
     if min(decision_margin(c_fwd), decision_margin(c_rev)) < margin:
@@ -570,6 +569,37 @@ def per_class_f1_loop(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> 
         denom = 2 * tp + fp + fn
         per_class.append(2 * tp / denom if denom > 0 else 0.0)
     return per_class
+
+
+def per_sample_evaluate(visual, text, train, holdout, cfg, protocols) -> evalkit.EvalReport:
+    """``evalkit.evaluate`` composed from the held-out samples one at a time, as the acceptance tests do."""
+    report = evalkit.EvalReport()
+    videos = holdout.by_level("video")
+    frame_embs = enc.forward(visual, np.concatenate([v.frame_features for v in videos]))
+    labels = np.concatenate([v.step_labels for v in videos])
+    if "zero_shot" in protocols:
+        class_embs = enc.forward(text, train.ground_truth.class_text_features())
+        preds = evalkit.zero_shot_classify(frame_embs, class_embs)
+        report.accuracy, report.macro_f1, report.per_class_f1 = evalkit.accuracy_f1(
+            preds, labels, train.ground_truth.concepts.shape[0])
+    clips = holdout.by_level("clip")
+    sel = clips[:: max(1, len(clips) // cfg.retrieval_size)][: cfg.retrieval_size]
+    clip_rows = np.stack([evalkit.pool_video_embedding(enc.forward(visual, s.frame_features)) for s in sel])
+    narr_rows = enc.forward(text, np.stack([s.parent_text_feature for s in sel]))
+    if "retrieval" in protocols:
+        report.recall = evalkit.recall_at_k(cosine_similarity_matrix(narr_rows, clip_rows), cfg.recall_ks)
+    if "probe" in protocols:
+        train_videos = train.by_level("video")
+        picked = train_videos[: max(1, int(np.floor(len(train_videos) * cfg.shots / 100)))]
+        probe = evalkit.linear_probe(
+            enc.forward(visual, np.concatenate([v.frame_features for v in picked])),
+            np.concatenate([v.step_labels for v in picked]),
+            weight_decay=cfg.probe_weight_decay, epochs=cfg.probe_epochs, test_features=frame_embs, test_labels=labels,
+        )
+        report.probe = {"accuracy": probe.accuracy, "macro_f1": probe.macro_f1, "per_class_f1": probe.per_class_f1,
+                        "iterations": probe.iterations, "grad_norm": probe.grad_norm}
+    report.modality_gap = evalkit.modality_gap(clip_rows, narr_rows)
+    return report
 
 
 def old_format_checkpoint(payload: dict) -> dict:

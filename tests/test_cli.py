@@ -350,6 +350,20 @@ class TestEvalCommand:
             outs.append((out / "eval_report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_seed_leaves_the_report_unchanged(self, tmp_path, small_config, generated):
+        """Evaluation draws nothing random: ``--seed`` reaches seed.json, not the report."""
+        rng = make_rng(17)
+        save_untrained(tmp_path / "c.json", init_params([12, 6], rng=rng), init_params([9, 6], rng=rng))
+        reports = []
+        for seed in ("1", "99"):
+            out = tmp_path / f"eval{seed}"
+            argv = ["eval", "--config", str(small_config), "--checkpoint", str(tmp_path / "c.json"),
+                    "--data", str(generated), "--out", str(out), "--seed", seed]
+            assert run(argv) == 0
+            assert json.loads((out / "seed.json").read_text()) == {"seed": int(seed)}
+            reports.append((out / "eval_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
 
     def test_probe_alone_fills_only_the_probe_section(self, tmp_path, small_config, generated):
         run_dir = tmp_path / "run"

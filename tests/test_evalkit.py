@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from helpers import (
     newton_probe,
     per_class_f1_loop,
+    per_sample_evaluate,
     probe_objective,
     recall_ranks_loop,
     row_major_probe_objective,
@@ -16,6 +18,8 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lecnce import encoders as enc
+from lecnce.datagen import ProcedureSpec, generate_dataset
 from lecnce.errors import (
     DegenerateMeanError,
     DimMismatchError,
@@ -26,17 +30,21 @@ from lecnce.errors import (
 )
 from lecnce.evalkit import (
     PROBE_TOL,
+    PROTOCOLS,
     EvalConfig,
     EvalReport,
     _probe_objective,
     accuracy_f1,
+    evaluate,
     linear_probe,
     modality_gap,
     pool_video_embedding,
     recall_at_k,
+    retrieval_clips,
     zero_shot_classify,
 )
 from lecnce.numerics import make_rng
+from lecnce.trainer import TrainConfig, train_run
 
 
 class TestEvalConfig:
@@ -462,3 +470,46 @@ class TestEvalReport:
             "recall": {"t2i": {"1": 0.5, "5": 1.0}, "i2t": {"1": 0.25, "5": 0.75}},
             "modality_gap": 0.1,
         }
+
+
+SUBSETS = [subset for n in range(1, 4) for subset in itertools.combinations(PROTOCOLS, n)]
+SMALL_SPEC = dict(step_library_size=8, latent_dim=10, visual_dim=12, text_dim=9, steps_per_procedure=4, frames_per_step=8)
+
+
+class TestEvaluate:
+    """``evaluate`` equals the protocols composed sample by sample, for every subset of them."""
+
+    @pytest.fixture(scope="class", params=[(3, False), (3, True), (8, False), (8, True)], ids=lambda p: f"data{p[0]}-trained{p[1]}")
+    def setting(self, request):
+        data_seed, trained = request.param
+        train, holdout = generate_dataset(ProcedureSpec(**SMALL_SPEC, seed=data_seed), 10)
+        if trained:
+            cfg = TrainConfig(schedule=(2, 1, 1), batch_sizes=(4, 3, 2), frames=(2, 4, 16), epochs=2,
+                              visual_layers=(12, 6), text_layers=(9, 6), seed=data_seed)
+            state, _ = train_run(cfg, train)
+            visual, text = state.visual, state.text
+        else:
+            rng = make_rng(data_seed)
+            visual, text = enc.init_params([12, 6], rng=rng), enc.init_params([9, 6], rng=rng)
+        return visual, text, train, holdout
+
+    @pytest.mark.parametrize("protocols", SUBSETS, ids="+".join)
+    def test_equals_per_sample_composition(self, setting, protocols):
+        cfg = EvalConfig(recall_ks=(1, 5), retrieval_size=8, shots=50)
+        report = evaluate(*setting, cfg, protocols)
+        assert report == per_sample_evaluate(*setting, cfg, protocols)
+        assert (report.accuracy is not None) == ("zero_shot" in protocols)
+        assert bool(report.recall) == ("retrieval" in protocols)
+        assert (report.probe is not None) == ("probe" in protocols)
+        assert report.modality_gap is not None
+
+    def test_retrieval_clips_stride_over_every_procedure(self, setting):
+        holdout = setting[3]
+        clips = retrieval_clips(holdout, 8)
+        assert len(clips) == 8 and set(clips.procedure_ids) == set(holdout.procedure_ids)
+        assert len(retrieval_clips(holdout, 10**6)) == len(holdout.samples["clip"])
+
+    def test_unknown_protocol_named(self, setting):
+        with pytest.raises(ValueError, match="'zero-shot'") as info:
+            evaluate(*setting, EvalConfig(), ("retrieval", "zero-shot"))
+        assert isinstance(info.value, FieldValueError) and info.value.field == "protocols"

@@ -269,7 +269,6 @@ class TestBuildCostMatrix:
         frames = unit_rows(rng, 2, 3) * 1.5
         with pytest.raises(RowNotNormalizedError):
             build_cost_matrix(frames, unit_rows(rng, 2, 3))
-        build_cost_matrix(frames, unit_rows(rng, 2, 3), validate=False)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
@@ -284,7 +283,7 @@ class TestBuildCostMatrix:
         beta = 0.1
 
         def loss_of(fr, tx):
-            return float((weights * build_cost_matrix(fr, tx, beta, validate=False).values).sum())
+            return float((weights * losses._costs(fr, tx, beta)).sum())
 
         g_frames, g_texts = cost_matrix_backward(frames, texts, beta, weights)
         num_f = finite_diff_grad(lambda v: loss_of(v.reshape(t, d), texts), frames.ravel())
@@ -309,7 +308,7 @@ class TestStackedCostBuild:
         g_frames, g_texts = losses._costs_backward(frames, texts, 0.1, grad_cost)
         assert costs.shape == (b, t, n)
         for k in range(b):
-            np.testing.assert_array_equal(costs[k], build_cost_matrix(frames[k], texts[k], 0.1, validate=False).values)
+            np.testing.assert_array_equal(costs[k], losses._costs(frames[k], texts[k], 0.1))
             want_f, want_t = cost_matrix_backward(frames[k], texts[k], 0.1, grad_cost[k])
             np.testing.assert_array_equal(g_frames[k], want_f)
             np.testing.assert_array_equal(g_texts[k], want_t)
@@ -345,7 +344,7 @@ class TestStackedCostBuild:
         (matrices,) = read
         assert matrices.shape == (2 * b, 16, 4)
         for k in range(b):
-            want = build_cost_matrix(frames[k], children[k], 0.1, validate=False).values
+            want = losses._costs(frames[k], children[k], 0.1)
             np.testing.assert_array_equal(matrices[k], want)
             np.testing.assert_array_equal(matrices[b + k], want[:, ::-1])
         # one walk, of the active samples' forward then reversed tables only, taken from that wavefront
@@ -489,7 +488,7 @@ class TestHierLecnce:
         contrast = info_nce(pooled @ parents.T, diagonal_positives(2), cfg.temperature_infonce)
         dtw_vals = []
         for f, c in zip(frames, children):
-            cf = build_cost_matrix(f, c, cfg.beta, validate=False)
+            cf = CostMatrix(losses._costs(f, c, cfg.beta), cfg.beta)
             dtw_vals.append(dtw_hinge_loop(cf, reverse_columns(cf), cfg.phi).value)
         expected = contrast.value + 0.01 * float(np.mean(dtw_vals))
         assert abs(out.value - expected) < 1e-12
@@ -663,7 +662,7 @@ def per_sample_hier_lecnce(frames, parents, children, cfg, algorithm):
     total = 0.0
     active = 0
     for k in range(b):
-        c_fwd = build_cost_matrix(frames[k], children[k], cfg.beta, validate=False)
+        c_fwd = CostMatrix(losses._costs(frames[k], children[k], cfg.beta), cfg.beta)
         hinge = dtw_hinge_loop(c_fwd, reverse_columns(c_fwd), cfg.phi, algorithm)
         total += hinge.value
         active += bool(hinge.grads["c_forward"].any())

@@ -81,6 +81,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             tiny_config(batch_sizes=(1, 3, 2))
 
+    @pytest.mark.parametrize(
+        "name, value", [("batch_sizes", (16, 8)), ("frames", (4, 16)), ("batch_sizes", (16, 8, 4, 2)), ("frames", (4, 16, 64, 8))]
+    )
+    def test_one_entry_per_level(self, name, value):
+        """A short list used to fail in train_run on a missing level, and a long one lost its extra entry."""
+        with pytest.raises(FieldValueError, match=f"^{name} must have one entry per level") as info:
+            TrainConfig(**{name: value})
+        assert info.value.field == name
+
 
 class TestTrainConfigFinite:
     @pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
