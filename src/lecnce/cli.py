@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import os
 import sys
@@ -51,10 +52,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _config_fields(cls):
-    """(config key, field, resolved type) of each config field of ``cls``."""
+@functools.cache
+def _config_fields(cls) -> tuple:
+    """(config key, field, resolved type) of each config field of ``cls``, resolved once per class."""
     hints = typing.get_type_hints(cls)  # the annotations are strings under postponed evaluation
-    return [(KEY_ALIASES.get(f.name, f.name), f, hints[f.name]) for f in dataclasses.fields(cls) if f.name not in NOT_CONFIG_KEYS]
+    return tuple((KEY_ALIASES.get(f.name, f.name), f, hints[f.name])
+                 for f in dataclasses.fields(cls) if f.name not in NOT_CONFIG_KEYS)
 
 
 def _is_a(value, hint) -> bool:

@@ -127,14 +127,18 @@ def _probe_objective(x, y, k, wd):
     ``b``) giving mean NLL + wd/2 * |w|^2 and its flat gradient.  The logits
     are ``w.T @ x.T`` on a transposed view of the features, never a copy, so
     each sample's max, exp-sum and normalisation run along axis 0 over k
-    contiguous rows of length n.  A trial point so far out that the logits
-    overflow gives a NaN loss, which the line search rejects, instead of a
-    warning.
+    contiguous rows of length n.  Besides the two products (the logits and
+    the weight gradient ``(z @ x).T``), a call makes seven elementwise passes
+    over the buffer: add the bias, take the max, subtract it, exp, sum, one
+    multiply by 1 / (n * sum), and the bias gradient's sum.  The n true-class
+    cells are read and written through one precomputed flat index.  A trial
+    point so far out that the logits overflow gives a NaN loss, which the
+    line search rejects, instead of a warning.
     """
     n, d = x.shape
     xt = x.T
     buf = np.empty((k, n))
-    cols = np.arange(n)
+    true_cells = y * n + np.arange(n)  # sample j's true-class cell in buf.reshape(-1)
 
     @np.errstate(over="ignore", invalid="ignore")
     def f(theta):
@@ -142,14 +146,16 @@ def _probe_objective(x, y, k, wd):
         z = np.matmul(w.T, xt, out=buf)
         z += b[:, None]
         z -= z.max(axis=0)
-        true = z[y, cols]
+        cells = z.reshape(-1)
+        true = cells[true_cells]
         np.exp(z, out=z)
         total = z.sum(axis=0)
         loss = (np.log(total).sum() - true.sum()) / n + 0.5 * wd * float(np.dot(theta[: d * k], theta[: d * k]))
-        z /= total
-        z[y, cols] -= 1.0
-        z /= n
-        return loss, np.concatenate([(xt @ z.T + wd * w).ravel(), z.sum(axis=1)])
+        z *= 1.0 / (n * total)
+        cells[true_cells] -= 1.0 / n
+        grad_w = (z @ x).T
+        grad_w += wd * w
+        return loss, np.concatenate([grad_w.ravel(), z.sum(axis=1)])
 
     return f
 
@@ -334,7 +340,8 @@ def evaluate(visual: enc.EncoderParams, text: enc.EncoderParams, train: Dataset,
     report = EvalReport()
     videos = holdout.samples["video"]
     labels = videos.labels.ravel()
-    frame_embs = enc.forward(visual, videos.frames.reshape(-1, train.spec.visual_dim))
+    if "zero_shot" in protocols or "probe" in protocols:
+        frame_embs = enc.forward(visual, videos.frames.reshape(-1, train.spec.visual_dim))
     if "zero_shot" in protocols:
         truth = train.ground_truth
         preds = zero_shot_classify(frame_embs, enc.forward(text, truth.class_text_features()))

@@ -127,6 +127,14 @@ class TestLoadConfig:
         assert json.dumps(config, sort_keys=True) == json.dumps(PINNED_DEFAULTS, sort_keys=True)
         assert load_config(None) == PINNED_DEFAULTS
 
+    def test_config_fields_are_resolved_once_per_class(self, monkeypatch):
+        load_config(None)
+        fields = {cls: cli._config_fields(cls) for classes in cli.SECTIONS.values() for cls in classes}
+        monkeypatch.setattr(cli.typing, "get_type_hints", lambda cls: pytest.fail(f"{cls.__name__} resolved again"))
+        assert load_config(None) == PINNED_DEFAULTS
+        for cls, entries in fields.items():
+            assert isinstance(entries, tuple) and cli._config_fields(cls) is entries
+
     def test_partial_override(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"loss": {"phi": 0.25}}')
@@ -392,6 +400,10 @@ class TestEvalCommand:
         differently).  ``PINNED_REPORT`` is the report from before that
         change, whose digest was
         ccf892bc534adf13dd600a9b508910b35d67772c62ff0d6df52f21c799b59f3f.
+        Folding the objective's two divisions into one multiply moved
+        ``probe.grad_norm`` again, from 7.098338486261268e-05 to
+        7.098338486270997e-05, and nothing else; the digest before that was
+        f8e6232ec8e1cf40b6e7afe5401c7f6e3b10485b587f42aaadbab2205bf896a0.
         """
         train, _ = load_dataset(str(generated))
         assert set(train.samples["video"].labels.ravel().tolist()) == set(range(8))
@@ -401,7 +413,7 @@ class TestEvalCommand:
                 "--data", str(generated), "--out", str(tmp_path / "eval")]
         assert run(argv) == 0
         report = (tmp_path / "eval" / "eval_report.json").read_bytes()
-        assert hashlib.sha256(report).hexdigest() == "f8e6232ec8e1cf40b6e7afe5401c7f6e3b10485b587f42aaadbab2205bf896a0"
+        assert hashlib.sha256(report).hexdigest() == "be44ab643442328f12a71e1891c668ea9e2f1bf3adc88b567f150b8eea7dd291"
         decoded = json.loads(report)
         grad_norm = decoded["probe"].pop("grad_norm")
         assert abs(grad_norm - PINNED_GRAD_NORM) <= 1e-9 * PINNED_GRAD_NORM

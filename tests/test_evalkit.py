@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lecnce import encoders as enc
+from lecnce import evalkit
 from lecnce.datagen import ProcedureSpec, generate_dataset
 from lecnce.errors import (
     DegenerateMeanError,
@@ -360,7 +361,7 @@ class TestLinearProbe:
 
 
 class TestProbeObjective:
-    @pytest.mark.parametrize("n, d, k", [(37, 5, 2), (203, 32, 24), (1001, 8, 7)])
+    @pytest.mark.parametrize("n, d, k", [(37, 5, 2), (203, 32, 24), (1001, 8, 7), (30720, 32, 24)])
     def test_matches_the_row_major_oracle(self, n, d, k):
         rng = make_rng(n)
         x, y = rng.normal(size=(n, d)), rng.integers(0, k, n)
@@ -370,6 +371,33 @@ class TestProbeObjective:
             (loss, grad), (want_loss, want_grad) = objective(theta), oracle(theta)
             assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
             assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+    @pytest.mark.parametrize("n_per_class, d, k", [(100, 8, 5), (40, 32, 24)])
+    def test_a_fit_on_the_row_major_oracle_is_the_same_fit(self, monkeypatch, n_per_class, d, k):
+        features, labels = make_overlapping(make_rng(d + k), n_per_class=n_per_class, d=d, k=k)
+        features /= np.linalg.norm(features, axis=1, keepdims=True)  # unit rows, as the encoders emit
+        result = linear_probe(features, labels, rng=make_rng(24))
+        monkeypatch.setattr(evalkit, "_probe_objective", row_major_probe_objective)
+        oracle = linear_probe(features, labels, rng=make_rng(24))
+        assert result.grad_norm < PROBE_TOL and result.iterations > 5
+        assert (result.iterations, result.accuracy, result.per_class_f1) == (
+            oracle.iterations, oracle.accuracy, oracle.per_class_f1)
+        assert abs(result.grad_norm - oracle.grad_norm) <= 1e-9 * oracle.grad_norm
+
+    def test_building_and_one_call_peak_below_k_plus_six_rows_of_n(self):
+        """The objective holds its (k, n) buffer, its true-class index and a few length-n vectors, never the features."""
+        n, d, k = 30720, 32, 24
+        rng = make_rng(45)
+        x, y = rng.normal(size=(n, d)), rng.integers(0, k, n)
+        theta = 0.1 * rng.normal(size=(d + 1) * k)
+        _probe_objective(x[:48], y[:48], k, 0.0005)(theta)  # first-call imports and caches are not the objective's
+        tracemalloc.start()
+        try:
+            _probe_objective(x, y, k, 0.0005)(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (k + 6) * n * 8
 
     @pytest.mark.parametrize("k", [2, 24])
     def test_overflowing_point_gives_nan_loss_without_warning(self, k):
@@ -502,6 +530,23 @@ class TestEvaluate:
         assert bool(report.recall) == ("retrieval" in protocols)
         assert (report.probe is not None) == ("probe" in protocols)
         assert report.modality_gap is not None
+
+    def test_retrieval_alone_encodes_no_held_out_video_frame(self, setting, monkeypatch):
+        visual, _, _, holdout = setting
+        cfg = EvalConfig(recall_ks=(1, 5), retrieval_size=8, shots=50)
+        full = evaluate(*setting, cfg)
+        visual_rows = []
+        forward = enc.forward
+
+        def spy(params, x, **kwargs):
+            if params is visual:
+                visual_rows.append(len(x))
+            return forward(params, x, **kwargs)
+
+        monkeypatch.setattr(enc, "forward", spy)
+        report = evaluate(*setting, cfg, ("retrieval",))
+        assert sum(visual_rows) == sum(len(frames) for frames in retrieval_clips(holdout, 8).frames)
+        assert report.recall == full.recall and report.modality_gap == full.modality_gap
 
     def test_retrieval_clips_stride_over_every_procedure(self, setting):
         holdout = setting[3]
