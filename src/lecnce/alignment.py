@@ -30,13 +30,9 @@ from .numerics import as_matrix, as_stack
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Non-negative T x N distance matrix between frames (rows) and texts (cols).
-
-    ``beta`` records the temperature the distances were built with.
-    """
+    """Non-negative T x N distance matrix between frames (rows) and texts (cols): its values, checked."""
 
     values: np.ndarray
-    beta: float = 0.1
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -46,8 +42,6 @@ class CostMatrix:
             raise NonFiniteError("cost matrix contains non-finite entries")
         if np.any(values < 0):
             raise ValueError("cost matrix entries must be non-negative")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -191,7 +185,7 @@ def _greedy(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return costs, visits
 
 
-def align_stack(matrices, algorithm: str = "dp") -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+def align_stack(matrices, algorithm: str) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Align a stack of cost matrices; return their costs and a function of their path masks.
 
     ``matrices`` is a (B, T, N) array, or B matrices of one (T, N) shape,
@@ -210,7 +204,7 @@ def align_stack(matrices, algorithm: str = "dp") -> tuple[np.ndarray, Callable[[
     return costs, _mask(visits, padded.shape).__getitem__
 
 
-def align_batch(matrices, algorithm: str = "dp") -> tuple[np.ndarray, np.ndarray]:
+def align_batch(matrices, algorithm: str) -> tuple[np.ndarray, np.ndarray]:
     """The costs and the (B, T, N) path masks of every matrix of a stack (see :func:`align_stack`)."""
     costs, paths = align_stack(matrices, algorithm)
     return costs, paths(slice(None))
@@ -266,7 +260,7 @@ def align(c: CostMatrix | np.ndarray, algorithm: str = "greedy") -> AlignmentRes
 
 def reverse_columns(c: CostMatrix) -> CostMatrix:
     """Flip the text axis: out[i][j] = in[i][N+1-j]."""
-    return CostMatrix(values=c.values[:, ::-1].copy(), beta=c.beta)
+    return CostMatrix(values=c.values[:, ::-1].copy())
 
 
 def dtw_subgradient(c: CostMatrix | np.ndarray, result: AlignmentResult) -> np.ndarray:

@@ -24,7 +24,8 @@ from . import encoders as enc
 from . import evalkit, textaug
 from .alignment import DTW_ALGORITHMS, CostMatrix, align, reverse_columns
 from .datagen import ProcedureSpec, SplitSpec, generate_dataset, load_dataset, save_dataset
-from .errors import ConfigError, FieldValueError, InputError, LecnceError, NonFiniteError, UnknownKeyError, read_text
+from .errors import (ConfigError, FieldValueError, InputError, LecnceError, NonFiniteError, UnknownKeyError, read_json,
+                     read_text)
 from .losses import LossConfig
 from .trainer import TrainConfig, train_run
 
@@ -80,13 +81,6 @@ def _checked(key: str, value, hint):
     return value
 
 
-def _read_json(path: str, what: str, error=InputError):
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise error(f"{what} parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-
-
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Read a config, fill in the dataclass defaults and check it whole.
 
@@ -96,7 +90,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     loads can run.  ``overrides`` (section -> key -> value) apply on top of
     the file, under the same checks.
     """
-    raw = {} if path is None else _read_json(path, "config", ConfigError)
+    raw = {} if path is None else read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"config root in {path} must be a JSON object")
     for key in raw:
@@ -294,23 +288,21 @@ def _cmd_augment(args) -> int:
 
 
 def _read_cost_matrix(path: str) -> CostMatrix:
-    """A ``{"values": [[...]], "beta": b}`` object or a bare list of rows, checked."""
-    payload = _read_json(path, "matrix")
+    """A ``{"values": [[...]]}`` object or a bare list of rows, checked."""
+    payload = read_json(path)
     payload = payload if isinstance(payload, dict) else {"values": payload}
-    for key in payload:
-        if key not in ("values", "beta"):
-            raise InputError(f"matrix file {path}: unknown key {key!r}; expected 'values' and 'beta'")
     if "values" not in payload:
         raise InputError(f"matrix file {path} has no 'values' key")
-    values, beta = payload["values"], payload.get("beta", CostMatrix.beta)
-    if not (_is_a(beta, float) and beta > 0):
-        raise InputError(f"matrix file {path}: 'beta' must be a finite number > 0, got {beta!r}")
+    for key in payload:
+        if key != "values":
+            raise InputError(f"matrix file {path}: unknown key {key!r}; 'values' is the only key")
+    values = payload["values"]
     grid_error = f"matrix file {path}: 'values' must be a non-empty rectangular grid of finite, non-negative numbers"
     if not (isinstance(values, list) and all(isinstance(row, list) and all(_is_a(v, float) for v in row)
                                              for row in values)):
         raise InputError(f"{grid_error}, each a JSON number")
     try:
-        return CostMatrix(values=np.asarray(values, dtype=np.float64), beta=beta)
+        return CostMatrix(values=np.asarray(values, dtype=np.float64))
     except (LecnceError, ValueError) as exc:
         raise InputError(f"{grid_error} ({exc})") from None
 

@@ -121,7 +121,7 @@ class Level:
     ``level[k]`` is sample k as a :class:`HierarchicalSample` whose arrays
     are views of row k, and iterating yields those samples in row order;
     any other index (a slice, an index array, a mask) selects rows into a
-    new :class:`Level`.
+    new :class:`Level`.  A training batch holds only the frames its batcher kept.
     """
 
     name: str

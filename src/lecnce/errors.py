@@ -4,6 +4,8 @@ Each class names one contract violation; callers can catch the narrow type
 or the common :class:`LecnceError` base.
 """
 
+import json
+
 
 class LecnceError(Exception):
     """Base class for all package-specific errors."""
@@ -73,10 +75,6 @@ class KExceedsCorpusError(LecnceError):
     """Recall@k requested with k larger than the candidate set."""
 
 
-class DegenerateMeanError(LecnceError):
-    """Pooled embedding collapsed to the zero vector."""
-
-
 class SingleClassError(LecnceError):
     """Linear probing needs at least two classes in the training labels."""
 
@@ -135,3 +133,11 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_json(path, error: type[InputError] = InputError):
+    """The JSON value in the file at ``path``; text that is not JSON raises ``error`` naming the file, line and column."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path} line {exc.lineno} column {exc.colno}: not valid JSON ({exc.msg})") from None

@@ -16,7 +16,6 @@ import numpy as np
 from . import encoders as enc
 from .datagen import Dataset
 from .errors import (
-    DegenerateMeanError,
     DimMismatchError,
     FieldValueError,
     KExceedsCorpusError,
@@ -24,6 +23,7 @@ from .errors import (
     SingleClassError,
     check_minimums,
 )
+from .losses import pool_segments
 from .numerics import as_matrix, cosine_similarity_matrix, make_rng, subsample_frames
 
 
@@ -84,12 +84,8 @@ def recall_at_k(sim, k_values=EvalConfig.recall_ks) -> dict[str, dict[int, float
 
 
 def pool_video_embedding(frames, n_samples: int = 10) -> np.ndarray:
-    """The rows :func:`subsample_frames` picks, averaged and renormalized."""
-    mean = subsample_frames(as_matrix(frames, "frames"), n_samples).mean(axis=0)
-    norm = np.linalg.norm(mean)
-    if norm < 1e-12:
-        raise DegenerateMeanError("pooled video embedding collapsed to zero")
-    return mean / norm
+    """:func:`pool_segments` of the rows :func:`subsample_frames` picks: their mean, renormalized."""
+    return pool_segments(subsample_frames(as_matrix(frames, "frames"), n_samples)[None])[0][0]
 
 
 def _class_ids(values, name: str, n_classes: float = np.inf) -> np.ndarray:

@@ -173,7 +173,7 @@ def build_cost_matrix(frames, texts, beta: float = LossConfig.beta) -> CostMatri
         if np.any(np.abs(norms - 1.0) > ROW_NORM_TOL):
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise RowNotNormalizedError(f"{name} row {bad} has norm {norms[bad]:.9f}")
-    return CostMatrix(values=_costs(frames, texts, beta), beta=beta)
+    return CostMatrix(values=_costs(frames, texts, beta))
 
 
 def cost_matrix_backward(frames, texts, beta: float, grad_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimMismatchError,
     EmptyMatrixError,
+    FieldValueError,
     NonFiniteError,
     NonPositiveTemperatureError,
     ZeroVectorError,
@@ -66,8 +67,11 @@ def as_stack(values, name: str = "stack", empty: type[Exception] = EmptyMatrixEr
 def subsample_frames(frames: np.ndarray, n: int) -> np.ndarray:
     """Uniformly-spaced rows, all of them when the sample is short.
 
-    With T rows and n samples the indices are floor(t*(T-1)/(n-1)).
+    With T rows and n samples the indices are floor(t*(T-1)/(n-1)); an
+    ``n`` below 1 raises :class:`FieldValueError`.
     """
+    if n < 1:
+        raise FieldValueError("n", f"must be >= 1, got {n}")
     t = frames.shape[0]
     if t <= n:
         return frames

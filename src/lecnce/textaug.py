@@ -12,12 +12,11 @@ on them is deterministic.
 
 from __future__ import annotations
 
-import json
 import re
 
 import numpy as np
 
-from .errors import EmptyCorpusError, EmptyWordError, InputError, read_text
+from .errors import EmptyCorpusError, EmptyWordError, InputError, read_json, read_text
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _LETTERS = frozenset(ALPHABET)
@@ -160,10 +159,7 @@ def build_step_kb(titles: list[str]) -> dict[str, list[str]]:
 
 def load_step_kb(path) -> dict[str, list[str]]:
     """Read a JSON object of title -> non-empty list of steps; anything else raises :class:`InputError`."""
-    try:
-        kb = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} line {exc.lineno} column {exc.colno}: not valid JSON ({exc.msg})") from None
+    kb = read_json(path)
     if not isinstance(kb, dict):
         raise InputError(f"{path}: a knowledge base must be a JSON object, got a {type(kb).__name__}")
     for title, steps in kb.items():

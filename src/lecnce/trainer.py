@@ -178,13 +178,15 @@ def train_step(
     rng: np.random.Generator,
     global_step: int = 0,
 ) -> StepRecord:
-    """One forward/backward/update on a batch of one level."""
+    """One forward/backward/update on a batch of one level, over every frame the batch holds.
+
+    The frames a step sees are picked by :class:`_Batcher`, which keeps
+    ``cfg.frames`` of them per sample; a batch built otherwise is trained as given.
+    """
     t0 = time.perf_counter()
     if batch.name != level:
         raise ValueError(f"batch of level {batch.name!r} in a {level!r} step")
-    index = subsample_frames(np.arange(batch.frames.shape[1]), dict(zip(LEVELS, cfg.frames))[level])
-    # a batch from _Batcher holds its kept frames already; any other is gathered here
-    frames = batch.frames if len(index) == batch.frames.shape[1] else batch.frames[:, index]
+    frames = batch.frames
     b, t, _ = frames.shape
 
     # one forward and one backward per encoder: the weight gradients of all

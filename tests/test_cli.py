@@ -730,7 +730,7 @@ class TestAugmentCommand:
 class TestDtwInspect:
     def test_hand_trace_greedy(self, tmp_path, capsys):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"values": HAND_TRACE, "beta": 0.1}))
+        path.write_text(json.dumps({"values": HAND_TRACE}))
         assert run(["dtw-inspect", "--matrix", str(path), "--algorithm", "greedy"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cost"] == 3.0
@@ -764,12 +764,13 @@ class TestDtwInspect:
             ("[[1.0, NaN]]", "'values'"),
             ("[[1.0, Infinity]]", "'values'"),
             ("[[1.0, -2.0]]", "'values'"),
+            # a cost matrix carries no temperature: 'beta' is an unknown key, whatever its value
             ('{"values": [[1.0]], "beta": 0}', "'beta'"),
             ('{"values": [[1.0]], "beta": -0.5}', "'beta'"),
             ('{"values": [[1.0]], "beta": "x"}', "'beta'"),
             ('{"values": [[1.0]], "beta": true}', "'beta'"),
             ('{"values": [[1.0]], "beta": NaN}', "'beta'"),
-            # only JSON numbers are entries, and only 'values' and 'beta' are keys
+            # only JSON numbers are entries, and 'values' is the only key
             ("[[true, 2], [3, false]]", "each a JSON number"),
             ('[["1", 2]]', "each a JSON number"),
             ('[[1, null]]', "each a JSON number"),
@@ -798,7 +799,7 @@ class TestDtwInspect:
 
     def test_integer_entries(self, tmp_path, capsys):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"values": [[1, 5, 5], [2, 1, 5], [5, 2, 1]], "beta": 1}))
+        path.write_text(json.dumps({"values": [[1, 5, 5], [2, 1, 5], [5, 2, 1]]}))
         assert run(["dtw-inspect", "--matrix", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["cost"] == 3.0
 

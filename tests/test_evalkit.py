@@ -22,12 +22,12 @@ from lecnce import encoders as enc
 from lecnce import evalkit
 from lecnce.datagen import ProcedureSpec, generate_dataset
 from lecnce.errors import (
-    DegenerateMeanError,
     DimMismatchError,
     FieldValueError,
     KExceedsCorpusError,
     LengthMismatchError,
     SingleClassError,
+    ZeroVectorError,
 )
 from lecnce.evalkit import (
     PROBE_TOL,
@@ -44,7 +44,7 @@ from lecnce.evalkit import (
     retrieval_clips,
     zero_shot_classify,
 )
-from lecnce.numerics import make_rng
+from lecnce.numerics import make_rng, subsample_frames
 from lecnce.trainer import TrainConfig, train_run
 
 
@@ -162,8 +162,22 @@ class TestPoolVideoEmbedding:
 
     def test_antipodal_degenerate(self):
         frames = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        with pytest.raises(DegenerateMeanError):
+        with pytest.raises(ZeroVectorError):
             pool_video_embedding(frames, 10)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_named(self, n):
+        with pytest.raises(FieldValueError, match=f"n must be >= 1, got {n}"):
+            pool_video_embedding(unit_rows(make_rng(7), 4, 3), n)
+
+    def test_equals_the_normalized_mean_of_the_kept_rows(self):
+        """pool_video_embedding == the kept rows' mean over its np.linalg.norm, with ==, at any scale."""
+        rng = make_rng(12)
+        for _ in range(300):
+            t, d, n = rng.integers(1, 40), rng.integers(1, 40), rng.integers(1, 15)
+            frames = rng.normal(size=(t, d)) * 10.0 ** rng.uniform(-3, 3)
+            mean = subsample_frames(frames, n).mean(axis=0)
+            np.testing.assert_array_equal(pool_video_embedding(frames, n), mean / np.linalg.norm(mean))
 
     def test_spacing_rule(self):
         frames = np.arange(30, dtype=float)[:, None] * np.ones((1, 2))

@@ -488,7 +488,7 @@ class TestHierLecnce:
         contrast = info_nce(pooled @ parents.T, diagonal_positives(2), cfg.temperature_infonce)
         dtw_vals = []
         for f, c in zip(frames, children):
-            cf = CostMatrix(losses._costs(f, c, cfg.beta), cfg.beta)
+            cf = CostMatrix(losses._costs(f, c, cfg.beta))
             dtw_vals.append(dtw_hinge_loop(cf, reverse_columns(cf), cfg.phi).value)
         expected = contrast.value + 0.01 * float(np.mean(dtw_vals))
         assert abs(out.value - expected) < 1e-12
@@ -662,7 +662,7 @@ def per_sample_hier_lecnce(frames, parents, children, cfg, algorithm):
     total = 0.0
     active = 0
     for k in range(b):
-        c_fwd = CostMatrix(losses._costs(frames[k], children[k], cfg.beta), cfg.beta)
+        c_fwd = CostMatrix(losses._costs(frames[k], children[k], cfg.beta))
         hinge = dtw_hinge_loop(c_fwd, reverse_columns(c_fwd), cfg.phi, algorithm)
         total += hinge.value
         active += bool(hinge.grads["c_forward"].any())

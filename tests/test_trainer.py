@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.util
 from pathlib import Path
 from unittest import mock
@@ -56,6 +57,12 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
+def kept_frames(rows: Level, cfg: TrainConfig) -> Level:
+    """``rows`` as a training batch: only the frames ``cfg.frames`` keeps of each sample, and no labels."""
+    index = subsample_frames(np.arange(rows.frames.shape[1]), dict(zip(LEVELS, cfg.frames))[rows.name])
+    return Level(rows.name, rows.frames[:, index], rows.parents, rows.children, None, rows.procedure_ids)
+
+
 class TestSchedule:
     def test_reference_pattern(self):
         cfg = tiny_config(schedule=(25, 15, 115))
@@ -109,6 +116,12 @@ class TestSubsampleFrames:
         frames = np.arange(30, dtype=float)[:, None]
         out = subsample_frames(frames, 4)
         np.testing.assert_array_equal(out.ravel(), [0, 9, 19, 29])
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_named(self, n):
+        with pytest.raises(FieldValueError, match=f"n must be >= 1, got {n}") as info:
+            subsample_frames(np.arange(30, dtype=float)[:, None], n)
+        assert info.value.field == "n"
 
 
 class TestTrainStep:
@@ -186,9 +199,9 @@ class TestTrainStepOracle:
         cfg = tiny_config(dtw_algorithm=algorithm, loss=LossConfig(lambda_dtw=0.5))
         batch_size = dict(zip(("clip", "phase", "video"), cfg.batch_sizes))[level]
         # a leading slice, or rows gathered out of order as a wrapping batcher
-        # yields them (a three-row batch repeats one)
+        # yields them (a three-row batch repeats one), with the frames the batcher keeps
         rows = np.array([4, 2, 4, 0][:batch_size]) if gathered else np.arange(batch_size)
-        batch = train.samples[level][rows]
+        batch = kept_frames(train.samples[level][rows], cfg)
         samples = [train.samples[level][int(k)] for k in rows]
         state = init_trainer(cfg, make_rng(cfg.seed))
         oracle_state = copy.deepcopy(state)
@@ -276,12 +289,11 @@ class TestGeneratorUse:
         train, _ = tiny_dataset()
         cfg = tiny_config()
         state = init_trainer(cfg, make_rng(cfg.seed))
-        batch = train.samples["clip"][: cfg.batch_sizes[0]]
+        batch = kept_frames(train.samples["clip"][: cfg.batch_sizes[0]], cfg)
         rng = make_rng(11)
         expected = copy.deepcopy(rng)
         train_step("clip", batch, state, cfg, rng)
-        t, d = subsample_frames(batch.frames[0], cfg.frames[0]).shape
-        shape = (2 * len(batch), t, d)
+        shape = (2 * len(batch), *batch.frames.shape[1:])
         expected.normal(size=shape)
         expected.random(shape)
         assert rng.bit_generator.state == expected.bit_generator.state
@@ -304,22 +316,6 @@ class TestBatcher:
                 np.testing.assert_array_equal(batch.parents[k], sample.parent_text_feature)
                 np.testing.assert_array_equal(batch.children[k], sample.child_text_features)
             assert batcher.rng.bit_generator.state == oracle.rng.bit_generator.state
-
-    @pytest.mark.parametrize("level", ["clip", "phase", "video"])
-    def test_a_kept_frame_batch_steps_as_the_full_one(self, level):
-        """train_step on a batch of kept frames only equals the step on the same samples' full frames, with ==."""
-        train, _ = tiny_dataset()
-        cfg = tiny_config(loss=LossConfig(lambda_dtw=0.5), dtw_algorithm="dp")
-        full = train.samples[level][np.array([4, 2, 4, 0][: dict(zip(LEVELS, cfg.batch_sizes))[level]])]
-        index = subsample_frames(np.arange(full.frames.shape[1]), dict(zip(LEVELS, cfg.frames))[level])
-        kept = Level(level, full.frames[:, index], full.parents, full.children, None, full.procedure_ids)
-        states = [init_trainer(cfg, make_rng(cfg.seed)) for _ in range(2)]
-        rngs = [make_rng(1), make_rng(1)]
-        for step in (1, 2):
-            got, want = (train_step(level, b, s, cfg, r, step) for b, s, r in zip((kept, full), states, rngs))
-            assert (got.total, got.components) == (want.total, want.components)
-        for name in ("visual", "text"):
-            np.testing.assert_array_equal(getattr(states[0], name).vector, getattr(states[1], name).vector)
 
 
 class TestTrainLog:
@@ -407,6 +403,27 @@ class TestTrainRun:
             for (w, b), (w_ref, b_ref) in zip(layers, loaded[key].layers, strict=True):
                 assert w.shape == w_ref.shape and b.shape == b_ref.shape
                 assert np.all(w == w_ref) and np.all(b == b_ref)
+
+    def test_reference_shaped_dp_run_keeps_its_bytes(self, tmp_path):
+        """A one-epoch DP run at the reference data shape writes the same checkpoint and log as it always has.
+
+        The batcher keeps 16 of 32 phase frames and 64 of 192 video frames, and
+        the clip batches wrap around the level.  The pins are the sha256 of
+        ``checkpoint_final.json`` and of ``trainlog.csv`` without its ``wall_ms``
+        column (numpy 2.4 on OpenBLAS; another BLAS may round differently).
+        """
+        spec = ProcedureSpec(step_library_size=24, steps_per_procedure=6, frames_per_step=32, seed=4)
+        train, _ = generate_dataset(spec, 10)
+        assert [train.samples[level].frames.shape[1] for level in LEVELS] == [4, 32, 192]
+        cfg = TrainConfig(schedule=(25, 3, 5), batch_sizes=(16, 8, 2), epochs=1, dtw_algorithm="dp", seed=6)
+        train_run(cfg, train, out_dir=tmp_path)
+        log = (tmp_path / "trainlog.csv").read_text(encoding="utf-8").splitlines()
+        timeless = "".join(line.rsplit(",", 1)[0] + "\n" for line in log).encode()
+        assert log[0].endswith(",wall_ms") and len(log) == 1 + 25 + 3 + 5
+        checkpoint = (tmp_path / "checkpoint_final.json").read_bytes()
+        digests = [hashlib.sha256(data).hexdigest() for data in (checkpoint, timeless)]
+        assert digests == ["e2eef80bbeb97ee732af34e97fca100e17bdfc25ade86d000911a989841ce6a6",
+                           "e0dac16961e20da92b5298eb14c04d3710ca44cc5d9c9bea52f35452ed64a740"]
 
     def test_clip_loss_decreases(self):
         train, _ = tiny_dataset(n_procedures=8)
