@@ -28,7 +28,7 @@ print(f"  one-edit candidates of 'duct': {len(edit_candidates('duct', 1))}; with
 
 print("\n== pseudo-step knowledge base (deterministic recipe stand-in) ==")
 kb = build_step_kb(["laparoscopic gallbladder removal"])
-title, steps = next(iter(kb.items()))
+steps = next(iter(kb.values()))
 for i, step in enumerate(steps):
     print(f"  {i}. {step}")
 
@@ -42,7 +42,7 @@ for narr, idx in zip(narrations, assign_pseudo_steps(narrations, steps)):
     print(f"  {narr!r} -> step {idx}: {steps[idx]!r}")
 
 print("\n== level routing ==")
-print("  narration:", augment_text("graspr the duct", "narration", kb=kb, vocab=vocab, title=title))
+print("  narration:", augment_text("graspr the duct", "narration", kb=kb, vocab=vocab))
 print("  keystep:  ", augment_text("clipping cutting", "keystep"))
 print("  abstract: ", augment_text(
     "this lecture demonstrates a complete laparoscopic cholecystectomy with commentary", "abstract"))

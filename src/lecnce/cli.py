@@ -81,14 +81,13 @@ def _checked(key: str, value, hint):
     return value
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> dict:
+def load_config(path: str | None) -> dict:
     """Read a config, fill in the dataclass defaults and check it whole.
 
     Unknown keys, wrongly typed or non-finite values, values outside a
     dataclass's range and encoder dims that do not chain with the data dims
     raise :class:`ConfigError` naming the dotted key, so every config that
-    loads can run.  ``overrides`` (section -> key -> value) apply on top of
-    the file, under the same checks.
+    loads can run.
     """
     raw = {} if path is None else read_json(path, ConfigError)
     if not isinstance(raw, dict):
@@ -104,7 +103,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         given = raw.get(name, {})
         if not isinstance(given, dict):
             raise ConfigError(f"config key {name!r} must be an object")
-        given = {**given, **(overrides or {}).get(name, {})}
         fields = [entry for cls in classes for entry in _config_fields(cls)]
         known = {key for key, _, _ in fields}
         for key in given:
@@ -214,7 +212,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = load_config(args.config, None if args.shots is None else {"eval": {"shots": args.shots}})
+    config = load_config(args.config)
     seed = resolve_seed(args.seed, config)
     _, _, _, opts = build(config, seed)
     protocols = tuple(name for name in evalkit.PROTOCOLS if getattr(args, name)) or evalkit.PROTOCOLS
@@ -224,6 +222,9 @@ def _cmd_eval(args) -> int:
     if "retrieval" in protocols and max(opts.recall_ks) > n_clips:
         raise ConfigError(f"config key 'eval.recall_ks' asks for recall@{max(opts.recall_ks)}, "
                           f"but the held-out retrieval set has {n_clips} clips")
+    if "probe" in protocols and np.ptp(evalkit.probe_videos(train, opts.shots).labels) == 0:  # one step class
+        raise ConfigError(f"config key 'eval.shots' gives the linear probe {opts.shots:g} % of the training videos, "
+                          "which hold 1 step class; it needs at least 2")
     ck = enc.load_checkpoint(args.checkpoint)
     visual, text = ck["visual"], ck["text"]
     for what, got, other, want in (
@@ -277,11 +278,13 @@ def _cmd_augment(args) -> int:
     records = _read_records(args.infile)
     with open(args.out, "w", encoding="utf-8") as dst:
         for text, level in records:
-            augmented = textaug.augment_text(text, level, kb=kb, vocab=vocab)
+            if level == "narration":
+                augmented, step = textaug.augment_narration(text, kb, vocab)
+            else:
+                augmented, step = textaug.augment_text(text, level), None
             out = {"original": text, "augmented": augmented}
-            if level == "narration" and kb:
-                steps = next(iter(kb.values()))
-                out["step_index"] = textaug.assign_pseudo_steps([augmented], steps)[0]
+            if step is not None:  # the index of the step appended to the narration
+                out["step_index"] = step
             dst.write(json.dumps(out, sort_keys=True) + "\n")
     print(f"augmented {len(records)} records into {args.out}")
     return 0
@@ -349,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-shot", action="store_true")
     p.add_argument("--retrieval", action="store_true")
     p.add_argument("--probe", action="store_true")
-    p.add_argument("--shots", type=float, default=None, help="percent of training procedures for the probe")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("augment", help="rewrite JSON-lines text records by level, deterministically")

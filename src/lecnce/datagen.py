@@ -164,8 +164,8 @@ def _sample_concepts(spec: ProcedureSpec, rng: np.random.Generator) -> np.ndarra
         attempts += 1
         if attempts > 10000:
             raise InfeasibleSpecError(
-                f"could not place {spec.step_library_size} concepts with "
-                f"{MIN_CONCEPT_ANGLE_DEG} degree separation in dim {spec.latent_dim}"
+                f"could not place step_library_size={spec.step_library_size} concepts with "
+                f"{MIN_CONCEPT_ANGLE_DEG} degree separation in latent_dim={spec.latent_dim} in 10000 draws"
             )
         v = rng.normal(size=spec.latent_dim)
         v /= np.linalg.norm(v)

@@ -1,7 +1,7 @@
 """Tiny dual encoders mapping pre-extracted features into a shared unit sphere.
 
-An encoder is a stack of affine layers (hidden layers optionally tanh, the
-last layer linear) followed by row-wise L2 normalization.  Backpropagation
+An encoder is a stack of affine layers followed by row-wise L2
+normalization; no layer has a nonlinearity.  Backpropagation
 is written out by hand, including the normalization Jacobian, and updates
 use AdamW with decoupled weight decay.  Everything is plain float64 numpy
 and bit-deterministic given a seed.
@@ -21,8 +21,6 @@ import numpy as np
 from .errors import BadDimsError, CorruptFileError, DimMismatchError, MissingCacheError, ShapeMismatchError, ZeroVectorError
 from .numerics import as_matrix, f8le
 
-ACTIVATIONS = ("identity", "tanh")
-
 
 @dataclass
 class EncoderParams:
@@ -35,12 +33,14 @@ class EncoderParams:
     """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
-    activation: str = "identity"
     vector: np.ndarray = field(init=False, repr=False, compare=False)
 
+    @property
+    def activation(self) -> str:
+        """Always ``"identity"``: every layer is affine.  Checkpoints and their hash still name it."""
+        return "identity"
+
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if not self.layers:
             raise BadDimsError("encoder needs at least one layer")
         for i, (w, b) in enumerate(self.layers):
@@ -81,7 +81,7 @@ def _check_finite(params: EncoderParams, vector: np.ndarray) -> None:
 class ForwardCache:
     """Intermediates from one forward pass, consumed by :func:`backward`.
 
-    ``hidden[i]`` is the output of hidden layer i, after its activation.
+    ``hidden[i]`` is the output of hidden layer i.
     """
 
     x: np.ndarray
@@ -90,7 +90,7 @@ class ForwardCache:
     output: np.ndarray
 
 
-def init_params(layer_dims: list[int], activation: str = "identity", rng: np.random.Generator | None = None) -> EncoderParams:
+def init_params(layer_dims: list[int], rng: np.random.Generator | None = None) -> EncoderParams:
     """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
         raise BadDimsError(f"need at least [in, out] with positive dims, got {layer_dims}")
@@ -101,14 +101,13 @@ def init_params(layer_dims: list[int], activation: str = "identity", rng: np.ran
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         layers.append((w, np.zeros(fan_out)))
-    return EncoderParams(layers=layers, activation=activation)
+    return EncoderParams(layers=layers)
 
 
 def forward(params: EncoderParams, x, return_cache: bool = False):
     """Encode feature rows into unit-norm embeddings.
 
-    Hidden layers apply the configured activation; the final layer is
-    linear and its rows are L2-normalized.
+    Every layer is affine; the final layer's rows are L2-normalized.
     """
     x = as_matrix(x, "x")
     if x.shape[1] != params.input_dim:
@@ -118,8 +117,6 @@ def forward(params: EncoderParams, x, return_cache: bool = False):
     for w, b in params.layers[:-1]:
         h = h @ w
         h += b
-        if params.activation == "tanh":
-            np.tanh(h, out=h)
         hidden.append(h)
     w, b = params.layers[-1]
     out = h @ w
@@ -160,8 +157,6 @@ def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> np.
         db[...] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ params.layers[i][0].T
-            if params.activation == "tanh":
-                delta *= 1.0 - cache.hidden[i - 1] ** 2
     return grad
 
 
@@ -275,11 +270,13 @@ def _exact_keys(payload, keys, where: str = "") -> dict:
 
 def _params_from_payload(payload: dict, key: str) -> EncoderParams:
     dims = _exact_keys(payload, _PARAMS_KEYS, key)["layer_dims"]
+    if payload["activation"] != "identity":  # an encoder has no other; a file naming one cannot be run
+        raise ValueError(f"{key}.activation must be 'identity', got {payload['activation']!r}")
     layers = []
     for i, (w_flat, b) in enumerate(zip(payload["weights"], payload["biases"])):
         w = np.asarray(w_flat, dtype=np.float64).reshape(dims[i], dims[i + 1])
         layers.append((w, np.asarray(b, dtype=np.float64)))
-    params = EncoderParams(layers=layers, activation=payload["activation"])
+    params = EncoderParams(layers=layers)
     if _params_payload(params)["layer_dims"] != dims:  # also catches weight and bias lists of unequal length
         raise ValueError(f"layer_dims {dims} do not match the weight and bias shapes")
     return params
@@ -412,8 +409,9 @@ def load_checkpoint(path) -> dict:
     """Inverse of :func:`save_checkpoint`; a file that is not one raises :class:`CorruptFileError`.
 
     Every object must hold exactly the keys the writer emits, and every value
-    is decoded and range-checked first; then the file's ``sha256`` must equal
-    the hash of the decoded values.
+    is decoded and range-checked first (each encoder's ``activation`` must be
+    ``"identity"``); then the file's ``sha256`` must equal the hash of the
+    decoded values.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -59,10 +59,6 @@ class MissingCacheError(LecnceError):
     """Backward pass invoked without a cached forward pass."""
 
 
-class InfeasibleSpecError(LecnceError):
-    """The generator cannot satisfy the requested concept geometry."""
-
-
 class EmptyWordError(LecnceError):
     """Edit-candidate generation needs a non-empty word."""
 
@@ -112,6 +108,10 @@ class NonFiniteLossError(LecnceError):
 
 class InputError(LecnceError):
     """A file or value given on the command line is invalid; the CLI exits 1."""
+
+
+class InfeasibleSpecError(InputError):
+    """The generator cannot satisfy the requested concept geometry: a spec that loads but cannot be drawn."""
 
 
 class CorruptFileError(InputError):

@@ -323,6 +323,12 @@ def retrieval_clips(holdout: Dataset, size: int):
     return clips[:: max(1, len(clips) // size)][:size]
 
 
+def probe_videos(train: Dataset, shots: float):
+    """The first ``shots`` percent of the training videos, at least one: the probe's training set."""
+    videos = train.samples["video"]
+    return videos[: max(1, int(np.floor(len(videos) * float(shots) / 100.0)))]
+
+
 def evaluate(visual: enc.EncoderParams, text: enc.EncoderParams, train: Dataset, holdout: Dataset,
              cfg: EvalConfig, protocols=PROTOCOLS) -> EvalReport:
     """The report of ``protocols``, a subset of :data:`PROTOCOLS`, and of the modality gap.
@@ -348,8 +354,7 @@ def evaluate(visual: enc.EncoderParams, text: enc.EncoderParams, train: Dataset,
     if "retrieval" in protocols:
         report.recall = recall_at_k(cosine_similarity_matrix(narr_rows, clip_rows), cfg.recall_ks)
     if "probe" in protocols:
-        train_videos = train.samples["video"]
-        picked = train_videos[: max(1, int(np.floor(len(train_videos) * float(cfg.shots) / 100.0)))]
+        picked = probe_videos(train, cfg.shots)
         probe = linear_probe(enc.forward(visual, picked.frames.reshape(-1, train.spec.visual_dim)), picked.labels.ravel(),
                              weight_decay=cfg.probe_weight_decay, epochs=cfg.probe_epochs,
                              test_features=frame_embs, test_labels=labels)

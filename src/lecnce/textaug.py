@@ -213,45 +213,34 @@ def assign_pseudo_steps(narrations: list[str], steps: list[str]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def augment_text(
-    text: str,
-    level: str,
-    kb: dict[str, list[str]] | None = None,
-    vocab: dict[str, int] | None = None,
-    title: str | None = None,
-) -> str:
+def augment_narration(text: str, kb: dict[str, list[str]] | None, vocab: dict[str, int] | None) -> tuple[str, int | None]:
+    """A narration as :func:`augment_text` rewrites it, and the index of the step appended to it (None without ``kb``)."""
+    words = text.split()
+    if vocab:
+        words = [spell_correct(w, vocab) for w in words]
+    corrected = " ".join(words)
+    if not kb:
+        return corrected, None
+    steps = next(iter(kb.values()))
+    idx = assign_pseudo_steps([corrected], steps)[0]
+    return f"{corrected}. {steps[idx]}", idx
+
+
+def augment_text(text: str, level: str, kb: dict[str, list[str]] | None = None, vocab: dict[str, int] | None = None) -> str:
     """Rewrite one text according to its hierarchy level.
 
     narration: spell-correct each token against ``vocab`` and append the
-    most similar pseudo-step of ``title`` in the knowledge base (of its
-    first title when ``title`` is None); keystep: :func:`expand_keystep`;
+    most similar pseudo-step of the knowledge base's first title
+    (:func:`augment_narration`); keystep: :func:`expand_keystep`;
     abstract: :func:`summarize`.
     """
     if level == "narration":
-        words = text.split()
-        if vocab:
-            words = [spell_correct(w, vocab) for w in words]
-        corrected = " ".join(words)
-        steps = _kb_steps(kb, title)
-        if steps:
-            idx = assign_pseudo_steps([corrected], steps)[0]
-            return f"{corrected}. {steps[idx]}"
-        return corrected
+        return augment_narration(text, kb, vocab)[0]
     if level == "keystep":
         return expand_keystep(text)
     if level == "abstract":
         return summarize(text)
     raise ValueError(f"unknown level {level!r}; expected one of {TEXT_LEVELS}")
-
-
-def _kb_steps(kb, title):
-    if not kb:
-        return None
-    if title is not None:
-        if title not in kb:
-            raise KeyError(f"title {title!r} not in knowledge base")
-        return kb[title]
-    return next(iter(kb.values()))
 
 
 def sample_text(original, augmented, p: float, rng: np.random.Generator):

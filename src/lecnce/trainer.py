@@ -47,7 +47,6 @@ class TrainConfig:
     dtw_algorithm: str = "greedy"
     visual_layers: tuple[int, ...] = (32, 32)
     text_layers: tuple[int, ...] = (24, 32)
-    activation: str = "identity"
 
     def __post_init__(self):
         if len(self.schedule) != 3 or any(c < 0 for c in self.schedule):
@@ -65,8 +64,6 @@ class TrainConfig:
         check_minimums(self, epochs=1, learning_rate=0, weight_decay=0)
         if self.dtw_algorithm not in DTW_ALGORITHMS:
             raise FieldValueError("dtw_algorithm", f"must be one of {tuple(DTW_ALGORITHMS)}, got {self.dtw_algorithm!r}")
-        if self.activation not in enc.ACTIVATIONS:
-            raise FieldValueError("activation", f"must be one of {enc.ACTIVATIONS}, got {self.activation!r}")
         for name in ("visual_layers", "text_layers"):
             if len(getattr(self, name)) < 2 or min(getattr(self, name)) < 1:
                 raise FieldValueError(name, f"must list at least 2 dims >= 1, got {getattr(self, name)}")
@@ -160,8 +157,8 @@ class TrainerState:
 
 
 def init_trainer(cfg: TrainConfig, rng: np.random.Generator) -> TrainerState:
-    visual = enc.init_params(list(cfg.visual_layers), cfg.activation, rng)
-    text = enc.init_params(list(cfg.text_layers), cfg.activation, rng)
+    visual = enc.init_params(list(cfg.visual_layers), rng)
+    text = enc.init_params(list(cfg.text_layers), rng)
     return TrainerState(
         visual=visual,
         text=text,

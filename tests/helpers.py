@@ -6,11 +6,14 @@ per-row InfoNCE, per-matrix pooling, per-block training step,
 per-sample batcher, per-row data generator and per-query/per-class metric
 loops that the batched code must reproduce, the hinge that walks every
 alignment path, a Newton solver for the linear probe's objective, the
-evaluation protocols composed sample by sample, and the checkpoint layout
-written before the optimizer moments were packed."""
+evaluation protocols composed sample by sample, the checkpoint layout
+written before the optimizer moments were packed, and a loader for the
+benchmark's own modules."""
 
 import base64
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +35,15 @@ from lecnce.errors import DimMismatchError, EmptyPositiveSetError, NonFiniteLoss
 from lecnce.losses import LossValue, clip_lecnce, hier_lecnce
 from lecnce.numerics import as_matrix, cosine_similarity_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
 from lecnce.trainer import LEVELS, VIEW_DROPOUT_RATE, VIEW_NOISE_SIGMA
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py`` loaded read-only from its file, as the benchmark runs it apart from the program."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -221,8 +233,6 @@ def per_layer_backward(params: enc.EncoderParams, cache: enc.ForwardCache, grad_
         h_prev = cache.x if i == 0 else cache.hidden[i - 1]
         grads[i] = (h_prev.T @ delta, delta.sum(axis=0))
         delta = delta @ w.T
-        if i > 0 and params.activation == "tanh" and (i - 1) < last:
-            delta = delta * (1.0 - cache.hidden[i - 1] ** 2)
     return grads, delta
 
 
@@ -249,7 +259,7 @@ def per_array_adamw_step(params: enc.EncoderParams, grads, state: enc.OptimizerS
         new_m.append(m)
         new_v.append(v)
         new_flat.append(p)
-    new_params = enc.EncoderParams(layers=list(zip(new_flat[::2], new_flat[1::2])), activation=params.activation)
+    new_params = enc.EncoderParams(layers=list(zip(new_flat[::2], new_flat[1::2])))
     new_state = replace(state, step_count=t, first_moment=np.concatenate([m.ravel() for m in new_m]),
                         second_moment=np.concatenate([v.ravel() for v in new_v]))
     return new_params, new_state

@@ -54,7 +54,6 @@ PINNED_DEFAULTS = {
         "dtw_algorithm": "greedy",
         "visual_layers": [32, 32],
         "text_layers": [24, 32],
-        "activation": "identity",
     },
     "eval": {
         "recall_ks": [1, 5, 10],
@@ -157,7 +156,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("eval.probe_lr", 0.001), ("train.p_augmented", 0.5), ("loss.hinge_form", "literal"), ("loss.symmetric", False)],
+        [("eval.probe_lr", 0.001), ("train.p_augmented", 0.5), ("loss.hinge_form", "literal"), ("loss.symmetric", False),
+         ("train.activation", "identity")],
     )
     def test_retired_key_is_unknown(self, tmp_path, capsys, small_config, generated, key, value):
         section, name = key.split(".")
@@ -276,6 +276,15 @@ class TestGenerateData:
         out = tmp_path / "d"
         assert run(["generate-data", *flag, "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_that_cannot_be_drawn_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"data": {"latent_dim": 2}}))  # 12 steps 30 degrees apart on a circle
+        out = tmp_path / "d"
+        assert run(["generate-data", "--spec", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "step_library_size=12" in err and "latent_dim=2" in err
         assert not out.exists()
 
 
@@ -651,6 +660,15 @@ class TestAugmentCommand:
         assert lines[1]["original"] == "clipping cutting" and lines[1]["augmented"] != lines[1]["original"]
         assert lines[2]["augmented"].startswith("summary:")
 
+    def test_step_index_names_the_appended_step(self, tmp_path):
+        # the appended step "g" makes "g g g" the closest step to the augmented text
+        (tmp_path / "kb.json").write_text(json.dumps({"x": ["g g g", "b c", "d d f", "g"]}))
+        infile = tmp_path / "in.jsonl"
+        infile.write_text(json.dumps({"text": "f g g f", "level": "narration"}) + "\n")
+        outfile = tmp_path / "out.jsonl"
+        assert run(["augment", "--kb", str(tmp_path / "kb.json"), "--in", str(infile), "--out", str(outfile)]) == 0
+        assert json.loads(outfile.read_text()) == {"original": "f g g f", "augmented": "f g g f. g", "step_index": 3}
+
     def test_default_uses_mock_clients(self, tmp_path):
         infile = tmp_path / "in.jsonl"
         infile.write_text(json.dumps({"text": "clipping", "level": "keystep"}) + "\n")
@@ -870,12 +888,41 @@ def test_encoder_dims_checked_against_data(tmp_path, capsys, small_config, train
 
 
 class TestEvalInputChecks:
+    def test_shots_flag_is_a_usage_error(self, tmp_path, capsys, small_config):
+        argv = _command("eval", str(small_config), tmp_path) + ["--shots", "10"]  # eval.shots is the one way
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --shots 10" in err and "usage" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("shots", ["0", "-5", "150", "nan", "inf"])
     def test_shots_flag_checked_as_config_key(self, tmp_path, capsys, small_config, shots):
-        argv = _command("eval", str(small_config), tmp_path) + ["--shots", shots]
-        assert run(argv) == 1
+        # the values the deleted flag was checked with: as eval.shots they are refused at load, by that key
+        cfg = json.loads(small_config.read_text())
+        cfg["eval"]["shots"] = float(shots)
+        path = tmp_path / "shots.json"
+        path.write_text(json.dumps(cfg))
+        assert run(_command("eval", str(path), tmp_path)) == 1
         assert "'eval.shots'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+        assert run(_command("eval", str(small_config), tmp_path) + ["--shots", shots]) == 1
+        assert "unrecognized arguments: --shots" in capsys.readouterr().err
+
+    def test_one_class_probe_named_before_the_checkpoint(self, tmp_path, capsys, small_config):
+        cfg = json.loads(small_config.read_text())
+        cfg["data"]["steps_per_procedure"] = 1  # each video is one step, and 1 % of the videos is one video
+        cfg["eval"].update(shots=1, recall_ks=[1])  # the holdout has 2 clips
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["generate-data", "--spec", str(path), "--out", str(tmp_path / "data")]) == 0
+        argv = ["eval", "--config", str(path), "--checkpoint", str(tmp_path / "missing.json"),
+                "--data", str(tmp_path / "data"), "--out", str(tmp_path / "eval")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "'eval.shots'" in err and "1 step class" in err
+        assert not (tmp_path / "eval").exists()
+        assert run(argv + ["--zero-shot"]) == 1  # without the probe, the missing checkpoint is the next error
+        assert "missing.json" in capsys.readouterr().err
 
     def test_recall_k_beyond_retrieval_set(self, tmp_path, capsys, small_config, generated):
         cfg = json.loads(small_config.read_text())
@@ -930,7 +977,7 @@ def _near(default):
         return st.floats(0.0, 2 * default + 0.5)
     if isinstance(default, list):
         return st.tuples(*[st.integers(max(1, d // 2), 2 * d) for d in default]).map(list)
-    return st.sampled_from({"greedy": ["greedy", "dp"], "identity": ["identity", "tanh"]}[default])
+    return st.sampled_from({"greedy": ["greedy", "dp"]}[default])
 
 
 # the encoder dims must chain with the data dims, so they stay at their defaults

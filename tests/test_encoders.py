@@ -29,19 +29,19 @@ def flat_params(params):
 
 
 def params_from_flat(template, flat):
-    return EncoderParams(layers=template.split(flat), activation=template.activation)
+    return EncoderParams(layers=template.split(flat))
 
 
 class TestInitParams:
     def test_deterministic(self):
-        a = init_params([4, 4], "identity", make_rng(7))
-        b = init_params([4, 4], "identity", make_rng(7))
+        a = init_params([4, 4], make_rng(7))
+        b = init_params([4, 4], make_rng(7))
         for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             np.testing.assert_array_equal(wa, wb)
             np.testing.assert_array_equal(ba, bb)
 
     def test_biases_zero(self):
-        p = init_params([6, 5, 3], "tanh", make_rng(1))
+        p = init_params([6, 5, 3], make_rng(1))
         for _, b in p.layers:
             assert not b.any()
 
@@ -50,7 +50,7 @@ class TestInitParams:
         rng = make_rng(2)
         draws = []
         for _ in range(250):
-            p = init_params([4, 4], "identity", rng)
+            p = init_params([4, 4], rng)
             draws.append(p.layers[0][0].ravel())
         draws = np.concatenate(draws)
         assert draws.size == 4000
@@ -59,14 +59,14 @@ class TestInitParams:
 
     def test_bad_dims(self):
         with pytest.raises(BadDimsError):
-            init_params([4], "identity", make_rng(0))
+            init_params([4], make_rng(0))
         with pytest.raises(BadDimsError):
-            init_params([4, 0], "identity", make_rng(0))
+            init_params([4, 0], make_rng(0))
 
 
 class TestForward:
     def test_identity_map(self):
-        p = EncoderParams(layers=[(np.eye(3), np.zeros(3))], activation="identity")
+        p = EncoderParams(layers=[(np.eye(3), np.zeros(3))])
         x = unit_rows(make_rng(3), 4, 3)
         np.testing.assert_allclose(forward(p, x), x, atol=1e-12)
 
@@ -74,20 +74,19 @@ class TestForward:
         rng = make_rng(4)
         for _ in range(100):
             dims = [int(rng.integers(2, 7)) for _ in range(int(rng.integers(2, 4)))]
-            act = "tanh" if rng.random() < 0.5 else "identity"
-            p = init_params(dims, act, rng)
+            p = init_params(dims, rng)
             x = rng.normal(size=(int(rng.integers(1, 6)), dims[0]))
             out = forward(p, x)
             np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
 
     def test_dim_mismatch(self):
-        p = init_params([4, 2], "identity", make_rng(5))
+        p = init_params([4, 2], make_rng(5))
         with pytest.raises(DimMismatchError):
             forward(p, np.ones((2, 3)))
 
     def test_vjp_wrt_input_matches_finite_differences(self):
         rng = make_rng(6)
-        p = init_params([5, 4, 3], "tanh", rng)
+        p = init_params([5, 4, 3], rng)
         x = rng.normal(size=(3, 5))
         w = rng.normal(size=(3, 3))
         out, cache = forward(p, x, return_cache=True)
@@ -103,7 +102,7 @@ class TestForward:
 class TestBackward:
     def test_zero_grad_out(self):
         rng = make_rng(7)
-        p = init_params([4, 3], "identity", rng)
+        p = init_params([4, 3], rng)
         x = rng.normal(size=(2, 4))
         _, cache = forward(p, x, return_cache=True)
         grad = backward(p, cache, np.zeros((2, 3)))
@@ -112,7 +111,7 @@ class TestBackward:
 
     def test_radial_grad_out_annihilated(self):
         rng = make_rng(8)
-        p = init_params([4, 3], "tanh", rng)
+        p = init_params([4, 3], rng)
         x = rng.normal(size=(2, 4))
         out, cache = forward(p, x, return_cache=True)
         grad = backward(p, cache, 2.5 * out)  # parallel to each output row
@@ -120,14 +119,13 @@ class TestBackward:
         assert np.abs(per_layer_backward(p, cache, 2.5 * out)[1]).max() < 1e-12
 
     def test_missing_cache(self):
-        p = init_params([3, 2], "identity", make_rng(9))
+        p = init_params([3, 2], make_rng(9))
         with pytest.raises(MissingCacheError):
             backward(p, None, np.zeros((1, 2)))
 
-    @pytest.mark.parametrize("activation", ["identity", "tanh"])
-    def test_param_grads_match_finite_differences(self, activation):
+    def test_param_grads_match_finite_differences(self):
         rng = make_rng(10)
-        p = init_params([4, 5, 3], activation, rng)
+        p = init_params([4, 5, 3], rng)
         x = rng.normal(size=(3, 4))
         w = rng.normal(size=(3, 3))
         _, cache = forward(p, x, return_cache=True)
@@ -143,10 +141,10 @@ class TestBackward:
 class TestComposedWithLosses:
     """Parameter gradients through encoders and every loss, vs finite differences."""
 
-    def _setup(self, seed, activation="tanh"):
+    def _setup(self, seed):
         rng = make_rng(seed)
-        f = init_params([6, 4], activation, rng)
-        g = init_params([5, 4], activation, rng)
+        f = init_params([6, 4], rng)
+        g = init_params([5, 4], rng)
         return rng, f, g
 
     def test_info_nce_through_encoders(self):
@@ -207,7 +205,7 @@ class TestComposedWithLosses:
 class TestAdamW:
     def test_pure_decay_with_zero_gradients(self):
         rng = make_rng(13)
-        p = init_params([3, 2], "identity", rng)
+        p = init_params([3, 2], rng)
         state = init_optimizer(p, learning_rate=0.1, weight_decay=0.01)
         new_p, new_state = adamw_step(p, np.zeros_like(p.vector), state)
         for (w0, _), (w1, _) in zip(p.layers, new_p.layers):
@@ -215,7 +213,7 @@ class TestAdamW:
         assert new_state.step_count == 1
 
     def test_constant_gradient_approaches_sign_update(self):
-        p = EncoderParams(layers=[(np.zeros((1, 1)), np.zeros(1))], activation="identity")
+        p = EncoderParams(layers=[(np.zeros((1, 1)), np.zeros(1))])
         state = init_optimizer(p, learning_rate=0.05, weight_decay=0.0)
         g = np.full(2, 0.37)  # W, then b
         prev = p.layers[0][0].copy()
@@ -228,7 +226,7 @@ class TestAdamW:
         assert abs(per_step[0, 0] - 0.05) < 1e-3
 
     def test_step_count_increments(self):
-        p = init_params([2, 2], "identity", make_rng(14))
+        p = init_params([2, 2], make_rng(14))
         state = init_optimizer(p)
         zero = np.zeros_like(p.vector)
         for expected in (1, 2, 3):
@@ -236,7 +234,7 @@ class TestAdamW:
             assert state.step_count == expected
 
     def test_shape_mismatch(self):
-        p = init_params([2, 2], "identity", make_rng(15))
+        p = init_params([2, 2], make_rng(15))
         state = init_optimizer(p)
         with pytest.raises(ShapeMismatchError):
             adamw_step(p, np.zeros(3), state)
@@ -247,7 +245,7 @@ class TestAdamW:
 class TestFlatLayout:
     def test_layers_are_views_of_one_vector(self):
         w0, b0, w1, b1 = np.arange(12.0).reshape(3, 4), np.arange(4.0), np.arange(8.0).reshape(4, 2), np.arange(2.0)
-        p = EncoderParams(layers=[(w0, b0), (w1, b1)], activation="tanh")
+        p = EncoderParams(layers=[(w0, b0), (w1, b1)])
         np.testing.assert_array_equal(p.vector, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
         for a, want in zip(p.flat(), (w0, b0, w1, b1), strict=True):
             assert np.shares_memory(a, p.vector) and not np.shares_memory(a, want)
@@ -263,7 +261,7 @@ class TestFlatLayout:
             EncoderParams(layers=[(np.ones((3, 2)), np.zeros(2)), (w, np.zeros(2))])
 
     def test_adamw_overflow_names_its_layer(self):
-        p = init_params([3, 2, 2], "identity", make_rng(19))
+        p = init_params([3, 2, 2], make_rng(19))
         state = init_optimizer(p, learning_rate=1e308, weight_decay=0.0)
         grad = np.zeros_like(p.vector)
         grad[-1] = 1e10  # the last bias moves by lr * 1e10 / (1e10 + eps), which overflows
@@ -274,11 +272,10 @@ class TestFlatLayout:
 class TestFlatOracles:
     """The flat backward and the fused AdamW equal the per-layer and per-array loops they replace, with ==."""
 
-    @pytest.mark.parametrize("activation", ["identity", "tanh"])
     @pytest.mark.parametrize("dims", [[5, 4, 3], [6, 5, 4, 3]])
-    def test_backward_and_adamw_equal_their_oracles(self, activation, dims):
+    def test_backward_and_adamw_equal_their_oracles(self, dims):
         rng = make_rng(20 + len(dims))
-        p = init_params(dims, activation, rng)
+        p = init_params(dims, rng)
         state = init_optimizer(p, learning_rate=0.05, weight_decay=0.01)
         oracle_p, oracle_state = p, state
         for _ in range(4):
@@ -313,7 +310,7 @@ BAD_HYPERPARAMETERS = [
 class TestOptimizerHyperparameters:
     @pytest.mark.parametrize("name, value", BAD_HYPERPARAMETERS)
     def test_constructor_rejects_what_the_loader_rejects(self, tmp_path, name, value):
-        p = init_params([3, 2], "identity", make_rng(21))
+        p = init_params([3, 2], make_rng(21))
         with pytest.raises(ValueError, match=f"^{name} must be"):
             init_optimizer(p, **{name: value})
         path = tmp_path / "c.json"
@@ -325,12 +322,12 @@ class TestOptimizerHyperparameters:
             load_checkpoint(path)
 
     def test_beta1_one_fails_before_any_step(self):
-        p = init_params([3, 2], "identity", make_rng(22))
+        p = init_params([3, 2], make_rng(22))
         with pytest.raises(ValueError, match=r"beta1 must be a finite number in \[0, 1\), got 1.0"):
             init_optimizer(p, beta1=1.0)
 
     def test_accepted_edges_train_and_reload(self, tmp_path):
-        p = init_params([3, 2], "identity", make_rng(23))
+        p = init_params([3, 2], make_rng(23))
         state = init_optimizer(p, learning_rate=0, weight_decay=0.0, beta1=0.0, beta2=0.0, epsilon=1e-300)
         p, state = adamw_step(p, np.ones_like(p.vector), state)
         save_checkpoint(tmp_path / "c.json", p, p, state, state, seed=0)
@@ -340,8 +337,8 @@ class TestOptimizerHyperparameters:
 class TestCheckpoint:
     def test_roundtrip_byte_identical(self, tmp_path):
         rng = make_rng(16)
-        f = init_params([4, 3], "tanh", rng)
-        g = init_params([5, 3], "identity", rng)
+        f = init_params([4, 3], rng)
+        g = init_params([5, 3], rng)
         sf = init_optimizer(f)
         sg = init_optimizer(g)
         # push some non-trivial optimizer state
@@ -365,8 +362,8 @@ class TestCheckpoint:
 
     def test_bytes_match_streamed_json_dump(self, tmp_path):
         rng = make_rng(17)
-        f = init_params([6, 4, 3], "tanh", rng)
-        g = init_params([5, 3], "identity", rng)
+        f = init_params([6, 4, 3], rng)
+        g = init_params([5, 3], rng)
         sf, sg = init_optimizer(f), init_optimizer(g)
         f, sf = adamw_step(f, rng.normal(size=f.vector.shape), sf)
         path = tmp_path / "ck.json"
@@ -382,8 +379,8 @@ class TestCheckpoint:
 def trained_checkpoint(path):
     """A checkpoint of two encoders after two AdamW steps each, so every moment is non-trivial."""
     rng = make_rng(18)
-    f = init_params([6, 4, 3], "tanh", rng)
-    g = init_params([5, 3], "identity", rng)
+    f = init_params([6, 4, 3], rng)
+    g = init_params([5, 3], rng)
     sf, sg = init_optimizer(f), init_optimizer(g, learning_rate=0.01, beta2=0.99)
     for _ in range(2):
         f, sf = adamw_step(f, rng.normal(size=f.vector.shape), sf)
@@ -429,7 +426,7 @@ class TestPackedCheckpoint:
         digest = hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays))
         scalars = {
             "shapes": [list(a.shape) for a in arrays],
-            "activations": ["tanh", "identity"],
+            "activations": ["identity", "identity"],
             "optimizers": [{k: v for k, v in payload[key].items() if k not in ("first_moment", "second_moment")}
                            for key in ("visual_optimizer", "text_optimizer")],
             "seed": 7,
@@ -465,10 +462,14 @@ class TestPackedCheckpoint:
             (lambda p: p["text_optimizer"]["first_moment"][0].update(shape=[3, 5]), "text_optimizer.first_moment[0]"),
             (lambda p: p["visual"].update(layer_dims=[-1, 4, 3]), "layer_dims [-1, 4, 3] do not match"),
             (_unused_base64_bit, "visual_optimizer.first_moment[1] is not canonical base64"),
+            # a checkpoint of the removed tanh encoders: the activation is checked before the hash
+            (lambda p: p["visual"].update(activation="tanh"), "visual.activation must be 'identity', got 'tanh'"),
+            (lambda p: p["text"].update(activation="tanh"), "text.activation must be 'identity', got 'tanh'"),
         ],
         ids=["nan_moment", "negative_second_moment", "step_count_str", "step_count_negative", "beta1", "beta2",
              "epsilon", "learning_rate_inf", "weight_decay_bool", "seed_str", "seed_negative", "seed_null",
-             "visual_optimizer_null", "text_optimizer_null", "schedule_position", "moment_count", "moment_shape", "layer_dims", "unused_base64_bit"],
+             "visual_optimizer_null", "text_optimizer_null", "schedule_position", "moment_count", "moment_shape", "layer_dims", "unused_base64_bit",
+             "visual_tanh", "text_tanh"],
     )
     def test_invalid_value_names_the_key(self, tmp_path, edit, named):
         path = tmp_path / "c.json"

@@ -382,7 +382,7 @@ class TestAugmentText:
 
     def test_narration_spell_corrects_and_appends_step(self, vocab):
         kb = {"toy": ["grasp the duct", "cut the artery"]}
-        out = augment_text("graspr the duct", "narration", kb=kb, vocab=vocab, title="toy")
+        out = augment_text("graspr the duct", "narration", kb=kb, vocab=vocab)
         assert out.startswith("grasper the duct")
         assert "grasp the duct" in out
 
