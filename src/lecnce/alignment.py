@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyMatrixError, NonFiniteError, PathMismatchError
+from .errors import DimMismatchError, EmptyMatrixError, NonFiniteError
 from .numerics import as_matrix, as_stack
 
 
@@ -274,7 +274,7 @@ def dtw_subgradient(c: CostMatrix | np.ndarray, result: AlignmentResult) -> np.n
     outside = (cells < 1).any(axis=1) | (cells[:, 0] > t) | (cells[:, 1] > n)
     if outside.any():
         i, j = cells[np.argmax(outside)]
-        raise PathMismatchError(f"path cell ({i}, {j}) outside {t}x{n} matrix")
+        raise DimMismatchError(f"path cell ({i}, {j}) outside {t}x{n} matrix")
     grad = np.zeros((t, n), dtype=np.float64)
     grad[cells[:, 0] - 1, cells[:, 1] - 1] = 1.0
     return grad

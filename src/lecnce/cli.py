@@ -24,8 +24,8 @@ from . import encoders as enc
 from . import evalkit, textaug
 from .alignment import DTW_ALGORITHMS, CostMatrix, align, reverse_columns
 from .datagen import ProcedureSpec, SplitSpec, generate_dataset, load_dataset, save_dataset
-from .errors import (ConfigError, FieldValueError, InputError, LecnceError, NonFiniteError, UnknownKeyError, read_json,
-                     read_text)
+from .errors import (ConfigError, FieldValueError, InputError, LecnceError, NonFiniteError, UnknownKeyError, is_a,
+                     read_json, read_text)
 from .losses import LossConfig
 from .trainer import TrainConfig, train_run
 
@@ -61,21 +61,15 @@ def _config_fields(cls) -> tuple:
                  for f in dataclasses.fields(cls) if f.name not in NOT_CONFIG_KEYS)
 
 
-def _is_a(value, hint) -> bool:
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
-
-
 def _checked(key: str, value, hint):
     """``value`` if it has type ``hint``; a tuple type takes a JSON list of its length."""
     args = typing.get_args(hint)
     if args:
         n = None if args[-1] is Ellipsis else len(args)
         what = f"a list of {n or 'one or more'} entries, each {_TYPE_NAMES[args[0]]}"
-        ok = isinstance(value, list) and 0 < len(value) == (n or len(value)) and all(_is_a(v, args[0]) for v in value)
+        ok = isinstance(value, list) and 0 < len(value) == (n or len(value)) and all(is_a(v, args[0]) for v in value)
     else:
-        what, ok = _TYPE_NAMES[hint], _is_a(value, hint)
+        what, ok = _TYPE_NAMES[hint], is_a(value, hint)
     if not ok:
         raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     return value
@@ -301,7 +295,7 @@ def _read_cost_matrix(path: str) -> CostMatrix:
             raise InputError(f"matrix file {path}: unknown key {key!r}; 'values' is the only key")
     values = payload["values"]
     grid_error = f"matrix file {path}: 'values' must be a non-empty rectangular grid of finite, non-negative numbers"
-    if not (isinstance(values, list) and all(isinstance(row, list) and all(_is_a(v, float) for v in row)
+    if not (isinstance(values, list) and all(isinstance(row, list) and all(is_a(v, float) for v in row)
                                              for row in values)):
         raise InputError(f"{grid_error}, each a JSON number")
     try:

@@ -26,11 +26,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field, fields
+import typing
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
-from .errors import CorruptFileError, FieldValueError, InfeasibleSpecError, check_minimums
+from .errors import CorruptFileError, FieldValueError, InfeasibleSpecError, check_minimums, is_a
 from .numerics import f8le, make_rng
 
 LEVELS = ("clip", "phase", "video")
@@ -356,21 +357,26 @@ def load_dataset(in_dir) -> tuple[Dataset, Dataset]:
     """Inverse of :func:`save_dataset`.
 
     Raises :class:`CorruptFileError` when a file does not match its hash,
-    the manifest does not describe a dataset or leaves a split empty, or a
-    blob's size differs from the one its spec and step orders imply.
+    the manifest does not describe a dataset, gives a ``spec`` field a value
+    of the wrong type (checked as the config's ``data`` section is) or leaves
+    a split empty, or a blob's size differs from the one its spec and step
+    orders imply.
     """
     path = os.path.join(in_dir, "manifest.json")
     manifest = _read_manifest(path)
     try:
-        spec = ProcedureSpec(**manifest["spec"])
+        given = dict(manifest["spec"])
+        for name, hint in typing.get_type_hints(ProcedureSpec).items():
+            if name in given and not is_a(given[name], hint):
+                raise CorruptFileError(f"{path} spec.{name} must be of type {hint.__name__}, got {given[name]!r}")
+        spec = ProcedureSpec(**given)
         train_ids, hold_ids = manifest["train_procedures"], manifest["holdout_procedures"]
         ids = sorted(train_ids + hold_ids)
         orders = np.array(manifest["step_orders"])
         digests = [manifest["files"][name] for name in ("groundtruth.bin", "data.bin")]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path} does not describe a dataset ({type(exc).__name__}: {exc})") from None
-    if not (all(type(getattr(spec, f.name)) is int for f in fields(spec) if f.type == "int")
-            and all(type(i) is int for i in ids) and ids == sorted(set(ids))
+    if not (all(type(i) is int for i in ids) and ids == sorted(set(ids))
             and orders.dtype.kind == "i" and orders.shape == (len(ids), spec.steps_per_procedure)
             and 0 <= orders.min() and orders.max() < spec.step_library_size):
         raise CorruptFileError(f"{path} lists procedure ids or step orders that do not fit its spec")

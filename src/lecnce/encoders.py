@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import BadDimsError, CorruptFileError, DimMismatchError, MissingCacheError, ShapeMismatchError, ZeroVectorError
-from .numerics import as_matrix, f8le
+from .errors import CorruptFileError, DimMismatchError, MissingCacheError, ZeroVectorError
+from .numerics import ZERO_NORM_TOL, as_matrix, f8le
 
 
 @dataclass
@@ -42,12 +42,12 @@ class EncoderParams:
 
     def __post_init__(self):
         if not self.layers:
-            raise BadDimsError("encoder needs at least one layer")
+            raise DimMismatchError("encoder needs at least one layer")
         for i, (w, b) in enumerate(self.layers):
             if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
-                raise BadDimsError(f"layer {i} shapes do not chain: W {w.shape}, b {b.shape}")
+                raise DimMismatchError(f"layer {i} shapes do not chain: W {w.shape}, b {b.shape}")
             if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
-                raise BadDimsError(f"layer {i} fan_in {w.shape[0]} != previous fan_out")
+                raise DimMismatchError(f"layer {i} fan_in {w.shape[0]} != previous fan_out")
         vector = np.concatenate([a.ravel() for a in self.flat()], dtype=np.float64)
         _check_finite(self, vector)
         self.vector, self.layers = vector, self.split(vector)
@@ -93,7 +93,7 @@ class ForwardCache:
 def init_params(layer_dims: list[int], rng: np.random.Generator | None = None) -> EncoderParams:
     """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise BadDimsError(f"need at least [in, out] with positive dims, got {layer_dims}")
+        raise DimMismatchError(f"need at least [in, out] with positive dims, got {layer_dims}")
     if rng is None:
         rng = np.random.default_rng(0)
     layers = []
@@ -123,7 +123,7 @@ def forward(params: EncoderParams, x, return_cache: bool = False):
     out += b
     # np.linalg.norm's own formula for real rows, without its conj() copy
     norms = np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
-    if np.any(norms < 1e-12):
+    if np.any(norms < ZERO_NORM_TOL):
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"row {bad} collapsed to zero before normalization")
     out /= norms
@@ -143,7 +143,7 @@ def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> np.
         raise MissingCacheError("backward needs the cache from forward(..., return_cache=True)")
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != cache.output.shape:
-        raise ShapeMismatchError(f"grad_out shape {grad_out.shape} != output shape {cache.output.shape}")
+        raise DimMismatchError(f"grad_out shape {grad_out.shape} != output shape {cache.output.shape}")
 
     u = cache.output
     radial = (u * grad_out).sum(axis=1, keepdims=True)
@@ -210,7 +210,7 @@ def adamw_step(params: EncoderParams, grad, state: OptimizerState) -> tuple[Enco
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.vector.shape:
-        raise ShapeMismatchError(f"gradient shape {grad.shape} != parameter vector shape {params.vector.shape}")
+        raise DimMismatchError(f"gradient shape {grad.shape} != parameter vector shape {params.vector.shape}")
 
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
@@ -322,7 +322,7 @@ def _moments(state: OptimizerState, params: EncoderParams) -> dict[str, list[np.
     for name in _MOMENTS:
         vector = getattr(state, name)
         if vector.shape != params.vector.shape:
-            raise ShapeMismatchError(f"{name} shape {vector.shape} != parameter vector shape {params.vector.shape}")
+            raise DimMismatchError(f"{name} shape {vector.shape} != parameter vector shape {params.vector.shape}")
         out[name] = [a for layer in params.split(vector) for a in layer]
     return out
 
@@ -432,7 +432,7 @@ def load_checkpoint(path) -> dict:
         }
         digest = _checkpoint_sha256(*out.values())  # out lists the values in the hash's parameter order
     # json's errors are ValueErrors; a huge integer where a float belongs is an OverflowError
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError, BadDimsError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, DimMismatchError) as exc:
         raise CorruptFileError(f"checkpoint {path} is not readable ({type(exc).__name__}: {exc})") from None
     if payload["sha256"] != digest:
         raise CorruptFileError(f"checkpoint {path} sha256 mismatch; the file is corrupt or was altered")

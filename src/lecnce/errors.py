@@ -1,10 +1,14 @@
 """Exception types shared across the package.
 
-Each class names one contract violation; callers can catch the narrow type
-or the common :class:`LecnceError` base.
+Each class names one contract, and each contract has one class: a wrong
+shape raises :class:`DimMismatchError`, a non-finite value
+:class:`NonFiniteError`, and an out-of-range config field or function
+argument :class:`FieldValueError` naming it.  Callers can catch the narrow
+type or the common :class:`LecnceError` base.
 """
 
 import json
+import sys
 
 
 class LecnceError(Exception):
@@ -16,55 +20,23 @@ class ZeroVectorError(LecnceError):
 
 
 class DimMismatchError(LecnceError):
-    """Operand shapes do not chain."""
-
-
-class NonPositiveTemperatureError(LecnceError):
-    """Softmax temperature must be strictly positive."""
+    """Operand shapes do not chain, paired arrays disagree in shape, or encoder layer dims are invalid."""
 
 
 class NonFiniteError(LecnceError):
-    """A computation produced or encountered a non-finite value."""
+    """A computation produced or encountered a non-finite value, a training loss included."""
 
 
 class EmptyMatrixError(LecnceError):
     """A matrix with zero rows or columns where at least one cell is required."""
 
 
-class PathMismatchError(LecnceError):
-    """An alignment path refers to cells outside its cost matrix."""
-
-
-class EmptyPositiveSetError(LecnceError):
-    """A contrastive row has no positive targets."""
-
-
 class RowNotNormalizedError(LecnceError):
     """An embedding row deviates from unit norm beyond tolerance."""
 
 
-class ShapeMismatchError(LecnceError):
-    """Paired arrays disagree in shape."""
-
-
-class EmptyChildSequenceError(LecnceError):
-    """A hierarchical sample carries no child texts."""
-
-
-class BadDimsError(LecnceError):
-    """Encoder layer dimensions are invalid."""
-
-
 class MissingCacheError(LecnceError):
     """Backward pass invoked without a cached forward pass."""
-
-
-class EmptyWordError(LecnceError):
-    """Edit-candidate generation needs a non-empty word."""
-
-
-class EmptyCorpusError(LecnceError):
-    """Similarity-based assignment needs a non-empty step list."""
 
 
 class KExceedsCorpusError(LecnceError):
@@ -75,12 +47,8 @@ class SingleClassError(LecnceError):
     """Linear probing needs at least two classes in the training labels."""
 
 
-class LengthMismatchError(LecnceError):
-    """Predictions and labels differ in length."""
-
-
 class FieldValueError(LecnceError, ValueError):
-    """A config dataclass field holds a value outside its valid range; ``field`` names it."""
+    """A config field or function argument holds a value outside its valid range; ``field`` names it."""
 
     def __init__(self, field: str, requirement: str):
         super().__init__(f"{field} {requirement}")
@@ -94,16 +62,8 @@ def check_minimums(obj, **minimums) -> None:
             raise FieldValueError(name, f"must be finite and >= {low}, got {getattr(obj, name)}")
 
 
-class AllZeroScheduleError(FieldValueError):
-    """Training schedule has zero batches at every level."""
-
-
 class MissingLevelDataError(LecnceError):
     """A training run needs samples at every scheduled level."""
-
-
-class NonFiniteLossError(LecnceError):
-    """A training step produced a non-finite loss."""
 
 
 class InputError(LecnceError):
@@ -141,3 +101,10 @@ def read_json(path, error: type[InputError] = InputError):
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise error(f"{path} line {exc.lineno} column {exc.colno}: not valid JSON ({exc.msg})") from None
+
+
+def is_a(value, hint) -> bool:
+    """Whether the JSON value ``value`` has the scalar type ``hint``: a bool is not a number, a float is finite."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))

@@ -19,7 +19,6 @@ from .errors import (
     DimMismatchError,
     FieldValueError,
     KExceedsCorpusError,
-    LengthMismatchError,
     SingleClassError,
     check_minimums,
 )
@@ -111,6 +110,7 @@ class ProbeResult:
 
 
 PROBE_TOL = 1e-4  # the fit stops once the objective's gradient norm is below this
+PROBE_TEST_FRACTION = 0.25  # share of the rows held out when no explicit test set is given
 _MEMORY = 10  # curvature pairs the L-BFGS direction remembers
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 _HALVINGS = 40  # step halvings before a line search gives up and the fit stops
@@ -165,7 +165,6 @@ def linear_probe(
     rng: np.random.Generator | None = None,
     test_features=None,
     test_labels=None,
-    test_fraction: float = 0.25,
     tol: float = PROBE_TOL,
 ) -> ProbeResult:
     """Multinomial logistic regression on frozen features, fit by full-batch L-BFGS.
@@ -179,26 +178,24 @@ def linear_probe(
     and is never predicted.
     The fit is deterministic and, up to rounding, independent of the row
     order; ``rng`` only draws the held-out split when no explicit test set
-    is given.  The features are never modified.  ``lr`` and ``tol`` must be
-    finite and > 0 and ``test_fraction`` in (0, 1), or FieldValueError names
-    the argument.
+    is given, :data:`PROBE_TEST_FRACTION` of the rows.  The features are
+    never modified.  ``lr`` and ``tol`` must be finite and > 0, or
+    FieldValueError names the argument.
     """
     for name, value in (("lr", lr), ("tol", tol)):
         if not (np.isfinite(value) and value > 0):
             raise FieldValueError(name, f"must be a finite number > 0, got {value}")
-    if not 0 < test_fraction < 1:
-        raise FieldValueError("test_fraction", f"must be in (0, 1), got {test_fraction}")
     features = as_matrix(features, "features")
     labels = _class_ids(labels, "labels")
     if labels.shape != (features.shape[0],):
-        raise LengthMismatchError(f"labels of shape {labels.shape} for {features.shape[0]} rows")
+        raise DimMismatchError(f"labels of shape {labels.shape} for {features.shape[0]} rows")
     if (test_features is None) != (test_labels is None):
         raise FieldValueError("test_features", "and test_labels must be given together")
     rng = rng if rng is not None else make_rng(0)
 
     if test_features is None:
         n = features.shape[0]
-        n_test = max(1, int(np.floor(test_fraction * n)))
+        n_test = max(1, int(np.floor(PROBE_TEST_FRACTION * n)))
         perm = rng.permutation(n)
         test_idx, train_idx = perm[:n_test], perm[n_test:]
         x_train, y_train = features[train_idx], labels[train_idx]
@@ -210,7 +207,7 @@ def linear_probe(
         if x_test.shape[1] != features.shape[1]:
             raise DimMismatchError(f"test_features have dim {x_test.shape[1]}, features {features.shape[1]}")
         if y_test.shape != (x_test.shape[0],):
-            raise LengthMismatchError(f"test_labels of shape {y_test.shape} for {x_test.shape[0]} test rows")
+            raise DimMismatchError(f"test_labels of shape {y_test.shape} for {x_test.shape[0]} test rows")
 
     classes = np.unique(y_train)
     if classes.size < 2:
@@ -265,7 +262,7 @@ def accuracy_f1(preds, labels, n_classes: int) -> tuple[float, float, list[float
     preds = _class_ids(preds, "preds", n_classes)
     labels = _class_ids(labels, "labels", n_classes)
     if preds.shape != labels.shape:
-        raise LengthMismatchError(f"preds shape {preds.shape} != labels shape {labels.shape}")
+        raise DimMismatchError(f"preds shape {preds.shape} != labels shape {labels.shape}")
     accuracy = float(np.mean(preds == labels)) if labels.size else 0.0
     tp = np.bincount(labels[preds == labels], minlength=n_classes)
     denom = sum(np.bincount(ids.ravel(), minlength=n_classes) for ids in (preds, labels))  # 2tp + fp + fn

@@ -19,18 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import CostMatrix, align_batch, align_stack
-from .errors import (
-    DimMismatchError,
-    EmptyChildSequenceError,
-    EmptyMatrixError,
-    EmptyPositiveSetError,
-    FieldValueError,
-    RowNotNormalizedError,
-    ShapeMismatchError,
-    ZeroVectorError,
-    check_minimums,
-)
-from .numerics import as_matrix, as_stack, log_softmax_rows, softmax_rows
+from .errors import DimMismatchError, FieldValueError, RowNotNormalizedError, ZeroVectorError, check_minimums
+from .numerics import ZERO_NORM_TOL, as_matrix, as_stack, log_softmax_rows, softmax_rows
 
 ROW_NORM_TOL = 1e-6
 
@@ -99,7 +89,7 @@ def _row_nce(z: np.ndarray, positives: Sequence[Sequence[int]]) -> tuple[float, 
         for i, pos in enumerate(positives):
             idx = np.asarray(sorted(set(int(j) for j in pos)), dtype=int)
             if idx.size == 0:
-                raise EmptyPositiveSetError(f"row {i} has no positives")
+                raise FieldValueError("positives", f"row {i} has no positives")
             if idx.min() < 0 or idx.max() >= m:
                 raise DimMismatchError(f"row {i} positive index out of range for {m} columns")
             pos_sum = exp[i, idx].sum()
@@ -120,11 +110,13 @@ def info_nce(
     loss is the mean over rows of -log of the positive mass under the
     row softmax of ``sim / temperature``.  With ``symmetric=True`` the
     matrix must be square and the column direction (single positive on the
-    diagonal) is averaged in, matching two-way retrieval training.
+    diagonal) is averaged in, matching two-way retrieval training.  A
+    temperature that is not > 0, or a row without positives, raises
+    :class:`FieldValueError`.
     """
     sim = as_matrix(sim, "sim")
     if not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+        raise FieldValueError("temperature", f"must be > 0, got {temperature}")
     if symmetric and sim.shape[0] != sim.shape[1]:
         raise DimMismatchError(f"symmetric loss needs a square matrix, got {sim.shape}")
     return _info_nce(sim, positives, temperature, symmetric)
@@ -203,7 +195,7 @@ def dtw_hinge(
     inactive.  The pair is aligned in one :func:`align_batch` call.
     """
     if c_forward.shape != c_reversed.shape:
-        raise ShapeMismatchError(f"cost matrices differ in shape: {c_forward.shape} vs {c_reversed.shape}")
+        raise DimMismatchError(f"cost matrices differ in shape: {c_forward.shape} vs {c_reversed.shape}")
     (fwd, rev), paths = align_batch([c_forward.values, c_reversed.values], algorithm)
     value, active = _hinge(fwd - rev, phi)
     grad_fwd, grad_rev = (paths[0], -paths[1]) if active else np.zeros(paths.shape)
@@ -258,7 +250,7 @@ def pool_segments(segments) -> tuple[np.ndarray, tuple]:
     z = segments.mean(axis=1)
     # a (1, d) @ (d, 1) product per row is the dot np.linalg.norm takes of a vector
     norms = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
-    if np.any(norms < 1e-12):
+    if np.any(norms < ZERO_NORM_TOL):
         raise ZeroVectorError(f"segment {int(np.argmin(norms))} pooled row collapsed to zero")
     u = z / norms[:, None]
     return u, (u, norms, segments.shape[1])
@@ -289,7 +281,7 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     parent_texts = as_matrix(parent_texts, "parent_texts")
     b, d = parent_texts.shape
     frames = as_stack(segment_frames, "segment_frames")
-    children = as_stack(child_texts, "child_texts", EmptyChildSequenceError)
+    children = as_stack(child_texts, "child_texts")
     for name, m in (("segment_frames", frames), ("child_texts", children)):
         if m.shape[0] != b or m.shape[2] != d:
             raise DimMismatchError(f"{name} must have shape ({b}, rows, {d}) for {b} parent texts, got {m.shape}")

@@ -12,14 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    EmptyMatrixError,
-    FieldValueError,
-    NonFiniteError,
-    NonPositiveTemperatureError,
-    ZeroVectorError,
-)
+from .errors import DimMismatchError, EmptyMatrixError, FieldValueError, NonFiniteError, ZeroVectorError
 
 ZERO_NORM_TOL = 1e-12
 
@@ -44,11 +37,12 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_stack(values, name: str = "stack", empty: type[Exception] = EmptyMatrixError) -> np.ndarray:
+def as_stack(values, name: str = "stack") -> np.ndarray:
     """Coerce a (B, rows, cols) array or B equal-shape matrices to a finite, non-empty 3-D float64 array.
 
-    A stack without cells raises ``empty``; a non-finite entry raises
-    :class:`NonFiniteError` naming the first matrix ``name[k]`` that holds one.
+    A stack without cells raises :class:`EmptyMatrixError` naming ``name``; a
+    non-finite entry raises :class:`NonFiniteError` naming the first matrix
+    ``name[k]`` that holds one.
     """
     try:
         m = np.asarray(values, dtype=np.float64)
@@ -57,7 +51,7 @@ def as_stack(values, name: str = "stack", empty: type[Exception] = EmptyMatrixEr
     if m.ndim != 3:
         raise DimMismatchError(f"{name} must be a (B, rows, cols) stack, got shape {m.shape}")
     if m.size == 0:
-        raise empty(f"{name} has no cells, shape {m.shape}")
+        raise EmptyMatrixError(f"{name} has no cells, shape {m.shape}")
     if not np.isfinite(m).all():
         bad = int(np.argmin(np.isfinite(m).all(axis=(1, 2))))
         raise NonFiniteError(f"{name}[{bad}] contains non-finite values")
@@ -124,10 +118,11 @@ def softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
     """Row-wise softmax of ``m / temperature`` with max-subtraction.
 
     Max-subtraction keeps ``exp`` in range even at temperatures like 0.1
-    where raw logits would overflow.
+    where raw logits would overflow.  A temperature that is not > 0 raises
+    :class:`FieldValueError` naming ``temperature``.
     """
     if not temperature > 0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
+        raise FieldValueError("temperature", f"must be > 0, got {temperature}")
     m = as_matrix(m)
     z = m / temperature
     z = z - z.max(axis=1, keepdims=True)
@@ -136,9 +131,9 @@ def softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
 
 
 def log_softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise log-softmax of ``m / temperature``, max-stabilized."""
+    """Row-wise log-softmax of ``m / temperature``, max-stabilized; ``temperature`` is checked as in :func:`softmax_rows`."""
     if not temperature > 0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
+        raise FieldValueError("temperature", f"must be > 0, got {temperature}")
     m = as_matrix(m)
     z = m / temperature
     z = z - z.max(axis=1, keepdims=True)

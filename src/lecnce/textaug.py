@@ -16,7 +16,7 @@ import re
 
 import numpy as np
 
-from .errors import EmptyCorpusError, EmptyWordError, InputError, read_json, read_text
+from .errors import FieldValueError, InputError, read_json, read_text
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _LETTERS = frozenset(ALPHABET)
@@ -67,7 +67,7 @@ def edit_candidates(word: str, max_distance: int = 2) -> set[str]:
     edit of each of its members.
     """
     if not word:
-        raise EmptyWordError("word must be non-empty")
+        raise FieldValueError("word", "must be non-empty")
     if max_distance not in (1, 2):
         raise ValueError(f"max_distance must be 1 or 2, got {max_distance}")
     one = _edits1(word)
@@ -186,7 +186,7 @@ def assign_pseudo_steps(narrations: list[str], steps: list[str]) -> list[int]:
     resolve to the lowest step index.
     """
     if not steps:
-        raise EmptyCorpusError("step list is empty")
+        raise FieldValueError("steps", "must be non-empty")
     step_tokens = [tokenize(s) for s in steps]
     vocab = sorted({t for toks in step_tokens for t in toks})
     n = len(steps)

@@ -22,7 +22,7 @@ import numpy as np
 from . import encoders as enc
 from .alignment import DTW_ALGORITHMS
 from .datagen import LEVELS, Dataset, Level
-from .errors import AllZeroScheduleError, FieldValueError, MissingLevelDataError, NonFiniteLossError, check_minimums
+from .errors import FieldValueError, MissingLevelDataError, NonFiniteError, check_minimums
 from .losses import LossConfig, clip_lecnce, hier_lecnce, pool_segments, pool_segments_backward
 from .numerics import make_rng, subsample_frames
 
@@ -52,7 +52,7 @@ class TrainConfig:
         if len(self.schedule) != 3 or any(c < 0 for c in self.schedule):
             raise FieldValueError("schedule", "must be three non-negative counts")
         if sum(self.schedule) == 0:
-            raise AllZeroScheduleError("schedule", "has zero batches at every level")
+            raise FieldValueError("schedule", "has zero batches at every level")
         for name in ("batch_sizes", "frames"):
             if len(getattr(self, name)) != len(LEVELS):
                 raise FieldValueError(name, f"must have one entry per level {LEVELS}, got {getattr(self, name)}")
@@ -86,7 +86,7 @@ class TrainLog:
         if self.records and rec.global_step <= self.records[-1].global_step:
             raise ValueError("global_step must be strictly increasing")
         if not np.isfinite(rec.total):
-            raise NonFiniteLossError(f"non-finite loss at step {rec.global_step} level {rec.level}")
+            raise NonFiniteError(f"non-finite loss at step {rec.global_step} level {rec.level}")
         self.records.append(rec)
 
     def level_totals(self, level: str) -> list[float]:
@@ -215,7 +215,7 @@ def train_step(
     t_grad = enc.backward(state.text, t_cache, grad_texts)
 
     if not np.isfinite(loss.value):
-        raise NonFiniteLossError(f"non-finite loss at step {global_step} level {level}")
+        raise NonFiniteError(f"non-finite loss at step {global_step} level {level}")
     state.visual, state.visual_opt = enc.adamw_step(state.visual, v_grad, state.visual_opt)
     state.text, state.text_opt = enc.adamw_step(state.text, t_grad, state.text_opt)
 

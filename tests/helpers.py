@@ -31,7 +31,7 @@ from lecnce.datagen import (
     _sample_concepts,
     _split_ids,
 )
-from lecnce.errors import DimMismatchError, EmptyPositiveSetError, NonFiniteLossError, ZeroVectorError
+from lecnce.errors import DimMismatchError, FieldValueError, NonFiniteError, ZeroVectorError
 from lecnce.losses import LossValue, clip_lecnce, hier_lecnce
 from lecnce.numerics import as_matrix, cosine_similarity_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
 from lecnce.trainer import LEVELS, VIEW_DROPOUT_RATE, VIEW_NOISE_SIGMA
@@ -288,7 +288,7 @@ def row_nce_loop(z: np.ndarray, positives) -> tuple[float, np.ndarray]:
     for i, pos in enumerate(positives):
         idx = np.asarray(sorted(set(int(j) for j in pos)), dtype=int)
         if idx.size == 0:
-            raise EmptyPositiveSetError(f"row {i} has no positives")
+            raise FieldValueError("positives", f"row {i} has no positives")
         if idx.min() < 0 or idx.max() >= m:
             raise DimMismatchError(f"row {i} positive index out of range for {m} columns")
         pos_sum = exp[i, idx].sum()
@@ -438,7 +438,7 @@ def per_block_train_step(level, batch, state, cfg, rng, global_step=0):
             t_grads = _add_grads(t_grads, grads)
 
     if not np.isfinite(loss.value):
-        raise NonFiniteLossError(f"non-finite loss at step {global_step} level {level}")
+        raise NonFiniteError(f"non-finite loss at step {global_step} level {level}")
     state.visual, state.visual_opt = per_array_adamw_step(state.visual, v_grads, state.visual_opt)
     state.text, state.text_opt = per_array_adamw_step(state.text, t_grads, state.text_opt)
     return loss

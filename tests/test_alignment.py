@@ -17,7 +17,7 @@ from lecnce.alignment import (
     dtw_subgradient,
     reverse_columns,
 )
-from lecnce.errors import DimMismatchError, EmptyMatrixError, NonFiniteError, PathMismatchError
+from lecnce.errors import DimMismatchError, EmptyMatrixError, NonFiniteError
 from lecnce.numerics import make_rng
 
 HAND_TRACE_3X3 = np.array([[1.0, 5.0, 5.0], [2.0, 1.0, 5.0], [5.0, 2.0, 1.0]])
@@ -177,7 +177,7 @@ class TestDtwSubgradient:
 
     def test_out_of_bounds_path(self):
         c = CostMatrix(np.ones((2, 2)))
-        with pytest.raises(PathMismatchError):
+        with pytest.raises(DimMismatchError, match=r"path cell \(3, 1\) outside 2x2 matrix"):
             dtw_subgradient(c, AlignmentResult(cost=1.0, path=((3, 1),)))
 
 

@@ -204,6 +204,22 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert run(["train", "--config", str(tmp_path / "nope.json"), "--data", "d", "--out", "o"]) == 1
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ([{"seed": 1}], "c.json must be a JSON object"),
+            ({"seed": -1}, "config key 'seed' must be >= 0, got -1"),
+        ],
+        ids=["root_is_a_list", "negative_seed"],
+    )
+    def test_bad_config_root_or_seed_exits_1(self, tmp_path, capsys, content, named):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(content))
+        out = tmp_path / "d"
+        assert run(["generate-data", "--spec", str(path), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"nope": 1}')
@@ -843,6 +859,9 @@ BAD_VALUES = [
     ("eval", "recall_ks", []),
     ("eval", "shots", 0),
     ("data", "noise_sigma", float("inf")),
+    ("train", "schedule", [-1, 3, 3]),
+    ("data", "frames_per_step", 6),
+    ("eval", "recall_ks", [0, 5]),
 ]
 
 

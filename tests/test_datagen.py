@@ -431,3 +431,16 @@ def test_undamaged_copy_loads(saved_files, tmp_path):
         (tmp_path / name).write_bytes(blob)
     train, hold = load_dataset(tmp_path)
     assert len(train.procedure_ids) + len(hold.procedure_ids) == 4
+
+
+@pytest.mark.parametrize("field, value", [("noise_sigma", True), ("order_noise", False), ("text_dim", 10.0),
+                                          ("noise_sigma", "0.1")])
+def test_mistyped_spec_field_named(saved_files, tmp_path, field, value):
+    """A rehashed manifest whose spec field has the wrong JSON type is rejected as the config's data section is."""
+    manifest = json.loads(saved_files["manifest.json"])
+    manifest["spec"][field] = value
+    for name, blob in saved_files.items():
+        (tmp_path / name).write_bytes(blob)
+    (tmp_path / "manifest.json").write_text(json.dumps(rehash(manifest)))
+    with pytest.raises(CorruptFileError, match=rf"spec\.{field} must be of type (int|float), got {value!r}"):
+        load_dataset(tmp_path)

@@ -25,7 +25,6 @@ from lecnce.errors import (
     DimMismatchError,
     FieldValueError,
     KExceedsCorpusError,
-    LengthMismatchError,
     SingleClassError,
     ZeroVectorError,
 )
@@ -311,7 +310,8 @@ class TestLinearProbe:
             (dict(test_features=np.ones((4, 6))), FieldValueError, "given together"),
             (dict(test_labels=np.zeros(4, dtype=int)), FieldValueError, "given together"),
             (dict(test_features=np.ones((4, 5)), test_labels=np.zeros(4, dtype=int)), DimMismatchError, "dim 5"),
-            (dict(test_features=np.ones((4, 6)), test_labels=np.zeros(3, dtype=int)), LengthMismatchError, "4 test rows"),
+            (dict(test_features=np.ones((4, 6)), test_labels=np.zeros(3, dtype=int)), DimMismatchError,
+             r"test_labels of shape \(3,\) for 4 test rows"),
             (dict(test_features=np.ones((4, 6)), test_labels=[0, 1, -1, 0]), FieldValueError, "test_labels .* got -1"),
             (dict(test_features=np.ones((4, 6)), test_labels=[0, 1, 0.5, 0]), FieldValueError, "test_labels .* got 0.5"),
         ],
@@ -332,7 +332,7 @@ class TestLinearProbe:
 
     def test_label_count_mismatch(self):
         features, labels = make_blobs(make_rng(35), n_per_class=10)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DimMismatchError, match=r"labels of shape \(19,\) for 20 rows"):
             linear_probe(features, labels[:-1], rng=make_rng(36))
 
     def test_fit_holds_one_logit_buffer_and_no_copy_of_the_features(self):
@@ -363,10 +363,8 @@ class TestLinearProbe:
             (dict(lr=np.inf), "lr must be a finite number > 0, got inf"),
             (dict(tol=-1), "tol must be a finite number > 0, got -1"),
             (dict(tol=np.nan), "tol must be a finite number > 0, got nan"),
-            (dict(test_fraction=1), r"test_fraction must be in \(0, 1\), got 1"),
-            (dict(test_fraction=0.0), r"test_fraction must be in \(0, 1\), got 0.0"),
         ],
-        ids=["lr_zero", "lr_inf", "tol_negative", "tol_nan", "test_fraction_one", "test_fraction_zero"],
+        ids=["lr_zero", "lr_inf", "tol_negative", "tol_nan"],
     )
     def test_bad_argument_named(self, kwargs, named):
         features, labels = make_blobs(make_rng(43), n_per_class=10)
@@ -450,7 +448,7 @@ class TestAccuracyF1:
         assert abs(macro - float(np.mean(per))) < 1e-15
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DimMismatchError, match=r"preds shape \(2,\) != labels shape \(1,\)"):
             accuracy_f1([0, 1], [0], 2)
 
     @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecnce.errors import DimMismatchError, NonPositiveTemperatureError, ZeroVectorError
+from lecnce.errors import DimMismatchError, FieldValueError, ZeroVectorError
 from lecnce.numerics import (
     cosine_similarity_matrix,
     finite_diff_grad,
@@ -98,7 +98,7 @@ class TestSoftmaxRows:
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
     def test_nonpositive_temperature(self):
-        with pytest.raises(NonPositiveTemperatureError):
+        with pytest.raises(FieldValueError, match=r"temperature must be > 0, got 0.0"):
             softmax_rows(np.ones((1, 2)), 0.0)
 
     @settings(max_examples=30)

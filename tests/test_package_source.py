@@ -1,0 +1,55 @@
+"""Checks on the package source itself, read with ``ast``: no unused error class, no unused import."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import lecnce
+
+PACKAGE = Path(lecnce.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names(node) -> set[str]:
+    """The bare names ``node`` (an exception or an except clause's type) refers to."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} if node is not None else set()
+
+
+def _raised_or_caught() -> set[str]:
+    out = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                out |= _names(exc)
+            elif isinstance(node, ast.ExceptHandler):
+                out |= _names(node.type)
+    return out
+
+
+def test_every_error_class_is_raised_or_caught_by_name():
+    classes = [node.name for node in _tree(PACKAGE / "errors.py").body if isinstance(node, ast.ClassDef)]
+    assert classes, "errors.py defines no class"
+    unused = sorted(set(classes) - _raised_or_caught())
+    assert not unused, f"error classes that no module raises or catches by name: {unused}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

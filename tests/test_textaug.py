@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import bruteforce_spell_oracle
 
-from lecnce.errors import EmptyCorpusError, EmptyWordError
+from lecnce.errors import FieldValueError
 from lecnce.numerics import make_rng
 from lecnce.textaug import (
     ALPHABET,
@@ -120,7 +120,7 @@ class TestEditCandidates:
             assert 1 <= osa_distance(word, str(cand)) <= 2
 
     def test_empty_word(self):
-        with pytest.raises(EmptyWordError):
+        with pytest.raises(FieldValueError, match="word must be non-empty"):
             edit_candidates("", 1)
 
 
@@ -367,7 +367,7 @@ class TestAssignPseudoSteps:
         assert all(0 <= i < len(self.STEPS) for i in out)
 
     def test_empty_steps(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(FieldValueError, match="steps must be non-empty"):
             assign_pseudo_steps(["x"], [])
 
 

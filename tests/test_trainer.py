@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 from unittest import mock
 
@@ -7,9 +8,9 @@ import pytest
 from helpers import (PerSampleBatcher, flat_grad, per_array_adamw_step, per_block_train_step, per_layer_backward,
                      perfbench_module)
 
-from lecnce import encoders
+from lecnce import encoders, trainer
 from lecnce.datagen import LEVELS, Level, ProcedureSpec, generate_dataset
-from lecnce.errors import AllZeroScheduleError, FieldValueError, MissingLevelDataError, NonFiniteLossError
+from lecnce.errors import FieldValueError, MissingLevelDataError, NonFiniteError
 from lecnce.losses import LossConfig
 from lecnce.numerics import make_rng
 from lecnce.trainer import (
@@ -80,7 +81,7 @@ class TestSchedule:
         assert len(schedule_period(cfg)) == 9
 
     def test_all_zero_rejected(self):
-        with pytest.raises(AllZeroScheduleError):
+        with pytest.raises(FieldValueError, match="schedule has zero batches at every level"):
             tiny_config(schedule=(0, 0, 0))
 
     def test_small_batch_rejected(self):
@@ -171,6 +172,22 @@ class TestTrainStep:
         # one optimizer per encoder counted every level's update
         assert state.visual_opt.step_count == 3
         assert state.text_opt.step_count == 3
+
+    def test_non_finite_loss_stops_before_the_update(self):
+        train, _ = tiny_dataset()
+        cfg = tiny_config()
+        state = init_trainer(cfg, make_rng(cfg.seed))
+        before = (state.visual.vector.copy(), state.text.vector.copy())
+        real = trainer.clip_lecnce
+
+        def nan_loss(*args):
+            return dataclasses.replace(real(*args), value=float("nan"))
+
+        with mock.patch.object(trainer, "clip_lecnce", side_effect=nan_loss), \
+                pytest.raises(NonFiniteError, match="non-finite loss at step 7 level clip"):
+            train_step("clip", train.samples["clip"][:4], state, cfg, make_rng(1), 7)
+        assert np.array_equal(state.visual.vector, before[0]) and np.array_equal(state.text.vector, before[1])
+        assert state.visual_opt.step_count == state.text_opt.step_count == 0
 
 
 class TestTrainStepOracle:
@@ -320,7 +337,7 @@ class TestBatcher:
 class TestTrainLog:
     def test_rejects_nonfinite(self):
         log = TrainLog()
-        with pytest.raises(NonFiniteLossError, match="step 1 level clip"):
+        with pytest.raises(NonFiniteError, match="non-finite loss at step 1 level clip"):
             log.append(StepRecord(1, "clip", float("nan"), {}, 0.0))
 
     def test_rejects_non_increasing_steps(self):
