@@ -24,24 +24,27 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyMatrixError, NonFiniteError
+from .errors import DimMismatchError, EmptyMatrixError, FieldValueError, NonFiniteError
 from .numerics import as_matrix, as_stack
 
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Non-negative T x N distance matrix between frames (rows) and texts (cols): its values, checked."""
+    """Non-negative T x N distance matrix between frames (rows) and texts (cols): its values, checked.
+
+    The one check of a single matrix: a shape other than 2-D raises
+    :class:`DimMismatchError`, no cells :class:`EmptyMatrixError`, a
+    non-finite entry :class:`NonFiniteError` and a negative one
+    :class:`FieldValueError` (see :func:`_non_negative`).
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+        values = as_matrix(self.values, "cost matrix")
+        if values.size == 0:
             raise EmptyMatrixError(f"cost matrix must be at least 1x1, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("cost matrix contains non-finite entries")
-        if np.any(values < 0):
-            raise ValueError("cost matrix entries must be non-negative")
+        _non_negative(values[None])
         object.__setattr__(self, "values", values)
 
     @property
@@ -58,12 +61,16 @@ class AlignmentResult:
 
 
 def _values(c) -> np.ndarray:
-    if isinstance(c, CostMatrix):
-        return c.values
-    v = as_matrix(c, "cost matrix")
-    if v.size == 0:
-        raise EmptyMatrixError("cost matrix is empty")
-    return v
+    """The values of ``c``, a :class:`CostMatrix` or a raw array checked as one."""
+    return (c if isinstance(c, CostMatrix) else CostMatrix(c)).values
+
+
+def _non_negative(mats: np.ndarray) -> np.ndarray:
+    """``mats``, a (B, T, N) stack; a negative entry raises :class:`FieldValueError` naming the first ``cost matrices[k]``."""
+    negative = (mats < 0.0).any(axis=(1, 2))  # -0.0 passes
+    if negative.any():
+        raise FieldValueError(f"cost matrices[{int(np.argmax(negative))}]", "contains negative values")
+    return mats
 
 
 @functools.lru_cache(maxsize=64)
@@ -86,14 +93,8 @@ def _wavefront_plan(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _padded(matrices) -> np.ndarray:
-    """The checked (B, T, N) stack ``matrices`` inside an inf border, as a (B, T+1, N+1) array.
-
-    A negative entry raises ValueError naming the first matrix ``cost matrices[k]`` that holds one.
-    """
-    mats = as_stack(matrices, "cost matrices")
-    negative = (mats < 0.0).any(axis=(1, 2))  # -0.0 passes
-    if negative.any():
-        raise ValueError(f"cost matrices[{int(np.argmax(negative))}] contains negative values")
+    """The (B, T, N) stack ``matrices``, checked (:func:`as_stack`, :func:`_non_negative`), in an inf border."""
+    mats = _non_negative(as_stack(matrices, "cost matrices"))
     padded = np.full(np.add(mats.shape, (0, 1, 1)), np.inf)  # the inf border of the walk and the DP table
     padded[:, 1:, 1:] = mats
     return padded
@@ -247,9 +248,9 @@ DTW_ALGORITHMS = {"greedy": dtw_greedy, "dp": dtw_dp}
 
 
 def check_algorithm(algorithm: str) -> str:
-    """``algorithm`` itself when it names a registered alignment routine, else ValueError."""
+    """``algorithm`` itself when it names a registered alignment routine, else :class:`FieldValueError`."""
     if algorithm not in DTW_ALGORITHMS:
-        raise ValueError(f"unknown DTW algorithm {algorithm!r}; expected one of {sorted(DTW_ALGORITHMS)}")
+        raise FieldValueError("dtw_algorithm", f"must be one of {tuple(DTW_ALGORITHMS)}, got {algorithm!r}")
     return algorithm
 
 

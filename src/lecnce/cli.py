@@ -3,8 +3,7 @@ augmentation and DTW inspection, driven by one strict JSON config schema.
 
 Exit codes: 0 success, 1 validation error (bad usage, bad config, missing
 or unreadable inputs), 2 runtime error.  All randomness is governed by
-``--seed``, the config's ``seed``, or the ``LECNCE_SEED`` environment
-variable, in that order of precedence.
+``--seed``, else the config's ``seed``, else 0.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from .errors import (ConfigError, FieldValueError, InputError, LecnceError, NonF
                      read_json, read_text)
 from .losses import LossConfig
 from .trainer import TrainConfig, train_run
-
-SEED_ENV_VAR = "LECNCE_SEED"
 
 # config section -> the dataclasses whose fields are its keys; every default
 # and type comes from those fields
@@ -138,22 +135,15 @@ def build(config: dict, seed: int = 0) -> tuple[ProcedureSpec, SplitSpec, TrainC
 
 
 def resolve_seed(flag_seed, config: dict) -> int:
-    """Precedence: --seed flag, config seed, LECNCE_SEED, then 0; a seed must be >= 0."""
-    if flag_seed is not None:
-        source, seed = "--seed", flag_seed
-    elif config.get("seed") is not None:
-        source, seed = "config key 'seed'", config["seed"]
-    elif os.environ.get(SEED_ENV_VAR) is not None:
-        source, seed = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
-    else:
-        return 0
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise ConfigError(f"{source} must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ConfigError(f"{source} must be >= 0, got {seed}")
-    return seed
+    """Precedence: --seed flag, config seed, then 0; a negative --seed raises :class:`ConfigError`.
+
+    :func:`load_config` has checked the config's seed.
+    """
+    if flag_seed is None:
+        return config.get("seed") or 0
+    if flag_seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {flag_seed}")
+    return flag_seed
 
 
 def _check_out_dir(out_dir: str) -> None:

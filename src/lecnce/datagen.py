@@ -31,7 +31,7 @@ from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
-from .errors import CorruptFileError, FieldValueError, InfeasibleSpecError, check_minimums, is_a
+from .errors import CorruptFileError, FieldValueError, InfeasibleSpecError, check_minimums, is_a, read_json
 from .numerics import f8le, make_rng
 
 LEVELS = ("clip", "phase", "video")
@@ -323,11 +323,7 @@ def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
 
 def _read_manifest(path: str) -> dict:
     """The manifest at ``path``, checked against its own hash."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise CorruptFileError(f"{path} is not a JSON manifest ({exc})") from None
+    manifest = read_json(path, CorruptFileError)
     if isinstance(manifest, dict) and "samples" in manifest:
         raise CorruptFileError(f"{path} lists per-sample records, the format before each procedure was stored "
                                "once; regenerate the dataset with `lecnce generate-data`")

@@ -13,12 +13,11 @@ import base64
 import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import CorruptFileError, DimMismatchError, MissingCacheError, ZeroVectorError
+from .errors import CorruptFileError, DimMismatchError, MissingCacheError, NonFiniteError, ZeroVectorError, is_a
 from .numerics import ZERO_NORM_TOL, as_matrix, f8le
 
 
@@ -71,10 +70,10 @@ class EncoderParams:
 
 
 def _check_finite(params: EncoderParams, vector: np.ndarray) -> None:
-    """ValueError naming the first layer of ``params``' layout whose part of ``vector`` is not finite."""
+    """:class:`NonFiniteError` naming the first layer of ``params``' layout whose part of ``vector`` is not finite."""
     if not np.isfinite(vector).all():
         bad = next(i for i, layer in enumerate(params.split(vector)) if not all(np.isfinite(a).all() for a in layer))
-        raise ValueError(f"layer {bad} has non-finite parameters")
+        raise NonFiniteError(f"layer {bad} has non-finite parameters")
 
 
 @dataclass
@@ -298,13 +297,13 @@ def _unpacked(entry: dict, shape: tuple[int, ...], key: str) -> np.ndarray:
 
 
 def _number(key: str, value, ok, rule: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (math.isfinite(value) and ok(value)):
+    if not (is_a(value, float) and ok(value)):
         raise ValueError(f"{key} must be a finite number {rule}, got {value!r}")
     return value
 
 
 def _count(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not (is_a(value, int) and value >= 0):
         raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
     return value
 
@@ -432,7 +431,7 @@ def load_checkpoint(path) -> dict:
         }
         digest = _checkpoint_sha256(*out.values())  # out lists the values in the hash's parameter order
     # json's errors are ValueErrors; a huge integer where a float belongs is an OverflowError
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError, DimMismatchError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, DimMismatchError, NonFiniteError) as exc:
         raise CorruptFileError(f"checkpoint {path} is not readable ({type(exc).__name__}: {exc})") from None
     if payload["sha256"] != digest:
         raise CorruptFileError(f"checkpoint {path} sha256 mismatch; the file is corrupt or was altered")

@@ -86,21 +86,23 @@ class UnknownKeyError(ConfigError):
     """A configuration file names a key the schema does not define."""
 
 
-def read_text(path) -> str:
-    """The text of the file at ``path``; bytes that are not UTF-8 raise :class:`InputError` naming it."""
+def read_text(path, error: type[InputError] = InputError) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 raise ``error`` naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise error(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def read_json(path, error: type[InputError] = InputError):
-    """The JSON value in the file at ``path``; text that is not JSON raises ``error`` naming the file, line and column."""
+    """The JSON value in the file at ``path``; text that is not UTF-8 or not JSON raises ``error`` naming the file."""
     try:
-        return json.loads(read_text(path))
+        return json.loads(read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path} line {exc.lineno} column {exc.colno}: not valid JSON ({exc.msg})") from None
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise error(f"{path}: not valid JSON ({exc})") from None
 
 
 def is_a(value, hint) -> bool:

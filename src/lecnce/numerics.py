@@ -147,7 +147,7 @@ def finite_diff_grad(fn: Callable[[np.ndarray], float], x, h: float = 1e-5) -> n
     inputs scaled to O(1).
     """
     if not h > 0:
-        raise ValueError(f"step h must be > 0, got {h}")
+        raise FieldValueError("h", f"must be > 0, got {h}")
     x = np.asarray(x, dtype=np.float64).copy()
     grad = np.zeros_like(x)
     flat = x.ravel()

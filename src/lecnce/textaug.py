@@ -69,7 +69,7 @@ def edit_candidates(word: str, max_distance: int = 2) -> set[str]:
     if not word:
         raise FieldValueError("word", "must be non-empty")
     if max_distance not in (1, 2):
-        raise ValueError(f"max_distance must be 1 or 2, got {max_distance}")
+        raise FieldValueError("max_distance", f"must be 1 or 2, got {max_distance}")
     one = _edits1(word)
     if max_distance == 1:
         return one
@@ -240,11 +240,11 @@ def augment_text(text: str, level: str, kb: dict[str, list[str]] | None = None, 
         return expand_keystep(text)
     if level == "abstract":
         return summarize(text)
-    raise ValueError(f"unknown level {level!r}; expected one of {TEXT_LEVELS}")
+    raise FieldValueError("level", f"must be one of {TEXT_LEVELS}, got {level!r}")
 
 
 def sample_text(original, augmented, p: float, rng: np.random.Generator):
     """Return ``augmented`` with probability ``p``, else ``original``."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+        raise FieldValueError("p", f"must be in [0, 1], got {p}")
     return augmented if rng.random() < p else original

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoders as enc
-from .alignment import DTW_ALGORITHMS
+from .alignment import check_algorithm
 from .datagen import LEVELS, Dataset, Level
 from .errors import FieldValueError, MissingLevelDataError, NonFiniteError, check_minimums
 from .losses import LossConfig, clip_lecnce, hier_lecnce, pool_segments, pool_segments_backward
@@ -62,8 +62,7 @@ class TrainConfig:
         if any(n < 1 for n in self.frames):
             raise FieldValueError("frames", f"entries must be >= 1, got {self.frames}")
         check_minimums(self, epochs=1, learning_rate=0, weight_decay=0)
-        if self.dtw_algorithm not in DTW_ALGORITHMS:
-            raise FieldValueError("dtw_algorithm", f"must be one of {tuple(DTW_ALGORITHMS)}, got {self.dtw_algorithm!r}")
+        check_algorithm(self.dtw_algorithm)
         for name in ("visual_layers", "text_layers"):
             if len(getattr(self, name)) < 2 or min(getattr(self, name)) < 1:
                 raise FieldValueError(name, f"must list at least 2 dims >= 1, got {getattr(self, name)}")
@@ -84,9 +83,7 @@ class TrainLog:
 
     def append(self, rec: StepRecord) -> None:
         if self.records and rec.global_step <= self.records[-1].global_step:
-            raise ValueError("global_step must be strictly increasing")
-        if not np.isfinite(rec.total):
-            raise NonFiniteError(f"non-finite loss at step {rec.global_step} level {rec.level}")
+            raise FieldValueError("global_step", "must be strictly increasing")
         self.records.append(rec)
 
     def level_totals(self, level: str) -> list[float]:
@@ -182,7 +179,7 @@ def train_step(
     """
     t0 = time.perf_counter()
     if batch.name != level:
-        raise ValueError(f"batch of level {batch.name!r} in a {level!r} step")
+        raise FieldValueError("batch", f"of level {batch.name!r} in a {level!r} step")
     frames = batch.frames
     b, t, _ = frames.shape
 

@@ -179,18 +179,10 @@ class TestLoadConfig:
 
 
 class TestResolveSeed:
-    def test_precedence(self, monkeypatch):
-        monkeypatch.setenv("LECNCE_SEED", "11")
+    def test_precedence(self):
         assert resolve_seed(7, {"seed": 9}) == 7
         assert resolve_seed(None, {"seed": 9}) == 9
-        assert resolve_seed(None, {"seed": None}) == 11
-        monkeypatch.delenv("LECNCE_SEED")
         assert resolve_seed(None, {"seed": None}) == 0
-
-    def test_bad_env(self, monkeypatch):
-        monkeypatch.setenv("LECNCE_SEED", "not-a-number")
-        with pytest.raises(ConfigError):
-            resolve_seed(None, {"seed": None})
 
 
 class TestExitCodes:
@@ -280,15 +272,17 @@ class TestGenerateData:
         assert json.loads((out / "seed.json").read_text())["seed"] == 99
 
     @pytest.mark.parametrize(
-        "flag, env, named",
+        "flag, config_seed, named",
         [
             (["--seed", "-1"], None, "--seed must be >= 0, got -1"),
-            ([], "-3", "LECNCE_SEED must be >= 0, got -3"),
+            ([], -3, "config key 'seed' must be >= 0, got -3"),
         ],
     )
-    def test_negative_seed_named_before_any_output(self, tmp_path, capsys, monkeypatch, flag, env, named):
-        if env is not None:
-            monkeypatch.setenv("LECNCE_SEED", env)
+    def test_negative_seed_named_before_any_output(self, tmp_path, capsys, flag, config_seed, named):
+        if config_seed is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({"seed": config_seed}))
+            flag = ["--spec", str(path)]
         out = tmp_path / "d"
         assert run(["generate-data", *flag, "--out", str(out)]) == 1
         assert named in capsys.readouterr().err

@@ -19,7 +19,7 @@ from lecnce.encoders import (
     load_checkpoint,
     save_checkpoint,
 )
-from lecnce.errors import CorruptFileError, DimMismatchError, MissingCacheError
+from lecnce.errors import CorruptFileError, DimMismatchError, MissingCacheError, NonFiniteError
 from lecnce.losses import LossConfig, diagonal_positives, hier_lecnce, info_nce
 from lecnce.numerics import finite_diff_grad, make_rng
 
@@ -257,7 +257,7 @@ class TestFlatLayout:
     def test_non_finite_parameter_names_its_layer(self):
         w = np.ones((2, 2))
         w[1, 0] = np.inf
-        with pytest.raises(ValueError, match="layer 1 has non-finite parameters"):
+        with pytest.raises(NonFiniteError, match="layer 1 has non-finite parameters"):
             EncoderParams(layers=[(np.ones((3, 2)), np.zeros(2)), (w, np.zeros(2))])
 
     def test_adamw_overflow_names_its_layer(self):
@@ -265,7 +265,7 @@ class TestFlatLayout:
         state = init_optimizer(p, learning_rate=1e308, weight_decay=0.0)
         grad = np.zeros_like(p.vector)
         grad[-1] = 1e10  # the last bias moves by lr * 1e10 / (1e10 + eps), which overflows
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="layer 1 has non-finite parameters"):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="layer 1 has non-finite parameters"):
             adamw_step(p, grad, state)
 
 

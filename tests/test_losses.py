@@ -804,7 +804,7 @@ class TestHierLecnceWalksActiveOnly:
     def test_unknown_algorithm_raises_before_any_alignment(self):
         frames, parents, children = _walk_instance(35)
         with mock.patch.object(alignment, "_padded") as padded:
-            with pytest.raises(ValueError, match="unknown DTW algorithm 'beam'"):
+            with pytest.raises(FieldValueError, match=r"dtw_algorithm must be one of \('greedy', 'dp'\), got 'beam'"):
                 hier_lecnce(frames, parents, children, LossConfig(), "beam")
         padded.assert_not_called()
 

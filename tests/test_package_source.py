@@ -1,4 +1,5 @@
-"""Checks on the package source itself, read with ``ast``: no unused error class, no unused import."""
+"""Checks on the package source itself, read with ``ast``: no unused error class, no unused import, no bare
+``ValueError`` outside checkpoint decoding."""
 
 import ast
 from pathlib import Path
@@ -20,13 +21,17 @@ def _names(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} if node is not None else set()
 
 
+def _raised(node: ast.Raise):
+    """The exception class expression of a ``raise``: ``E`` in both ``raise E`` and ``raise E(...)``."""
+    return node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+
+
 def _raised_or_caught() -> set[str]:
     out = set()
     for path in MODULES:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Raise):
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                out |= _names(exc)
+                out |= _names(_raised(node))
             elif isinstance(node, ast.ExceptHandler):
                 out |= _names(node.type)
     return out
@@ -53,3 +58,27 @@ def test_module_uses_every_name_it_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# checkpoint-decoding helpers of encoders.py: load_checkpoint turns their ValueErrors into CorruptFileError
+CHECKPOINT_DECODERS = {"_exact_keys", "_params_from_payload", "_unpacked", "_number", "_count", "_state_from_payload"}
+
+
+def _bare_value_errors(path: Path) -> list[str]:
+    """``module:function:line`` of each ``raise ValueError`` in ``path`` outside the checkpoint decoders."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and _names(_raised(child)) == {"ValueError"}:
+                if not (path.name == "encoders.py" and function in CHECKPOINT_DECODERS):
+                    out.append(f"{path.name}:{function}:{child.lineno}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(_tree(path), "<module>")
+    return out
+
+
+def test_no_bare_value_error_outside_checkpoint_decoding():
+    bare = [site for path in MODULES for site in _bare_value_errors(path)]
+    assert not bare, f"raise FieldValueError (or the contract's class) instead of a bare ValueError: {bare}"
