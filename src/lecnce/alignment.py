@@ -101,19 +101,23 @@ def _padded(matrices) -> np.ndarray:
 
 
 def _accumulate(padded: np.ndarray) -> np.ndarray:
-    """The DP accumulated-cost table of each matrix of an inf-padded stack, skewed.
+    """The core of :func:`dp_tables`: the skewed DP table of each matrix of an inf-padded stack, unchecked.
 
     Row 0 and column 0 of the (B, T+1, N+1) ``padded`` are the inf border; row d of a
     (T+N+1, N+1) skewed table holds the cells (d - j, j), so ``[:, -1, -1]`` is each DP cost.
+    A cost that overflows raises :class:`NonFiniteError`.
     """
     b, t1, n1 = padded.shape
     v = padded.reshape(b, -1)[:, _wavefront_plan(t1 - 1, n1 - 1)[0]]
     acc = np.full_like(v, np.inf)
     acc[:, 0, 0] = -0.0  # v + (-0.0) == v bit for bit: each corner (1, 1) holds its own cost
-    for d in range(2, t1 + n1 - 1):
-        # min(diag, up, left), ordered so that ties keep the earlier operand
-        best = np.minimum(acc[:, d - 1, :-1], np.minimum(acc[:, d - 1, 1:], acc[:, d - 2, :-1]))
-        np.add(v[:, d, 1:], best, out=acc[:, d, 1:])
+    with np.errstate(over="ignore"):  # an overflowing cost raises below
+        for d in range(2, t1 + n1 - 1):
+            # min(diag, up, left), ordered so that ties keep the earlier operand
+            best = np.minimum(acc[:, d - 1, :-1], np.minimum(acc[:, d - 1, 1:], acc[:, d - 2, :-1]))
+            np.add(v[:, d, 1:], best, out=acc[:, d, 1:])
+    if not np.all(np.isfinite(acc[:, -1, -1])):
+        raise NonFiniteError("alignment cost overflows")
     return acc
 
 
@@ -122,11 +126,7 @@ def dp_tables(matrices) -> np.ndarray:
 
     ``[:, -1, -1]`` are the DP costs; one that overflows raises :class:`NonFiniteError`.
     """
-    with np.errstate(over="ignore"):  # an overflowing cost raises below
-        tables = _accumulate(_padded(matrices))
-    if not np.all(np.isfinite(tables[:, -1, -1])):
-        raise NonFiniteError("alignment cost overflows")
-    return tables
+    return _accumulate(_padded(matrices))
 
 
 def _dp_walk(tables: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
@@ -197,10 +197,15 @@ def align_stack(matrices, algorithm: str) -> tuple[np.ndarray, Callable[[np.ndar
     under ``algorithm``.  DP backtracks only those rows' tables; greedy
     indexes the masks of the walk that yielded its costs.
     """
-    if check_algorithm(algorithm) == "dp":
-        tables = dp_tables(matrices)
+    algorithm = check_algorithm(algorithm)
+    return _align_padded(_padded(matrices), algorithm)
+
+
+def _align_padded(padded: np.ndarray, algorithm: str) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """:func:`align_stack` of an inf-padded stack of finite, non-negative matrices (see :func:`_padded`), unchecked."""
+    if algorithm == "dp":
+        tables = _accumulate(padded)
         return tables[:, -1, -1], lambda rows: dp_paths(tables[rows])
-    padded = _padded(matrices)
     costs, visits = _greedy(padded)
     return costs, _mask(visits, padded.shape).__getitem__
 

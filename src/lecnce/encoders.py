@@ -10,10 +10,9 @@ and bit-deterministic given a seed.
 from __future__ import annotations
 
 import base64
-import copy
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -159,7 +158,7 @@ def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> np.
     return grad
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerState:
     """AdamW moments and hyperparameters for one encoder's parameter vector.
 
@@ -167,7 +166,9 @@ class OptimizerState:
     hyperparameters must be finite, with ``learning_rate`` and
     ``weight_decay`` >= 0, ``beta1`` and ``beta2`` in [0, 1) and
     ``epsilon`` > 0, and ``step_count`` an integer >= 0; a loaded checkpoint
-    must also hold finite moments and second moments >= 0.
+    must also hold finite moments and second moments >= 0.  They are checked
+    once, when the state is made: it is frozen, so :func:`adamw_step` keeps
+    them unchecked.
     """
 
     learning_rate: float = 1e-3
@@ -202,7 +203,8 @@ def init_optimizer(params: EncoderParams, **hyperparameters) -> OptimizerState:
 def adamw_step(params: EncoderParams, grad, state: OptimizerState) -> tuple[EncoderParams, OptimizerState]:
     """One bias-corrected AdamW update with decoupled weight decay.
 
-    ``grad`` is the flat gradient from :func:`backward`.  One elementwise
+    ``grad`` is the flat gradient from :func:`backward`; the new parameter
+    vector is checked finite, and nothing else is checked again.  One elementwise
     pass over the parameter and moment vectors; the decay term
     lr * wd * theta is subtracted separately from the adaptive gradient
     step, so zero gradients still shrink the weights.
@@ -230,10 +232,12 @@ def adamw_step(params: EncoderParams, grad, state: OptimizerState) -> tuple[Enco
     new = theta - step
     new -= (lr * wd) * theta
     _check_finite(params, new)
-
-    new_params = copy.copy(params)
-    new_params.vector, new_params.layers = new, params.split(new)
-    return new_params, replace(state, step_count=t, first_moment=m, second_moment=v)
+    # made without __post_init__: the vector was checked just now, the
+    # frozen state's hyperparameters when it was made
+    new_params, new_state = object.__new__(EncoderParams), object.__new__(OptimizerState)
+    new_params.__dict__.update(vector=new, layers=params.split(new))
+    new_state.__dict__.update(vars(state), step_count=t, first_moment=m, second_moment=v)
+    return new_params, new_state
 
 
 def _params_payload(params: EncoderParams) -> dict:
@@ -271,12 +275,15 @@ def _params_from_payload(payload: dict, key: str) -> EncoderParams:
     dims = _exact_keys(payload, _PARAMS_KEYS, key)["layer_dims"]
     if payload["activation"] != "identity":  # an encoder has no other; a file naming one cannot be run
         raise ValueError(f"{key}.activation must be 'identity', got {payload['activation']!r}")
+    weights, biases = payload["weights"], payload["biases"]
+    if len(weights) != len(biases):
+        raise ValueError(f"{key} has {len(weights)} weight and {len(biases)} bias lists")
     layers = []
-    for i, (w_flat, b) in enumerate(zip(payload["weights"], payload["biases"])):
+    for i, (w_flat, b) in enumerate(zip(weights, biases)):
         w = np.asarray(w_flat, dtype=np.float64).reshape(dims[i], dims[i + 1])
         layers.append((w, np.asarray(b, dtype=np.float64)))
     params = EncoderParams(layers=layers)
-    if _params_payload(params)["layer_dims"] != dims:  # also catches weight and bias lists of unequal length
+    if [params.input_dim] + [w.shape[1] for w, _ in params.layers] != dims:
         raise ValueError(f"layer_dims {dims} do not match the weight and bias shapes")
     return params
 

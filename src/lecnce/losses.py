@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import CostMatrix, align_batch, align_stack
+from .alignment import CostMatrix, _align_padded, align_batch, check_algorithm
 from .errors import DimMismatchError, FieldValueError, RowNotNormalizedError, ZeroVectorError, check_minimums
-from .numerics import ZERO_NORM_TOL, as_matrix, as_stack, log_softmax_rows, softmax_rows
+from .numerics import ZERO_NORM_TOL, _log_softmax_rows, as_matrix, as_stack, softmax_rows
 
 ROW_NORM_TOL = 1e-6
 
@@ -137,7 +137,7 @@ def _info_nce(sim: np.ndarray, positives, temperature: float, symmetric: bool = 
 def _costs(frames: np.ndarray, texts: np.ndarray, beta: float) -> np.ndarray:
     """Cost values of (T, d)/(N, d) frames and texts, or of (B, T, d)/(B, N, d) stacks of them."""
     sim = frames @ np.swapaxes(texts, -1, -2)
-    return -log_softmax_rows(sim.reshape(-1, sim.shape[-1]), beta).reshape(sim.shape)
+    return -_log_softmax_rows(sim.reshape(-1, sim.shape[-1]), beta).reshape(sim.shape)
 
 
 def _costs_backward(frames: np.ndarray, texts: np.ndarray, beta: float, grad_cost: np.ndarray):
@@ -246,7 +246,11 @@ def pool_segments(segments) -> tuple[np.ndarray, tuple]:
     The stacked mean adds each segment's rows in the order
     ``segment.mean(axis=0)`` does.
     """
-    segments = as_stack(segments, "segments")
+    return _pool_segments(as_stack(segments, "segments"))
+
+
+def _pool_segments(segments: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """:func:`pool_segments` of a finite (B, T, d) float64 stack with cells, unchecked."""
     z = segments.mean(axis=1)
     # a (1, d) @ (d, 1) product per row is the dot np.linalg.norm takes of a vector
     norms = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
@@ -274,9 +278,10 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     diagonal positives; each sample additionally pays a reversal hinge on
     the alignment cost between its frames and its child texts, averaged over
     the batch and scaled by ``lambda_dtw``.  The forward and reversed
-    matrices are aligned in one :func:`align_stack` call, which is asked
-    for the active hinges' paths only.  The frame and child gradients come
-    back as (B, T, d) and (B, N, d) arrays.
+    matrices are aligned in one :func:`~lecnce.alignment.align_stack` pass,
+    which is asked for the active hinges' paths only.  The frame and child
+    gradients come back as (B, T, d) and (B, N, d) arrays.  The inputs are
+    checked here; what is built from them is not checked again.
     """
     parent_texts = as_matrix(parent_texts, "parent_texts")
     b, d = parent_texts.shape
@@ -285,16 +290,21 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     for name, m in (("segment_frames", frames), ("child_texts", children)):
         if m.shape[0] != b or m.shape[2] != d:
             raise DimMismatchError(f"{name} must have shape ({b}, rows, {d}) for {b} parent texts, got {m.shape}")
+    algorithm = check_algorithm(dtw_algorithm)
 
-    # the whole batch in one pass: its stacked cost matrices and their
-    # column-reversed views, their alignment costs, and the paths and backward
-    # of the active hinges only (an inactive hinge has an all-zero cost gradient)
+    # the whole batch in one pass: its cost matrices and their column-reversed
+    # views in one inf-padded stack (each cost is -log of a probability, so
+    # >= 0), their alignment costs, and the paths and backward of the active
+    # hinges only (an inactive hinge has an all-zero cost gradient)
     lam = cfg.lambda_dtw
-    costs = _costs(frames, children, cfg.beta)
-    aligned, paths = align_stack(np.concatenate([costs, costs[:, :, ::-1]]), dtw_algorithm)
+    t, n = frames.shape[1], children.shape[1]
+    padded = np.full((2 * b, t + 1, n + 1), np.inf)  # the inf border of alignment's walk and DP table
+    padded[:b, 1:, 1:] = _costs(frames, children, cfg.beta)
+    padded[b:, 1:, 1:] = padded[:b, 1:, :0:-1]
+    aligned, paths = _align_padded(padded, algorithm)
     hinge, active = _hinge(aligned[:b] - aligned[b:], cfg.phi)
 
-    pooled, pool_cache = pool_segments(frames)
+    pooled, pool_cache = _pool_segments(frames)
     contrast = _info_nce(pooled @ parent_texts.T, diagonal_positives(b), cfg.temperature_infonce)
     g_sim = contrast.grads["sim"]
     grad_frames = pool_segments_backward(g_sim @ parent_texts, pool_cache)

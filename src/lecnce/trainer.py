@@ -23,7 +23,7 @@ from . import encoders as enc
 from .alignment import check_algorithm
 from .datagen import LEVELS, Dataset, Level
 from .errors import FieldValueError, MissingLevelDataError, NonFiniteError, check_minimums
-from .losses import LossConfig, clip_lecnce, hier_lecnce, pool_segments, pool_segments_backward
+from .losses import LossConfig, _pool_segments, clip_lecnce, hier_lecnce, pool_segments_backward
 from .numerics import make_rng, subsample_frames
 
 VIEW_NOISE_SIGMA = 0.05
@@ -190,7 +190,7 @@ def train_step(
         views = _distort(np.concatenate([frames, frames]), rng)
         blocks = np.concatenate([frames, views])
         emb, v_cache = enc.forward(state.visual, blocks.reshape(3 * b * t, -1), return_cache=True)
-        pooled, pool_cache = pool_segments(emb.reshape(3 * b, t, -1))
+        pooled, pool_cache = _pool_segments(emb.reshape(3 * b, t, -1))  # forward's checked input, normalized
         narr_emb, t_cache = enc.forward(state.text, batch.parents, return_cache=True)
 
         clip_rows, rows_a, rows_b = np.split(pooled, 3)

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,8 +10,10 @@ from helpers import flat_grad, old_format_checkpoint, per_array_adamw_step, per_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lecnce import encoders
 from lecnce.encoders import (
     EncoderParams,
+    OptimizerState,
     adamw_step,
     backward,
     forward,
@@ -294,6 +297,45 @@ class TestFlatOracles:
         assert np.any(state.second_moment > 0)
 
 
+class TestAdamWKeepsCheckedState:
+    """The state is checked once, when made; adamw_step neither re-checks it nor lets it change."""
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(OptimizerState)])
+    def test_fields_cannot_be_assigned(self, name):
+        state = init_optimizer(init_params([3, 2], make_rng(24)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, getattr(state, name))
+
+    def test_steps_make_no_scalar_checks_and_equal_the_oracle(self, monkeypatch):
+        rng = make_rng(25)
+        p = init_params([5, 4, 3], rng)
+        state = init_optimizer(p, learning_rate=0.05, weight_decay=0.01)
+        oracle_p, oracle_state = p, state
+        checks = []  # one entry per _scalars call
+        scalars = encoders._scalars
+        monkeypatch.setattr(encoders, "_scalars", lambda *args: checks.append(args) or scalars(*args))
+        step_checks = 0
+        for _ in range(5):
+            grad = rng.normal(size=p.vector.shape)
+            before = len(checks)
+            p, state = adamw_step(p, grad, state)
+            step_checks += len(checks) - before
+            oracle_p, oracle_state = per_array_adamw_step(oracle_p, p.split(grad), oracle_state)
+            assert isinstance(state, OptimizerState) and isinstance(p, EncoderParams)
+            np.testing.assert_array_equal(p.vector, oracle_p.vector)
+            for (w, b), (ow, ob) in zip(p.layers, oracle_p.layers, strict=True):
+                assert np.shares_memory(w, p.vector) and np.shares_memory(b, p.vector)
+                np.testing.assert_array_equal(w, ow)
+                np.testing.assert_array_equal(b, ob)
+            np.testing.assert_array_equal(state.first_moment, oracle_state.first_moment)
+            np.testing.assert_array_equal(state.second_moment, oracle_state.second_moment)
+            assert vars(state).keys() == vars(oracle_state).keys()
+            assert {k: v for k, v in vars(state).items() if k not in ("first_moment", "second_moment")} == \
+                {k: v for k, v in vars(oracle_state).items() if k not in ("first_moment", "second_moment")}
+        assert step_checks == 0 and state.step_count == 5
+        assert checks  # the oracle's dataclasses.replace does run the check
+
+
 # one invalid value of each constraint; the loader and the constructor reject the same ones
 BAD_HYPERPARAMETERS = [
     ("beta2", -0.5),
@@ -461,6 +503,10 @@ class TestPackedCheckpoint:
             (lambda p: p["visual_optimizer"]["second_moment"].pop(), "visual_optimizer.second_moment has 3 arrays"),
             (lambda p: p["text_optimizer"]["first_moment"][0].update(shape=[3, 5]), "text_optimizer.first_moment[0]"),
             (lambda p: p["visual"].update(layer_dims=[-1, 4, 3]), "layer_dims [-1, 4, 3] do not match"),
+            # an extra trailing list is refused, not dropped by zip; a missing one too
+            (lambda p: p["text"]["biases"].append([0.0] * 3), "text has 1 weight and 2 bias lists"),
+            (lambda p: p["text"]["weights"].append([0.0] * 15), "text has 2 weight and 1 bias lists"),
+            (lambda p: p["visual"]["weights"].pop(), "visual has 1 weight and 2 bias lists"),
             (_unused_base64_bit, "visual_optimizer.first_moment[1] is not canonical base64"),
             # a checkpoint of the removed tanh encoders: the activation is checked before the hash
             (lambda p: p["visual"].update(activation="tanh"), "visual.activation must be 'identity', got 'tanh'"),
@@ -468,7 +514,8 @@ class TestPackedCheckpoint:
         ],
         ids=["nan_moment", "negative_second_moment", "step_count_str", "step_count_negative", "beta1", "beta2",
              "epsilon", "learning_rate_inf", "weight_decay_bool", "seed_str", "seed_negative", "seed_null",
-             "visual_optimizer_null", "text_optimizer_null", "schedule_position", "moment_count", "moment_shape", "layer_dims", "unused_base64_bit",
+             "visual_optimizer_null", "text_optimizer_null", "schedule_position", "moment_count", "moment_shape", "layer_dims", "extra_bias_list",
+             "extra_weight_list", "missing_weight_list", "unused_base64_bit",
              "visual_tanh", "text_tanh"],
     )
     def test_invalid_value_names_the_key(self, tmp_path, edit, named):

@@ -333,7 +333,7 @@ class TestStackedCostBuild:
 
             return wrapper
 
-        with mock.patch.object(alignment, "dp_tables", recording(read, alignment.dp_tables)), \
+        with mock.patch.object(alignment, "_accumulate", recording(read, alignment._accumulate)), \
                 mock.patch.object(alignment, "dp_paths", recording(walked, alignment.dp_paths)), \
                 mock.patch.object(alignment, "_greedy", recording(walked, alignment._greedy)):
             if ragged:  # refused at the entry, before any alignment
@@ -342,9 +342,11 @@ class TestStackedCostBuild:
                 assert not read and not walked
                 return
             out = hier_lecnce(frames, unit_rows(rng, b, d), children, LossConfig(phi=0.5), "dp")
-        # one wavefront over the forward matrices, then their column-reversed views
-        (matrices,) = read
-        assert matrices.shape == (2 * b, 16, 4)
+        # one wavefront over the forward matrices, then their column-reversed views, in one inf border
+        (padded,) = read
+        assert padded.shape == (2 * b, 17, 5)
+        assert np.all(padded[:, 0] == np.inf) and np.all(padded[:, :, 0] == np.inf)
+        matrices = padded[:, 1:, 1:]
         for k in range(b):
             want = losses._costs(frames[k], children[k], 0.1)
             np.testing.assert_array_equal(matrices[k], want)
@@ -582,6 +584,15 @@ class TestHierLecnceEntryChecks:
         with pytest.raises(DimMismatchError, match=name):
             hier_lecnce(stacks["segment_frames"], parents, stacks["child_texts"], LossConfig())
 
+    @pytest.mark.parametrize("algorithm", ["greedy", "dp"])
+    def test_overflowing_similarities_raise_non_finite(self, algorithm):
+        # finite inputs whose products overflow: the costs built from them are
+        # not checked again, and the alignment's overflow check refuses them
+        frames, children = np.full((2, 3, 4), 1e200), np.full((2, 2, 4), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="alignment cost overflows"):
+            hier_lecnce(frames, np.ones((2, 4)), children, LossConfig(), algorithm)
+
     def test_empty_batch(self):
         with pytest.raises(EmptyMatrixError, match="segment_frames"):
             hier_lecnce(np.empty((0, 4, 5)), np.empty((0, 5)), np.empty((0, 3, 5)), LossConfig())
@@ -589,7 +600,7 @@ class TestHierLecnceEntryChecks:
 
 class TestHierLecnceValidatesOnce:
     def test_no_per_sample_build_or_validation(self, monkeypatch):
-        counts = {"build_cost_matrix": 0, "as_matrix": 0}
+        counts = dict.fromkeys(("build_cost_matrix", "as_matrix", "as_stack", "_non_negative"), 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -600,20 +611,28 @@ class TestHierLecnceValidatesOnce:
 
         monkeypatch.setattr(losses, "build_cost_matrix", counting("build_cost_matrix", losses.build_cost_matrix))
         as_matrix = counting("as_matrix", numerics.as_matrix)
+        as_stack = counting("as_stack", numerics.as_stack)
         for module in (numerics, losses, alignment, encoders, evalkit):
             monkeypatch.setattr(module, "as_matrix", as_matrix)
+        for module in (numerics, losses, alignment):
+            monkeypatch.setattr(module, "as_stack", as_stack)
+        monkeypatch.setattr(alignment, "_non_negative", counting("_non_negative", alignment._non_negative))
         # phi far above any cost gap leaves every hinge active, so the
         # backward of every sample runs as well
         cfg = LossConfig(lambda_dtw=0.5, phi=1e3)
-        per_size = {}
-        for b in (4, 40):
-            frames, parents, children = _hier_instance(56, b=b, t=16, n=4, d=8)
-            counts.update(build_cost_matrix=0, as_matrix=0)
-            out = hier_lecnce(frames, parents, children, cfg, "dp")
-            assert out.components["dtw"] > 0
-            per_size[b] = dict(counts)
-        assert per_size[4]["build_cost_matrix"] == per_size[40]["build_cost_matrix"] == 0
-        assert per_size[4]["as_matrix"] == per_size[40]["as_matrix"]
+        for algorithm in ("dp", "greedy"):
+            per_size = {}
+            for b in (4, 40):
+                frames, parents, children = _hier_instance(56, b=b, t=16, n=4, d=8)
+                counts.update(dict.fromkeys(counts, 0))
+                out = hier_lecnce(frames, parents, children, cfg, algorithm)
+                assert out.components["dtw"] > 0
+                per_size[b] = dict(counts)
+            # the entry checks (parent_texts; segment_frames and child_texts), the
+            # softmax_rows check of the active backward, and nothing on the costs
+            # hier_lecnce builds, pools or aligns itself
+            assert per_size[4] == per_size[40] == {"build_cost_matrix": 0, "as_matrix": 2, "as_stack": 2,
+                                                  "_non_negative": 0}
 
 
 def _check_hier_gradients(algorithm):
@@ -803,10 +822,10 @@ class TestHierLecnceWalksActiveOnly:
 
     def test_unknown_algorithm_raises_before_any_alignment(self):
         frames, parents, children = _walk_instance(35)
-        with mock.patch.object(alignment, "_padded") as padded:
+        with mock.patch.object(losses, "_align_padded") as align:
             with pytest.raises(FieldValueError, match=r"dtw_algorithm must be one of \('greedy', 'dp'\), got 'beam'"):
                 hier_lecnce(frames, parents, children, LossConfig(), "beam")
-        padded.assert_not_called()
+        align.assert_not_called()
 
 
 def assert_pool_matches_per_matrix(segments, grad_pooled):

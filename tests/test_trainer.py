@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import hashlib
+import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -351,6 +353,61 @@ class TestTrainLog:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert lines[1].startswith("1,clip,1.5,1.0,0.5,,,")
         assert lines[2].startswith("2,video,0.7,,,0.69,1.0,")
+
+
+def package_calls(fn) -> int:
+    """The Python calls into ``src/lecnce/`` that ``fn()`` makes, counted through ``sys.setprofile``."""
+    package = os.path.dirname(trainer.__file__)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def steady_step_calls(cfg: TrainConfig) -> dict[str, int]:
+    """:func:`package_calls` of one train_step per level, each after a first step of its level."""
+    train, _ = tiny_dataset()
+    rng = make_rng(cfg.seed)
+    state = init_trainer(cfg, rng)
+    counts = {}
+    for level, batch_size, n_frames in zip(LEVELS, cfg.batch_sizes, cfg.frames):
+        batcher = _Batcher(train.samples[level], rng, n_frames)
+        train_step(level, batcher.next_batch(batch_size), state, cfg, rng, 1)  # fills the cached plans
+        batch = batcher.next_batch(batch_size)
+        counts[level] = package_calls(lambda: train_step(level, batch, state, cfg, rng, 2))
+    return counts
+
+
+class TestStepCallBudget:
+    """A tripwire for the validate-once hot path, free of timing noise: the package calls a training step makes.
+
+    A value is checked where it enters; ``adamw_step``, ``hier_lecnce`` and
+    ``train_step`` do not re-check what was checked at construction or built
+    from checked inputs.  A check that comes back on the step's path adds
+    calls here.  The bounds are the counts of the current code; re-checking
+    the optimizer state, the pooled frames and the cost stack made 72 clip
+    and 82 (greedy) or 86 (DP) phase and video calls.
+    """
+
+    BUDGET = {"greedy": {"clip": 31, "phase": 37, "video": 37}, "dp": {"clip": 31, "phase": 40, "video": 40}}
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "dp"])
+    def test_steady_state_steps_stay_within_budget(self, algorithm):
+        counts = steady_step_calls(tiny_config(dtw_algorithm=algorithm))
+        assert steady_step_calls(tiny_config(dtw_algorithm=algorithm)) == counts  # deterministic
+        budget = self.BUDGET[algorithm]
+        over = {level: (n, budget[level]) for level, n in counts.items() if n > budget[level]}
+        assert not over, f"package calls per step above budget (calls, budget): {over}"
 
 
 class TestTrainRun:
