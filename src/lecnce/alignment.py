@@ -6,14 +6,12 @@ not globally optimal.  DP is the classic dynamic program over an
 accumulated-cost table, which gives the optimal cost.  Each has one
 implementation, batched over a (B, T, N) stack of equal-shape matrices:
 one lockstep walker traces the raw costs for greedy, or the accumulated
-table of a vectorized wavefront for DP.  ``align_stack`` returns each
-matrix's cost and a function giving the 0/1 path masks of any subset of
-the matrices: DP keeps its tables (``dp_tables``), whose corners are the
-costs, and backtracks only the rows asked for (``dp_paths``); greedy
-indexes the masks of the walk that yielded its costs.  ``align_batch``
-returns every mask.  ``dtw_greedy`` and ``dtw_dp`` run the same code on
-one matrix and report its cells as a 1-based path from (T, N) down to
-(1, 1).
+table of a vectorized wavefront for DP.  ``align_batch``, the one stack
+entry, checks a stack and returns each matrix's cost and 0/1 path mask;
+its core keeps the DP tables, whose corners are the costs, to backtrack
+only the rows asked for.  ``dtw_greedy`` and ``dtw_dp``, the two
+single-matrix entries, run the same code on one matrix and report its
+cells as a 1-based path from (T, N) down to (1, 1).
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ def _padded(matrices) -> np.ndarray:
 
 
 def _accumulate(padded: np.ndarray) -> np.ndarray:
-    """The core of :func:`dp_tables`: the skewed DP table of each matrix of an inf-padded stack, unchecked.
+    """The skewed DP table of each matrix of an inf-padded stack, unchecked.
 
     Row 0 and column 0 of the (B, T+1, N+1) ``padded`` are the inf border; row d of a
     (T+N+1, N+1) skewed table holds the cells (d - j, j), so ``[:, -1, -1]`` is each DP cost.
@@ -121,25 +119,12 @@ def _accumulate(padded: np.ndarray) -> np.ndarray:
     return acc
 
 
-def dp_tables(matrices) -> np.ndarray:
-    """The skewed DP table of each matrix of a (B, T, N) stack (see :func:`_accumulate`).
-
-    ``[:, -1, -1]`` are the DP costs; one that overflows raises :class:`NonFiniteError`.
-    """
-    return _accumulate(_padded(matrices))
-
-
 def _dp_walk(tables: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """The :func:`_walk` of each unskewed table from :func:`dp_tables`, and the padded shape it indexes."""
+    """The :func:`_walk` of each unskewed table from :func:`_accumulate`, and the padded shape it indexes."""
     b, d1, n1 = tables.shape
     t, n = d1 - n1, n1 - 1
     table = tables.reshape(b, d1 * n1)[:, _wavefront_plan(t, n)[1]]  # unskewed, (B, T+1, N+1)
     return _walk(table, t, n), table.shape
-
-
-def dp_paths(tables: np.ndarray) -> np.ndarray:
-    """The 0/1 DP path mask of each skewed table from :func:`dp_tables`, as a (B, T, N) array."""
-    return _mask(*_dp_walk(tables))
 
 
 def _walk(table: np.ndarray, t: int, n: int) -> np.ndarray:
@@ -186,33 +171,28 @@ def _greedy(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return costs, visits
 
 
-def align_stack(matrices, algorithm: str) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Align a stack of cost matrices; return their costs and a function of their path masks.
-
-    ``matrices`` is a (B, T, N) array, or B matrices of one (T, N) shape,
-    with finite, non-negative entries.  The costs are a length-B vector;
-    ``paths(rows)`` is the (len(rows), T, N) 0/1 mask of the matrices that
-    ``rows`` (an index or boolean array, or a slice) selects, entry k being
-    ``dtw_subgradient`` of matrix k's ``dtw_dp``/``dtw_greedy`` alignment
-    under ``algorithm``.  DP backtracks only those rows' tables; greedy
-    indexes the masks of the walk that yielded its costs.
-    """
-    algorithm = check_algorithm(algorithm)
-    return _align_padded(_padded(matrices), algorithm)
-
-
 def _align_padded(padded: np.ndarray, algorithm: str) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """:func:`align_stack` of an inf-padded stack of finite, non-negative matrices (see :func:`_padded`), unchecked."""
+    """The core of :func:`align_batch` on an inf-padded stack (see :func:`_padded`), unchecked: costs and ``paths``.
+
+    ``paths(rows)`` is the (len(rows), T, N) 0/1 mask of the matrices that
+    ``rows`` (an index or boolean array, or a slice) selects.
+    """
     if algorithm == "dp":
         tables = _accumulate(padded)
-        return tables[:, -1, -1], lambda rows: dp_paths(tables[rows])
+        return tables[:, -1, -1], lambda rows: _mask(*_dp_walk(tables[rows]))
     costs, visits = _greedy(padded)
     return costs, _mask(visits, padded.shape).__getitem__
 
 
 def align_batch(matrices, algorithm: str) -> tuple[np.ndarray, np.ndarray]:
-    """The costs and the (B, T, N) path masks of every matrix of a stack (see :func:`align_stack`)."""
-    costs, paths = align_stack(matrices, algorithm)
+    """Align a stack of cost matrices; return their costs and their (B, T, N) 0/1 path masks.
+
+    ``matrices`` is a (B, T, N) array, or B matrices of one (T, N) shape,
+    with finite, non-negative entries; mask k is ``dtw_subgradient`` of
+    matrix k's ``dtw_dp``/``dtw_greedy`` alignment under ``algorithm``.
+    """
+    algorithm = check_algorithm(algorithm)
+    costs, paths = _align_padded(_padded(matrices), algorithm)
     return costs, paths(slice(None))
 
 
@@ -245,7 +225,7 @@ def dtw_dp(c: CostMatrix | np.ndarray) -> AlignmentResult:
     recovered by backtracking the table with ties broken diagonal, then up,
     then left.  A cost that overflows raises :class:`NonFiniteError`.
     """
-    tables = dp_tables(_values(c)[None])
+    tables = _accumulate(_padded(_values(c)[None]))
     return _result(tables[0, -1, -1], *_dp_walk(tables))
 
 

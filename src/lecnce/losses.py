@@ -20,7 +20,7 @@ import numpy as np
 
 from .alignment import CostMatrix, _align_padded, align_batch, check_algorithm
 from .errors import DimMismatchError, FieldValueError, RowNotNormalizedError, ZeroVectorError, check_minimums
-from .numerics import ZERO_NORM_TOL, _log_softmax_rows, as_matrix, as_stack, softmax_rows
+from .numerics import ZERO_NORM_TOL, as_matrix, as_stack, softmax_rows
 
 ROW_NORM_TOL = 1e-6
 
@@ -137,7 +137,10 @@ def _info_nce(sim: np.ndarray, positives, temperature: float, symmetric: bool = 
 def _costs(frames: np.ndarray, texts: np.ndarray, beta: float) -> np.ndarray:
     """Cost values of (T, d)/(N, d) frames and texts, or of (B, T, d)/(B, N, d) stacks of them."""
     sim = frames @ np.swapaxes(texts, -1, -2)
-    return -_log_softmax_rows(sim.reshape(-1, sim.shape[-1]), beta).reshape(sim.shape)
+    # -log_softmax of each row of sim / beta, max-stabilized; log(...) - z would turn its -0.0 costs into +0.0
+    z = sim.reshape(-1, sim.shape[-1]) / beta
+    z = z - z.max(axis=1, keepdims=True)
+    return -(z - np.log(np.exp(z).sum(axis=1, keepdims=True))).reshape(sim.shape)
 
 
 def _costs_backward(frames: np.ndarray, texts: np.ndarray, beta: float, grad_cost: np.ndarray):
@@ -278,7 +281,7 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     diagonal positives; each sample additionally pays a reversal hinge on
     the alignment cost between its frames and its child texts, averaged over
     the batch and scaled by ``lambda_dtw``.  The forward and reversed
-    matrices are aligned in one :func:`~lecnce.alignment.align_stack` pass,
+    matrices are aligned in one :func:`~lecnce.alignment._align_padded` pass,
     which is asked for the active hinges' paths only.  The frame and child
     gradients come back as (B, T, d) and (B, N, d) arrays.  The inputs are
     checked here; what is built from them is not checked again.

@@ -130,20 +130,6 @@ def softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise log-softmax of ``m / temperature``, max-stabilized; ``temperature`` is checked as in :func:`softmax_rows`."""
-    if not temperature > 0:
-        raise FieldValueError("temperature", f"must be > 0, got {temperature}")
-    return _log_softmax_rows(as_matrix(m), temperature)
-
-
-def _log_softmax_rows(m: np.ndarray, temperature: float) -> np.ndarray:
-    """:func:`log_softmax_rows` of a finite 2-D float64 ``m`` at a ``temperature`` > 0, unchecked."""
-    z = m / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def finite_diff_grad(fn: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient oracle: (fn(x+h e_i) - fn(x-h e_i)) / 2h.
 

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from helpers import LOOP_ORACLES, dtw_dp_loop
 from hypothesis import strategies as st
 
+from lecnce import alignment
 from lecnce.alignment import (
     AlignmentResult,
     CostMatrix,
     align,
     align_batch,
-    align_stack,
-    dp_paths,
-    dp_tables,
     dtw_dp,
     dtw_greedy,
     dtw_subgradient,
@@ -284,15 +282,20 @@ class TestAlignBatch:
                 align_batch([np.full((2, 2), 1e308)], algorithm)
 
 
+def aligned_padded(mats, algorithm):
+    """The costs and ``paths`` of the unchecked core on the stack ``mats``, bordered as ``align_batch`` borders it."""
+    return alignment._align_padded(alignment._padded(mats), algorithm)
+
+
 def assert_dp_costs_match(mats):
-    """The corners of dp_tables == align_batch's DP costs == one DP loop cost per matrix, with ==."""
-    costs = dp_tables(mats)[:, -1, -1]
+    """The kept tables' corners == align_batch's DP costs == one DP loop cost per matrix, with ==."""
+    costs = aligned_padded(mats, "dp")[0]
     np.testing.assert_array_equal(costs, align_batch(mats, "dp")[0])
     assert costs.tolist() == [dtw_dp_loop(m).cost for m in mats]
 
 
 class TestDpCosts:
-    """The costs-only DP read equals the costs of the full alignment, bit for bit."""
+    """The DP costs of the kept tables, read before any walk, equal the costs of the full alignment, bit for bit."""
 
     def test_random_stacks(self):
         rng = make_rng(60)
@@ -319,26 +322,12 @@ class TestDpCosts:
         """Any subset of the kept tables walks to each matrix's DP loop path, ties included."""
         rng = make_rng(63 + t)
         mats = rng.integers(0, 3, size=(b, t, n)).astype(float)
-        tables = dp_tables(mats)
+        paths = aligned_padded(mats, "dp")[1]
         rows = np.flatnonzero(rng.random(b) < 0.5)
-        masks = dp_paths(tables[rows])
+        masks = paths(rows)
         assert 0 < len(rows) < b and masks.shape == (len(rows), t, n)
         for k, mask in zip(rows, masks, strict=True):
             np.testing.assert_array_equal(mask, dtw_subgradient(mats[k], dtw_dp_loop(mats[k])))
-
-    def test_bad_inputs_raise_as_align_batch(self):
-        for empty in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
-            with pytest.raises(EmptyMatrixError):
-                dp_tables(np.empty(empty))
-        for wrong_rank in ([], [np.ones(3)], np.ones((2, 2))):
-            with pytest.raises(DimMismatchError):
-                dp_tables(wrong_rank)
-        with pytest.raises(DimMismatchError, match="cost matrices"):
-            dp_tables([np.ones((2, 2)), np.ones((3, 2))])
-        with pytest.raises(NonFiniteError, match=r"cost matrices\[1\] contains non-finite"):
-            dp_tables([np.ones((2, 2)), np.array([[1.0, np.nan], [2.0, 1.0]])])
-        with pytest.raises(NonFiniteError, match="overflows"):
-            dp_tables([np.ones((2, 2)), np.full((2, 2), 1e308)])
 
 
 def assert_equals_loop(values, algorithm):
@@ -392,7 +381,6 @@ NEGATIVE_ENTRY = {
     "dtw_greedy": lambda mats: dtw_greedy(mats[0]),
     "align_batch dp": lambda mats: align_batch(mats, "dp"),
     "align_batch greedy": lambda mats: align_batch(mats, "greedy"),
-    "dp_tables": dp_tables,
 }
 
 
@@ -404,7 +392,7 @@ class TestNegativeCosts:
         with pytest.raises(ValueError, match=r"cost matrices\[0\] contains negative values"):
             entry(np.array([[[-1.0, 2.0], [3.0, -4.0]]]))
 
-    @pytest.mark.parametrize("entry", ["align_batch dp", "align_batch greedy", "dp_tables"])
+    @pytest.mark.parametrize("entry", ["align_batch dp", "align_batch greedy"])
     def test_first_bad_matrix_named(self, entry):
         mats = np.ones((4, 3, 2))
         mats[2, 1, 0] = mats[3, 0, 0] = -1e-300
@@ -417,13 +405,15 @@ class TestNegativeCosts:
 
 
 class TestAlignStack:
+    """The unchecked stack core, ``_align_padded``, and the paths of any subset of its matrices."""
+
     @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
     def test_paths_of_any_rows_match_align_batch(self, algorithm):
         """The paths of an index or boolean selection == those rows of align_batch's masks, with ==."""
         rng = make_rng(80)
         mats = rng.integers(0, 3, size=(9, 7, 4)).astype(float)
         want_costs, want_masks = align_batch(mats, algorithm)
-        costs, paths = align_stack(mats, algorithm)
+        costs, paths = aligned_padded(mats, algorithm)
         np.testing.assert_array_equal(costs, want_costs)
         pick = rng.random(9) < 0.5
         for rows in (pick, np.flatnonzero(pick), np.array([8, 0, 8]), slice(None)):

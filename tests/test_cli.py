@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
@@ -218,9 +217,7 @@ class TestExitCodes:
         assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(bad)]) == 1
 
     def test_runs_as_a_module(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "lecnce", "--help"], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-m", "lecnce", "--help"], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "generate-data" in proc.stdout and "RuntimeWarning" not in proc.stderr, proc.stderr
 

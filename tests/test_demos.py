@@ -1,6 +1,5 @@
 """Every narrative script under demos/ runs to completion against this checkout."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +16,5 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.stem for path in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, cwd=ROOT)
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

@@ -334,7 +334,7 @@ class TestStackedCostBuild:
             return wrapper
 
         with mock.patch.object(alignment, "_accumulate", recording(read, alignment._accumulate)), \
-                mock.patch.object(alignment, "dp_paths", recording(walked, alignment.dp_paths)), \
+                mock.patch.object(alignment, "_dp_walk", recording(walked, alignment._dp_walk)), \
                 mock.patch.object(alignment, "_greedy", recording(walked, alignment._greedy)):
             if ragged:  # refused at the entry, before any alignment
                 with pytest.raises(DimMismatchError, match="segment_frames"):
@@ -352,7 +352,7 @@ class TestStackedCostBuild:
             np.testing.assert_array_equal(matrices[k], want)
             np.testing.assert_array_equal(matrices[b + k], want[:, ::-1])
         # one walk, of the active samples' forward then reversed tables only, taken from that wavefront
-        tables = alignment.dp_tables(matrices)
+        tables = alignment._accumulate(padded)
         costs = tables[:, -1, -1]
         active = np.flatnonzero(costs[:b] - costs[b:] + 0.5 > 0.0)
         assert 0 < len(active) < b and out.components["dtw"] > 0
@@ -793,7 +793,7 @@ class TestHierLecnceWalksActiveOnly:
             return wrapper
 
         with mock.patch.object(alignment, "_greedy", recording(alignment._greedy)), \
-                mock.patch.object(alignment, "dp_paths", recording(alignment.dp_paths)):
+                mock.patch.object(alignment, "_dp_walk", recording(alignment._dp_walk)):
             out = hier_lecnce(frames, parents, children, cfg, algorithm)
         want = all_walk_hier_lecnce(frames, parents, children, cfg, algorithm)
         assert out.value == want.value
@@ -815,7 +815,7 @@ class TestHierLecnceWalksActiveOnly:
     @pytest.mark.parametrize("lam, phi", [(0.7, -1e3), (0.0, 0.5), (0.0, 1e3)])
     def test_dp_without_a_gradient_walks_nothing(self, lam, phi):
         frames, parents, children = _walk_instance(34)
-        with mock.patch.object(alignment, "_greedy") as walk, mock.patch.object(alignment, "dp_paths") as dp_walk:
+        with mock.patch.object(alignment, "_greedy") as walk, mock.patch.object(alignment, "_dp_walk") as dp_walk:
             hier_lecnce(frames, parents, children, LossConfig(lambda_dtw=lam, phi=phi), "dp")
         walk.assert_not_called()
         dp_walk.assert_not_called()

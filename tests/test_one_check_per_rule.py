@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lecnce.alignment import CostMatrix, align, align_stack, dtw_dp
+from lecnce.alignment import CostMatrix, align, align_batch, dtw_dp
 from lecnce.cli import load_config
 from lecnce.datagen import load_dataset
 from lecnce.encoders import EncoderParams, adamw_step, init_optimizer, init_params, load_checkpoint, save_checkpoint
@@ -24,7 +24,7 @@ def _raised(call, error):
 
 ALGORITHM_ENTRY = {
     "TrainConfig": lambda name: TrainConfig(dtw_algorithm=name),
-    "align_stack": lambda name: align_stack(np.ones((1, 2, 2)), name),
+    "align_batch": lambda name: align_batch(np.ones((1, 2, 2)), name),
     "align": lambda name: align(np.ones((2, 2)), name),
 }
 
@@ -51,7 +51,7 @@ def test_matrix_of_wrong_rank(entry, shape):
     assert _raised(lambda: entry(np.ones(shape)), DimMismatchError) == f"cost matrix must be 2-D, got shape {shape}"
 
 
-NEGATIVE_ENTRY = {**MATRIX_ENTRY, "align_stack": lambda m: align_stack(m[None], "dp")}
+NEGATIVE_ENTRY = {**MATRIX_ENTRY, "align_batch": lambda m: align_batch(m[None], "dp")}
 
 
 @pytest.mark.parametrize("entry", NEGATIVE_ENTRY.values(), ids=NEGATIVE_ENTRY.keys())

@@ -1,7 +1,9 @@
 """Checks on the package source itself, read with ``ast``: no unused error class, no unused import, no bare
-``ValueError`` outside checkpoint decoding."""
+``ValueError`` outside checkpoint decoding, and a package root that binds and loads nothing."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,7 +46,7 @@ def test_every_error_class_is_raised_or_caught_by_name():
     assert not unused, f"error classes that no module raises or catches by name: {unused}"
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     tree = _tree(path)
     imported = {}
@@ -82,3 +84,31 @@ def _bare_value_errors(path: Path) -> list[str]:
 def test_no_bare_value_error_outside_checkpoint_decoding():
     bare = [site for path in MODULES for site in _bare_value_errors(path)]
     assert not bare, f"raise FieldValueError (or the contract's class) instead of a bare ValueError: {bare}"
+
+
+def test_package_root_binds_only_its_version():
+    tree = _tree(PACKAGE / "__init__.py")
+    bound = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    bound |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    bound |= {a.asname or a.name.split(".")[0] for n in imports for a in n.names}
+    assert "__version__" in bound
+    extra = sorted(name for name in bound if not (name.startswith("__") and name.endswith("__")))
+    assert not extra, f"lecnce/__init__.py binds names other than dunders; import them from their submodule: {extra}"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter (``conftest.py`` puts this checkout's src/ on its path)."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = _python("-c", "import sys, lecnce; print(sorted(m for m in sys.modules if m.startswith('lecnce.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_module_runs_without_a_runtime_warning():
+    proc = _python("-W", "error::RuntimeWarning", "-m", "lecnce.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "generate-data" in proc.stdout
