@@ -8,7 +8,8 @@ optimal cost, the greedy trace is the default used in training.
 import numpy as np
 
 from lecnce.alignment import CostMatrix, dtw_dp, dtw_greedy, dtw_subgradient, reverse_columns
-from lecnce.numerics import cosine_similarity_matrix, l2_normalize, make_rng, softmax_rows
+from lecnce.losses import build_cost_matrix
+from lecnce.numerics import cosine_similarity_matrix, l2_normalize, make_rng
 
 print("== normalization and similarity ==")
 v = np.array([3.0, 4.0])
@@ -21,9 +22,11 @@ print("cosine similarity (3x2):")
 print(np.round(cosine_similarity_matrix(a, b), 3))
 
 print("\n== tempered softmax ==")
-row = np.array([[1.0, 1.2, 0.8]])
+# each cost is -log of a frame's softmax over the texts at temperature beta;
+# these probabilities are what the alignment weighs, one row per frame
 for beta in (1.0, 0.1):
-    print(f"softmax at temperature {beta}: {np.round(softmax_rows(row, beta), 4)}")
+    print(f"exp(-cost) at temperature {beta}:")
+    print(np.round(np.exp(-build_cost_matrix(a, b, beta).values), 4))
 
 print("\n== greedy trace vs dynamic program ==")
 easy = CostMatrix(np.array([[1.0, 5.0, 5.0], [2.0, 1.0, 5.0], [5.0, 2.0, 1.0]]))

@@ -88,12 +88,10 @@ class ForwardCache:
     output: np.ndarray
 
 
-def init_params(layer_dims: list[int], rng: np.random.Generator | None = None) -> EncoderParams:
+def init_params(layer_dims: list[int], rng: np.random.Generator) -> EncoderParams:
     """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
         raise DimMismatchError(f"need at least [in, out] with positive dims, got {layer_dims}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     layers = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))

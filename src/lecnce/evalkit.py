@@ -22,7 +22,7 @@ from .errors import (
     SingleClassError,
     check_minimums,
 )
-from .losses import pool_segments
+from .losses import _pool_segments
 from .numerics import as_matrix, cosine_similarity_matrix, make_rng, subsample_frames
 
 
@@ -83,8 +83,8 @@ def recall_at_k(sim, k_values=EvalConfig.recall_ks) -> dict[str, dict[int, float
 
 
 def pool_video_embedding(frames, n_samples: int = 10) -> np.ndarray:
-    """:func:`pool_segments` of the rows :func:`subsample_frames` picks: their mean, renormalized."""
-    return pool_segments(subsample_frames(as_matrix(frames, "frames"), n_samples)[None])[0][0]
+    """:func:`~lecnce.losses._pool_segments` of the rows :func:`subsample_frames` picks: their mean, renormalized."""
+    return _pool_segments(subsample_frames(as_matrix(frames, "frames"), n_samples)[None])[0][0]
 
 
 def _class_ids(values, name: str, n_classes: float = np.inf) -> np.ndarray:

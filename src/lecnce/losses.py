@@ -20,7 +20,7 @@ import numpy as np
 
 from .alignment import CostMatrix, _align_padded, align_batch, check_algorithm
 from .errors import DimMismatchError, FieldValueError, RowNotNormalizedError, ZeroVectorError, check_minimums
-from .numerics import ZERO_NORM_TOL, as_matrix, as_stack, softmax_rows
+from .numerics import ZERO_NORM_TOL, as_matrix, as_stack
 
 ROW_NORM_TOL = 1e-6
 
@@ -111,12 +111,12 @@ def info_nce(
     row softmax of ``sim / temperature``.  With ``symmetric=True`` the
     matrix must be square and the column direction (single positive on the
     diagonal) is averaged in, matching two-way retrieval training.  A
-    temperature that is not > 0, or a row without positives, raises
+    temperature that is not finite and > 0, or a row without positives, raises
     :class:`FieldValueError`.
     """
     sim = as_matrix(sim, "sim")
-    if not temperature > 0:
-        raise FieldValueError("temperature", f"must be > 0, got {temperature}")
+    if not 0 < temperature < np.inf:
+        raise FieldValueError("temperature", f"must be finite and > 0, got {temperature}")
     if symmetric and sim.shape[0] != sim.shape[1]:
         raise DimMismatchError(f"symmetric loss needs a square matrix, got {sim.shape}")
     return _info_nce(sim, positives, temperature, symmetric)
@@ -134,21 +134,24 @@ def _info_nce(sim: np.ndarray, positives, temperature: float, symmetric: bool = 
     return LossValue(value=value, grads={"sim": grad})
 
 
-def _costs(frames: np.ndarray, texts: np.ndarray, beta: float) -> np.ndarray:
-    """Cost values of (T, d)/(N, d) frames and texts, or of (B, T, d)/(B, N, d) stacks of them."""
+def _costs(frames: np.ndarray, texts: np.ndarray, beta: float):
+    """Cost values of (T, d)/(N, d) frames and texts, or of (B, T, d)/(B, N, d) stacks of them, and ``probs``.
+
+    ``probs(rows)`` is the softmax behind the costs of the matrices ``rows`` selects, from this pass's exp and row sums.
+    """
     sim = frames @ np.swapaxes(texts, -1, -2)
     # -log_softmax of each row of sim / beta, max-stabilized; log(...) - z would turn its -0.0 costs into +0.0
-    z = sim.reshape(-1, sim.shape[-1]) / beta
-    z = z - z.max(axis=1, keepdims=True)
-    return -(z - np.log(np.exp(z).sum(axis=1, keepdims=True))).reshape(sim.shape)
+    z = sim / beta
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    return -(z - np.log(total)), lambda rows: e[rows] / total[rows]
 
 
-def _costs_backward(frames: np.ndarray, texts: np.ndarray, beta: float, grad_cost: np.ndarray):
-    """Gradients of :func:`_costs` with respect to ``frames`` and ``texts``."""
-    sim = frames @ np.swapaxes(texts, -1, -2)
-    p = softmax_rows(sim.reshape(-1, sim.shape[-1]), beta).reshape(sim.shape)
+def _costs_backward(frames: np.ndarray, texts: np.ndarray, probs: np.ndarray, beta: float, grad_cost: np.ndarray):
+    """Gradients of :func:`_costs` with respect to ``frames`` and ``texts``, given its ``probs`` of them."""
     # dL/ds[i,k] = (p[i,k] * sum_j g[i,j] - g[i,k]) / beta
-    grad_sim = (p * grad_cost.sum(axis=-1, keepdims=True) - grad_cost) / beta
+    grad_sim = (probs * grad_cost.sum(axis=-1, keepdims=True) - grad_cost) / beta
     return grad_sim @ texts, np.swapaxes(grad_sim, -1, -2) @ frames
 
 
@@ -168,12 +171,13 @@ def build_cost_matrix(frames, texts, beta: float = LossConfig.beta) -> CostMatri
         if np.any(np.abs(norms - 1.0) > ROW_NORM_TOL):
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise RowNotNormalizedError(f"{name} row {bad} has norm {norms[bad]:.9f}")
-    return CostMatrix(values=_costs(frames, texts, beta))
+    return CostMatrix(values=_costs(frames, texts, beta)[0])
 
 
 def cost_matrix_backward(frames, texts, beta: float, grad_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chain a gradient on cost-matrix entries back to the two embedding matrices."""
-    return _costs_backward(as_matrix(frames, "frames"), as_matrix(texts, "texts"), beta, grad_cost)
+    frames, texts = as_matrix(frames, "frames"), as_matrix(texts, "texts")
+    return _costs_backward(frames, texts, _costs(frames, texts, beta)[1](...), beta, grad_cost)
 
 
 def _hinge(delta, phi: float):
@@ -243,17 +247,11 @@ def clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> Los
     )
 
 
-def pool_segments(segments) -> tuple[np.ndarray, tuple]:
-    """Renormalized mean over T of each segment of a (B, T, d) stack, as one (B, d) array plus a cache.
-
-    The stacked mean adds each segment's rows in the order
-    ``segment.mean(axis=0)`` does.
-    """
-    return _pool_segments(as_stack(segments, "segments"))
-
-
 def _pool_segments(segments: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """:func:`pool_segments` of a finite (B, T, d) float64 stack with cells, unchecked."""
+    """Renormalized mean over T of each segment of a finite (B, T, d) float64 stack with cells, unchecked.
+
+    Returns the (B, d) means and a backward cache; each segment's rows add in ``segment.mean(axis=0)``'s order.
+    """
     z = segments.mean(axis=1)
     # a (1, d) @ (d, 1) product per row is the dot np.linalg.norm takes of a vector
     norms = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
@@ -264,7 +262,7 @@ def _pool_segments(segments: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 
 def pool_segments_backward(grad_pooled: np.ndarray, cache: tuple) -> np.ndarray:
-    """Gradient of :func:`pool_segments` with respect to its (B, T, d) stack."""
+    """Gradient of :func:`_pool_segments` with respect to its (B, T, d) stack, from its cache."""
     u, norms, t = cache
     radial = (u[:, None, :] @ grad_pooled[:, :, None])[:, 0]
     g_z = (grad_pooled - u * radial) / norms[:, None]
@@ -302,7 +300,7 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     lam = cfg.lambda_dtw
     t, n = frames.shape[1], children.shape[1]
     padded = np.full((2 * b, t + 1, n + 1), np.inf)  # the inf border of alignment's walk and DP table
-    padded[:b, 1:, 1:] = _costs(frames, children, cfg.beta)
+    padded[:b, 1:, 1:], probs = _costs(frames, children, cfg.beta)
     padded[b:, 1:, 1:] = padded[:b, 1:, :0:-1]
     aligned, paths = _align_padded(padded, algorithm)
     hinge, active = _hinge(aligned[:b] - aligned[b:], cfg.phi)
@@ -317,7 +315,8 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
         # path folds back after un-flipping the column axis
         pair = np.tile(active, 2)  # the active forward matrices, then their reversed views
         fwd, rev = np.split(paths(pair), 2)
-        g_f, g_c = _costs_backward(frames[active], children[active], cfg.beta, (fwd - rev[:, :, ::-1]) * (lam / b))
+        grad_cost = (fwd - rev[:, :, ::-1]) * (lam / b)
+        g_f, g_c = _costs_backward(frames[active], children[active], probs(active), cfg.beta, grad_cost)
         grad_frames[active] += g_f
         grad_children[active] += g_c
     # added in sample order from 0.0, as a per-sample dtw_hinge loop adds (accumulate, unlike sum, never pairs terms)

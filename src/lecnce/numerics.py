@@ -114,22 +114,6 @@ def cosine_similarity_matrix(a, b) -> np.ndarray:
     return np.einsum("ik,jk->ij", a, b)
 
 
-def softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of ``m / temperature`` with max-subtraction.
-
-    Max-subtraction keeps ``exp`` in range even at temperatures like 0.1
-    where raw logits would overflow.  A temperature that is not > 0 raises
-    :class:`FieldValueError` naming ``temperature``.
-    """
-    if not temperature > 0:
-        raise FieldValueError("temperature", f"must be > 0, got {temperature}")
-    m = as_matrix(m)
-    z = m / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def finite_diff_grad(fn: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient oracle: (fn(x+h e_i) - fn(x-h e_i)) / 2h.
 

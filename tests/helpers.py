@@ -1,7 +1,7 @@
 """Shared oracles for the test suite: finite-difference comparison, the
 per-matrix greedy and DP alignment loops and the hinge built on them, the
 tie-margin filter that keeps DTW gradient checks away from path ties, the
-per-layer encoder backward and per-array AdamW update, the
+cost-build backward that recomputes its softmax, the per-layer encoder backward and per-array AdamW update, the
 per-row InfoNCE, per-matrix pooling, per-block training step,
 per-sample batcher, per-row data generator and per-query/per-class metric
 loops that the batched code must reproduce, the hinge that walks every
@@ -210,13 +210,24 @@ def stable_hinge_instance(frames, children, beta, phi, margin=1e-3, algorithm="g
 
     The forward matrix and its column-reversed view are aligned in one :func:`align_batch` call.
     """
-    c_fwd = losses._costs(frames, children, beta)
+    c_fwd = losses._costs(frames, children, beta)[0]
     c_rev = c_fwd[:, ::-1]
     decision_margin = {"greedy": greedy_decision_margin, "dp": dp_decision_margin}[algorithm]
     if min(decision_margin(c_fwd), decision_margin(c_rev)) < margin:
         return False
     fwd, rev = align_batch([c_fwd, c_rev], algorithm)[0]
     return abs(fwd - rev + phi) > margin
+
+
+def recomputed_costs_backward(frames, texts, beta, grad_cost):
+    """The cost build's backward that recomputes ``frames @ texts^T`` and the row softmax of it over ``beta``."""
+    sim = frames @ np.swapaxes(texts, -1, -2)
+    z = sim.reshape(-1, sim.shape[-1]) / beta
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = (e / e.sum(axis=1, keepdims=True)).reshape(sim.shape)
+    grad_sim = (p * grad_cost.sum(axis=-1, keepdims=True) - grad_cost) / beta
+    return grad_sim @ texts, np.swapaxes(grad_sim, -1, -2) @ frames
 
 
 def per_layer_backward(params: enc.EncoderParams, cache: enc.ForwardCache, grad_out):
@@ -305,18 +316,18 @@ def all_walk_hier_lecnce(frames, parent_texts, children, cfg, dtw_algorithm="gre
     """
     b = parent_texts.shape[0]
     lam = cfg.lambda_dtw
-    costs = losses._costs(frames, children, cfg.beta)
+    costs, probs = losses._costs(frames, children, cfg.beta)
     aligned, paths = align_batch(np.concatenate([costs, costs[:, :, ::-1]]), dtw_algorithm)
     hinge, active = losses._hinge(aligned[:b] - aligned[b:], cfg.phi)
-    pooled, pool_cache = losses.pool_segments(frames)
+    pooled, pool_cache = losses._pool_segments(frames)
     sim = pooled @ parent_texts.T
     contrast = losses._info_nce(sim, losses.diagonal_positives(b), cfg.temperature_infonce)
     g_sim = contrast.grads["sim"]
     grad_frames = losses.pool_segments_backward(g_sim @ parent_texts, pool_cache)
     grad_children = np.zeros_like(children)
     if lam > 0 and active.any():
-        grad_cost = paths[:b][active] - paths[b:][active][:, :, ::-1]
-        g_f, g_c = losses._costs_backward(frames[active], children[active], cfg.beta, grad_cost * (lam / b))
+        grad_cost = (paths[:b][active] - paths[b:][active][:, :, ::-1]) * (lam / b)
+        g_f, g_c = losses._costs_backward(frames[active], children[active], probs(active), cfg.beta, grad_cost)
         grad_frames[active] += g_f
         grad_children[active] += g_c
     dtw_mean = float(0.0 + np.add.accumulate(hinge)[-1]) / b

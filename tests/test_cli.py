@@ -511,7 +511,7 @@ class TestCorruptFiles:
     )
     def test_damaged_checkpoint(self, tmp_path, capsys, small_config, generated, damage, named):
         path = tmp_path / "c.json"
-        save_untrained(path, init_params([12, 6]), init_params([9, 6]))
+        save_untrained(path, init_params([12, 6], make_rng(0)), init_params([9, 6], make_rng(0)))
         path.write_text(damage(path.read_text()))
         argv = ["eval", "--config", str(small_config), "--checkpoint", str(path), "--data", str(generated),
                 "--out", str(tmp_path / "eval")]
@@ -532,7 +532,7 @@ class TestCorruptFiles:
     )
     def test_rejected_checkpoint(self, tmp_path, capsys, small_config, generated, damage, named):
         path = tmp_path / "c.json"
-        visual, text = init_params([12, 6]), init_params([9, 6])
+        visual, text = init_params([12, 6], make_rng(0)), init_params([9, 6], make_rng(0))
         save_checkpoint(path, visual, text, init_optimizer(visual), init_optimizer(text), seed=1)
         payload = json.loads(path.read_text())
         path.write_text(json.dumps(damage(payload) or payload))
@@ -556,7 +556,7 @@ class TestCorruptFiles:
     def test_checkpoint_dims_checked_against_data(self, tmp_path, capsys, monkeypatch, small_config, generated,
                                                   visual_dims, text_dims, named):
         path = tmp_path / "c.json"
-        save_untrained(path, init_params(visual_dims), init_params(text_dims))
+        save_untrained(path, init_params(visual_dims, make_rng(0)), init_params(text_dims, make_rng(0)))
 
         def no_encoding(*args, **kwargs):
             raise AssertionError("encoded before the checkpoint was checked")
@@ -584,7 +584,7 @@ def _path_error_case(case, tmp_path, config, data):
     records = tmp_path / "in.jsonl"
     records.write_text(json.dumps({"text": "clipping", "level": "narration"}) + "\n")
     checkpoint = tmp_path / "c.json"
-    save_untrained(checkpoint, init_params([12, 6]), init_params([9, 6]))
+    save_untrained(checkpoint, init_params([12, 6], make_rng(0)), init_params([9, 6], make_rng(0)))
     argv = {
         "generate-data --out file": ["generate-data", "--spec", str(config), "--out", str(bad)],
         "generate-data --spec not_utf8": ["generate-data", "--spec", str(bad), "--out", str(out)],

@@ -11,6 +11,7 @@ from helpers import (
     mean_pool_rows,
     mean_pool_rows_backward,
     rel_error,
+    recomputed_costs_backward,
     row_nce_loop,
     stable_hinge_instance,
     unit_rows,
@@ -35,7 +36,6 @@ from lecnce.losses import (
     dtw_hinge,
     hier_lecnce,
     info_nce,
-    pool_segments,
     pool_segments_backward,
 )
 from lecnce.numerics import finite_diff_grad, make_rng
@@ -69,9 +69,9 @@ class TestInfoNce:
         with pytest.raises(FieldValueError, match="positives row 1 has no positives"):
             info_nce(np.zeros((2, 2)), [[0], []], symmetric=False)
 
-    @pytest.mark.parametrize("tau", [0.0, -0.07, float("nan")])
+    @pytest.mark.parametrize("tau", [0.0, -0.07, float("nan"), float("inf")])
     def test_non_positive_temperature(self, tau):
-        with pytest.raises(FieldValueError, match=r"temperature must be > 0, got"):
+        with pytest.raises(FieldValueError, match=r"temperature must be finite and > 0, got"):
             info_nce(np.zeros((2, 2)), diagonal_positives(2), temperature=tau)
 
     def test_symmetric_needs_square(self):
@@ -285,7 +285,7 @@ class TestBuildCostMatrix:
         beta = 0.1
 
         def loss_of(fr, tx):
-            return float((weights * losses._costs(fr, tx, beta)).sum())
+            return float((weights * losses._costs(fr, tx, beta)[0]).sum())
 
         g_frames, g_texts = cost_matrix_backward(frames, texts, beta, weights)
         num_f = finite_diff_grad(lambda v: loss_of(v.reshape(t, d), texts), frames.ravel())
@@ -306,11 +306,11 @@ class TestStackedCostBuild:
         frames = np.stack([unit_rows(rng, t, d) for _ in range(b)])
         texts = np.stack([unit_rows(rng, n, d) for _ in range(b)])
         grad_cost = rng.normal(size=(b, t, n))
-        costs = losses._costs(frames, texts, 0.1)
-        g_frames, g_texts = losses._costs_backward(frames, texts, 0.1, grad_cost)
+        costs, probs = losses._costs(frames, texts, 0.1)
+        g_frames, g_texts = losses._costs_backward(frames, texts, probs(...), 0.1, grad_cost)
         assert costs.shape == (b, t, n)
         for k in range(b):
-            np.testing.assert_array_equal(costs[k], losses._costs(frames[k], texts[k], 0.1))
+            np.testing.assert_array_equal(costs[k], losses._costs(frames[k], texts[k], 0.1)[0])
             want_f, want_t = cost_matrix_backward(frames[k], texts[k], 0.1, grad_cost[k])
             np.testing.assert_array_equal(g_frames[k], want_f)
             np.testing.assert_array_equal(g_texts[k], want_t)
@@ -348,7 +348,7 @@ class TestStackedCostBuild:
         assert np.all(padded[:, 0] == np.inf) and np.all(padded[:, :, 0] == np.inf)
         matrices = padded[:, 1:, 1:]
         for k in range(b):
-            want = losses._costs(frames[k], children[k], 0.1)
+            want = losses._costs(frames[k], children[k], 0.1)[0]
             np.testing.assert_array_equal(matrices[k], want)
             np.testing.assert_array_equal(matrices[b + k], want[:, ::-1])
         # one walk, of the active samples' forward then reversed tables only, taken from that wavefront
@@ -358,6 +358,39 @@ class TestStackedCostBuild:
         assert 0 < len(active) < b and out.components["dtw"] > 0
         (walked_tables,) = walked
         np.testing.assert_array_equal(walked_tables, np.concatenate([tables[active], tables[b + active]]))
+
+
+class TestCostsBackwardReadsProbs:
+    """_costs_backward given the cost build's probs equals the backward that recomputes the softmax, with ==."""
+
+    @pytest.mark.parametrize("t, n, d", [(1, 1, 1), (3, 4, 5), (16, 6, 32), (64, 1, 8), (9, 20, 3)])
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0])
+    def test_matrix(self, t, n, d, beta):
+        rng = make_rng(t * 100 + n * 10 + d)
+        frames, texts = unit_rows(rng, t, d), unit_rows(rng, n, d)
+        grad_cost = rng.normal(size=(t, n))
+        probs = losses._costs(frames, texts, beta)[1]
+        got = losses._costs_backward(frames, texts, probs(...), beta, grad_cost)
+        want = recomputed_costs_backward(frames, texts, beta, grad_cost)
+        for g, public, w in zip(got, cost_matrix_backward(frames, texts, beta, grad_cost), want):
+            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(public, w)
+
+    @pytest.mark.parametrize("b, t, n, d", [(1, 1, 1, 1), (5, 2, 2, 3), (25, 64, 6, 32), (8, 16, 8, 32)])
+    @pytest.mark.parametrize("select", ["all", "mask", "index"])
+    def test_stack_rows(self, b, t, n, d, select):
+        rng = make_rng(b * 1000 + t * 100 + n * 10 + d)
+        frames = np.stack([unit_rows(rng, t, d) for _ in range(b)])
+        texts = np.stack([unit_rows(rng, n, d) for _ in range(b)])
+        pick = {"all": np.ones(b, dtype=bool), "mask": rng.random(b) < 0.5, "index": rng.permutation(b)[: (b + 1) // 2]}
+        rows = pick[select]
+        grad_cost = rng.normal(size=(b, t, n))[rows]
+        probs = losses._costs(frames, texts, 0.1)[1]
+        got = losses._costs_backward(frames[rows], texts[rows], probs(rows), 0.1, grad_cost)
+        want = recomputed_costs_backward(frames[rows], texts[rows], 0.1, grad_cost)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
 
 
 class TestDtwHinge:
@@ -492,7 +525,7 @@ class TestHierLecnce:
         contrast = info_nce(pooled @ parents.T, diagonal_positives(2), cfg.temperature_infonce)
         dtw_vals = []
         for f, c in zip(frames, children):
-            cf = CostMatrix(losses._costs(f, c, cfg.beta))
+            cf = CostMatrix(losses._costs(f, c, cfg.beta)[0])
             dtw_vals.append(dtw_hinge_loop(cf, reverse_columns(cf), cfg.phi).value)
         expected = contrast.value + 0.01 * float(np.mean(dtw_vals))
         assert abs(out.value - expected) < 1e-12
@@ -628,10 +661,10 @@ class TestHierLecnceValidatesOnce:
                 out = hier_lecnce(frames, parents, children, cfg, algorithm)
                 assert out.components["dtw"] > 0
                 per_size[b] = dict(counts)
-            # the entry checks (parent_texts; segment_frames and child_texts), the
-            # softmax_rows check of the active backward, and nothing on the costs
-            # hier_lecnce builds, pools or aligns itself
-            assert per_size[4] == per_size[40] == {"build_cost_matrix": 0, "as_matrix": 2, "as_stack": 2,
+            # the entry checks (parent_texts; segment_frames and child_texts), and
+            # nothing on the costs hier_lecnce builds, pools or aligns itself or
+            # on the probabilities its active backward reads
+            assert per_size[4] == per_size[40] == {"build_cost_matrix": 0, "as_matrix": 1, "as_stack": 2,
                                                   "_non_negative": 0}
 
 
@@ -683,7 +716,7 @@ def per_sample_hier_lecnce(frames, parents, children, cfg, algorithm):
     total = 0.0
     active = 0
     for k in range(b):
-        c_fwd = CostMatrix(losses._costs(frames[k], children[k], cfg.beta))
+        c_fwd = CostMatrix(losses._costs(frames[k], children[k], cfg.beta)[0])
         hinge = dtw_hinge_loop(c_fwd, reverse_columns(c_fwd), cfg.phi, algorithm)
         total += hinge.value
         active += bool(hinge.grads["c_forward"].any())
@@ -803,7 +836,7 @@ class TestHierLecnceWalksActiveOnly:
             np.testing.assert_array_equal(out.grads[name], want.grads[name])
 
         b = len(frames)
-        costs = losses._costs(frames, children, cfg.beta)
+        costs = losses._costs(frames, children, cfg.beta)[0]
         aligned = alignment.align_batch(np.concatenate([costs, costs[:, :, ::-1]]), algorithm)[0]
         n_active = int(losses._hinge(aligned[:b] - aligned[b:], phi)[1].sum())
         assert {"none": n_active == 0, "some": 0 < n_active < b, "all": n_active == b}[activity]
@@ -829,8 +862,8 @@ class TestHierLecnceWalksActiveOnly:
 
 
 def assert_pool_matches_per_matrix(segments, grad_pooled):
-    """pool_segments and its backward on a (B, T, d) stack equal mean_pool_rows(_backward) per segment with ==."""
-    pooled, cache = pool_segments(segments)
+    """_pool_segments and its backward on a (B, T, d) stack equal mean_pool_rows(_backward) per segment with ==."""
+    pooled, cache = losses._pool_segments(segments)
     grad_rows = pool_segments_backward(grad_pooled, cache)
     assert pooled.shape == grad_pooled.shape
     assert grad_rows.shape == segments.shape
@@ -844,7 +877,7 @@ class TestMeanPool:
     def test_forward_is_renormalized_mean(self):
         rng = make_rng(26)
         segments = rng.normal(size=(3, 5, 4))
-        pooled, _ = pool_segments(segments)
+        pooled, _ = losses._pool_segments(segments)
         for k, rows in enumerate(segments):
             mean = rows.mean(axis=0)
             np.testing.assert_allclose(pooled[k], mean / np.linalg.norm(mean), atol=1e-12)
@@ -855,10 +888,10 @@ class TestMeanPool:
         w = rng.normal(size=(3, 3))
 
         def f(flat):
-            pooled, _ = pool_segments(flat.reshape(segments.shape))
+            pooled, _ = losses._pool_segments(flat.reshape(segments.shape))
             return float((w * pooled).sum())
 
-        _, cache = pool_segments(segments)
+        _, cache = losses._pool_segments(segments)
         analytic = pool_segments_backward(w, cache)
         numeric = finite_diff_grad(f, segments.ravel())
         assert rel_error(analytic, numeric.reshape(segments.shape)) < 1e-6
@@ -884,20 +917,11 @@ class TestMeanPool:
         segments = scale * rng.normal(size=shape)
         assert_pool_matches_per_matrix(segments, rng.normal(size=(shape[0], shape[2])))
 
-    def test_bad_stacks_raise(self):
-        rng = make_rng(30)
-        with pytest.raises(DimMismatchError, match="segments"):
-            pool_segments([rng.normal(size=(3, 4)), rng.normal(size=(2, 4))])
-        with pytest.raises(DimMismatchError, match="segments"):
-            pool_segments(rng.normal(size=(3, 4)))
-        with pytest.raises(EmptyMatrixError, match="segments"):
-            pool_segments(np.empty((2, 0, 4)))
-
     def test_collapsed_mean_raises(self):
         rng = make_rng(29)
         row = rng.normal(size=4)
         with pytest.raises(ZeroVectorError, match="segment 1"):
-            pool_segments([rng.normal(size=(2, 4)), np.stack([row, -row])])
+            losses._pool_segments(np.stack([rng.normal(size=(2, 4)), np.stack([row, -row])]))
 
 
 class TestOrderedSamplesPreferForward:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecnce.errors import DimMismatchError, FieldValueError, ZeroVectorError
+from lecnce import losses
+from lecnce.errors import DimMismatchError, ZeroVectorError
 from lecnce.numerics import (
     cosine_similarity_matrix,
     finite_diff_grad,
     l2_normalize,
     make_rng,
-    softmax_rows,
 )
 
 
@@ -76,37 +76,46 @@ class TestCosineSimilarityMatrix:
             cosine_similarity_matrix(np.ones((2, 3)), np.ones((2, 4)))
 
 
+def cost_softmax(m, beta):
+    """``probs`` and ``exp(-costs)`` of ``losses._costs`` of rows ``m`` and identity texts: softmaxes of m / beta."""
+    m = np.asarray(m, dtype=np.float64)
+    costs, probs = losses._costs(m, np.eye(m.shape[1]), beta)
+    return probs(...), np.exp(-costs)
+
+
 class TestSoftmaxRows:
+    """The tempered row softmax of the cost build, both as the probs it keeps and as exp(-costs)."""
+
     def test_constant_row_uniform(self):
         for beta in (0.01, 0.1, 1.0, 10.0):
-            out = softmax_rows(np.full((2, 5), 3.7), beta)
-            np.testing.assert_allclose(out, 0.2, atol=1e-12)
+            for out in cost_softmax(np.full((2, 5), 3.7), beta):
+                np.testing.assert_allclose(out, 0.2, atol=1e-12)
 
     def test_single_column(self):
-        np.testing.assert_array_equal(softmax_rows(np.array([[4.2], [-1.0]]), 0.1), np.ones((2, 1)))
+        for out in cost_softmax([[4.2], [-1.0]], 0.1):
+            np.testing.assert_array_equal(out, np.ones((2, 1)))
 
     def test_analytic_ln2(self):
-        out = softmax_rows(np.array([[0.0, np.log(2.0)]]), 1.0)
-        np.testing.assert_allclose(out, [[1 / 3, 2 / 3]], atol=1e-12)
+        for out in cost_softmax([[0.0, np.log(2.0)]], 1.0):
+            np.testing.assert_allclose(out, [[1 / 3, 2 / 3]], atol=1e-12)
 
     def test_rows_sum_to_one_across_temperatures(self):
         rng = make_rng(5)
         for beta in (0.01, 0.1, 1.0, 10.0):
             m = rng.normal(scale=3.0, size=(6, 7))
-            out = softmax_rows(m, beta)
-            assert np.all(out >= 0)
-            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_nonpositive_temperature(self):
-        with pytest.raises(FieldValueError, match=r"temperature must be > 0, got 0.0"):
-            softmax_rows(np.ones((1, 2)), 0.0)
+            with np.errstate(over="raise", invalid="raise"):  # max-subtraction keeps exp in range at beta 0.01
+                outs = cost_softmax(m, beta)
+            for out in outs:
+                assert np.all(out >= 0)
+                np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
     @settings(max_examples=30)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.01, 0.1, 1.0, 10.0]))
     def test_rows_sum_property(self, seed, beta):
         rng = make_rng(seed)
         m = rng.normal(scale=5.0, size=(3, 4))
-        np.testing.assert_allclose(softmax_rows(m, beta).sum(axis=1), 1.0, atol=1e-9)
+        for out in cost_softmax(m, beta):
+            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestFiniteDiffGrad:

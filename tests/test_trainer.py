@@ -399,7 +399,7 @@ class TestStepCallBudget:
     and 82 (greedy) or 86 (DP) phase and video calls.
     """
 
-    BUDGET = {"greedy": {"clip": 31, "phase": 37, "video": 37}, "dp": {"clip": 31, "phase": 40, "video": 40}}
+    BUDGET = {"greedy": {"clip": 31, "phase": 35, "video": 35}, "dp": {"clip": 31, "phase": 37, "video": 37}}
 
     @pytest.mark.parametrize("algorithm", ["greedy", "dp"])
     def test_steady_state_steps_stay_within_budget(self, algorithm):
