@@ -1,13 +1,16 @@
 """Tour of the training objectives and a live gradient check.
 
 Builds the alignment-cost matrix from toy embeddings, evaluates the
-reversal hinge, assembles the clip-level and hierarchical objectives, and
-verifies one analytic gradient against central finite differences.
+reversal hinge, shows the path bounds that let a DP batch of ordered
+samples skip its alignment, assembles the clip-level and hierarchical
+objectives, and verifies one analytic gradient against central finite
+differences.
 """
 
 import numpy as np
 
-from lecnce.alignment import reverse_columns
+from lecnce import losses
+from lecnce.alignment import dtw_dp, reverse_columns
 from lecnce.losses import (
     LossConfig,
     build_cost_matrix,
@@ -39,6 +42,17 @@ print(
     f"forward cost {hinge.components['dtw_forward']:.3f}, reversed {hinge.components['dtw_reversed']:.3f}, "
     f"hinge value {hinge.value:.3f}"
 )
+
+print("\n== path bounds: a DP hinge settled without aligning ==")
+# frames drawn near their child texts, in order: the forward alignment is cheap, the reversed one is not
+noise = make_rng(2).normal(scale=0.3, size=(12, 8))
+ordered = np.stack([l2_normalize(texts[k * 3 // 12] + noise[k]) for k in range(12)])
+c = build_cost_matrix(ordered, texts, beta=0.1).values
+upper = losses._path_bounds(c[None])[1][0]
+lower = losses._reversed_lower_bound(c[None])[0]
+print(f"forward:  dtw_dp {dtw_dp(c).cost:8.3f} <= staircase path {upper:8.3f}")
+print(f"reversed: dtw_dp {dtw_dp(c[:, ::-1]).cost:8.3f} >= relaxation     {lower:8.3f}")
+print(f"upper + phi < lower, so the hinge is 0 without a wavefront: {losses._hinges_idle(c[None], 0.1)}")
 
 print("\n== combined objectives ==")
 cfg = LossConfig()

@@ -62,6 +62,12 @@ def check_minimums(obj, **minimums) -> None:
             raise FieldValueError(name, f"must be finite and >= {low}, got {getattr(obj, name)}")
 
 
+def check_positive(name: str, value) -> None:
+    """Raise :class:`FieldValueError` naming ``name`` unless ``value`` is finite and > 0."""
+    if not 0 < value < float("inf"):
+        raise FieldValueError(name, f"must be finite and > 0, got {value}")
+
+
 class MissingLevelDataError(LecnceError):
     """A training run needs samples at every scheduled level."""
 

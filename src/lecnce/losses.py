@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import CostMatrix, _align_padded, align_batch, check_algorithm
-from .errors import DimMismatchError, FieldValueError, RowNotNormalizedError, ZeroVectorError, check_minimums
+from .errors import (
+    DimMismatchError,
+    FieldValueError,
+    RowNotNormalizedError,
+    ZeroVectorError,
+    check_minimums,
+    check_positive,
+)
 from .numerics import ZERO_NORM_TOL, as_matrix, as_stack
 
 ROW_NORM_TOL = 1e-6
@@ -42,8 +49,7 @@ class LossConfig:
 
     def __post_init__(self):
         for name in ("beta", "temperature_infonce"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise FieldValueError(name, f"must be finite and > 0, got {getattr(self, name)}")
+            check_positive(name, getattr(self, name))
         if not np.isfinite(self.phi):
             raise FieldValueError("phi", f"must be finite, got {self.phi}")
         check_minimums(self, lambda_dtw=0)
@@ -115,8 +121,7 @@ def info_nce(
     :class:`FieldValueError`.
     """
     sim = as_matrix(sim, "sim")
-    if not 0 < temperature < np.inf:
-        raise FieldValueError("temperature", f"must be finite and > 0, got {temperature}")
+    check_positive("temperature", temperature)
     if symmetric and sim.shape[0] != sim.shape[1]:
         raise DimMismatchError(f"symmetric loss needs a square matrix, got {sim.shape}")
     return _info_nce(sim, positives, temperature, symmetric)
@@ -161,9 +166,11 @@ def build_cost_matrix(frames, texts, beta: float = LossConfig.beta) -> CostMatri
     ``c[i][j] = -log softmax_j(frames[i] . texts[j] / beta) >= 0``; rows of both inputs
     must be unit-norm, so the dot products are cosines, or RowNotNormalizedError
     names the row furthest off.  Each row satisfies sum_j exp(-c[i][j]) = 1.
+    A ``beta`` that is not finite and > 0 raises :class:`FieldValueError`.
     """
     frames = as_matrix(frames, "frames")
     texts = as_matrix(texts, "texts")
+    check_positive("beta", beta)
     if frames.shape[1] != texts.shape[1]:
         raise DimMismatchError(f"embedding dims differ: {frames.shape[1]} vs {texts.shape[1]}")
     for name, m in (("frames", frames), ("texts", texts)):
@@ -175,8 +182,12 @@ def build_cost_matrix(frames, texts, beta: float = LossConfig.beta) -> CostMatri
 
 
 def cost_matrix_backward(frames, texts, beta: float, grad_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chain a gradient on cost-matrix entries back to the two embedding matrices."""
+    """Chain a gradient on cost-matrix entries back to the two embedding matrices.
+
+    ``beta`` is checked as in :func:`build_cost_matrix`.
+    """
     frames, texts = as_matrix(frames, "frames"), as_matrix(texts, "texts")
+    check_positive("beta", beta)
     return _costs_backward(frames, texts, _costs(frames, texts, beta)[1](...), beta, grad_cost)
 
 
@@ -186,6 +197,84 @@ def _hinge(delta, phi: float):
     Elementwise over arrays; ties resolve as Python's ``max`` would.
     """
     return np.where(delta + phi > 0.0, delta + phi, 0.0), delta + phi > 0.0
+
+
+@functools.lru_cache(maxsize=64)
+def _bound_plan(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`_path_bounds` and :func:`_reversed_lower_bound` reuse for (t, n) cost matrices.
+
+    ``weights`` is (t * n, n + 2): a flattened matrix times it gives, in one
+    product, its n column-choice costs, its staircase cost and its total.
+    Choice j takes column n in the first h = max(t//2, 1) rows and column j
+    in the rest.  The staircase is the cells (k*t//L, k*n//L), k < L =
+    max(t, n): it runs from (0, 0) to (t-1, n-1) by down, right or diagonal
+    moves, so it is a path.  ``triu`` (t, t) takes running sums down a
+    column as a product too (a sum over the middle axis of a small stack
+    costs several times more).
+    """
+    h, k = max(t // 2, 1), np.arange(max(t, n))
+    weights = np.zeros((t, n, n + 2))
+    weights[:h, -1, :n] = 1.0
+    weights[h:, np.arange(n), np.arange(n)] = 1.0
+    weights[k * t // len(k), k * n // len(k), n] = 1.0
+    weights[:, :, n + 1] = 1.0
+    weights, triu = weights.reshape(t * n, n + 2), np.triu(np.ones((t, t)))
+    weights.setflags(write=False)
+    triu.setflags(write=False)
+    return weights, triu
+
+
+def _path_bounds(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per matrix of a (B, T, N) cost stack: its total, one path's cost and the costs of N reversed column choices.
+
+    The path is :func:`_bound_plan`'s staircase, so its cost is >= the
+    forward DP cost.  Choice j, a (B, N) entry, takes the reversed matrix's
+    column 1 in the first ``max(T//2, 1)`` rows and one column (forward
+    column j) in the rest: each is >= :func:`_reversed_lower_bound`.
+    """
+    b, t, n = costs.shape
+    sums = costs.reshape(b, t * n) @ _bound_plan(t, n)[0]
+    return sums[:, -1], sums[:, -2], sums[:, :-2]
+
+
+def _reversed_lower_bound(costs: np.ndarray) -> np.ndarray:
+    """A lower bound on the DP cost of each column-reversed matrix of a (B, T, N) cost stack.
+
+    A path's first column in each row never decreases and is column 1 in
+    row 1; costs are >= 0, so the path costs at least those cells.  This is
+    the least such sum over every column choice, column by column:
+    ``G_j = P_j + cummin(G_{j-1} - P_j)`` over the running row sums ``P_j``
+    of reversed column j, where ``G_j[i]`` is the least sum of rows 1..i
+    whose last choice is a column <= j.
+    """
+    # (B, N, T) running row sums of each forward column; reversed column j is forward column N+1-j
+    p = np.swapaxes(costs, 1, 2) @ _bound_plan(*costs.shape[1:])[1]
+    g = p[:, -1]
+    for j in range(costs.shape[2] - 2, -1, -1):
+        g = p[:, j] + np.minimum.accumulate(g - p[:, j], axis=1)
+    return g[:, -1]
+
+
+def _hinges_idle(costs: np.ndarray, phi: float) -> bool:
+    """Whether no DP reversal hinge of a (B, T, N) cost stack can be active: max(0, DP(C) - DP(C_rev) + phi) == 0.
+
+    Each forward DP cost is at most its staircase's cost (:func:`_path_bounds`)
+    and each reversed one at least :func:`_reversed_lower_bound`, so
+    ``upper + phi < lower`` decides every hinge without a wavefront.  The
+    decision is strict by 1e-9 * (2 * total + |phi|): every sum involved,
+    the DP's own included, is at most the matrix total, and their rounding is
+    far below that share of it.  A non-finite entry, or a total within a
+    factor 2 of overflow, makes the margin inf or nan, which certifies
+    nothing, so the wavefront's overflow check still runs.  Each column
+    choice is >= the lower bound, so a batch where one does not clear
+    ``upper + phi`` is ruled out before the bound is computed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that is inf or nan certifies nothing
+        total, upper, choices = _path_bounds(costs)
+        if not (upper[:, None] + phi < choices).all():
+            return False
+        margin = upper + phi + 1e-9 * (2.0 * total + abs(phi))
+    return bool((margin < _reversed_lower_bound(costs)).all())
 
 
 def dtw_hinge(
@@ -278,11 +367,14 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     Pooled segment embeddings are contrasted against parent texts with
     diagonal positives; each sample additionally pays a reversal hinge on
     the alignment cost between its frames and its child texts, averaged over
-    the batch and scaled by ``lambda_dtw``.  The forward and reversed
-    matrices are aligned in one :func:`~lecnce.alignment._align_padded` pass,
-    which is asked for the active hinges' paths only.  The frame and child
-    gradients come back as (B, T, d) and (B, N, d) arrays.  The inputs are
-    checked here; what is built from them is not checked again.
+    the batch and scaled by ``lambda_dtw``.  With DP alignment a batch whose
+    hinges are all provably inactive (:func:`_hinges_idle`) is not aligned:
+    each hinge is 0.0 with a zero gradient, as the alignment would give.
+    Any other batch's forward and reversed matrices are aligned in one
+    :func:`~lecnce.alignment._align_padded` pass, which is asked for the
+    active hinges' paths only.  The frame and child gradients come back as
+    (B, T, d) and (B, N, d) arrays.  The inputs are checked here; what is
+    built from them is not checked again.
     """
     parent_texts = as_matrix(parent_texts, "parent_texts")
     b, d = parent_texts.shape
@@ -293,17 +385,22 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
             raise DimMismatchError(f"{name} must have shape ({b}, rows, {d}) for {b} parent texts, got {m.shape}")
     algorithm = check_algorithm(dtw_algorithm)
 
-    # the whole batch in one pass: its cost matrices and their column-reversed
-    # views in one inf-padded stack (each cost is -log of a probability, so
-    # >= 0), their alignment costs, and the paths and backward of the active
-    # hinges only (an inactive hinge has an all-zero cost gradient)
+    # the whole batch in one pass: its cost matrices (each cost is -log of a
+    # probability, so >= 0) and, unless DP bounds settle every hinge, their
+    # column-reversed views in one inf-padded stack, their alignment costs,
+    # and the paths and backward of the active hinges only (an inactive hinge
+    # has an all-zero cost gradient)
     lam = cfg.lambda_dtw
-    t, n = frames.shape[1], children.shape[1]
-    padded = np.full((2 * b, t + 1, n + 1), np.inf)  # the inf border of alignment's walk and DP table
-    padded[:b, 1:, 1:], probs = _costs(frames, children, cfg.beta)
-    padded[b:, 1:, 1:] = padded[:b, 1:, :0:-1]
-    aligned, paths = _align_padded(padded, algorithm)
-    hinge, active = _hinge(aligned[:b] - aligned[b:], cfg.phi)
+    costs, probs = _costs(frames, children, cfg.beta)
+    if algorithm == "dp" and _hinges_idle(costs, cfg.phi):
+        hinge, active = np.zeros(b), np.zeros(b, dtype=bool)
+    else:
+        t, n = costs.shape[1:]
+        padded = np.full((2 * b, t + 1, n + 1), np.inf)  # the inf border of alignment's walk and DP table
+        padded[:b, 1:, 1:] = costs
+        padded[b:, 1:, 1:] = costs[:, :, ::-1]
+        aligned, paths = _align_padded(padded, algorithm)
+        hinge, active = _hinge(aligned[:b] - aligned[b:], cfg.phi)
 
     pooled, pool_cache = _pool_segments(frames)
     contrast = _info_nce(pooled @ parent_texts.T, diagonal_positives(b), cfg.temperature_infonce)

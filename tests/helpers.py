@@ -5,7 +5,7 @@ cost-build backward that recomputes its softmax, the per-layer encoder backward 
 per-row InfoNCE, per-matrix pooling, per-block training step,
 per-sample batcher, per-row data generator and per-query/per-class metric
 loops that the batched code must reproduce, the hinge that walks every
-alignment path, a Newton solver for the linear probe's objective, the
+alignment path, the reversed-cost relaxation as a per-cell loop, a Newton solver for the linear probe's objective, the
 evaluation protocols composed sample by sample, the checkpoint layout
 written before the optimizer moments were packed, and a loader for the
 benchmark's own modules."""
@@ -333,6 +333,21 @@ def all_walk_hier_lecnce(frames, parent_texts, children, cfg, dtw_algorithm="gre
     dtw_mean = float(0.0 + np.add.accumulate(hinge)[-1]) / b
     grads = {"segment_frames": grad_frames, "parent_texts": g_sim.T @ pooled, "child_texts": grad_children}
     return LossValue(contrast.value + lam * dtw_mean, grads, {"infonce": contrast.value, "dtw": dtw_mean})
+
+
+def first_column_relaxation_loop(c: np.ndarray) -> float:
+    """The least sum of one cell per row of ``c``, columns non-decreasing from column 1: a per-cell row-by-row loop.
+
+    The oracle of ``losses._reversed_lower_bound`` on the column-reversed ``c``.
+    """
+    t, n = c.shape
+    best = [float(c[0, 0])] + [np.inf] * (n - 1)  # by the column chosen in the last row so far
+    for i in range(1, t):
+        low = np.inf
+        for j in range(n):
+            low = min(low, best[j])
+            best[j] = low + float(c[i, j])
+    return min(best)
 
 
 def mean_pool_rows(rows: np.ndarray) -> tuple[np.ndarray, tuple]:

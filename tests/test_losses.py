@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_walk_hier_lecnce,
     dtw_greedy_loop,
+    first_column_relaxation_loop,
     dtw_hinge_loop,
     mean_pool_rows,
     mean_pool_rows_backward,
@@ -18,7 +19,7 @@ from helpers import (
 )
 
 from lecnce import alignment, encoders, evalkit, losses, numerics
-from lecnce.alignment import CostMatrix, dtw_greedy, reverse_columns
+from lecnce.alignment import CostMatrix, dtw_dp, dtw_greedy, reverse_columns
 from lecnce.errors import (
     DimMismatchError,
     EmptyMatrixError,
@@ -859,6 +860,121 @@ class TestHierLecnceWalksActiveOnly:
             with pytest.raises(FieldValueError, match=r"dtw_algorithm must be one of \('greedy', 'dp'\), got 'beam'"):
                 hier_lecnce(frames, parents, children, LossConfig(), "beam")
         align.assert_not_called()
+
+
+def _gate_instance(rng, b, t, n, d, ordered, noise=0.1):
+    """A (B, T, d)/(B, d)/(B, N, d) hier_lecnce batch; ordered frames are drawn near their child texts, in order."""
+    children = np.stack([unit_rows(rng, n, d) for _ in range(b)])
+    if ordered:
+        frames = children[:, np.arange(t) * n // t] + rng.normal(0.0, noise, size=(b, t, d))
+        frames /= np.linalg.norm(frames, axis=2, keepdims=True)
+    else:
+        frames = np.stack([unit_rows(rng, t, d) for _ in range(b)])
+    return frames, unit_rows(rng, b, d), children
+
+
+def assert_equals_all_walk(frames, parents, children, cfg, algorithm="dp"):
+    """hier_lecnce == all_walk_hier_lecnce in value, components and every gradient."""
+    out = hier_lecnce(frames, parents, children, cfg, algorithm)
+    want = all_walk_hier_lecnce(frames, parents, children, cfg, algorithm)
+    assert out.value == want.value
+    assert out.components == want.components
+    assert out.grads.keys() == want.grads.keys()
+    for name in want.grads:
+        np.testing.assert_array_equal(out.grads[name], want.grads[name])
+
+
+GATE_PHIS = [-0.5, 0.0, 0.1, 0.5, 3.0]
+
+
+class TestHingesIdleGate:
+    """A DP batch whose hinges the path bounds settle skips the alignment, and nothing else changes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # (B, T, N, d): T < N, T == 1 and N == 1 included
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 14), st.integers(1, 8), st.integers(2, 8)),
+        ordered=st.booleans(),
+        lam=st.sampled_from([0.0, 0.7]),
+        phi=st.sampled_from(GATE_PHIS),
+        beta=st.sampled_from([0.05, 0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_equals_all_walk_oracle(self, shape, ordered, lam, phi, beta, seed):
+        frames, parents, children = _gate_instance(make_rng(seed), *shape, ordered)
+        assert_equals_all_walk(frames, parents, children, LossConfig(beta=beta, phi=phi, lambda_dtw=lam))
+
+    def test_idle_and_aligned_batches_equal_the_oracle(self):
+        rng = make_rng(61)
+        idle = []
+        for b, t, n in [(6, 1, 4), (6, 5, 1), (6, 3, 7), (6, 16, 4), (25, 64, 6), (8, 12, 12)]:
+            for ordered in (True, False):
+                for phi in GATE_PHIS:
+                    frames, parents, children = _gate_instance(rng, b, t, n, 8, ordered)
+                    cfg = LossConfig(phi=phi, lambda_dtw=0.7)
+                    idle.append(losses._hinges_idle(losses._costs(frames, children, cfg.beta)[0], phi))
+                    assert_equals_all_walk(frames, parents, children, cfg)
+        assert 0 < sum(idle) < len(idle)
+
+    def test_ordered_batch_is_not_aligned(self):
+        frames, parents, children = _gate_instance(make_rng(62), 8, 32, 4, 8, ordered=True, noise=0.05)
+        cfg = LossConfig(lambda_dtw=0.7)
+        with mock.patch.object(alignment, "_accumulate", wraps=alignment._accumulate) as accumulate:
+            out = hier_lecnce(frames, parents, children, cfg, "dp")
+        accumulate.assert_not_called()
+        assert out.components["dtw"] == 0.0
+        assert_equals_all_walk(frames, parents, children, cfg)
+
+    def test_unordered_batch_is_ruled_out_before_the_relaxation(self):
+        frames, parents, children = _gate_instance(make_rng(64), 80, 16, 8, 8, ordered=False)
+        with mock.patch.object(losses, "_reversed_lower_bound", wraps=losses._reversed_lower_bound) as lower, \
+                mock.patch.object(alignment, "_accumulate", wraps=alignment._accumulate) as accumulate:
+            hier_lecnce(frames, parents, children, LossConfig(), "dp")
+        lower.assert_not_called()
+        accumulate.assert_called_once()
+
+    def test_greedy_never_asks(self):
+        frames, parents, children = _gate_instance(make_rng(63), 8, 32, 4, 8, ordered=True, noise=0.05)
+        with mock.patch.object(losses, "_hinges_idle", wraps=losses._hinges_idle) as gate:
+            hier_lecnce(frames, parents, children, LossConfig(), "greedy")
+        gate.assert_not_called()
+        assert_equals_all_walk(frames, parents, children, LossConfig(), "greedy")
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+    def test_non_finite_or_near_overflow_costs_certify_nothing(self, bad):
+        costs = np.ones((3, 4, 2))
+        costs[:, :, 1] = 2.0
+        assert losses._hinges_idle(costs, -1e300)  # any finite gap is far above -phi
+        costs[1, 2, 0] = bad
+        assert not losses._hinges_idle(costs, -1e300)
+
+
+class TestPathBounds:
+    """The bounds behind _hinges_idle hold exactly on integer-valued costs, whose float sums are exact."""
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_staircase_is_a_path(self, t):
+        for n in range(1, 13):
+            cells = np.argwhere(losses._bound_plan(t, n)[0].reshape(t, n, n + 2)[:, :, n])  # in row-major order
+            assert tuple(cells[0]) == (0, 0) and tuple(cells[-1]) == (t - 1, n - 1)
+            assert {tuple(m) for m in np.diff(cells, axis=0)} <= {(1, 0), (0, 1), (1, 1)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12)),
+        high=st.sampled_from([1, 3, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_hold_on_integer_costs(self, shape, high, seed):
+        costs = make_rng(seed).integers(0, high + 1, size=shape).astype(float)
+        total, upper, choices = losses._path_bounds(costs)
+        lower = losses._reversed_lower_bound(costs)
+        for k, c in enumerate(costs):
+            assert total[k] == c.sum()
+            assert dtw_dp(c).cost <= upper[k]
+            assert lower[k] <= dtw_dp(c[:, ::-1]).cost
+            assert lower[k] == first_column_relaxation_loop(c[:, ::-1])
+            assert (lower[k] <= choices[k]).all()
 
 
 def assert_pool_matches_per_matrix(segments, grad_pooled):

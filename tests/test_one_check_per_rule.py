@@ -10,6 +10,7 @@ from lecnce.cli import load_config
 from lecnce.datagen import load_dataset
 from lecnce.encoders import EncoderParams, adamw_step, init_optimizer, init_params, load_checkpoint, save_checkpoint
 from lecnce.errors import ConfigError, CorruptFileError, DimMismatchError, FieldValueError, NonFiniteError
+from lecnce.losses import LossConfig, build_cost_matrix, cost_matrix_backward
 from lecnce.numerics import make_rng
 from lecnce.trainer import TrainConfig
 
@@ -58,6 +59,19 @@ NEGATIVE_ENTRY = {**MATRIX_ENTRY, "align_batch": lambda m: align_batch(m[None], 
 def test_negative_cost(entry):
     message = _raised(lambda: entry(np.array([[1.0, -1e-300], [2.0, 1.0]])), FieldValueError)
     assert message == "cost matrices[0] contains negative values"
+
+
+BETA_ENTRY = {
+    "LossConfig": lambda beta: LossConfig(beta=beta),
+    "build_cost_matrix": lambda beta: build_cost_matrix(np.eye(2), np.eye(2), beta),
+    "cost_matrix_backward": lambda beta: cost_matrix_backward(np.eye(2), np.eye(2), beta, np.ones((2, 2))),
+}
+
+
+@pytest.mark.parametrize("beta", [-0.1, 0.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("entry", BETA_ENTRY.values(), ids=BETA_ENTRY.keys())
+def test_beta_out_of_range(entry, beta):
+    assert _raised(lambda: entry(beta), FieldValueError) == f"beta must be finite and > 0, got {beta}"
 
 
 def _diverged_adamw_step():

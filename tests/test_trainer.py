@@ -396,10 +396,12 @@ class TestStepCallBudget:
     from checked inputs.  A check that comes back on the step's path adds
     calls here.  The bounds are the counts of the current code; re-checking
     the optimizer state, the pooled frames and the cost stack made 72 clip
-    and 82 (greedy) or 86 (DP) phase and video calls.
+    and 82 (greedy) or 86 (DP) phase and video calls.  A DP phase or video
+    step also asks ``_hinges_idle`` and ``_path_bounds`` whether it may skip
+    the alignment; on this tiny batch they say no.
     """
 
-    BUDGET = {"greedy": {"clip": 31, "phase": 35, "video": 35}, "dp": {"clip": 31, "phase": 37, "video": 37}}
+    BUDGET = {"greedy": {"clip": 31, "phase": 35, "video": 35}, "dp": {"clip": 31, "phase": 39, "video": 39}}
 
     @pytest.mark.parametrize("algorithm", ["greedy", "dp"])
     def test_steady_state_steps_stay_within_budget(self, algorithm):
