@@ -92,7 +92,7 @@ class HierarchicalSample:
     frame_features: np.ndarray
     parent_text_feature: np.ndarray
     child_text_features: np.ndarray  # (N, text_dim); N == 0 at clip level
-    step_labels: list[int]
+    step_labels: list[int] | None  # None for a sample of a training batch
     procedure_id: int
 
 
@@ -136,11 +136,12 @@ class Level:
         return len(self.procedure_ids)
 
     def __getitem__(self, index):
+        labels = None if self.labels is None else self.labels[index]
         if isinstance(index, (int, np.integer)):
             return HierarchicalSample(self.name, self.frames[index], self.parents[index], self.children[index],
-                                      self.labels[index].tolist(), int(self.procedure_ids[index]))
-        return Level(self.name, self.frames[index], self.parents[index], self.children[index],
-                     self.labels[index], self.procedure_ids[index])
+                                      None if labels is None else labels.tolist(), int(self.procedure_ids[index]))
+        return Level(self.name, self.frames[index], self.parents[index], self.children[index], labels,
+                     self.procedure_ids[index])
 
 
 @dataclass

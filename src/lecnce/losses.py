@@ -27,7 +27,7 @@ from .errors import (
     check_minimums,
     check_positive,
 )
-from .numerics import ZERO_NORM_TOL, as_matrix, as_stack
+from .numerics import ZERO_NORM_TOL, as_matrix, as_stack, check_cells
 
 ROW_NORM_TOL = 1e-6
 
@@ -143,14 +143,24 @@ def _costs(frames: np.ndarray, texts: np.ndarray, beta: float):
     """Cost values of (T, d)/(N, d) frames and texts, or of (B, T, d)/(B, N, d) stacks of them, and ``probs``.
 
     ``probs(rows)`` is the softmax behind the costs of the matrices ``rows`` selects, from this pass's exp and row sums.
+    ``texts`` must have rows; the entries check that.
     """
-    sim = frames @ np.swapaxes(texts, -1, -2)
-    # -log_softmax of each row of sim / beta, max-stabilized; log(...) - z would turn its -0.0 costs into +0.0
-    z = sim / beta
-    z = z - z.max(axis=-1, keepdims=True)
+    # -log_softmax of each row of sim / beta, max-stabilized, in place on the fresh product; log(...) - z would
+    # turn its -0.0 costs into +0.0
+    z = frames @ np.swapaxes(texts, -1, -2)
+    z /= beta
+    # The row max is a fold over the N text columns: numpy reduces a short last axis row by row, about 75 ns a
+    # row (110-120 us at (25, 64, 6)), while N - 1 column maxima take a few us each.  A max is exact but for a
+    # +0.0/-0.0 tie, which numpy's reduce resolves as this left-to-right fold for N <= 8 only.  Such a tie
+    # leaves two entries at exp(+-0) = 1, so total >= 2 and no cost or probability depends on the zero kept.
+    top = z[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j], out=top)
+    z -= top[..., None]
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
-    return -(z - np.log(total)), lambda rows: e[rows] / total[rows]
+    z -= np.log(total)
+    return np.negative(z, out=z), lambda rows: e[rows] / total[rows]
 
 
 def _costs_backward(frames: np.ndarray, texts: np.ndarray, probs: np.ndarray, beta: float, grad_cost: np.ndarray):
@@ -160,19 +170,27 @@ def _costs_backward(frames: np.ndarray, texts: np.ndarray, probs: np.ndarray, be
     return grad_sim @ texts, np.swapaxes(grad_sim, -1, -2) @ frames
 
 
+def _cost_inputs(frames, texts, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Finite matrices with cells and one embedding dim, and a finite ``beta`` > 0: both cost entries' checks."""
+    frames, texts = as_matrix(frames, "frames"), as_matrix(texts, "texts")
+    check_cells(frames, "frames")
+    check_cells(texts, "texts")
+    check_positive("beta", beta)
+    if frames.shape[1] != texts.shape[1]:
+        raise DimMismatchError(f"embedding dims differ: {frames.shape[1]} vs {texts.shape[1]}")
+    return frames, texts
+
+
 def build_cost_matrix(frames, texts, beta: float = LossConfig.beta) -> CostMatrix:
     """Per-frame negative log-probability of each text under a softmax over texts.
 
     ``c[i][j] = -log softmax_j(frames[i] . texts[j] / beta) >= 0``; rows of both inputs
     must be unit-norm, so the dot products are cosines, or RowNotNormalizedError
     names the row furthest off.  Each row satisfies sum_j exp(-c[i][j]) = 1.
-    A ``beta`` that is not finite and > 0 raises :class:`FieldValueError`.
+    A ``beta`` that is not finite and > 0 raises :class:`FieldValueError`, an
+    input without cells :class:`EmptyMatrixError`.
     """
-    frames = as_matrix(frames, "frames")
-    texts = as_matrix(texts, "texts")
-    check_positive("beta", beta)
-    if frames.shape[1] != texts.shape[1]:
-        raise DimMismatchError(f"embedding dims differ: {frames.shape[1]} vs {texts.shape[1]}")
+    frames, texts = _cost_inputs(frames, texts, beta)
     for name, m in (("frames", frames), ("texts", texts)):
         norms = np.linalg.norm(m, axis=1)
         if np.any(np.abs(norms - 1.0) > ROW_NORM_TOL):
@@ -184,10 +202,10 @@ def build_cost_matrix(frames, texts, beta: float = LossConfig.beta) -> CostMatri
 def cost_matrix_backward(frames, texts, beta: float, grad_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chain a gradient on cost-matrix entries back to the two embedding matrices.
 
-    ``beta`` is checked as in :func:`build_cost_matrix`.
+    ``frames``, ``texts`` and ``beta`` are checked as in :func:`build_cost_matrix`,
+    except for unit row norms.
     """
-    frames, texts = as_matrix(frames, "frames"), as_matrix(texts, "texts")
-    check_positive("beta", beta)
+    frames, texts = _cost_inputs(frames, texts, beta)
     return _costs_backward(frames, texts, _costs(frames, texts, beta)[1](...), beta, grad_cost)
 
 
@@ -317,7 +335,12 @@ def clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> Los
     for name, m in (("narrations", narrations), ("view_a", view_a), ("view_b", view_b)):
         if m.shape[0] != b:
             raise DimMismatchError(f"{name} has {m.shape[0]} rows, expected {b}")
+    return _clip_lecnce(clip_frames, narrations, view_a, view_b, cfg)
 
+
+def _clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> LossValue:
+    """:func:`clip_lecnce` on four (B, d) float64 matrices, unchecked: a non-finite entry makes the value nan."""
+    b = clip_frames.shape[0]
     tau = cfg.temperature_infonce
     diag = diagonal_positives(b)
     vl = _info_nce(clip_frames @ narrations.T, diag, tau)
@@ -383,8 +406,16 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     for name, m in (("segment_frames", frames), ("child_texts", children)):
         if m.shape[0] != b or m.shape[2] != d:
             raise DimMismatchError(f"{name} must have shape ({b}, rows, {d}) for {b} parent texts, got {m.shape}")
-    algorithm = check_algorithm(dtw_algorithm)
+    return _hier_lecnce(frames, parent_texts, children, cfg, check_algorithm(dtw_algorithm))
 
+
+def _hier_lecnce(frames: np.ndarray, parent_texts: np.ndarray, children: np.ndarray, cfg: LossConfig,
+                 algorithm: str) -> LossValue:
+    """:func:`hier_lecnce` on (B, T, d)/(B, d)/(B, N, d) float64 arrays with cells and a known algorithm, unchecked.
+
+    A non-finite entry makes the value nan, or the DP alignment raises :class:`NonFiniteError`.
+    """
+    b = parent_texts.shape[0]
     # the whole batch in one pass: its cost matrices (each cost is -log of a
     # probability, so >= 0) and, unless DP bounds settle every hinge, their
     # column-reversed views in one inf-padded stack, their alignment costs,

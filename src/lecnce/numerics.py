@@ -37,6 +37,12 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def check_cells(m: np.ndarray, name: str) -> None:
+    """Raise :class:`EmptyMatrixError` naming ``name`` when the array ``m`` has no cells."""
+    if m.size == 0:
+        raise EmptyMatrixError(f"{name} has no cells, shape {m.shape}")
+
+
 def as_stack(values, name: str = "stack") -> np.ndarray:
     """Coerce a (B, rows, cols) array or B equal-shape matrices to a finite, non-empty 3-D float64 array.
 
@@ -50,8 +56,7 @@ def as_stack(values, name: str = "stack") -> np.ndarray:
         raise DimMismatchError(f"{name} must be one (B, rows, cols) stack; its matrices differ in shape") from None
     if m.ndim != 3:
         raise DimMismatchError(f"{name} must be a (B, rows, cols) stack, got shape {m.shape}")
-    if m.size == 0:
-        raise EmptyMatrixError(f"{name} has no cells, shape {m.shape}")
+    check_cells(m, name)
     if not np.isfinite(m).all():
         bad = int(np.argmin(np.isfinite(m).all(axis=(1, 2))))
         raise NonFiniteError(f"{name}[{bad}] contains non-finite values")

@@ -23,7 +23,7 @@ from . import encoders as enc
 from .alignment import check_algorithm
 from .datagen import LEVELS, Dataset, Level
 from .errors import FieldValueError, MissingLevelDataError, NonFiniteError, check_minimums
-from .losses import LossConfig, _pool_segments, clip_lecnce, hier_lecnce, pool_segments_backward
+from .losses import LossConfig, _clip_lecnce, _hier_lecnce, _pool_segments, pool_segments_backward
 from .numerics import make_rng, subsample_frames
 
 VIEW_NOISE_SIGMA = 0.05
@@ -194,7 +194,7 @@ def train_step(
         narr_emb, t_cache = enc.forward(state.text, batch.parents, return_cache=True)
 
         clip_rows, rows_a, rows_b = np.split(pooled, 3)
-        loss = clip_lecnce(clip_rows, narr_emb, rows_a, rows_b, cfg.loss)
+        loss = _clip_lecnce(clip_rows, narr_emb, rows_a, rows_b, cfg.loss)
         grad_pooled = np.concatenate([loss.grads["clip_frames"], loss.grads["view_a"], loss.grads["view_b"]])
         grad_frames = pool_segments_backward(grad_pooled, pool_cache).reshape(3 * b * t, -1)
         grad_texts = loss.grads["narrations"]
@@ -204,8 +204,8 @@ def train_step(
         emb, v_cache = enc.forward(state.visual, frames.reshape(b * t, -1), return_cache=True)
         text_emb, t_cache = enc.forward(state.text, texts, return_cache=True)
 
-        loss = hier_lecnce(emb.reshape(b, t, -1), text_emb[:b], text_emb[b:].reshape(b, n, -1), cfg.loss,
-                           cfg.dtw_algorithm)
+        loss = _hier_lecnce(emb.reshape(b, t, -1), text_emb[:b], text_emb[b:].reshape(b, n, -1), cfg.loss,
+                            cfg.dtw_algorithm)
         grad_frames = loss.grads["segment_frames"].reshape(b * t, -1)
         grad_texts = np.concatenate([loss.grads["parent_texts"], loss.grads["child_texts"].reshape(b * n, -1)])
     v_grad = enc.backward(state.visual, v_cache, grad_frames)

@@ -1,7 +1,8 @@
 """Shared oracles for the test suite: finite-difference comparison, the
 per-matrix greedy and DP alignment loops and the hinge built on them, the
 tie-margin filter that keeps DTW gradient checks away from path ties, the
-cost-build backward that recomputes its softmax, the per-layer encoder backward and per-array AdamW update, the
+cost build with numpy's row-max reduce and the cost-build backward that
+recomputes its softmax, the per-layer encoder backward and per-array AdamW update, the
 per-row InfoNCE, per-matrix pooling, per-block training step,
 per-sample batcher, per-row data generator and per-query/per-class metric
 loops that the batched code must reproduce, the hinge that walks every
@@ -228,6 +229,16 @@ def recomputed_costs_backward(frames, texts, beta, grad_cost):
     p = (e / e.sum(axis=1, keepdims=True)).reshape(sim.shape)
     grad_sim = (p * grad_cost.sum(axis=-1, keepdims=True) - grad_cost) / beta
     return grad_sim @ texts, np.swapaxes(grad_sim, -1, -2) @ frames
+
+
+def reduced_costs(frames, texts, beta):
+    """The cost build as numpy's row-max reduce computes it, with a fresh array per step: the oracle of ``losses._costs``."""
+    sim = frames @ np.swapaxes(texts, -1, -2)
+    z = sim / beta
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    return -(z - np.log(total)), lambda rows: e[rows] / total[rows]
 
 
 def per_layer_backward(params: enc.EncoderParams, cache: enc.ForwardCache, grad_out):

@@ -183,6 +183,18 @@ class TestLevel:
             assert np.array_equal(getattr(picked, name), getattr(rows, name)[want])
         assert [s.procedure_id for s in (picked[k] for k in range(len(picked)))] == rows.procedure_ids[want].tolist()
 
+    def test_a_batch_without_labels_indexes_like_any_level(self):
+        # a training batch carries labels=None: a slice keeps None, a sample's step_labels is None
+        train, _ = generate_dataset(small_spec(), 4)
+        rows = train.samples["video"]
+        batch = Level(rows.name, rows.frames, rows.parents, rows.children, None, rows.procedure_ids)
+        assert batch[0].step_labels is None and batch[np.int64(1)].procedure_id == rows[1].procedure_id
+        tail = batch[1:]
+        assert isinstance(tail, Level) and tail.labels is None and np.array_equal(tail.frames, rows.frames[1:])
+        samples = list(batch)
+        assert len(samples) == len(rows) and all(s.step_labels is None for s in samples)
+        assert [s.procedure_id for s in samples] == rows.procedure_ids.tolist()
+
     @pytest.mark.parametrize("level", ["clip", "phase", "video"])
     def test_write_through_a_view_changes_only_its_row(self, level):
         train, _ = generate_dataset(small_spec(), 4)

@@ -1,3 +1,4 @@
+import functools
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from helpers import (
     mean_pool_rows_backward,
     rel_error,
     recomputed_costs_backward,
+    reduced_costs,
     row_nce_loop,
     stable_hinge_instance,
     unit_rows,
@@ -359,6 +361,69 @@ class TestStackedCostBuild:
         assert 0 < len(active) < b and out.components["dtw"] > 0
         (walked_tables,) = walked
         np.testing.assert_array_equal(walked_tables, np.concatenate([tables[active], tables[b + active]]))
+
+
+TINY = 5e-324  # the least subnormal: a product of +-TINY over beta 10 rounds to +-0.0
+
+
+def _axis_rows(rng, shape, d, fill):
+    """Unit rows: +-1 on one random axis each, entries drawn from ``fill`` on the others."""
+    rows = rng.choice(fill, size=(*shape, d))
+    axis = rng.integers(0, d, size=shape)
+    np.put_along_axis(rows, axis[..., None], rng.choice([-1.0, 1.0], size=shape)[..., None], axis=-1)
+    return rows
+
+
+def _cost_instance(kind, rng, b, t, n):
+    """Frames and texts of one oracle case: (t, d)/(n, d) matrices, or (b, t, d)/(b, n, d) stacks unless b is None."""
+    lead, d = () if b is None else (b,), int(rng.integers(2, 9))
+    if kind in ("random", "tied"):
+        frames, texts = rng.normal(size=(*lead, t, d)), rng.normal(size=(*lead, n, d))
+        if kind == "tied":  # text row j repeats an earlier row, so columns tie in every frame row
+            for j in range(1, n):
+                if rng.random() < 0.5:
+                    texts[..., j, :] = texts[..., int(rng.integers(0, j)), :]
+        return (frames / np.linalg.norm(frames, axis=-1, keepdims=True),
+                texts / np.linalg.norm(texts, axis=-1, keepdims=True))
+    # axis-aligned rows: a product is +-1, 0 or (for "signed_zero") +-TINY, which beta 10 makes a
+    # +0.0/-0.0 tie at the row max where no text shares the frame's axis and sign; for "dominant",
+    # beta 0.005 leaves a row with one such text a total of exactly 1.0
+    fill = [TINY, -TINY, 0.0, -0.0] if kind == "signed_zero" else [0.0]
+    return _axis_rows(rng, (*lead, t), d, [0.0]), _axis_rows(rng, (*lead, n), d, fill)
+
+
+class TestCostBuildMatchesReduce:
+    """The cost build's column fold of the row max against numpy's reduce (``reduced_costs``), with == and sign bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["random", "tied", "signed_zero", "dominant"]), st.sampled_from([None, 1, 3]),
+           st.integers(1, 20), st.integers(1, 12), st.sampled_from([0.005, 0.1, 1.0, 10.0]), st.integers(0, 2 ** 32 - 1))
+    def test_costs_and_probs_equal_the_reduce(self, kind, b, t, n, beta, seed):
+        frames, texts = _cost_instance(kind, make_rng(seed), b, t, n)
+        costs, probs = losses._costs(frames, texts, beta)
+        want, want_probs = reduced_costs(frames, texts, beta)
+        assert np.array_equal(costs, want) and np.array_equal(np.signbit(costs), np.signbit(want))
+        first = costs.shape[0]
+        for rows in (np.arange(first) % 2 == 0, np.array([first - 1, 0]), slice(1, None, 2), ...):
+            assert np.array_equal(probs(rows), want_probs(rows))
+
+    def test_cases_reach_signed_zero_ties_and_exact_totals(self):
+        # from 9 columns on, numpy's reduce and a left-to-right fold can keep
+        # different zeros of a +0.0/-0.0 tie; the costs keep the same bits
+        rng, kept_apart = make_rng(29), 0
+        for n in range(9, 13):
+            frames, texts = _cost_instance("signed_zero", rng, 64, 20, n)
+            z = (frames @ np.swapaxes(texts, -1, -2)) / 10.0
+            fold = functools.reduce(np.maximum, np.moveaxis(z, -1, 0))
+            kept_apart += int(np.sum(np.signbit(fold) != np.signbit(z.max(axis=-1))))
+            costs, want = losses._costs(frames, texts, 10.0)[0], reduced_costs(frames, texts, 10.0)[0]
+            assert np.array_equal(costs, want) and np.array_equal(np.signbit(costs), np.signbit(want))
+        assert kept_apart > 0
+        # a total of exactly 1.0 gives its row's max a -0.0 cost, which the build keeps
+        frames, texts = _cost_instance("dominant", rng, 8, 20, 6)
+        costs, want = losses._costs(frames, texts, 0.005)[0], reduced_costs(frames, texts, 0.005)[0]
+        assert np.any((costs == 0.0) & np.signbit(costs))
+        assert np.array_equal(costs, want) and np.array_equal(np.signbit(costs), np.signbit(want))
 
 
 class TestCostsBackwardReadsProbs:

@@ -9,7 +9,8 @@ from lecnce.alignment import CostMatrix, align, align_batch, dtw_dp
 from lecnce.cli import load_config
 from lecnce.datagen import load_dataset
 from lecnce.encoders import EncoderParams, adamw_step, init_optimizer, init_params, load_checkpoint, save_checkpoint
-from lecnce.errors import ConfigError, CorruptFileError, DimMismatchError, FieldValueError, NonFiniteError
+from lecnce.errors import (ConfigError, CorruptFileError, DimMismatchError, EmptyMatrixError, FieldValueError,
+                           NonFiniteError)
 from lecnce.losses import LossConfig, build_cost_matrix, cost_matrix_backward
 from lecnce.numerics import make_rng
 from lecnce.trainer import TrainConfig
@@ -72,6 +73,20 @@ BETA_ENTRY = {
 @pytest.mark.parametrize("entry", BETA_ENTRY.values(), ids=BETA_ENTRY.keys())
 def test_beta_out_of_range(entry, beta):
     assert _raised(lambda: entry(beta), FieldValueError) == f"beta must be finite and > 0, got {beta}"
+
+
+EMPTY_ENTRY = {
+    "build_cost_matrix": lambda frames, texts: build_cost_matrix(frames, texts),
+    "cost_matrix_backward": lambda frames, texts: cost_matrix_backward(frames, texts, 0.1, np.ones((2, 2))),
+}
+
+
+@pytest.mark.parametrize("empty", ["frames", "texts"])
+@pytest.mark.parametrize("entry", EMPTY_ENTRY.values(), ids=EMPTY_ENTRY.keys())
+def test_cost_build_input_without_cells(entry, empty):
+    inputs = {"frames": np.eye(3)[:2], "texts": np.eye(3)[:2], empty: np.zeros((0, 3))}
+    message = _raised(lambda: entry(inputs["frames"], inputs["texts"]), EmptyMatrixError)
+    assert message == f"{empty} has no cells, shape (0, 3)"
 
 
 def _diverged_adamw_step():

@@ -180,16 +180,41 @@ class TestTrainStep:
         cfg = tiny_config()
         state = init_trainer(cfg, make_rng(cfg.seed))
         before = (state.visual.vector.copy(), state.text.vector.copy())
-        real = trainer.clip_lecnce
+        real = trainer._clip_lecnce
 
         def nan_loss(*args):
             return dataclasses.replace(real(*args), value=float("nan"))
 
-        with mock.patch.object(trainer, "clip_lecnce", side_effect=nan_loss), \
+        with mock.patch.object(trainer, "_clip_lecnce", side_effect=nan_loss), \
                 pytest.raises(NonFiniteError, match="non-finite loss at step 7 level clip"):
             train_step("clip", train.samples["clip"][:4], state, cfg, make_rng(1), 7)
         assert np.array_equal(state.visual.vector, before[0]) and np.array_equal(state.text.vector, before[1])
         assert state.visual_opt.step_count == state.text_opt.step_count == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("call", [0, 1], ids=["visual", "text"])
+    @pytest.mark.parametrize("level, algorithm", [("clip", "greedy"), ("phase", "greedy"), ("video", "dp")])
+    def test_non_finite_encoder_output_stops_before_the_update(self, level, algorithm, call, value):
+        # the step's losses do not re-check the encoders' outputs; a non-finite
+        # one still ends the step in NonFiniteError, before any update
+        train, _ = tiny_dataset()
+        cfg = tiny_config(dtw_algorithm=algorithm)
+        state = init_trainer(cfg, make_rng(cfg.seed))
+        before = (state.visual.vector.copy(), state.text.vector.copy())
+        real, calls = encoders.forward, []
+
+        def spoiled_forward(*args, **kwargs):
+            out, cache = real(*args, **kwargs)
+            if len(calls) == call:
+                out[-1, 0] = value
+            calls.append(call)
+            return out, cache
+
+        batch = train.samples[level][:dict(zip(LEVELS, cfg.batch_sizes))[level]]
+        with mock.patch.object(encoders, "forward", side_effect=spoiled_forward), \
+                np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            train_step(level, batch, state, cfg, make_rng(1), 7)
+        assert np.array_equal(state.visual.vector, before[0]) and np.array_equal(state.text.vector, before[1])
 
 
 class TestTrainStepOracle:
@@ -391,17 +416,20 @@ def steady_step_calls(cfg: TrainConfig) -> dict[str, int]:
 class TestStepCallBudget:
     """A tripwire for the validate-once hot path, free of timing noise: the package calls a training step makes.
 
-    A value is checked where it enters; ``adamw_step``, ``hier_lecnce`` and
+    A value is checked where it enters; ``adamw_step``, the losses and
     ``train_step`` do not re-check what was checked at construction or built
-    from checked inputs.  A check that comes back on the step's path adds
-    calls here.  The bounds are the counts of the current code; re-checking
-    the optimizer state, the pooled frames and the cost stack made 72 clip
-    and 82 (greedy) or 86 (DP) phase and video calls.  A DP phase or video
-    step also asks ``_hinges_idle`` and ``_path_bounds`` whether it may skip
-    the alignment; on this tiny batch they say no.
+    from checked inputs: the step calls the unchecked ``_clip_lecnce`` and
+    ``_hier_lecnce`` on its encoders' outputs.  A check that comes back on
+    the step's path adds calls here.  The bounds are the counts of the
+    current code; re-checking the optimizer state, the pooled frames and the
+    cost stack made 72 clip and 82 (greedy) or 86 (DP) phase and video
+    calls, and re-checking the encoder outputs in the public losses 4 more
+    at each level.  A DP phase or video step also asks ``_hinges_idle`` and
+    ``_path_bounds`` whether it may skip the alignment; on this tiny batch
+    they say no.
     """
 
-    BUDGET = {"greedy": {"clip": 31, "phase": 35, "video": 35}, "dp": {"clip": 31, "phase": 39, "video": 39}}
+    BUDGET = {"greedy": {"clip": 27, "phase": 31, "video": 31}, "dp": {"clip": 27, "phase": 35, "video": 35}}
 
     @pytest.mark.parametrize("algorithm", ["greedy", "dp"])
     def test_steady_state_steps_stay_within_budget(self, algorithm):
