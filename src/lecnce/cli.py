@@ -22,7 +22,7 @@ import numpy as np
 from . import encoders as enc
 from . import evalkit, textaug
 from .alignment import DTW_ALGORITHMS, CostMatrix, align, reverse_columns
-from .datagen import ProcedureSpec, SplitSpec, generate_dataset, load_dataset, save_dataset
+from .datagen import CLIP_LEN, ProcedureSpec, SplitSpec, generate_dataset, load_dataset, save_dataset
 from .errors import (ConfigError, FieldValueError, InputError, LecnceError, NonFiniteError, UnknownKeyError, is_a,
                      read_json, read_text)
 from .losses import LossConfig
@@ -104,6 +104,9 @@ def load_config(path: str | None) -> dict:
             else list(f.default) if isinstance(f.default, tuple) else f.default
             for key, f, hint in fields
         }
+    # before build(), whose TrainConfig check would name one key
+    if config["train"]["visual_layers"][-1] != config["train"]["text_layers"][-1]:
+        raise ConfigError("config keys 'train.visual_layers' and 'train.text_layers' must end in the same joint dim")
     _, _, train, _ = build(config)
     if train.learning_rate == 0:  # valid for a frozen-encoder step, but a run that cannot learn
         raise ConfigError("config key 'train.learning_rate' must be > 0, got 0")
@@ -111,8 +114,6 @@ def load_config(path: str | None) -> dict:
         if getattr(train, layers)[0] != config["data"][dim]:
             raise ConfigError(f"config key 'train.{layers}' must start with data.{dim}={config['data'][dim]}, "
                               f"got {getattr(train, layers)[0]}")
-    if train.visual_layers[-1] != train.text_layers[-1]:
-        raise ConfigError("config keys 'train.visual_layers' and 'train.text_layers' must end in the same joint dim")
     return config
 
 
@@ -175,9 +176,10 @@ def _cmd_generate_data(args) -> int:
     train, holdout = generate_dataset(spec, split.n_procedures, split.holdout_fraction)
     save_dataset(train, holdout, args.out)
     _write_run_records(args.out, config, seed)
-    n_train = sum(map(len, train.samples.values()))
-    n_hold = sum(map(len, holdout.samples.values()))
-    print(f"wrote {n_train} train / {n_hold} holdout samples to {args.out}")
+    s = spec.steps_per_procedure
+    per = s * spec.frames_per_step // CLIP_LEN + s + 1  # a procedure's clips, phases and video
+    print(f"wrote {len(train.procedure_ids) * per} train / {len(holdout.procedure_ids) * per} holdout samples "
+          f"to {args.out}")
     return 0
 
 

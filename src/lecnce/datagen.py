@@ -22,12 +22,14 @@ concept + Gaussian noise at a small multiple of the configured sigma.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import typing
-from dataclasses import asdict, astuple, dataclass, field
+from collections.abc import MutableMapping
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -144,14 +146,54 @@ class Level:
                      self.procedure_ids[index])
 
 
+class _Levels(MutableMapping):
+    """The :class:`Level` of each name in :data:`LEVELS`, made by ``gather(name)`` the first time it is read.
+
+    Reading a level twice gathers it once; an assigned level replaces it.
+    """
+
+    def __init__(self, gather):
+        self._gather, self._levels = gather, dict.fromkeys(LEVELS)
+
+    def __getitem__(self, name: str) -> Level:
+        if self._levels[name] is None:
+            self._levels[name] = self._gather(name)
+        return self._levels[name]
+
+    def __setitem__(self, name: str, level: Level) -> None:
+        self._levels[name] = level
+
+    def __delitem__(self, name: str) -> None:
+        del self._levels[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._levels
+
+    def __iter__(self):
+        return iter(self._levels)
+
+    def __len__(self) -> int:
+        return len(self._levels)
+
+
 @dataclass
 class Dataset:
-    """Samples at all three levels plus the generator's ground truth."""
+    """One split: its samples at all three levels plus the generator's ground truth.
+
+    The split is rows ``rows`` of the per-procedure arrays ``procedures``
+    (the (P, S) step ids, then each array of :func:`_procedure_shapes` with
+    a leading P axis, rows in id order), which it shares with the other
+    split; row ``rows[k]`` is procedure ``procedure_ids[k]``.  ``samples``
+    maps each level name to its :class:`Level`, gathered from those rows as
+    its own copy when it is first read.
+    """
 
     spec: ProcedureSpec
-    samples: dict[str, Level] = field(default_factory=dict)
-    ground_truth: GroundTruth | None = None
-    procedure_ids: list[int] = field(default_factory=list)
+    samples: MutableMapping[str, Level]
+    ground_truth: GroundTruth
+    procedure_ids: list[int]
+    rows: np.ndarray
+    procedures: tuple[np.ndarray, ...]
 
     def by_level(self, level: str) -> list[HierarchicalSample]:
         return list(self.samples.get(level, ()))
@@ -236,27 +278,34 @@ def _procedure_shapes(spec: ProcedureSpec) -> list[tuple[int, ...]]:
     return [(s * spec.frames_per_step, spec.visual_dim), (s * spec.frames_per_step // CLIP_LEN, t), (s, t), (t,)]
 
 
-def _from_procedures(spec, truth, ids, keep, orders, frames, narrations, keysteps, abstracts) -> Dataset:
-    """The clip, phase and video levels of the procedures of ``ids`` that are in ``keep``, in ``ids`` order.
+def _from_procedures(spec, truth, ids, keep, *procedures) -> Dataset:
+    """The split of the procedures of ascending ``ids`` that are in ``keep``, in id order; no level is gathered yet.
 
-    Row k of the (P, S) step ids ``orders`` and of each array after it,
-    shaped as :func:`_procedure_shapes` after the leading axis, is
-    procedure ``ids[k]``.  A clip is CLIP_LEN frames and their narration, a
-    phase one step's frames, narrations and key step, a video all of them.
-    Each level gathers its own copy of the kept rows.
+    Row k of the (P, S) step ids and of each array after them in
+    ``procedures``, shaped as :func:`_procedure_shapes` after the leading
+    axis, is procedure ``ids[k]``.
     """
     rows = np.flatnonzero(np.isin(ids, keep))
+    kept = [ids[k] for k in rows]
+    return Dataset(spec, _Levels(functools.partial(_gather, spec, kept, rows, procedures)), truth, kept, rows,
+                   procedures)
+
+
+def _gather(spec, procedure_ids, rows, procedures, level: str) -> Level:
+    """Level ``level`` of rows ``rows`` (procedures ``procedure_ids``) of ``procedures``, as its own copy.
+
+    A clip is CLIP_LEN frames and their narration, a phase one step's
+    frames, narrations and key step, a video all of them.
+    """
+    orders, frames, narrations, keysteps, abstracts = procedures
     s, f, d = spec.steps_per_procedure, spec.frames_per_step, spec.text_dim
-    labels = np.repeat(orders[rows], f, axis=1)
-    samples = {}
-    for level, t, parents, children in (("clip", CLIP_LEN, narrations, np.empty((len(ids), 0, d))),
-                                        ("phase", f, keysteps, narrations), ("video", s * f, abstracts, keysteps)):
-        per = s * f // t  # samples per procedure
-        n = len(rows) * per
-        samples[level] = Level(level, frames[rows].reshape(n, t, spec.visual_dim), parents[rows].reshape(n, d),
-                               children[rows].reshape(n, children.shape[1] // per, d), labels.reshape(n, t),
-                               np.repeat(np.array(ids)[rows], per))
-    return Dataset(spec=spec, samples=samples, ground_truth=truth, procedure_ids=[ids[k] for k in rows])
+    t, parents, children = {"clip": (CLIP_LEN, narrations, np.empty((len(orders), 0, d))),
+                            "phase": (f, keysteps, narrations), "video": (s * f, abstracts, keysteps)}[level]
+    per = s * f // t  # samples per procedure
+    n = len(rows) * per
+    return Level(level, frames[rows].reshape(n, t, spec.visual_dim), parents[rows].reshape(n, d),
+                 children[rows].reshape(n, children.shape[1] // per, d),
+                 np.repeat(orders[rows], f, axis=1).reshape(n, t), np.repeat(np.array(procedure_ids, dtype=int), per))
 
 
 def _split_ids(ids: list[int], fraction: float, rng: np.random.Generator) -> tuple[list[int], list[int]]:
@@ -288,23 +337,22 @@ def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
     """Write manifest.json, data.bin and groundtruth.bin; hashes in the manifest.
 
     data.bin stores each procedure once, in id order: its video's frames,
-    its phases' narrations, its key steps and its abstract, streamed from
-    the video and phase levels.  The manifest holds the spec, the split,
-    each procedure's step order and the hashes of both blobs and of itself.
+    its phases' narrations, its key steps and its abstract, written in one
+    block from the per-procedure arrays the two splits share, not from their
+    levels (so a write into a gathered level is not saved).  The manifest
+    holds the spec, the split, each procedure's step order and the hashes of
+    both blobs and of itself.  ``train`` and ``holdout`` must be the two
+    splits of one :func:`generate_dataset` or :func:`load_dataset` call.
     """
     spec = train.spec
-    s = spec.steps_per_procedure
-    # (id, row, levels) of every procedure, in id order
-    procedures = sorted(((pid, k, ds.samples) for ds in (train, holdout) for k, pid in enumerate(ds.procedure_ids)),
-                        key=lambda entry: entry[0])
+    orders, *arrays = train.procedures
+    if any(a is not b for a, b in zip(holdout.procedures, train.procedures)) or not np.array_equal(
+            np.sort(np.concatenate([train.rows, holdout.rows])), np.arange(len(orders))):
+        raise FieldValueError("holdout", "must be the other split of the dataset train was split from")
+    records = np.concatenate([a.reshape(len(orders), -1) for a in arrays], axis=1, dtype="<f8")
     os.makedirs(out_dir, exist_ok=True)
-    data_hash = hashlib.sha256()
     with open(os.path.join(out_dir, "data.bin"), "wb") as fh:
-        for _, k, levels in procedures:
-            video, narrations = levels["video"], levels["phase"].children[k * s : (k + 1) * s]
-            record = f8le((video.frames[k], narrations, video.children[k], video.parents[k]))
-            data_hash.update(record)
-            fh.write(record)
+        fh.write(records)
     truth_blob = f8le(astuple(train.ground_truth))  # concepts, render_visual, render_text
     with open(os.path.join(out_dir, "groundtruth.bin"), "wb") as fh:
         fh.write(truth_blob)
@@ -313,8 +361,8 @@ def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
         "seed": spec.seed,
         "train_procedures": train.procedure_ids,
         "holdout_procedures": holdout.procedure_ids,
-        "step_orders": [levels["video"].labels[k, :: spec.frames_per_step].tolist() for _, k, levels in procedures],
-        "files": {"data.bin": data_hash.hexdigest(), "groundtruth.bin": _sha256(truth_blob)},
+        "step_orders": orders.tolist(),  # the arrays' rows are in id order
+        "files": {"data.bin": _sha256(records), "groundtruth.bin": _sha256(truth_blob)},
     }
     manifest["manifest_sha256"] = _manifest_sha256(manifest)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:

@@ -203,9 +203,13 @@ def cost_matrix_backward(frames, texts, beta: float, grad_cost: np.ndarray) -> t
     """Chain a gradient on cost-matrix entries back to the two embedding matrices.
 
     ``frames``, ``texts`` and ``beta`` are checked as in :func:`build_cost_matrix`,
-    except for unit row norms.
+    except for unit row norms; ``grad_cost`` must have the cost matrix's shape
+    (T, N), or :class:`DimMismatchError` names both.
     """
     frames, texts = _cost_inputs(frames, texts, beta)
+    grad_cost = np.asarray(grad_cost, dtype=np.float64)
+    if grad_cost.shape != (len(frames), len(texts)):
+        raise DimMismatchError(f"grad_cost has shape {grad_cost.shape}, the cost matrix {(len(frames), len(texts))}")
     return _costs_backward(frames, texts, _costs(frames, texts, beta)[1](...), beta, grad_cost)
 
 

@@ -66,6 +66,9 @@ class TrainConfig:
         for name in ("visual_layers", "text_layers"):
             if len(getattr(self, name)) < 2 or min(getattr(self, name)) < 1:
                 raise FieldValueError(name, f"must list at least 2 dims >= 1, got {getattr(self, name)}")
+        if self.visual_layers[-1] != self.text_layers[-1]:
+            raise FieldValueError("text_layers", f"must end in the joint dim of visual_layers, "
+                                                 f"{self.visual_layers[-1]}, got {self.text_layers[-1]}")
 
 
 @dataclass

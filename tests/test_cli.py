@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from helpers import old_format_checkpoint
 from hypothesis import strategies as st
 
-from lecnce import cli, encoders
+from lecnce import cli, datagen, encoders
 from lecnce.cli import load_config, resolve_seed, run
 from lecnce.datagen import ProcedureSpec, SplitSpec, load_dataset
 from lecnce.encoders import init_optimizer, init_params, save_checkpoint
@@ -285,6 +285,11 @@ class TestGenerateData:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_count_line_at_desk_defaults(self, tmp_path, capsys):
+        # 32 train and 8 held-out procedures, each 12 clips, 6 phases and 1 video
+        assert run(["generate-data", "--out", str(tmp_path / "d")]) == 0
+        assert capsys.readouterr().out == f"wrote 608 train / 152 holdout samples to {tmp_path / 'd'}\n"
+
     def test_spec_that_cannot_be_drawn_exits_1(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"data": {"latent_dim": 2}}))  # 12 steps 30 degrees apart on a circle
@@ -300,6 +305,33 @@ def generated(tmp_path, small_config):
     data_dir = tmp_path / "data"
     assert run(["generate-data", "--out", str(data_dir), "--spec", str(small_config)]) == 0
     return data_dir
+
+
+class TestLevelGatherBudget:
+    """A tripwire for what each command reads of a dataset: a level is gathered when first read, and only then.
+
+    ``generate-data`` writes from the procedure arrays and gathers nothing,
+    ``train`` gathers the training split's three scheduled levels, and
+    ``eval`` the training videos (the probe's) and the held-out videos and
+    clips.
+    """
+
+    def test_each_command_gathers_the_levels_it_reads(self, tmp_path, monkeypatch, small_config):
+        gathered = []
+        gather = datagen._gather
+        # _gather(spec, procedure_ids, rows, procedures, level)
+        monkeypatch.setattr(datagen, "_gather", lambda *a: gathered.append((a[-1], list(a[1]))) or gather(*a))
+        data, run_dir = tmp_path / "data", tmp_path / "run"
+        assert run(["generate-data", "--out", str(data), "--spec", str(small_config)]) == 0
+        assert gathered == []
+        manifest = json.loads((data / "manifest.json").read_text())
+        train, hold = manifest["train_procedures"], manifest["holdout_procedures"]
+        assert run(["train", "--config", str(small_config), "--data", str(data), "--out", str(run_dir)]) == 0
+        assert sorted(gathered) == [(level, train) for level in ("clip", "phase", "video")]
+        gathered.clear()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint_final.json"), "--data", str(data),
+                    "--config", str(small_config), "--out", str(tmp_path / "eval")]) == 0
+        assert sorted(gathered) == sorted([("video", train), ("video", hold), ("clip", hold)])
 
 
 class TestTrainCommand:

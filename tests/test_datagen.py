@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import per_row_generate
 
+from lecnce import datagen
 from lecnce.datagen import (
     CLIP_LEN,
     LEVELS,
@@ -210,6 +211,34 @@ class TestLevel:
                 assert changed.tolist() == want, (lvl, name)
 
 
+class TestLazyLevels:
+    """``Dataset.samples`` gathers a level, as its own copy, the first time it is read."""
+
+    @pytest.fixture()
+    def gathered(self, monkeypatch):
+        names = []
+        gather = datagen._gather
+        monkeypatch.setattr(datagen, "_gather", lambda *args: names.append(args[-1]) or gather(*args))
+        return names
+
+    def test_a_level_read_twice_is_gathered_once(self, gathered):
+        train, holdout = generate_dataset(small_spec(), 4)
+        assert gathered == []
+        phase = train.samples["phase"]
+        assert train.samples["phase"] is phase and train.samples.get("phase") is phase
+        assert len(train.by_level("phase")) == len(phase) and gathered == ["phase"]
+        assert list(train.samples) == list(LEVELS) and "video" in train.samples and len(train.samples) == 3
+        assert gathered == ["phase"]  # iterating the names and asking for one gathers nothing
+        assert dict(train.samples)["phase"] is phase and gathered == ["phase", "clip", "video"]
+        assert holdout.samples.get("trajectory") is None and gathered == ["phase", "clip", "video"]
+
+    def test_an_assigned_level_replaces_the_gather(self, gathered):
+        train, _ = generate_dataset(small_spec(), 4)
+        train.samples["video"] = empty = train.samples["phase"][:0]
+        assert train.samples["video"] is empty and dict(train.samples)["video"] is empty
+        assert gathered == ["phase", "clip"]
+
+
 class TestSplitHoldout:
     """``generate_dataset``'s own split: floor(fraction * n), at least 1, held out, by whole procedures."""
 
@@ -270,6 +299,13 @@ class TestDatasetFiles:
         for name in ("manifest.json", "data.bin", "groundtruth.bin"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_splits_of_two_datasets_are_refused(self, tmp_path):
+        train, hold = generate_dataset(small_spec(), 6)
+        for pair in ((train, generate_dataset(small_spec(), 6)[1]), (train, train), (hold, hold)):
+            with pytest.raises(FieldValueError, match="^holdout must be the other split of the dataset train"):
+                save_dataset(*pair, tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_corruption_detected(self, tmp_path):
         train, hold = generate_dataset(small_spec(), 6)
         save_dataset(train, hold, tmp_path)
@@ -301,6 +337,18 @@ class TestDatasetFiles:
         per_procedure = s * f * spec.visual_dim + s * c * spec.text_dim + s * spec.text_dim + spec.text_dim
         assert (tmp_path / "data.bin").stat().st_size == 8 * 6 * per_procedure
         assert "samples" not in json.loads((tmp_path / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("level", ["clip", "phase", "video"])
+    def test_a_write_into_a_level_is_not_saved(self, tmp_path, level):
+        """data.bin is written from the procedure arrays, so a level's copy does not reach it."""
+        train, hold = generate_dataset(small_spec(frames_per_step=8), 5)
+        save_dataset(train, hold, tmp_path / "before")
+        for rows in (train.samples[level], hold.samples[level]):
+            for array in (rows.frames, rows.parents, rows.children, rows.labels):
+                array += 1
+        save_dataset(train, hold, tmp_path / "after")
+        for name in ("manifest.json", "data.bin", "groundtruth.bin"):
+            assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
 
     @pytest.mark.parametrize("level", ["clip", "phase", "video"])
     def test_changing_one_sample_leaves_the_others(self, tmp_path, level):

@@ -296,6 +296,13 @@ class TestBuildCostMatrix:
         assert rel_error(g_frames, num_f) < 1e-6
         assert rel_error(g_texts, num_t) < 1e-6
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2,)])
+    def test_backward_rejects_a_grad_of_another_shape(self, shape):
+        """A grad_cost that would broadcast against the (2, 2) cost matrix used to pass."""
+        with pytest.raises(DimMismatchError) as info:
+            cost_matrix_backward(np.eye(2), np.eye(2), 0.1, np.ones(shape))
+        assert str(info.value) == f"grad_cost has shape {shape}, the cost matrix (2, 2)"
+
 
 class TestStackedCostBuild:
     """The stacked cost build and its backward equal per-sample calls with ==."""

@@ -100,6 +100,15 @@ class TestSchedule:
         assert info.value.field == name
 
 
+class TestTrainConfigLayers:
+    def test_joint_dims_must_match(self):
+        """Different joint dims used to pass here and fail in the first clip step with numpy's matmul error."""
+        with pytest.raises(FieldValueError) as info:
+            tiny_config(visual_layers=(12, 8), text_layers=(9, 6))
+        assert info.value.field == "text_layers"
+        assert str(info.value) == "text_layers must end in the joint dim of visual_layers, 8, got 6"
+
+
 class TestTrainConfigFinite:
     @pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
