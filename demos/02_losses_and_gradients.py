@@ -1,8 +1,8 @@
 """Tour of the training objectives and a live gradient check.
 
 Builds the alignment-cost matrix from toy embeddings, evaluates the
-reversal hinge, shows the path bounds that let a DP batch of ordered
-samples skip its alignment, assembles the clip-level and hierarchical
+reversal hinge, shows the path bounds on the similarities that let a DP
+batch of ordered samples skip its cost build and alignment, assembles the clip-level and hierarchical
 objectives, and verifies one analytic gradient against central finite
 differences.
 """
@@ -48,11 +48,16 @@ print("\n== path bounds: a DP hinge settled without aligning ==")
 noise = make_rng(2).normal(scale=0.3, size=(12, 8))
 ordered = np.stack([l2_normalize(texts[k * 3 // 12] + noise[k]) for k in range(12)])
 c = build_cost_matrix(ordered, texts, beta=0.1).values
-upper = losses._path_bounds(c[None])[1][0]
-lower = losses._reversed_lower_bound(c[None])[0]
-print(f"forward:  dtw_dp {dtw_dp(c).cost:8.3f} <= staircase path {upper:8.3f}")
-print(f"reversed: dtw_dp {dtw_dp(c[:, ::-1]).cost:8.3f} >= relaxation     {lower:8.3f}")
-print(f"upper + phi < lower, so the hinge is 0 without a wavefront: {losses._hinges_idle(c[None], 0.1)}")
+# each cost is lse_i - z_ij for the similarities z = s / beta; both bounds take one cell per row (T >= N), so
+# on -z they are the cost-space bounds less sum_i lse_i, and the gate needs no softmax
+z = ordered @ texts.T / 0.1
+row_terms = np.logaddexp.reduce(z, axis=1).sum()
+upper = losses._path_bounds(-z[None])[0][0]
+lower = losses._reversed_lower_bound(-z[None])[0]
+print(f"forward:  dtw_dp {dtw_dp(c).cost:8.3f} <= staircase {upper + row_terms:8.3f} = {upper:8.3f} + sum lse")
+print(f"reversed: dtw_dp {dtw_dp(c[:, ::-1]).cost:8.3f} >= relaxation {lower + row_terms:7.3f} = {lower:8.3f} + sum lse")
+print(f"upper + phi < lower on -z, so the hinge is 0 with no cost matrix and no wavefront: "
+      f"{losses._hinges_idle(z[None], 0.1)}")
 
 print("\n== combined objectives ==")
 cfg = LossConfig()

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import CorruptFileError, DimMismatchError, MissingCacheError, NonFiniteError, ZeroVectorError, is_a
+from .errors import (CorruptFileError, DimMismatchError, FieldValueError, MissingCacheError, NonFiniteError,
+                     ZeroVectorError, is_a)
 from .numerics import ZERO_NORM_TOL, as_matrix, f8le
 
 
@@ -303,13 +304,13 @@ def _unpacked(entry: dict, shape: tuple[int, ...], key: str) -> np.ndarray:
 
 def _number(key: str, value, ok, rule: str):
     if not (is_a(value, float) and ok(value)):
-        raise ValueError(f"{key} must be a finite number {rule}, got {value!r}")
+        raise FieldValueError(key, f"must be a finite number {rule}, got {value!r}")
     return value
 
 
 def _count(key: str, value) -> int:
     if not (is_a(value, int) and value >= 0):
-        raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+        raise FieldValueError(key, f"must be an integer >= 0, got {value!r}")
     return value
 
 

@@ -23,7 +23,7 @@ from .errors import (
     check_minimums,
 )
 from .losses import _pool_segments
-from .numerics import as_matrix, cosine_similarity_matrix, make_rng, subsample_frames
+from .numerics import as_matrix, check_cells, cosine_similarity_matrix, make_rng, subsample_frames
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,26 @@ class EvalConfig:
     shots: float = 100  # percent of the training procedures the probe sees
 
     def __post_init__(self):
-        if not self.recall_ks or min(self.recall_ks) < 1:
-            raise FieldValueError("recall_ks", f"must list cut-offs >= 1, got {self.recall_ks}")
+        _check_recall_ks(self.recall_ks)
         check_minimums(self, retrieval_size=1, probe_weight_decay=0, probe_epochs=1)
         if not 0 < self.shots <= 100:
             raise FieldValueError("shots", f"must be in (0, 100], got {self.shots}")
 
 
+def _check_recall_ks(k_values) -> None:
+    """Raise :class:`FieldValueError` on ``recall_ks`` unless ``k_values`` lists at least one cut-off, all >= 1."""
+    if len(k_values) == 0 or min(k_values) < 1:
+        raise FieldValueError("recall_ks", f"must list cut-offs >= 1, got {k_values}")
+
+
 def zero_shot_classify(image_emb, class_embs) -> np.ndarray:
-    """Nearest class embedding by cosine similarity; ties go to the lowest index."""
+    """Nearest class embedding by cosine similarity; ties go to the lowest index.
+
+    ``class_embs`` without cells raises :class:`EmptyMatrixError`.
+    """
     image_emb = as_matrix(image_emb, "image_emb")
     class_embs = as_matrix(class_embs, "class_embs")
+    check_cells(class_embs, "class_embs")
     if image_emb.shape[1] != class_embs.shape[1]:
         raise DimMismatchError(f"dims differ: {image_emb.shape[1]} vs {class_embs.shape[1]}")
     sims = cosine_similarity_matrix(image_emb, class_embs)
@@ -72,7 +81,9 @@ def recall_at_k(sim, k_values=EvalConfig.recall_ks) -> dict[str, dict[int, float
 
     Rows are text queries against image candidates ("t2i"), columns the
     reverse ("i2t").  Score ties count the lower index as retrieved first.
+    Cut-offs are checked as :class:`EvalConfig` checks ``recall_ks``.
     """
+    _check_recall_ks(k_values)
     sim = as_matrix(sim, "sim")
     if sim.shape[0] != sim.shape[1]:
         raise DimMismatchError(f"diagonal ground truth needs a square matrix, got {sim.shape}")
@@ -83,8 +94,13 @@ def recall_at_k(sim, k_values=EvalConfig.recall_ks) -> dict[str, dict[int, float
 
 
 def pool_video_embedding(frames, n_samples: int = 10) -> np.ndarray:
-    """:func:`~lecnce.losses._pool_segments` of the rows :func:`subsample_frames` picks: their mean, renormalized."""
-    return _pool_segments(subsample_frames(as_matrix(frames, "frames"), n_samples)[None])[0][0]
+    """:func:`~lecnce.losses._pool_segments` of the rows :func:`subsample_frames` picks: their mean, renormalized.
+
+    ``frames`` without cells raises :class:`EmptyMatrixError`.
+    """
+    frames = as_matrix(frames, "frames")
+    check_cells(frames, "frames")
+    return _pool_segments(subsample_frames(frames, n_samples)[None])[0][0]
 
 
 def _class_ids(values, name: str, n_classes: float = np.inf) -> np.ndarray:

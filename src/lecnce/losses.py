@@ -118,9 +118,10 @@ def info_nce(
     matrix must be square and the column direction (single positive on the
     diagonal) is averaged in, matching two-way retrieval training.  A
     temperature that is not finite and > 0, or a row without positives, raises
-    :class:`FieldValueError`.
+    :class:`FieldValueError`, a ``sim`` without cells :class:`EmptyMatrixError`.
     """
     sim = as_matrix(sim, "sim")
+    check_cells(sim, "sim")
     check_positive("temperature", temperature)
     if symmetric and sim.shape[0] != sim.shape[1]:
         raise DimMismatchError(f"symmetric loss needs a square matrix, got {sim.shape}")
@@ -142,13 +143,21 @@ def _info_nce(sim: np.ndarray, positives, temperature: float, symmetric: bool = 
 def _costs(frames: np.ndarray, texts: np.ndarray, beta: float):
     """Cost values of (T, d)/(N, d) frames and texts, or of (B, T, d)/(B, N, d) stacks of them, and ``probs``.
 
-    ``probs(rows)`` is the softmax behind the costs of the matrices ``rows`` selects, from this pass's exp and row sums.
-    ``texts`` must have rows; the entries check that.
+    The costs are :func:`_softmax_costs` of the fresh product ``frames @ texts^T / beta``.  ``texts`` must have
+    rows; the entries check that.
     """
-    # -log_softmax of each row of sim / beta, max-stabilized, in place on the fresh product; log(...) - z would
-    # turn its -0.0 costs into +0.0
     z = frames @ np.swapaxes(texts, -1, -2)
     z /= beta
+    return _softmax_costs(z)
+
+
+def _softmax_costs(z: np.ndarray):
+    """-log_softmax over the last axis of the tempered similarities ``z``, in place on ``z``, and ``probs``.
+
+    ``probs(rows)`` is the softmax behind the costs of the matrices ``rows`` selects, from this pass's exp and
+    row sums.
+    """
+    # max-stabilized, in place; log(...) - z would turn its -0.0 costs into +0.0
     # The row max is a fold over the N text columns: numpy reduces a short last axis row by row, about 75 ns a
     # row (110-120 us at (25, 64, 6)), while N - 1 column maxima take a few us each.  A max is exact but for a
     # +0.0/-0.0 tie, which numpy's reduce resolves as this left-to-right fold for N <= 8 only.  Such a tie
@@ -223,80 +232,110 @@ def _hinge(delta, phi: float):
 
 @functools.lru_cache(maxsize=64)
 def _bound_plan(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """What :func:`_path_bounds` and :func:`_reversed_lower_bound` reuse for (t, n) cost matrices.
+    """What :func:`_path_bounds` and :func:`_reversed_lower_bound` reuse for (t, n) matrices.
 
-    ``weights`` is (t * n, n + 2): a flattened matrix times it gives, in one
-    product, its n column-choice costs, its staircase cost and its total.
-    Choice j takes column n in the first h = max(t//2, 1) rows and column j
-    in the rest.  The staircase is the cells (k*t//L, k*n//L), k < L =
-    max(t, n): it runs from (0, 0) to (t-1, n-1) by down, right or diagonal
-    moves, so it is a path.  ``triu`` (t, t) takes running sums down a
-    column as a product too (a sum over the middle axis of a small stack
-    costs several times more).
+    ``weights`` is (t * n, n + 1): a flattened matrix times it gives, in one
+    product, its n column-choice sums and its staircase sum.  Choice j takes
+    column n in the first h = max(t//2, 1) rows and column j in the rest.
+    The staircase is the cells (k*t//L, k*n//L), k < L = max(t, n): it runs
+    from (0, 0) to (t-1, n-1) by down, right or diagonal moves, so it is a
+    path, with one cell per row when t >= n.  ``triu`` (t, t) takes running
+    sums down a column as a product too (a sum over the middle axis of a
+    small stack costs several times more).
     """
     h, k = max(t // 2, 1), np.arange(max(t, n))
-    weights = np.zeros((t, n, n + 2))
+    weights = np.zeros((t, n, n + 1))
     weights[:h, -1, :n] = 1.0
     weights[h:, np.arange(n), np.arange(n)] = 1.0
     weights[k * t // len(k), k * n // len(k), n] = 1.0
-    weights[:, :, n + 1] = 1.0
-    weights, triu = weights.reshape(t * n, n + 2), np.triu(np.ones((t, t)))
+    weights, triu = weights.reshape(t * n, n + 1), np.triu(np.ones((t, t)))
     weights.setflags(write=False)
     triu.setflags(write=False)
     return weights, triu
 
 
-def _path_bounds(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per matrix of a (B, T, N) cost stack: its total, one path's cost and the costs of N reversed column choices.
+def _path_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a (B, T, N) stack: one path's sum and the sums of N reversed column choices.
 
-    The path is :func:`_bound_plan`'s staircase, so its cost is >= the
-    forward DP cost.  Choice j, a (B, N) entry, takes the reversed matrix's
-    column 1 in the first ``max(T//2, 1)`` rows and one column (forward
-    column j) in the rest: each is >= :func:`_reversed_lower_bound`.
+    The path is :func:`_bound_plan`'s staircase, so on costs its sum is >=
+    the forward DP cost.  Choice j, a (B, N) entry, takes the reversed
+    matrix's column 1 in the first ``max(T//2, 1)`` rows and one column
+    (forward column j) in the rest: each is >= :func:`_reversed_lower_bound`.
     """
-    b, t, n = costs.shape
-    sums = costs.reshape(b, t * n) @ _bound_plan(t, n)[0]
-    return sums[:, -1], sums[:, -2], sums[:, :-2]
+    b, t, n = x.shape
+    sums = x.reshape(b, t * n) @ _bound_plan(t, n)[0]
+    return sums[:, -1], sums[:, :-1]
 
 
-def _reversed_lower_bound(costs: np.ndarray) -> np.ndarray:
-    """A lower bound on the DP cost of each column-reversed matrix of a (B, T, N) cost stack.
+def _reversed_lower_bound(x: np.ndarray) -> np.ndarray:
+    """Per column-reversed matrix of a (B, T, N) stack: the least sum of one cell per row, columns non-decreasing from 1.
 
     A path's first column in each row never decreases and is column 1 in
-    row 1; costs are >= 0, so the path costs at least those cells.  This is
-    the least such sum over every column choice, column by column:
-    ``G_j = P_j + cummin(G_{j-1} - P_j)`` over the running row sums ``P_j``
-    of reversed column j, where ``G_j[i]`` is the least sum of rows 1..i
-    whose last choice is a column <= j.
+    row 1; on costs, which are >= 0, the path costs at least those cells,
+    so this is a lower bound on the reversed DP cost.  It is computed
+    column by column: ``G_j = P_j + cummin(G_{j-1} - P_j)`` over the
+    running row sums ``P_j`` of reversed column j, where ``G_j[i]`` is the
+    least sum of rows 1..i whose last choice is a column <= j.
     """
     # (B, N, T) running row sums of each forward column; reversed column j is forward column N+1-j
-    p = np.swapaxes(costs, 1, 2) @ _bound_plan(*costs.shape[1:])[1]
+    p = np.swapaxes(x, 1, 2) @ _bound_plan(*x.shape[1:])[1]
     g = p[:, -1]
-    for j in range(costs.shape[2] - 2, -1, -1):
+    for j in range(x.shape[2] - 2, -1, -1):
         g = p[:, j] + np.minimum.accumulate(g - p[:, j], axis=1)
     return g[:, -1]
 
 
-def _hinges_idle(costs: np.ndarray, phi: float) -> bool:
-    """Whether no DP reversal hinge of a (B, T, N) cost stack can be active: max(0, DP(C) - DP(C_rev) + phi) == 0.
+def _hinges_idle(z: np.ndarray, phi: float) -> bool:
+    """Whether no DP reversal hinge max(0, DP(C) - DP(C_rev) + phi) of a batch can be active, from its similarities.
 
-    Each forward DP cost is at most its staircase's cost (:func:`_path_bounds`)
-    and each reversed one at least :func:`_reversed_lower_bound`, so
-    ``upper + phi < lower`` decides every hinge without a wavefront.  The
-    decision is strict by 1e-9 * (2 * total + |phi|): every sum involved,
-    the DP's own included, is at most the matrix total, and their rounding is
-    far below that share of it.  A non-finite entry, or a total within a
-    factor 2 of overflow, makes the margin inf or nan, which certifies
-    nothing, so the wavefront's overflow check still runs.  Each column
-    choice is >= the lower bound, so a batch where one does not clear
-    ``upper + phi`` is ruled out before the bound is computed.
+    ``z`` is the (B, T, N) stack ``s / beta`` that :func:`_softmax_costs`
+    turns into the costs ``c_ij = K_i - z_ij``, ``K_i`` the row's
+    log-sum-exp.  Each forward DP cost is at most its staircase's cost
+    (:func:`_path_bounds`) and each reversed one at least
+    :func:`_reversed_lower_bound`'s.  When T >= N both take exactly one cell
+    per row, so on ``-z`` each is its cost-space value less ``sum_i K_i``:
+    ``upper + phi < lower`` on ``-z`` is the cost-space decision, with no
+    softmax.  When T < N the staircase repeats rows and the ``K_i`` do not
+    cancel, so nothing is certified.  Each column choice is >= the lower
+    bound, so a batch where one does not clear ``upper + phi`` is ruled out
+    before the bound is computed.
+
+    The decision is strict by ``2**-50 * (L**3 * C + |phi|)`` with L = T + N,
+    C = 2 max|z| + log N + 1 and u = 2**-53; for L * u < 0.01 that exceeds
+    every rounding between it and the float hinge:
+
+    - a computed cost is ``K_i - z_ij`` (``K_i`` the computed row max plus
+      log of the row sum) within two roundings, 2uC, and lies in
+      [0, (1 + 3u)C], so the staircase's and the relaxation's T cells move
+      by 4TuC in all;
+    - a DP cost adds at most L costs, <= LC, with a rounding each: 1.01 L^2 uC
+      apiece for the forward and the reversed one;
+    - the staircase sum on ``-z`` is a product of length TN over T terms of
+      size <= max|z|: 1.01 T^2 N uC; the relaxation's running sums are
+      products of length T (1.01 T^2 uC each), and its N column steps add
+      3.03 TuC and carry a running sum's error twice each;
+    - the final ``upper + phi + slack`` rounds twice, 2.01u(TC + |phi|).
+
+    Summed with T^2 N <= 4L^3/27 and TN <= L^2/4 this is under 4u L^3 C +
+    2.01u |phi|, half the slack.  So a certified batch has, in real numbers,
+    fl(DP(C)) + phi < fl(DP(C_rev)), and the float hinge
+    ``fl(fl(DP(C)) - fl(DP(C_rev))) + phi > 0`` is false: rounding is
+    monotone and -phi is a float.  A non-finite ``z``, or one whose L^3 C
+    overflows, makes the slack inf or nan, which certifies nothing; every
+    DP cost of a certified batch is at most LC, so one that would overflow
+    still raises :class:`NonFiniteError` in the wavefront.
     """
+    t, n = z.shape[1:]
+    if t < n:
+        return False
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that is inf or nan certifies nothing
-        total, upper, choices = _path_bounds(costs)
+        neg = np.negative(z)
+        upper, choices = _path_bounds(neg)
         if not (upper[:, None] + phi < choices).all():
             return False
-        margin = upper + phi + 1e-9 * (2.0 * total + abs(phi))
-    return bool((margin < _reversed_lower_bound(costs)).all())
+        cost_bound = 2.0 * max(z.max(), neg.max()) + np.log(n) + 1.0
+        margin = upper + phi + ((t + n) ** 3 * cost_bound + abs(phi)) * 2.0**-50
+    return bool((margin < _reversed_lower_bound(neg)).all())
 
 
 def dtw_hinge(
@@ -329,14 +368,16 @@ def clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> Los
 
     Row i of every input refers to clip i.  The value is the sum of an
     InfoNCE between clip and narration embeddings and an InfoNCE between
-    the two augmented-view embeddings, both with diagonal positives.
+    the two augmented-view embeddings, both with diagonal positives.  An
+    input without cells raises :class:`EmptyMatrixError`.
     """
     clip_frames = as_matrix(clip_frames, "clip_frames")
     narrations = as_matrix(narrations, "narrations")
     view_a = as_matrix(view_a, "view_a")
     view_b = as_matrix(view_b, "view_b")
     b = clip_frames.shape[0]
-    for name, m in (("narrations", narrations), ("view_a", view_a), ("view_b", view_b)):
+    for name, m in (("clip_frames", clip_frames), ("narrations", narrations), ("view_a", view_a), ("view_b", view_b)):
+        check_cells(m, name)
         if m.shape[0] != b:
             raise DimMismatchError(f"{name} has {m.shape[0]} rows, expected {b}")
     return _clip_lecnce(clip_frames, narrations, view_a, view_b, cfg)
@@ -395,9 +436,11 @@ def hier_lecnce(segment_frames, parent_texts, child_texts, cfg: LossConfig, dtw_
     diagonal positives; each sample additionally pays a reversal hinge on
     the alignment cost between its frames and its child texts, averaged over
     the batch and scaled by ``lambda_dtw``.  With DP alignment a batch whose
-    hinges are all provably inactive (:func:`_hinges_idle`) is not aligned:
-    each hinge is 0.0 with a zero gradient, as the alignment would give.
-    Any other batch's forward and reversed matrices are aligned in one
+    hinges are all provably inactive (:func:`_hinges_idle`, asked on the
+    tempered similarities) builds no cost matrix and is not aligned: each
+    hinge is 0.0 with a zero gradient, as the alignment would give.  Any
+    other batch's costs come from the same similarity product, and its
+    forward and reversed matrices are aligned in one
     :func:`~lecnce.alignment._align_padded` pass, which is asked for the
     active hinges' paths only.  The frame and child gradients come back as
     (B, T, d) and (B, N, d) arrays.  The inputs are checked here; what is
@@ -420,16 +463,19 @@ def _hier_lecnce(frames: np.ndarray, parent_texts: np.ndarray, children: np.ndar
     A non-finite entry makes the value nan, or the DP alignment raises :class:`NonFiniteError`.
     """
     b = parent_texts.shape[0]
-    # the whole batch in one pass: its cost matrices (each cost is -log of a
-    # probability, so >= 0) and, unless DP bounds settle every hinge, their
-    # column-reversed views in one inf-padded stack, their alignment costs,
-    # and the paths and backward of the active hinges only (an inactive hinge
-    # has an all-zero cost gradient)
+    # the whole batch in one pass: its similarity product, which settles
+    # every DP hinge or becomes the cost matrices (each cost is -log of a
+    # probability, so >= 0) as in _costs; then their column-reversed views
+    # in one inf-padded stack, their alignment costs, and the paths and
+    # backward of the active hinges only (an inactive hinge has an all-zero
+    # cost gradient)
     lam = cfg.lambda_dtw
-    costs, probs = _costs(frames, children, cfg.beta)
-    if algorithm == "dp" and _hinges_idle(costs, cfg.phi):
+    z = frames @ np.swapaxes(children, -1, -2)
+    z /= cfg.beta
+    if algorithm == "dp" and _hinges_idle(z, cfg.phi):
         hinge, active = np.zeros(b), np.zeros(b, dtype=bool)
     else:
+        costs, probs = _softmax_costs(z)
         t, n = costs.shape[1:]
         padded = np.full((2 * b, t + 1, n + 1), np.inf)  # the inf border of alignment's walk and DP table
         padded[:b, 1:, 1:] = costs

@@ -22,7 +22,7 @@ from lecnce.encoders import (
     load_checkpoint,
     save_checkpoint,
 )
-from lecnce.errors import CorruptFileError, DimMismatchError, MissingCacheError, NonFiniteError
+from lecnce.errors import CorruptFileError, DimMismatchError, FieldValueError, MissingCacheError, NonFiniteError
 from lecnce.losses import LossConfig, diagonal_positives, hier_lecnce, info_nce
 from lecnce.numerics import finite_diff_grad, make_rng
 
@@ -353,8 +353,9 @@ class TestOptimizerHyperparameters:
     @pytest.mark.parametrize("name, value", BAD_HYPERPARAMETERS)
     def test_constructor_rejects_what_the_loader_rejects(self, tmp_path, name, value):
         p = init_params([3, 2], make_rng(21))
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(FieldValueError, match=f"^{name} must be") as info:
             init_optimizer(p, **{name: value})
+        assert info.value.field == name
         path = tmp_path / "c.json"
         trained_checkpoint(path)
         payload = json.loads(path.read_text())
@@ -365,7 +366,7 @@ class TestOptimizerHyperparameters:
 
     def test_beta1_one_fails_before_any_step(self):
         p = init_params([3, 2], make_rng(22))
-        with pytest.raises(ValueError, match=r"beta1 must be a finite number in \[0, 1\), got 1.0"):
+        with pytest.raises(FieldValueError, match=r"beta1 must be a finite number in \[0, 1\), got 1.0"):
             init_optimizer(p, beta1=1.0)
 
     def test_accepted_edges_train_and_reload(self, tmp_path):

@@ -984,7 +984,7 @@ class TestHingesIdleGate:
                 for phi in GATE_PHIS:
                     frames, parents, children = _gate_instance(rng, b, t, n, 8, ordered)
                     cfg = LossConfig(phi=phi, lambda_dtw=0.7)
-                    idle.append(losses._hinges_idle(losses._costs(frames, children, cfg.beta)[0], phi))
+                    idle.append(losses._hinges_idle(_tempered(frames, children, cfg.beta), phi))
                     assert_equals_all_walk(frames, parents, children, cfg)
         assert 0 < sum(idle) < len(idle)
 
@@ -1012,13 +1012,135 @@ class TestHingesIdleGate:
         gate.assert_not_called()
         assert_equals_all_walk(frames, parents, children, LossConfig(), "greedy")
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308, -np.inf, -1e308])
     def test_non_finite_or_near_overflow_costs_certify_nothing(self, bad):
-        costs = np.ones((3, 4, 2))
-        costs[:, :, 1] = 2.0
-        assert losses._hinges_idle(costs, -1e300)  # any finite gap is far above -phi
-        costs[1, 2, 0] = bad
-        assert not losses._hinges_idle(costs, -1e300)
+        z = np.ones((3, 4, 2))
+        z[:, :, 1] = 2.0
+        assert losses._hinges_idle(z, -1e300)  # any finite gap is far above -phi
+        z[1, 2, 0] = bad
+        assert not losses._hinges_idle(z, -1e300)
+
+    def test_overflowing_similarities_raise_in_the_wavefront(self):
+        frames, parents, children = _gate_instance(make_rng(65), 4, 32, 4, 8, ordered=True, noise=0.05)
+        assert losses._hinges_idle(_tempered(frames, children, 0.1), 0.1)  # settled at unit scale
+        # finite similarities near 1e307, whose reversed DP costs overflow
+        with pytest.raises(NonFiniteError, match="alignment cost overflows"):
+            hier_lecnce(frames * 1e153, parents, children * 1e153, LossConfig(), "dp")
+
+    def test_settled_batch_builds_no_cost_matrix(self):
+        settled = _gate_instance(make_rng(66), 8, 32, 4, 8, ordered=True, noise=0.05)
+        unsettled = _gate_instance(make_rng(67), 8, 32, 4, 8, ordered=False)
+        for (frames, parents, children), calls in ((settled, 0), (unsettled, 1)):
+            with mock.patch.object(losses, "_costs", wraps=losses._costs) as costs, \
+                    mock.patch.object(losses, "_softmax_costs", wraps=losses._softmax_costs) as softmax:
+                hier_lecnce(frames, parents, children, LossConfig(lambda_dtw=0.7), "dp")
+            costs.assert_not_called()
+            assert softmax.call_count == calls
+
+    @pytest.mark.parametrize("algorithm", ["dp", "greedy"])
+    def test_unsettled_batch_costs_equal_the_cost_build(self, algorithm):
+        frames, parents, children = _gate_instance(make_rng(68), 8, 16, 8, 8, ordered=False)
+        built, build = [], losses._softmax_costs
+
+        def record(z):
+            built.append(build(z))
+            return built[-1]
+
+        with mock.patch.object(losses, "_softmax_costs", side_effect=record):
+            hier_lecnce(frames, parents, children, LossConfig(lambda_dtw=0.7), algorithm)
+        (costs, probs), = built
+        want, want_probs = losses._costs(frames, children, 0.1)
+        np.testing.assert_array_equal(costs, want)
+        np.testing.assert_array_equal(np.signbit(costs), np.signbit(want))
+        np.testing.assert_array_equal(probs(...), want_probs(...))
+
+
+def _tempered(frames, children, beta):
+    """The (B, T, N) similarities over ``beta`` that ``_hier_lecnce`` asks ``_hinges_idle`` about."""
+    return frames @ np.swapaxes(children, 1, 2) / beta
+
+
+def _dp_gaps(frames, children, beta):
+    """DP(C) - DP(C_rev) of each sample of a batch, aligned on ``_costs``: its hinge is active when gap + phi > 0."""
+    costs = losses._costs(frames, children, beta)[0]
+    aligned = alignment.align_batch(np.concatenate([costs, costs[:, :, ::-1]]), "dp")[0]
+    return np.subtract(*np.split(aligned, 2))
+
+
+class TestSimilarityCertificate:
+    """_hinges_idle on the similarities never settles a batch whose DP hinge on the costs is active."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # (B, T, N, d): T < N, T == 1 and N == 1 included
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 14), st.integers(1, 8), st.integers(2, 8)),
+        ordered=st.booleans(),
+        ties=st.booleans(),
+        beta=st.sampled_from([0.005, 0.1, 10.0]),
+        phi=st.sampled_from([-3.0, -0.5, -1e-9, 0.0, 0.1, 3.0, None]),
+        ulps=st.integers(-64, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_settles_an_active_hinge(self, shape, ordered, ties, beta, phi, ulps, seed):
+        frames, _, children = _gate_instance(make_rng(seed), *shape, ordered, noise=0.02)
+        if ties:  # a coarse grid: equal similarities within and across rows
+            frames, children = np.round(frames * 2.0) / 2.0 + 0.5, np.round(children * 2.0) / 2.0
+        gaps = _dp_gaps(frames, children, beta)
+        if phi is None:  # within a few ulps of the margin at which the batch's first hinge turns on
+            phi = -gaps.max()
+            for _ in range(abs(ulps)):
+                phi = np.nextafter(phi, np.sign(ulps) * np.inf)
+        if losses._hinges_idle(_tempered(frames, children, beta), float(phi)):
+            assert not losses._hinge(gaps, phi)[1].any()
+
+    @pytest.mark.parametrize("beta", [0.005, 0.1, 10.0])
+    def test_near_ties_on_tight_bounds(self, beta):
+        """2 x 2 matrices whose staircase is the forward DP path and whose relaxation is the reversed one.
+
+        With unit-vector texts z is the frames over beta.  Row 2 prefers
+        column 1, so the reversed DP path and the relaxation take the same
+        cells; phi sweeps the ulps around the float hinge's turning point.
+        """
+        rng = make_rng(69)
+        children = np.eye(2)[None]
+        settled_near = 0
+        for _ in range(40):
+            frames = rng.uniform(-1.0, 1.0, size=(1, 2, 2))
+            frames[0, 1] = np.sort(frames[0, 1])[::-1]
+            z, gaps = _tempered(frames, children, beta), _dp_gaps(frames, children, beta)
+            turn = -gaps[0]  # the hinge is active for phi above this float
+            phi = turn
+            for _ in range(64):
+                phi = np.nextafter(phi, np.inf)
+                assert not losses._hinges_idle(z, float(phi))
+            phi = turn
+            for step in range(4096):  # down by ulps, then by steps of 2**-40 of the turn
+                if losses._hinges_idle(z, float(phi)):
+                    assert not losses._hinge(gaps, phi)[1].any()
+                    settled_near += turn - phi < 1e-6 * max(1.0, abs(turn))
+                    break
+                phi = np.nextafter(phi, -np.inf) if step < 64 else phi - 2.0**-40 * max(1.0, abs(turn))
+        assert settled_near == 40
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_shifts_move_both_bounds_alike(self, shape, seed):
+        """A constant added to a row moves the staircase as the relaxation when T >= N, exactly on integers."""
+        b, t, n = shape
+        rng = make_rng(seed)
+        x = rng.integers(-1000, 1001, size=shape).astype(float)
+        shift = rng.integers(-10**6, 10**6 + 1, size=(b, t)).astype(float)
+        upper, choices = losses._path_bounds(x)
+        shifted_upper, shifted_choices = losses._path_bounds(x + shift[:, :, None])
+        per_row = losses._bound_plan(t, n)[0].reshape(t, n, n + 1)[:, :, n].sum(axis=1)  # staircase cells per row
+        np.testing.assert_array_equal(shifted_upper, upper + shift @ per_row)
+        np.testing.assert_array_equal(shifted_choices, choices + shift.sum(axis=1, keepdims=True))
+        np.testing.assert_array_equal(losses._reversed_lower_bound(x + shift[:, :, None]),
+                                      losses._reversed_lower_bound(x) + shift.sum(axis=1))
+        assert (per_row == 1).all() == (t >= n)
 
 
 class TestPathBounds:
@@ -1027,7 +1149,7 @@ class TestPathBounds:
     @pytest.mark.parametrize("t", range(1, 13))
     def test_staircase_is_a_path(self, t):
         for n in range(1, 13):
-            cells = np.argwhere(losses._bound_plan(t, n)[0].reshape(t, n, n + 2)[:, :, n])  # in row-major order
+            cells = np.argwhere(losses._bound_plan(t, n)[0].reshape(t, n, n + 1)[:, :, n])  # in row-major order
             assert tuple(cells[0]) == (0, 0) and tuple(cells[-1]) == (t - 1, n - 1)
             assert {tuple(m) for m in np.diff(cells, axis=0)} <= {(1, 0), (0, 1), (1, 1)}
 
@@ -1039,10 +1161,9 @@ class TestPathBounds:
     )
     def test_bounds_hold_on_integer_costs(self, shape, high, seed):
         costs = make_rng(seed).integers(0, high + 1, size=shape).astype(float)
-        total, upper, choices = losses._path_bounds(costs)
+        upper, choices = losses._path_bounds(costs)
         lower = losses._reversed_lower_bound(costs)
         for k, c in enumerate(costs):
-            assert total[k] == c.sum()
             assert dtw_dp(c).cost <= upper[k]
             assert lower[k] <= dtw_dp(c[:, ::-1]).cost
             assert lower[k] == first_column_relaxation_loop(c[:, ::-1])

@@ -8,10 +8,12 @@ import pytest
 from lecnce.alignment import CostMatrix, align, align_batch, dtw_dp
 from lecnce.cli import load_config
 from lecnce.datagen import load_dataset
-from lecnce.encoders import EncoderParams, adamw_step, init_optimizer, init_params, load_checkpoint, save_checkpoint
+from lecnce.encoders import (EncoderParams, OptimizerState, adamw_step, init_optimizer, init_params, load_checkpoint,
+                             save_checkpoint)
 from lecnce.errors import (ConfigError, CorruptFileError, DimMismatchError, EmptyMatrixError, FieldValueError,
                            NonFiniteError)
-from lecnce.losses import LossConfig, build_cost_matrix, cost_matrix_backward
+from lecnce.evalkit import EvalConfig, pool_video_embedding, recall_at_k, zero_shot_classify
+from lecnce.losses import LossConfig, build_cost_matrix, clip_lecnce, cost_matrix_backward, info_nce
 from lecnce.numerics import make_rng
 from lecnce.trainer import TrainConfig
 
@@ -87,6 +89,58 @@ def test_cost_build_input_without_cells(entry, empty):
     inputs = {"frames": np.eye(3)[:2], "texts": np.eye(3)[:2], empty: np.zeros((0, 3))}
     message = _raised(lambda: entry(inputs["frames"], inputs["texts"]), EmptyMatrixError)
     assert message == f"{empty} has no cells, shape (0, 3)"
+
+
+EMPTY_INPUT_ENTRY = {
+    "clip_lecnce": (lambda m: clip_lecnce(m, m, m, m, LossConfig()), "clip_frames"),
+    "info_nce": (lambda m: info_nce(m, []), "sim"),
+    "zero_shot_classify": (lambda m: zero_shot_classify(np.ones((2, m.shape[1])), m), "class_embs"),
+    "pool_video_embedding": (lambda m: pool_video_embedding(m), "frames"),
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+@pytest.mark.parametrize("entry, name", EMPTY_INPUT_ENTRY.values(), ids=EMPTY_INPUT_ENTRY.keys())
+def test_loss_and_eval_input_without_cells(entry, name, shape):
+    message = _raised(lambda: entry(np.zeros(shape)), EmptyMatrixError)
+    assert message == f"{name} has no cells, shape {shape}"
+
+
+RECALL_KS_ENTRY = {
+    "EvalConfig": lambda ks: EvalConfig(recall_ks=ks),
+    "recall_at_k": lambda ks: recall_at_k(np.eye(3), ks),
+}
+
+
+@pytest.mark.parametrize("ks", [(0, -2), (), (1, 0)])
+@pytest.mark.parametrize("entry", RECALL_KS_ENTRY.values(), ids=RECALL_KS_ENTRY.keys())
+def test_recall_cut_offs_below_one(entry, ks):
+    assert _raised(lambda: entry(ks), FieldValueError) == f"recall_ks must list cut-offs >= 1, got {ks}"
+
+
+OPTIMIZER_ENTRY = {
+    "OptimizerState": lambda name, value: OptimizerState(**{name: value}),
+    "init_optimizer": lambda name, value: init_optimizer(init_params([3, 2], make_rng(3)), **{name: value}),
+}
+
+
+@pytest.mark.parametrize("name, value, rule", [
+    ("learning_rate", -1.0, "a finite number >= 0"),
+    ("epsilon", float("nan"), "a finite number > 0"),
+    ("step_count", 1.5, "an integer >= 0"),
+])
+@pytest.mark.parametrize("entry", OPTIMIZER_ENTRY.values(), ids=OPTIMIZER_ENTRY.keys())
+def test_optimizer_hyperparameter_out_of_range(tmp_path, entry, name, value, rule):
+    message = _raised(lambda: entry(name, value), FieldValueError)
+    assert message == f"{name} must be {rule}, got {value!r}"
+    visual, text = init_params([3, 2], make_rng(1)), init_params([4, 2], make_rng(2))
+    path = tmp_path / "c.json"
+    save_checkpoint(path, visual, text, init_optimizer(visual), init_optimizer(text), seed=0)
+    payload = json.loads(path.read_text())
+    payload["visual_optimizer"][name] = value
+    path.write_text(json.dumps(payload))
+    loaded = _raised(lambda: load_checkpoint(path), CorruptFileError)
+    assert loaded == f"checkpoint {path} is not readable (FieldValueError: visual_optimizer.{message})"
 
 
 def _diverged_adamw_step():

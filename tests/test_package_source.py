@@ -63,7 +63,7 @@ def test_module_uses_every_name_it_imports(path):
 
 
 # checkpoint-decoding helpers of encoders.py: load_checkpoint turns their ValueErrors into CorruptFileError
-CHECKPOINT_DECODERS = {"_exact_keys", "_params_from_payload", "_unpacked", "_number", "_count", "_state_from_payload"}
+CHECKPOINT_DECODERS = {"_exact_keys", "_params_from_payload", "_unpacked", "_state_from_payload"}
 
 
 def _bare_value_errors(path: Path) -> list[str]:
