@@ -12,6 +12,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -292,14 +294,14 @@ def _packed(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "f8le": base64.b64encode(f8le([a])).decode("ascii")}
 
 
-def _unpacked(entry: dict, shape: tuple[int, ...], key: str) -> np.ndarray:
-    """Inverse of :func:`_packed` for an array that must have ``shape``."""
-    if _exact_keys(entry, ("shape", "f8le"), key)["shape"] != list(shape):
-        raise ValueError(f"{key} has shape {entry['shape']}, its parameter {list(shape)}")
-    raw = base64.b64decode(entry["f8le"], validate=True)
+def _unpacked(entry: dict, size: int, key: str) -> np.ndarray:
+    """Inverse of :func:`_packed` for a vector that must hold ``size`` values."""
+    raw = base64.b64decode(_exact_keys(entry, ("shape", "f8le"), key)["f8le"], validate=True)
     if base64.b64encode(raw).decode("ascii") != entry["f8le"]:  # unused trailing bits would round-trip silently
         raise ValueError(f"{key} is not canonical base64")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    if entry["shape"] != [size] or len(raw) != 8 * size:
+        raise ValueError(f"{key} has shape {entry['shape']} and {len(raw)} bytes; its parameters are {size} values")
+    return np.frombuffer(bytearray(raw), dtype="<f8")  # over a bytearray, so the moment is writable
 
 
 def _number(key: str, value, ok, rule: str):
@@ -321,55 +323,40 @@ def _scalars(values, prefix: str = "") -> dict:
     return out
 
 
-def _moments(state: OptimizerState, params: EncoderParams) -> dict[str, list[np.ndarray]]:
-    """Each moment vector of ``state`` as per-parameter views in ``params``' layout."""
-    out = {}
-    for name in _MOMENTS:
-        vector = getattr(state, name)
-        if vector.shape != params.vector.shape:
-            raise DimMismatchError(f"{name} shape {vector.shape} != parameter vector shape {params.vector.shape}")
-        out[name] = [a for layer in params.split(vector) for a in layer]
-    return out
-
-
 def _state_payload(state: OptimizerState, params: EncoderParams) -> dict:
     payload = {f.name: getattr(state, f.name) for f in fields(state)}
-    return {**payload, **{name: [_packed(m) for m in arrays] for name, arrays in _moments(state, params).items()}}
+    for name in _MOMENTS:
+        if payload[name].shape != params.vector.shape:
+            raise DimMismatchError(f"{name} shape {payload[name].shape} != parameter vector shape {params.vector.shape}")
+        payload[name] = _packed(payload[name])
+    return payload
 
 
 def _state_from_payload(payload: dict, params: EncoderParams, key: str) -> OptimizerState:
     _exact_keys(payload, [f.name for f in fields(OptimizerState)], key)
-    shapes = [p.shape for p in params.flat()]
-    scalars = _scalars(payload, f"{key}.")
-    moments = {}
-    for name in _MOMENTS:
-        entries = payload[name]
-        if len(entries) != len(shapes):
-            raise ValueError(f"{key}.{name} has {len(entries)} arrays for {len(shapes)} parameters")
-        arrays = [_unpacked(e, s, f"{key}.{name}[{i}]") for i, (e, s) in enumerate(zip(entries, shapes))]
-        for i, m in enumerate(arrays):
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{key}.{name}[{i}] has non-finite values")
-            if name == "second_moment" and np.any(m < 0):
-                raise ValueError(f"{key}.{name}[{i}] has negative values")
-        moments[name] = np.concatenate([m.ravel() for m in arrays], dtype=np.float64)
-    return OptimizerState(**scalars, **moments)
+    moments = {name: _unpacked(payload[name], params.vector.size, f"{key}.{name}") for name in _MOMENTS}
+    for name, m in moments.items():
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{key}.{name} has non-finite values")
+        if name == "second_moment" and np.any(m < 0):
+            raise ValueError(f"{key}.{name} has negative values")
+    return OptimizerState(**_scalars(payload, f"{key}."), **moments)
 
 
 def _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_position) -> str:
-    """sha256 of every value of a checkpoint, computed from the arrays in memory.
+    """sha256 of every value of a checkpoint, computed from the vectors in memory.
 
-    It covers the little-endian float64 bytes of each parameter array in a
-    fixed order (visual, text, then each optimizer's first and second
-    moments, per parameter) and then the canonical JSON of the shapes and
-    the scalar fields.
+    It covers the little-endian float64 bytes of six vectors in a fixed
+    order (the visual and text parameters, then the visual optimizer's
+    first and second moments and the text optimizer's) and then the
+    canonical JSON of both encoders' layer dims and activations, each
+    optimizer's scalar fields, the seed and the schedule position.
     """
     states = [visual_state, text_state]
-    moments = [m for p, s in zip((visual, text), states) for arrays in _moments(s, p).values() for m in arrays]
-    arrays = visual.flat() + text.flat() + moments
-    digest = hashlib.sha256(f8le(arrays))
+    vectors = [visual.vector, text.vector] + [getattr(s, name) for s in states for name in _MOMENTS]
+    digest = hashlib.sha256(f8le(vectors))
     scalars = {
-        "shapes": [list(a.shape) for a in arrays],
+        "layer_dims": [[p.input_dim] + [w.shape[1] for w, _ in p.layers] for p in (visual, text)],
         "activations": [visual.activation, text.activation],
         "optimizers": [{f.name: getattr(s, f.name) for f in fields(s) if f.name not in _MOMENTS} for s in states],
         "seed": seed,
@@ -377,6 +364,18 @@ def _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_po
     }
     digest.update(json.dumps(scalars, sort_keys=True).encode())
     return digest.hexdigest()
+
+
+def _replace_text(path, text: str) -> None:
+    """Write ``text`` to a file beside ``path`` and move it onto ``path``; a failed write leaves ``path`` as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):  # moved in, or never made
+            os.remove(tmp)
 
 
 def save_checkpoint(
@@ -391,9 +390,11 @@ def save_checkpoint(
     """Serialize both encoders plus optimizer state to JSON.
 
     Weights and biases are JSON floats in Python's shortest round-trip
-    repr; each optimizer moment is packed by :func:`_packed`; ``sha256``
-    is :func:`_checkpoint_sha256`.  A save -> load -> save cycle is
-    byte-identical.
+    repr; each optimizer moment is its whole vector, of shape
+    ``[n_params]`` and laid out as the encoder's ``vector``, packed by
+    :func:`_packed`; ``sha256`` is :func:`_checkpoint_sha256`.  The file is
+    replaced whole (:func:`_replace_text`).  A save -> load -> save cycle
+    is byte-identical.
     """
     payload = {
         "visual": _params_payload(visual),
@@ -405,18 +406,17 @@ def save_checkpoint(
         "sha256": _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_position),
     }
     # json.dumps encodes in C; json.dump streams through the pure-Python encoder
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _replace_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path) -> dict:
     """Inverse of :func:`save_checkpoint`; a file that is not one raises :class:`CorruptFileError`.
 
     Every object must hold exactly the keys the writer emits, and every value
-    is decoded and range-checked first (each encoder's ``activation`` must be
-    ``"identity"``); then the file's ``sha256`` must equal the hash of the
-    decoded values.
+    is decoded and range-checked first: each ``activation`` is ``"identity"``
+    and each moment one finite packed vector of its encoder's length, second
+    moments >= 0.  Then the file's ``sha256`` must equal the hash of the
+    decoded values.  No older layout is read.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -425,16 +425,10 @@ def load_checkpoint(path) -> dict:
             raise CorruptFileError(f"checkpoint {path} has no sha256: it predates packed optimizer state "
                                    "(moments as float lists); re-train to write a current checkpoint")
         _exact_keys(payload, _CHECKPOINT_KEYS)
-        visual = _params_from_payload(payload["visual"], "visual")
-        text = _params_from_payload(payload["text"], "text")
-        out = {
-            "visual": visual,
-            "text": text,
-            "visual_optimizer": _state_from_payload(payload["visual_optimizer"], visual, "visual_optimizer"),
-            "text_optimizer": _state_from_payload(payload["text_optimizer"], text, "text_optimizer"),
-            "seed": _count("seed", payload["seed"]),
-            "schedule_position": _count("schedule_position", payload["schedule_position"]),
-        }
+        out = {key: _params_from_payload(payload[key], key) for key in ("visual", "text")}
+        for key in ("visual", "text"):
+            out[f"{key}_optimizer"] = _state_from_payload(payload[f"{key}_optimizer"], out[key], f"{key}_optimizer")
+        out |= {key: _count(key, payload[key]) for key in ("seed", "schedule_position")}
         digest = _checkpoint_sha256(*out.values())  # out lists the values in the hash's parameter order
     # json's errors are ValueErrors; a huge integer where a float belongs is an OverflowError
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, DimMismatchError, NonFiniteError) as exc:

@@ -44,9 +44,10 @@ class EvalConfig:
 
 
 def _check_recall_ks(k_values) -> None:
-    """Raise :class:`FieldValueError` on ``recall_ks`` unless ``k_values`` lists at least one cut-off, all >= 1."""
-    if len(k_values) == 0 or min(k_values) < 1:
-        raise FieldValueError("recall_ks", f"must list cut-offs >= 1, got {k_values}")
+    """Raise :class:`FieldValueError` on ``recall_ks`` unless ``k_values`` lists one or more integer cut-offs >= 1."""
+    whole = all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in k_values)
+    if len(k_values) == 0 or not whole or min(k_values) < 1:
+        raise FieldValueError("recall_ks", f"must list integer cut-offs >= 1, got {k_values}")
 
 
 def zero_shot_classify(image_emb, class_embs) -> np.ndarray:

@@ -366,20 +366,20 @@ def dtw_hinge(
 def clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> LossValue:
     """Clip-level objective: narration contrast plus two-view self-supervision.
 
-    Row i of every input refers to clip i.  The value is the sum of an
-    InfoNCE between clip and narration embeddings and an InfoNCE between
-    the two augmented-view embeddings, both with diagonal positives.  An
-    input without cells raises :class:`EmptyMatrixError`.
+    Every input has the (B, d) shape of ``clip_frames``; row i of each
+    refers to clip i.  The value is the sum of an InfoNCE between clip and
+    narration embeddings and an InfoNCE between the two augmented-view
+    embeddings, both with diagonal positives.  An input without cells
+    raises :class:`EmptyMatrixError`.
     """
     clip_frames = as_matrix(clip_frames, "clip_frames")
     narrations = as_matrix(narrations, "narrations")
     view_a = as_matrix(view_a, "view_a")
     view_b = as_matrix(view_b, "view_b")
-    b = clip_frames.shape[0]
     for name, m in (("clip_frames", clip_frames), ("narrations", narrations), ("view_a", view_a), ("view_b", view_b)):
         check_cells(m, name)
-        if m.shape[0] != b:
-            raise DimMismatchError(f"{name} has {m.shape[0]} rows, expected {b}")
+        if m.shape != clip_frames.shape:  # checked before any product
+            raise DimMismatchError(f"{name} has shape {m.shape}, clip_frames {clip_frames.shape}")
     return _clip_lecnce(clip_frames, narrations, view_a, view_b, cfg)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import os
-import shutil
 import time
 from dataclasses import dataclass, field
 
@@ -260,8 +259,8 @@ def train_run(cfg: TrainConfig, dataset: Dataset, out_dir=None) -> tuple[Trainer
                                 state.visual_opt, state.text_opt, seed=cfg.seed, schedule_position=global_step)
     if out_dir is not None:
         # the final state is the last epoch's, already encoded
-        shutil.copyfile(os.path.join(out_dir, f"checkpoint_{cfg.epochs:04d}.json"),
-                        os.path.join(out_dir, "checkpoint_final.json"))
+        with open(os.path.join(out_dir, f"checkpoint_{cfg.epochs:04d}.json"), encoding="utf-8") as fh:
+            enc._replace_text(os.path.join(out_dir, "checkpoint_final.json"), fh.read())
         log.write_csv(os.path.join(out_dir, "trainlog.csv"))
     return state, log
 

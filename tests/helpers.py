@@ -7,8 +7,9 @@ per-row InfoNCE, per-matrix pooling, per-block training step,
 per-sample batcher, per-row data generator and per-query/per-class metric
 loops that the batched code must reproduce, the hinge that walks every
 alignment path, the reversed-cost relaxation as a per-cell loop, a Newton solver for the linear probe's objective, the
-evaluation protocols composed sample by sample, the checkpoint layout
-written before the optimizer moments were packed, and a loader for the
+evaluation protocols composed sample by sample, the checkpoint layouts
+written before the optimizer moments were packed and before each moment was
+one packed vector, and a loader for the
 benchmark's own modules."""
 
 import base64
@@ -649,16 +650,40 @@ def per_sample_evaluate(visual, text, train, holdout, cfg, protocols) -> evalkit
     return report
 
 
+def _per_parameter_moments(payload: dict, key: str) -> dict[str, list[np.ndarray]]:
+    """Each packed moment of ``payload[key]`` cut into one array per parameter: W then b per layer of its encoder."""
+    dims = payload[key.removesuffix("_optimizer")]["layer_dims"]
+    shapes = [shape for fan_in, fan_out in zip(dims[:-1], dims[1:]) for shape in ((fan_in, fan_out), (fan_out,))]
+    cuts = np.cumsum([int(np.prod(shape)) for shape in shapes])[:-1]
+    out = {}
+    for name in ("first_moment", "second_moment"):
+        vector = np.frombuffer(base64.b64decode(payload[key][name]["f8le"]), dtype="<f8")
+        out[name] = [part.reshape(shape) for part, shape in zip(np.split(vector, cuts), shapes, strict=True)]
+    return out
+
+
 def old_format_checkpoint(payload: dict) -> dict:
     """A current checkpoint payload in the layout written before the moments were packed.
 
-    Each moment becomes a flat JSON float list and there is no ``sha256``.
+    Each moment becomes one JSON float list per parameter array and there is no ``sha256``.
     """
     old = {k: v for k, v in payload.items() if k != "sha256"}
     for key in ("visual_optimizer", "text_optimizer"):
         if old[key] is not None:
-            old[key] = {**old[key], **{
-                name: [np.frombuffer(base64.b64decode(m["f8le"]), dtype="<f8").tolist() for m in old[key][name]]
-                for name in ("first_moment", "second_moment")
-            }}
+            moments = _per_parameter_moments(payload, key)
+            old[key] = {**old[key], **{name: [m.ravel().tolist() for m in arrays] for name, arrays in moments.items()}}
+    return old
+
+
+def per_parameter_checkpoint(payload: dict) -> dict:
+    """A current checkpoint payload in the layout written before each moment was one packed vector.
+
+    Each moment becomes a list of packed entries, one per parameter array; the ``sha256`` stays.
+    """
+    old = dict(payload)
+    for key in ("visual_optimizer", "text_optimizer"):
+        old[key] = {**old[key], **{
+            name: [{"shape": list(m.shape), "f8le": base64.b64encode(m.tobytes()).decode("ascii")} for m in arrays]
+            for name, arrays in _per_parameter_moments(payload, key).items()
+        }}
     return old

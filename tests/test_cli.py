@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from helpers import old_format_checkpoint
+from helpers import old_format_checkpoint, per_parameter_checkpoint
 from hypothesis import strategies as st
 
 from lecnce import cli, datagen, encoders
@@ -557,10 +557,11 @@ class TestCorruptFiles:
         "damage, named",
         [
             (old_format_checkpoint, "predates packed optimizer state (moments as float lists); re-train"),
+            (per_parameter_checkpoint, "visual_optimizer.first_moment is a list, not an object"),
             (lambda p: p["text"]["weights"][0].__setitem__(0, p["text"]["weights"][0][0] + 0.5), "sha256 mismatch"),
             (lambda p: p["visual_optimizer"].update(beta1=-3), "visual_optimizer.beta1 must be a finite number"),
         ],
-        ids=["old_format", "altered_weight", "beta1"],
+        ids=["old_format", "per_parameter_moments", "altered_weight", "beta1"],
     )
     def test_rejected_checkpoint(self, tmp_path, capsys, small_config, generated, damage, named):
         path = tmp_path / "c.json"

@@ -3,10 +3,12 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
-from helpers import flat_grad, old_format_checkpoint, per_array_adamw_step, per_layer_backward, rel_error, unit_rows
+from helpers import (flat_grad, old_format_checkpoint, per_array_adamw_step, per_layer_backward,
+                     per_parameter_checkpoint, rel_error, unit_rows)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -433,20 +435,29 @@ def trained_checkpoint(path):
 
 
 def _packed_nan(payload):
-    m = payload["visual_optimizer"]["first_moment"][0]
+    m = payload["visual_optimizer"]["first_moment"]
     values = np.zeros(m["shape"])
     values.flat[1] = np.nan
     m["f8le"] = base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
 
 
 def _packed_negative(payload):
-    m = payload["text_optimizer"]["second_moment"][1]
-    m["f8le"] = base64.b64encode(np.full(m["shape"], -1e-9).astype("<f8").tobytes()).decode("ascii")
+    m = payload["text_optimizer"]["second_moment"]
+    values = np.frombuffer(base64.b64decode(m["f8le"]), dtype="<f8").copy()
+    values[-1] = -1e-9  # only the last bias entry
+    m["f8le"] = base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
+
+
+def _short_moment(payload):
+    # its last value dropped, the shape kept
+    m = payload["visual_optimizer"]["second_moment"]
+    m["f8le"] = base64.b64encode(base64.b64decode(m["f8le"])[:-8]).decode("ascii")
 
 
 def _unused_base64_bit(payload):
-    # 4 floats are 32 bytes: 43 characters and one "=", the last character carrying 2 unused bits
-    m = payload["visual_optimizer"]["first_moment"][1]
+    # 43 floats are 344 = 3 * 114 + 2 bytes: 460 characters ending in one "=", the one before it carrying 2 unused bits
+    m = payload["visual_optimizer"]["first_moment"]
+    assert m["shape"] == [43] and m["f8le"].endswith("=") and not m["f8le"].endswith("==")
     alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
     last = m["f8le"][-2]
     m["f8le"] = m["f8le"][:-2] + alphabet[alphabet.index(last) ^ 1] + "="
@@ -457,18 +468,18 @@ class TestPackedCheckpoint:
         path = tmp_path / "c.json"
         f, g, sf, sg = trained_checkpoint(path)
         payload = json.loads(path.read_text())
-        # each moment vector per parameter array, in the parameters' layout
-        moments = [m for s, p in ((sf, f), (sg, g)) for name in ("first_moment", "second_moment")
-                   for layer in p.split(getattr(s, name)) for m in layer]
-        packed = [e for key in ("visual_optimizer", "text_optimizer") for name in ("first_moment", "second_moment")
-                  for e in payload[key][name]]
-        for m, entry in zip(moments, packed, strict=True):
-            assert entry == {"shape": list(m.shape), "f8le": base64.b64encode(m.astype("<f8").tobytes()).decode()}
-        # the documented hash: every array's bytes in order, then the canonical JSON of shapes and scalars
-        arrays = f.flat() + g.flat() + moments
-        digest = hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays))
+        # each moment is one packed entry holding its whole vector
+        moments = [sf.first_moment, sf.second_moment, sg.first_moment, sg.second_moment]
+        packed = [payload[key][name] for key in ("visual_optimizer", "text_optimizer")
+                  for name in ("first_moment", "second_moment")]
+        for m, entry, p in zip(moments, packed, (f, f, g, g), strict=True):
+            assert m.shape == p.vector.shape and m.any()
+            assert entry == {"shape": [p.vector.size], "f8le": base64.b64encode(m.astype("<f8").tobytes()).decode()}
+        # the documented hash: six vectors' bytes in order, then the canonical JSON of layer dims and scalars
+        vectors = [f.vector, g.vector] + moments
+        digest = hashlib.sha256(b"".join(v.astype("<f8").tobytes() for v in vectors))
         scalars = {
-            "shapes": [list(a.shape) for a in arrays],
+            "layer_dims": [[6, 4, 3], [5, 3]],
             "activations": ["identity", "identity"],
             "optimizers": [{k: v for k, v in payload[key].items() if k not in ("first_moment", "second_moment")}
                            for key in ("visual_optimizer", "text_optimizer")],
@@ -486,8 +497,8 @@ class TestPackedCheckpoint:
     @pytest.mark.parametrize(
         "edit, named",
         [
-            (_packed_nan, "visual_optimizer.first_moment[0] has non-finite values"),
-            (_packed_negative, "text_optimizer.second_moment[1] has negative values"),
+            (_packed_nan, "visual_optimizer.first_moment has non-finite values"),
+            (_packed_negative, "text_optimizer.second_moment has negative values"),
             (lambda p: p["visual_optimizer"].update(step_count="x"), "visual_optimizer.step_count must be an integer"),
             (lambda p: p["text_optimizer"].update(step_count=-1), "text_optimizer.step_count must be an integer"),
             (lambda p: p["visual_optimizer"].update(beta1=-3), "visual_optimizer.beta1 must be a finite number in"),
@@ -501,23 +512,26 @@ class TestPackedCheckpoint:
             (lambda p: p.update(visual_optimizer=None), "visual_optimizer is a NoneType, not an object"),
             (lambda p: p.update(text_optimizer=None), "text_optimizer is a NoneType, not an object"),
             (lambda p: p.update(schedule_position=-5), "schedule_position must be an integer >= 0, got -5"),
-            (lambda p: p["visual_optimizer"]["second_moment"].pop(), "visual_optimizer.second_moment has 3 arrays"),
-            (lambda p: p["text_optimizer"]["first_moment"][0].update(shape=[3, 5]), "text_optimizer.first_moment[0]"),
+            (lambda p: p["text_optimizer"]["first_moment"].update(shape=[3, 5]),
+             "text_optimizer.first_moment has shape [3, 5] and 144 bytes; its parameters are 18 values"),
+            (_short_moment, "visual_optimizer.second_moment has shape [43] and 336 bytes; its parameters are 43 values"),
             (lambda p: p["visual"].update(layer_dims=[-1, 4, 3]), "layer_dims [-1, 4, 3] do not match"),
             # an extra trailing list is refused, not dropped by zip; a missing one too
             (lambda p: p["text"]["biases"].append([0.0] * 3), "text has 1 weight and 2 bias lists"),
             (lambda p: p["text"]["weights"].append([0.0] * 15), "text has 2 weight and 1 bias lists"),
             (lambda p: p["visual"]["weights"].pop(), "visual has 1 weight and 2 bias lists"),
-            (_unused_base64_bit, "visual_optimizer.first_moment[1] is not canonical base64"),
+            (_unused_base64_bit, "visual_optimizer.first_moment is not canonical base64"),
+            # the layout written before each moment was one vector: a packed entry per parameter array, its hash kept
+            (lambda p: p.update(per_parameter_checkpoint(p)), "visual_optimizer.first_moment is a list, not an object"),
             # a checkpoint of the removed tanh encoders: the activation is checked before the hash
             (lambda p: p["visual"].update(activation="tanh"), "visual.activation must be 'identity', got 'tanh'"),
             (lambda p: p["text"].update(activation="tanh"), "text.activation must be 'identity', got 'tanh'"),
         ],
         ids=["nan_moment", "negative_second_moment", "step_count_str", "step_count_negative", "beta1", "beta2",
              "epsilon", "learning_rate_inf", "weight_decay_bool", "seed_str", "seed_negative", "seed_null",
-             "visual_optimizer_null", "text_optimizer_null", "schedule_position", "moment_count", "moment_shape", "layer_dims", "extra_bias_list",
-             "extra_weight_list", "missing_weight_list", "unused_base64_bit",
-             "visual_tanh", "text_tanh"],
+             "visual_optimizer_null", "text_optimizer_null", "schedule_position", "moment_shape", "moment_length",
+             "layer_dims", "extra_bias_list", "extra_weight_list", "missing_weight_list", "unused_base64_bit",
+             "per_parameter_moments", "visual_tanh", "text_tanh"],
     )
     def test_invalid_value_names_the_key(self, tmp_path, edit, named):
         path = tmp_path / "c.json"
@@ -535,8 +549,8 @@ class TestPackedCheckpoint:
             (lambda p: p.update(note="edited"), "ValueError: unknown key 'note'"),
             (lambda p: p["visual_optimizer"].update(extra=[1, 2]), "ValueError: unknown key 'visual_optimizer.extra'"),
             (lambda p: p["text"].update(dropout=0.1), "ValueError: unknown key 'text.dropout'"),
-            (lambda p: p["visual_optimizer"]["first_moment"][0].update(pad=0),
-             "ValueError: unknown key 'visual_optimizer.first_moment[0].pad'"),
+            (lambda p: p["visual_optimizer"]["first_moment"].update(pad=0),
+             "ValueError: unknown key 'visual_optimizer.first_moment.pad'"),
             (lambda p: p.pop("seed"), "KeyError: 'seed'"),
             (lambda p: p["visual"].pop("activation"), "KeyError: 'visual.activation'"),
             (lambda p: p["text_optimizer"].pop("beta1"), "KeyError: 'text_optimizer.beta1'"),
@@ -555,6 +569,27 @@ class TestPackedCheckpoint:
         assert named in str(info.value)
 
 
+class TestAtomicSave:
+    @pytest.mark.parametrize("target, name", [(json, "dumps"), (os, "replace")], ids=["json.dumps", "os.replace"])
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch, target, name):
+        path = tmp_path / "c.json"
+        f, g, sf, sg = trained_checkpoint(path)
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(target, name, fail)
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(path, f, g, sf, sg, seed=8, schedule_position=3)
+        monkeypatch.undo()
+        assert path.read_bytes() == before and load_checkpoint(path)["seed"] == 7
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        save_checkpoint(path, f, g, sf, sg, seed=8, schedule_position=3)  # a save that succeeds leaves no temporary
+        assert load_checkpoint(path)["seed"] == 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 @pytest.fixture(scope="module")
 def checkpoint_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "c.json"
@@ -564,14 +599,15 @@ def checkpoint_file(tmp_path_factory):
 
 @st.composite
 def damaged_checkpoints(draw, text):
-    """The text of ``text`` truncated, or a flipped base64 bit, digit, hash or old layout in its payload."""
-    kind = draw(st.sampled_from(["truncated", "flipped_f8le", "weight_digit", "wrong_sha256", "old_format"]))
+    """The text of ``text`` truncated, or a flipped base64 bit, digit, hash or older layout in its payload."""
+    kind = draw(st.sampled_from(["truncated", "flipped_f8le", "weight_digit", "wrong_sha256", "old_format",
+                                 "per_parameter"]))
     if kind == "truncated":  # at least the closing brace goes
         return text[: draw(st.integers(0, len(text) - 2))]
     payload = json.loads(text)
     if kind == "flipped_f8le":
-        entries = [e for key in ("visual_optimizer", "text_optimizer") for name in ("first_moment", "second_moment")
-                   for e in payload[key][name]]
+        entries = [payload[key][name] for key in ("visual_optimizer", "text_optimizer")
+                   for name in ("first_moment", "second_moment")]
         entry = draw(st.sampled_from(entries))
         i = draw(st.integers(0, len(entry["f8le"]) - 1))
         flipped = chr(ord(entry["f8le"][i]) ^ (1 << draw(st.integers(0, 6))))
@@ -587,6 +623,8 @@ def damaged_checkpoints(draw, text):
     elif kind == "wrong_sha256":
         payload["sha256"] = draw(st.text("0123456789abcdef", min_size=64, max_size=64).filter(
             lambda h: h != payload["sha256"]))
+    elif kind == "per_parameter":  # keeps its sha256
+        payload = per_parameter_checkpoint(payload)
     else:
         payload = old_format_checkpoint(payload)
         if draw(st.booleans()):  # a hash added to old-format moments still does not load

@@ -551,6 +551,15 @@ class TestClipLecnce:
         assert out.value == vl.value + vv.value
         assert out.components == {"vl": vl.value, "vv": vv.value}
 
+    @pytest.mark.parametrize("name", ["narrations", "view_a", "view_b"])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4)], ids=["rows", "dim"])
+    def test_shape_errors_name_the_input(self, name, shape):
+        mats = {"clip_frames": np.ones((2, 3)), "narrations": np.ones((2, 3)), "view_a": np.ones((2, 3)),
+                "view_b": np.ones((2, 3)), name: np.ones(shape)}
+        with pytest.raises(DimMismatchError) as info:  # not numpy's ValueError from a product
+            clip_lecnce(**mats, cfg=LossConfig())
+        assert str(info.value) == f"{name} has shape {shape}, clip_frames (2, 3)"
+
     def test_gradients_match_finite_differences(self):
         rng = make_rng(21)
         cfg = LossConfig(temperature_infonce=0.2)

@@ -115,7 +115,13 @@ RECALL_KS_ENTRY = {
 @pytest.mark.parametrize("ks", [(0, -2), (), (1, 0)])
 @pytest.mark.parametrize("entry", RECALL_KS_ENTRY.values(), ids=RECALL_KS_ENTRY.keys())
 def test_recall_cut_offs_below_one(entry, ks):
-    assert _raised(lambda: entry(ks), FieldValueError) == f"recall_ks must list cut-offs >= 1, got {ks}"
+    assert _raised(lambda: entry(ks), FieldValueError) == f"recall_ks must list integer cut-offs >= 1, got {ks}"
+
+
+@pytest.mark.parametrize("ks", [(1.5, 2), (1.5,), (2.0,), (True, 5)])
+@pytest.mark.parametrize("entry", RECALL_KS_ENTRY.values(), ids=RECALL_KS_ENTRY.keys())
+def test_recall_cut_offs_not_integers(entry, ks):
+    assert _raised(lambda: entry(ks), FieldValueError) == f"recall_ks must list integer cut-offs >= 1, got {ks}"
 
 
 OPTIMIZER_ENTRY = {

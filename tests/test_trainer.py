@@ -481,6 +481,25 @@ class TestTrainRun:
         assert steps == sorted(steps) and len(set(steps)) == len(steps)
         assert all(np.isfinite(r.total) for r in log.records)
 
+    def test_failed_final_copy_keeps_the_previous_final_checkpoint(self, tmp_path, monkeypatch):
+        train, _ = tiny_dataset()
+        train_run(tiny_config(), train, out_dir=tmp_path)
+        before = (tmp_path / "checkpoint_final.json").read_bytes()
+        replace = os.replace
+
+        def fail_on_final(src, dst):
+            if str(dst).endswith("checkpoint_final.json"):
+                raise OSError("no space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_final)
+        with pytest.raises(OSError, match="no space left"):
+            train_run(tiny_config(seed=9), train, out_dir=tmp_path)
+        monkeypatch.undo()
+        last = (tmp_path / f"checkpoint_{tiny_config().epochs:04d}.json").read_bytes()
+        assert (tmp_path / "checkpoint_final.json").read_bytes() == before != last
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
     def test_final_checkpoint_holds_the_exact_state(self, tmp_path):
         train, _ = tiny_dataset()
         cfg = tiny_config(visual_layers=(12, 8, 6))
@@ -515,8 +534,11 @@ class TestTrainRun:
 
         The batcher keeps 16 of 32 phase frames and 64 of 192 video frames, and
         the clip batches wrap around the level.  The pins are the sha256 of
-        ``checkpoint_final.json`` and of ``trainlog.csv`` without its ``wall_ms``
-        column (numpy 2.4 on OpenBLAS; another BLAS may round differently).
+        ``checkpoint_final.json``, of ``trainlog.csv`` without its ``wall_ms``
+        column and of the loaded parameter and moment vectors' float64 bytes
+        (numpy 2.4 on OpenBLAS; another BLAS may round differently).  The
+        vectors' pin predates packing each moment as one vector: only the
+        checkpoint's layout moved then, not a value.
         """
         spec = ProcedureSpec(step_library_size=24, steps_per_procedure=6, frames_per_step=32, seed=4)
         train, _ = generate_dataset(spec, 10)
@@ -528,8 +550,14 @@ class TestTrainRun:
         assert log[0].endswith(",wall_ms") and len(log) == 1 + 25 + 3 + 5
         checkpoint = (tmp_path / "checkpoint_final.json").read_bytes()
         digests = [hashlib.sha256(data).hexdigest() for data in (checkpoint, timeless)]
-        assert digests == ["e2eef80bbeb97ee732af34e97fca100e17bdfc25ade86d000911a989841ce6a6",
-                           "e0dac16961e20da92b5298eb14c04d3710ca44cc5d9c9bea52f35452ed64a740"]
+        loaded = encoders.load_checkpoint(tmp_path / "checkpoint_final.json")
+        vectors = [loaded["visual"].vector, loaded["text"].vector] + [
+            getattr(loaded[key], name) for key in ("visual_optimizer", "text_optimizer")
+            for name in ("first_moment", "second_moment")]
+        digests.append(hashlib.sha256(b"".join(v.astype("<f8").tobytes() for v in vectors)).hexdigest())
+        assert digests == ["a874c684d014ed81879e8d99f5528c27cdbf06a9f00165f9015bf0e72f38a280",
+                           "e0dac16961e20da92b5298eb14c04d3710ca44cc5d9c9bea52f35452ed64a740",
+                           "6965afaa5e3ac51d8145fb9386fdcb5c7e08182aa29de19a371bf20b26d04a59"]
 
     def test_clip_loss_decreases(self):
         train, _ = tiny_dataset(n_procedures=8)
