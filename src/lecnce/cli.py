@@ -24,7 +24,7 @@ from . import evalkit, textaug
 from .alignment import DTW_ALGORITHMS, CostMatrix, align, reverse_columns
 from .datagen import CLIP_LEN, ProcedureSpec, SplitSpec, generate_dataset, load_dataset, save_dataset
 from .errors import (ConfigError, FieldValueError, InputError, LecnceError, NonFiniteError, UnknownKeyError, is_a,
-                     read_json, read_text)
+                     read_json, read_text, write_file)
 from .losses import LossConfig
 from .trainer import TrainConfig, train_run
 
@@ -155,12 +155,9 @@ def _check_out_dir(out_dir: str) -> None:
 
 def _write_run_records(out_dir: str, config: dict, seed: int) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
-        json.dump({**config, "seed": seed}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "seed.json"), "w", encoding="utf-8") as fh:
-        json.dump({"seed": seed}, fh, sort_keys=True)
-        fh.write("\n")
+    resolved = json.dumps({**config, "seed": seed}, sort_keys=True, indent=1)
+    write_file(os.path.join(out_dir, "resolved_config.json"), resolved + "\n")
+    write_file(os.path.join(out_dir, "seed.json"), json.dumps({"seed": seed}, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +213,7 @@ def _cmd_eval(args) -> int:
     for what, got, other, want in (
         ("visual encoder's input dim", visual.input_dim, "data.visual_dim", train.spec.visual_dim),
         ("text encoder's input dim", text.input_dim, "data.text_dim", train.spec.text_dim),
-        ("visual encoder's joint dim", visual.layers[-1][0].shape[1], "the text encoder's", text.layers[-1][0].shape[1]),
+        ("visual encoder's joint dim", visual.layer_dims[-1], "the text encoder's", text.layer_dims[-1]),
     ):
         if got != want:
             raise InputError(f"checkpoint {args.checkpoint}: its {what} is {got}, but {other} is {want}")
@@ -230,8 +227,7 @@ def _cmd_eval(args) -> int:
                   f"{probe['grad_norm']:.2e} >= {evalkit.PROBE_TOL:g}; eval.probe_epochs is {opts.probe_epochs}",
                   file=sys.stderr)
     _write_run_records(args.out, config, seed)
-    with open(os.path.join(args.out, "eval_report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    write_file(os.path.join(args.out, "eval_report.json"), report.to_json())
     print(f"wrote eval_report.json to {args.out}")
     if report.accuracy is not None:
         print(f"accuracy {report.accuracy:.4f}  macro_f1 {report.macro_f1:.4f}")
@@ -262,16 +258,17 @@ def _cmd_augment(args) -> int:
     vocab = textaug.load_vocabulary(args.vocab) if args.vocab else None
     kb = textaug.load_step_kb(args.kb) if args.kb else None
     records = _read_records(args.infile)
-    with open(args.out, "w", encoding="utf-8") as dst:
-        for text, level in records:
-            if level == "narration":
-                augmented, step = textaug.augment_narration(text, kb, vocab)
-            else:
-                augmented, step = textaug.augment_text(text, level), None
-            out = {"original": text, "augmented": augmented}
-            if step is not None:  # the index of the step appended to the narration
-                out["step_index"] = step
-            dst.write(json.dumps(out, sort_keys=True) + "\n")
+    lines = []
+    for text, level in records:
+        if level == "narration":
+            augmented, step = textaug.augment_narration(text, kb, vocab)
+        else:
+            augmented, step = textaug.augment_text(text, level), None
+        out = {"original": text, "augmented": augmented}
+        if step is not None:  # the index of the step appended to the narration
+            out["step_index"] = step
+        lines.append(json.dumps(out, sort_keys=True) + "\n")
+    write_file(args.out, "".join(lines))
     print(f"augmented {len(records)} records into {args.out}")
     return 0
 

@@ -33,7 +33,7 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .errors import CorruptFileError, FieldValueError, InfeasibleSpecError, check_minimums, is_a, read_json
+from .errors import CorruptFileError, FieldValueError, InfeasibleSpecError, check_minimums, is_a, read_json, write_file
 from .numerics import f8le, make_rng
 
 LEVELS = ("clip", "phase", "video")
@@ -351,11 +351,9 @@ def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
         raise FieldValueError("holdout", "must be the other split of the dataset train was split from")
     records = np.concatenate([a.reshape(len(orders), -1) for a in arrays], axis=1, dtype="<f8")
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "data.bin"), "wb") as fh:
-        fh.write(records)
+    write_file(os.path.join(out_dir, "data.bin"), records)
     truth_blob = f8le(astuple(train.ground_truth))  # concepts, render_visual, render_text
-    with open(os.path.join(out_dir, "groundtruth.bin"), "wb") as fh:
-        fh.write(truth_blob)
+    write_file(os.path.join(out_dir, "groundtruth.bin"), truth_blob)
     manifest = {
         "spec": asdict(spec),
         "seed": spec.seed,
@@ -365,9 +363,8 @@ def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
         "files": {"data.bin": _sha256(records), "groundtruth.bin": _sha256(truth_blob)},
     }
     manifest["manifest_sha256"] = _manifest_sha256(manifest)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    # last, so a save cut short leaves blobs that the old manifest's hashes refuse
+    write_file(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
 def _read_manifest(path: str) -> dict:
@@ -385,7 +382,7 @@ def _read_blob(path: str, digest: str, rows: tuple[int, ...], shapes) -> list[np
     """Read-only views of the float64 arrays of ``shapes`` in ``path``, each with leading dims ``rows``.
 
     The file stores the arrays of each leading index in turn; its size and
-    sha256 must match ``rows``, ``shapes`` and ``digest``.
+    sha256 must match ``rows``, ``shapes`` and ``digest``; its values must be finite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -394,7 +391,10 @@ def _read_blob(path: str, digest: str, rows: tuple[int, ...], shapes) -> list[np
         raise CorruptFileError(f"{path} has {len(blob)} bytes, the manifest implies {8 * math.prod(rows) * sum(sizes)}")
     if _sha256(blob) != digest:
         raise CorruptFileError(f"{path} hash mismatch; dataset directory is corrupt")
-    parts = np.split(np.frombuffer(blob, dtype="<f8").reshape(*rows, -1), np.cumsum(sizes)[:-1], axis=-1)
+    values = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise CorruptFileError(f"{path} holds non-finite values; a dataset holds only finite ones")
+    parts = np.split(values.reshape(*rows, -1), np.cumsum(sizes)[:-1], axis=-1)
     return [part.reshape(*rows, *shape) for part, shape in zip(parts, shapes)]
 
 
@@ -405,7 +405,7 @@ def load_dataset(in_dir) -> tuple[Dataset, Dataset]:
     the manifest does not describe a dataset, gives a ``spec`` field a value
     of the wrong type (checked as the config's ``data`` section is) or leaves
     a split empty, or a blob's size differs from the one its spec and step
-    orders imply.
+    orders imply or the blob holds a non-finite value.
     """
     path = os.path.join(in_dir, "manifest.json")
     manifest = _read_manifest(path)

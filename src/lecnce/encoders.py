@@ -12,14 +12,12 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
-from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import (CorruptFileError, DimMismatchError, FieldValueError, MissingCacheError, NonFiniteError,
-                     ZeroVectorError, is_a)
+                     ZeroVectorError, is_a, write_file)
 from .numerics import ZERO_NORM_TOL, as_matrix, f8le
 
 
@@ -49,7 +47,7 @@ class EncoderParams:
                 raise DimMismatchError(f"layer {i} shapes do not chain: W {w.shape}, b {b.shape}")
             if i > 0 and self.layers[i - 1][0].shape[1] != w.shape[0]:
                 raise DimMismatchError(f"layer {i} fan_in {w.shape[0]} != previous fan_out")
-        vector = np.concatenate([a.ravel() for a in self.flat()], dtype=np.float64)
+        vector = np.concatenate([a.ravel() for layer in self.layers for a in layer], dtype=np.float64)
         _check_finite(self, vector)
         self.vector, self.layers = vector, self.split(vector)
 
@@ -57,9 +55,10 @@ class EncoderParams:
     def input_dim(self) -> int:
         return self.layers[0][0].shape[0]
 
-    def flat(self) -> list[np.ndarray]:
-        """Parameters as a flat list, weights before biases per layer."""
-        return [a for layer in self.layers for a in layer]
+    @property
+    def layer_dims(self) -> list[int]:
+        """The input dim, then each layer's fan_out."""
+        return [self.input_dim] + [w.shape[1] for w, _ in self.layers]
 
     def split(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """``vector``, laid out as :attr:`vector`, as per-layer ``(W, b)`` views."""
@@ -243,7 +242,7 @@ def adamw_step(params: EncoderParams, grad, state: OptimizerState) -> tuple[Enco
 
 def _params_payload(params: EncoderParams) -> dict:
     return {
-        "layer_dims": [params.input_dim] + [w.shape[1] for w, _ in params.layers],
+        "layer_dims": params.layer_dims,
         "activation": params.activation,
         "weights": [w.ravel().tolist() for w, _ in params.layers],
         "biases": [b.tolist() for _, b in params.layers],
@@ -281,10 +280,13 @@ def _params_from_payload(payload: dict, key: str) -> EncoderParams:
         raise ValueError(f"{key} has {len(weights)} weight and {len(biases)} bias lists")
     layers = []
     for i, (w_flat, b) in enumerate(zip(weights, biases)):
+        for name, values in (("weights", w_flat), ("biases", b)):  # EncoderParams names a non-finite one
+            if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+                raise ValueError(f"{key}.{name}[{i}] must be a list of JSON numbers")
         w = np.asarray(w_flat, dtype=np.float64).reshape(dims[i], dims[i + 1])
         layers.append((w, np.asarray(b, dtype=np.float64)))
     params = EncoderParams(layers=layers)
-    if [params.input_dim] + [w.shape[1] for w, _ in params.layers] != dims:
+    if params.layer_dims != dims:
         raise ValueError(f"layer_dims {dims} do not match the weight and bias shapes")
     return params
 
@@ -356,7 +358,7 @@ def _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_po
     vectors = [visual.vector, text.vector] + [getattr(s, name) for s in states for name in _MOMENTS]
     digest = hashlib.sha256(f8le(vectors))
     scalars = {
-        "layer_dims": [[p.input_dim] + [w.shape[1] for w, _ in p.layers] for p in (visual, text)],
+        "layer_dims": [visual.layer_dims, text.layer_dims],
         "activations": [visual.activation, text.activation],
         "optimizers": [{f.name: getattr(s, f.name) for f in fields(s) if f.name not in _MOMENTS} for s in states],
         "seed": seed,
@@ -364,18 +366,6 @@ def _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_po
     }
     digest.update(json.dumps(scalars, sort_keys=True).encode())
     return digest.hexdigest()
-
-
-def _replace_text(path, text: str) -> None:
-    """Write ``text`` to a file beside ``path`` and move it onto ``path``; a failed write leaves ``path`` as it was."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        with suppress(FileNotFoundError):  # moved in, or never made
-            os.remove(tmp)
 
 
 def save_checkpoint(
@@ -393,7 +383,7 @@ def save_checkpoint(
     repr; each optimizer moment is its whole vector, of shape
     ``[n_params]`` and laid out as the encoder's ``vector``, packed by
     :func:`_packed`; ``sha256`` is :func:`_checkpoint_sha256`.  The file is
-    replaced whole (:func:`_replace_text`).  A save -> load -> save cycle
+    replaced whole (:func:`~lecnce.errors.write_file`).  A save -> load -> save cycle
     is byte-identical.
     """
     payload = {
@@ -406,17 +396,18 @@ def save_checkpoint(
         "sha256": _checkpoint_sha256(visual, text, visual_state, text_state, seed, schedule_position),
     }
     # json.dumps encodes in C; json.dump streams through the pure-Python encoder
-    _replace_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_file(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path) -> dict:
     """Inverse of :func:`save_checkpoint`; a file that is not one raises :class:`CorruptFileError`.
 
     Every object must hold exactly the keys the writer emits, and every value
-    is decoded and range-checked first: each ``activation`` is ``"identity"``
-    and each moment one finite packed vector of its encoder's length, second
-    moments >= 0.  Then the file's ``sha256`` must equal the hash of the
-    decoded values.  No older layout is read.
+    is decoded and range-checked first: each ``activation`` is ``"identity"``,
+    each weight and bias list holds JSON numbers (not ``"0.5"`` or ``true``),
+    and each moment is one finite packed vector of its encoder's length,
+    second moments >= 0.  Then the file's ``sha256`` must equal the hash of
+    the decoded values.  No older layout is read.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -1,14 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its file helpers.
 
 Each class names one contract, and each contract has one class: a wrong
 shape raises :class:`DimMismatchError`, a non-finite value
 :class:`NonFiniteError`, and an out-of-range config field or function
 argument :class:`FieldValueError` naming it.  Callers can catch the narrow
-type or the common :class:`LecnceError` base.
+type or the common :class:`LecnceError` base.  The readers :func:`read_text`
+and :func:`read_json` name the file in their errors; :func:`write_file` is
+the one writer of every file the package writes.
 """
 
 import json
+import os
 import sys
+from contextlib import suppress
 
 
 class LecnceError(Exception):
@@ -109,6 +113,18 @@ def read_json(path, error: type[InputError] = InputError):
         raise error(f"{path} line {exc.lineno} column {exc.colno}: not valid JSON ({exc.msg})") from None
     except ValueError as exc:  # an integer literal longer than int() converts
         raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+def write_file(path, data) -> None:
+    """Write ``data`` (str as UTF-8, or bytes) via ``<path>.tmp`` and ``os.replace``: ``path`` is whole or as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):  # moved in, or never made
+            os.remove(tmp)
 
 
 def is_a(value, hint) -> bool:

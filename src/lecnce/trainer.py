@@ -12,6 +12,7 @@ order.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 from . import encoders as enc
 from .alignment import check_algorithm
 from .datagen import LEVELS, Dataset, Level
-from .errors import FieldValueError, MissingLevelDataError, NonFiniteError, check_minimums
+from .errors import FieldValueError, MissingLevelDataError, NonFiniteError, check_minimums, read_text, write_file
 from .losses import LossConfig, _clip_lecnce, _hier_lecnce, _pool_segments, pool_segments_backward
 from .numerics import make_rng, subsample_frames
 
@@ -92,12 +93,13 @@ class TrainLog:
         return [r.total for r in self.records if r.level == level]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.records:
-                c = [repr(r.components[k]) if k in r.components else "" for k in ("vl", "vv", "infonce", "dtw")]
-                writer.writerow([r.global_step, r.level, repr(r.total), *c, repr(r.wall_ms)])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(CSV_COLUMNS)
+        for r in self.records:
+            c = [repr(r.components[k]) if k in r.components else "" for k in ("vl", "vv", "infonce", "dtw")]
+            writer.writerow([r.global_step, r.level, repr(r.total), *c, repr(r.wall_ms)])
+        write_file(path, buf.getvalue())
 
 
 def schedule_period(cfg: TrainConfig) -> list[str]:
@@ -259,8 +261,8 @@ def train_run(cfg: TrainConfig, dataset: Dataset, out_dir=None) -> tuple[Trainer
                                 state.visual_opt, state.text_opt, seed=cfg.seed, schedule_position=global_step)
     if out_dir is not None:
         # the final state is the last epoch's, already encoded
-        with open(os.path.join(out_dir, f"checkpoint_{cfg.epochs:04d}.json"), encoding="utf-8") as fh:
-            enc._replace_text(os.path.join(out_dir, "checkpoint_final.json"), fh.read())
+        write_file(os.path.join(out_dir, "checkpoint_final.json"),
+                   read_text(os.path.join(out_dir, f"checkpoint_{cfg.epochs:04d}.json")))
         log.write_csv(os.path.join(out_dir, "trainlog.csv"))
     return state, log
 

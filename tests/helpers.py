@@ -273,7 +273,7 @@ def per_array_adamw_step(params: enc.EncoderParams, grads, state: enc.OptimizerS
     moments = [[a for layer in params.split(getattr(state, name)) for a in layer]
                for name in ("first_moment", "second_moment")]
     new_m, new_v, new_flat = [], [], []
-    for p, g, m, v in zip(params.flat(), flat_grads, *moments, strict=True):
+    for p, g, m, v in zip([a for layer in params.layers for a in layer], flat_grads, *moments, strict=True):
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from helpers import old_format_checkpoint, per_parameter_checkpoint
@@ -15,7 +17,7 @@ from lecnce import cli, datagen, encoders
 from lecnce.cli import load_config, resolve_seed, run
 from lecnce.datagen import ProcedureSpec, SplitSpec, load_dataset
 from lecnce.encoders import init_optimizer, init_params, save_checkpoint
-from lecnce.errors import ConfigError, UnknownKeyError
+from lecnce.errors import ConfigError, CorruptFileError, UnknownKeyError
 from lecnce.evalkit import PROBE_TOL, EvalConfig
 from lecnce.losses import LossConfig
 from lecnce.numerics import make_rng
@@ -510,6 +512,15 @@ def _empty_train_split(manifest):
     manifest["train_procedures"] = []
 
 
+def _non_finite_blob(data, name):
+    """A NaN in the middle of blob ``name``, its hash and the manifest's rehashed so only the value is wrong."""
+    values = np.frombuffer((data / name).read_bytes(), dtype="<f8").copy()
+    values[len(values) // 2] = np.nan
+    (data / name).write_bytes(values.tobytes())
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    _edit_manifest(data, lambda m: m["files"].update({name: digest}), rehash=True)
+
+
 class TestCorruptFiles:
     """A damaged dataset or checkpoint exits 1 naming the file, without a traceback or any output."""
 
@@ -601,6 +612,86 @@ class TestCorruptFiles:
         err = capsys.readouterr().err
         assert f"checkpoint {path}" in err and named in err, err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command, blob", [("train", "data.bin"), ("eval", "groundtruth.bin")])
+    def test_non_finite_blob_exits_1_before_any_output(self, tmp_path, capsys, small_config, generated, command, blob):
+        _non_finite_blob(generated, blob)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(small_config), "--data", str(generated), "--out", str(out)]
+        if command == "eval":
+            save_untrained(tmp_path / "c.json", init_params([12, 6], make_rng(0)), init_params([9, 6], make_rng(0)))
+            argv += ["--checkpoint", str(tmp_path / "c.json")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {generated / blob} holds non-finite values; a dataset holds only finite ones\n", err
+        assert not out.exists()
+
+
+def _cli(*argv):
+    """Run a subcommand as :func:`cli.run` does, but let its exceptions through."""
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    assert args.fn(args) == 0
+
+
+def _write(target, tmp_path, config, data, variant):
+    """Write ``tmp_path/out/target`` through the command that writes it; ``variant`` 0 and 1 write different bytes."""
+    out = tmp_path / "out"
+    if target == "trainlog.csv":
+        _cli("train", "--config", config, "--data", data, "--out", out, "--seed", variant)
+    elif target == "eval_report.json":
+        checkpoint = tmp_path / "c.json"
+        save_untrained(checkpoint, init_params([12, 6], make_rng(0)), init_params([9, 6], make_rng(0)))
+        protocol = ("--zero-shot", "--retrieval")[variant]
+        _cli("eval", "--config", config, "--checkpoint", checkpoint, "--data", data, "--out", out, protocol)
+    elif target == "augmented.jsonl":
+        infile = tmp_path / "in.jsonl"
+        infile.write_text(json.dumps({"text": ("clipping", "cutting")[variant], "level": "keystep"}) + "\n")
+        out.mkdir(exist_ok=True)
+        _cli("augment", "--in", infile, "--out", out / target)
+    else:  # the dataset and its run records
+        _cli("generate-data", "--spec", config, "--out", out, "--seed", variant)
+    return out / target
+
+
+def _fail_replacing(monkeypatch, target):
+    """Make ``os.replace`` raise when it would move a file onto one named ``target``."""
+    replace = os.replace
+
+    def fail(src, dst):
+        if os.path.basename(dst) == target:
+            raise OSError("no space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+
+
+class TestAtomicWrites:
+    """Every file a command writes is written whole or not at all: a failed write keeps the previous file."""
+
+    @pytest.mark.parametrize("target", ["data.bin", "groundtruth.bin", "manifest.json", "resolved_config.json",
+                                        "seed.json", "trainlog.csv", "eval_report.json", "augmented.jsonl"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, small_config, generated, target):
+        path = _write(target, tmp_path, small_config, generated, 0)
+        before = path.read_bytes()
+        _fail_replacing(monkeypatch, target)
+        with pytest.raises(OSError, match="no space left"):
+            _write(target, tmp_path, small_config, generated, 1)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert not [p.name for p in tmp_path.rglob("*.tmp")]
+        _write(target, tmp_path, small_config, generated, 1)  # the write that failed would have changed the file
+        assert path.read_bytes() != before and not [p.name for p in tmp_path.rglob("*.tmp")]
+
+    @pytest.mark.parametrize("target", ["groundtruth.bin", "manifest.json"])
+    def test_dataset_cut_short_is_refused(self, tmp_path, monkeypatch, small_config, target):
+        _write(target, tmp_path, small_config, None, 0)
+        _fail_replacing(monkeypatch, target)
+        with pytest.raises(OSError, match="no space left"):
+            _write(target, tmp_path, small_config, None, 1)
+        monkeypatch.undo()
+        # the manifest is written last, so the old one's hashes refuse the new blobs
+        with pytest.raises(CorruptFileError, match="hash mismatch"):
+            load_dataset(tmp_path / "out")
 
 
 NOT_UTF8 = b'{"seed": 1}\n\xff\xfe\n'

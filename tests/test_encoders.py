@@ -252,7 +252,7 @@ class TestFlatLayout:
         w0, b0, w1, b1 = np.arange(12.0).reshape(3, 4), np.arange(4.0), np.arange(8.0).reshape(4, 2), np.arange(2.0)
         p = EncoderParams(layers=[(w0, b0), (w1, b1)])
         np.testing.assert_array_equal(p.vector, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
-        for a, want in zip(p.flat(), (w0, b0, w1, b1), strict=True):
+        for a, want in zip([x for layer in p.layers for x in layer], (w0, b0, w1, b1), strict=True):
             assert np.shares_memory(a, p.vector) and not np.shares_memory(a, want)
             np.testing.assert_array_equal(a, want)
         other = np.arange(p.vector.size, dtype=float)
@@ -521,6 +521,11 @@ class TestPackedCheckpoint:
             (lambda p: p["text"]["weights"].append([0.0] * 15), "text has 2 weight and 1 bias lists"),
             (lambda p: p["visual"]["weights"].pop(), "visual has 1 weight and 2 bias lists"),
             (_unused_base64_bit, "visual_optimizer.first_moment is not canonical base64"),
+            # numbers as strings or booleans: float64 converts them, and the hash covers the converted values
+            (lambda p: p["visual"]["weights"].__setitem__(0, [repr(v) for v in p["visual"]["weights"][0]]),
+             "visual.weights[0] must be a list of JSON numbers"),
+            (lambda p: p["text"]["biases"][0].__setitem__(1, True), "text.biases[0] must be a list of JSON numbers"),
+            (lambda p: p["visual"]["biases"].__setitem__(1, "0.0"), "visual.biases[1] must be a list of JSON numbers"),
             # the layout written before each moment was one vector: a packed entry per parameter array, its hash kept
             (lambda p: p.update(per_parameter_checkpoint(p)), "visual_optimizer.first_moment is a list, not an object"),
             # a checkpoint of the removed tanh encoders: the activation is checked before the hash
@@ -531,7 +536,8 @@ class TestPackedCheckpoint:
              "epsilon", "learning_rate_inf", "weight_decay_bool", "seed_str", "seed_negative", "seed_null",
              "visual_optimizer_null", "text_optimizer_null", "schedule_position", "moment_shape", "moment_length",
              "layer_dims", "extra_bias_list", "extra_weight_list", "missing_weight_list", "unused_base64_bit",
-             "per_parameter_moments", "visual_tanh", "text_tanh"],
+             "weights_as_strings", "bias_bool", "bias_list_as_string", "per_parameter_moments", "visual_tanh",
+             "text_tanh"],
     )
     def test_invalid_value_names_the_key(self, tmp_path, edit, named):
         path = tmp_path / "c.json"

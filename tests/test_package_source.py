@@ -1,5 +1,6 @@
 """Checks on the package source itself, read with ``ast``: no unused error class, no unused import, no bare
-``ValueError`` outside checkpoint decoding, and a package root that binds and loads nothing."""
+``ValueError`` outside checkpoint decoding, one function that writes files, and a package root that binds and
+loads nothing."""
 
 import ast
 import subprocess
@@ -84,6 +85,42 @@ def _bare_value_errors(path: Path) -> list[str]:
 def test_no_bare_value_error_outside_checkpoint_decoding():
     bare = [site for path in MODULES for site in _bare_value_errors(path)]
     assert not bare, f"raise FieldValueError (or the contract's class) instead of a bare ValueError: {bare}"
+
+
+def _file_writes(path: Path) -> list[str]:
+    """``module:function`` of each call in ``path`` that opens a file to write it.
+
+    That is an ``open`` (bare or as an attribute, as in ``io.open``) whose mode
+    holds ``w``, ``a``, ``x`` or ``+``, or is not a string literal, and any
+    ``write_text`` or ``write_bytes``.
+    """
+    out = []
+
+    def writes(call: ast.Call) -> bool:
+        name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            return True
+        if name != "open":
+            return False
+        mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+        if mode is None:  # the default mode, "r"
+            return False
+        literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+        return not literal or bool(set(mode.value) & set("wax+"))
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and writes(child):
+                out.append(f"{path.name}:{function}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(_tree(path), "<module>")
+    return out
+
+
+def test_only_write_file_opens_a_file_for_writing():
+    sites = [site for path in MODULES for site in _file_writes(path)]
+    assert sites == ["errors.py:write_file"], f"write every file through errors.write_file: {sites}"
 
 
 def test_package_root_binds_only_its_version():

@@ -509,7 +509,8 @@ class TestTrainRun:
         encoders.save_checkpoint(tmp_path / "resaved.json", *loaded.values())  # load returns the save arguments in order
         assert (tmp_path / "resaved.json").read_bytes() == final.read_bytes()
         for params, opt, key in ((state.visual, state.visual_opt, "visual"), (state.text, state.text_opt, "text")):
-            assert [p.tobytes() for p in loaded[key].flat()] == [p.tobytes() for p in params.flat()]
+            for got, want in zip(loaded[key].layers, params.layers, strict=True):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             assert loaded[key].vector.tobytes() == params.vector.tobytes()
             back = loaded[f"{key}_optimizer"]
             for name in ("first_moment", "second_moment"):
