@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (CorruptFileError, DimMismatchError, FieldValueError, MissingCacheError, NonFiniteError,
-                     ZeroVectorError, is_a, write_file)
-from .numerics import ZERO_NORM_TOL, as_matrix, f8le
+                     ZeroVectorError, is_a, read_json, write_file)
+from .numerics import ZERO_NORM_TOL, _row_dots, as_matrix, f8le
 
 
 @dataclass
@@ -119,8 +119,8 @@ def forward(params: EncoderParams, x, return_cache: bool = False):
     w, b = params.layers[-1]
     out = h @ w
     out += b
-    # np.linalg.norm's own formula for real rows, without its conj() copy
-    norms = np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
+    # each row's norm is np.linalg.norm of that row alone, whatever the batch
+    norms = np.sqrt(_row_dots(out, out))[:, None]
     if np.any(norms < ZERO_NORM_TOL):
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"row {bad} collapsed to zero before normalization")
@@ -144,8 +144,7 @@ def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> np.
         raise DimMismatchError(f"grad_out shape {grad_out.shape} != output shape {cache.output.shape}")
 
     u = cache.output
-    radial = (u * grad_out).sum(axis=1, keepdims=True)
-    delta = u * radial
+    delta = u * _row_dots(u, grad_out)[:, None]
     np.subtract(grad_out, delta, out=delta)
     delta /= cache.norms
 
@@ -407,11 +406,12 @@ def load_checkpoint(path) -> dict:
     each weight and bias list holds JSON numbers (not ``"0.5"`` or ``true``),
     and each moment is one finite packed vector of its encoder's length,
     second moments >= 0.  Then the file's ``sha256`` must equal the hash of
-    the decoded values.  No older layout is read.
+    the decoded values.  No older layout is read.  A file that is not UTF-8
+    JSON fails with :func:`~lecnce.errors.read_json`'s message, as any input
+    file does.
     """
+    payload = read_json(path, CorruptFileError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
         if isinstance(payload, dict) and "sha256" not in payload:
             raise CorruptFileError(f"checkpoint {path} has no sha256: it predates packed optimizer state "
                                    "(moments as float lists); re-train to write a current checkpoint")
@@ -421,7 +421,7 @@ def load_checkpoint(path) -> dict:
             out[f"{key}_optimizer"] = _state_from_payload(payload[f"{key}_optimizer"], out[key], f"{key}_optimizer")
         out |= {key: _count(key, payload[key]) for key in ("seed", "schedule_position")}
         digest = _checkpoint_sha256(*out.values())  # out lists the values in the hash's parameter order
-    # json's errors are ValueErrors; a huge integer where a float belongs is an OverflowError
+    # a huge integer where a float belongs is an OverflowError
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, DimMismatchError, NonFiniteError) as exc:
         raise CorruptFileError(f"checkpoint {path} is not readable ({type(exc).__name__}: {exc})") from None
     if payload["sha256"] != digest:

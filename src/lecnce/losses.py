@@ -27,7 +27,7 @@ from .errors import (
     check_minimums,
     check_positive,
 )
-from .numerics import ZERO_NORM_TOL, as_matrix, as_stack, check_cells
+from .numerics import ZERO_NORM_TOL, _row_dots, as_matrix, as_stack, check_cells
 
 ROW_NORM_TOL = 1e-6
 
@@ -410,8 +410,7 @@ def _pool_segments(segments: np.ndarray) -> tuple[np.ndarray, tuple]:
     Returns the (B, d) means and a backward cache; each segment's rows add in ``segment.mean(axis=0)``'s order.
     """
     z = segments.mean(axis=1)
-    # a (1, d) @ (d, 1) product per row is the dot np.linalg.norm takes of a vector
-    norms = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
+    norms = np.sqrt(_row_dots(z, z))
     if np.any(norms < ZERO_NORM_TOL):
         raise ZeroVectorError(f"segment {int(np.argmin(norms))} pooled row collapsed to zero")
     u = z / norms[:, None]
@@ -421,8 +420,7 @@ def _pool_segments(segments: np.ndarray) -> tuple[np.ndarray, tuple]:
 def pool_segments_backward(grad_pooled: np.ndarray, cache: tuple) -> np.ndarray:
     """Gradient of :func:`_pool_segments` with respect to its (B, T, d) stack, from its cache."""
     u, norms, t = cache
-    radial = (u[:, None, :] @ grad_pooled[:, :, None])[:, 0]
-    g_z = (grad_pooled - u * radial) / norms[:, None]
+    g_z = (grad_pooled - u * _row_dots(u, grad_pooled)[:, None]) / norms[:, None]
     return np.repeat((g_z / t)[:, None, :], t, axis=1)
 
 

@@ -80,6 +80,15 @@ def subsample_frames(frames: np.ndarray, n: int) -> np.ndarray:
     return frames[idx]
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot of each row of ``a`` with the same row of ``b``, as a 1-D array, unchecked.
+
+    One (1, d) @ (d, 1) product per row: the dot ``np.linalg.norm`` takes of a
+    single vector, so a row's result does not depend on the rows around it.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def l2_normalize(v) -> np.ndarray:
     """Scale a vector to unit Euclidean norm, preserving direction.
 

@@ -35,7 +35,8 @@ from lecnce.datagen import (
 )
 from lecnce.errors import DimMismatchError, FieldValueError, NonFiniteError, ZeroVectorError
 from lecnce.losses import LossValue, clip_lecnce, hier_lecnce
-from lecnce.numerics import as_matrix, cosine_similarity_matrix, finite_diff_grad, l2_normalize, make_rng, subsample_frames
+from lecnce.numerics import (_row_dots, as_matrix, cosine_similarity_matrix, finite_diff_grad, l2_normalize, make_rng,
+                             subsample_frames)
 from lecnce.trainer import LEVELS, VIEW_DROPOUT_RATE, VIEW_NOISE_SIGMA
 
 
@@ -246,7 +247,7 @@ def per_layer_backward(params: enc.EncoderParams, cache: enc.ForwardCache, grad_
     """``encoders.backward`` one layer at a time: per-layer ``(dW, db)`` plus the input rows' gradient."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
     u = cache.output
-    radial = (u * grad_out).sum(axis=1, keepdims=True)
+    radial = _row_dots(u, grad_out)[:, None]  # the kernel's own row dot: this oracle checks the layout
     delta = (grad_out - u * radial) / cache.norms
 
     grads = [None] * len(params.layers)

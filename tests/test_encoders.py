@@ -143,6 +143,47 @@ class TestBackward:
         assert rel_error(analytic, numeric) < 1e-4
 
 
+class TestRowContract:
+    """The row-wise part of the kernel, the norm and the radial term, depends on each row alone, with ==.
+
+    The encoder here has one diagonal layer: each product then is one exact
+    multiply in any BLAS kernel, and a one-row call's difference from a
+    stacked one can only come from the row-wise code.  (A general W does not
+    keep this: numpy takes a one-row product through gemv and a stack
+    through gemm, which round differently.)  The stacks include the
+    reference video step's 25 x 64 = 1,600 rows.
+    """
+
+    @staticmethod
+    def _diagonal(rng, d):
+        return EncoderParams(layers=[(np.diag(rng.uniform(0.5, 2.0, size=d)), rng.normal(size=d))])
+
+    @pytest.mark.parametrize("n, d", [(2, 6), (64, 32), (1600, 32)])
+    def test_row_of_a_stack_equals_the_row_alone(self, n, d):
+        rng = make_rng(40)
+        p = self._diagonal(rng, d)
+        x, g = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        out, cache = forward(p, x, return_cache=True)
+        for k in sorted({0, n // 3, n - 1}):
+            alone, alone_cache = forward(p, x[k : k + 1], return_cache=True)
+            assert np.array_equal(out[k], alone[0]) and cache.norms[k] == alone_cache.norms[0]
+            only_k = np.zeros_like(g)
+            only_k[k] = g[k]  # the other rows add exact zeros to the sums over rows
+            assert np.array_equal(backward(p, cache, only_k), backward(p, alone_cache, g[k : k + 1]))
+
+    @pytest.mark.parametrize("dims", [[12, 6], [24, 32], [32, 32, 32]])
+    def test_norm_is_linalg_norm_of_the_row(self, dims):
+        rng = make_rng(41)
+        p = init_params(dims, rng)
+        x = rng.normal(size=(200, dims[0]))
+        _, cache = forward(p, x, return_cache=True)
+        w, b = p.layers[-1]
+        z = (cache.hidden[-1] if cache.hidden else x) @ w  # the stack's own product, so the same bytes
+        z += b
+        assert cache.norms.shape == (200, 1)
+        assert [float(v) for v in cache.norms[:, 0]] == [float(np.linalg.norm(row)) for row in z]
+
+
 class TestComposedWithLosses:
     """Parameter gradients through encoders and every loss, vs finite differences."""
 

@@ -183,6 +183,7 @@ def test_checkpoint_with_non_finite_weights_is_corrupt(tmp_path, value):
 JSON_FILE_ENTRY = {
     "manifest": (lambda path: load_dataset(path.parent), "manifest.json", CorruptFileError),
     "config": (lambda path: load_config(str(path)), "c.json", ConfigError),
+    "checkpoint": (load_checkpoint, "c.json", CorruptFileError),
 }
 BAD_JSON = {
     "not_utf8": (b'{"a": "\xff"}', " is not UTF-8 text (invalid start byte at byte 7)"),

@@ -1,6 +1,6 @@
 """Checks on the package source itself, read with ``ast``: no unused error class, no unused import, no bare
-``ValueError`` outside checkpoint decoding, one function that writes files, and a package root that binds and
-loads nothing."""
+``ValueError`` outside checkpoint decoding, one function that writes files, one helper that takes row dots, and a
+package root that binds and loads nothing."""
 
 import ast
 import subprocess
@@ -121,6 +121,36 @@ def _file_writes(path: Path) -> list[str]:
 def test_only_write_file_opens_a_file_for_writing():
     sites = [site for path in MODULES for site in _file_writes(path)]
     assert sites == ["errors.py:write_file"], f"write every file through errors.write_file: {sites}"
+
+
+def _row_dot_sites(path: Path) -> list[str]:
+    """``module:line`` of each row dot in ``path`` written as a sum of an elementwise product.
+
+    That is ``np.add.reduce(a * b, ...)``, and ``np.sum(a * b, ...)`` or
+    ``(a * b).sum(...)`` along an axis.
+    """
+    out = []
+    for node in ast.walk(_tree(path)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func, owner, args = node.func, ast.unparse(node.func.value), node.args
+        along = any(k.arg == "axis" for k in node.keywords)
+        if (func.attr, owner) == ("reduce", "np.add") and args:
+            summed, along = args[0], True  # reduce always takes an axis, 0 by default
+        elif (func.attr, owner) == ("sum", "np") and args:
+            summed, along = args[0], along or len(args) > 1
+        elif func.attr == "sum":
+            summed, along = func.value, along or bool(args)
+        else:
+            continue
+        if along and isinstance(summed, ast.BinOp) and isinstance(summed.op, ast.Mult):
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_row_dots_go_through_the_one_helper():
+    sites = [site for path in MODULES for site in _row_dot_sites(path)]
+    assert not sites, f"take a row dot with numerics._row_dots, not a sum of a product: {sites}"
 
 
 def test_package_root_binds_only_its_version():
