@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (CorruptFileError, DimMismatchError, FieldValueError, MissingCacheError, NonFiniteError,
                      ZeroVectorError, is_a, read_json, write_file)
-from .numerics import ZERO_NORM_TOL, _row_dots, as_matrix, f8le
+from .numerics import ZERO_NORM_TOL, _column_sums, _row_dots, as_matrix, f8le
 
 
 @dataclass
@@ -135,7 +135,9 @@ def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> np.
 
     Returns the gradient of every parameter as one vector laid out as
     ``params.vector``.  The normalization Jacobian (I - u u^T)/||z|| is
-    applied per row first; the input rows get no gradient.
+    applied per row first; the input rows get no gradient.  Each layer's
+    bias gradient sums its rows through :func:`~lecnce.numerics._column_sums`,
+    the bits of ``delta.sum(axis=0)``.
     """
     if cache is None:
         raise MissingCacheError("backward needs the cache from forward(..., return_cache=True)")
@@ -151,7 +153,7 @@ def backward(params: EncoderParams, cache: ForwardCache | None, grad_out) -> np.
     grad = np.empty_like(params.vector)
     for i, (dw, db) in reversed(list(enumerate(params.split(grad)))):
         dw[...] = (cache.x if i == 0 else cache.hidden[i - 1]).T @ delta
-        db[...] = delta.sum(axis=0)
+        db[...] = _column_sums(delta)
         if i > 0:
             delta = delta @ params.layers[i][0].T
     return grad

@@ -226,7 +226,7 @@ def linear_probe(
         if y_test.shape != (x_test.shape[0],):
             raise DimMismatchError(f"test_labels of shape {y_test.shape} for {x_test.shape[0]} test rows")
 
-    classes = np.unique(y_train)
+    classes = np.flatnonzero(np.bincount(y_train))  # the sorted distinct ids; np.unique would import numpy.ma
     if classes.size < 2:
         raise SingleClassError(f"training labels contain {classes.size} class(es)")
     n_classes = int(max(labels.max(), y_test.max(initial=0))) + 1

@@ -27,7 +27,7 @@ from .errors import (
     check_minimums,
     check_positive,
 )
-from .numerics import ZERO_NORM_TOL, _row_dots, as_matrix, as_stack, check_cells
+from .numerics import ZERO_NORM_TOL, _column_sums, _row_dots, as_matrix, as_stack, check_cells
 
 ROW_NORM_TOL = 1e-6
 
@@ -407,9 +407,10 @@ def _clip_lecnce(clip_frames, narrations, view_a, view_b, cfg: LossConfig) -> Lo
 def _pool_segments(segments: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Renormalized mean over T of each segment of a finite (B, T, d) float64 stack with cells, unchecked.
 
-    Returns the (B, d) means and a backward cache; each segment's rows add in ``segment.mean(axis=0)``'s order.
+    Returns the (B, d) means and a backward cache; each segment's rows are summed by
+    :func:`~lecnce.numerics._column_sums` and divided by T, the bits of ``segment.mean(axis=0)``.
     """
-    z = segments.mean(axis=1)
+    z = _column_sums(segments) / segments.shape[1]
     norms = np.sqrt(_row_dots(z, z))
     if np.any(norms < ZERO_NORM_TOL):
         raise ZeroVectorError(f"segment {int(np.argmin(norms))} pooled row collapsed to zero")

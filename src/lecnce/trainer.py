@@ -115,13 +115,17 @@ class _Batcher:
 
     A batch holds only the kept frames of its samples (``n_frames`` of
     them, uniformly spaced as by ``subsample_frames``) and no labels, which
-    training never reads.
+    training never reads.  The level's frames are seen as one (rows x T, d)
+    matrix, made once (a view, unless the level is a strided slice), and a
+    batch's frames are one ``np.take`` of its rows from it.
     """
 
     def __init__(self, rows: Level, rng: np.random.Generator, n_frames: int):
         self.rows = rows
         self.rng = rng
-        self.index = subsample_frames(np.arange(rows.frames.shape[1]), n_frames)
+        n, t, d = rows.frames.shape
+        self.frame_rows = rows.frames.reshape(n * t, d)  # frame j of sample i is row i * t + j
+        self.index = subsample_frames(np.arange(t), n_frames)
         self.order = rng.permutation(len(rows))
         self.pos = 0
 
@@ -136,15 +140,8 @@ class _Batcher:
             n -= len(picks[-1])
         picks = np.concatenate(picks)
         rows = self.rows
-        return Level(rows.name, rows.frames[picks[:, None], self.index], rows.parents[picks], rows.children[picks],
-                     None, rows.procedure_ids[picks])
-
-
-def _distort(features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Additive Gaussian noise plus coordinate dropout, in feature space."""
-    noise = rng.normal(0.0, VIEW_NOISE_SIGMA, size=features.shape)
-    keep = rng.random(features.shape) >= VIEW_DROPOUT_RATE
-    return (features + noise) * keep
+        frames = np.take(self.frame_rows, picks[:, None] * rows.frames.shape[1] + self.index, axis=0)
+        return Level(rows.name, frames, rows.parents[picks], rows.children[picks], None, rows.procedure_ids[picks])
 
 
 @dataclass
@@ -185,14 +182,21 @@ def train_step(
     if batch.name != level:
         raise FieldValueError("batch", f"of level {batch.name!r} in a {level!r} step")
     frames = batch.frames
-    b, t, _ = frames.shape
+    b, t, d = frames.shape
 
     # one forward and one backward per encoder: the weight gradients of all
     # samples sum inside the backward GEMM
     if level == "clip":
-        # view a of every sample, then view b of every sample
-        views = _distort(np.concatenate([frames, frames]), rng)
-        blocks = np.concatenate([frames, views])
+        # the clean frames, then view a and view b of every sample, drawn in
+        # place: additive Gaussian noise, then coordinate dropout
+        blocks = np.empty((3 * b, t, d))
+        blocks[:b] = frames
+        views = blocks[b:]
+        rng.standard_normal(out=views)
+        views *= VIEW_NOISE_SIGMA
+        both = views.reshape(2, b, t, d)
+        both += frames
+        views *= rng.random(views.shape) >= VIEW_DROPOUT_RATE
         emb, v_cache = enc.forward(state.visual, blocks.reshape(3 * b * t, -1), return_cache=True)
         pooled, pool_cache = _pool_segments(emb.reshape(3 * b, t, -1))  # forward's checked input, normalized
         narr_emb, t_cache = enc.forward(state.text, batch.parents, return_cache=True)

@@ -3,8 +3,8 @@ per-matrix greedy and DP alignment loops and the hinge built on them, the
 tie-margin filter that keeps DTW gradient checks away from path ties, the
 cost build with numpy's row-max reduce and the cost-build backward that
 recomputes its softmax, the per-layer encoder backward and per-array AdamW update, the
-per-row InfoNCE, per-matrix pooling, per-block training step,
-per-sample batcher, per-row data generator and per-query/per-class metric
+per-row InfoNCE, per-matrix pooling, per-block training step, the clip
+views drawn over concatenated copies, per-sample batcher, per-row data generator and per-query/per-class metric
 loops that the batched code must reproduce, the hinge that walks every
 alignment path, the reversed-cost relaxation as a per-cell loop, a Newton solver for the linear probe's objective, the
 evaluation protocols composed sample by sample, the checkpoint layouts
@@ -403,6 +403,18 @@ def _pool_batch_backward(visual: enc.EncoderParams, caches, grad_rows: np.ndarra
 
 def _add_grads(a, b):
     return [(dw1 + dw2, db1 + db2) for (dw1, db1), (dw2, db2) in zip(a, b)]
+
+
+def distort(features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Additive Gaussian noise plus coordinate dropout, in feature space, each over a new array.
+
+    ``np.concatenate([f, distort(np.concatenate([f, f]), rng)])`` is the
+    clip step's (3b, t, d) block as the trainer built it before it drew the
+    views in place: the in-place views oracle.
+    """
+    noise = rng.normal(0.0, VIEW_NOISE_SIGMA, size=features.shape)
+    keep = rng.random(features.shape) >= VIEW_DROPOUT_RATE
+    return (features + noise) * keep
 
 
 class PerSampleBatcher:

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -241,6 +243,23 @@ class TestLinearProbe:
         np.testing.assert_array_equal(result.weights[:, present], compact.weights)
         np.testing.assert_array_equal(result.bias[present], compact.bias)
         assert (result.iterations, result.grad_norm) == (compact.iterations, compact.grad_norm)
+
+    @pytest.mark.parametrize("labels", [[4, 0, 4, 9, 0, 2, 9, 9], [7, 3, 3, 7], [0, 1, 5, 5, 5, 1, 0], [2, 1]])
+    def test_fitted_classes_are_the_distinct_training_labels(self, labels):
+        """The classes the fit gives a finite bias are ``np.unique`` of the training labels, across gaps and repeats."""
+        y = np.array(labels)
+        x = make_rng(40).normal(size=(len(y), 3))
+        result = linear_probe(x, y, epochs=3, test_features=x, test_labels=y)
+        np.testing.assert_array_equal(np.flatnonzero(np.isfinite(result.bias)), np.unique(y))
+
+    def test_fit_leaves_numpy_ma_unimported(self):
+        """``np.unique`` imports ``numpy.ma``, a cost in every fresh ``lecnce eval`` process; the probe avoids it."""
+        code = ("import sys; import numpy as np; from lecnce.evalkit import linear_probe; "
+                "x = np.random.default_rng(0).normal(size=(30, 3)); "
+                "linear_probe(x, np.arange(30) % 3 * 2, epochs=2); print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("seed, weight_decay", [(25, 0.0005), (26, 0.01), (27, 0.1)])
     def test_objective_matches_newton_oracle(self, seed, weight_decay):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lecnce import losses
 from lecnce.errors import DimMismatchError, ZeroVectorError
 from lecnce.numerics import (
+    _column_sums,
     cosine_similarity_matrix,
     finite_diff_grad,
     l2_normalize,
@@ -134,6 +135,28 @@ class TestFiniteDiffGrad:
         x = rng.normal(size=3)
         g = finite_diff_grad(lambda v: float(v @ q @ v), x)
         np.testing.assert_allclose(g, 2 * q @ x, rtol=1e-6, atol=1e-8)
+
+
+class TestColumnSums:
+    """``_column_sums`` against ``a.sum(axis=-2)``, bit for bit: every sign bit too."""
+
+    # the bias gradients of the clip, phase and video steps at the reference shape, their poolings, a last axis of
+    # width 1 (where numpy sums pairwise), a single row and T = 1
+    @pytest.mark.parametrize("shape", [(1440, 32), (1280, 32), (1600, 32), (360, 4, 32), (80, 16, 32), (25, 64, 32),
+                                       (50, 1), (3, 50, 1), (1, 32), (5, 1, 32)])
+    def test_equals_the_numpy_sum(self, shape):
+        a = make_rng(41).normal(size=shape)
+        got, want = _column_sums(a), a.sum(axis=-2)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_signed_zeros_and_other_layouts(self):
+        a = make_rng(42).normal(size=(6, 40, 8))
+        a[:, :, 0] = -0.0
+        a[:, ::2, 1] = -0.0
+        a[:, 1::2, 1] = 0.0
+        for view in (a, a.transpose(0, 2, 1), a[:, ::3], a[..., ::2], np.asfortranarray(a)):
+            assert _column_sums(view).tobytes() == view.sum(axis=-2).tobytes()
 
 
 class TestRng:

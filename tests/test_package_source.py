@@ -1,6 +1,6 @@
 """Checks on the package source itself, read with ``ast``: no unused error class, no unused import, no bare
-``ValueError`` outside checkpoint decoding, one function that writes files, one helper that takes row dots, and a
-package root that binds and loads nothing."""
+``ValueError`` outside checkpoint decoding, one function that writes files, one helper that takes row dots, no
+``np.unique``, and a package root that binds and loads nothing."""
 
 import ast
 import subprocess
@@ -151,6 +151,24 @@ def _row_dot_sites(path: Path) -> list[str]:
 def test_row_dots_go_through_the_one_helper():
     sites = [site for path in MODULES for site in _row_dot_sites(path)]
     assert not sites, f"take a row dot with numerics._row_dots, not a sum of a product: {sites}"
+
+
+def _unique_sites(path: Path) -> list[str]:
+    """``module:line`` of each ``np.unique`` (or ``numpy.unique``) in ``path``, and of each import of it."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        named = isinstance(node, ast.Attribute) and node.attr == "unique" and ast.unparse(node.value) in ("np", "numpy")
+        imported = isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(
+            a.name == "unique" for a in node.names)
+        if named or imported:
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_np_unique_in_the_package():
+    """The first ``np.unique`` of a process imports ``numpy.ma``, 13-23 ms of every fresh ``lecnce eval``."""
+    sites = [site for path in MODULES for site in _unique_sites(path)]
+    assert not sites, f"take distinct ids with np.bincount or a sort, not np.unique: {sites}"
 
 
 def test_package_root_binds_only_its_version():

@@ -7,8 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import (PerSampleBatcher, flat_grad, per_array_adamw_step, per_block_train_step, per_layer_backward,
-                     perfbench_module)
+from helpers import (PerSampleBatcher, distort, flat_grad, per_array_adamw_step, per_block_train_step,
+                     per_layer_backward, perfbench_module)
 
 from lecnce import encoders, trainer
 from lecnce.datagen import LEVELS, Level, ProcedureSpec, generate_dataset
@@ -351,7 +351,51 @@ class TestGeneratorUse:
         assert rng.bit_generator.state == expected.bit_generator.state
 
 
+class TestClipViews:
+    """The clip step's block, its views drawn in place, against the frames and ``distort`` of their concatenation."""
+
+    @pytest.mark.parametrize("b, t, d, strided", [(4, 2, 12, False), (120, 4, 32, False), (3, 1, 5, False),
+                                                  (5, 3, 7, True)])
+    def test_block_equals_the_concatenated_views(self, b, t, d, strided, monkeypatch):
+        base = make_rng(5).normal(size=(b, t, 2 * d if strided else d))
+        frames = base[..., ::2] if strided else base
+        frames[0, 0, :2] = (0.0, -0.0)
+        batch = Level("clip", frames, make_rng(6).normal(size=(b, 9)), np.zeros((b, 0, 9)), None, np.arange(b))
+        cfg = tiny_config(visual_layers=(d, 6))
+        state = init_trainer(cfg, make_rng(cfg.seed))
+        seen, real = [], encoders.forward
+
+        def forward(params, x, **kwargs):
+            if params is state.visual:
+                seen.append(x.copy())
+            return real(params, x, **kwargs)
+
+        monkeypatch.setattr(encoders, "forward", forward)
+        rng, oracle_rng = make_rng(11), make_rng(11)
+        train_step("clip", batch, state, cfg, rng)
+        want = np.concatenate([frames, distort(np.concatenate([frames, frames]), oracle_rng)])
+        assert len(seen) == 1 and seen[0].shape == (3 * b * t, d)
+        assert seen[0].tobytes() == want.tobytes()  # every bit, the sign of every zero too
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class TestBatcher:
+    @pytest.mark.parametrize("layout", ["contiguous", "every other row", "every other feature"])
+    def test_one_take_equals_the_two_array_index(self, layout):
+        """A batch's frames are ``frames[picks[:, None], index]`` of its level, across wrap-around, bit for bit."""
+        base = make_rng(3).normal(size=(14, 10, 12))
+        frames = {"contiguous": base, "every other row": base[::2], "every other feature": base[..., ::2]}[layout]
+        n = len(frames)
+        # each row's parent text is its row number, which names the picks a batch holds
+        level = Level("video", frames, np.arange(n, dtype=float)[:, None], np.zeros((n, 2, 1)), None, np.arange(n))
+        batcher = _Batcher(level, make_rng(7), 4)
+        for size in (3, 5, 2, 12, 3):  # wraps around the level, once with a batch larger than it
+            batch = batcher.next_batch(size)
+            picks = batch.parents[:, 0].astype(int)
+            want = frames[picks[:, None], batcher.index]
+            assert batch.frames.shape == want.shape == (size, 4, frames.shape[2])
+            assert batch.frames.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("level, n", [("clip", 6), ("phase", 7), ("video", 2), ("video", 12)])
     def test_yields_the_rows_of_the_per_sample_batcher(self, level, n):
         """Equal rows, kept frames and draws, across wrap-around and batches larger than the level."""
@@ -437,10 +481,13 @@ class TestStepCallBudget:
     ``_path_bounds`` whether it may skip the alignment; on this tiny batch
     they say no.  Every encoder forward and backward and every segment
     pooling takes its row dots through one ``numerics._row_dots`` call, 6 a
-    step at each level; they check nothing.
+    step at each level, and every layer's bias gradient and every segment
+    pooling its sums through one ``numerics._column_sums`` call, 3 a step
+    here (one layer per encoder); they check nothing.  The clip step draws its
+    two views inline, with no helper call.
     """
 
-    BUDGET = {"greedy": {"clip": 33, "phase": 37, "video": 37}, "dp": {"clip": 33, "phase": 41, "video": 41}}
+    BUDGET = {"greedy": {"clip": 35, "phase": 40, "video": 40}, "dp": {"clip": 35, "phase": 44, "video": 44}}
 
     @pytest.mark.parametrize("algorithm", ["greedy", "dp"])
     def test_steady_state_steps_stay_within_budget(self, algorithm):
