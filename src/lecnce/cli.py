@@ -104,9 +104,6 @@ def load_config(path: str | None) -> dict:
             else list(f.default) if isinstance(f.default, tuple) else f.default
             for key, f, hint in fields
         }
-    # before build(), whose TrainConfig check would name one key
-    if config["train"]["visual_layers"][-1] != config["train"]["text_layers"][-1]:
-        raise ConfigError("config keys 'train.visual_layers' and 'train.text_layers' must end in the same joint dim")
     _, _, train, _ = build(config)
     if train.learning_rate == 0:  # valid for a frozen-encoder step, but a run that cannot learn
         raise ConfigError("config key 'train.learning_rate' must be > 0, got 0")

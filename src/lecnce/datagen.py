@@ -356,7 +356,6 @@ def save_dataset(train: Dataset, holdout: Dataset, out_dir) -> None:
     write_file(os.path.join(out_dir, "groundtruth.bin"), truth_blob)
     manifest = {
         "spec": asdict(spec),
-        "seed": spec.seed,
         "train_procedures": train.procedure_ids,
         "holdout_procedures": holdout.procedure_ids,
         "step_orders": orders.tolist(),  # the arrays' rows are in id order

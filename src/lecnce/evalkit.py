@@ -21,6 +21,7 @@ from .errors import (
     KExceedsCorpusError,
     SingleClassError,
     check_minimums,
+    check_positive,
 )
 from .losses import _pool_segments
 from .numerics import as_matrix, check_cells, cosine_similarity_matrix, make_rng, subsample_frames
@@ -199,9 +200,8 @@ def linear_probe(
     never modified.  ``lr`` and ``tol`` must be finite and > 0, or
     FieldValueError names the argument.
     """
-    for name, value in (("lr", lr), ("tol", tol)):
-        if not (np.isfinite(value) and value > 0):
-            raise FieldValueError(name, f"must be a finite number > 0, got {value}")
+    check_positive("lr", lr)
+    check_positive("tol", tol)
     features = as_matrix(features, "features")
     labels = _class_ids(labels, "labels")
     if labels.shape != (features.shape[0],):

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyMatrixError, FieldValueError, NonFiniteError, ZeroVectorError
+from .errors import DimMismatchError, EmptyMatrixError, FieldValueError, NonFiniteError, ZeroVectorError, check_positive
 
 ZERO_NORM_TOL = 1e-12
 
@@ -145,10 +145,9 @@ def finite_diff_grad(fn: Callable[[np.ndarray], float], x, h: float = 1e-5) -> n
     """Central-difference gradient oracle: (fn(x+h e_i) - fn(x-h e_i)) / 2h.
 
     The default step balances truncation against round-off for float64
-    inputs scaled to O(1).
+    inputs scaled to O(1).  ``h`` must be finite and > 0.
     """
-    if not h > 0:
-        raise FieldValueError("h", f"must be > 0, got {h}")
+    check_positive("h", h)
     x = np.asarray(x, dtype=np.float64).copy()
     grad = np.zeros_like(x)
     flat = x.ravel()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .numerics import make_rng, subsample_frames
 VIEW_NOISE_SIGMA = 0.05
 VIEW_DROPOUT_RATE = 0.10
 
-CSV_COLUMNS = ["step", "level", "total", "component_vl", "component_vv", "component_infonce", "component_dtw", "wall_ms"]
+CSV_COLUMNS = ["step", "level", "total", "component_vl", "component_vv", "component_infonce", "component_dtw"]
 
 
 @dataclass
@@ -77,7 +76,6 @@ class StepRecord:
     level: str
     total: float
     components: dict[str, float]
-    wall_ms: float
 
 
 @dataclass
@@ -98,7 +96,7 @@ class TrainLog:
         writer.writerow(CSV_COLUMNS)
         for r in self.records:
             c = [repr(r.components[k]) if k in r.components else "" for k in ("vl", "vv", "infonce", "dtw")]
-            writer.writerow([r.global_step, r.level, repr(r.total), *c, repr(r.wall_ms)])
+            writer.writerow([r.global_step, r.level, repr(r.total), *c])
         write_file(path, buf.getvalue())
 
 
@@ -178,7 +176,6 @@ def train_step(
     The frames a step sees are picked by :class:`_Batcher`, which keeps
     ``cfg.frames`` of them per sample; a batch built otherwise is trained as given.
     """
-    t0 = time.perf_counter()
     if batch.name != level:
         raise FieldValueError("batch", f"of level {batch.name!r} in a {level!r} step")
     frames = batch.frames
@@ -224,14 +221,7 @@ def train_step(
     state.visual, state.visual_opt = enc.adamw_step(state.visual, v_grad, state.visual_opt)
     state.text, state.text_opt = enc.adamw_step(state.text, t_grad, state.text_opt)
 
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return StepRecord(
-        global_step=global_step,
-        level=level,
-        total=loss.value,
-        components=dict(loss.components),
-        wall_ms=wall_ms,
-    )
+    return StepRecord(global_step=global_step, level=level, total=loss.value, components=dict(loss.components))
 
 
 def train_run(cfg: TrainConfig, dataset: Dataset, out_dir=None) -> tuple[TrainerState, TrainLog]:

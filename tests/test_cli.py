@@ -309,6 +309,30 @@ def generated(tmp_path, small_config):
     return data_dir
 
 
+def test_same_seed_pipelines_write_the_same_bytes(tmp_path, small_config):
+    """Two ``generate-data -> train -> eval`` pipelines of one config and seed write the same files, byte for byte.
+
+    Each command runs in its own process, and nothing is stripped before the
+    comparison: no output holds a clock reading or other per-run state.
+    """
+    trees = []
+    for tag in ("one", "two"):
+        root = tmp_path / tag
+        data, run_dir = root / "data", root / "run"
+        for argv in (["generate-data", "--spec", small_config, "--out", data],
+                     ["train", "--config", small_config, "--data", data, "--out", run_dir],
+                     ["eval", "--config", small_config, "--checkpoint", run_dir / "checkpoint_final.json",
+                      "--data", data, "--out", root / "eval"]):
+            proc = subprocess.run([sys.executable, "-m", "lecnce", *map(str, argv)], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        trees.append({path.relative_to(root).as_posix(): path.read_bytes()
+                      for path in root.rglob("*") if path.is_file()})
+    assert {"data/manifest.json", "data/data.bin", "run/trainlog.csv", "run/checkpoint_0001.json",
+            "run/checkpoint_final.json", "eval/eval_report.json"} <= trees[0].keys()
+    assert sorted(trees[0]) == sorted(trees[1])
+    assert [name for name in sorted(trees[0]) if trees[0][name] != trees[1][name]] == []
+
+
 class TestLevelGatherBudget:
     """A tripwire for what each command reads of a dataset: a level is gathered when first read, and only then.
 
@@ -343,7 +367,7 @@ class TestTrainCommand:
         for name in ("resolved_config.json", "seed.json", "trainlog.csv", "checkpoint_final.json"):
             assert (out / name).exists(), name
         header = (out / "trainlog.csv").read_text().splitlines()[0]
-        assert header == "step,level,total,component_vl,component_vv,component_infonce,component_dtw,wall_ms"
+        assert header == "step,level,total,component_vl,component_vv,component_infonce,component_dtw"
 
     def test_lambda_variants_share_schema(self, tmp_path, small_config, generated):
         cfg = json.loads(small_config.read_text())
@@ -1013,7 +1037,7 @@ def test_bad_value_named_before_any_output(tmp_path, capsys, small_config, comma
     [
         ({"visual_layers": [11, 6]}, "'train.visual_layers'"),
         ({"text_layers": [8, 6]}, "'train.text_layers'"),
-        ({"text_layers": [9, 7]}, "'train.visual_layers' and 'train.text_layers'"),
+        ({"text_layers": [9, 7]}, "config key 'train.text_layers' must end in the joint dim of visual_layers"),
     ],
 )
 def test_encoder_dims_checked_against_data(tmp_path, capsys, small_config, train, key):

@@ -493,6 +493,18 @@ def test_undamaged_copy_loads(saved_files, tmp_path):
     assert len(train.procedure_ids) + len(hold.procedure_ids) == 4
 
 
+def test_manifest_with_a_top_level_seed_loads(saved_files, tmp_path):
+    """Manifests once carried a top-level copy of ``spec.seed``, which no reader reads; such a manifest still loads."""
+    manifest = json.loads(saved_files["manifest.json"])
+    assert "seed" not in manifest
+    for name, blob in saved_files.items():
+        (tmp_path / name).write_bytes(blob)
+    (tmp_path / "manifest.json").write_text(json.dumps(rehash({**manifest, "seed": manifest["spec"]["seed"]})))
+    train, hold = load_dataset(tmp_path)
+    assert (train.procedure_ids, hold.procedure_ids) == (manifest["train_procedures"], manifest["holdout_procedures"])
+    assert train.spec.seed == manifest["spec"]["seed"]
+
+
 @pytest.mark.parametrize("field, value", [("noise_sigma", True), ("order_noise", False), ("text_dim", 10.0),
                                           ("noise_sigma", "0.1")])
 def test_mistyped_spec_field_named(saved_files, tmp_path, field, value):

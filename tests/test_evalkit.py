@@ -378,10 +378,10 @@ class TestLinearProbe:
     @pytest.mark.parametrize(
         "kwargs, named",
         [
-            (dict(lr=0), "lr must be a finite number > 0, got 0"),
-            (dict(lr=np.inf), "lr must be a finite number > 0, got inf"),
-            (dict(tol=-1), "tol must be a finite number > 0, got -1"),
-            (dict(tol=np.nan), "tol must be a finite number > 0, got nan"),
+            (dict(lr=0), "lr must be finite and > 0, got 0"),
+            (dict(lr=np.inf), "lr must be finite and > 0, got inf"),
+            (dict(tol=-1), "tol must be finite and > 0, got -1"),
+            (dict(tol=np.nan), "tol must be finite and > 0, got nan"),
         ],
         ids=["lr_zero", "lr_inf", "tol_negative", "tol_nan"],
     )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lecnce import losses
-from lecnce.errors import DimMismatchError, ZeroVectorError
+from lecnce.errors import DimMismatchError, FieldValueError, ZeroVectorError
 from lecnce.numerics import (
     _column_sums,
     cosine_similarity_matrix,
@@ -135,6 +135,11 @@ class TestFiniteDiffGrad:
         x = rng.normal(size=3)
         g = finite_diff_grad(lambda v: float(v @ q @ v), x)
         np.testing.assert_allclose(g, 2 * q @ x, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.inf, np.nan])
+    def test_bad_step_named(self, h):
+        with pytest.raises(FieldValueError, match=f"h must be finite and > 0, got {h}"):
+            finite_diff_grad(lambda x: float(x[0]), np.zeros(1), h=h)
 
 
 class TestColumnSums:

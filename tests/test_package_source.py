@@ -1,6 +1,6 @@
 """Checks on the package source itself, read with ``ast``: no unused error class, no unused import, no bare
 ``ValueError`` outside checkpoint decoding, one function that writes files, one helper that takes row dots, no
-``np.unique``, and a package root that binds and loads nothing."""
+``np.unique``, no clock, and a package root that binds and loads nothing."""
 
 import ast
 import subprocess
@@ -169,6 +169,30 @@ def test_no_np_unique_in_the_package():
     """The first ``np.unique`` of a process imports ``numpy.ma``, 13-23 ms of every fresh ``lecnce eval``."""
     sites = [site for path in MODULES for site in _unique_sites(path)]
     assert not sites, f"take distinct ids with np.bincount or a sort, not np.unique: {sites}"
+
+
+CLOCK_MODULES = {"time", "datetime"}
+
+
+def _clock_imports(path: Path) -> list[str]:
+    """``module:line`` of each import of ``time`` or ``datetime`` (or of a name from them) in ``path``."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] in CLOCK_MODULES for module in modules):
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_module_reads_a_clock():
+    """Every output byte of a run is a function of its inputs and seed; timings are taken from outside the package."""
+    sites = [site for path in MODULES for site in _clock_imports(path)]
+    assert not sites, f"the package reads no clock; time a call from its caller: {sites}"
 
 
 def test_package_root_binds_only_its_version():

@@ -417,20 +417,19 @@ class TestBatcher:
 class TestTrainLog:
     def test_rejects_non_increasing_steps(self):
         log = TrainLog()
-        log.append(StepRecord(1, "clip", 1.0, {}, 0.0))
+        log.append(StepRecord(1, "clip", 1.0, {}))
         with pytest.raises(FieldValueError, match="global_step must be strictly increasing"):
-            log.append(StepRecord(1, "clip", 1.0, {}, 0.0))
+            log.append(StepRecord(1, "clip", 1.0, {}))
 
     def test_csv_schema(self, tmp_path):
         log = TrainLog()
-        log.append(StepRecord(1, "clip", 1.5, {"vl": 1.0, "vv": 0.5}, 2.0))
-        log.append(StepRecord(2, "video", 0.7, {"infonce": 0.69, "dtw": 1.0}, 3.0))
+        log.append(StepRecord(1, "clip", 1.5, {"vl": 1.0, "vv": 0.5}))
+        log.append(StepRecord(2, "video", 0.7, {"infonce": 0.69, "dtw": 1.0}))
         path = tmp_path / "log.csv"
         log.write_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert lines[1].startswith("1,clip,1.5,1.0,0.5,,,")
-        assert lines[2].startswith("2,video,0.7,,,0.69,1.0,")
+        assert lines[1:] == ["1,clip,1.5,1.0,0.5,,", "2,video,0.7,,,0.69,1.0"]
 
 
 def package_calls(fn) -> int:
@@ -584,34 +583,36 @@ class TestTrainRun:
 
         The batcher keeps 16 of 32 phase frames and 64 of 192 video frames,
         and the clip batches wrap around the level.  The pins are the sha256
-        of ``checkpoint_final.json``, of ``trainlog.csv`` without its
-        ``wall_ms`` column and of the loaded parameter and moment vectors'
-        float64 bytes (numpy 2.4 on OpenBLAS; another BLAS may round
-        differently).  They hold since the encoders took their row norms and
-        radial terms through ``numerics._row_dots``, which moved the run's
-        weights in their last bits (by at most 5.6e-17); the digests before
-        that were
+        of ``checkpoint_final.json``, of the whole ``trainlog.csv`` and of the
+        loaded parameter and moment vectors' float64 bytes (numpy 2.4 on
+        OpenBLAS; another BLAS may round differently).  They hold since the
+        encoders took their row norms and radial terms through
+        ``numerics._row_dots``, which moved the run's weights in their last
+        bits (by at most 5.6e-17); the digests before that were
         a874c684d014ed81879e8d99f5528c27cdbf06a9f00165f9015bf0e72f38a280,
         e0dac16961e20da92b5298eb14c04d3710ca44cc5d9c9bea52f35452ed64a740 and
         6965afaa5e3ac51d8145fb9386fdcb5c7e08182aa29de19a371bf20b26d04a59.
+        Before the log dropped its ``wall_ms`` column, the log pin hashed the
+        lines without it, each ended by ``"\\n"``:
+        1753a4d692587f323cb2fe4ec7dc4c68a07e65e8192117f6d35e30cc5d077e94;
+        the lines of the log pinned here, hashed that way, still give it.
         """
         spec = ProcedureSpec(step_library_size=24, steps_per_procedure=6, frames_per_step=32, seed=4)
         train, _ = generate_dataset(spec, 10)
         assert [train.samples[level].frames.shape[1] for level in LEVELS] == [4, 32, 192]
         cfg = TrainConfig(schedule=(25, 3, 5), batch_sizes=(16, 8, 2), epochs=1, dtw_algorithm="dp", seed=6)
         train_run(cfg, train, out_dir=tmp_path)
-        log = (tmp_path / "trainlog.csv").read_text(encoding="utf-8").splitlines()
-        timeless = "".join(line.rsplit(",", 1)[0] + "\n" for line in log).encode()
-        assert log[0].endswith(",wall_ms") and len(log) == 1 + 25 + 3 + 5
+        log = (tmp_path / "trainlog.csv").read_bytes()
+        assert len(log.splitlines()) == 1 + 25 + 3 + 5
         checkpoint = (tmp_path / "checkpoint_final.json").read_bytes()
-        digests = [hashlib.sha256(data).hexdigest() for data in (checkpoint, timeless)]
+        digests = [hashlib.sha256(data).hexdigest() for data in (checkpoint, log)]
         loaded = encoders.load_checkpoint(tmp_path / "checkpoint_final.json")
         vectors = [loaded["visual"].vector, loaded["text"].vector] + [
             getattr(loaded[key], name) for key in ("visual_optimizer", "text_optimizer")
             for name in ("first_moment", "second_moment")]
         digests.append(hashlib.sha256(b"".join(v.astype("<f8").tobytes() for v in vectors)).hexdigest())
         assert digests == ["9ac18f9bdd21585aba6b59fd29fe3cdd085d730d615e5a4a45d562a2d5e90d86",
-                           "1753a4d692587f323cb2fe4ec7dc4c68a07e65e8192117f6d35e30cc5d077e94",
+                           "ac7c304e624029ecff16e0bba09606298c88fb5ebf0c2e633a96de3224325ed6",
                            "23ff2cc3abb3020117713513a746e33d304246a8c3e4dfc8b14c3cd51287b84a"]
 
     def test_clip_loss_decreases(self):
